@@ -4,14 +4,14 @@ only on the E6-style instruction-characterization workload.
 The router's acceptance claim is quantitative: on a realistic query
 mix (the four specs per corpus variant the E6 sweep runs — latency,
 throughput, µops, port usage), at least **70 %** of queries must be
-answered by a tier cheaper than the exact simulator, the end-to-end
-wall time must be at least **5×** faster than running everything on
-the exact simulator, and the continuous audit sample must contain
-**zero silent tolerance violations** — every audited answer either
-matched the exact simulator within tolerance or *is* the exact
-simulator's answer (the router substitutes the reference on a failed
-audit; that substitution is re-verified here against fresh exact
-runs).
+answered cheaper than the exact simulator — by the analytic tier or the
+fast-path simulator, not by a failed audit's reference run — the
+end-to-end wall time must be at least **5×** faster than running
+everything on the exact simulator, and the continuous audit sample must
+contain **zero silent tolerance violations** — every audited answer
+either matched the simulator within tolerance or *is* the simulator's
+answer (the router substitutes the reference on a failed audit; that
+substitution is re-verified here against fresh exact runs).
 """
 
 import os
@@ -28,8 +28,8 @@ from conftest import run_once
 MIN_CHEAP_FRACTION = 0.70
 MIN_SPEEDUP = 5.0
 
-#: Routed queries audited against the exact simulator (1/AUDIT_RATE).
-#: The default policy's 1/64 sample is exercised as-is.
+#: Analytic answers are audited against the simulator with the default
+#: policy's 1/64 sample, exercised as-is.
 
 
 def _corpus_specs(backend):
@@ -79,14 +79,16 @@ def test_a10_router_throughput(benchmark, report):
     for result in routed:
         tiers[result.served_by] = tiers.get(result.served_by, 0) + 1
     total = len(routed)
-    cheap = tiers.get("analytic", 0) + tiers.get("sim", 0)
-    cheap_fraction = cheap / total
     audited = [r for r in routed if r.router_audited]
     failed = [r for r in audited if r.router_audit_failed]
+    # A failed audit is served by the simulator's reference run on top
+    # of the analytic one, so it does not count as a cheap answer.
+    cheap = tiers.get("analytic", 0) + tiers.get("sim", 0) - len(failed)
+    cheap_fraction = cheap / total
     speedup = exact_seconds / routed_seconds
 
     # No silent violations: a failed audit must have substituted the
-    # exact answer — re-verify each against a fresh exact-sim run.
+    # simulator's answer — re-verify each against a fresh exact-sim run.
     for result in failed:
         nb = NanoBench.create(result.spec.uarch, result.spec.seed,
                               kernel_mode=result.spec.kernel_mode,
@@ -102,7 +104,7 @@ def test_a10_router_throughput(benchmark, report):
         % (total, total // 4),
         "served by tier:",
     ]
-    for tier in ("analytic", "sim", "sim-exact"):
+    for tier in ("analytic", "sim"):
         count = tiers.get(tier, 0)
         lines.append("  %-9s %4d  (%5.1f%%)"
                      % (tier, count, 100.0 * count / total))
@@ -110,7 +112,7 @@ def test_a10_router_throughput(benchmark, report):
         "cheaper-than-exact fraction: %.1f%%  (floor %.0f%%)"
         % (100.0 * cheap_fraction, 100.0 * MIN_CHEAP_FRACTION),
         "audited: %d  (%.1f%% of routed; audit failures: %d, all "
-        "substituted with exact values)"
+        "substituted with simulator values)"
         % (len(audited), 100.0 * len(audited) / total, len(failed)),
         "wall time: routed %.2f s vs exact-sim-only %.2f s  "
         "(speedup %.1fx, floor %.0fx)"

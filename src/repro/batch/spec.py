@@ -12,15 +12,29 @@ therefore independent of sharding, worker count, and execution order.
 
 from __future__ import annotations
 
+import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-import time
 
 from ..core.nanobench import NanoBench
 from ..core.options import NanoBenchOptions
 from ..errors import ReproError
 from ..integrity.stability import StabilityPolicy
+from ..store.records import RECORD_VERSION
+
+#: BatchResult fields copied verbatim into / out of a stored record.
+#: Append-only: ``result_from_record`` reads each field with ``if name
+#: in record``, so old records missing the newer fields stay replayable
+#: (they fall back to the BatchResult defaults).
+_RESULT_FIELDS = (
+    "error", "host_seconds", "program_runs", "counter_groups",
+    "simulated_cycles", "assemble_hits", "assemble_misses",
+    "generate_hits", "generate_misses", "sim_instructions",
+    "fast_path_instructions", "fast_path_fallbacks", "attempts",
+    "quality_verdict", "backend", "served_by", "router_audited",
+    "router_audit_failed",
+)
 
 
 def _freeze_options(options) -> Tuple[Tuple[str, object], ...]:
@@ -61,10 +75,10 @@ class BenchmarkSpec:
     label: str = ""
     #: ``StabilityPolicy`` field overrides, frozen like ``options``;
     #: empty (the default) disables stability control for this spec and
-    #: keeps old journal digests valid.
+    #: keeps old record digests valid.
     stability: Tuple[Tuple[str, object], ...] = ()
     #: Measurement backend to execute on (a registry name); ``"sim"``
-    #: (the default) keeps old journal digests valid.
+    #: (the default) keeps old record digests valid.
     backend: str = "sim"
 
     def __post_init__(self) -> None:
@@ -170,8 +184,8 @@ class BatchResult:
     #: Executions of this spec including requeues after worker crashes,
     #: hangs, and transient (injected) failures.
     attempts: int = 1
-    #: True when the result was replayed from a checkpoint journal
-    #: instead of being executed in this run.
+    #: True when the result was answered from the result store instead
+    #: of being executed in this run.
     replayed: bool = False
     #: Stability verdict (``stable`` / ``escalated`` /
     #: ``unstable-quarantined``); None when no policy was active.
@@ -179,10 +193,10 @@ class BatchResult:
     #: Name of the measurement backend that produced this result.
     backend: str = "sim"
     #: Routing attribution (``auto`` backend only): the tier that
-    #: actually served the answer (``analytic`` / ``sim`` /
-    #: ``sim-exact``), whether the answer was in the audit sample, and
-    #: whether the audit escalated it.  Empty / False for direct
-    #: backends, which keeps old journal records replayable.
+    #: actually served the answer (``analytic`` / ``sim``), whether the
+    #: answer was in the audit sample, and whether the audit escalated
+    #: it.  Empty / False for direct backends, which keeps old records
+    #: replayable.
     served_by: str = ""
     router_audited: bool = False
     router_audit_failed: bool = False
@@ -218,3 +232,56 @@ def spec_from_run_kwargs(
         stability=_freeze_stability(stability),
         backend=backend,
     )
+
+
+def spec_digest(spec: BenchmarkSpec) -> str:
+    """Content digest identifying one spec across processes and runs."""
+    fields = [
+        spec.asm, spec.asm_init, spec.events, spec.uarch, spec.seed,
+        spec.kernel_mode, spec.options, spec.label,
+    ]
+    # Appended only when set, so records written before the stability
+    # field existed keep their digests (and stay replayable).
+    if spec.stability:
+        fields.append(spec.stability)
+    # Same backward-compatibility rule: the default "sim" backend keeps
+    # pre-backend record digests valid.
+    if spec.backend != "sim":
+        fields.append(spec.backend)
+    identity = repr(tuple(fields))
+    return hashlib.sha256(identity.encode()).hexdigest()
+
+
+def journal_record(index: int, spec: BenchmarkSpec,
+                   result: BatchResult) -> dict:
+    """The checksum-less record describing one completed spec.
+
+    The durable store adds its checksum.  Legacy single-file journals
+    hold the same record with a truncated checksum, so they import
+    losslessly and replay byte-identically.
+    """
+    record = {
+        "v": RECORD_VERSION,
+        "digest": spec_digest(spec),
+        "index": index,
+        "label": spec.label,
+        "values": result.values,
+    }
+    for name in _RESULT_FIELDS:
+        record[name] = getattr(result, name)
+    return record
+
+
+def result_from_record(spec: BenchmarkSpec, record: dict) -> BatchResult:
+    """Rebuild the :class:`BatchResult` a stored record describes."""
+    result = BatchResult(
+        spec=spec,
+        values=dict(record.get("values", {})),
+        replayed=True,
+        # Pre-backend records carry no backend field; the spec knows.
+        backend=spec.backend,
+    )
+    for name in _RESULT_FIELDS:
+        if name in record:
+            setattr(result, name, record[name])
+    return result

@@ -145,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-max_requeues", type=int, default=2, metavar="N",
                         help="requeues per benchmark after worker "
                              "deaths/timeouts in -batch mode (default 2)")
-    parser.add_argument("-checkpoint", default=None, metavar="FILE",
-                        help="deprecated alias of -store: an existing "
-                             "legacy JSONL journal at FILE is migrated "
-                             "into a durable store rooted there and the "
-                             "sweep runs against the store")
     parser.add_argument("-store", default=None, metavar="DIR",
                         help="durable result store for -batch mode: "
                              "completed benchmarks are recorded "
@@ -569,7 +564,8 @@ def run_store(argv: List[str]) -> int:
     store, so a damaged one can be examined before recovery touches
     it); ``compact`` merges all segments dropping superseded
     duplicates; ``gc`` evicts by TTL and/or size budget; ``import``
-    migrates legacy checkpoint journals.
+    migrates legacy single-file checkpoint journals, the only way to
+    read one.
     """
     parser = argparse.ArgumentParser(
         prog="nanobench store",
@@ -779,40 +775,10 @@ def _main_with_args(args) -> int:
     return 0
 
 
-def _migrate_checkpoint_to_store(path: str) -> str:
-    """Route the deprecated ``-checkpoint`` flag through the store.
-
-    An existing legacy single-file journal at *path* is set aside as
-    ``path + ".legacy-journal"`` and imported into a durable store
-    rooted at *path*; a missing path (or an existing store directory)
-    is used as the store root directly.  Returns the store root.
-    """
-    print("# note: -checkpoint is deprecated; completed benchmarks now "
-          "live in a durable result store at %s (use -store DIR)" % path,
-          file=sys.stderr)
-    if os.path.isfile(path):
-        from ..store import ResultStore
-
-        legacy = path + ".legacy-journal"
-        os.replace(path, legacy)
-        with ResultStore(path) as store:
-            stats = store.import_journal(legacy)
-        print("# note: migrated legacy journal %s into the store (%s)"
-              % (legacy, stats.describe()), file=sys.stderr)
-    return path
-
-
 def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
     """The ``-batch`` path: shard the file's benchmarks over workers."""
     from ..batch import BatchRunner, BenchmarkSpec
 
-    store = args.store
-    if args.checkpoint is not None:
-        if store is not None:
-            print("error: pass either -store or the deprecated "
-                  "-checkpoint, not both", file=sys.stderr)
-            return 1
-        store = _migrate_checkpoint_to_store(args.checkpoint)
     try:
         entries = parse_batch_file(args.batch)
     except OSError as exc:
@@ -855,7 +821,7 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
         progress=progress,
         spec_timeout=args.spec_timeout,
         max_requeues=args.max_requeues,
-        store=store,
+        store=args.store,
     )
     status = 0
     for result in runner.iter_results(specs):
@@ -869,7 +835,7 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
             status = 1
     report = runner.last_report
     store_summary = ""
-    if store is not None:
+    if args.store is not None:
         store_summary = ("; store: %d hits, %d misses"
                          % (report.n_store_hits, report.n_store_misses))
     print(
@@ -883,12 +849,12 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
            store_summary),
         file=sys.stderr,
     )
-    if report.n_replayed or report.n_requeues or report.n_worker_deaths \
+    if report.n_store_hits or report.n_requeues or report.n_worker_deaths \
             or report.n_timeouts:
         print(
-            "# recovery: %d replayed from checkpoint, %d requeues, "
+            "# recovery: %d answered from the store, %d requeues, "
             "%d worker deaths, %d timeouts"
-            % (report.n_replayed, report.n_requeues,
+            % (report.n_store_hits, report.n_requeues,
                report.n_worker_deaths, report.n_timeouts),
             file=sys.stderr,
         )

@@ -4,7 +4,7 @@ Every divergence the differential harness confirms is recorded as one
 JSON line — the shrunk kernel, both backends' values, the deviation,
 and the full provenance needed to regenerate it.  Records are keyed by
 the spec digest of the shrunk kernel (the same content digest the
-checkpoint journal uses), so the corpus deduplicates naturally and a
+result store uses), so the corpus deduplicates naturally and a
 record names the exact benchmark it pins.
 
 Corpus bytes are deterministic: records are sorted by ``(category,
@@ -25,8 +25,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..batch.checkpoint import spec_digest
-from ..batch.spec import BenchmarkSpec
+from ..batch.spec import BenchmarkSpec, spec_digest
 from .generator import GeneratedKernel
 from .quota import AXES
 
@@ -134,8 +133,8 @@ def record_spec(record_or_kernel, *, uarch: str, kernel_mode: bool,
     """The :class:`BenchmarkSpec` a kernel/record identifies.
 
     This is the digest authority: corpus records are keyed by
-    ``spec_digest(record_spec(...))`` so a record and the checkpoint
-    journal agree about what "the same benchmark" means.
+    ``spec_digest(record_spec(...))`` so a record and the result
+    store agree about what "the same benchmark" means.
     """
     kernel = (record_or_kernel.kernel()
               if isinstance(record_or_kernel, DivergenceRecord)

@@ -2,12 +2,12 @@
 
 ``RoutedBench`` is a drop-in :class:`~repro.core.nanobench.NanoBench`
 facade (``NanoBench.create(backend="auto")`` returns one) that owns
-three measurement tiers in ascending cost order — the table-driven
-analytic estimator (~92× the simulator), the fast-path simulator, and
-the exact simulator with the fast path disabled — and serves each
-:meth:`run` from the cheapest tier whose answer can be trusted.  The
-same Atomic/Timing/O3 fidelity cascade gem5 uses for its swappable CPU
-models, applied to a measurement service.
+two measurement tiers in ascending cost order — the table-driven
+analytic estimator (~92× the simulator) and the cycle-accurate
+simulator (whose steady-state fast path is byte-identical to exact
+simulation) — and serves each :meth:`run` from the cheapest tier whose
+answer can be trusted.  The same fidelity cascade gem5 uses for its
+swappable CPU models, applied to a measurement service.
 
 Trust is decided *per query*, from data:
 
@@ -21,14 +21,17 @@ Trust is decided *per query*, from data:
    never trusted.
 3. **Runtime escalation** — an :class:`~repro.errors.
    UnschedulableEventError` or :class:`~repro.errors.CapabilityError`
-   mid-run, or a cheap tier that had to skip events, falls through to
-   the next tier automatically.
+   mid-run, or an analytic answer that had to skip events, falls
+   through to the simulator automatically.
 4. **Continuous audit** — a deterministic content-hash sample of
-   routed queries (default 1/64) is re-run on the exact simulator; a
+   analytic answers (default 1/64) is re-run on a fresh simulator; a
    deviation beyond tolerance quarantines the offending event classes
-   on the serving tier, records the divergence in the PR 6 corpus
-   format, and returns the *exact* values — an audited answer is never
-   silently wrong.
+   on the analytic tier, records the divergence in the fuzzer's
+   corpus format, and returns the *simulator's* values — an audited
+   answer is never silently wrong.  Simulator answers are never
+   audited: the fast path's equivalence to exact simulation is
+   enforced by the differential fuzzer and the tier-2 full-corpus
+   differential.
 
 Routing decisions are attributable end to end: each run leaves
 ``served_by`` / ``last_audited`` on the facade, a ``router`` block on
@@ -59,24 +62,16 @@ from .fidelity import (
     program_classes,
 )
 
-#: Tier names in ascending cost order.  ``analytic`` and ``sim`` are
-#: registry backends; ``sim-exact`` is the sim backend with the
-#: steady-state fast path disabled (the audit reference).
-TIER_ORDER = ("analytic", "sim", "sim-exact")
+#: Tier names (registry backends) in ascending cost order.  Only the
+#: cheap tier is audited; ``sim`` is the audit reference and the tier
+#: every escalation ends on.
+TIER_ORDER = ("analytic", "sim")
 
-#: Event classes each tier cannot serve, by construction.  The sim
-#: tiers count everything; the analytic estimator has no memory
-#: hierarchy, no uncore, and no frequency MSRs.
-_TIER_BLIND_CLASSES = {
-    "analytic": frozenset((CLASS_CACHE, CLASS_UNCORE, CLASS_APERF)),
-    "sim": frozenset(),
-    "sim-exact": frozenset(),
-}
-
-#: Only the non-cycle-accurate tier needs a measured fidelity bound;
-#: the fast path is byte-identical to exact simulation by contract
-#: (PR 4 goldens + the differential fuzzer pin that equivalence).
-_TIERS_NEEDING_FIDELITY = frozenset(("analytic",))
+#: Event classes the analytic estimator cannot serve, by construction:
+#: it has no memory hierarchy, no uncore, and no frequency MSRs.  The
+#: simulator counts everything.
+_ANALYTIC_BLIND_CLASSES = frozenset((CLASS_CACHE, CLASS_UNCORE,
+                                     CLASS_APERF))
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,8 @@ class RouterPolicy:
     #: shared counter is a violation.
     tolerance: float = 0.5
     rel_tolerance: float = 0.05
-    #: Fraction of routed queries cross-checked against the exact
-    #: simulator (deterministic content-hash sampling; 0 disables).
+    #: Fraction of analytic answers cross-checked against a fresh
+    #: simulator run (deterministic content-hash sampling; 0 disables).
     audit_fraction: float = 1.0 / 64.0
     #: Salt of the audit sample, so two routers can audit disjoint
     #: slices of the same traffic.
@@ -165,7 +160,7 @@ class RoutedBench:
     a reused tier's answer diverge from the fresh-instance answer the
     batch path and the A6 fidelity bounds are defined against, and
     would let the audit compare two tiers in different machine states.
-    So the stateless analytic tier is reused, while the sim tiers are
+    So the stateless analytic tier is reused, while the sim tier is
     rebuilt per run — exactly the cost the un-routed batch path already
     pays per spec.
     """
@@ -226,12 +221,9 @@ class RoutedBench:
 
             tier = NanoBench.create(
                 self.uarch, self.seed, kernel_mode=self.kernel_mode,
-                backend="sim" if name == "sim-exact" else name,
-                options=self.options, retry=self.retry,
+                backend=name, options=self.options, retry=self.retry,
                 preflight=self.preflight,
             )
-            if name == "sim-exact":
-                tier.core.fast_path_enabled = False
             if self._r14_size_request is not None and self.kernel_mode \
                     and tier.capabilities.contiguous_memory:
                 tier.resize_r14_buffer(self._r14_size_request)
@@ -263,15 +255,11 @@ class RoutedBench:
         return self.backend.capabilities
 
     def resize_r14_buffer(self, size: int) -> int:
-        """Resize R14 on every (current and future) simulating tier."""
+        """Resize R14 on the current and every future sim tier."""
         self._r14_size_request = size
-        base = None
-        for name in ("sim", "sim-exact"):
-            if name in self._tiers:
-                base = self._tiers[name].resize_r14_buffer(size)
-        if base is None:
-            base = self._tier("sim")._r14_physical_base
-        return base
+        if "sim" in self._tiers:
+            return self._tiers["sim"].resize_r14_buffer(size)
+        return self._tier("sim")._r14_physical_base
 
     @property
     def r14_physical_base(self) -> Optional[int]:
@@ -313,40 +301,33 @@ class RoutedBench:
         return tuple(catalog[name] for name in events)
 
     def _eligible(self, tier: str, classes: List[str]) -> Optional[str]:
-        """None when *tier* may serve these classes, else the skip
-        reason (``capability`` / ``fidelity`` / ``quarantine``)."""
-        blind = _TIER_BLIND_CLASSES[tier]
-        if any(cls in blind for cls in classes):
+        """None when the analytic tier may serve these classes, else the
+        skip reason (``capability`` / ``fidelity`` / ``quarantine``).
+        The sim tier, the cycle-accurate reference, serves anything."""
+        if tier == "sim":
+            return None
+        if any(cls in _ANALYTIC_BLIND_CLASSES for cls in classes):
             return "capability"
-        if tier in _TIERS_NEEDING_FIDELITY:
-            backend_name = self._tier_backend_name(tier)
-            for cls in classes:
-                if not self.table.trusted(backend_name, cls,
-                                          self.policy.tolerance):
-                    return "fidelity"
+        for cls in classes:
+            if not self.table.trusted(tier, cls, self.policy.tolerance):
+                return "fidelity"
         if any((tier, cls) in self._quarantined for cls in classes):
             return "quarantine"
         return None
-
-    @staticmethod
-    def _tier_backend_name(tier: str) -> str:
-        return "sim" if tier == "sim-exact" else tier
 
     def _route(self, classes: Optional[List[str]]) -> List[str]:
         """Candidate tiers in cost order, cheapest eligible first."""
         if classes is None:
             self.stats.note_escalation("unclassifiable")
-            return ["sim", "sim-exact"]
+            return ["sim"]
         candidates = []
         for tier in TIER_ORDER:
             reason = self._eligible(tier, classes)
             if reason is None:
                 candidates.append(tier)
-            elif not candidates:
-                # Only count skips below the cheapest eligible tier —
-                # these are the actual escalations.
+            else:
                 self.stats.note_escalation(reason)
-        return candidates or ["sim-exact"]
+        return candidates
 
     # ------------------------------------------------------------------
     # Running
@@ -377,8 +358,8 @@ class RoutedBench:
                 self.stats.note_escalation("unschedulable")
                 continue
             if tier.last_report.skipped_events and not terminal:
-                # The cheap tier degraded instead of answering; a
-                # costlier tier can answer in full.
+                # The cheap tier degraded instead of answering; the
+                # simulator can answer in full.
                 self.stats.note_escalation("unschedulable")
                 continue
             served = tier_name
@@ -386,7 +367,7 @@ class RoutedBench:
 
         audited = False
         audit_failed = False
-        if served != "sim-exact" and classes is not None:
+        if served == "analytic":
             audited = audit_selected(
                 self.policy, uarch=self.uarch, seed=self.seed,
                 kernel_mode=self.kernel_mode,
@@ -397,7 +378,7 @@ class RoutedBench:
             )
         if audited:
             values, served, audit_failed = self._audit(
-                served, values, asm, asm_init, code=code, init=init,
+                values, asm, asm_init, code=code, init=init,
                 config=config, events=events,
                 option_overrides=option_overrides,
             )
@@ -407,25 +388,25 @@ class RoutedBench:
         return values
 
     # ------------------------------------------------------------------
-    def _audit(self, served: str, values, asm: str, asm_init: str, *,
+    def _audit(self, values, asm: str, asm_init: str, *,
                code, init, config, events, option_overrides):
-        """Cross-check a routed answer against the exact simulator.
+        """Cross-check an analytic answer against a fresh simulator run.
 
-        Within tolerance: the cheap answer stands.  Beyond it: the
-        offending event classes are quarantined on the serving tier,
-        the divergence is recorded, and the *exact* values are returned
-        — the audit never lets a wrong answer through.
+        Within tolerance: the analytic answer stands.  Beyond it: the
+        offending event classes are quarantined on the analytic tier,
+        the divergence is recorded, and the *simulator's* values are
+        returned — the audit never lets a wrong answer through.
         """
         self.stats.audits += 1
-        exact = self._fresh_tier("sim-exact")
-        exact.options = self.options
-        exact.stability = self.stability
-        exact_values = exact.run(asm, asm_init, code=code, init=init,
-                                 config=config, events=events,
-                                 **option_overrides)
+        sim = self._fresh_tier("sim")
+        sim.options = self.options
+        sim.stability = self.stability
+        sim_values = sim.run(asm, asm_init, code=code, init=init,
+                             config=config, events=events,
+                             **option_overrides)
         tolerance = self.policy.tolerance
         violations: List[Tuple[str, float, float, float]] = []
-        for name, reference in exact_values.items():
+        for name, reference in sim_values.items():
             candidate = values.get(name)
             if candidate is None:
                 continue
@@ -435,17 +416,17 @@ class RoutedBench:
                 violations.append((name, candidate, reference, deviation))
         if not violations:
             self.stats.audit_passes += 1
-            return values, served, False
+            return values, "analytic", False
 
         self.stats.audit_failures += 1
         for name, _, _, _ in violations:
-            self._quarantined.add((served, self._counter_class(name)))
+            self._quarantined.add(("analytic", self._counter_class(name)))
         self.stats.quarantined = tuple(sorted(
             "%s:%s" % (tier, cls) for tier, cls in self._quarantined
         ))
-        self._record_divergence(served, values, exact_values, violations,
+        self._record_divergence(values, sim_values, violations,
                                 asm, asm_init, events, option_overrides)
-        return exact_values, "sim-exact", True
+        return sim_values, "sim", True
 
     def _counter_class(self, counter_name: str) -> str:
         from ..core.nanobench import _FIXED_COUNTER_NAMES
@@ -458,16 +439,15 @@ class RoutedBench:
         event = catalog.get(counter_name)
         return classify_event(event) if event is not None else CLASS_CACHE
 
-    def _record_divergence(self, served, values, exact_values, violations,
+    def _record_divergence(self, values, sim_values, violations,
                            asm, asm_init, events, option_overrides) -> None:
-        from ..batch.checkpoint import spec_digest
-        from ..batch.spec import spec_from_run_kwargs
+        from ..batch.spec import spec_digest, spec_from_run_kwargs
         from ..fuzz.corpus import DivergenceRecord
 
         spec = spec_from_run_kwargs(
             asm, asm_init, events=tuple(events), uarch=self.uarch,
             seed=self.seed, kernel_mode=self.kernel_mode,
-            backend=self._tier_backend_name(served), **option_overrides,
+            backend="analytic", **option_overrides,
         )
         options = dict(option_overrides)
         self.divergences.append(DivergenceRecord(
@@ -486,11 +466,11 @@ class RoutedBench:
             loop_count=int(options.get("loop_count",
                                        self.options.loop_count)),
             events=tuple(events),
-            reference=dict(exact_values),
+            reference=dict(sim_values),
             candidate=dict(values),
             deviation=max(v[3] for v in violations),
             tolerance=self.policy.tolerance,
-            provenance="router-audit:%s" % served,
+            provenance="router-audit:analytic",
         ))
 
     def _finish(self, served: str, audited: bool, audit_failed: bool) -> None:
@@ -524,8 +504,8 @@ class RoutedBackend(MeasurementBackend):
     """
 
     name = "auto"
-    description = ("tiered fidelity router: analytic -> fast-path sim -> "
-                   "exact sim, cheapest trustworthy tier per query")
+    description = ("tiered fidelity router: analytic -> sim, cheapest "
+                   "trustworthy tier per query")
     capabilities = Capabilities()  # the sim tier's full set
 
     def create_target(self, uarch: str = "Skylake", *, seed: int = 0):

@@ -33,8 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..batch.checkpoint import spec_digest
-from ..batch.spec import BenchmarkSpec
+from ..batch.spec import BenchmarkSpec, spec_digest
 from ..errors import StoreError
 from ..faults.plan import active_plan, fault_fraction
 from ..store.records import (

@@ -43,9 +43,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import os
 
 from ..backends.registry import DEFAULT_BACKEND
-from ..batch.checkpoint import spec_digest
 from ..batch.runner import BatchRunner
-from ..batch.spec import BenchmarkSpec
+from ..batch.spec import BenchmarkSpec, spec_digest
 from ..errors import (
     JobNotFoundError,
     QueueFullError,
@@ -80,8 +79,8 @@ class QueueStats:
     draining: bool = False
     #: Routing attribution of answered specs: store replays count under
     #: ``"store"``, routed executions under the tier that served them
-    #: (``analytic`` / ``sim`` / ``sim-exact``).  Un-routed specs (an
-    #: explicit non-``auto`` backend) are not attributed here.
+    #: (``analytic`` / ``sim``).  Un-routed specs (an explicit
+    #: non-``auto`` backend) are not attributed here.
     router_tiers: Dict[str, int] = dataclass_field(default_factory=dict)
     router_audits: int = 0
     router_audit_failures: int = 0
@@ -405,12 +404,10 @@ class JobQueue:
         finally:
             results.close()
         report = runner.last_report
-        # The runner pre-counts hits/misses for the whole batch at
-        # iterator start; for a job cut short (drain checkpoint, job
-        # deadline) the truthful numbers come from what actually
-        # streamed back.
-        hits = sum(1 for outcome in job.outcomes if outcome["from_store"])
-        executed = len(job.outcomes) - hits
+        # Counted as results stream, so a job cut short (drain
+        # checkpoint, job deadline) reports only what actually ran.
+        hits = report.n_store_hits
+        executed = report.n_store_misses
         with self._lock:
             self._executed_specs += executed
             self._executed_seconds += report.host_seconds

@@ -1,4 +1,4 @@
-"""Record encoding shared by the durable store and the legacy journal.
+"""Record encoding of the durable store and of legacy journals.
 
 A *record* is one flat JSON object with a mandatory ``digest`` key (the
 content address — the spec digest for benchmark results) and an
@@ -7,11 +7,13 @@ every *other* key.  The checksum turns silent bit-rot into a detected,
 recoverable condition: a record whose stored ``sha`` no longer matches
 is treated as corrupt, quarantined, and re-executed on demand.
 
-The legacy checkpoint journal (:mod:`repro.batch.checkpoint`) stores a
-16-hex-digit truncated checksum; the durable store uses the full 64
-digits.  :func:`record_checksum` takes the width so both validate with
-the same code path, and :func:`validate_record` infers the width from
-the stored value — which is what keeps old journals importable.
+Legacy single-file checkpoint journals, written by the batch runner
+before results moved into the store, carry a 16-hex-digit truncated
+checksum; the durable store uses the full 64 digits.
+:func:`record_checksum` takes the width so both validate with the same
+code path, and :func:`validate_record` infers the width from the stored
+value — which is what keeps old journals importable through
+:meth:`repro.store.ResultStore.import_journal`.
 """
 
 from __future__ import annotations

@@ -35,11 +35,12 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends.analytic import AnalyticTarget
-from repro.batch import BatchRunner, spec_from_run_kwargs
-from repro.batch.checkpoint import (
-    CheckpointJournal,
+from repro.batch import (
+    BatchRunner,
+    journal_record,
     result_from_record,
     spec_digest,
+    spec_from_run_kwargs,
 )
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
@@ -49,6 +50,7 @@ from repro.errors import (
     NanoBenchError,
     UnschedulableEventError,
 )
+from repro.store import ResultStore
 from repro.uarch.core import SimulatedCore
 
 
@@ -296,13 +298,12 @@ class TestBatchBackendTag:
         assert result.values["Core cycles"] == pytest.approx(1.0)
 
     def test_journal_round_trips_backend(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
         spec = spec_from_run_kwargs(asm="add RAX, RAX", backend="analytic")
         result = spec.execute()
-        with CheckpointJournal(path) as journal:
-            journal.append(0, spec, result)
-        records = CheckpointJournal(path).load()
-        record = records[spec_digest(spec)]
+        with ResultStore(str(tmp_path / "store")) as store:
+            store.put(spec_digest(spec), journal_record(0, spec, result))
+        with ResultStore(str(tmp_path / "store")) as store:
+            record = store.get(spec_digest(spec))
         assert record["backend"] == "analytic"
         replayed = result_from_record(spec, record)
         assert replayed.backend == "analytic"

@@ -1,7 +1,8 @@
 """Tests for ``repro.integrity``: pre-flight validation, runaway
 watchdogs, adaptive stability control, and the robustness surfaces that
 ride on them (options conflicts, config diagnostics, the
-``validate-config`` CLI, checkpoint corruption recovery)."""
+``validate-config`` CLI, legacy checkpoint-journal corruption on
+import)."""
 
 import json
 import pickle
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import BatchRunner
-from repro.batch.checkpoint import CheckpointJournal, _record_checksum
 from repro.batch.spec import spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
@@ -54,6 +54,7 @@ from repro.perfctr.config import (
     parse_config_file,
 )
 from repro.perfctr.events import event_catalog
+from repro.store import ResultStore, record_checksum, validate_record
 from repro.tools.cache.cacheseq import CacheSeq
 from repro.tools.instr.corpus import corpus_for_family
 from repro.tools.instr.measure import InstructionProfile
@@ -684,84 +685,86 @@ class TestCliIntegrityFlags:
 
 
 # ----------------------------------------------------------------------
-# Satellite: checkpoint journal corruption recovery
+# Satellite: legacy checkpoint-journal corruption, caught on import
 # ----------------------------------------------------------------------
 
-def _run_checkpointed(path, specs):
-    runner = BatchRunner(1, checkpoint=str(path))
-    return runner.run(specs)
+def _complete_records(journal):
+    """The parsed complete records of *journal* (the torn tail dropped)."""
+    return [json.loads(line) for line in journal.lines()
+            if line.endswith(b"\n")]
 
 
-def _journal_specs():
-    return [
-        spec_from_run_kwargs(asm="nop", n_measurements=2, unroll_count=5,
-                             label="a"),
-        spec_from_run_kwargs(asm="add RAX, RAX", n_measurements=2,
-                             unroll_count=5, label="b"),
-    ]
+def _write_records(journal, records):
+    with open(journal.path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+
+
+def _import_and_replay(tmp_path, capsys, journal):
+    """Import *journal*, then run its batch against the store and
+    fresh; returns ``(import stats, replay stderr, replay == fresh)``."""
+    root = str(tmp_path / "store")
+    with ResultStore(root) as store:
+        stats = store.import_journal(journal.path)
+    assert cli_main(journal.cli_flags) == 0
+    fresh = capsys.readouterr()
+    assert cli_main(journal.cli_flags + ["-store", root]) == 0
+    replay = capsys.readouterr()
+    return stats, replay.err, replay.out == fresh.out
 
 
 class TestCheckpointCorruption:
-    def test_records_carry_checksums(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        _run_checkpointed(path, _journal_specs())
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            record = json.loads(line)
-            assert record["sha"] == _record_checksum(record)
+    def test_records_carry_checksums(self, legacy_journal):
+        records = _complete_records(legacy_journal)
+        assert len(records) == legacy_journal.N_RECORDS
+        for record in records:
+            # The legacy journal's truncated width, validated by the
+            # same code path as the store's full-width checksums.
+            assert len(record["sha"]) == 16
+            assert record["sha"] == record_checksum(record)
+            assert validate_record(record) == (True, "")
 
-    def test_bit_flipped_record_is_reexecuted(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _journal_specs()
-        baseline = _run_checkpointed(path, specs)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[0])
-        next(iter(record["values"].keys()))  # has values to corrupt
-        name = list(record["values"])[0]
-        record["values"][name] += 1.0  # the flip; sha left stale
-        lines[0] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match="checksum mismatch"):
-            resumed = _run_checkpointed(path, specs)
-        # The corrupted spec was re-executed, the intact one replayed...
-        assert not resumed[0].replayed
-        assert resumed[1].replayed
-        # ...and the re-execution reproduced the baseline values.
-        assert resumed[0].values == baseline[0].values
-        assert resumed[1].values == baseline[1].values
+    def test_bit_flipped_record_is_reexecuted(self, tmp_path, capsys,
+                                              legacy_journal):
+        records = _complete_records(legacy_journal)
+        name = list(records[0]["values"])[0]
+        records[0]["values"][name] += 1.0  # the flip; sha left stale
+        _write_records(legacy_journal, records)
+        stats, err, identical = _import_and_replay(tmp_path, capsys,
+                                                   legacy_journal)
+        assert (stats.imported, stats.skipped) == (2, 1)
+        # The corrupted spec was re-executed, the intact ones replayed,
+        # and the re-execution reproduced the fresh values.
+        assert "# store: 2 answered from the store, 1 executed" in err
+        assert identical
 
-    def test_duplicate_digest_keeps_later_record(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _journal_specs()
-        _run_checkpointed(path, specs)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        name = list(record["values"])[0]
-        record["values"][name] = 12345.0
-        record["sha"] = _record_checksum(record)  # valid but conflicting
-        path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
-        journal = CheckpointJournal(str(path))
-        with pytest.warns(UserWarning, match="duplicates digest"):
-            records = journal.load()
-        assert len(records) == 2
-        assert records[json.loads(lines[1])["digest"]]["values"][name] == 12345.0
+    def test_duplicate_digest_keeps_later_record(self, tmp_path,
+                                                 legacy_journal):
+        records = _complete_records(legacy_journal)
+        later = dict(records[1], values=dict(records[1]["values"]))
+        name = list(later["values"])[0]
+        later["values"][name] = 12345.0
+        later["sha"] = record_checksum(later)  # valid but conflicting
+        _write_records(legacy_journal, records + [later])
+        with ResultStore(str(tmp_path / "store")) as store:
+            stats = store.import_journal(legacy_journal.path)
+            assert stats.imported == 4
+            assert len(store) == legacy_journal.N_RECORDS
+            assert store.get(later["digest"])["values"][name] == 12345.0
 
-    def test_legacy_records_without_sha_still_replay(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _journal_specs()
-        baseline = _run_checkpointed(path, specs)
-        stripped = []
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
+    def test_legacy_records_without_sha_still_replay(self, tmp_path, capsys,
+                                                     legacy_journal):
+        records = _complete_records(legacy_journal)
+        for record in records:
             record.pop("sha")
-            stripped.append(json.dumps(record))
-        path.write_text("\n".join(stripped) + "\n")
+        _write_records(legacy_journal, records)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resumed = _run_checkpointed(path, specs)
-        assert all(result.replayed for result in resumed)
-        assert [r.values for r in resumed] == [r.values for r in baseline]
+            stats, err, identical = _import_and_replay(tmp_path, capsys,
+                                                       legacy_journal)
+        assert (stats.imported, stats.skipped) == (3, 0)
+        assert "# store: 3 answered from the store, 0 executed" in err
+        assert identical
 
 
 # ----------------------------------------------------------------------

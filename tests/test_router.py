@@ -9,10 +9,12 @@ bugfixes that ride along in the same PR:
 * escalation is automatic — a capability miss, an untrusted fidelity
   class (microcoded code), or a quarantined class falls through to the
   next tier, and the reasons are counted;
-* the continuous audit is a deterministic content-hash sample, never
-  lets a wrong answer through (the exact values are returned), and
-  quarantines + records divergences in the PR 6 corpus format;
-* routing attribution flows through BatchResult, the checkpoint codec,
+* the router has two tiers, ``analytic`` and ``sim``; the continuous
+  audit checks only analytic answers, is a deterministic content-hash
+  sample, never lets a wrong answer through (the simulator's values are
+  returned), and quarantines + records divergences in the fuzzer's
+  corpus format;
+* routing attribution flows through BatchResult, the store record codec,
   the job queue's counters, and ``-backend auto`` on the CLI;
 * regression pins: fractional ``Retry-After`` headers are ceiled while
   the JSON body keeps the exact float, ``backend_names`` order is
@@ -34,8 +36,11 @@ from repro.backends.registry import (
     backend_names,
     register_backend,
 )
-from repro.batch import spec_from_run_kwargs
-from repro.batch.checkpoint import journal_record, result_from_record
+from repro.batch import (
+    journal_record,
+    result_from_record,
+    spec_from_run_kwargs,
+)
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
 from repro.errors import QuotaExceededError
@@ -46,6 +51,7 @@ from repro.router import (
     FidelityTable,
     RoutedBench,
     RouterPolicy,
+    TIER_ORDER,
     audit_selected,
     classify_event,
     classify_query,
@@ -286,12 +292,16 @@ class TestRouting:
 class TestAudit:
     RMW = "add [R14], RAX"  # analytic misses the RMW store latency
 
+    def test_two_tiers(self):
+        assert TIER_ORDER == ("analytic", "sim")
+
     def test_violation_returns_exact_and_quarantines(self, tmp_path):
         rb = _router(audit_fraction=1.0)
         values = dict(rb.run(self.RMW, n_measurements=2))
         assert rb.last_audited and rb.last_audit_failed
-        assert rb.served_by == "sim-exact"
-        # The audited answer is the exact tier's, never the cheap one.
+        assert rb.served_by == "sim"
+        # The audited answer is the simulator's, never the cheap one,
+        # and equals exact simulation with the fast path off.
         assert values == _fresh("sim", self.RMW, exact=True,
                                 n_measurements=2)
         assert rb.stats.quarantined == ("analytic:core",)
@@ -310,12 +320,25 @@ class TestAudit:
         rb = _router(audit_fraction=1.0)
         rb.run(self.RMW, n_measurements=2)
         values = dict(rb.run(self.RMW, n_measurements=2))
-        # Served by the fast-path sim now, and the audit passes (the
-        # fast path is byte-identical to exact simulation).
+        # Served by the sim tier now, which is never audited.
         assert rb.served_by == "sim"
-        assert rb.last_audited and not rb.last_audit_failed
+        assert not rb.last_audited
         assert rb.stats.escalations.get("quarantine") == 1
+        assert rb.stats.audits == 1
         assert values == _fresh("sim", self.RMW, n_measurements=2)
+
+    def test_sim_answers_are_never_audited(self):
+        rb = _router(audit_fraction=1.0)
+        queries = [
+            ("cpuid", "", ()),  # fidelity escalation
+            ("mov R14, [R14]", "mov [R14], R14",
+             ("MEM_LOAD_RETIRED.L1_HIT",)),  # capability escalation
+        ]
+        for asm, asm_init, events in queries:
+            rb.run(asm, asm_init, events=events, n_measurements=2)
+            assert rb.served_by == "sim"
+            assert not rb.last_audited
+        assert rb.stats.audits == 0
 
     def test_passing_audit_keeps_cheap_answer(self):
         rb = _router(audit_fraction=1.0)
@@ -337,7 +360,7 @@ class TestAttribution:
         result = spec.execute()
         assert result.ok and result.served_by == "analytic"
         assert result.router_audited is False
-        # The checkpoint codec round-trips the attribution.
+        # The store record codec round-trips the attribution.
         record = journal_record(0, spec, result)
         restored = result_from_record(spec, record)
         assert restored.served_by == "analytic"

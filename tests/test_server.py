@@ -32,8 +32,7 @@ import urllib.request
 
 import pytest
 
-from repro.batch import spec_from_run_kwargs
-from repro.batch.checkpoint import spec_digest
+from repro.batch import spec_digest, spec_from_run_kwargs
 from repro.errors import (
     BadSubmissionError,
     JobNotFoundError,

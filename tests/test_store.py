@@ -17,11 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import (
-    BatchRunner,
-    CheckpointJournal,
-    spec_from_run_kwargs,
-)
+from repro.batch import BatchRunner, spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.errors import StoreLockError
 from repro.store import (
@@ -379,11 +375,6 @@ class TestMultiHandle:
 # BatchRunner wiring: zero re-simulation and kill/resume byte-identity
 # ----------------------------------------------------------------------
 class TestBatchRunnerStore:
-    def test_store_and_checkpoint_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            BatchRunner(1, checkpoint=str(tmp_path / "j"),
-                        store=str(tmp_path / "s"))
-
     @pytest.mark.no_chaos
     def test_resubmission_is_answered_entirely_from_store(self, tmp_path):
         root = str(tmp_path / "store")
@@ -422,6 +413,27 @@ class TestBatchRunnerStore:
         assert resumed_runner.last_report.n_store_misses == len(specs) - 1
         assert _values(resumed) == _values(baseline)
 
+    def test_interrupted_stream_counts_only_streamed_results(self,
+                                                             tmp_path):
+        root = str(tmp_path / "store")
+        specs = _specs()
+        BatchRunner(1, store=root).run(specs[:1])
+        runner = BatchRunner(1, store=root)
+        stream = runner.iter_results(specs)
+        next(stream)  # the stored spec
+        next(stream)  # one fresh spec
+        stream.close()
+        # Hits and misses count what streamed, not the whole batch.
+        report = runner.last_report
+        assert (report.n_specs, report.n_store_hits,
+                report.n_store_misses) == (2, 1, 1)
+
+    def test_no_store_counts_no_misses(self):
+        runner = BatchRunner(1)
+        runner.run(_specs()[:1])
+        assert (runner.last_report.n_store_hits,
+                runner.last_report.n_store_misses) == (0, 0)
+
     def test_failed_specs_replay_their_error(self, tmp_path):
         root = str(tmp_path / "store")
         bad = [spec_from_run_kwargs(asm="definitely not asm",
@@ -437,72 +449,33 @@ class TestBatchRunnerStore:
 
 
 # ----------------------------------------------------------------------
-# Legacy journal: hardening and migration
+# Legacy journal migration (the committed journal of tests/data)
 # ----------------------------------------------------------------------
-class TestJournalHardening:
-    def _journal(self, path, specs):
-        runner = BatchRunner(1, checkpoint=str(path))
-        return runner.run(specs)
-
-    def test_corrupt_interior_line_skipped_with_salvage(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        baseline = self._journal(path, specs)
-        lines = path.read_bytes().splitlines(True)
-        # The crash-then-resume shape: a torn prefix and the next valid
-        # record share one physical line.
-        merged = lines[0][:15] + lines[1]
-        path.write_bytes(merged + lines[2])
-        with pytest.warns(UserWarning, match="salvaged 1 appended"):
-            resumed = self._journal(path, specs)
-        # Spec 0 (torn) re-executed; specs 1 and 2 (salvaged + intact)
-        # replayed; values byte-identical throughout.
-        assert not resumed[0].replayed
-        assert resumed[1].replayed and resumed[2].replayed
-        assert _values(resumed) == _values(baseline)
-
-    def test_append_after_torn_tail_starts_fresh_line(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        baseline = self._journal(path, specs[:2])
-        with open(path, "ab") as handle:
-            handle.write(b'{"v": 1, "digest": "to')  # no newline
-        with pytest.warns(UserWarning, match="torn write"):
-            resumed = self._journal(path, specs)
-        assert _values(resumed) == _values(baseline
-                                           + BatchRunner(1).run(specs[2:]))
-        # The journal now parses cleanly: the fresh-line guard kept the
-        # new record off the torn line.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records = CheckpointJournal(str(path)).load()
-        assert len(records) == 3
-
-
 class TestJournalImport:
-    def test_imported_journal_replays_byte_identically(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        specs = _specs()
-        baseline = BatchRunner(1, checkpoint=str(journal_path)).run(specs)
-
+    def test_imported_journal_replays_byte_identically(
+            self, tmp_path, capsys, legacy_journal):
         root = str(tmp_path / "store")
         with ResultStore(root) as store:
-            stats = store.import_journal(str(journal_path))
-        assert stats.imported == len(specs) and stats.skipped == 0
+            stats = store.import_journal(legacy_journal.path)
+        # The torn tail is skipped; every complete record imports.
+        assert stats.imported == legacy_journal.N_RECORDS
+        assert stats.skipped == 1
 
-        runner = BatchRunner(1, store=root)
-        replayed = runner.run(specs)
-        assert runner.last_report.n_store_hits == len(specs)
-        assert _values(replayed) == _values(baseline)
+        assert cli_main(legacy_journal.cli_flags) == 0
+        fresh = capsys.readouterr()
+        assert cli_main(legacy_journal.cli_flags + ["-store", root]) == 0
+        replay = capsys.readouterr()
+        assert "# store: 3 answered from the store, 0 executed" in replay.err
+        assert replay.out == fresh.out
 
-    def test_import_skips_corrupt_lines(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
-        BatchRunner(1, checkpoint=str(journal_path)).run(_specs()[:2])
-        with open(journal_path, "ab") as handle:
-            handle.write(b"garbage line\n")
+    def test_import_skips_corrupt_lines(self, tmp_path, legacy_journal):
+        with open(legacy_journal.path, "ab") as handle:
+            handle.write(b"\ngarbage line\n")
         with ResultStore(str(tmp_path / "store")) as store:
-            stats = store.import_journal(str(journal_path))
-        assert stats.imported == 2 and stats.skipped == 1
+            stats = store.import_journal(legacy_journal.path)
+        # The torn tail and the garbage line.
+        assert stats.imported == legacy_journal.N_RECORDS
+        assert stats.skipped == 2
 
 
 # ----------------------------------------------------------------------
@@ -644,14 +617,13 @@ class TestStoreCli:
         assert cli_main(["store", "gc", root, "-ttl", "0.000001"]) == 0
         assert "evicted 3" in capsys.readouterr().out
 
-    def test_import_subcommand(self, tmp_path, capsys):
-        journal_path = tmp_path / "journal.jsonl"
-        BatchRunner(1, checkpoint=str(journal_path)).run(_specs()[:2])
+    def test_import_subcommand(self, tmp_path, capsys, legacy_journal):
         root = str(tmp_path / "store")
-        assert cli_main(["store", "import", root, str(journal_path)]) == 0
-        assert "imported 2 record(s)" in capsys.readouterr().out
+        assert cli_main(["store", "import", root, legacy_journal.path]) == 0
+        assert ("imported 3 record(s), skipped 1 corrupt/invalid line(s)"
+                in capsys.readouterr().out)
         with ResultStore(root) as store:
-            assert len(store) == 2
+            assert len(store) == legacy_journal.N_RECORDS
 
     def test_usage_errors(self, tmp_path, capsys):
         root = str(tmp_path / "store")
@@ -680,47 +652,17 @@ class TestStoreCli:
         assert "# store: 2 answered from the store, 0 executed" in second.err
         assert second.out == first.out
 
-    @pytest.mark.no_chaos
-    def test_checkpoint_flag_migrates_to_store(self, tmp_path, capsys):
-        journal_path = tmp_path / "sweep.jsonl"
-        batch = self._batch_file(tmp_path)
-        flags = ["-batch", batch, "-checkpoint", str(journal_path),
-                 "-n_measurements", "2", "-unroll_count", "5"]
-        # First run: fresh path becomes a store rooted there.
-        assert cli_main(flags) == 0
-        first = capsys.readouterr()
-        assert "-checkpoint is deprecated" in first.err
-        assert os.path.isdir(str(journal_path))
-        # Second run replays everything from that store.
-        assert cli_main(flags) == 0
-        second = capsys.readouterr()
-        assert "2 answered from the store" in second.err
-        assert second.out == first.out
-
-    def test_legacy_journal_file_is_migrated(self, tmp_path, capsys):
-        journal_path = tmp_path / "sweep.jsonl"
-        # A legacy single-file journal from an old run...
-        BatchRunner(1, checkpoint=str(journal_path)).run(_specs()[:1])
-        assert os.path.isfile(str(journal_path))
-        batch = tmp_path / "batch.txt"
-        batch.write_text("nop\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rc = cli_main(["-batch", str(batch), "-checkpoint",
-                           str(journal_path), "-n_measurements", "2",
-                           "-unroll_count", "5"])
-        assert rc == 0
+    def test_legacy_journal_file_is_migrated(self, tmp_path, capsys,
+                                             legacy_journal):
+        # The only path from a legacy journal into a sweep: import it,
+        # then run the same batch against the store.
+        original = legacy_journal.lines()
+        root = str(tmp_path / "store")
+        assert cli_main(["store", "import", root, legacy_journal.path]) == 0
+        assert cli_main(legacy_journal.cli_flags + ["-store", root]) == 0
         err = capsys.readouterr().err
-        assert "migrated legacy journal" in err
-        assert os.path.isdir(str(journal_path))
-        assert os.path.isfile(str(journal_path) + ".legacy-journal")
-
-    def test_store_and_checkpoint_flags_conflict(self, tmp_path, capsys):
-        batch = self._batch_file(tmp_path)
-        rc = cli_main(["-batch", batch, "-store", str(tmp_path / "s"),
-                       "-checkpoint", str(tmp_path / "j")])
-        assert rc == 1
-        assert "not both" in capsys.readouterr().err
+        assert "# store: 3 answered from the store, 0 executed" in err
+        assert legacy_journal.lines() == original  # read, never rewritten
 
 
 # ----------------------------------------------------------------------
