@@ -128,7 +128,7 @@ class MeasurementTarget(Protocol):
     timing_table: object    # TimingTable for pre-flight + estimation
     timing_enabled: bool
     current_cycle: int
-    sim_stats: object       # SimStats (snapshot()/delta())
+    sim_stats: object       # SimStats (Counters: snapshot/delta/to_dict)
 
     def run_program(self, program, *, kernel_mode: bool = False,
                     **kwargs) -> None: ...

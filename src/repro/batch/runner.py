@@ -42,9 +42,11 @@ from dataclasses import dataclass
 from ..core.codecache import cache_stats
 from ..errors import is_retryable
 from ..faults.plan import active_plan
+from ..stats import Counters
 from ..store import ResultStore, open_store
 from .pool import ItemOutcome, ResilientPool, inject_spec_fault, item_fault_key
 from .spec import (
+    RUN_COUNTERS,
     BatchResult,
     BenchmarkSpec,
     journal_record,
@@ -62,7 +64,7 @@ def default_jobs() -> int:
 
 
 @dataclass
-class BatchReport:
+class BatchReport(Counters):
     """Aggregate accounting for one :meth:`BatchRunner.run` call."""
 
     n_specs: int = 0
@@ -100,8 +102,9 @@ class BatchReport:
         return self.n_specs / self.host_seconds
 
     def add(self, result: BatchResult, *, stored: bool = False) -> None:
-        """Account one streamed result; *stored* means a result store
-        is attached, so a fresh result is a store miss."""
+        """Account one streamed result (not another report, unlike
+        :meth:`Counters.add`); *stored* means a result store is
+        attached, so a fresh result is a store miss."""
         self.n_specs += 1
         if not result.ok:
             self.n_errors += 1
@@ -110,15 +113,8 @@ class BatchReport:
         elif stored:
             self.n_store_misses += 1
         self.n_requeues += max(0, result.attempts - 1)
-        self.program_runs += result.program_runs
-        self.simulated_cycles += result.simulated_cycles
-        self.assemble_hits += result.assemble_hits
-        self.assemble_misses += result.assemble_misses
-        self.generate_hits += result.generate_hits
-        self.generate_misses += result.generate_misses
-        self.sim_instructions += result.sim_instructions
-        self.fast_path_instructions += result.fast_path_instructions
-        self.fast_path_fallbacks += result.fast_path_fallbacks
+        for name in RUN_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(result, name))
 
 
 def _execute_spec(spec: BenchmarkSpec) -> BatchResult:

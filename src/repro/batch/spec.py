@@ -36,6 +36,20 @@ _RESULT_FIELDS = (
     "router_audit_failed",
 )
 
+#: Per-run cost counters: copied from ``NanoBench.last_report`` into each
+#: BatchResult by :meth:`BenchmarkSpec.execute`, and summed over a batch
+#: by :meth:`repro.batch.runner.BatchReport.add`.
+RUN_COUNTERS = (
+    "program_runs", "simulated_cycles", "assemble_hits", "assemble_misses",
+    "generate_hits", "generate_misses", "sim_instructions",
+    "fast_path_instructions", "fast_path_fallbacks",
+)
+
+#: The run counters the report keeps in ``sim_stats``, by SimStats name.
+_SIM_STATS_NAMES = {"sim_instructions": "instructions",
+                    "fast_path_instructions": "fast_path_instructions",
+                    "fast_path_fallbacks": "fallbacks"}
+
 
 def _freeze_options(options) -> Tuple[Tuple[str, object], ...]:
     if options is None:
@@ -131,23 +145,15 @@ class BenchmarkSpec:
                 host_seconds=time.perf_counter() - started,
                 backend=self.backend,
             )
+        counts = {name: int(report.sim_stats.get(_SIM_STATS_NAMES[name], 0))
+                  if name in _SIM_STATS_NAMES else getattr(report, name)
+                  for name in RUN_COUNTERS}
         return BatchResult(
             spec=self,
             values=dict(values),
             error=None,
             host_seconds=time.perf_counter() - started,
-            program_runs=report.program_runs,
             counter_groups=report.counter_groups,
-            simulated_cycles=report.simulated_cycles,
-            assemble_hits=report.assemble_hits,
-            assemble_misses=report.assemble_misses,
-            generate_hits=report.generate_hits,
-            generate_misses=report.generate_misses,
-            sim_instructions=int(report.sim_stats.get("instructions", 0)),
-            fast_path_instructions=int(
-                report.sim_stats.get("fast_path_instructions", 0)
-            ),
-            fast_path_fallbacks=int(report.sim_stats.get("fallbacks", 0)),
             quality_verdict=(report.quality.verdict
                              if report.quality is not None else None),
             backend=self.backend,
@@ -155,6 +161,7 @@ class BenchmarkSpec:
             router_audited=bool(getattr(nb, "last_audited", False)),
             router_audit_failed=bool(getattr(nb, "last_audit_failed",
                                              False)),
+            **counts,
         )
 
 

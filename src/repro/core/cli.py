@@ -45,9 +45,10 @@ with a submission client on the other side::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError, ReproError
 from ..faults.plan import FaultPlan
@@ -665,15 +666,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "submit":
         return run_submit(argv[1:])
     args = build_parser().parse_args(argv)
+    plan = contextlib.nullcontext()
     if args.faults is not None:
         try:
             plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
         except ValueError as exc:
             print("invalid -faults spec: %s" % exc, file=sys.stderr)
             return 1
-        with plan:
-            return _main_with_args(args)
-    return _main_with_args(args)
+    with plan, _fast_path_disabled(args.no_fast_path):
+        return _main_with_args(args)
+
+
+@contextlib.contextmanager
+def _fast_path_disabled(disabled: bool) -> Iterator[None]:
+    """Scope ``-no_fast_path`` to one invocation, through the environment
+    every core (batch workers' included) reads its default from."""
+    saved = os.environ.get("NANOBENCH_FAST_PATH")
+    if disabled:
+        os.environ["NANOBENCH_FAST_PATH"] = "0"
+    try:
+        yield
+    finally:
+        if disabled:
+            os.environ.pop("NANOBENCH_FAST_PATH")
+            if saved is not None:
+                os.environ["NANOBENCH_FAST_PATH"] = saved
 
 
 def _main_with_args(args) -> int:
@@ -713,12 +730,6 @@ def _main_with_args(args) -> int:
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if args.no_fast_path:
-        nb.core.fast_path_enabled = False
-        # Batch-mode workers build their own cores; they inherit the
-        # toggle through the environment.
-        os.environ["NANOBENCH_FAST_PATH"] = "0"
-
     config = None
     if args.config is not None:
         catalog = event_catalog(nb.core.spec.family, nb.core.spec.n_cboxes)

@@ -497,23 +497,12 @@ class NanoBench:
         report.corrected_wraps = self._corrected_wraps
         report.simulated_cycles = self.core.current_cycle - cycles_before
         report.host_seconds = time.perf_counter() - started
-        report.sim_stats = dict(self.core.sim_stats.delta(sim_before))
+        report.sim_stats = self.core.sim_stats.delta(sim_before).to_dict()
         report.sim_stats["wall_seconds"] = report.host_seconds
-        stats_after = cache_stats()
-        report.assemble_hits = (
-            stats_after["assemble"]["hits"] - stats_before["assemble"]["hits"]
-        )
-        report.assemble_misses = (
-            stats_after["assemble"]["misses"]
-            - stats_before["assemble"]["misses"]
-        )
-        report.generate_hits = (
-            stats_after["generate"]["hits"] - stats_before["generate"]["hits"]
-        )
-        report.generate_misses = (
-            stats_after["generate"]["misses"]
-            - stats_before["generate"]["misses"]
-        )
+        for cache, after in cache_stats().items():
+            for kind in ("hits", "misses"):
+                setattr(report, "%s_%s" % (cache, kind),
+                        after[kind] - stats_before[cache][kind])
         self.last_report = report
         return results
 

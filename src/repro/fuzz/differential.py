@@ -36,6 +36,7 @@ from ..batch.runner import BatchRunner
 from ..batch.spec import BatchResult
 from ..core.retry import UnschedulableEventWarning
 from ..errors import NanoBenchError, ReproError, ValidationError
+from ..stats import Counters
 from ..tools.compare_backends import ProfileDeviation
 from ..uarch.specs import get_spec
 from ..uarch.timing import TimingTable
@@ -91,7 +92,7 @@ def _is_runaway(result: BatchResult) -> bool:
 
 
 @dataclass
-class FuzzStats:
+class FuzzStats(Counters):
     """Campaign totals, rendered at the end of ``nanobench fuzz``."""
 
     kernels: int = 0
@@ -100,9 +101,6 @@ class FuzzStats:
     divergences: Dict[str, int] = field(default_factory=dict)
     shrunk_statements: int = 0
     wall_seconds: float = 0.0
-
-    def count(self, category: str) -> None:
-        self.divergences[category] = self.divergences.get(category, 0) + 1
 
     @property
     def total_divergences(self) -> int:
@@ -340,7 +338,7 @@ class DifferentialFuzzer:
             key = "%s/%s" % (record.category, record.digest)
             if key not in records:
                 records[key] = record
-                stats.count(category)
+                stats.bump("divergences", category)
                 stats.shrunk_statements += record.shrunk_from
 
         for kernel, serial, exact, batched in zip(

@@ -1,6 +1,6 @@
 """Simulated memory system: caches, replacement policies, paging."""
 
-from .cache import Cache, CacheGeometry, CacheStats
+from .cache import Cache, CacheGeometry
 from .hierarchy import (
     AccessResult,
     DemandCounters,
@@ -30,7 +30,6 @@ __all__ = [
     "AddressSpace",
     "Cache",
     "CacheGeometry",
-    "CacheStats",
     "DedicatedRange",
     "DemandCounters",
     "KMALLOC_MAX_BYTES",

@@ -2,31 +2,18 @@
 
 One :class:`Cache` models one level of the hierarchy.  L3 caches are
 built with ``n_slices > 1`` and a :class:`~repro.memory.slices.SliceHash`;
-each slice has its own set array and its own C-Box statistics, matching
-the uncore performance-counter granularity of Section VI-A.
+each slice has its own set array, matching the C-Box granularity of
+Section VI-A.  Caches keep no statistics: the core counts hits, misses
+and per-slice C-Box events in its PMU metrics.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .replacement import AdaptivePolicy, ReplacementPolicy, SetState, make_policy
 from .slices import SliceHash
-
-
-@dataclass
-class CacheStats:
-    """Per-slice access statistics (the C-Box counter substrate)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    lookups: int = 0
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = self.lookups = 0
 
 
 @dataclass(frozen=True)
@@ -82,9 +69,6 @@ class Cache:
             [self._create_set(slice_id, index) for index in range(geometry.n_sets)]
             for slice_id in range(geometry.n_slices)
         ]
-        self.slice_stats: List[CacheStats] = [
-            CacheStats() for _ in range(geometry.n_slices)
-        ]
 
     def _create_set(self, slice_id: int, index: int) -> SetState:
         if isinstance(self.policy, AdaptivePolicy):
@@ -112,19 +96,10 @@ class Cache:
     def access(self, physical_address: int) -> bool:
         """Demand access; updates replacement state.  Returns hit."""
         slice_id, set_index, tag = self.locate(physical_address)
-        stats = self.slice_stats[slice_id]
-        stats.lookups += 1
-        hit, evicted = self._sets[slice_id][set_index].access(tag)
-        if hit:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-            if evicted is not None:
-                stats.evictions += 1
-        return hit
+        return self._sets[slice_id][set_index].access(tag)[0]
 
     def probe(self, physical_address: int) -> bool:
-        """Check presence without touching replacement state or stats."""
+        """Check presence without touching replacement state."""
         slice_id, set_index, tag = self.locate(physical_address)
         return self._sets[slice_id][set_index].lookup(tag) is not None
 
@@ -147,20 +122,6 @@ class Cache:
 
     def set_state(self, slice_id: int, set_index: int) -> SetState:
         return self._sets[slice_id][set_index]
-
-    @property
-    def total_stats(self) -> CacheStats:
-        total = CacheStats()
-        for stats in self.slice_stats:
-            total.hits += stats.hits
-            total.misses += stats.misses
-            total.evictions += stats.evictions
-            total.lookups += stats.lookups
-        return total
-
-    def reset_stats(self) -> None:
-        for stats in self.slice_stats:
-            stats.reset()
 
     def __repr__(self) -> str:
         geo = self.geometry

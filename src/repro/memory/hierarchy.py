@@ -9,7 +9,8 @@ Models the structure the cache case study (Section VI) targets:
   model-specific register bit (Section IV-A2 recommends disabling
   prefetchers for cache microbenchmarks — the tools here genuinely need
   to, which the prefetcher ablation benchmark demonstrates);
-* per-slice C-Box statistics on the L3.
+* the L3 slice of every access, on :class:`AccessResult`, from which
+  the core counts the per-slice C-Box events.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import RunawayBenchmarkError
+from ..stats import Counters
 from .cache import Cache, CacheGeometry
 from .replacement import ReplacementPolicy
 from .slices import SliceHash
@@ -46,8 +48,10 @@ class AccessResult:
 
 
 @dataclass
-class DemandCounters:
-    """Demand hit/miss totals per level (feeds MEM_LOAD_RETIRED.*)."""
+class DemandCounters(Counters):
+    """Demand hit/miss totals per level, reported by the cache-step
+    watchdog.  The ``MEM_LOAD_RETIRED.*`` events are counted separately,
+    by :meth:`repro.uarch.core.SimulatedCore._record_memory_metrics`."""
 
     l1_hits: int = 0
     l1_misses: int = 0
@@ -69,13 +73,6 @@ class DemandCounters:
             self.l3_hits += 1
         else:
             self.l3_misses += 1
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "l1_hits": self.l1_hits, "l1_misses": self.l1_misses,
-            "l2_hits": self.l2_hits, "l2_misses": self.l2_misses,
-            "l3_hits": self.l3_hits, "l3_misses": self.l3_misses,
-        }
 
 
 class NextLinePrefetcher:
@@ -177,24 +174,12 @@ class MemoryHierarchy:
     def _access_level(self, cache: Cache, address: int) -> Tuple[bool, Optional[int]]:
         """Access one level; return (hit, evicted block address)."""
         slice_id, set_index, tag = cache.locate(address)
-        stats = cache.slice_stats[slice_id]
-        stats.lookups += 1
         hit, evicted_tag = cache.set_state(slice_id, set_index).access(tag)
-        evicted_address: Optional[int] = None
-        if hit:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-            if evicted_tag is not None:
-                stats.evictions += 1
-                geo = cache.geometry
-                block = (evicted_tag << geo.index_bits) | set_index
-                evicted_address = block << geo.offset_bits
-        return hit, evicted_address
-
-    def _fill_chain(self, address: int, miss_below: int) -> None:
-        """Install *address* into levels above the one that hit."""
-        # (handled inline by access(); kept for symmetry)
+        if evicted_tag is None:
+            return hit, None
+        geo = cache.geometry
+        block = (evicted_tag << geo.index_bits) | set_index
+        return hit, block << geo.offset_bits
 
     def access(self, address: int, *, is_write: bool = False,
                is_prefetch: bool = False) -> AccessResult:
@@ -205,7 +190,7 @@ class MemoryHierarchy:
                 "cache-access step budget exceeded: %d accesses (budget %d)"
                 % (self.steps_taken, self.step_budget),
                 budget="cache-steps", limit=self.step_budget,
-                progress=dict(self.demand.snapshot(), steps=self.steps_taken),
+                progress=dict(self.demand.to_dict(), steps=self.steps_taken),
             )
         line = address - address % self._line_size
         l3_slice = None
@@ -252,11 +237,6 @@ class MemoryHierarchy:
     def prefetch_into(self, address: int) -> None:
         """Software prefetch (PREFETCHTx): fill without demand counting."""
         self.access(address, is_prefetch=True)
-
-    def reset_stats(self) -> None:
-        for cache in self.levels:
-            cache.reset_stats()
-        self.demand = DemandCounters()
 
     def probe_level(self, address: int) -> int:
         """Level the line would hit at, without disturbing state (0=none)."""

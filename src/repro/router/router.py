@@ -50,6 +50,7 @@ from ..backends.protocol import Capabilities, MeasurementBackend
 from ..backends.registry import register_backend
 from ..errors import CapabilityError, UnschedulableEventError
 from ..perfctr.events import PerfEvent, event_catalog
+from ..stats import Counters
 from .fidelity import (
     CLASS_APERF,
     CLASS_CACHE,
@@ -96,7 +97,7 @@ class RouterPolicy:
 
 
 @dataclass
-class RouterStats:
+class RouterStats(Counters):
     """Cumulative routing counters of one :class:`RoutedBench`."""
 
     tier_hits: Dict[str, int] = field(default_factory=dict)
@@ -109,22 +110,6 @@ class RouterStats:
     audit_failures: int = 0
     #: Quarantined ``"tier:class"`` pairs, sorted.
     quarantined: Tuple[str, ...] = ()
-
-    def note_hit(self, tier: str) -> None:
-        self.tier_hits[tier] = self.tier_hits.get(tier, 0) + 1
-
-    def note_escalation(self, reason: str) -> None:
-        self.escalations[reason] = self.escalations.get(reason, 0) + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "tier_hits": dict(sorted(self.tier_hits.items())),
-            "escalations": dict(sorted(self.escalations.items())),
-            "audits": self.audits,
-            "audit_passes": self.audit_passes,
-            "audit_failures": self.audit_failures,
-            "quarantined": list(self.quarantined),
-        }
 
 
 def audit_selected(policy: RouterPolicy, *, uarch: str, seed: int,
@@ -318,7 +303,7 @@ class RoutedBench:
     def _route(self, classes: Optional[List[str]]) -> List[str]:
         """Candidate tiers in cost order, cheapest eligible first."""
         if classes is None:
-            self.stats.note_escalation("unclassifiable")
+            self.stats.bump("escalations", "unclassifiable")
             return ["sim"]
         candidates = []
         for tier in TIER_ORDER:
@@ -326,7 +311,7 @@ class RoutedBench:
             if reason is None:
                 candidates.append(tier)
             else:
-                self.stats.note_escalation(reason)
+                self.stats.bump("escalations", reason)
         return candidates
 
     # ------------------------------------------------------------------
@@ -355,12 +340,12 @@ class RoutedBench:
             except (UnschedulableEventError, CapabilityError):
                 if terminal:
                     raise
-                self.stats.note_escalation("unschedulable")
+                self.stats.bump("escalations", "unschedulable")
                 continue
             if tier.last_report.skipped_events and not terminal:
                 # The cheap tier degraded instead of answering; the
                 # simulator can answer in full.
-                self.stats.note_escalation("unschedulable")
+                self.stats.bump("escalations", "unschedulable")
                 continue
             served = tier_name
             break
@@ -383,7 +368,7 @@ class RoutedBench:
                 option_overrides=option_overrides,
             )
 
-        self.stats.note_hit(served)
+        self.stats.bump("tier_hits", served)
         self._finish(served, audited, audit_failed)
         return values
 

@@ -240,7 +240,8 @@ class BenchServer:
         self.queue = queue
         self.drain_timeout = drain_timeout
         self.verbose = verbose
-        self.started_ts = time.time()
+        # The queue's monotonic clock: uptime survives NTP steps.
+        self.started_ts = queue._clock()
         self._httpd = _ThreadingServer((host, port), _Handler)
         self._httpd.bench = self  # type: ignore[attr-defined]
         self._listener: Optional[threading.Thread] = None
@@ -298,7 +299,7 @@ class BenchServer:
         store_stats = self.queue.store.stats()
         queue_stats = self.queue.stats()
         payload = {
-            "uptime_seconds": time.time() - self.started_ts,
+            "uptime_seconds": self.queue._clock() - self.started_ts,
             "queue": vars(queue_stats),
             "router": {
                 "routing": bool(getattr(self.queue, "route_specs", False)),

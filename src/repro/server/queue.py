@@ -50,6 +50,7 @@ from ..errors import (
     QueueFullError,
     ServerDrainingError,
 )
+from ..stats import Counters
 from ..store import ResultStore, open_store
 from .jobs import ACCEPTED, DONE, JOB_JOURNAL_NAME, RUNNING, Job, JobJournal
 from .quota import QuotaPolicy
@@ -63,7 +64,7 @@ _DEFAULT_SPEC_SECONDS = 0.05
 
 
 @dataclass
-class QueueStats:
+class QueueStats(Counters):
     """Point-in-time queue accounting for ``/v1/stats``."""
 
     jobs_accepted: int = 0
@@ -298,8 +299,7 @@ class JobQueue:
 
     def stats(self) -> QueueStats:
         with self._lock:
-            snapshot = QueueStats(**vars(self.stats_counters))
-            snapshot.router_tiers = dict(self.stats_counters.router_tiers)
+            snapshot = self.stats_counters.snapshot()
             snapshot.pending_jobs = len(self._pending) \
                 + (1 if self._running else 0)
             snapshot.pending_specs = self._pending_specs_locked()
@@ -417,8 +417,7 @@ class JobQueue:
             self.stats_counters.specs_executed += executed
             self.stats_counters.specs_from_store += hits
             for tier, count in tier_counts.items():
-                self.stats_counters.router_tiers[tier] = \
-                    self.stats_counters.router_tiers.get(tier, 0) + count
+                self.stats_counters.bump("router_tiers", tier, count)
             self.stats_counters.router_audits += audits
             self.stats_counters.router_audit_failures += audit_failures
             self.stats_counters.spec_errors += job.n_errors

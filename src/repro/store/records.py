@@ -9,11 +9,11 @@ is treated as corrupt, quarantined, and re-executed on demand.
 
 Legacy single-file checkpoint journals, written by the batch runner
 before results moved into the store, carry a 16-hex-digit truncated
-checksum; the durable store uses the full 64 digits.
-:func:`record_checksum` takes the width so both validate with the same
-code path, and :func:`validate_record` infers the width from the stored
-value — which is what keeps old journals importable through
-:meth:`repro.store.ResultStore.import_journal`.
+checksum or none; the store and the job journal write and require the
+full 64 digits.  :func:`record_checksum` takes the width so both
+validate with the same code path; only
+:meth:`repro.store.ResultStore.import_journal` still accepts the legacy
+forms.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ def record_checksum(record: dict,
     return digest[:hexdigits]
 
 
-def validate_record(record: object) -> Tuple[bool, str]:
+def validate_record(record: object,
+                    hexdigits: Optional[int] = None) -> Tuple[bool, str]:
     """Is *record* a structurally sound, checksum-clean record?
 
-    Returns ``(ok, reason)``; a record without a ``sha`` field is
-    accepted (legacy journals predate checksums).  The checksum width
-    is inferred from the stored value, so both journal-width and
-    store-width records validate.
+    Returns ``(ok, reason)``.  With *hexdigits*, the record must carry
+    a checksum of that width, so a bit flip in the ``sha`` key name is
+    caught.  Without it (legacy import), a record without ``sha`` is
+    accepted and the width is inferred from the stored value.
     """
     if not isinstance(record, dict):
         return False, "not a JSON object"
@@ -59,8 +60,9 @@ def validate_record(record: object) -> Tuple[bool, str]:
         return False, "missing digest"
     sha = record.get("sha")
     if sha is None:
-        return True, ""
-    if not isinstance(sha, str) or not sha:
+        return (True, "") if hexdigits is None else (False, "missing checksum")
+    if not isinstance(sha, str) or not sha or (
+            hexdigits is not None and len(sha) != hexdigits):
         return False, "malformed checksum"
     if record_checksum(record, hexdigits=len(sha)) != sha:
         return False, "checksum mismatch"
@@ -77,8 +79,10 @@ def encode_record(record: dict) -> bytes:
     return (json.dumps(record) + "\n").encode("utf-8")
 
 
-def parse_record_line(line: bytes) -> Tuple[Optional[dict], str]:
-    """Parse and validate one stored line.
+def parse_record_line(line: bytes, hexdigits: Optional[int] = None
+                      ) -> Tuple[Optional[dict], str]:
+    """Parse and validate one stored line (*hexdigits* as for
+    :func:`validate_record`).
 
     Returns ``(record, "")`` on success and ``(None, reason)`` for
     anything torn, truncated, or bit-flipped.
@@ -87,7 +91,7 @@ def parse_record_line(line: bytes) -> Tuple[Optional[dict], str]:
         record = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError):
         return None, "unparsable"
-    ok, reason = validate_record(record)
+    ok, reason = validate_record(record, hexdigits)
     if not ok:
         return None, reason
     return record, ""

@@ -10,7 +10,7 @@ or the new file — never half of one.
 :func:`scan_segment` reads a segment back and classifies every byte of
 it, which is the whole recovery story:
 
-* **good** lines — parseable, checksum-clean records;
+* **good** lines — parseable records with a clean full-width checksum;
 * a **torn tail** — a trailing run of bytes that never made it to a
   complete, valid record (the kill-during-append shape).  Recovery
   truncates the file back to ``good_bytes``, dropping only the
@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .records import parse_record_line
+from .records import STORE_SHA_HEXDIGITS, parse_record_line
 
 #: File names inside a store root.
 ACTIVE_NAME = "active.jsonl"
@@ -104,7 +104,7 @@ def scan_segment(path: str) -> SegmentScan:
         line = data[offset:newline]
         end = newline + 1
         if line.strip():
-            record, reason = parse_record_line(line)
+            record, reason = parse_record_line(line, STORE_SHA_HEXDIGITS)
             if record is None:
                 pending.append(CorruptLine(offset, line, reason))
             else:

@@ -39,7 +39,6 @@ byte-identical to the original measurement (JSON round-trips floats via
 from __future__ import annotations
 
 import errno
-import json
 import os
 import time
 import warnings
@@ -52,6 +51,7 @@ from .locking import FileLock
 from .records import (
     RECORD_VERSION,
     STORE_SHA_HEXDIGITS,
+    encode_record,
     parse_record_line,
     record_checksum,
 )
@@ -298,7 +298,7 @@ class ResultStore:
             tmp = path + TMP_SUFFIX
             with open(tmp, "wb") as handle:
                 for _, record in scan.records:
-                    handle.write(_encode(record))
+                    handle.write(encode_record(record))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -368,7 +368,7 @@ class ResultStore:
         record.pop("sha", None)
         record["sha"] = record_checksum(record,
                                         hexdigits=STORE_SHA_HEXDIGITS)
-        line = _encode(record)
+        line = encode_record(record)
         with self._lock:
             self._append_locked(digest, line)
             self._index[digest] = record
@@ -558,7 +558,7 @@ class ResultStore:
         if max_bytes is not None:
             # Oldest-first until the live set fits the budget.
             live.sort(key=lambda r: (float(r.get("ts", 0.0)), r["digest"]))
-            sizes = [len(_encode(record)) for record in live]
+            sizes = [len(encode_record(record)) for record in live]
             total = sum(sizes)
             drop = 0
             while drop < len(live) and total > max_bytes:
@@ -587,7 +587,7 @@ class ResultStore:
             try:
                 with open(tmp, "wb") as handle:
                     for index, record in enumerate(records):
-                        line = _encode(record)
+                        line = encode_record(record)
                         if (plan is not None and index == len(records) // 2
                                 and plan.fires("store.torn_write", key)):
                             cut = max(1, len(line) // 2)
@@ -711,10 +711,6 @@ class ResultStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _encode(record: dict) -> bytes:
-    return (json.dumps(record) + "\n").encode("utf-8")
 
 
 def open_store(store: Union[str, "os.PathLike[str]", ResultStore],

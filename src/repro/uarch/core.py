@@ -31,6 +31,7 @@ from ..perfctr.counters import (
     MetricStore,
     PerformanceMonitoringUnit,
 )
+from ..stats import Counters
 from ..x86 import semantics
 from ..x86.instructions import Instruction, Program
 from ..x86.registers import RegisterFile
@@ -63,7 +64,7 @@ def _fast_path_default() -> bool:
 
 
 @dataclass
-class SimStats:
+class SimStats(Counters):
     """Cumulative simulator-throughput counters for one core.
 
     ``instructions`` counts every dynamic instruction simulated
@@ -78,28 +79,6 @@ class SimStats:
     fast_path_iterations: int = 0
     fast_path_replays: int = 0
     fallbacks: int = 0
-
-    def snapshot(self) -> "SimStats":
-        return SimStats(
-            self.instructions, self.fast_path_instructions,
-            self.fast_path_iterations, self.fast_path_replays,
-            self.fallbacks,
-        )
-
-    def delta(self, before: "SimStats") -> Dict[str, int]:
-        return {
-            "instructions": self.instructions - before.instructions,
-            "fast_path_instructions": (
-                self.fast_path_instructions - before.fast_path_instructions
-            ),
-            "fast_path_iterations": (
-                self.fast_path_iterations - before.fast_path_iterations
-            ),
-            "fast_path_replays": (
-                self.fast_path_replays - before.fast_path_replays
-            ),
-            "fallbacks": self.fallbacks - before.fallbacks,
-        }
 
 
 def _build_cache(name: str, level: CacheLevelSpec, rng: random.Random) -> Cache:

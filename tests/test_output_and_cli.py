@@ -1,5 +1,7 @@
 """Tests for output formatting and the remaining CLI paths."""
 
+import os
+
 import pytest
 
 from repro.core.cli import build_parser, main as cli_main
@@ -101,3 +103,22 @@ class TestCli:
         ])
         assert exit_code == 0
         assert "Core cycles: 1.00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("outer", [None, "1"])
+    def test_no_fast_path_is_scoped_to_the_invocation(self, capsys,
+                                                      monkeypatch, outer):
+        from repro.uarch.core import SimulatedCore
+
+        if outer is None:
+            monkeypatch.delenv("NANOBENCH_FAST_PATH", raising=False)
+        else:
+            monkeypatch.setenv("NANOBENCH_FAST_PATH", outer)
+        exit_code = cli_main([
+            "-asm", "add RAX, RAX", "-no_fast_path", "-verbose",
+        ])
+        assert exit_code == 0
+        # In force for the invocation: nothing ran on the fast path ...
+        assert "(0 fast-path over 0 replays" in capsys.readouterr().err
+        # ... and gone after it, for every core built later.
+        assert os.environ.get("NANOBENCH_FAST_PATH") == outer
+        assert SimulatedCore("Skylake").fast_path_enabled

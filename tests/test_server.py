@@ -195,6 +195,24 @@ class TestJobJournal:
         assert list(jobs) == ["job-00000002"]
         journal.close()
 
+    def test_renamed_checksum_key_drops_the_record(self, tmp_path):
+        # A job record whose "sha" key name is damaged is unchecked
+        # content, not a legacy record: it must be dropped, not loaded.
+        queue = _queue(tmp_path)
+        self._job(queue)
+        self._job(queue)
+        queue.close()
+        path = os.path.join(str(tmp_path / "store"), "jobs.jsonl")
+        lines = open(path, "rb").read().splitlines(keepends=True)
+        lines[0] = lines[0].replace(b'"sha": ', b'"rha": ')
+        with open(path, "wb") as handle:
+            handle.writelines(lines)
+        journal = JobJournal(path)
+        with pytest.warns(UserWarning, match="corrupt line"):
+            jobs = journal.load()
+        assert list(jobs) == ["job-00000002"]
+        journal.close()
+
     def test_journal_torn_injection_heals_in_place(self, tmp_path):
         from repro.errors import StoreError
         queue = _queue(tmp_path)
@@ -453,6 +471,16 @@ class TestHTTP:
         assert status == 400
         status, _, body = _http(server, "GET", "/v1/results/feedbeef")
         assert status == 404
+
+    def test_uptime_uses_the_queue_clock(self, tmp_path):
+        # A wall-clock step (NTP, suspend) must not move uptime.
+        now = [100.0]
+        bench = BenchServer(_queue(tmp_path, clock=lambda: now[0]), port=0)
+        try:
+            now[0] = 107.5
+            assert bench.stats_payload()["uptime_seconds"] == 7.5
+        finally:
+            bench.stop()
 
     def test_stats_endpoint_reports_sections(self, server):
         _http(server, "POST", "/v1/jobs",

@@ -98,6 +98,14 @@ class TestRecords:
     def test_records_without_sha_accepted(self):
         assert validate_record({"digest": "d", "values": {}})[0]
 
+    def test_required_width_rejects_missing_and_short_checksums(self):
+        record = {"digest": "d", "values": {"x": 1.5}}
+        assert validate_record(record, 64) == (False, "missing checksum")
+        record["sha"] = record_checksum(record, hexdigits=16)
+        assert validate_record(record, 64) == (False, "malformed checksum")
+        record["sha"] = record_checksum(record, hexdigits=64)
+        assert validate_record(record, 64) == (True, "")
+
 
 class TestSegmentScan:
     def _write(self, path, lines):
@@ -221,6 +229,29 @@ class TestResultStore:
 
 
 class TestCrashRecovery:
+    def test_renamed_checksum_key_is_not_served(self, tmp_path):
+        # A bit flip in the "sha" key name ("sha" -> "rha") must not
+        # turn a checksummed record into an unchecked one: with a second
+        # flip in its values, the store would serve wrong numbers.
+        root = str(tmp_path / "s")
+        with ResultStore(root) as store:
+            _fill(store, 3)
+        active = os.path.join(root, ACTIVE_NAME)
+        lines = open(active, "rb").read().splitlines(keepends=True)
+        assert lines[1].count(b'"sha": ') == 1
+        lines[1] = lines[1].replace(b'"sha": ', b'"rha": ').replace(
+            b'"Core cycles": 1.0', b'"Core cycles": 9.0')
+        with open(active, "wb") as handle:
+            handle.writelines(lines)
+        assert not verify_store(root).ok
+        with pytest.warns(UserWarning, match="quarantined"):
+            store = ResultStore(root)
+        with store:
+            assert store.get(_digest(1)) is None
+            assert store.get(_digest(2))["values"] == {"Core cycles": 2.0}
+            assert store.counters.quarantined == 1
+        assert verify_store(root).ok
+
     def test_torn_tail_truncated_on_open(self, tmp_path):
         root = str(tmp_path / "s")
         with ResultStore(root) as store:
