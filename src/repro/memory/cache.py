@@ -2,17 +2,23 @@
 
 One :class:`Cache` models one level of the hierarchy.  L3 caches are
 built with ``n_slices > 1`` and a :class:`~repro.memory.slices.SliceHash`;
-each slice has its own set array, matching the C-Box granularity of
+each slice has its own sets, matching the C-Box granularity of
 Section VI-A.  Caches keep no statistics: the core counts hits, misses
 and per-slice C-Box events in its PMU metrics.
+
+Sets are built on first touch, into one ``{set_index: SetState}`` dict
+per slice.  An absent set is an empty one: probes and CLFLUSH build
+nothing, and WBINVD drops every set.  Set creation draws no random
+numbers and the set-dueling PSEL lives on the policy, so a rebuilt set
+is exactly the post-WBINVD state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .replacement import AdaptivePolicy, ReplacementPolicy, SetState, make_policy
+from .replacement import ReplacementPolicy, SetState
 from .slices import SliceHash
 
 
@@ -65,15 +71,16 @@ class Cache:
         self.geometry = geometry
         self.policy = policy
         self.slice_hash = slice_hash
-        self._sets: List[List[SetState]] = [
-            [self._create_set(slice_id, index) for index in range(geometry.n_sets)]
-            for slice_id in range(geometry.n_slices)
-        ]
+        self._sets: List[Dict[int, SetState]] = [{} for _ in range(geometry.n_slices)]
 
-    def _create_set(self, slice_id: int, index: int) -> SetState:
-        if isinstance(self.policy, AdaptivePolicy):
-            return self.policy.create_set_at(slice_id, index)
-        return self.policy.create_set()
+    def _set(self, slice_id: int, set_index: int) -> SetState:
+        """The set at a located position, built on first touch."""
+        sets = self._sets[slice_id]
+        try:
+            return sets[set_index]
+        except KeyError:
+            sets[set_index] = self.policy.create_set_at(slice_id, set_index)
+            return sets[set_index]
 
     # ------------------------------------------------------------------
     # Address mapping
@@ -96,32 +103,43 @@ class Cache:
     def access(self, physical_address: int) -> bool:
         """Demand access; updates replacement state.  Returns hit."""
         slice_id, set_index, tag = self.locate(physical_address)
-        return self._sets[slice_id][set_index].access(tag)[0]
+        return self._set(slice_id, set_index).access(tag)[0]
 
     def probe(self, physical_address: int) -> bool:
         """Check presence without touching replacement state."""
         slice_id, set_index, tag = self.locate(physical_address)
-        return self._sets[slice_id][set_index].lookup(tag) is not None
+        cache_set = self._sets[slice_id].get(set_index)
+        return cache_set is not None and cache_set.lookup(tag) is not None
 
     def invalidate_line(self, physical_address: int) -> bool:
         """CLFLUSH one line; returns whether it was present."""
         slice_id, set_index, tag = self.locate(physical_address)
-        return self._sets[slice_id][set_index].invalidate(tag)
+        cache_set = self._sets[slice_id].get(set_index)
+        return cache_set is not None and cache_set.invalidate(tag)
 
     def invalidate_all(self) -> None:
-        """WBINVD: empty every set."""
+        """WBINVD: drop every built set."""
         for slice_sets in self._sets:
-            for cache_set in slice_sets:
-                cache_set.invalidate_all()
+            slice_sets.clear()
 
     # ------------------------------------------------------------------
     # Introspection (tests / tools)
     # ------------------------------------------------------------------
+    @property
+    def built_sets(self) -> int:
+        """Number of sets built since construction or the last WBINVD."""
+        return sum(len(slice_sets) for slice_sets in self._sets)
+
     def set_contents(self, slice_id: int, set_index: int):
-        return self._sets[slice_id][set_index].contents()
+        return self.set_state(slice_id, set_index).contents()
 
     def set_state(self, slice_id: int, set_index: int) -> SetState:
-        return self._sets[slice_id][set_index]
+        """The set at ``(slice_id, set_index)``, built if untouched."""
+        geo = self.geometry
+        if not (0 <= slice_id < geo.n_slices and 0 <= set_index < geo.n_sets):
+            raise IndexError(
+                "%s has no set (%d, %d)" % (self.name, slice_id, set_index))
+        return self._set(slice_id, set_index)
 
     def __repr__(self) -> str:
         geo = self.geometry

@@ -174,7 +174,7 @@ class MemoryHierarchy:
     def _access_level(self, cache: Cache, address: int) -> Tuple[bool, Optional[int]]:
         """Access one level; return (hit, evicted block address)."""
         slice_id, set_index, tag = cache.locate(address)
-        hit, evicted_tag = cache.set_state(slice_id, set_index).access(tag)
+        hit, evicted_tag = cache._set(slice_id, set_index).access(tag)
         if evicted_tag is None:
             return hit, None
         geo = cache.geometry

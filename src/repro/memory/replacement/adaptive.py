@@ -64,7 +64,10 @@ class SetDuelingConfig:
 
 
 class PselCounter:
-    """Saturating policy-selector counter shared by a cache's sets."""
+    """Saturating policy-selector counter shared by a cache's sets.
+
+    It lives on the policy, not in a set, so it survives WBINVD.
+    """
 
     def __init__(self, bits: int = 10) -> None:
         self._max = (1 << bits) - 1
@@ -108,10 +111,6 @@ class _DedicatedSet(SetState):
 
     def on_invalidate(self, way: int) -> None:
         self._inner.on_invalidate(way)
-
-    def reset_metadata(self) -> None:
-        self._inner.invalidate_all()
-        self._tags = self._inner._tags
 
 
 class _FollowerSet(_QLRUSet):

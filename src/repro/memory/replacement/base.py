@@ -107,15 +107,6 @@ class SetState(ABC):
     def on_invalidate(self, way: int) -> None:
         """Metadata update after invalidating *way* (default: none)."""
 
-    def invalidate_all(self) -> None:
-        """Empty the set (WBINVD)."""
-        self._tags = [None] * self.associativity
-        self.reset_metadata()
-
-    @abstractmethod
-    def reset_metadata(self) -> None:
-        """Reset the policy metadata to the post-WBINVD state."""
-
 
 class ReplacementPolicy(ABC):
     """Factory for per-set replacement state.
@@ -134,6 +125,10 @@ class ReplacementPolicy(ABC):
     @abstractmethod
     def create_set(self) -> SetState:
         """Create state for one cache set."""
+
+    def create_set_at(self, slice_id: int, set_index: int) -> SetState:
+        """Create the set at a cache position (default: position-blind)."""
+        return self.create_set()
 
     @property
     def is_deterministic(self) -> bool:

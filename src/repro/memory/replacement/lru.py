@@ -31,10 +31,6 @@ class _LRUSet(SetState):
             return empty
         return min(range(self.associativity), key=lambda w: self._last_use[w])
 
-    def reset_metadata(self) -> None:
-        self._stamp = 0
-        self._last_use = [0] * self.associativity
-
 
 class LRU(ReplacementPolicy):
     """Least-recently-used replacement."""
@@ -65,10 +61,6 @@ class _FIFOSet(SetState):
         if empty is not None:
             return empty
         return min(range(self.associativity), key=lambda w: self._fill_time[w])
-
-    def reset_metadata(self) -> None:
-        self._stamp = 0
-        self._fill_time = [0] * self.associativity
 
 
 class FIFO(ReplacementPolicy):

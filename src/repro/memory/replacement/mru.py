@@ -54,9 +54,6 @@ class _MRUSet(SetState):
         # a set bit), but be safe: fall back to the leftmost way.
         return 0
 
-    def reset_metadata(self) -> None:
-        self._bits = [1] * self.associativity
-
     def status_bits(self) -> List[int]:
         """Expose the status bits (for tests)."""
         return list(self._bits)

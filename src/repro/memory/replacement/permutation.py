@@ -111,7 +111,6 @@ class _PermutationSet(SetState):
     def __init__(self, spec: PermutationSpec) -> None:
         super().__init__(spec.associativity)
         self._spec = spec
-        self._filled = 0
 
     def _apply(self, perm: Tuple[int, ...]) -> None:
         new_tags: List[Optional[int]] = [None] * self.associativity
@@ -129,9 +128,6 @@ class _PermutationSet(SetState):
 
     def on_fill(self, way: int) -> None:
         self._apply(self._spec.miss_permutation)
-
-    def reset_metadata(self) -> None:
-        self._filled = 0
 
 
 class PermutationPolicy(ReplacementPolicy):

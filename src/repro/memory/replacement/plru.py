@@ -55,9 +55,6 @@ class _PLRUSet(SetState):
             node = 2 * node + 1 + direction
         return way
 
-    def reset_metadata(self) -> None:
-        self._bits = [0] * max(self.associativity - 1, 1)
-
     def tree_bits(self) -> List[int]:
         """Expose the tree bits (for tests and documentation examples)."""
         return list(self._bits)

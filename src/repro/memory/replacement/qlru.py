@@ -193,9 +193,6 @@ class _QLRUSet(SetState):
     def on_invalidate(self, way: int) -> None:
         self._ages[way] = None
 
-    def reset_metadata(self) -> None:
-        self._ages = [None] * self.associativity
-
     def ages(self) -> List[Optional[int]]:
         """Expose the age bits (for tests)."""
         return list(self._ages)

@@ -19,9 +19,6 @@ class _RandomSet(SetState):
             return empty
         return self._rng.randrange(self.associativity)
 
-    def reset_metadata(self) -> None:
-        pass
-
 
 class RandomReplacement(ReplacementPolicy):
     """Evict a uniformly random way on each miss."""

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import RunawayBenchmarkError
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import SetState, make_policy
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,14 @@ class TlbGeometry:
 
 
 class Tlb:
-    """One set-associative TLB level."""
+    """One set-associative TLB level; sets are built on first touch."""
 
     def __init__(self, geometry: TlbGeometry, policy: str = "LRU",
                  rng: Optional[random.Random] = None) -> None:
         self.geometry = geometry
         factory = make_policy(policy, geometry.associativity, rng=rng)
-        self._sets = [factory.create_set()
-                      for _ in range(geometry.n_sets)]
+        self._create_set = factory.create_set
+        self._sets: Dict[int, SetState] = {}
         self.hits = 0
         self.misses = 0
 
@@ -63,7 +63,11 @@ class Tlb:
     def access(self, virtual_address: int) -> bool:
         """Look up (and on miss, fill) the translation; returns hit."""
         set_index, tag = self._locate(virtual_address)
-        hit, _ = self._sets[set_index].access(tag)
+        try:
+            entry_set = self._sets[set_index]
+        except KeyError:
+            entry_set = self._sets[set_index] = self._create_set()
+        hit, _ = entry_set.access(tag)
         if hit:
             self.hits += 1
         else:
@@ -72,12 +76,17 @@ class Tlb:
 
     def probe(self, virtual_address: int) -> bool:
         set_index, tag = self._locate(virtual_address)
-        return self._sets[set_index].lookup(tag) is not None
+        entry_set = self._sets.get(set_index)
+        return entry_set is not None and entry_set.lookup(tag) is not None
+
+    @property
+    def built_sets(self) -> int:
+        """Number of sets built since construction or the last flush."""
+        return len(self._sets)
 
     def flush(self) -> None:
         """Drop all translations (a CR3 write / full INVLPG)."""
-        for entry_set in self._sets:
-            entry_set.invalidate_all()
+        self._sets.clear()
 
 
 @dataclass(frozen=True)

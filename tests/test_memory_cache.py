@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.nanobench import NanoBench
 from repro.memory.cache import Cache, CacheGeometry
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import make_policy
 from repro.memory.slices import SliceHash, intel_slice_hash
+from repro.uarch.specs import HASWELL_POLICY_A
 
 
 def _small_cache(policy="LRU", size=4096, assoc=4, slices=1):
@@ -83,6 +85,83 @@ class TestCacheBasics:
             cache.probe(0)  # probes must not refresh LRU state
         cache.access(2 * stride)
         assert not cache.probe(0)
+
+    def test_set_state_rejects_out_of_range(self):
+        cache = _small_cache(slices=2)
+        n_sets = cache.geometry.n_sets
+        for slice_id, set_index in ((0, -1), (-1, 0), (2, 0), (0, n_sets)):
+            with pytest.raises(IndexError):
+                cache.set_state(slice_id, set_index)
+            with pytest.raises(IndexError):
+                cache.set_contents(slice_id, set_index)
+        assert cache.built_sets == 0
+
+    def test_untouched_set_is_empty(self):
+        cache = _small_cache(assoc=4)
+        assert cache.set_contents(0, 3) == (None,) * 4
+
+
+class TestSetsOnFirstTouch:
+    """A fresh core builds no cache or TLB set until a spec touches it."""
+
+    @staticmethod
+    def _built(core):
+        return ([cache.built_sets for cache in core.hierarchy.levels]
+                + [core.tlb.dtlb.built_sets, core.tlb.stlb.built_sets])
+
+    def test_construction_cost(self):
+        nb = NanoBench.create("Skylake")
+        core = nb.core
+        assert self._built(core) == [0] * 5
+        nb.run("add RAX, RAX")
+        l3 = core.hierarchy.l3
+        assert 0 < l3.built_sets <= 16
+        assert l3.geometry.n_sets * l3.geometry.n_slices == 4096
+        core.hierarchy.wbinvd()
+        core.tlb.flush()
+        assert self._built(core) == [0] * 5
+
+    def test_probe_and_clflush_build_nothing(self):
+        core = NanoBench.create("Skylake").core
+        for address in (0x0, 0x12340, 0x7654000):
+            assert core.hierarchy.probe_level(address) == 0
+            core.hierarchy.clflush(address)
+            assert not core.tlb.dtlb.probe(address)
+        assert self._built(core) == [0] * 5
+
+    def test_set_dueling_survives_wbinvd(self):
+        """The PSEL lives on the policy, not in a set: dropping the sets
+        on WBINVD keeps the winner, and a follower set rebuilt after the
+        flush inserts under the winning spec."""
+        hierarchy = NanoBench.create("Haswell").core.hierarchy
+        l3 = hierarchy.l3
+        psel = l3.policy.psel
+        assert psel.winner == "B"  # the PSEL starts at its midpoint
+        # Misses in a dedicated-B set (768, slice 0) flip it to A.
+        set_stride = l3.geometry.n_sets * l3.geometry.line_size
+        address = 768 * l3.geometry.line_size
+        while psel.winner != "A":
+            if l3.locate(address)[:2] == (0, 768):
+                assert not l3.access(address)
+            address += set_stride
+        value = psel.value
+        hierarchy.wbinvd()
+        assert l3.built_sets == 0
+        assert psel.value == value and psel.winner == "A"
+        # Fill follower set 0 of slice 0.  Policy B inserts most lines
+        # with age 3; policy A ages them 3, 1, 1, ...
+        assert l3.policy.config.classify(0, 0) == "follower"
+        ways = l3.geometry.associativity
+        reference = make_policy(HASWELL_POLICY_A, ways).create_set()
+        address, filled = 0, 0
+        while filled < ways:
+            slice_id, set_index, tag = l3.locate(address)
+            if (slice_id, set_index) == (0, 0):
+                l3.access(address)
+                reference.access(tag)
+                filled += 1
+            address += set_stride
+        assert l3.set_state(0, 0).ages() == reference.ages()
 
 
 class TestSliceHash:

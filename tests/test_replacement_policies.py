@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.memory.cache import Cache, CacheGeometry
 from repro.memory.replacement import (
     FIFO,
     LRU,
@@ -350,13 +351,14 @@ class TestPolicyInvariants:
     @given(blocks=_sequences)
     @settings(max_examples=30, deadline=None)
     def test_invalidate_all_resets(self, name, blocks):
-        policy = make_policy(name, 4)
-        state = policy.create_set()
+        # A one-set cache: block b is line b, whose tag is b.
+        cache = Cache("T", CacheGeometry(4 * 64, 4), make_policy(name, 4))
         for block in blocks:
-            state.access(block)
-        state.invalidate_all()
-        assert all(t is None for t in state.contents())
-        # After reset, behaviour matches a fresh set.
+            cache.access(block * 64)
+        cache.invalidate_all()
+        assert all(t is None for t in cache.set_contents(0, 0))
+        # After WBINVD, behaviour matches a fresh set.
         fresh = make_policy(name, 4).create_set()
         for block in blocks:
-            assert state.access(block) == fresh.access(block)
+            assert cache.access(block * 64) == fresh.access(block)[0]
+            assert cache.set_contents(0, 0) == fresh.contents()
