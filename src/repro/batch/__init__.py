@@ -10,13 +10,7 @@ pool, memoizes assembly/codegen per worker, and streams bit-identical
 """
 
 from .pool import ItemOutcome, ResilientPool
-from .runner import (
-    BatchReport,
-    BatchRunner,
-    default_jobs,
-    parallel_map,
-    run_batch,
-)
+from .runner import BatchReport, BatchRunner, default_jobs
 from .spec import (
     BatchResult,
     BenchmarkSpec,
@@ -35,9 +29,7 @@ __all__ = [
     "ResilientPool",
     "default_jobs",
     "journal_record",
-    "parallel_map",
     "result_from_record",
-    "run_batch",
     "spec_digest",
     "spec_from_run_kwargs",
 ]

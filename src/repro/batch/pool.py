@@ -22,7 +22,11 @@ explicitly supervised design:
 * transient failures (:class:`~repro.errors.TransientError`) are
   requeued like crashes; fatal errors are reported immediately;
 * ``KeyboardInterrupt`` (and any other teardown) terminates all workers
-  via the ``finally`` path — no orphaned processes, no dangling pool.
+  via the ``finally`` path — no orphaned processes, no dangling pool;
+* with one worker (or one payload) there is no process at all: the
+  items run in-process, in order, through the same ``spec.error``
+  injection and the same retry rule, so a serial batch is the pool's
+  one-worker case rather than a second implementation.
 
 Because every spec runs on a fresh deterministically-seeded core, a
 requeued item produces the same values as an undisturbed first attempt,
@@ -77,26 +81,31 @@ class ItemOutcome:
     error: Optional[str] = None
     error_type: Optional[str] = None
     attempts: int = 1
-    #: The captured exception object (for callers that re-raise).
-    exception: Optional[BaseException] = None
 
 
-def item_fault_key(index: int, attempt: int) -> str:
+def _item_fault_key(index: int, attempt: int) -> str:
     """The canonical injection key of one (item, attempt) execution.
 
-    Keyed by item index — not by worker or arrival order — so the same
-    plan injects the same faults regardless of sharding; keyed by
-    attempt so a requeued item does not deterministically re-fail.
+    Keyed by the item's position in the payload list — not by worker
+    or arrival order — so the same plan injects the same faults for any
+    worker count; keyed by attempt so a requeued item does not
+    deterministically re-fail.
     """
     return "%d:%d" % (index, attempt)
 
 
-def inject_spec_fault(plan: Optional[FaultPlan], fault_key: str) -> None:
-    """Fire the ``spec.error`` fault (shared by serial and pool paths)."""
-    if plan is not None and plan.fires("spec.error", fault_key + "|error"):
-        raise InjectedFaultError(
-            "injected transient spec failure (chaos plane)"
-        )
+def _execute(worker_fn, payload, plan: Optional[FaultPlan],
+             key: str) -> Tuple[bool, object]:
+    """One (item, attempt) execution: the ``spec.error`` fault, then
+    *worker_fn*.  Returns ``(True, value)`` or ``(False, exception)``."""
+    try:
+        if plan is not None and plan.fires("spec.error", key + "|error"):
+            raise InjectedFaultError(
+                "injected transient spec failure (chaos plane)"
+            )
+        return True, worker_fn(payload)
+    except Exception as exc:  # noqa: BLE001 — captured, not swallowed
+        return False, exc
 
 
 def _worker_main(worker_fn, task_queue, result_queue,
@@ -109,25 +118,21 @@ def _worker_main(worker_fn, task_queue, result_queue,
         if task is None:
             return
         index, attempt, payload = task
-        key = item_fault_key(index, attempt)
+        key = _item_fault_key(index, attempt)
         if plan is not None:
             if plan.fires("worker.death", key + "|death"):
                 os._exit(DEATH_EXIT_CODE)
             if plan.fires("worker.hang", key + "|hang"):
                 time.sleep(HANG_SLEEP_S)
-        try:
-            inject_spec_fault(plan, key)
-            value = worker_fn(payload)
-        except Exception as exc:  # noqa: BLE001 — captured, not swallowed
+        ok, value = _execute(worker_fn, payload, plan, key)
+        if not ok:
             try:
-                pickle.dumps(exc)
+                pickle.dumps(value)
             except Exception:
-                exc = WorkerCrashError(
-                    "unpicklable %s: %s" % (type(exc).__name__, exc)
+                value = WorkerCrashError(
+                    "unpicklable %s: %s" % (type(value).__name__, value)
                 )
-            result_queue.put((index, attempt, False, exc))
-        else:
-            result_queue.put((index, attempt, True, value))
+        result_queue.put((index, attempt, ok, value))
 
 
 class _WorkerSlot:
@@ -151,7 +156,10 @@ class ResilientPool:
     worker_fn:
         Module-level (picklable) function applied to each payload.
     jobs:
-        Worker-process count (>= 1).
+        Worker-process count (>= 1).  With one worker (or one payload)
+        the items run in-process, in order, under the same fault and
+        retry rules; worker deaths, hangs and deadlines need processes
+        and do not apply there.
     timeout:
         Per-item deadline in seconds; an overrunning worker is killed
         and the item requeued.  ``None`` disables deadlines — unless
@@ -196,13 +204,21 @@ class ResilientPool:
         """Yield one :class:`ItemOutcome` per payload, in input order."""
         payloads = list(payloads)
         total = len(payloads)
-        if total == 0:
-            return
         self.deaths = self.timeouts = self.requeues = 0
-        context = multiprocessing.get_context()
-        slots = [_WorkerSlot(i) for i in range(min(self.jobs, total))]
         pending = deque((index, 0) for index in range(total))
         buffered: Dict[int, ItemOutcome] = {}
+        if self.jobs == 1 or total == 1:
+            while pending:
+                index, attempt = pending.popleft()
+                ok, value = _execute(self.worker_fn, payloads[index],
+                                     self.plan,
+                                     _item_fault_key(index, attempt))
+                self._settle(index, attempt, ok, value, pending, buffered)
+                if index in buffered:
+                    yield buffered.pop(index)
+            return
+        context = multiprocessing.get_context()
+        slots = [_WorkerSlot(i) for i in range(min(self.jobs, total))]
         next_emit = 0
         try:
             for slot in slots:
@@ -220,6 +236,25 @@ class ResilientPool:
                     time.sleep(_TICK_S)
         finally:
             self._shutdown(slots)
+
+    def _settle(self, index: int, attempt: int, ok: bool, value,
+                pending, buffered) -> None:
+        """The one retry rule: buffer the item's outcome, or requeue it
+        when the failure is transient and the budget allows."""
+        if ok:
+            buffered[index] = ItemOutcome(
+                index, True, value=value, attempts=attempt + 1
+            )
+        elif is_retryable(value) and attempt < self.max_requeues:
+            self.requeues += 1
+            pending.appendleft((index, attempt + 1))
+        else:
+            buffered[index] = ItemOutcome(
+                index, False,
+                error=str(value),
+                error_type=type(value).__name__,
+                attempts=attempt + 1,
+            )
 
     # ------------------------------------------------------------------
     def _spawn(self, slot: _WorkerSlot, context) -> None:
@@ -265,25 +300,11 @@ class ResilientPool:
             except (queue_mod.Empty, OSError, ValueError):
                 return progressed
             progressed = True
-            index, attempt, ok, payload = message
+            index, attempt, ok, value = message
             if slot.task == (index, attempt):
                 slot.task = None
                 slot.deadline = None
-            if ok:
-                buffered[index] = ItemOutcome(
-                    index, True, value=payload, attempts=attempt + 1
-                )
-            elif is_retryable(payload) and attempt < self.max_requeues:
-                self.requeues += 1
-                pending.appendleft((index, attempt + 1))
-            else:
-                buffered[index] = ItemOutcome(
-                    index, False,
-                    error=str(payload),
-                    error_type=type(payload).__name__,
-                    attempts=attempt + 1,
-                    exception=payload,
-                )
+            self._settle(index, attempt, ok, value, pending, buffered)
 
     def _supervise(self, slots, pending, buffered, context) -> bool:
         """Detect dead and overdue workers; requeue or fail their item.
@@ -322,17 +343,7 @@ class ResilientPool:
                     "item %d exceeded the %.1fs per-item timeout"
                     % (index, self.timeout)
                 )
-            if attempt < self.max_requeues:
-                self.requeues += 1
-                pending.appendleft((index, attempt + 1))
-            else:
-                buffered[index] = ItemOutcome(
-                    index, False,
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    attempts=attempt + 1,
-                    exception=error,
-                )
+            self._settle(index, attempt, False, error, pending, buffered)
             self._spawn(slot, context)
             progressed = True
         return progressed

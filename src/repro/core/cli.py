@@ -63,7 +63,6 @@ from ..x86.decoder import decode_program
 from .nanobench import NanoBench
 from .options import NanoBenchOptions
 from .output import format_results
-from .retry import RetryPolicy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for -batch (default 1; "
                              "0 = one per CPU)")
     # Self-healing / chaos-plane knobs.
-    parser.add_argument("-retries", type=int, default=3, metavar="N",
-                        help="attempts per counter group before a "
-                             "transient failure is fatal (default 3)")
     parser.add_argument("-spec_timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-benchmark deadline in -batch mode; a "
@@ -721,11 +717,10 @@ def _main_with_args(args) -> int:
         stability = StabilityPolicy(
             max_n_measurements=args.max_n_measurements
         )
-    retry = RetryPolicy(max_attempts=max(1, args.retries))
     try:
         nb = NanoBench.create(uarch=args.uarch, seed=args.seed,
                               kernel_mode=args.kernel, backend=args.backend,
-                              options=options, retry=retry,
+                              options=options,
                               stability=stability)
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -173,8 +173,8 @@ class NanoBench:
         self.backend = backend if backend is not None else _infer_backend(core)
         self.kernel_mode = kernel_mode
         self.options = options if options is not None else NanoBenchOptions()
-        #: Self-healing policy: bounded retries with deterministic
-        #: backoff for :class:`~repro.errors.TransientError`, plus
+        #: Self-healing policy: bounded immediate retries of
+        #: :class:`~repro.errors.TransientError`, plus
         #: graceful degradation of unschedulable events.
         self.retry = retry if retry is not None else RetryPolicy()
         #: Pre-flight validation: decode/semantics/privilege/timing

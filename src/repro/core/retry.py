@@ -5,18 +5,17 @@ times" under interference (Section I); at corpus scale the harness must
 also survive transient *harness* failures — allocation failures,
 counter wraparound, injected chaos faults — without aborting a sweep.
 
-:class:`RetryPolicy` bounds those repetitions: a fixed number of
-attempts with **deterministic** exponential backoff (no jitter — chaos
-runs must be reproducible).  The policy only ever retries
+:class:`RetryPolicy` bounds those repetitions to a fixed number of
+immediate attempts (the simulated machine has nothing to wait for, and
+chaos runs must be reproducible).  The policy only ever retries
 :class:`~repro.errors.TransientError`; fatal errors propagate
 immediately.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Optional
 
 from ..errors import TransientError
 
@@ -52,14 +51,10 @@ class TransientRetryWarning(MeasurementWarning):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retries with deterministic exponential backoff.
+    """Bounded, immediate retries of transient failures.
 
     ``max_attempts`` counts the first try: ``3`` means one try plus up
-    to two retries.  The backoff before retry *i* (1-based) is
-    ``backoff_base_s * backoff_factor ** (i - 1)``, capped at
-    ``backoff_cap_s``.  The default base of 0 retries immediately —
-    appropriate for the simulated kernel, where "waiting" has no
-    meaning; native deployments set a non-zero base.
+    to two retries.
 
     ``degrade`` enables graceful degradation: an unschedulable event is
     skipped with a structured :class:`UnschedulableEventWarning`
@@ -67,37 +62,16 @@ class RetryPolicy:
     """
 
     max_attempts: int = 3
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 1.0
     degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
-    # ------------------------------------------------------------------
-    def delays(self) -> Iterator[float]:
-        """The deterministic backoff schedule (one delay per retry)."""
-        for retry in range(self.max_attempts - 1):
-            yield min(
-                self.backoff_base_s * self.backoff_factor ** retry,
-                self.backoff_cap_s,
-            )
-
-    def schedule(self) -> List[float]:
-        return list(self.delays())
-
-    # ------------------------------------------------------------------
     def call(
         self,
         fn: Callable[[], object],
         *,
-        sleep: Callable[[float], None] = time.sleep,
         on_retry: Optional[Callable[[int, BaseException], None]] = None,
     ):
         """Call *fn*, retrying on :class:`TransientError`.
@@ -107,18 +81,13 @@ class RetryPolicy:
         propagates once attempts are exhausted; fatal errors propagate
         immediately.
         """
-        delays = self.delays()
         attempt = 0
         while True:
             attempt += 1
             try:
                 return fn()
             except TransientError as exc:
-                try:
-                    delay = next(delays)
-                except StopIteration:
-                    raise exc
+                if attempt >= self.max_attempts:
+                    raise
                 if on_retry is not None:
                     on_retry(attempt, exc)
-                if delay > 0:
-                    sleep(delay)

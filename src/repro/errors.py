@@ -6,8 +6,8 @@ measurement pipeline keys on **by type** (never by string matching):
 * :class:`TransientError` — conditions expected to clear on retry:
   transient kernel allocation failures, counter wraparound, corrupted
   cache entries, injected chaos faults, dead or hung workers.
-  :class:`~repro.core.retry.RetryPolicy` retries these with bounded
-  deterministic backoff, and the batch plane requeues them.
+  :class:`~repro.core.retry.RetryPolicy` retries these a bounded
+  number of times, and the batch plane requeues them.
 * everything else under :class:`ReproError` — fatal for the current
   request: malformed input, privilege violations, configuration errors.
   Retrying cannot help; these propagate (or are captured per item by

@@ -55,14 +55,19 @@ ENV_SEED = "REPRO_FAULTS_SEED"
 #: * ``cache.corrupt`` — a codegen-cache entry is corrupted in place
 #:   (detected by checksum, repaired by rebuild).
 #:
-#: Batch-plane faults (fired inside worker processes, keyed by
-#: ``"index:attempt"`` so a requeued item does not re-fire):
+#: Batch-plane faults (fired by :class:`repro.batch.pool.ResilientPool`,
+#: keyed by ``"index:attempt"`` so a requeued item does not re-fire;
+#: ``index`` is the item's position among the payloads the pool runs —
+#: for a batch with a result store, its position among the executed
+#: specs, not among all specs):
 #:
-#: * ``worker.death`` — the worker process dies (``os._exit``);
+#: * ``worker.death`` — the worker process dies (``os._exit``); worker
+#:   processes only;
 #: * ``worker.hang`` — the worker stops making progress (bounded sleep,
-#:   recovered by the per-item timeout);
+#:   recovered by the per-item timeout); worker processes only;
 #: * ``spec.error`` — a transient spec-level exception before the item
-#:   executes.
+#:   executes; fires identically in-process (one worker) and in worker
+#:   processes.
 #:
 #: Durable-store faults (fired inside :mod:`repro.store` append /
 #: compaction paths, keyed by ``"digest:attempt"`` so a healed retry

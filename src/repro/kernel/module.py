@@ -106,31 +106,26 @@ class KernelModule:
         """Allocate the R14 buffer, healing allocation failures by
         rebooting the simulated machine and retrying (bounded by the
         nanoBench retry policy)."""
-        policy = self.nanobench.retry
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                plan = active_plan()
-                if plan is not None:
-                    self._alloc_faults += 1
-                    if plan.fires("kernel.alloc",
-                                  "module:r14#%d" % self._alloc_faults):
-                        raise AllocationError(
-                            "injected transient contiguous-allocation "
-                            "failure (chaos plane)"
-                        )
-                self.nanobench.resize_r14_buffer(size)
-                return
-            except AllocationError as exc:
-                if attempt >= policy.max_attempts:
-                    raise
-                warnings.warn(MeasurementWarning(
-                    "allocation of %d contiguous bytes failed (%s); "
-                    "rebooting the simulated machine and retrying"
-                    % (size, exc)
-                ))
-                self.reboot()
+        def allocate() -> None:
+            plan = active_plan()
+            if plan is not None:
+                self._alloc_faults += 1
+                if plan.fires("kernel.alloc",
+                              "module:r14#%d" % self._alloc_faults):
+                    raise AllocationError(
+                        "injected transient contiguous-allocation "
+                        "failure (chaos plane)"
+                    )
+            self.nanobench.resize_r14_buffer(size)
+
+        def warn_and_reboot(attempt: int, exc: BaseException) -> None:
+            warnings.warn(MeasurementWarning(
+                "allocation of %d contiguous bytes failed (%s); "
+                "rebooting the simulated machine and retrying" % (size, exc)
+            ))
+            self.reboot()
+
+        self.nanobench.retry.call(allocate, on_retry=warn_and_reboot)
 
     def available_files(self):
         names = sorted(

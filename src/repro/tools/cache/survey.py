@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...backends.registry import DEFAULT_BACKEND, resolve_backend
-from ...batch import parallel_map
+from ...batch import ResilientPool, default_jobs
 from ...core.nanobench import NanoBench
 from ...errors import AnalysisError
 from ...integrity.stability import worst_verdict
@@ -312,15 +312,17 @@ def survey_cpus(
                 surveys[uarch] = survey_from_record(record)
             else:
                 pending.append(uarch)
-        outcomes = parallel_map(
-            _survey_one,
-            [(uarch, seed, buffer_mb, stability, backend)
-             for uarch in pending],
-            jobs=jobs,
-            progress=progress,
-            on_error="capture",
+        pool = ResilientPool(
+            _survey_one, default_jobs() if jobs is None else max(1, jobs)
         )
-        for uarch, outcome in zip(pending, outcomes):
+        outcomes = pool.imap_ordered(
+            [(uarch, seed, buffer_mb, stability, backend)
+             for uarch in pending]
+        )
+        for done, outcome in enumerate(outcomes, 1):
+            uarch = pending[outcome.index]
+            if progress is not None:
+                progress(done, len(pending), outcome)
             if outcome.ok:
                 surveys[uarch] = outcome.value
                 if resolved_store is not None:

@@ -1,7 +1,6 @@
 """Case study I: instruction latency / throughput / port usage."""
 
 from .characterize import (
-    characterize_corpus,
     characterize_corpus_batched,
     compare_uarches,
     profiles_to_table,
@@ -12,10 +11,6 @@ from .measure import (
     InstructionProfile,
     characterize_variant,
     format_port_usage,
-    measure_latency,
-    measure_port_usage,
-    measure_throughput,
-    measure_uops,
     profile_from_results,
     variant_specs,
 )
@@ -24,16 +19,11 @@ __all__ = [
     "InstructionProfile",
     "InstructionVariant",
     "build_corpus",
-    "characterize_corpus",
     "characterize_corpus_batched",
     "characterize_variant",
     "compare_uarches",
     "corpus_for_family",
     "format_port_usage",
-    "measure_latency",
-    "measure_port_usage",
-    "measure_throughput",
-    "measure_uops",
     "profile_from_results",
     "profiles_to_table",
     "profiles_to_xml",

@@ -7,30 +7,14 @@ rows of www.uops.info (Section V) or as machine-readable XML.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 from xml.etree import ElementTree
 
 from ...batch import BatchRunner
-from ...core.nanobench import NanoBench
 from ...core.output import format_table
 from ...uarch.specs import get_spec
 from .corpus import InstructionVariant, corpus_for_family
-from .measure import (
-    InstructionProfile,
-    characterize_variant,
-    profile_from_results,
-    variant_specs,
-)
-
-
-def characterize_corpus(
-    nb: NanoBench,
-    variants: Optional[Sequence[InstructionVariant]] = None,
-) -> List[InstructionProfile]:
-    """Characterize all (or the given) variants on one machine."""
-    if variants is None:
-        variants = corpus_for_family(nb.core.spec.family)
-    return [characterize_variant(nb, variant) for variant in variants]
+from .measure import InstructionProfile, profile_from_results, variant_specs
 
 
 def characterize_corpus_batched(
@@ -49,9 +33,11 @@ def characterize_corpus_batched(
 
     Expands every variant to its four measurement specs, shards the
     whole list over a :class:`~repro.batch.BatchRunner`, and reassembles
-    the per-variant profiles.  Results are identical to
-    :func:`characterize_corpus` on a fresh core for any ``jobs`` value;
-    the parallel path is the one the full uops.info-scale sweeps use.
+    the per-variant profiles.  Results are identical for any ``jobs``
+    value, since every spec runs on a fresh core.  They equal
+    :func:`~repro.tools.instr.measure.characterize_variant` on one
+    shared core for every corpus variant except CPUID (see
+    :func:`~repro.tools.instr.measure.variant_specs`).
 
     With *store* (a :class:`repro.store.ResultStore` or its path), the
     sweep is incremental: specs whose digest is already stored are

@@ -5,23 +5,29 @@ instructions, the ability to unroll the code multiple times, and the
 support for microbenchmarks to have an initialization sequence that is
 not part of the performance measurement." (Section V.)
 
-* :func:`measure_latency` — runs the variant's dependency chain; the
-  cycles per link (minus helper latency) is the latency of the chained
-  operand pair.
-* :func:`measure_throughput` — runs independent instances; cycles per
-  instruction is the reciprocal-throughput.
-* :func:`measure_port_usage` — reads the UOPS_DISPATCHED_PORT events,
-  multiplexing over counter groups automatically.
+One variant is four benchmark specs (:func:`variant_specs`), combined
+into a profile in exactly one place (:func:`profile_from_results`):
+
+* latency — the variant's dependency chain; the cycles per link (minus
+  helper latency) is the latency of the chained operand pair;
+* throughput — independent instances; cycles per instruction is the
+  reciprocal throughput;
+* µops — ``UOPS_ISSUED.ANY`` per instruction instance;
+* ports — the UOPS_DISPATCHED_PORT events per instance, multiplexed
+  over counter groups automatically.
+
+:func:`characterize_variant` runs the four specs on one caller-owned
+core; the batch sweep (``characterize_corpus_batched``) runs each on a
+fresh core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ...batch.spec import BatchResult, BenchmarkSpec, spec_from_run_kwargs
 from ...core.nanobench import NanoBench
-from ...errors import NanoBenchError, TimingModelError
 from ...integrity.stability import worst_verdict
 from ...uarch.ports import PORT_LAYOUTS
 from ...uarch.specs import get_spec
@@ -30,57 +36,6 @@ from .corpus import InstructionVariant
 #: Measurement parameters tuned for the deterministic kernel variant.
 _LATENCY_KW = dict(unroll_count=50, n_measurements=3, aggregate="med")
 _THROUGHPUT_KW = dict(unroll_count=25, n_measurements=3, aggregate="med")
-
-
-def measure_latency(nb: NanoBench, variant: InstructionVariant) -> float:
-    """Latency in cycles of the variant's chained operand pair.
-
-    ``latency_asm`` is one chain link (possibly with helper
-    instructions); nanoBench reports cycles per link, from which the
-    helper latency (``latency_adjust``) is subtracted and the result
-    divided by ``latency_divisor`` (for e.g. two-move round trips).
-    """
-    result = nb.run(
-        asm=variant.latency_asm, asm_init=variant.init_asm, **_LATENCY_KW
-    )
-    per_link = result["Core cycles"]
-    return max(0.0, per_link - variant.latency_adjust) / variant.latency_divisor
-
-
-def measure_throughput(nb: NanoBench, variant: InstructionVariant) -> float:
-    """Reciprocal throughput (cycles per instruction, steady state)."""
-    result = nb.run(
-        asm=variant.throughput_asm, asm_init=variant.init_asm,
-        **_THROUGHPUT_KW
-    )
-    return result["Core cycles"] / variant.throughput_instances
-
-
-def measure_uops(nb: NanoBench, variant: InstructionVariant) -> float:
-    """Issued µops per instruction instance."""
-    result = nb.run(
-        asm=variant.throughput_asm, asm_init=variant.init_asm,
-        events=["UOPS_ISSUED.ANY"], **_THROUGHPUT_KW
-    )
-    return result["UOPS_ISSUED.ANY"] / variant.throughput_instances
-
-
-def measure_port_usage(nb: NanoBench,
-                       variant: InstructionVariant) -> Dict[str, float]:
-    """µops dispatched per port, per instruction instance."""
-    ports = nb.core.layout.ports
-    events = ["UOPS_DISPATCHED_PORT.PORT_%s" % p for p in ports]
-    result = nb.run(
-        asm=variant.throughput_asm, asm_init=variant.init_asm,
-        events=events, **_THROUGHPUT_KW
-    )
-    usage = {}
-    for port in ports:
-        value = result["UOPS_DISPATCHED_PORT.PORT_%s" % port]
-        value /= variant.throughput_instances
-        if value > 0.005:
-            usage[port] = round(value, 3)
-    return usage
 
 
 def format_port_usage(usage: Dict[str, float]) -> str:
@@ -124,11 +79,8 @@ class InstructionProfile:
         return format_port_usage(self.ports)
 
 
-# ----------------------------------------------------------------------
-# Batch-engine view of the same measurements (repro.batch)
-# ----------------------------------------------------------------------
-#: The per-variant measurements, in the order characterize_variant runs
-#: them (the first failing one supplies the profile's error string).
+#: The per-variant measurements, in the order they run (the first
+#: failing one supplies the profile's error string).
 _MEASUREMENT_ORDER = ("latency", "throughput", "uops", "ports")
 
 
@@ -147,10 +99,12 @@ def variant_specs(
 ) -> List[BenchmarkSpec]:
     """The four benchmark specs behind one :class:`InstructionProfile`.
 
-    Each spec runs on a fresh deterministically-seeded core, which is
-    measurement-equivalent to the sequential
-    :func:`characterize_variant` path (the measurements only consume
-    overhead-cancelled counter differences).
+    The batch engine runs each spec on a fresh deterministically-seeded
+    core; :func:`characterize_variant` runs them in order on one shared
+    core.  The two agree wherever a measurement only consumes
+    overhead-cancelled counter differences, which holds for every
+    corpus variant except CPUID, whose latency draws from the core's
+    RNG state and so depends on what ran on the core before.
     """
     common = dict(uarch=uarch, seed=seed, kernel_mode=kernel_mode,
                   stability=stability, backend=backend)
@@ -182,9 +136,9 @@ def profile_from_results(
 ) -> InstructionProfile:
     """Combine the four :func:`variant_specs` results into a profile.
 
-    Mirrors :func:`characterize_variant`'s error semantics: the first
-    failing measurement (in latency, throughput, µops, ports order)
-    determines the recorded error.
+    The first failing measurement (in latency, throughput, µops,
+    ports order) determines the recorded error; results after it may
+    be missing.
     """
     by_kind = {
         result.spec.label.split(":", 1)[0]: result for result in results
@@ -231,38 +185,20 @@ def profile_from_results(
 
 def characterize_variant(nb: NanoBench,
                          variant: InstructionVariant) -> InstructionProfile:
-    """Measure one variant fully; failures are recorded, not raised."""
+    """Measure one variant on *nb*; failures are recorded, not raised.
+
+    Runs the :func:`variant_specs` on *nb* in order, stopping at the
+    first failure.
+    """
     if variant.kernel_only and not nb.kernel_mode:
         return InstructionProfile(
             variant.name, None, None, None, {},
             error="requires the kernel-space version",
         )
-    verdicts: List[Optional[str]] = []
-
-    def _note_quality() -> None:
-        verdicts.append(
-            nb.last_quality.verdict if nb.last_quality is not None else None
-        )
-
-    try:
-        latency = measure_latency(nb, variant)
-        _note_quality()
-        throughput = measure_throughput(nb, variant)
-        _note_quality()
-        uops = measure_uops(nb, variant)
-        _note_quality()
-        ports = measure_port_usage(nb, variant)
-        _note_quality()
-    except (TimingModelError, NanoBenchError) as exc:
-        return InstructionProfile(
-            variant.name, None, None, None, {}, error=str(exc)
-        )
-    return InstructionProfile(
-        name=variant.name,
-        latency=round(latency, 2),
-        throughput=round(throughput, 2),
-        uops=round(uops, 2),
-        ports=ports,
-        latency_pair=variant.latency_pair,
-        quality=worst_verdict(verdicts),
-    )
+    results: List[BatchResult] = []
+    for spec in variant_specs(variant, nb.core.spec.name,
+                              kernel_mode=nb.kernel_mode):
+        results.append(spec.execute(nb))
+        if not results[-1].ok:
+            break
+    return profile_from_results(variant, results)

@@ -7,9 +7,8 @@ import pytest
 from repro.batch import (
     BatchRunner,
     BenchmarkSpec,
+    ResilientPool,
     default_jobs,
-    parallel_map,
-    run_batch,
     spec_from_run_kwargs,
 )
 from repro.core.codecache import (
@@ -95,7 +94,7 @@ class TestBatchRunner:
             spec_from_run_kwargs(asm="bogus RAX", seed=0),
             spec_from_run_kwargs(asm="imul RAX, RBX", seed=0),
         ]
-        results = run_batch(specs, jobs=2)
+        results = BatchRunner(jobs=2).run(specs)
         assert [r.ok for r in results] == [True, False, True]
         report_errors = [r.error for r in results if not r.ok]
         assert "bogus" in report_errors[0]
@@ -124,20 +123,33 @@ class TestBatchRunner:
 
 
 class TestParallelMap:
+    """Ordered maps over :class:`ResilientPool`: one worker runs
+    in-process, more shard over worker processes."""
+
     def test_preserves_order(self):
         items = list(range(20))
-        assert parallel_map(str, items, jobs=2) == [str(i) for i in items]
+        outcomes = list(ResilientPool(str, 2).imap_ordered(items))
+        assert [o.value for o in outcomes] == [str(i) for i in items]
+        assert [o.index for o in outcomes] == items
 
     def test_serial_equals_parallel(self):
         items = [3, 1, 4, 1, 5]
-        assert parallel_map(abs, items, jobs=1) == \
-            parallel_map(abs, items, jobs=2)
+        assert list(ResilientPool(abs, 1).imap_ordered(items)) == \
+            list(ResilientPool(abs, 2).imap_ordered(items))
 
     def test_progress(self):
         seen = []
-        parallel_map(abs, [1, 2, 3], jobs=1,
-                     progress=lambda d, t, v: seen.append((d, t, v)))
-        assert seen == [(1, 3, 1), (2, 3, 2), (3, 3, 3)]
+
+        def record(item):
+            seen.append(item)
+            return item
+
+        stream = ResilientPool(record, 1).imap_ordered([1, 2, 3])
+        # In-process outcomes stream: the second item has not run yet.
+        assert next(stream).value == 1
+        assert seen == [1]
+        assert [(o.index, o.value) for o in stream] == [(1, 2), (2, 3)]
+        assert seen == [1, 2, 3]
 
 
 # ----------------------------------------------------------------------

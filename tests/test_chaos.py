@@ -20,11 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import (
-    BatchRunner,
-    BenchmarkSpec,
-    parallel_map,
-)
+from repro.batch import BatchRunner, BenchmarkSpec, ResilientPool
 from repro.core.codecache import cache_stats, cached_assemble, clear_caches
 from repro.core.nanobench import NanoBench
 from repro.core.retry import RetryPolicy
@@ -308,33 +304,40 @@ class TestCheckpointResume:
 
 
 class TestParallelMapCapture:
+    """The pool captures per-item failures, in-process and in workers."""
+
     def test_capture_isolates_failing_item(self):
-        outcomes = parallel_map(
-            _fail_on_three, [1, 2, 3, 4], jobs=1, on_error="capture"
+        outcomes = list(
+            ResilientPool(_fail_on_three, 1).imap_ordered([1, 2, 3, 4])
         )
         assert [o.ok for o in outcomes] == [True, True, False, True]
         assert [o.value for o in outcomes if o.ok] == [2, 4, 8]
         assert outcomes[2].error_type == "ValueError"
+        assert outcomes[2].error == "item 3 is broken"
 
     def test_capture_isolates_failing_item_in_pool(self):
-        outcomes = parallel_map(
-            _fail_on_three, [1, 2, 3, 4], jobs=2, on_error="capture"
+        outcomes = list(
+            ResilientPool(_fail_on_three, 2).imap_ordered([1, 2, 3, 4])
         )
         assert [o.ok for o in outcomes] == [True, True, False, True]
-
-    def test_raise_mode_preserves_exception_type(self):
-        with pytest.raises(ValueError, match="item 3"):
-            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=2)
-        with pytest.raises(ValueError, match="item 3"):
-            parallel_map(_fail_on_three, [1, 2, 3, 4], jobs=1)
+        assert outcomes[2].error_type == "ValueError"
 
     def test_transient_errors_retried_before_capture(self):
-        plan = FaultPlan(rates={"spec.error": 0.5}, seed=0)
-        baseline = parallel_map(_double, list(range(10)), jobs=1)
-        with plan:
-            healed = parallel_map(_double, list(range(10)), jobs=1,
-                                  max_requeues=5)
-        assert healed == baseline
+        items = list(range(10))
+        baseline = list(ResilientPool(_double, 1).imap_ordered(items))
+        with FaultPlan(rates={"spec.error": 0.5}, seed=0):
+            healed = {
+                jobs: list(ResilientPool(_double, jobs, max_requeues=5)
+                           .imap_ordered(items))
+                for jobs in (1, 2)
+            }
+        for outcomes in healed.values():
+            assert [o.value for o in outcomes] == \
+                [o.value for o in baseline]
+        attempts = [o.attempts for o in healed[1]]
+        assert max(attempts) > 1
+        # Same faults, same retries, for any worker count.
+        assert [o.attempts for o in healed[2]] == attempts
 
     def test_survey_cpus_omits_failing_cpu(self):
         from repro.tools.cache import survey_cpus

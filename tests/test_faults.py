@@ -179,11 +179,6 @@ class TestErrorTaxonomy:
 
 
 class TestRetryPolicy:
-    def test_schedule_is_deterministic_exponential(self):
-        policy = RetryPolicy(max_attempts=4, backoff_base_s=0.1,
-                             backoff_factor=2.0, backoff_cap_s=0.3)
-        assert policy.schedule() == [0.1, 0.2, 0.3]
-
     def test_call_retries_transient_only(self):
         calls = []
 
@@ -194,7 +189,7 @@ class TestRetryPolicy:
             return "ok"
 
         policy = RetryPolicy(max_attempts=3)
-        assert policy.call(flaky, sleep=lambda _: None) == "ok"
+        assert policy.call(flaky) == "ok"
         assert len(calls) == 3
 
     def test_call_propagates_fatal_immediately(self):
@@ -216,9 +211,7 @@ class TestRetryPolicy:
             raise AllocationError("transient")
 
         with pytest.raises(AllocationError):
-            RetryPolicy(max_attempts=3).call(
-                always_transient, sleep=lambda _: None
-            )
+            RetryPolicy(max_attempts=3).call(always_transient)
         assert len(calls) == 3
 
     def test_on_retry_callback(self):
@@ -230,7 +223,7 @@ class TestRetryPolicy:
             return 1
 
         RetryPolicy(max_attempts=2).call(
-            flaky, sleep=lambda _: None,
+            flaky,
             on_retry=lambda attempt, exc: seen.append((attempt, str(exc))),
         )
         assert seen == [(1, "first")]
@@ -238,8 +231,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
 
 class TestValidityCheckedRuns:

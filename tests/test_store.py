@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.batch import BatchRunner, spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.errors import StoreLockError
+from repro.faults.plan import FaultPlan
 from repro.store import (
     ACTIVE_NAME,
     FileLock,
@@ -458,6 +459,22 @@ class TestBatchRunnerStore:
         report = runner.last_report
         assert (report.n_specs, report.n_store_hits,
                 report.n_store_misses) == (2, 1, 1)
+
+    def test_spec_faults_are_keyed_alike_for_any_worker_count(self,
+                                                              tmp_path):
+        specs = [spec_from_run_kwargs(asm="add RAX, RAX", seed=i,
+                                      n_measurements=2, unroll_count=5)
+                 for i in range(8)]
+        attempts = {}
+        for jobs in (1, 2):
+            root = str(tmp_path / ("jobs%d" % jobs))
+            BatchRunner(1, store=root).run(specs[::2])
+            with FaultPlan.parse("spec.error=0.5", seed=1):
+                results = BatchRunner(jobs, store=root).run(specs)
+            attempts[jobs] = [r.attempts for r in results]
+        # Keyed by position among the executed specs in both modes.
+        assert attempts[1] == attempts[2]
+        assert max(attempts[1]) > 1
 
     def test_no_store_counts_no_misses(self):
         runner = BatchRunner(1)

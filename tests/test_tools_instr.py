@@ -5,13 +5,10 @@ import pytest
 from repro.core.nanobench import NanoBench
 from repro.tools.instr import (
     build_corpus,
+    characterize_corpus_batched,
     characterize_variant,
     corpus_for_family,
     format_port_usage,
-    measure_latency,
-    measure_port_usage,
-    measure_throughput,
-    measure_uops,
 )
 
 
@@ -58,9 +55,8 @@ class TestMeasurements:
         ("MULSD (XMM, XMM)", 4.0),
     ])
     def test_latency_values(self, nb, variants, name, latency):
-        assert measure_latency(nb, variants[name]) == pytest.approx(
-            latency, abs=0.15
-        )
+        profile = characterize_variant(nb, variants[name])
+        assert profile.latency == pytest.approx(latency, abs=0.15)
 
     @pytest.mark.parametrize("name,throughput", [
         ("ADD (R64, R64)", 0.25),
@@ -69,27 +65,25 @@ class TestMeasurements:
         ("SHL (R64, I)", 0.5),
     ])
     def test_throughput_values(self, nb, variants, name, throughput):
-        assert measure_throughput(nb, variants[name]) == pytest.approx(
-            throughput, abs=0.1
-        )
+        profile = characterize_variant(nb, variants[name])
+        assert profile.throughput == pytest.approx(throughput, abs=0.1)
 
     def test_port_usage_load(self, nb, variants):
-        usage = measure_port_usage(nb, variants["MOV (R64, M64) [load]"])
-        assert usage == {"2": pytest.approx(0.5, abs=0.05),
-                         "3": pytest.approx(0.5, abs=0.05)}
+        profile = characterize_variant(nb, variants["MOV (R64, M64) [load]"])
+        assert profile.ports == {"2": pytest.approx(0.5, abs=0.05),
+                                 "3": pytest.approx(0.5, abs=0.05)}
 
     def test_port_usage_mul_restricted(self, nb, variants):
-        usage = measure_port_usage(nb, variants["IMUL (R64, R64)"])
-        assert set(usage) == {"1"}
+        profile = characterize_variant(nb, variants["IMUL (R64, R64)"])
+        assert set(profile.ports) == {"1"}
 
     def test_uops_rmw_memory(self, nb, variants):
-        assert measure_uops(nb, variants["ADD (R64, M64)"]) == pytest.approx(
-            2.0, abs=0.1
-        )
+        profile = characterize_variant(nb, variants["ADD (R64, M64)"])
+        assert profile.uops == pytest.approx(2.0, abs=0.1)
 
     def test_latency_flags_to_reg_via_helper(self, nb, variants):
-        value = measure_latency(nb, variants["CMOVZ (R64, R64)"])
-        assert value == pytest.approx(1.0, abs=0.2)
+        profile = characterize_variant(nb, variants["CMOVZ (R64, R64)"])
+        assert profile.latency == pytest.approx(1.0, abs=0.2)
 
     def test_mov_elimination_visible(self, nb, variants):
         profile = characterize_variant(nb, variants["MOV (R64, R64)"])
@@ -125,8 +119,28 @@ class TestCharacterize:
         nb_skl = NanoBench.kernel("Skylake", seed=2)
         nb_hsw = NanoBench.kernel("Haswell", seed=2)
         variant = variants["MULSD (XMM, XMM)"]
-        assert measure_latency(nb_skl, variant) == pytest.approx(4.0, abs=0.1)
-        assert measure_latency(nb_hsw, variant) == pytest.approx(5.0, abs=0.1)
+        assert characterize_variant(nb_skl, variant).latency == \
+            pytest.approx(4.0, abs=0.1)
+        assert characterize_variant(nb_hsw, variant).latency == \
+            pytest.approx(5.0, abs=0.1)
+
+    def test_shared_core_equals_batched_sweep(self):
+        """One shared core gives the fresh-core batch profiles (CPUID
+        aside: its latency draws from the core's RNG state)."""
+        names = [
+            "ADD (R64, R64)", "ADD (R64, M64)", "IMUL (R64, R64)",
+            "DIV (R64)", "MOV (R64, R64)", "MOV (R64, M64) [load]",
+            "CMOVZ (R64, R64)", "MULSD (XMM, XMM)", "LFENCE",
+            "RDMSR (IA32_APERF)",
+        ]
+        corpus = {v.name: v for v in corpus_for_family("SKL")}
+        chosen = [corpus[name] for name in names]
+        nb = NanoBench.kernel("Skylake", seed=0)
+        shared = [characterize_variant(nb, v) for v in chosen]
+        assert shared == characterize_corpus_batched(
+            "Skylake", chosen, seed=0, kernel_mode=True, jobs=1
+        )
+        assert all(p.error is None for p in shared)
 
 
 class TestPortFormatting:
