@@ -296,7 +296,9 @@ def _unroll_region_for(
     """Fast-path eligibility of the unrolled body (or ``None``).
 
     The steady-state fast path replays iteration deltas without
-    re-executing the body's functional semantics, so it is only sound
+    re-executing the body's functional semantics, and in a clean body
+    (see ``_UnrollFastPath.is_clean``) it schedules every iteration
+    after the first without executing it either.  Both are only sound
     when nothing *outside* the region reads a register the body writes:
     the loop counter (``SUB``/``JNZ`` branch on its value) and, in
     noMem mode, the counter-accumulator registers (their values become

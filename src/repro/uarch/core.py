@@ -19,6 +19,7 @@ from ..errors import (
     MemoryError_,
     PrivilegeError,
     RunawayBenchmarkError,
+    TimingModelError,
 )
 from ..memory.cache import Cache, CacheGeometry
 from ..memory.hierarchy import MemoryHierarchy
@@ -53,6 +54,14 @@ DEFAULT_MAX_INSTRUCTIONS = 20_000_000
 _FAST_PATH_UNSAFE_MNEMONICS = frozenset({
     "DIV", "IDIV", "CLFLUSH", "CLFLUSHOPT", "WBINVD", "INVD", "RDRAND",
 })
+
+
+#: Instructions that read or write counter state: the scheduler-derived
+#: counter metrics are published just before they execute.
+_COUNTER_ACCESS = frozenset({"RDPMC", "RDMSR", "WRMSR", "RDTSC", "RDTSCP"})
+
+#: Mnemonics with functional semantics (a clean body needs one each).
+_EXECUTABLE = frozenset(semantics.supported_mnemonics())
 
 
 def _fast_path_default() -> bool:
@@ -143,6 +152,13 @@ class SimulatedCore:
         )
         # --- counters
         self.metrics = MetricStore()
+        #: Scheduler totals already folded into ``metrics`` (see
+        #: :meth:`_publish`), and the metric name of each port.
+        self._published_uops = 0
+        self._published_port_load = [0] * len(self.layout.ports)
+        self._port_metric_names = tuple(
+            "uops_port_%s" % port for port in self.layout.ports
+        )
         self.pmu = PerformanceMonitoringUnit(
             self.metrics,
             n_programmable=spec.n_programmable_counters,
@@ -342,14 +358,37 @@ class SimulatedCore:
             if result.level == 4:
                 metrics.add("cbox%d_misses" % result.l3_slice)
 
-    def _update_clock_metrics(self) -> None:
-        now = self._cycle_base + self.scheduler.now
-        self.metrics.set("core_cycles", float(now))
-        self.metrics.set("ref_cycles", now * self.spec.reference_clock_ratio)
-        self.metrics.set("aperf", float(now))
-        self.metrics.set("mperf", self._mperf_base + (
-            (now - self._mperf_base_cycle)
-            * self.spec.reference_clock_ratio * self._mperf_scale
+    def _publish(self, retired: int = 0) -> None:
+        """Bring the scheduler-derived counter metrics up to date.
+
+        Folds in *retired* instructions and the scheduler's issued-µop
+        and per-port totals since the last publish, then sets the clock
+        metrics.  Counters are observed only where this runs: before a
+        counter-accessing instruction executes, at PAUSE/RESUME_COUNTING,
+        at an interference event, before a timing epoch ends and when a
+        run ends, so the per-instruction updates it replaces were never
+        visible.
+        """
+        metrics = self.metrics
+        scheduler = self.scheduler
+        if retired:
+            metrics.add("instructions_retired", retired)
+        issued = scheduler._issued_uops
+        if issued != self._published_uops:
+            metrics.add("uops_issued", issued - self._published_uops)
+            self._published_uops = issued
+        published = self._published_port_load
+        for i, load in enumerate(scheduler._port_load):
+            if load != published[i]:
+                metrics.add(self._port_metric_names[i], load - published[i])
+                published[i] = load
+        now = self._cycle_base + scheduler.now
+        ratio = self.spec.reference_clock_ratio
+        metrics.set("core_cycles", float(now))
+        metrics.set("ref_cycles", now * ratio)
+        metrics.set("aperf", float(now))
+        metrics.set("mperf", self._mperf_base + (
+            (now - self._mperf_base_cycle) * ratio * self._mperf_scale
         ))
 
     # ==================================================================
@@ -401,7 +440,7 @@ class SimulatedCore:
         for _ in range(event.cache_lines_touched):
             physical = self.rng.randrange(0, 1 << 24) & ~0x3F
             self.hierarchy.access(physical, is_prefetch=True)
-        self._update_clock_metrics()
+        self._publish()
 
     def inject_interference(self, event) -> None:
         """Apply an externally generated interference event (runner use)."""
@@ -472,142 +511,157 @@ class SimulatedCore:
         deltas instead of re-running the per-µop dispatch loop.  Replay
         is byte-identical to exact execution by construction — any
         fence, memory plan, microcode, branch, interrupt or state
-        divergence falls back to exact scheduling.
+        divergence falls back to exact scheduling.  In a *clean* body
+        (see :class:`_UnrollFastPath`) the functional semantics of every
+        iteration after the first are skipped as well, exactly scheduled
+        ones included: no value they compute can be observed.
+
+        Counter metrics are published (:meth:`_publish`) where they can
+        be read, and when the run ends — by an exception too, so a
+        watchdog trip keeps its partial counts and :class:`SimStats`.
         """
         self._kernel_mode = kernel_mode
         executed = 0
+        published = 0  # instructions of ``executed`` already published
         pc = 0
         instructions = program.instructions
         decode_cache = self._decode_cache
+        timed = self.timing_enabled
+        scheduler = self.scheduler
+        metrics = self.metrics
         fast = None
+        # Program counters whose functional semantics are skipped.
+        skip_from = skip_to = 0
         if (
             unroll_region is not None
             and self.fast_path_enabled
-            and self.timing_enabled
+            and timed
             and not self.smt_enabled
         ):
             fast = _UnrollFastPath(self, unroll_region, max_instructions)
-        while pc < len(instructions):
-            if fast is not None and pc == fast.next_boundary:
-                skipped = fast.on_boundary(pc, executed)
-                if skipped:
-                    executed += skipped
-                    pc += skipped
-                    continue
-            instr = instructions[pc]
-            mnemonic = instr.mnemonic
-            # nanoBench magic sequences toggle counting directly when
-            # they reach the core unreplaced.
-            if mnemonic == "PAUSE_COUNTING":
-                self._update_clock_metrics()
-                self.pmu.pause_counting()
-                if fast is not None:
-                    fast.dirty = True
-                pc += 1
-                continue
-            if mnemonic == "RESUME_COUNTING":
-                self._update_clock_metrics()
-                self.pmu.resume_counting()
-                if fast is not None:
-                    fast.dirty = True
-                pc += 1
-                continue
-
-            entry = decode_cache.get(id(instr))
-            if entry is None or entry[0] is not instr:
-                entry = self._decode(instr)
-            flow = entry[1]
-            metrics = self.metrics
-            if self.timing_enabled:
-                timing = entry[2]
-                if timing is None:
-                    timing = self._decode_timing(instr, entry)
-                if flow.loads or flow.stores:
-                    loads, stores = self._plan_memory_accesses(instr, flow)
-                else:
-                    loads = stores = ()
-
-                branch_taken: Optional[bool] = None
-                branch_site = None
-                if instr.spec.is_branch:
-                    branch_site = pc
-                    if mnemonic == "JMP":
-                        branch_taken = True
+            if fast.is_clean(instructions):
+                skip_from, skip_to = fast.start + fast.body_len, fast.end
+        try:
+            while pc < len(instructions):
+                if fast is not None and pc == fast.next_boundary:
+                    skipped = fast.on_boundary(pc, executed)
+                    if skipped:
+                        executed += skipped
+                        pc += skipped
+                        continue
+                instr = instructions[pc]
+                mnemonic = instr.mnemonic
+                # nanoBench magic sequences toggle counting directly when
+                # they reach the core unreplaced.
+                if (mnemonic == "PAUSE_COUNTING"
+                        or mnemonic == "RESUME_COUNTING"):
+                    self._publish(executed - published)
+                    published = executed
+                    if mnemonic == "PAUSE_COUNTING":
+                        self.pmu.pause_counting()
                     else:
-                        branch_taken = semantics._condition_holds(
-                            self.regs, mnemonic[1:]
-                        )
+                        self.pmu.resume_counting()
+                    if fast is not None:
+                        fast.dirty = True
+                    pc += 1
+                    continue
 
-                scheduled = self.scheduler.schedule(
-                    timing,
-                    sources=flow.sources,
-                    destinations=flow.destinations,
-                    loads=loads,
-                    stores=stores,
-                    branch_site=branch_site,
-                    branch_taken=branch_taken,
-                )
-                if fast is not None and entry[3]:
-                    fast.dirty = True
+                entry = decode_cache.get(id(instr))
+                if entry is None or entry[0] is not instr:
+                    entry = self._decode(instr)
+                flow = entry[1]
+                is_branch = instr.spec.is_branch
+                if timed:
+                    timing = entry[2]
+                    if timing is None:
+                        timing = self._decode_timing(instr, entry)
+                    if flow.loads or flow.stores:
+                        loads, stores = self._plan_memory_accesses(instr, flow)
+                    else:
+                        loads = stores = ()
 
-                # --- counter updates
-                metrics.add("instructions_retired")
-                metrics.add("uops_issued", scheduled.issued_uops)
-                for port, count in scheduled.dispatched.items():
-                    metrics.add("uops_port_%s" % port, count)
-                if instr.spec.is_branch:
-                    metrics.add("branches")
-                    if scheduled.mispredicted:
-                        metrics.add("branch_mispredicts")
-                if timing.microcoded:
-                    # Microcoded instructions drain before later µops
-                    # dispatch (RDMSR, CPUID, WBINVD are effectively
-                    # pipeline barriers on real hardware).
-                    self.scheduler.serialize_after_microcode(
-                        scheduled.complete_cycle
+                    branch_taken: Optional[bool] = None
+                    branch_site = None
+                    if is_branch:
+                        branch_site = pc
+                        if mnemonic == "JMP":
+                            branch_taken = True
+                        else:
+                            branch_taken = semantics._condition_holds(
+                                self.regs, mnemonic[1:]
+                            )
+
+                    scheduled = scheduler.schedule(
+                        timing,
+                        sources=flow.sources,
+                        destinations=flow.destinations,
+                        loads=loads,
+                        stores=stores,
+                        branch_site=branch_site,
+                        branch_taken=branch_taken,
                     )
-                if self.smt_enabled:
-                    self._apply_smt_contention()
-                self._update_clock_metrics()
-                if self._apply_interrupts() and fast is not None:
-                    fast.dirty = True
-            else:
-                # Fast functional mode: exact cache behaviour and event
-                # counts, no cycle accounting.
-                if flow.loads or flow.stores:
-                    self._plan_memory_accesses(instr, flow)
-                metrics.add("instructions_retired")
-                if instr.spec.is_branch:
-                    metrics.add("branches")
+                    executed += 1
+                    if fast is not None and entry[3]:
+                        fast.dirty = True
+                    if is_branch:
+                        metrics.add("branches")
+                        if scheduled.mispredicted:
+                            metrics.add("branch_mispredicts")
+                    if timing.microcoded:
+                        # Microcoded instructions drain before later µops
+                        # dispatch (RDMSR, CPUID, WBINVD are effectively
+                        # pipeline barriers on real hardware).
+                        scheduler.serialize_after_microcode(
+                            scheduled.complete_cycle
+                        )
+                    if self.smt_enabled:
+                        self._apply_smt_contention()
+                    if self._apply_interrupts() and fast is not None:
+                        fast.dirty = True
+                else:
+                    # Fast functional mode: exact cache behaviour and event
+                    # counts, no cycle accounting.
+                    if flow.loads or flow.stores:
+                        self._plan_memory_accesses(instr, flow)
+                    executed += 1
+                    if is_branch:
+                        metrics.add("branches")
 
-            # --- functional execution
-            target = semantics.execute(self, instr)
-            executed += 1
-            if executed > max_instructions:
-                # Structured watchdog trip (a RunawayBenchmarkError is an
-                # ExecutionError, preserving the historical contract).
-                raise RunawayBenchmarkError(
-                    "instruction budget exceeded (%d)" % (max_instructions,),
-                    budget="instructions", limit=max_instructions,
-                    progress={
-                        "instructions_executed": executed,
-                        "cycles": self.scheduler.now,
-                        "uops_issued": self.scheduler.issued_uops,
-                        "pc": pc,
-                    },
-                )
-            if target is not None:
-                pc = program.labels[target]
-            else:
-                pc += 1
-        self._update_clock_metrics()
-        stats = self.sim_stats
-        stats.instructions += executed
-        if fast is not None:
-            stats.fast_path_instructions += fast.replayed_instructions
-            stats.fast_path_iterations += fast.replayed_iterations
-            stats.fast_path_replays += fast.replays
-            stats.fallbacks += fast.fallbacks
+                # --- functional execution
+                if skip_from <= pc < skip_to:
+                    target = None
+                else:
+                    if entry[3] and mnemonic in _COUNTER_ACCESS:
+                        self._publish(executed - published)
+                        published = executed
+                    target = semantics.execute(self, instr)
+                if executed > max_instructions:
+                    # Structured watchdog trip (a RunawayBenchmarkError is an
+                    # ExecutionError, preserving the historical contract).
+                    raise RunawayBenchmarkError(
+                        "instruction budget exceeded (%d)"
+                        % (max_instructions,),
+                        budget="instructions", limit=max_instructions,
+                        progress={
+                            "instructions_executed": executed,
+                            "cycles": scheduler.now,
+                            "uops_issued": scheduler.issued_uops,
+                            "pc": pc,
+                        },
+                    )
+                if target is not None:
+                    pc = program.labels[target]
+                else:
+                    pc += 1
+        finally:
+            self._publish(executed - published)
+            stats = self.sim_stats
+            stats.instructions += executed
+            if fast is not None:
+                stats.fast_path_instructions += fast.replayed_instructions
+                stats.fast_path_iterations += fast.replayed_iterations
+                stats.fast_path_replays += fast.replays
+                stats.fallbacks += fast.fallbacks
         return executed
 
     # ------------------------------------------------------------------
@@ -616,8 +670,11 @@ class SimulatedCore:
 
         The cycle counters stay monotone across epochs.
         """
+        self._publish()
         self._cycle_base += self.scheduler.now
         self.scheduler.reset()
+        self._published_uops = 0
+        self._published_port_load = [0] * len(self._port_metric_names)
 
     @property
     def current_cycle(self) -> int:
@@ -650,7 +707,11 @@ class _UnrollFastPath:
     * replay is capped below the cycle/µop/instruction watchdog budgets
       so a runaway trips at the identical instruction in the exact tail;
     * the body must not clobber registers read outside the region
-      (checked statically in codegen — otherwise no region is emitted).
+      (checked statically in codegen — otherwise no region is emitted);
+    * a replayed iteration's semantics are skipped, and so are those of
+      every exactly scheduled iteration after the first when the body
+      is clean (:meth:`is_clean`): the same static conditions make the
+      skipped register values unobservable.
     """
 
     #: Consecutive period confirmations (matching signature *and*
@@ -663,7 +724,7 @@ class _UnrollFastPath:
         "core", "start", "body_len", "copies", "end", "max_instructions",
         "next_boundary", "dirty", "seq", "sigs", "candidate", "confirms",
         "replayed_instructions", "replayed_iterations", "replays",
-        "fallbacks", "_port_metric_names",
+        "fallbacks",
     )
 
     def __init__(self, core: SimulatedCore,
@@ -683,9 +744,35 @@ class _UnrollFastPath:
         self.replayed_iterations = 0
         self.replays = 0
         self.fallbacks = 0
-        self._port_metric_names = tuple(
-            "uops_port_%s" % port for port in core.layout.ports
-        )
+
+    def is_clean(self, instructions) -> bool:
+        """Whether the body's functional semantics can be skipped.
+
+        A body is clean when every instruction is fast-path-safe (no
+        memory operand, branch, fence, microcode, jitter, privileged,
+        serializing or pseudo instruction, no DIV/IDIV) and has an
+        executor.  Its only architectural effect is then on registers,
+        and codegen emits a region only if nothing outside it reads a
+        register the body writes: no address, branch condition, fault or
+        counter read can observe a value it computes.  The first
+        iteration still executes, so an instruction whose operands its
+        executor rejects fails exactly where it always did.
+        """
+        core = self.core
+        for instr in instructions[self.start:self.start + self.body_len]:
+            if instr.mnemonic not in _EXECUTABLE:
+                return False
+            entry = core._decode_cache.get(id(instr))
+            if entry is None or entry[0] is not instr:
+                entry = core._decode(instr)
+            if entry[2] is None:
+                try:
+                    core._decode_timing(instr, entry)
+                except TimingModelError:
+                    return False
+            if entry[3]:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def _reset_detection(self, *, count_fallback: bool) -> None:
@@ -825,18 +912,11 @@ class _UnrollFastPath:
             # armed and retries at the next boundary.
             return 0
 
+        # The scheduler totals advance with the state; the counters
+        # follow at the next publish.
         scheduler.apply_steady_delta(periods, frontier_delta, high_delta,
                                      max_delta, uop_delta, port_delta)
         skipped = periods * per_period_instr
-        metrics = core.metrics
-        metrics.add("instructions_retired", skipped)
-        metrics.add("uops_issued", periods * uop_delta)
-        names = self._port_metric_names
-        for i, delta in enumerate(port_delta):
-            if delta:
-                metrics.add(names[i], periods * delta)
-        core._update_clock_metrics()
-
         self.replayed_instructions += skipped
         self.replayed_iterations += periods * period
         self.replays += 1

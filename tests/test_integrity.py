@@ -265,6 +265,20 @@ class TestSchedulerWatchdog:
         assert excinfo.value.budget == "instructions"
         assert excinfo.value.limit == 100
 
+    def test_budget_trip_keeps_sim_stats_and_counters(self):
+        # A trip ends run_program by an exception; the instructions it
+        # simulated still count, and the published counters agree.
+        nb = NanoBench.kernel("Skylake", seed=0)
+        with pytest.raises(RunawayBenchmarkError) as excinfo:
+            nb.run(asm="add RAX, RAX", unroll_count=1000, n_measurements=1,
+                   uop_budget=500)
+        core = nb.core
+        assert core.sim_stats.instructions == 467
+        assert core.sim_stats.fast_path_instructions > 0
+        assert core.metrics.get("instructions_retired") == 467
+        assert (core.metrics.get("uops_issued")
+                == excinfo.value.progress["uops_issued"])
+
     def test_runaway_error_pickles(self):
         error = RunawayBenchmarkError(
             "cycle budget exceeded: 2048 simulated cycles (budget 2000)",

@@ -14,7 +14,9 @@ Plus the two properties from the issue: ``Scheduler.issued_uops``
 equals the sum of per-instruction ``issued_uops`` over arbitrary
 schedule sequences (hypothesis), and the steady-state fast path is
 byte-identical to exact scheduling — on a smoke set in tier 1 and over
-the full instruction corpus in tier 2.
+the full instruction corpus in tier 2 (Skylake kernel mode, Haswell user
+mode).  The whole metric store must match too, and a clean unrolled
+body executes its semantics only in the region's first copy.
 """
 
 import os
@@ -32,13 +34,17 @@ from repro.core.codecache import (
 from repro.core.codegen import CounterRead, generate
 from repro.core.nanobench import NanoBench
 from repro.core.options import NanoBenchOptions
+from repro.errors import ExecutionError
 from repro.faults.plan import FaultPlan
 from repro.tools.instr.corpus import corpus_for_family
 from repro.tools.instr.measure import variant_specs
+from repro.uarch.core import SimulatedCore
+from repro.uarch.interference import InterferenceConfig
 from repro.uarch.ports import SKYLAKE_LAYOUT
 from repro.uarch.scheduler import MemoryAccessPlan, Scheduler
 from repro.uarch.specs import get_spec
 from repro.uarch.timing import ComputeUop, InstructionTiming
+from repro.x86 import semantics
 from repro.x86.assembler import assemble
 
 
@@ -265,14 +271,30 @@ class TestIssuedUopsProperty:
 
 
 # ----------------------------------------------------------------------
-# Property: the fast path is byte-identical to exact scheduling.
+# Property: the fast path is byte-identical to exact scheduling, down to
+# the whole metric store (counters are published only where they can be
+# read, and a clean body's semantics are skipped).
 # ----------------------------------------------------------------------
-def _run_report(asm, fast_path, **kwargs):
-    nb = NanoBench.kernel("Skylake", seed=0)
+def _run_report(asm, fast_path, *, user=False, setup=None, **kwargs):
+    """(values, report, whole MetricStore snapshot) of one run."""
+    nb = (NanoBench.user if user else NanoBench.kernel)("Skylake", seed=0)
     nb.core.fast_path_enabled = fast_path
+    if setup is not None:
+        setup(nb.core)
     values = nb.run(asm=asm, **kwargs)
-    report = nb.last_report
-    return values, report
+    return values, nb.last_report, nb.core.metrics.snapshot()
+
+
+def _frequent_interrupts(core):
+    core.interference.config = InterferenceConfig(
+        mean_interval_cycles=1_000.0, min_cycles=100, max_cycles=400,
+        min_instructions=10, max_instructions=50,
+    )
+
+
+def _corpus_throughput(name):
+    variant = next(v for v in corpus_for_family("SKL") if v.name == name)
+    return {"asm": variant.throughput_asm, "asm_init": variant.init_asm}
 
 
 _SMOKE_KERNELS = [
@@ -287,16 +309,35 @@ _SMOKE_KERNELS = [
     "mov [R14], RAX; mov RBX, [R14]",
 ]
 
+_PXOR = _corpus_throughput("PXOR (XMM, XMM)")
+
+_DIFFERENTIAL_CASES = (
+    [pytest.param({"asm": asm}, id=asm) for asm in _SMOKE_KERNELS]
+    + [
+        pytest.param(_PXOR, id="corpus-pxor-x12"),
+        pytest.param(_corpus_throughput("VFMADD231PS (XMM, XMM, XMM)"),
+                     id="corpus-vfmadd231ps"),
+        pytest.param({"asm": "add RAX, RAX; pause_counting; imul RBX, RBX;"
+                             " resume_counting", "no_mem": True},
+                     id="pause-resume"),
+        # User mode: interference events fire between (and cap)
+        # replays and publish the counters mid-run.
+        pytest.param({"asm": "add RAX, RBX; add RBX, RCX", "user": True,
+                      "setup": _frequent_interrupts}, id="user-mode"),
+    ]
+)
+
 
 @pytest.mark.no_chaos
 class TestFastPathDifferential:
-    @pytest.mark.parametrize("asm", _SMOKE_KERNELS)
-    def test_smoke_kernels_byte_identical(self, asm):
-        fast_values, fast_report = _run_report(
-            asm, True, unroll_count=200, n_measurements=3)
-        exact_values, exact_report = _run_report(
-            asm, False, unroll_count=200, n_measurements=3)
+    @pytest.mark.parametrize("case", _DIFFERENTIAL_CASES)
+    def test_smoke_kernels_byte_identical(self, case):
+        fast_values, fast_report, fast_metrics = _run_report(
+            fast_path=True, unroll_count=200, n_measurements=3, **case)
+        exact_values, exact_report, exact_metrics = _run_report(
+            fast_path=False, unroll_count=200, n_measurements=3, **case)
         assert fast_values == exact_values
+        assert fast_metrics == exact_metrics
         assert fast_report.simulated_cycles == exact_report.simulated_cycles
         assert fast_report.program_runs == exact_report.program_runs
         assert (fast_report.sim_stats["instructions"]
@@ -304,10 +345,67 @@ class TestFastPathDifferential:
         assert exact_report.sim_stats["fast_path_instructions"] == 0
 
     def test_fast_path_engages_on_steady_kernels(self):
-        _, report = _run_report("add RAX, RAX", True,
-                                unroll_count=200, n_measurements=3)
+        _, report, _ = _run_report("add RAX, RAX", True,
+                                   unroll_count=200, n_measurements=3)
         assert report.sim_stats["fast_path_instructions"] > 0
         assert report.sim_stats["fast_path_replays"] > 0
+
+    def test_user_mode_case_takes_interrupts(self, monkeypatch):
+        events = []
+        apply_event = SimulatedCore._apply_interference_event
+
+        def counting(core, event):
+            events.append(event)
+            apply_event(core, event)
+
+        monkeypatch.setattr(SimulatedCore, "_apply_interference_event",
+                            counting)
+        _, report, _ = _run_report(
+            "add RAX, RBX; add RBX, RCX", True, user=True,
+            setup=_frequent_interrupts, unroll_count=200, n_measurements=3)
+        assert events
+        assert report.sim_stats["fast_path_instructions"] > 0
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_clean_body_semantics_run_once_per_region(self, monkeypatch,
+                                                      fast_path):
+        # Every PXOR of the generated program is a body copy.  With the
+        # fast path on, only the region's first copy executes; with it
+        # off, every copy does.
+        runs = []
+        executed = [0]
+        execute = semantics.execute
+        run_program = SimulatedCore.run_program
+
+        def counting_execute(ctx, instr):
+            if instr.mnemonic == "PXOR":
+                executed[0] += 1
+            return execute(ctx, instr)
+
+        def recording_run(core, program, **kwargs):
+            executed[0] = 0
+            try:
+                return run_program(core, program, **kwargs)
+            finally:
+                runs.append((kwargs.get("unroll_region"), executed[0]))
+
+        monkeypatch.setattr(semantics, "execute", counting_execute)
+        monkeypatch.setattr(SimulatedCore, "run_program", recording_run)
+        _run_report(fast_path=fast_path, unroll_count=50, n_measurements=3,
+                    **_PXOR)
+        regions = [(region, count) for region, count in runs if region]
+        assert regions
+        for (_start, body_len, copies), count in regions:
+            assert body_len == 12
+            assert count == (body_len if fast_path else body_len * copies)
+
+    def test_malformed_body_fails_like_exact_execution(self):
+        # The first copy always executes, so an instruction whose
+        # operands its executor rejects raises with the fast path on.
+        for fast_path in (True, False):
+            with pytest.raises(ExecutionError, match="LEA needs a memory"):
+                _run_report("lea RAX, RBX", fast_path, unroll_count=50,
+                            n_measurements=1)
 
     @pytest.mark.tier2
     def test_corpus_byte_identical(self):
@@ -315,24 +413,39 @@ class TestFastPathDifferential:
         for variant in corpus_for_family(get_spec("Skylake").family):
             specs.extend(variant_specs(variant, "Skylake", seed=0,
                                        kernel_mode=True))
+        _assert_sweeps_identical(specs)
 
-        def sweep(fast_path):
-            os.environ["NANOBENCH_FAST_PATH"] = "1" if fast_path else "0"
-            try:
-                return BatchRunner(jobs=1).run(specs)
-            finally:
-                os.environ.pop("NANOBENCH_FAST_PATH", None)
+    @pytest.mark.tier2
+    def test_corpus_user_mode_haswell_byte_identical(self):
+        # User mode keeps interrupts enabled, so interference events
+        # publish the counters mid-run.
+        specs = []
+        for variant in corpus_for_family(get_spec("Haswell").family):
+            if not variant.kernel_only:
+                specs.extend(variant_specs(variant, "Haswell", seed=0,
+                                           kernel_mode=False))
+        _assert_sweeps_identical(specs)
 
-        fast = sweep(True)
-        exact = sweep(False)
-        assert len(fast) == len(exact) == len(specs)
-        for f, e in zip(fast, exact):
-            label = f.spec.label
-            assert f.values == e.values, label
-            assert f.error == e.error, label
-            assert f.simulated_cycles == e.simulated_cycles, label
-            assert f.program_runs == e.program_runs, label
-            assert f.sim_instructions == e.sim_instructions, label
-            assert e.fast_path_instructions == 0, label
-        # The sweep as a whole must actually exercise the fast path.
-        assert sum(f.fast_path_instructions for f in fast) > 0
+
+def _assert_sweeps_identical(specs):
+    """Run *specs* with the fast path on and off; results must match."""
+    def sweep(fast_path):
+        os.environ["NANOBENCH_FAST_PATH"] = "1" if fast_path else "0"
+        try:
+            return BatchRunner(jobs=1).run(specs)
+        finally:
+            os.environ.pop("NANOBENCH_FAST_PATH", None)
+
+    fast = sweep(True)
+    exact = sweep(False)
+    assert len(fast) == len(exact) == len(specs)
+    for f, e in zip(fast, exact):
+        label = f.spec.label
+        assert f.values == e.values, label
+        assert f.error == e.error, label
+        assert f.simulated_cycles == e.simulated_cycles, label
+        assert f.program_runs == e.program_runs, label
+        assert f.sim_instructions == e.sim_instructions, label
+        assert e.fast_path_instructions == 0, label
+    # The sweep as a whole must actually exercise the fast path.
+    assert sum(f.fast_path_instructions for f in fast) > 0
