@@ -14,23 +14,15 @@ Quickstart (the paper's Section III-A example)::
     result = nb.run(asm="mov R14, [R14]", asm_init="mov [R14], R14")
     print(result["Core cycles"])            # 4.0 — the L1 load latency
 
-Measurements run on a pluggable backend; the default is the
-cycle-accurate simulated core, and ``NanoBench.create(
-backend="analytic")`` swaps in a fast port-model estimator (see
-:mod:`repro.backends`).
+Measurements run on one of three backends: the default ``sim`` is the
+cycle-accurate simulated core, ``NanoBench.create(backend="analytic")``
+swaps in a fast port-model estimator, and ``backend="auto"`` routes each
+query to the cheapest trustworthy of the two (see :mod:`repro.backends`).
 """
 
 __version__ = "1.0.0"
 
-from .backends import (  # noqa: E402
-    Capabilities,
-    MeasurementBackend,
-    MeasurementTarget,
-    backend_names,
-    get_backend,
-    list_backends,
-    register_backend,
-)
+from .backends import BACKENDS, Capabilities  # noqa: E402
 from .core.nanobench import NanoBench, NanoBenchOptions  # noqa: E402
 from .core.runner import AggregateFunction  # noqa: E402
 from .fuzz import (  # noqa: E402
@@ -39,9 +31,8 @@ from .fuzz import (  # noqa: E402
     GeneratedKernel,
     KernelGenerator,
 )
-from .router import (  # noqa: E402  (registers the "auto" backend)
+from .router import (  # noqa: E402
     FidelityTable,
-    RoutedBackend,
     RoutedBench,
     RouterPolicy,
     RouterStats,
@@ -54,26 +45,20 @@ from .store import (  # noqa: E402
 
 __all__ = [
     "AggregateFunction",
+    "BACKENDS",
     "Capabilities",
     "DifferentialFuzzer",
     "DivergenceRecord",
     "FidelityTable",
     "GeneratedKernel",
     "KernelGenerator",
-    "MeasurementBackend",
-    "MeasurementTarget",
     "NanoBench",
     "NanoBenchOptions",
     "ResultStore",
-    "RoutedBackend",
     "RoutedBench",
     "RouterPolicy",
     "RouterStats",
     "StoreStats",
     "__version__",
-    "backend_names",
-    "get_backend",
-    "list_backends",
     "open_store",
-    "register_backend",
 ]

@@ -1,61 +1,37 @@
-"""Pluggable measurement backends (the multi-backend layer).
+"""The measurement backends: ``sim``, ``analytic`` and ``auto``.
 
-The facade, the batch engine, the baselines and the case-study tools
-all measure against a :class:`MeasurementTarget` — a protocol capturing
-the machine surface :class:`~repro.core.nanobench.NanoBench` actually
-uses — rather than a concrete simulator class.  Backends of different
-fidelity implement it (the gem5 AtomicSimpleCPU-vs-O3CPU idea):
+The facade, the batch engine and the case-study tools measure on one of
+three backends of different fidelity (the gem5 AtomicSimpleCPU-vs-O3CPU
+idea), each with a :class:`Capabilities` descriptor in
+:data:`BACKENDS`:
 
-* ``sim`` — :class:`SimulatedCoreBackend`, the default cycle-accurate
-  out-of-order core.  Byte-identical to the pre-backend direct path.
-* ``analytic`` — :class:`AnalyticBackend`, an OSACA-style estimator
+* ``sim`` — the default cycle-accurate out-of-order
+  :class:`~repro.uarch.core.SimulatedCore`;
+* ``analytic`` — :class:`AnalyticTarget`, an OSACA-style estimator
   answering latency/throughput/port questions straight from the timing
-  tables, with a reduced :class:`Capabilities` set.
+  tables, with a reduced capability set;
+* ``auto`` — :class:`~repro.router.RoutedBench`, the router serving
+  each query from the cheapest trustworthy of the two.
 
 Select one with ``NanoBench.create(backend="analytic")``, a
 ``BenchmarkSpec(backend=...)``, or the CLI's ``-backend`` flag;
-``nanobench backends`` lists what is registered.
+``nanobench backends`` lists the three and their capabilities.
 """
 
-from .analytic import (
-    ANALYTIC_BACKEND,
-    AnalyticBackend,
-    AnalyticTarget,
-    BlockEstimate,
-    estimate_program,
-)
+from .analytic import AnalyticTarget, BlockEstimate, estimate_program
 from .protocol import (
+    BACKENDS,
     CAPABILITY_DESCRIPTIONS,
     Capabilities,
-    MeasurementBackend,
-    MeasurementTarget,
-)
-from .registry import (
     DEFAULT_BACKEND,
-    backend_names,
-    get_backend,
-    list_backends,
-    register_backend,
-    resolve_backend,
 )
-from .simulated import SIMULATED_BACKEND, SimulatedCoreBackend
 
 __all__ = [
-    "ANALYTIC_BACKEND",
-    "AnalyticBackend",
     "AnalyticTarget",
+    "BACKENDS",
     "BlockEstimate",
     "CAPABILITY_DESCRIPTIONS",
     "Capabilities",
     "DEFAULT_BACKEND",
-    "MeasurementBackend",
-    "MeasurementTarget",
-    "SIMULATED_BACKEND",
-    "SimulatedCoreBackend",
-    "backend_names",
     "estimate_program",
-    "get_backend",
-    "list_backends",
-    "register_backend",
-    "resolve_backend",
 ]

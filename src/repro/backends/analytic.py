@@ -20,8 +20,8 @@ core uses:
 The estimated ``Core cycles`` per iteration is the maximum of the
 three — the standard analytic model.  The backend advertises a reduced
 capability set: no cache/TLB/uncore events (there is no memory
-hierarchy to produce them), no APERF/MPERF, no magic-byte pause/resume
-and no SMT/interference.  Requesting an unsupported event raises
+hierarchy to produce them), no APERF/MPERF and no magic-byte
+pause/resume.  Requesting an unsupported event raises
 :class:`~repro.errors.UnschedulableEventError` with the missing
 capability named, which flows through the existing graceful-degradation
 path (skip + structured warning).
@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from ..errors import NanoBenchError, UnschedulableEventError
+from ..errors import UnschedulableEventError
 from ..perfctr.events import PerfEvent
 from ..uarch.core import SimStats
 from ..uarch.dataflow import analyze
@@ -41,8 +41,6 @@ from ..uarch.ports import PORT_LAYOUTS, PortLayout
 from ..uarch.specs import MicroarchSpec, get_spec
 from ..uarch.timing import TimingTable
 from ..x86.instructions import Program
-from .protocol import Capabilities, MeasurementBackend
-from .registry import register_backend
 
 #: Iterations of the symbolic recurrence; the growth rate is read off
 #: the second half, by which point every chain has reached steady state.
@@ -420,30 +418,19 @@ def event_value(estimate: BlockEstimate, event: PerfEvent,
 
 
 # ----------------------------------------------------------------------
-# The target and backend objects
+# The target
 # ----------------------------------------------------------------------
 class _StubAddressSpace:
-    """Accepts the facade's scratch-area mappings; identity translation."""
-
-    def __init__(self) -> None:
-        self._regions: Dict[int, int] = {}
+    """Accepts the facade's scratch-area mappings (physical == virtual)."""
 
     def map_user(self, base: int, size: int) -> None:
-        self._regions[base] = size
+        pass
 
     def map_kernel_contiguous(self, base: int, size: int) -> int:
-        self._regions[base] = size
-        return base  # "physical" == virtual: good enough for reporting
+        return base
 
     def unmap(self, base: int, size: int) -> None:
-        self._regions.pop(base, None)
-
-    def is_mapped(self, address: int) -> bool:
-        return any(base <= address < base + size
-                   for base, size in self._regions.items())
-
-    def translate(self, address: int) -> int:
-        return address
+        pass
 
 
 class _StubPMU:
@@ -453,39 +440,13 @@ class _StubPMU:
         self.n_programmable = n_programmable
         self.user_rdpmc_enabled = False
 
-    def program(self, slot: int, event) -> None:  # pragma: no cover
-        pass
-
-
-class _StubRegs:
-    def __init__(self) -> None:
-        self._values: Dict[str, int] = {}
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self._values)
-
-    def restore(self, snapshot: Dict[str, int]) -> None:
-        self._values = dict(snapshot)
-
-    def write(self, name: str, value: int) -> None:
-        self._values[name] = value
-
-    def read(self, name: str) -> int:
-        return self._values.get(name, 0)
-
-
-class _StubScheduler:
-    cycle_budget: Optional[int] = None
-    uop_budget: Optional[int] = None
-
 
 class AnalyticTarget:
-    """A :class:`MeasurementTarget` that never executes code.
+    """The ``analytic`` backend's machine: it never executes code.
 
-    Satisfies the protocol surface :class:`NanoBench` touches outside
-    the measurement loop (construction, pre-flight, event resolution,
-    buffer sizing); measurements are answered by
-    :meth:`estimate` instead of :meth:`run_program`.
+    It carries what :class:`NanoBench` touches outside the measurement
+    loop (construction, pre-flight, event resolution, buffer sizing);
+    measurements are answered by :meth:`estimate`.
     """
 
     def __init__(self, spec_or_name="Skylake", seed: int = 0) -> None:
@@ -498,18 +459,12 @@ class AnalyticTarget:
             spec.family, move_elimination=spec.move_elimination
         )
         self.timing_enabled = True
-        self.smt_enabled = False
-        self.fast_path_enabled = False
         self.pmu = _StubPMU(spec.n_programmable_counters)
-        self.regs = _StubRegs()
         self.address_space = _StubAddressSpace()
-        self.main_memory = None
-        self.scheduler = _StubScheduler()
         self.sim_stats = SimStats()
         self._cycle = 0
         self._estimates: Dict[int, BlockEstimate] = {}
 
-    # -- estimation ----------------------------------------------------
     def estimate(self, program: Program) -> BlockEstimate:
         """The (memoized) block estimate for *program*."""
         key = id(program)
@@ -528,64 +483,3 @@ class AnalyticTarget:
     @property
     def current_cycle(self) -> int:
         return self._cycle
-
-    # -- inert protocol surface ---------------------------------------
-    def run_program(self, program, *, kernel_mode: bool = False,
-                    **kwargs) -> None:
-        raise NanoBenchError(
-            "the analytic backend estimates from timing tables and does "
-            "not execute generated code (capability 'cycle_accurate' is "
-            "not provided); use backend='sim' to run programs"
-        )
-
-    def reset_timing(self) -> None:
-        pass
-
-    def disable_interrupts(self) -> None:
-        pass
-
-    def enable_interrupts(self) -> None:
-        pass
-
-    def begin_frequency_transition(self, scale: float) -> None:
-        pass
-
-    def end_frequency_transition(self) -> None:
-        pass
-
-    def enable_smt(self) -> None:
-        raise NanoBenchError(
-            "the analytic backend has no SMT model (capability 'smt')"
-        )
-
-    def disable_smt(self) -> None:
-        pass
-
-
-class AnalyticBackend(MeasurementBackend):
-    """Table-driven latency/throughput/port estimation (no simulation)."""
-
-    name = "analytic"
-    description = ("OSACA-style analytic estimator: latency, throughput "
-                   "and port pressure from the timing tables, orders of "
-                   "magnitude faster than cycle-accurate simulation")
-    capabilities = Capabilities(
-        cycle_accurate=False,
-        kernel_mode=True,
-        user_mode=True,
-        uncore=False,
-        aperf_mperf=False,
-        cache_events=False,
-        magic_bytes=False,
-        smt=False,
-        interference=False,
-        contiguous_memory=True,
-    )
-
-    def create_target(self, uarch: str = "Skylake", *,
-                      seed: int = 0) -> AnalyticTarget:
-        return AnalyticTarget(uarch, seed=seed)
-
-
-#: The registered singleton (importing this module registers it).
-ANALYTIC_BACKEND = register_backend(AnalyticBackend())

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..backends.registry import DEFAULT_BACKEND, resolve_backend
 from ..errors import NanoBenchError, UnschedulableEventError
 from ..core.nanobench import NanoBench
 from ..core.options import NanoBenchOptions
@@ -45,22 +44,6 @@ class AgnerLikeFramework:
         )
         self._nb = NanoBench(core, kernel_mode=False, options=options)
         self.repetitions = repetitions
-
-    @classmethod
-    def create(cls, uarch: str = "Skylake", *, seed: int = 0,
-               backend=DEFAULT_BACKEND, repetitions: int = 100,
-               n_measurements: int = 10) -> "AgnerLikeFramework":
-        """Build the framework on a registry backend (user-mode RDPMC
-        is the framework's whole measurement surface, so the backend
-        must provide the ``user_mode`` capability)."""
-        backend_obj = resolve_backend(backend)
-        backend_obj.capabilities.require(
-            "user_mode", backend=backend_obj.name,
-            context="the Agner-style harness reads counters with RDPMC "
-                    "from user space",
-        )
-        return cls(backend_obj.create_target(uarch, seed=seed),
-                   repetitions=repetitions, n_measurements=n_measurements)
 
     def _check_registers(self, program: Program) -> None:
         for instr in program.instructions:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..backends.registry import DEFAULT_BACKEND, resolve_backend
 from ..errors import NanoBenchError
 from ..perfctr.events import PerfEvent, event_catalog
 from ..uarch.core import SimulatedCore
@@ -73,22 +72,6 @@ def _library_call_program(counter_indices: Sequence[int],
 
 class PapiLikeCounters:
     """start/stop counter measurement in the PAPI style."""
-
-    @classmethod
-    def create(cls, uarch: str = "Skylake", events: Sequence[str] = (),
-               *, seed: int = 0, backend=DEFAULT_BACKEND,
-               kernel_mode: bool = False) -> "PapiLikeCounters":
-        """Build the baseline on a registry backend.  The library calls
-        execute instruction-by-instruction around the benchmark, so the
-        backend must be ``cycle_accurate``."""
-        backend_obj = resolve_backend(backend)
-        backend_obj.capabilities.require(
-            "cycle_accurate", backend=backend_obj.name,
-            context="the PAPI-style start/stop library calls execute on "
-                    "the core around the benchmark",
-        )
-        return cls(backend_obj.create_target(uarch, seed=seed),
-                   events, kernel_mode=kernel_mode)
 
     def __init__(self, core: SimulatedCore, events: Sequence[str] = (),
                  *, kernel_mode: bool = False) -> None:

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..backends.registry import DEFAULT_BACKEND, resolve_backend
 from ..uarch.core import SimulatedCore
 from ..x86.assembler import assemble
 from ..x86.instructions import Program
@@ -45,23 +44,6 @@ class WholeProgramProfiler:
         self.core = core
         self.startup = startup if startup is not None else StartupModel()
         self.rng = random.Random(seed)
-
-    @classmethod
-    def create(cls, uarch: str = "Skylake", *, seed: int = 0,
-               backend=DEFAULT_BACKEND,
-               startup: Optional[StartupModel] = None
-               ) -> "WholeProgramProfiler":
-        """Build the profiler on a registry backend.  Startup pollution
-        and the process body run on the core itself, so the backend must
-        be ``cycle_accurate``."""
-        backend_obj = resolve_backend(backend)
-        backend_obj.capabilities.require(
-            "cycle_accurate", backend=backend_obj.name,
-            context="whole-program profiling replays the process startup "
-                    "burst through the cache hierarchy",
-        )
-        return cls(backend_obj.create_target(uarch, seed=seed),
-                   startup=startup, seed=seed)
 
     def _simulate_startup(self) -> None:
         model = self.startup

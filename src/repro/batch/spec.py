@@ -91,8 +91,8 @@ class BenchmarkSpec:
     #: empty (the default) disables stability control for this spec and
     #: keeps old record digests valid.
     stability: Tuple[Tuple[str, object], ...] = ()
-    #: Measurement backend to execute on (a registry name); ``"sim"``
-    #: (the default) keeps old record digests valid.
+    #: Measurement backend to execute on (``sim``, ``analytic`` or
+    #: ``auto``); ``"sim"`` (the default) keeps old record digests valid.
     backend: str = "sim"
 
     def __post_init__(self) -> None:

@@ -17,10 +17,10 @@ A configuration file can be checked without running anything::
 
     nanobench validate-config cfg_Skylake.txt -uarch Skylake
 
-Measurements run on a pluggable backend (``-backend analytic`` answers
-latency/throughput questions from the port model without per-cycle
-simulation); ``nanobench backends`` lists what is registered together
-with each backend's capability set.
+Measurements run on one of three backends (``-backend analytic``
+answers latency/throughput questions from the port model without
+per-cycle simulation, ``-backend auto`` routes between the two);
+``nanobench backends`` lists them with each one's capability set.
 
 The differential fuzzer cross-checks every backend pair on generated
 adversarial kernels and pins any disagreement::
@@ -216,31 +216,30 @@ def run_validate_config(argv: List[str]) -> int:
 
 
 def run_backends(argv: List[str]) -> int:
-    """The ``backends`` subcommand: list registered measurement
-    backends and their capability matrix."""
+    """The ``backends`` subcommand: list the measurement backends and
+    their capability matrix."""
     parser = argparse.ArgumentParser(
         prog="nanobench backends",
-        description="list registered measurement backends and the "
+        description="list the measurement backends and the "
                     "capabilities each one provides",
     )
     parser.parse_args(argv)
-    from ..backends import CAPABILITY_DESCRIPTIONS, Capabilities, \
-        DEFAULT_BACKEND, list_backends
+    from ..backends import BACKENDS, CAPABILITY_DESCRIPTIONS, \
+        Capabilities, DEFAULT_BACKEND
 
-    backends = list_backends()
-    for backend in backends:
-        marker = " (default)" if backend.name == DEFAULT_BACKEND else ""
-        print("%s%s: %s" % (backend.name, marker, backend.description))
+    for backend, (description, _) in BACKENDS.items():
+        marker = " (default)" if backend == DEFAULT_BACKEND else ""
+        print("%s%s: %s" % (backend, marker, description))
     print()
     width = max(len(name) for name in Capabilities.names())
     header = "%-*s  %s" % (width, "capability",
-                           "  ".join("%-8s" % b.name for b in backends))
+                           "  ".join("%-8s" % b for b in BACKENDS))
     print(header)
     print("-" * len(header))
     for name in Capabilities.names():
         cells = "  ".join(
-            "%-8s" % ("yes" if b.capabilities.supports(name) else "-")
-            for b in backends
+            "%-8s" % ("yes" if getattr(capabilities, name) else "-")
+            for _, capabilities in BACKENDS.values()
         )
         print("%-*s  %s  # %s"
               % (width, name, cells, CAPABILITY_DESCRIPTIONS[name]))

@@ -77,6 +77,10 @@ SCRATCH_REGISTERS = {
 #: benchmark must not modify them (Section III-I).
 NOMEM_REGISTERS = ("R8", "R9", "R10", "R11", "R12", "R13")
 
+#: The pseudo-instructions the magic byte sequences decode to
+#: (Section IV-B).
+MAGIC_MNEMONICS = ("PAUSE_COUNTING", "RESUME_COUNTING")
+
 #: The loop counter register the benchmark must not modify when
 #: loop_count > 0 (Section III-B).
 LOOP_REGISTER = "R15"
@@ -207,6 +211,15 @@ def read_perf_ctrs_to_memory(
     return instructions
 
 
+def check_nomem_counter_limit(n_counters: int) -> None:
+    """noMem mode keeps each counter in its own register (Section III-I)."""
+    if n_counters > len(NOMEM_REGISTERS):
+        raise NanoBenchError(
+            "noMem mode supports at most %d counters, got %d"
+            % (len(NOMEM_REGISTERS), n_counters)
+        )
+
+
 def read_perf_ctrs_nomem(
     counters: Sequence[CounterRead], serializer: str, *, first: bool
 ) -> List[Instruction]:
@@ -216,11 +229,7 @@ def read_perf_ctrs_nomem(
     the new value, leaving the difference in the register.  RAX/RCX/RDX
     are clobbered (noMem's documented register constraints).
     """
-    if len(counters) > len(NOMEM_REGISTERS):
-        raise NanoBenchError(
-            "noMem mode supports at most %d counters, got %d"
-            % (len(NOMEM_REGISTERS), len(counters))
-        )
+    check_nomem_counter_limit(len(counters))
     instructions: List[Instruction] = []
     instructions += _serializer_instructions(serializer)
     for register, counter in zip(NOMEM_REGISTERS, counters):
@@ -260,11 +269,7 @@ def _replace_magic_sequences(
     Pausing is only supported in noMem mode (Section III-I); the toggle
     is fenced so in-flight µops cannot straddle the boundary.
     """
-    has_magic = any(
-        instr.mnemonic in ("PAUSE_COUNTING", "RESUME_COUNTING")
-        for instr in body
-    )
-    if not has_magic:
+    if not any(instr.mnemonic in MAGIC_MNEMONICS for instr in body):
         return body
     if not no_mem:
         raise NanoBenchError(

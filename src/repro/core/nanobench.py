@@ -29,9 +29,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..backends.analytic import AnalyticTarget
 from ..backends.analytic import event_value as _analytic_event_value
-from ..backends.protocol import Capabilities, MeasurementBackend
-from ..backends.registry import DEFAULT_BACKEND, get_backend, resolve_backend
+from ..backends.protocol import BACKENDS, DEFAULT_BACKEND, Capabilities
 from ..errors import (
     AllocationError,
     NanoBenchError,
@@ -69,9 +69,11 @@ from .codegen import (
     RDI_AREA_BASE,
     RSI_AREA_BASE,
     RSP_AREA_BASE,
+    MAGIC_MNEMONICS,
     CounterRead,
     GeneratedCode,
     SCRATCH_REGISTERS,
+    check_nomem_counter_limit,
 )
 from .options import NanoBenchOptions
 from .retry import (
@@ -147,12 +149,12 @@ class ExecutionReport:
 class NanoBench:
     """One nanoBench instance bound to a measurement target.
 
-    The target is usually a cycle-accurate
-    :class:`~repro.uarch.core.SimulatedCore` (the ``sim`` backend), but
-    any :class:`~repro.backends.MeasurementTarget` works — e.g. the
-    table-driven ``analytic`` backend's target.  Use :meth:`create` (or
-    the :meth:`kernel`/:meth:`user` shorthands) to construct through
-    the backend registry.
+    The target is a cycle-accurate
+    :class:`~repro.uarch.core.SimulatedCore` (the ``sim`` backend) or
+    the table-driven :class:`~repro.backends.AnalyticTarget` (the
+    ``analytic`` backend).  Use :meth:`create` (or the
+    :meth:`kernel`/:meth:`user` shorthands) to construct one by backend
+    name.
     """
 
     def __init__(
@@ -164,13 +166,11 @@ class NanoBench:
         retry: Optional[RetryPolicy] = None,
         preflight: bool = True,
         stability: Optional[StabilityPolicy] = None,
-        backend: Optional[MeasurementBackend] = None,
     ) -> None:
         self.core = core
-        #: The backend that produced (or matches) ``core``; inferred
-        #: for directly-constructed targets so every instance carries a
-        #: backend tag and capability set.
-        self.backend = backend if backend is not None else _infer_backend(core)
+        #: The backend name, which follows from the target's type.
+        self.backend = ("analytic" if isinstance(core, AnalyticTarget)
+                        else "sim")
         self.kernel_mode = kernel_mode
         self.options = options if options is not None else NanoBenchOptions()
         #: Self-healing policy: bounded immediate retries of
@@ -215,33 +215,31 @@ class NanoBench:
                retry: Optional[RetryPolicy] = None,
                preflight: bool = True,
                stability: Optional[StabilityPolicy] = None) -> "NanoBench":
-        """The one construction path: negotiate a backend, build its
-        target, wire the facade.
+        """The one construction path: build the named backend's target
+        and wire the facade.
 
-        ``backend`` is a registry name (``"sim"``, ``"analytic"``) or a
-        :class:`~repro.backends.MeasurementBackend` instance.  The
-        requested mode is checked against the backend's capabilities up
-        front, so an unsupported combination fails with a structured
-        :class:`~repro.errors.CapabilityError` instead of deep inside a
-        run.
+        ``backend`` is one of :data:`~repro.backends.BACKENDS`: ``"sim"``
+        and ``"analytic"`` return a :class:`NanoBench` on a fresh
+        target, ``"auto"`` returns a :class:`~repro.router.RoutedBench`
+        over both.
         """
-        backend_obj = resolve_backend(backend)
-        capability = "kernel_mode" if kernel_mode else "user_mode"
-        backend_obj.capabilities.require(
-            capability, backend=backend_obj.name,
-            context="cannot create the %s-space variant"
-                    % ("kernel" if kernel_mode else "user"),
-        )
-        facade = backend_obj.create_facade(
-            uarch, seed, kernel_mode=kernel_mode, options=options,
-            retry=retry, preflight=preflight, stability=stability,
-        )
-        if facade is not None:
-            return facade
-        target = backend_obj.create_target(uarch, seed=seed)
+        if backend == "auto":
+            from ..router import RoutedBench
+
+            return RoutedBench(uarch, seed, kernel_mode=kernel_mode,
+                               options=options, retry=retry,
+                               preflight=preflight, stability=stability)
+        if backend == "sim":
+            target = SimulatedCore(uarch, seed=seed)
+        elif backend == "analytic":
+            target = AnalyticTarget(uarch, seed=seed)
+        else:
+            raise NanoBenchError(
+                "unknown measurement backend %r (known backends: %s)"
+                % (backend, ", ".join(BACKENDS))
+            )
         return cls(target, kernel_mode=kernel_mode, options=options,
-                   retry=retry, preflight=preflight, stability=stability,
-                   backend=backend_obj)
+                   retry=retry, preflight=preflight, stability=stability)
 
     @classmethod
     def kernel(cls, uarch: str = "Skylake", seed: int = 0,
@@ -270,7 +268,7 @@ class NanoBench:
     @property
     def capabilities(self) -> Capabilities:
         """The active backend's capability descriptor."""
-        return self.backend.capabilities
+        return BACKENDS[self.backend][1]
 
     # ------------------------------------------------------------------
     # Memory areas (Section III-G)
@@ -331,7 +329,7 @@ class NanoBench:
             if not self.capabilities.aperf_mperf:
                 raise NanoBenchError(
                     "backend %r cannot read APERF/MPERF (missing "
-                    "capability: 'aperf_mperf')" % (self.backend.name,)
+                    "capability: 'aperf_mperf')" % (self.backend,)
                 )
             if not self.kernel_mode:
                 raise NanoBenchError(
@@ -358,7 +356,7 @@ class NanoBench:
                 raise UnschedulableEventError(
                     "uncore event %r requires the 'uncore' capability, "
                     "which backend %r does not provide"
-                    % (event.name, self.backend.name)
+                    % (event.name, self.backend)
                 )
             if not self.kernel_mode:
                 raise UnschedulableEventError(
@@ -521,8 +519,20 @@ class NanoBench:
         backend's capabilities flow through the same graceful-
         degradation path as unschedulable events on the simulator.
         """
-        # Same capability checks as the measured path (APERF/MPERF).
-        self._fixed_counter_reads(options)
+        # The measured path's up-front refusals: APERF/MPERF, then the
+        # noMem counter limit over the reads it would schedule.
+        reads = len(self._fixed_counter_reads(options))
+        if options.no_mem:
+            check_nomem_counter_limit(reads + sum(
+                1 for event in group if self.kernel_mode or not event.uncore
+            ))
+        if any(instr.mnemonic in MAGIC_MNEMONICS
+               for instr in benchmark.instructions):
+            # The estimate counts the whole block; it cannot pause.
+            self.capabilities.require(
+                "magic_bytes", backend=self.backend,
+                context="cannot estimate a pause/resume counting benchmark",
+            )
         estimate = self.core.estimate(benchmark)
         self.core.advance(estimate.cycles)
         result: "OrderedDict[str, float]" = OrderedDict()
@@ -536,7 +546,7 @@ class NanoBench:
         for event in group:
             try:
                 value = _analytic_event_value(
-                    estimate, event, backend_name=self.backend.name
+                    estimate, event, backend_name=self.backend
                 )
             except UnschedulableEventError as exc:
                 if not self.retry.degrade:
@@ -780,19 +790,3 @@ class NanoBench:
 
 def _to_signed64(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
-
-
-def _infer_backend(core) -> MeasurementBackend:
-    """Backend tag for a directly-constructed target.
-
-    Direct ``NanoBench(SimulatedCore(...))`` construction predates the
-    backend layer and must keep working byte-identically; the inferred
-    tag only supplies the capability set and result labelling.
-    """
-    if isinstance(core, SimulatedCore):
-        return get_backend(DEFAULT_BACKEND)
-    from ..backends.analytic import AnalyticTarget
-
-    if isinstance(core, AnalyticTarget):
-        return get_backend("analytic")
-    return get_backend(DEFAULT_BACKEND)

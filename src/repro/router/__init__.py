@@ -1,9 +1,8 @@
 """Tiered fidelity routing: the ``auto`` measurement backend.
 
-Importing this package registers :class:`RoutedBackend` under the name
-``auto`` in the backend registry, making ``NanoBench.create(
-backend="auto")``, ``BenchmarkSpec(backend="auto")`` and the CLI's
-``-backend auto`` all route through the cascade.
+:class:`RoutedBench` is what ``NanoBench.create(backend="auto")``
+returns, so ``BenchmarkSpec(backend="auto")`` and the CLI's ``-backend
+auto`` all route through the cascade.
 """
 
 from .fidelity import (
@@ -18,7 +17,6 @@ from .fidelity import (
     program_classes,
 )
 from .router import (
-    RoutedBackend,
     RoutedBench,
     RouterPolicy,
     RouterStats,
@@ -31,7 +29,6 @@ __all__ = [
     "DEFAULT_TABLE_PATH",
     "EVENT_CLASSES",
     "FidelityTable",
-    "RoutedBackend",
     "RoutedBench",
     "RouterPolicy",
     "RouterStats",

@@ -11,18 +11,17 @@ swappable CPU models, applied to a measurement service.
 
 Trust is decided *per query*, from data:
 
-1. **Capabilities** — the query's event classes are matched against
-   each tier's :class:`~repro.backends.Capabilities`; a class the
-   backend cannot count at all (cache/uncore/APERF on the analytic
-   tier) escalates before anything runs.
+1. **Capabilities** — a query event class the analytic tier cannot
+   count at all (cache/uncore/APERF) escalates before anything runs.
 2. **Measured fidelity** — the committed A6-derived
    :class:`~repro.router.fidelity.FidelityTable` must bound the class's
    p95 error within ``RouterPolicy.tolerance``; unmeasured classes are
    never trusted.
 3. **Runtime escalation** — an :class:`~repro.errors.
    UnschedulableEventError` or :class:`~repro.errors.CapabilityError`
-   mid-run, or an analytic answer that had to skip events, falls
-   through to the simulator automatically.
+   mid-run (a pause/resume kernel on the analytic tier), or an analytic
+   answer that had to skip events, falls through to the simulator
+   automatically.
 4. **Continuous audit** — a deterministic content-hash sample of
    analytic answers (default 1/64) is re-run on a fresh simulator; a
    deviation beyond tolerance quarantines the offending event classes
@@ -46,8 +45,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..backends.protocol import Capabilities, MeasurementBackend
-from ..backends.registry import register_backend
+from ..backends.protocol import BACKENDS, Capabilities
 from ..errors import CapabilityError, UnschedulableEventError
 from ..perfctr.events import PerfEvent, event_catalog
 from ..stats import Counters
@@ -63,7 +61,7 @@ from .fidelity import (
     program_classes,
 )
 
-#: Tier names (registry backends) in ascending cost order.  Only the
+#: Tier names (backend names) in ascending cost order.  Only the
 #: cheap tier is audited; ``sim`` is the audit reference and the tier
 #: every escalation ends on.
 TIER_ORDER = ("analytic", "sim")
@@ -155,8 +153,7 @@ class RoutedBench:
                  options=None, retry=None, preflight: bool = True,
                  stability=None,
                  policy: Optional[RouterPolicy] = None,
-                 table: Optional[FidelityTable] = None,
-                 backend: Optional[MeasurementBackend] = None) -> None:
+                 table: Optional[FidelityTable] = None) -> None:
         from ..core.nanobench import ExecutionReport
         from ..core.options import NanoBenchOptions
         from ..core.retry import RetryPolicy
@@ -171,7 +168,7 @@ class RoutedBench:
         self.policy = policy if policy is not None else RouterPolicy()
         self.table = (table if table is not None
                       else load_fidelity_table(self.policy.table_path))
-        self.backend = backend if backend is not None else _ROUTED_BACKEND
+        self.backend = "auto"
         self.stats = RouterStats()
         #: Divergences confirmed by the audit, in the PR 6 corpus
         #: format (category ``router``), ready for ``save_corpus``.
@@ -209,8 +206,7 @@ class RoutedBench:
                 backend=name, options=self.options, retry=self.retry,
                 preflight=self.preflight,
             )
-            if self._r14_size_request is not None and self.kernel_mode \
-                    and tier.capabilities.contiguous_memory:
+            if self._r14_size_request is not None and self.kernel_mode:
                 tier.resize_r14_buffer(self._r14_size_request)
             self._tiers[name] = tier
         return tier
@@ -237,7 +233,7 @@ class RoutedBench:
 
     @property
     def capabilities(self) -> Capabilities:
-        return self.backend.capabilities
+        return BACKENDS[self.backend][1]
 
     def resize_r14_buffer(self, size: int) -> int:
         """Resize R14 on the current and every future sim tier."""
@@ -478,35 +474,3 @@ class RoutedBench:
         self.served_by = served
         self.last_audited = audited
         self.last_audit_failed = audit_failed
-
-
-class RoutedBackend(MeasurementBackend):
-    """The ``auto`` backend: a router over the registered tiers.
-
-    Advertises the *union* of its tiers' capabilities (everything the
-    simulator can do) — a query needing a capability the cheap tiers
-    lack is simply routed past them, never refused.
-    """
-
-    name = "auto"
-    description = ("tiered fidelity router: analytic -> sim, cheapest "
-                   "trustworthy tier per query")
-    capabilities = Capabilities()  # the sim tier's full set
-
-    def create_target(self, uarch: str = "Skylake", *, seed: int = 0):
-        raise NotImplementedError(
-            "the 'auto' backend has no single target; it is constructed "
-            "as a facade via NanoBench.create(backend='auto')"
-        )
-
-    def create_facade(self, uarch: str = "Skylake", seed: int = 0, *,
-                      kernel_mode: bool = True, options=None, retry=None,
-                      preflight: bool = True, stability=None):
-        return RoutedBench(
-            uarch, seed, kernel_mode=kernel_mode, options=options,
-            retry=retry, preflight=preflight, stability=stability,
-            backend=self,
-        )
-
-
-_ROUTED_BACKEND = register_backend(RoutedBackend())

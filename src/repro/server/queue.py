@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import os
 
-from ..backends.registry import DEFAULT_BACKEND
+from ..backends.protocol import DEFAULT_BACKEND
 from ..batch.runner import BatchRunner
 from ..batch.spec import BenchmarkSpec, spec_digest
 from ..errors import (
@@ -116,7 +116,7 @@ class JobQueue:
         When True, specs submitted on the default backend are rewritten
         to the tiered ``auto`` router before admission, so the service
         serves each from the cheapest trustworthy tier.  Only specs on
-        the registry default backend are rewritten; any other
+        the default backend are rewritten; any other
         explicitly pinned backend is respected.
     clock:
         The monotonic time source for deadlines, drain budgets, and

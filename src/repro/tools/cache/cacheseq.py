@@ -116,7 +116,7 @@ class CacheSeq:
         if engine not in ("direct", "nanobench"):
             raise AnalysisError("engine must be 'direct' or 'nanobench'")
         nb.capabilities.require(
-            "cache_events", backend=nb.backend.name,
+            "cache_events", backend=nb.backend,
             context="cacheSeq counts hits and misses of individual "
                     "memory accesses",
         )

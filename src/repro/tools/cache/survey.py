@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ...backends.registry import DEFAULT_BACKEND, resolve_backend
 from ...batch import ResilientPool, default_jobs
 from ...core.nanobench import NanoBench
 from ...errors import AnalysisError
@@ -158,8 +157,7 @@ def _survey_l3(cacheseq: CacheSeq, nb: NanoBench, seed: int) -> LevelSurvey:
 
 
 def survey_cpu(uarch: str, seed: int = 0,
-               buffer_mb: int = 128, stability=None,
-               backend=DEFAULT_BACKEND) -> CpuSurvey:
+               buffer_mb: int = 128, stability=None) -> CpuSurvey:
     """Determine the replacement policies of all cache levels.
 
     This is the end-to-end Table I pipeline for one CPU: a kernel-space
@@ -169,21 +167,9 @@ def survey_cpu(uarch: str, seed: int = 0,
     AMD situation of Section VI-D).  With a *stability* policy, the
     worst verdict over the survey's measurements is reported on
     :attr:`CpuSurvey.quality`.
-
-    The survey observes replacement state through cache-event counters
-    and a contiguous buffer, so the chosen backend must provide the
-    ``cache_events`` and ``contiguous_memory`` capabilities (analytic
-    backends cannot run it).
     """
-    backend_obj = resolve_backend(backend)
-    for capability in ("cache_events", "contiguous_memory"):
-        backend_obj.capabilities.require(
-            capability, backend=backend_obj.name,
-            context="the replacement-policy survey measures hit/miss "
-                    "counts against a physically-contiguous buffer",
-        )
     nb = NanoBench.create(uarch, seed=seed, kernel_mode=True,
-                          backend=backend_obj, stability=stability)
+                          stability=stability)
     if not disable_prefetchers(nb.core):
         raise AnalysisError(
             "cannot disable the hardware prefetchers on %s; the cache "
@@ -204,10 +190,10 @@ def survey_cpu(uarch: str, seed: int = 0,
     return survey
 
 
-def _survey_one(task: Tuple[str, int, int, object, str]) -> CpuSurvey:
-    uarch, seed, buffer_mb, stability, backend = task
+def _survey_one(task: Tuple[str, int, int, object]) -> CpuSurvey:
+    uarch, seed, buffer_mb, stability = task
     return survey_cpu(uarch, seed=seed, buffer_mb=buffer_mb,
-                      stability=stability, backend=backend)
+                      stability=stability)
 
 
 #: Bumped whenever the survey algorithm or record layout changes, so a
@@ -215,13 +201,15 @@ def _survey_one(task: Tuple[str, int, int, object, str]) -> CpuSurvey:
 _SURVEY_RECORD_VERSION = 1
 
 
-def _survey_digest(uarch: str, seed: int, buffer_mb: int, stability,
-                   backend: str) -> str:
-    """Content digest of one whole-CPU survey task (the store key)."""
+def _survey_digest(uarch: str, seed: int, buffer_mb: int,
+                   stability) -> str:
+    """Content digest of one whole-CPU survey task (the store key).
+    Surveys always run on the ``sim`` backend; the name stays in the
+    identity so surveys stored with it remain hits."""
     if stability is not None and not isinstance(stability, tuple):
         stability = tuple(sorted(vars(stability).items()))
     identity = repr(("cpu-survey", _SURVEY_RECORD_VERSION, uarch, seed,
-                     buffer_mb, stability, backend))
+                     buffer_mb, stability, "sim"))
     return hashlib.sha256(identity.encode()).hexdigest()
 
 
@@ -272,7 +260,6 @@ def survey_cpus(
     jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, int, object], None]] = None,
     stability=None,
-    backend: str = DEFAULT_BACKEND,
     store=None,
 ) -> Dict[str, CpuSurvey]:
     """Survey several CPUs, optionally sharded across worker processes.
@@ -306,7 +293,7 @@ def survey_cpus(
                 pending.append(uarch)
                 continue
             record = resolved_store.get(
-                _survey_digest(uarch, seed, buffer_mb, stability, backend)
+                _survey_digest(uarch, seed, buffer_mb, stability)
             )
             if record is not None:
                 surveys[uarch] = survey_from_record(record)
@@ -316,8 +303,7 @@ def survey_cpus(
             _survey_one, default_jobs() if jobs is None else max(1, jobs)
         )
         outcomes = pool.imap_ordered(
-            [(uarch, seed, buffer_mb, stability, backend)
-             for uarch in pending]
+            [(uarch, seed, buffer_mb, stability) for uarch in pending]
         )
         for done, outcome in enumerate(outcomes, 1):
             uarch = pending[outcome.index]
@@ -329,8 +315,7 @@ def survey_cpus(
                     # Only successful surveys are cached; a failed CPU is
                     # retried on the next submission.
                     resolved_store.put(
-                        _survey_digest(uarch, seed, buffer_mb, stability,
-                                       backend),
+                        _survey_digest(uarch, seed, buffer_mb, stability),
                         survey_to_record(outcome.value),
                     )
             else:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from ..backends.registry import DEFAULT_BACKEND
+from ..backends.protocol import DEFAULT_BACKEND
 from .instr.characterize import characterize_corpus_batched
 from .instr.corpus import InstructionVariant
 from .instr.measure import InstructionProfile

@@ -1,17 +1,17 @@
-"""The pluggable measurement-backend layer (repro.backends).
+"""The measurement backends (repro.backends).
 
 Three contracts under test:
 
-* **registry** — names round-trip (``get_backend(name).name == name``),
-  unknown names fail with the known list, and the default backend is
-  the cycle-accurate simulated core;
-* **byte identity** — a nanoBench instance built through the registry
+* **the closed set** — ``sim``, ``analytic`` and ``auto`` each
+  construct by name, unknown names fail with the known list, and the
+  default backend is the cycle-accurate simulated core;
+* **byte identity** — a nanoBench instance built by name
   (``NanoBench.create(backend="sim")``) measures exactly what the
-  pre-backend direct construction measured, for every counter (tier-2
-  runs the full differential);
+  direct construction measures, for every counter (tier-2 runs the
+  full differential);
 * **capability negotiation** — a backend that lacks a capability fails
   through the existing :class:`UnschedulableEventError` degradation
-  path (or a structured :class:`CapabilityError` at construction time)
+  path (or a structured :class:`CapabilityError` up front)
   with a message that names the missing capability, instead of a
   generic failure deep inside the measurement loop.
 """
@@ -20,19 +20,12 @@ import pickle
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.backends import (
+    BACKENDS,
     CAPABILITY_DESCRIPTIONS,
     Capabilities,
     DEFAULT_BACKEND,
-    MeasurementBackend,
-    MeasurementTarget,
-    backend_names,
-    get_backend,
-    list_backends,
-    resolve_backend,
 )
 from repro.backends.analytic import AnalyticTarget
 from repro.batch import (
@@ -55,47 +48,23 @@ from repro.uarch.core import SimulatedCore
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The closed set of backend names
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_default_backend_is_sim(self):
         assert DEFAULT_BACKEND == "sim"
-        assert backend_names()[0] == "sim"
-        assert "analytic" in backend_names()
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from(backend_names()))
-    def test_name_round_trip(self, name):
-        assert get_backend(name).name == name
+    def test_name_round_trip(self):
+        for name in ("sim", "analytic", "auto"):
+            nb = NanoBench.create("Skylake", 0, backend=name)
+            assert nb.backend == name
 
     def test_unknown_name_lists_known_backends(self):
         with pytest.raises(NanoBenchError) as excinfo:
-            get_backend("quantum")
-        assert "quantum" in str(excinfo.value)
-        assert "sim" in str(excinfo.value)
-        assert "analytic" in str(excinfo.value)
-
-    def test_resolve_accepts_none_name_and_instance(self):
-        default = resolve_backend(None)
-        assert default.name == DEFAULT_BACKEND
-        assert resolve_backend("analytic").name == "analytic"
-        assert resolve_backend(default) is default
-
-    def test_listing_matches_names(self):
-        assert [b.name for b in list_backends()] == backend_names()
-
-    def test_backends_satisfy_protocol(self):
-        for backend in list_backends():
-            assert isinstance(backend, MeasurementBackend)
-            facade = backend.create_facade("Skylake", 0)
-            if facade is not None:
-                # Composite backends (the router) supply a NanoBench-
-                # shaped facade instead of a single target.
-                assert callable(facade.run)
-                assert facade.capabilities is backend.capabilities
-                continue
-            target = backend.create_target("Skylake", seed=0)
-            assert isinstance(target, MeasurementTarget)
+            NanoBench.create(backend="quantum")
+        assert str(excinfo.value) == (
+            "unknown measurement backend 'quantum' "
+            "(known backends: sim, analytic, auto)")
 
 
 # ----------------------------------------------------------------------
@@ -106,15 +75,15 @@ class TestCapabilities:
         assert set(Capabilities.names()) == set(CAPABILITY_DESCRIPTIONS)
 
     def test_sim_has_everything_analytic_does_not(self):
-        sim = get_backend("sim").capabilities
-        analytic = get_backend("analytic").capabilities
-        assert not sim.missing(*Capabilities.names())
-        assert "uncore" in analytic.missing(*Capabilities.names())
-        assert not analytic.supports("cycle_accurate")
-        assert analytic.supports("kernel_mode")
+        sim = BACKENDS["sim"][1]
+        analytic = BACKENDS["analytic"][1]
+        for name in Capabilities.names():
+            assert getattr(sim, name)
+            assert not getattr(analytic, name)
+        assert BACKENDS["auto"][1] == sim  # the router never refuses
 
     def test_require_raises_structured_error(self):
-        capabilities = get_backend("analytic").capabilities
+        capabilities = BACKENDS["analytic"][1]
         with pytest.raises(CapabilityError) as excinfo:
             capabilities.require("uncore", backend="analytic",
                                  context="testing")
@@ -123,12 +92,12 @@ class TestCapabilities:
         assert "uncore" in str(excinfo.value)
 
     def test_capability_error_pickles(self):
-        error = CapabilityError("no smt", capability="smt",
+        error = CapabilityError("no uncore", capability="uncore",
                                 backend="analytic")
         clone = pickle.loads(pickle.dumps(error))
-        assert clone.capability == "smt"
+        assert clone.capability == "uncore"
         assert clone.backend == "analytic"
-        assert str(clone) == "no smt"
+        assert str(clone) == "no uncore"
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +116,7 @@ class TestSimEquivalence:
         kernel = NanoBench.kernel("Skylake", seed=1, backend="sim")
         user = NanoBench.user("Skylake", seed=1, backend="sim")
         assert kernel.kernel_mode and not user.kernel_mode
-        assert kernel.backend.name == user.backend.name == "sim"
+        assert kernel.backend == user.backend == "sim"
 
     @pytest.mark.tier2
     @pytest.mark.parametrize("asm,asm_init,events,kernel_mode", [
@@ -221,6 +190,29 @@ class TestCapabilityNegotiation:
         with pytest.raises(NanoBenchError) as excinfo:
             nb.run(asm="nop", aperf_mperf=True)
         assert "aperf_mperf" in str(excinfo.value)
+
+    def test_magic_bytes_kernel_is_served_like_sim(self):
+        # The estimate counts the whole block, so it cannot honour
+        # pause/resume counting: the analytic backend refuses the
+        # kernel and the router escalates it to the simulator.
+        asm = "pause_counting; imul RAX, RAX; resume_counting; add RBX, RBX"
+        run = dict(asm=asm, no_mem=True, events=["UOPS_ISSUED.ANY"])
+        sim = NanoBench.create(backend="sim").run(**run)
+        assert sim["Instructions retired"] == 3.0
+        assert dict(NanoBench.create(backend="auto").run(**run)) == dict(sim)
+        with pytest.raises(CapabilityError) as excinfo:
+            NanoBench.create(backend="analytic").run(**run)
+        assert excinfo.value.capability == "magic_bytes"
+
+    def test_nomem_counter_limit_is_one_check(self):
+        events = ["UOPS_ISSUED.ANY"] + [
+            "UOPS_DISPATCHED_PORT.PORT_%d" % p for p in (0, 1, 5)]
+        for name in ("sim", "analytic", "auto"):
+            nb = NanoBench.create(backend=name)
+            with pytest.raises(NanoBenchError) as excinfo:
+                nb.run(asm="add RAX, RBX", no_mem=True, events=events)
+            assert str(excinfo.value) == (
+                "noMem mode supports at most 6 counters, got 7"), name
 
 
 # ----------------------------------------------------------------------
@@ -328,38 +320,17 @@ class TestToolGating:
     def test_agner_framework_runs_on_any_user_mode_backend(self):
         from repro.baselines import AgnerLikeFramework
 
-        framework = AgnerLikeFramework.create(backend="analytic")
+        framework = AgnerLikeFramework(AnalyticTarget("Skylake"))
         result = framework.measure(asm="add RAX, RBX")
         assert result["Core cycles"] == pytest.approx(1.0)
 
     def test_agner_uncore_is_unschedulable(self):
         from repro.baselines import AgnerLikeFramework
 
-        framework = AgnerLikeFramework.create(backend="sim")
+        framework = AgnerLikeFramework(SimulatedCore("Skylake"))
         with pytest.raises(UnschedulableEventError) as excinfo:
             framework.measure(asm="nop", events=["CBOX0_LLC_LOOKUP.ANY"])
         assert "uncore" in str(excinfo.value)
-
-    def test_papi_baseline_requires_cycle_accuracy(self):
-        from repro.baselines import PapiLikeCounters
-
-        assert PapiLikeCounters.create(backend="sim").core is not None
-        with pytest.raises(CapabilityError) as excinfo:
-            PapiLikeCounters.create(backend="analytic")
-        assert excinfo.value.capability == "cycle_accurate"
-
-    def test_whole_program_requires_cycle_accuracy(self):
-        from repro.baselines import WholeProgramProfiler
-
-        with pytest.raises(CapabilityError):
-            WholeProgramProfiler.create(backend="analytic")
-
-    def test_cache_survey_requires_cache_events(self):
-        from repro.tools.cache import survey_cpu
-
-        with pytest.raises(CapabilityError) as excinfo:
-            survey_cpu("Skylake", backend="analytic")
-        assert excinfo.value.capability == "cache_events"
 
     def test_cacheseq_requires_cache_events(self):
         from repro.tools.cache import CacheSeq

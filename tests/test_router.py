@@ -17,9 +17,8 @@ bugfixes that ride along in the same PR:
 * routing attribution flows through BatchResult, the store record codec,
   the job queue's counters, and ``-backend auto`` on the CLI;
 * regression pins: fractional ``Retry-After`` headers are ceiled while
-  the JSON body keeps the exact float, ``backend_names`` order is
-  deterministic, the queue/journal share one injectable monotonic
-  clock, and the client's poll loop never sleeps past its deadline.
+  the JSON body keeps the exact float, the queue/journal share one
+  injectable monotonic clock, and the client's poll loop never sleeps past its deadline.
 """
 
 import json
@@ -30,12 +29,6 @@ import urllib.request
 
 import pytest
 
-from repro.backends.registry import (
-    DEFAULT_BACKEND,
-    _REGISTRY,
-    backend_names,
-    register_backend,
-)
 from repro.batch import (
     journal_record,
     result_from_record,
@@ -479,35 +472,6 @@ class TestRetryAfterHeaderRegression:
             assert header == str(math.ceil(error["retry_after"])) == "3"
         finally:
             bench.stop()
-
-
-class TestBackendNamesRegression:
-    def test_default_first_rest_sorted(self):
-        class _Stub:
-            capabilities = None
-
-            def __init__(self, name):
-                self.name = name
-                self.description = "stub"
-
-            def create_target(self, uarch="Skylake", *, seed=0):
-                raise NotImplementedError
-
-            def create_facade(self, *args, **kwargs):
-                return None
-
-        added = ["zz-stub", "aa-stub"]
-        for name in added:
-            register_backend(_Stub(name))
-        try:
-            names = backend_names()
-            assert names[0] == DEFAULT_BACKEND
-            # Registration order must not leak into the listing.
-            assert names[1:] == sorted(names[1:])
-            assert "aa-stub" in names and "zz-stub" in names
-        finally:
-            for name in added:
-                _REGISTRY.pop(name, None)
 
 
 class TestQueueClockRegression:
