@@ -535,6 +535,8 @@ def run_submit(argv: List[str]) -> int:
     except ServerUnavailableError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 75
+    finally:
+        client.close()
     status = 0
     for outcome in payload["outcomes"]:
         spec = specs[int(outcome["label"])]

@@ -1,8 +1,14 @@
 """Tiny stdlib client for the benchmark service.
 
-Used by ``nanobench submit`` and the test suite.  Two deliberate
+Used by ``nanobench submit`` and the test suite.  Three deliberate
 behaviours:
 
+* **One kept-alive connection.**  A :class:`ServerClient` sends every
+  request over one HTTP/1.1 connection, so a submit-and-poll loop pays
+  the TCP handshake and a server handler thread once, not per request.
+  It reopens the connection after a drop, a timeout, or a response
+  that closes it.  A client is not thread-safe: give each thread its
+  own, and close it (or use it as a context manager) when done.
 * **Typed errors round-trip.**  A structured error response is turned
   back into the exception class it came from (``QuotaExceededError``,
   ``QueueFullError``, ...) with its ``retry_after`` hint, so callers
@@ -10,8 +16,8 @@ behaviours:
 * **Connection drops are retried with bounded deterministic backoff.**
   The server's ``server.accept_drop`` fault site (and any real flaky
   listener) hangs up before reading the request; the client retries a
-  fixed number of times with a fixed backoff schedule.  This is safe
-  for submissions too: results are content-addressed, so the worst
+  fixed number of times with a fixed backoff schedule, on a fresh
+  connection each time.  This is safe for submissions too: results are content-addressed, so the worst
   case of an ambiguous drop is a duplicate job whose specs are all
   answered from the store.
 """
@@ -54,7 +60,10 @@ class ServerUnavailableError(ReproError):
 
 
 class ServerClient:
-    """HTTP client for one ``nanobench serve`` endpoint."""
+    """HTTP client for one ``nanobench serve`` endpoint.
+
+    Holds one kept-alive connection; not to be shared across threads.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8431, *,
                  client: str = "anonymous", timeout: float = 30.0,
@@ -67,6 +76,19 @@ class ServerClient:
         self.backoff_seconds = backoff_seconds
         #: Connection drops absorbed by the retry loop (observability).
         self.retried_drops = 0
+        self._connection: Optional[http.client.HTTPConnection] = None
+
+    def close(self) -> None:
+        """Close the kept-alive connection (a later request reopens)."""
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    def __enter__(self) -> "ServerClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -80,13 +102,16 @@ class ServerClient:
             headers["Content-Type"] = "application/json"
         last_exc: Optional[Exception] = None
         for attempt in range(self.retries + 1):
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
+            if self._connection is None:
+                self._connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout)
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
+                self._connection.request(method, path, body=body,
+                                         headers=headers)
+                response = self._connection.getresponse()
                 raw = response.read()
             except _RETRIED_EXCEPTIONS as exc:
+                self.close()
                 last_exc = exc
                 self.retried_drops += 1
                 # Bounded deterministic backoff: fixed linear schedule,
@@ -95,11 +120,15 @@ class ServerClient:
                 time.sleep(self.backoff_seconds * (attempt + 1))
                 continue
             except socket.timeout as exc:
+                self.close()
                 raise ServerUnavailableError(
                     "request %s %s timed out after %.1f s"
                     % (method, path, self.timeout)) from exc
-            finally:
-                connection.close()
+            except (OSError, http.client.HTTPException):
+                self.close()
+                raise
+            if response.will_close:
+                self.close()
             try:
                 parsed = json.loads(raw.decode("utf-8")) if raw else {}
             except ValueError:

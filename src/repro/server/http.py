@@ -5,8 +5,10 @@ around one :class:`~repro.server.queue.JobQueue`:
 
 =======================  =============================================
 ``POST /v1/jobs``        submit one or many BenchmarkSpecs; ``202``
-                         with the job id and per-spec digests, or a
-                         structured ``429`` / ``503`` / ``400``.
+                         with the job id, its state (``done`` when
+                         the store answered every spec at admission)
+                         and per-spec digests, or a structured
+                         ``429`` / ``503`` / ``400``.
 ``GET /v1/jobs/{id}``    job status with stored result values inlined.
 ``GET /v1/results/{d}``  one stored record by spec digest (``404``
                          when the digest was never acknowledged).
@@ -24,6 +26,10 @@ exception class name (the client re-raises it), *retryable* is decided
 by :func:`~repro.errors.is_retryable` exactly as in the rest of the
 pipeline, and 429/503 responses carry a ``Retry-After`` header.
 
+Connections are kept alive (HTTP/1.1 with ``TCP_NODELAY``), so a
+client pays the TCP handshake and a handler thread once, not once per
+request; stopping the server hangs up the idle ones.
+
 The chaos plane reaches into this layer through two fault sites:
 ``server.accept_drop`` closes an accepted connection before reading
 the request (clients must retry), and ``server.slow_client`` trickles
@@ -35,10 +41,11 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 from urllib.parse import urlparse
 
 from ..errors import (
@@ -75,9 +82,15 @@ def error_body(exc: ServerError) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     # Handler threads must not outlive a drain because a client reads
-    # slowly; the threading server below marks them daemonic.
+    # slowly or keeps an idle connection open; the threading server
+    # below marks them daemonic.
     protocol_version = "HTTP/1.1"
     server_version = "nanobench-serve"
+    # HTTP/1.1 keeps connections alive, and a response goes out as two
+    # sends (headers, then body).  With Nagle's algorithm on, the body
+    # waits for the client's delayed ACK of the headers: about 40 ms
+    # per request on a reused connection.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -191,7 +204,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(202, {
                 "job_id": job.job_id,
                 "state": job.state,
-                "n_specs": len(job.specs),
+                "n_specs": len(job.digests),
                 "digests": job.digests,
                 "status_url": "/v1/jobs/%s" % job.job_id,
             })
@@ -222,6 +235,36 @@ class _Handler(BaseHTTPRequestHandler):
 class _ThreadingServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._open: Set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def hang_up(self) -> None:
+        """End every open connection once its current request is done.
+
+        Shutting down the read side wakes a handler waiting on an idle
+        kept-alive connection (it reads end-of-file and closes), while
+        a response being written still goes out whole.
+        """
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer is already gone
 
 
 class BenchServer:
@@ -293,6 +336,9 @@ class BenchServer:
             self._listener.join(timeout=5.0)
             self._listener = None
         self._httpd.server_close()
+        # Clients keep connections alive between requests; a stopped
+        # server must not go on answering them.
+        self._httpd.hang_up()
 
     # ------------------------------------------------------------------
     def stats_payload(self) -> dict:

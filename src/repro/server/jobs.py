@@ -3,10 +3,18 @@
 A *job* is one client submission: an ordered list of
 :class:`~repro.batch.spec.BenchmarkSpec`\\ s plus admission metadata
 (client name, deadline).  Its lifecycle is ``accepted -> running ->
-done`` and every transition is durably appended to the **job journal**
-— a JSONL file in the store directory using the exact record format of
+done`` (``accepted -> done`` for a job the store answers at admission),
+and every transition is appended to the **job journal** — a JSONL file
+in the store directory using the exact record format of
 :mod:`repro.store.records` (full-width SHA-256 per line, torn-write
 tolerant scan), keyed by job id instead of spec digest.
+
+Only ``accepted`` records are fsynced: that is the admission ack
+point, the promise that the job will be answered.  The later records
+are written unsynced.  A kill -9 loses none of them (they are in the
+kernel's page cache), and an OS crash that drops them loses nothing a
+client was promised: recovery treats ``running`` like ``accepted``, and a job
+whose ``done`` is lost re-runs with every spec answered from the store.
 
 The journal is what makes the service crash-safe without making it
 stateful: result *values* never live here (they live in the
@@ -111,6 +119,8 @@ class Job:
 
     job_id: str
     client: str
+    #: Emptied once the ``done`` record is written: a finished job is
+    #: answered from its digests, outcomes and the store alone.
     specs: List[BenchmarkSpec]
     created_ts: float
     #: Wall-clock budget for the whole job, enforced between specs;
@@ -128,10 +138,11 @@ class Job:
     #: Journal replays survived (informational; >0 after a recovery).
     recoveries: int = 0
     error: Optional[str] = None
+    #: The specs' store keys, hashed once at construction.
+    digests: List[str] = field(init=False, repr=False)
 
-    @property
-    def digests(self) -> List[str]:
-        return [spec_digest(spec) for spec in self.specs]
+    def __post_init__(self) -> None:
+        self.digests = [spec_digest(spec) for spec in self.specs]
 
     def status_payload(self) -> dict:
         """The JSON body of ``GET /v1/jobs/{id}``."""
@@ -139,7 +150,7 @@ class Job:
             "job_id": self.job_id,
             "client": self.client,
             "state": self.state,
-            "n_specs": len(self.specs),
+            "n_specs": len(self.digests),
             "completed": len(self.outcomes),
             "digests": self.digests,
             "outcomes": list(self.outcomes),
@@ -202,13 +213,14 @@ class _TornAppendInjected(Exception):
 class JobJournal:
     """Append-only, torn-write-tolerant JSONL journal of job states.
 
-    Thread-safe: HTTP handler threads append ``accepted`` records while
-    the worker thread appends ``running``/``done`` ones.  The append
-    path mirrors the store's bounded self-healing — a torn write
-    (injected by the ``queue.journal_torn`` fault site, or detected as
-    a short raw write) is truncated back to the last durable record and
-    retried, so a failed append never leaves a partial line for the
-    next open to choke on.
+    Thread-safe: HTTP handler threads append ``accepted`` records (and
+    ``done`` ones for jobs answered at admission) while the worker
+    thread appends ``running``/``done`` ones.  The append path mirrors
+    the store's bounded self-healing — a torn write (injected by the
+    ``queue.journal_torn`` fault site, or detected as a short raw
+    write) is truncated back to the last complete record and retried,
+    so a failed append never leaves a partial line for the next open to
+    choke on.
     """
 
     def __init__(self, path: str, *, fsync: bool = True,
@@ -261,7 +273,13 @@ class JobJournal:
 
     # ------------------------------------------------------------------
     def append(self, job: Job, ts: Optional[float] = None) -> dict:
-        """Durably journal *job*'s current state (the ack point)."""
+        """Journal *job*'s current state.
+
+        An ``accepted`` record is the admission ack point and is
+        fsynced (when the journal fsyncs at all) before this returns;
+        every other record is written unsynced (see the module
+        docstring for why losing it is safe).
+        """
         record = job_record(job, self._clock() if ts is None else ts)
         line = encode_record(record)
         plan = active_plan()
@@ -281,7 +299,7 @@ class JobJournal:
                     written = handle.write(line)
                     if written != len(line):
                         raise _TornAppendInjected()
-                    if self.fsync:
+                    if self.fsync and job.state == ACCEPTED:
                         os.fsync(handle.fileno())
                 except _TornAppendInjected:
                     handle.truncate(start)

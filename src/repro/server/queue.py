@@ -2,7 +2,8 @@
 
 :class:`JobQueue` is the service's brain: it admits submissions
 (quota + bounded depth), journals every lifecycle transition
-(:mod:`repro.server.jobs`), and executes jobs one at a time on a
+(:mod:`repro.server.jobs`; only the ``accepted`` ack is fsynced, and
+outside the queue lock), and executes jobs one at a time on a
 dedicated worker thread through the existing
 :class:`~repro.batch.runner.BatchRunner` + durable
 :class:`~repro.store.ResultStore` pair — which is what buys the two
@@ -12,6 +13,9 @@ headline guarantees for free:
   re-simulation (the runner's store wiring), and
 * **an acknowledged result is never lost or recomputed** across kill
   -9 (the store's fsync-on-ack appends at the runner's ack point).
+
+A job whose specs are all stored skips the worker: admission answers
+it from the records it looked up and returns it ``done``.
 
 Robustness mechanics on top:
 
@@ -44,7 +48,7 @@ import os
 
 from ..backends.protocol import DEFAULT_BACKEND
 from ..batch.runner import BatchRunner
-from ..batch.spec import BenchmarkSpec, spec_digest
+from ..batch.spec import BatchResult, BenchmarkSpec, result_from_record
 from ..errors import (
     JobNotFoundError,
     QueueFullError,
@@ -165,6 +169,9 @@ class JobQueue:
         self._wakeup = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._pending: List[str] = []
+        #: Jobs past the draining check whose admission is still being
+        #: journaled; drain and close wait for them.
+        self._admitting: List[Job] = []
         self._running: Optional[str] = None
         self._next_id = 1
         self._draining = False
@@ -193,7 +200,9 @@ class JobQueue:
                 if suffix.isdigit():
                     self._next_id = max(self._next_id, int(suffix) + 1)
                 self._jobs[job_id] = job
-                if job.state != DONE:
+                if job.state == DONE:
+                    job.specs = []
+                else:
                     job.state = ACCEPTED
                     job.outcomes = []
                     job.recoveries += 1
@@ -232,7 +241,7 @@ class JobQueue:
         )
 
     def _pending_specs_locked(self) -> int:
-        return sum(len(self._jobs[job_id].specs)
+        return sum(len(self._jobs[job_id].digests)
                    for job_id in self._pending)
 
     def _spec_seconds(self) -> float:
@@ -242,46 +251,86 @@ class JobQueue:
 
     def submit(self, client: str, specs: Sequence[BenchmarkSpec], *,
                deadline_seconds: Optional[float] = None) -> Job:
-        """Admit one job or raise the typed rejection (never blocks)."""
-        specs = [self._with_budgets(spec) for spec in specs]
+        """Admit one job or raise the typed rejection (never blocks).
+
+        A job whose specs are all in the store is answered here, from
+        the records looked up once below, and returned ``done``; any
+        other job is queued for the worker.
+        """
+        job = Job(
+            job_id="",
+            client=client,
+            specs=[self._with_budgets(spec) for spec in specs],
+            created_ts=self._clock(),
+            deadline_seconds=(self.default_deadline_seconds
+                              if deadline_seconds is None
+                              else deadline_seconds),
+        )
+        records = [self.store.peek(digest) for digest in job.digests]
+        answered = all(record is not None for record in records)
         with self._lock:
             if self._draining or self._stopped:
                 raise ServerDrainingError(
                     "server is draining and accepts no new jobs",
                     retry_after=5.0,
                 )
-            # Quota before depth: a rejected client must not learn
-            # queue-state timing through cheaper failures.
-            if self.quota is not None:
-                self.quota.charge(client, len(specs))
-            backlog = self._pending_specs_locked()
-            if backlog + len(specs) > self.max_queued_specs:
-                raise QueueFullError(
-                    "queue is full (%d spec(s) queued, bound %d)"
-                    % (backlog, self.max_queued_specs),
-                    retry_after=max(
-                        0.1, (backlog + len(specs)
-                              - self.max_queued_specs)
-                        * self._spec_seconds()),
-                )
-            job = Job(
-                job_id="job-%08d" % self._next_id,
-                client=client,
-                specs=list(specs),
-                created_ts=self._clock(),
-                deadline_seconds=(self.default_deadline_seconds
-                                  if deadline_seconds is None
-                                  else deadline_seconds),
-            )
+            self._admit_locked(job, queued=not answered)
+            job.job_id = "job-%08d" % self._next_id
             self._next_id += 1
+            self._admitting.append(job)
+        tally = QueueStats(jobs_accepted=1)
+        admitted = False
+        try:
             # The admission ack point: the job is durable before the
-            # client hears "accepted".
+            # client hears "accepted" and before the worker can see it.
             self.journal.append(job)
-            self._jobs[job.job_id] = job
-            self._pending.append(job.job_id)
-            self.stats_counters.jobs_accepted += 1
-            self._wakeup.notify_all()
-            return job
+            if answered:
+                for index, record in enumerate(records):
+                    _answer(job, index,
+                            result_from_record(job.specs[index], record),
+                            tally)
+                job.n_store_hits = tally.specs_from_store
+                job.state = DONE
+                tally.jobs_completed += 1
+                self.journal.append(job)
+                job.specs = []
+            admitted = True
+        finally:
+            with self._lock:
+                self._admitting.remove(job)
+                if admitted:
+                    self._jobs[job.job_id] = job
+                    if answered:
+                        self.store.counters.hits += len(records)
+                    else:
+                        self._pending.append(job.job_id)
+                    self.stats_counters.add(tally)
+                self._wakeup.notify_all()
+        return job
+
+    def _admit_locked(self, job: Job, *, queued: bool) -> None:
+        """Charge *job*'s quota and, when it will be *queued*, check the
+        queue depth; raise the typed rejection otherwise."""
+        # Quota before depth: a rejected client must not learn
+        # queue-state timing through cheaper failures.
+        cost = len(job.digests)
+        if self.quota is not None:
+            self.quota.charge(job.client, cost)
+        if not queued:
+            return
+        backlog = self._pending_specs_locked() + sum(
+            len(admitting.digests) for admitting in self._admitting)
+        if backlog + cost > self.max_queued_specs:
+            if self.quota is not None:
+                # A refused job spends nothing.
+                self.quota.refund(job.client, cost)
+            raise QueueFullError(
+                "queue is full (%d spec(s) queued, bound %d)"
+                % (backlog, self.max_queued_specs),
+                retry_after=max(
+                    0.1, (backlog + cost - self.max_queued_specs)
+                    * self._spec_seconds()),
+            )
 
     # ------------------------------------------------------------------
     # Lookup
@@ -294,8 +343,12 @@ class JobQueue:
             return job
 
     def result(self, digest: str) -> Optional[dict]:
-        """The stored record for *digest*, or None."""
-        return self.store.get(digest)
+        """The stored record for *digest*, or None.
+
+        A status read: it answers no spec, so it counts no store hit
+        or miss.
+        """
+        return self.store.peek(digest)
 
     def stats(self) -> QueueStats:
         with self._lock:
@@ -325,8 +378,10 @@ class JobQueue:
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
+                # A drain still lets admissions in flight queue their
+                # jobs, and the worker runs them.
                 while not self._pending and not self._stopped \
-                        and not self._draining:
+                        and (not self._draining or self._admitting):
                     self._wakeup.wait(timeout=0.5)
                 if self._stopped or (self._draining and not self._pending):
                     return
@@ -341,8 +396,8 @@ class JobQueue:
                 job.n_store_hits = 0
                 job.n_store_misses = 0
                 job.error = None
-                self.journal.append(job)
             try:
+                self.journal.append(job)
                 self._run_job(job)
             finally:
                 with self._lock:
@@ -360,38 +415,18 @@ class JobQueue:
             max_requeues=self.max_requeues,
             store=self.store,
         )
-        digests = job.digests
         started = self._clock()
         deadline = (None if job.deadline_seconds is None
                     else started + job.deadline_seconds)
         checkpointed = False
         expired = False
-        tier_counts: Dict[str, int] = {}
-        audits = 0
-        audit_failures = 0
+        # Counted as results stream, so a job cut short (drain
+        # checkpoint, job deadline) reports only what actually ran.
+        tally = QueueStats()
         results = runner.iter_results(job.specs)
         try:
             for index, result in enumerate(results):
-                job.outcomes.append({
-                    "digest": digests[index],
-                    "label": job.specs[index].label,
-                    "ok": result.ok,
-                    "error": result.error,
-                    "from_store": result.replayed,
-                    "served_by": ("store" if result.replayed
-                                  else result.served_by or None),
-                })
-                if result.replayed:
-                    tier_counts["store"] = tier_counts.get("store", 0) + 1
-                elif result.served_by:
-                    tier_counts[result.served_by] = \
-                        tier_counts.get(result.served_by, 0) + 1
-                if result.router_audited:
-                    audits += 1
-                if result.router_audit_failed:
-                    audit_failures += 1
-                if not result.ok:
-                    job.n_errors += 1
+                _answer(job, index, result, tally)
                 remaining = len(job.specs) - len(job.outcomes)
                 if remaining == 0:
                     break
@@ -403,24 +438,13 @@ class JobQueue:
                     break
         finally:
             results.close()
-        report = runner.last_report
-        # Counted as results stream, so a job cut short (drain
-        # checkpoint, job deadline) reports only what actually ran.
-        hits = report.n_store_hits
-        executed = report.n_store_misses
+        host_seconds = runner.last_report.host_seconds
         with self._lock:
-            self._executed_specs += executed
-            self._executed_seconds += report.host_seconds
-            job.n_store_hits = hits
-            job.n_store_misses = executed
-            job.host_seconds = report.host_seconds
-            self.stats_counters.specs_executed += executed
-            self.stats_counters.specs_from_store += hits
-            for tier, count in tier_counts.items():
-                self.stats_counters.bump("router_tiers", tier, count)
-            self.stats_counters.router_audits += audits
-            self.stats_counters.router_audit_failures += audit_failures
-            self.stats_counters.spec_errors += job.n_errors
+            self._executed_specs += tally.specs_executed
+            self._executed_seconds += host_seconds
+            job.n_store_hits = tally.specs_from_store
+            job.n_store_misses = tally.specs_executed
+            job.host_seconds = host_seconds
             if checkpointed:
                 # Drain checkpoint: everything acked so far is in the
                 # store; the job itself goes back to accepted so a
@@ -428,12 +452,12 @@ class JobQueue:
                 job.state = ACCEPTED
                 job.outcomes = []
                 self._pending.insert(0, job.job_id)
-                self.stats_counters.jobs_checkpointed += 1
+                tally.jobs_checkpointed += 1
             else:
                 if expired:
                     for index in range(len(job.outcomes), len(job.specs)):
                         job.outcomes.append({
-                            "digest": digests[index],
+                            "digest": job.digests[index],
                             "label": job.specs[index].label,
                             "ok": False,
                             "error": "job deadline of %.3f s exceeded"
@@ -442,15 +466,18 @@ class JobQueue:
                             "served_by": None,
                         })
                         job.n_errors += 1
-                        self.stats_counters.spec_errors += 1
+                        tally.spec_errors += 1
                     job.error = ("job deadline of %.3f s exceeded after "
                                  "%d of %d spec(s)"
                                  % (job.deadline_seconds,
                                     job.n_store_hits + job.n_store_misses,
                                     len(job.specs)))
                 job.state = DONE
-                self.stats_counters.jobs_completed += 1
-            self.journal.append(job)
+                tally.jobs_completed += 1
+            self.stats_counters.add(tally)
+        self.journal.append(job)
+        if job.state == DONE:
+            job.specs = []
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -476,6 +503,7 @@ class JobQueue:
             worker.join(timeout=None if timeout is None
                         else timeout + 5.0)
         with self._lock:
+            self._await_admissions_locked()
             drained = self._running is None and not self._pending
         self.close()
         return drained
@@ -489,7 +517,15 @@ class JobQueue:
             self._worker.join(timeout=10.0)
         self.close()
 
+    def _await_admissions_locked(self) -> None:
+        """Wait until every admission past the draining check has
+        journaled its job (and queued it, unless it was answered)."""
+        while self._admitting:
+            self._wakeup.wait()
+
     def close(self) -> None:
+        with self._lock:
+            self._await_admissions_locked()
         self.journal.close()
         if self._owns_store:
             self.store.close()
@@ -497,6 +533,35 @@ class JobQueue:
     @property
     def draining(self) -> bool:
         return self._draining
+
+
+def _answer(job: Job, index: int, result: BatchResult,
+            tally: QueueStats) -> None:
+    """Record spec *index*'s outcome on *job* and count it in *tally*.
+
+    The worker and admission both answer through here, so a job gets
+    the same outcomes and ``/v1/stats`` counts whichever served it.
+    """
+    served_by = "store" if result.replayed else (result.served_by or None)
+    job.outcomes.append({
+        "digest": job.digests[index],
+        "label": job.specs[index].label,
+        "ok": result.ok,
+        "error": result.error,
+        "from_store": result.replayed,
+        "served_by": served_by,
+    })
+    if result.replayed:
+        tally.specs_from_store += 1
+    else:
+        tally.specs_executed += 1
+    if served_by:
+        tally.bump("router_tiers", served_by)
+    tally.router_audits += result.router_audited
+    tally.router_audit_failures += result.router_audit_failed
+    if not result.ok:
+        job.n_errors += 1
+        tally.spec_errors += 1
 
 
 def job_results_payload(queue: JobQueue, job: Job) -> dict:

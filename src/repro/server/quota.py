@@ -85,6 +85,12 @@ class TokenBucket:
             return math.inf
         return (cost - self._tokens) / self.rate
 
+    def refund(self, cost: int) -> None:
+        """Undo one successful :meth:`take` of *cost* tokens."""
+        self._refill(self._clock())
+        self._tokens = min(float(self.burst), self._tokens + cost)
+        self.accepted -= 1
+
 
 class QuotaPolicy:
     """The service-wide quota table: one bucket per client name.
@@ -130,6 +136,11 @@ class QuotaPolicy:
                 "in %.2f s" % (client, self.rate, self.burst, retry_after),
                 retry_after=retry_after,
             )
+
+    def refund(self, client: str, cost: int) -> None:
+        """Return a :meth:`charge` of *cost* specs whose submission was
+        refused after all (queue full): the client keeps its tokens."""
+        self.bucket(client).refund(cost)
 
     def snapshot(self) -> Dict[str, QuotaSnapshot]:
         """Per-client bucket state, for the stats endpoint."""

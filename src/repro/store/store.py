@@ -335,6 +335,12 @@ class ResultStore:
             self.counters.hits += 1
         return record
 
+    def peek(self, digest: str) -> Optional[dict]:
+        """The stored record for *digest*, or None, counting neither a
+        hit nor a miss: for reads that answer no spec, such as status
+        polls."""
+        return self._index.get(digest)
+
     def __contains__(self, digest: str) -> bool:
         return digest in self._index
 

@@ -50,10 +50,12 @@ from repro.server import (
     JobQueue,
     QuotaPolicy,
     ServerClient,
+    ServerUnavailableError,
     TokenBucket,
     spec_from_payload,
     spec_to_payload,
 )
+from repro.server.queue import job_results_payload
 from repro.store import ResultStore
 
 
@@ -287,6 +289,65 @@ class TestJobQueue:
         assert is_retryable(info.value)
         queue.stop()
 
+    def test_queue_full_refusal_leaves_quota_untouched(self, tmp_path):
+        clock = [0.0]
+        queue = _queue(tmp_path, max_queued_specs=2,
+                       quota=QuotaPolicy(rate=1, burst=4,
+                                         clock=lambda: clock[0]))
+        queue.submit("a", _specs(2))  # worker not started: stays queued
+        # Over quota wins over queue full (no queue-state timing leak).
+        with pytest.raises(QuotaExceededError):
+            queue.submit("a", _specs(3, seed=1))
+        # In quota but queue full: the refusal spends nothing.
+        with pytest.raises(QueueFullError):
+            queue.submit("a", _specs(1, seed=2))
+        bucket = queue.quota.snapshot()["a"]
+        assert (bucket.tokens, bucket.accepted, bucket.rejected) \
+            == (2.0, 1, 1)
+        queue.stop()
+
+    def test_all_hit_job_is_answered_at_admission_like_the_worker(
+            self, tmp_path):
+        # One spec fails: stored failures must count as errors too.
+        specs = _specs(2) + [spec_from_run_kwargs(
+            asm="frobnicate RAX", n_measurements=2, unroll_count=5,
+            label="bad")]
+
+        def counts(queue):
+            store = queue.store.counters
+            return queue.stats(), (store.hits, store.misses)
+
+        def delta(after, before):
+            return (after[0].delta(before[0]).to_dict(),
+                    tuple(a - b for a, b in zip(after[1], before[1])))
+
+        # The worker answers a job whose specs were all stored after
+        # it was queued: two copies are queued before the worker runs.
+        worker_queue = _queue(tmp_path, name="worker")
+        queue = _queue(tmp_path, name="admission")
+        try:
+            jobs = [worker_queue.submit("a", specs) for _ in range(2)]
+            _run_to_done(worker_queue, jobs[1])
+            assert jobs[1].n_store_hits == 3
+            fresh = _run_to_done(queue, queue.submit("a", specs))
+            one_job = counts(queue)
+            by_worker = delta(counts(worker_queue), one_job)
+
+            answered = queue.submit("a", specs)
+            assert answered.state == DONE
+            assert answered.specs == []
+            assert (answered.n_store_hits, answered.n_store_misses,
+                    answered.n_errors) == (3, 0, 1)
+            assert answered.outcomes == [
+                dict(o, from_store=True, served_by="store")
+                for o in fresh.outcomes]
+            assert answered.outcomes == jobs[1].outcomes
+            assert delta(counts(queue), one_job) == by_worker
+            assert by_worker[1] == (3, 0)
+        finally:
+            worker_queue.stop()
+            queue.stop()
+
     def test_job_deadline_fails_remaining_specs(self, tmp_path):
         queue = _queue(tmp_path)
         job = _run_to_done(
@@ -322,6 +383,58 @@ class TestJobQueue:
         with pytest.raises(ServerDrainingError) as info:
             queue.submit("a", _specs(1))
         assert is_retryable(info.value)
+
+
+    def test_submissions_racing_a_drain_are_refused_or_finished(
+            self, tmp_path, monkeypatch):
+        queue = _queue(tmp_path)
+        _run_to_done(queue, queue.submit("a", _specs(2)))
+        # Hold admissions inside their accepted-record append, outside
+        # the queue lock, while the drain starts.
+        entered = threading.Event()
+        append = JobJournal.append
+
+        def slow_append(self, job, ts=None):
+            if job.state == ACCEPTED:
+                entered.set()
+                time.sleep(0.05)
+            return append(self, job, ts)
+
+        monkeypatch.setattr(JobJournal, "append", slow_append)
+        acked, refused = [], []
+
+        def submit(index):
+            try:
+                # Even clients resubmit stored specs (answered at
+                # admission); odd ones need the worker.
+                acked.append(queue.submit("c%d" % index,
+                                          _specs(2, seed=index % 2)))
+            except ServerDrainingError:
+                refused.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            assert entered.wait(timeout=10.0)
+            drained = queue.drain(timeout=30.0)
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert acked and len(acked) + len(refused) == 8
+        # Every acked job was run before the drain said "drained".
+        assert drained is True
+        assert all(job.state == DONE for job in acked)
+        monkeypatch.setattr(JobJournal, "append", append)
+        reopened = _queue(tmp_path)
+        assert reopened.stats().jobs_recovered == 0
+        assert all(reopened.job(job.job_id).state == DONE for job in acked)
+        reopened.stop()
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +490,33 @@ class TestCrashResume:
         # Every spec acked before the "crash" answers from the store.
         assert resumed.n_store_hits == 3
         assert resumed.n_store_misses == 0
+        queue.stop()
+
+    def test_lost_unsynced_tail_is_re_answered_from_store(self, tmp_path):
+        # Only 'accepted' is fsynced: an OS crash may drop the job's
+        # 'running' and 'done' records.  Recovery must re-run it with
+        # every spec answered from the store, byte-identically.
+        queue = _queue(tmp_path, fsync=True)
+        job = _run_to_done(queue, queue.submit("alice", _specs(3)))
+        before = job_results_payload(queue, job)
+        queue.stop()
+        path = os.path.join(str(tmp_path / "store"), "jobs.jsonl")
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        assert [json.loads(line)["state"] for line in lines] \
+            == ["accepted", "running", "done"]
+        with open(path, "r+b") as handle:
+            handle.truncate(len(lines[0]))
+
+        queue = _queue(tmp_path, fsync=True)
+        assert queue.stats().jobs_recovered == 1
+        resumed = _run_to_done(queue, queue.job(job.job_id))
+        after = job_results_payload(queue, resumed)
+        assert (resumed.n_store_hits, resumed.n_store_misses) == (3, 0)
+        assert queue.stats().specs_executed == 0
+        assert [o["values"] for o in after["outcomes"]] \
+            == [o["values"] for o in before["outcomes"]]
+        assert after["digests"] == before["digests"]
         queue.stop()
 
     def test_drain_checkpoint_requeues_job(self, tmp_path):
@@ -455,6 +595,50 @@ class TestHTTP:
         status, _, record = _http(
             server, "GET", "/v1/results/%s" % accepted["digests"][0])
         assert status == 200 and "values" in record
+
+    def test_all_hit_post_answers_done_with_the_same_keys(self, server):
+        body = {"client": "alice",
+                "specs": [spec_to_payload(spec) for spec in _specs(2)]}
+        status, _, first = _http(server, "POST", "/v1/jobs", body)
+        assert status == 202
+        with ServerClient(*server.address) as client:
+            client.wait(first["job_id"], timeout=30.0)
+        status, _, again = _http(server, "POST", "/v1/jobs", body)
+        assert status == 202
+        assert list(again) == list(first) \
+            == ["job_id", "state", "n_specs", "digests", "status_url"]
+        assert again["state"] == "done"
+        assert again["digests"] == first["digests"]
+        _, _, payload = _http(server, "GET", again["status_url"])
+        assert payload["state"] == "done"
+        assert payload["n_specs"] == 2
+        assert all(o["from_store"] and o["values"]
+                   for o in payload["outcomes"])
+
+    def test_status_reads_count_no_store_hits(self, server):
+        def store_counts():
+            store = _http(server, "GET", "/v1/stats")[2]["store"]
+            return store["hits"], store["misses"]
+
+        body = {"client": "alice",
+                "specs": [spec_to_payload(_specs(1)[0])]}
+        client = ServerClient(*server.address)
+        accepted = _http(server, "POST", "/v1/jobs", body)[2]
+        client.wait(accepted["job_id"], timeout=30.0)
+        assert store_counts() == (0, 1)
+        for _ in range(10):
+            _http(server, "GET", accepted["status_url"])
+        _http(server, "GET", "/v1/results/%s" % accepted["digests"][0])
+        assert store_counts() == (0, 1)
+        # An all-hit job counts its admission lookup once ...
+        _http(server, "POST", "/v1/jobs", body)
+        assert store_counts() == (1, 1)
+        # ... and a job with a miss counts only the worker's lookups.
+        mixed = _http(server, "POST", "/v1/jobs", dict(body, specs=[
+            spec_to_payload(spec) for spec in _specs(2)]))[2]
+        client.wait(mixed["job_id"], timeout=30.0)
+        client.close()
+        assert store_counts() == (2, 2)
 
     def test_error_bodies_are_structured(self, server):
         status, _, body = _http(server, "GET", "/v1/jobs/job-nope")
@@ -552,6 +736,7 @@ class TestClientAndFaults:
         assert payload["state"] == "done" and payload["n_errors"] == 0
         with pytest.raises(JobNotFoundError):
             client.job("job-nope")
+        client.close()
 
     def test_client_retries_accept_drop_and_quota_isolated_under_faults(
             self, tmp_path):
@@ -578,6 +763,68 @@ class TestClientAndFaults:
             assert all(o["ok"] for o in payload["outcomes"])
         finally:
             bench.stop()
+
+
+class TestKeepAlive:
+    def test_sequential_requests_share_one_fast_connection(self, server):
+        client = ServerClient(*server.address, client="alice")
+        job_id = client.run(_specs(1), timeout=30.0)["job_id"]
+        sock = client._connection.sock
+        started = time.monotonic()
+        for _ in range(200):
+            assert client.job(job_id)["state"] == "done"
+        # Nagle's algorithm against the client's delayed ACK would
+        # stall each request about 40 ms (some 9 s in all).
+        assert time.monotonic() - started < 2.0
+        assert client._connection.sock is sock
+        assert client.retried_drops == 0
+        client.close()
+
+    def test_client_recovers_when_the_server_hangs_up(self, tmp_path):
+        first = BenchServer(_queue(tmp_path), port=0)
+        first.start()
+        host, port = first.address
+        with ServerClient(host, port) as client:
+            assert client.healthz()
+            first.stop()
+            second = BenchServer(_queue(tmp_path, name="again"),
+                                 host=host, port=port)
+            second.start()
+            try:
+                assert client.stats()["queue"]["jobs_accepted"] == 0
+                assert client.retried_drops >= 1
+            finally:
+                second.stop()
+
+    def test_client_recovers_from_accept_drop_on_reused_connection(
+            self, server):
+        client = ServerClient(*server.address, retries=30)
+        assert client.healthz()
+        dropped_reused = 0
+        with FaultPlan({"server.accept_drop": 0.3}, seed=5):
+            for _ in range(20):
+                reused = client._connection is not None
+                drops = client.retried_drops
+                assert client.healthz()
+                dropped_reused += reused and client.retried_drops > drops
+        assert dropped_reused > 0
+        client.close()
+
+    def test_drain_returns_while_a_client_idles_on_its_connection(
+            self, server):
+        client = ServerClient(*server.address, retries=0)
+        assert client.healthz()
+        result = {}
+        drainer = threading.Thread(
+            target=lambda: result.update(ok=server.drain(timeout=5.0)))
+        drainer.start()
+        drainer.join(timeout=10.0)
+        assert not drainer.is_alive()
+        assert result["ok"] is True
+        # The drained server no longer answers the idle connection.
+        with pytest.raises(ServerUnavailableError):
+            client.healthz()
+        client.close()
 
 
 # ----------------------------------------------------------------------
