@@ -17,9 +17,12 @@ behaviours:
   The server's ``server.accept_drop`` fault site (and any real flaky
   listener) hangs up before reading the request; the client retries a
   fixed number of times with a fixed backoff schedule, on a fresh
-  connection each time.  This is safe for submissions too: results are content-addressed, so the worst
-  case of an ambiguous drop is a duplicate job whose specs are all
-  answered from the store.
+  connection each time.  A drop on a connection kept from an earlier
+  request (the server restarted or hung up on it meanwhile) is first
+  retried at once on a new connection, without spending the budget.
+  This is safe for submissions too: results are content-addressed, so
+  the worst case of an ambiguous drop is a duplicate job whose specs
+  are all answered from the store.
 """
 
 from __future__ import annotations
@@ -100,43 +103,56 @@ class ServerClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        if self._connection is not None:
+            try:
+                return self._exchange(method, path, body, headers)
+            except _RETRIED_EXCEPTIONS:
+                # The server closed the kept-alive connection since its
+                # last response (a restart, an idle hang-up): reopen it
+                # once without spending a retry.
+                self.retried_drops += 1
         last_exc: Optional[Exception] = None
         for attempt in range(self.retries + 1):
-            if self._connection is None:
-                self._connection = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout)
             try:
-                self._connection.request(method, path, body=body,
-                                         headers=headers)
-                response = self._connection.getresponse()
-                raw = response.read()
+                return self._exchange(method, path, body, headers)
             except _RETRIED_EXCEPTIONS as exc:
-                self.close()
                 last_exc = exc
                 self.retried_drops += 1
                 # Bounded deterministic backoff: fixed linear schedule,
                 # no jitter — reproducibility beats thundering-herd
                 # lore at this scale.
                 time.sleep(self.backoff_seconds * (attempt + 1))
-                continue
-            except socket.timeout as exc:
-                self.close()
-                raise ServerUnavailableError(
-                    "request %s %s timed out after %.1f s"
-                    % (method, path, self.timeout)) from exc
-            except (OSError, http.client.HTTPException):
-                self.close()
-                raise
-            if response.will_close:
-                self.close()
-            try:
-                parsed = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError:
-                parsed = {}
-            return response.status, parsed
         raise ServerUnavailableError(
             "could not reach http://%s:%d%s after %d attempt(s): %s"
             % (self.host, self.port, path, self.retries + 1, last_exc))
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes],
+                  headers: dict) -> Tuple[int, dict]:
+        """One request and its response on the kept-alive connection,
+        opened if need be; any failure closes it."""
+        if self._connection is None:
+            self._connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout)
+        try:
+            self._connection.request(method, path, body=body,
+                                     headers=headers)
+            response = self._connection.getresponse()
+            raw = response.read()
+        except socket.timeout as exc:
+            self.close()
+            raise ServerUnavailableError(
+                "request %s %s timed out after %.1f s"
+                % (method, path, self.timeout)) from exc
+        except (OSError, http.client.HTTPException):
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        try:
+            parsed = json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError:
+            parsed = {}
+        return response.status, parsed
 
     def _checked(self, method: str, path: str,
                  payload: Optional[dict] = None) -> dict:

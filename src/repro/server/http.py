@@ -28,7 +28,9 @@ pipeline, and 429/503 responses carry a ``Retry-After`` header.
 
 Connections are kept alive (HTTP/1.1 with ``TCP_NODELAY``), so a
 client pays the TCP handshake and a handler thread once, not once per
-request; stopping the server hangs up the idle ones.
+request; stopping the server hangs up the idle ones.  A POST refused
+before its body is read closes its connection, so the unread bytes
+are never parsed as a request.
 
 The chaos plane reaches into this layer through two fault sites:
 ``server.accept_drop`` closes an accepted connection before reading
@@ -120,6 +122,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if retry_after is not None and math.isfinite(retry_after):
             self.send_header("Retry-After",
                              str(max(1, int(math.ceil(retry_after)))))
@@ -178,10 +182,12 @@ class _Handler(BaseHTTPRequestHandler):
         if self._drop_connection_injected():
             return
         path = urlparse(self.path).path.rstrip("/")
+        body_read = False
         try:
             if path != "/v1/jobs":
                 raise JobNotFoundError("no route %r" % path)
             payload = self._read_json_body()
+            body_read = True
             specs_payload = payload.get("specs")
             if not isinstance(specs_payload, list) or not specs_payload:
                 raise BadSubmissionError(
@@ -209,6 +215,10 @@ class _Handler(BaseHTTPRequestHandler):
                 "status_url": "/v1/jobs/%s" % job.job_id,
             })
         except ServerError as exc:
+            if not body_read:
+                # Unread body bytes would parse as the next request on
+                # this kept-alive connection.
+                self.close_connection = True
             self._send_error(exc)
 
     def _read_json_body(self) -> dict:

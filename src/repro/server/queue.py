@@ -2,8 +2,8 @@
 
 :class:`JobQueue` is the service's brain: it admits submissions
 (quota + bounded depth), journals every lifecycle transition
-(:mod:`repro.server.jobs`; only the ``accepted`` ack is fsynced, and
-outside the queue lock), and executes jobs one at a time on a
+(:mod:`repro.server.jobs`; only the ``accepted`` ack is fsynced),
+and executes jobs one at a time on a
 dedicated worker thread through the existing
 :class:`~repro.batch.runner.BatchRunner` + durable
 :class:`~repro.store.ResultStore` pair — which is what buys the two
@@ -169,9 +169,6 @@ class JobQueue:
         self._wakeup = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._pending: List[str] = []
-        #: Jobs past the draining check whose admission is still being
-        #: journaled; drain and close wait for them.
-        self._admitting: List[Job] = []
         self._running: Optional[str] = None
         self._next_id = 1
         self._draining = False
@@ -274,63 +271,46 @@ class JobQueue:
                     "server is draining and accepts no new jobs",
                     retry_after=5.0,
                 )
-            self._admit_locked(job, queued=not answered)
+            # Quota before depth: a rejected client must not learn
+            # queue-state timing through cheaper failures.
+            cost = len(job.digests)
+            if self.quota is not None:
+                self.quota.charge(client, cost)
+            backlog = self._pending_specs_locked()
+            if not answered and backlog + cost > self.max_queued_specs:
+                if self.quota is not None:
+                    # A refused job spends nothing.
+                    self.quota.refund(client, cost)
+                raise QueueFullError(
+                    "queue is full (%d spec(s) queued, bound %d)"
+                    % (backlog, self.max_queued_specs),
+                    retry_after=max(
+                        0.1, (backlog + cost - self.max_queued_specs)
+                        * self._spec_seconds()),
+                )
             job.job_id = "job-%08d" % self._next_id
             self._next_id += 1
-            self._admitting.append(job)
-        tally = QueueStats(jobs_accepted=1)
-        admitted = False
-        try:
             # The admission ack point: the job is durable before the
-            # client hears "accepted" and before the worker can see it.
+            # client hears "accepted".
             self.journal.append(job)
+            self._jobs[job.job_id] = job
+            tally = QueueStats(jobs_accepted=1)
             if answered:
                 for index, record in enumerate(records):
                     _answer(job, index,
                             result_from_record(job.specs[index], record),
                             tally)
+                self.store.counters.hits += len(records)
                 job.n_store_hits = tally.specs_from_store
                 job.state = DONE
                 tally.jobs_completed += 1
                 self.journal.append(job)
                 job.specs = []
-            admitted = True
-        finally:
-            with self._lock:
-                self._admitting.remove(job)
-                if admitted:
-                    self._jobs[job.job_id] = job
-                    if answered:
-                        self.store.counters.hits += len(records)
-                    else:
-                        self._pending.append(job.job_id)
-                    self.stats_counters.add(tally)
+            else:
+                self._pending.append(job.job_id)
                 self._wakeup.notify_all()
-        return job
-
-    def _admit_locked(self, job: Job, *, queued: bool) -> None:
-        """Charge *job*'s quota and, when it will be *queued*, check the
-        queue depth; raise the typed rejection otherwise."""
-        # Quota before depth: a rejected client must not learn
-        # queue-state timing through cheaper failures.
-        cost = len(job.digests)
-        if self.quota is not None:
-            self.quota.charge(job.client, cost)
-        if not queued:
-            return
-        backlog = self._pending_specs_locked() + sum(
-            len(admitting.digests) for admitting in self._admitting)
-        if backlog + cost > self.max_queued_specs:
-            if self.quota is not None:
-                # A refused job spends nothing.
-                self.quota.refund(job.client, cost)
-            raise QueueFullError(
-                "queue is full (%d spec(s) queued, bound %d)"
-                % (backlog, self.max_queued_specs),
-                retry_after=max(
-                    0.1, (backlog + cost - self.max_queued_specs)
-                    * self._spec_seconds()),
-            )
+            self.stats_counters.add(tally)
+            return job
 
     # ------------------------------------------------------------------
     # Lookup
@@ -378,10 +358,8 @@ class JobQueue:
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
-                # A drain still lets admissions in flight queue their
-                # jobs, and the worker runs them.
                 while not self._pending and not self._stopped \
-                        and (not self._draining or self._admitting):
+                        and not self._draining:
                     self._wakeup.wait(timeout=0.5)
                 if self._stopped or (self._draining and not self._pending):
                     return
@@ -396,8 +374,8 @@ class JobQueue:
                 job.n_store_hits = 0
                 job.n_store_misses = 0
                 job.error = None
-            try:
                 self.journal.append(job)
+            try:
                 self._run_job(job)
             finally:
                 with self._lock:
@@ -475,9 +453,9 @@ class JobQueue:
                 job.state = DONE
                 tally.jobs_completed += 1
             self.stats_counters.add(tally)
-        self.journal.append(job)
-        if job.state == DONE:
-            job.specs = []
+            self.journal.append(job)
+            if job.state == DONE:
+                job.specs = []
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -503,7 +481,6 @@ class JobQueue:
             worker.join(timeout=None if timeout is None
                         else timeout + 5.0)
         with self._lock:
-            self._await_admissions_locked()
             drained = self._running is None and not self._pending
         self.close()
         return drained
@@ -517,15 +494,7 @@ class JobQueue:
             self._worker.join(timeout=10.0)
         self.close()
 
-    def _await_admissions_locked(self) -> None:
-        """Wait until every admission past the draining check has
-        journaled its job (and queued it, unless it was answered)."""
-        while self._admitting:
-            self._wakeup.wait()
-
     def close(self) -> None:
-        with self._lock:
-            self._await_admissions_locked()
         self.journal.close()
         if self._owns_store:
             self.store.close()

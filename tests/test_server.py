@@ -385,58 +385,6 @@ class TestJobQueue:
         assert is_retryable(info.value)
 
 
-    def test_submissions_racing_a_drain_are_refused_or_finished(
-            self, tmp_path, monkeypatch):
-        queue = _queue(tmp_path)
-        _run_to_done(queue, queue.submit("a", _specs(2)))
-        # Hold admissions inside their accepted-record append, outside
-        # the queue lock, while the drain starts.
-        entered = threading.Event()
-        append = JobJournal.append
-
-        def slow_append(self, job, ts=None):
-            if job.state == ACCEPTED:
-                entered.set()
-                time.sleep(0.05)
-            return append(self, job, ts)
-
-        monkeypatch.setattr(JobJournal, "append", slow_append)
-        acked, refused = [], []
-
-        def submit(index):
-            try:
-                # Even clients resubmit stored specs (answered at
-                # admission); odd ones need the worker.
-                acked.append(queue.submit("c%d" % index,
-                                          _specs(2, seed=index % 2)))
-            except ServerDrainingError:
-                refused.append(index)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=submit, args=(index,))
-                       for index in range(8)]
-            for thread in threads:
-                thread.start()
-            assert entered.wait(timeout=10.0)
-            drained = queue.drain(timeout=30.0)
-            for thread in threads:
-                thread.join(timeout=10.0)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert acked and len(acked) + len(refused) == 8
-        # Every acked job was run before the drain said "drained".
-        assert drained is True
-        assert all(job.state == DONE for job in acked)
-        monkeypatch.setattr(JobJournal, "append", append)
-        reopened = _queue(tmp_path)
-        assert reopened.stats().jobs_recovered == 0
-        assert all(reopened.job(job.job_id).state == DONE for job in acked)
-        reopened.stop()
-
-
 # ----------------------------------------------------------------------
 # Crash-safety: kill -9 and drain-checkpoint resume
 # ----------------------------------------------------------------------
@@ -784,7 +732,8 @@ class TestKeepAlive:
         first = BenchServer(_queue(tmp_path), port=0)
         first.start()
         host, port = first.address
-        with ServerClient(host, port) as client:
+        # The stale connection is reopened without spending a retry.
+        with ServerClient(host, port, retries=0) as client:
             assert client.healthz()
             first.stop()
             second = BenchServer(_queue(tmp_path, name="again"),
@@ -808,6 +757,17 @@ class TestKeepAlive:
                 assert client.healthz()
                 dropped_reused += reused and client.retried_drops > drops
         assert dropped_reused > 0
+        client.close()
+
+    def test_refused_post_does_not_poison_the_connection(self, server):
+        client = ServerClient(*server.address, client="alice")
+        assert client.healthz()
+        # Refused before its body is read: the body must not be parsed
+        # as the next request on the kept-alive connection.
+        with pytest.raises(JobNotFoundError):
+            client._checked("POST", "/v1/nope", {"specs": [{"asm": "nop"}]})
+        assert client.healthz()
+        assert client.stats()["queue"]["jobs_accepted"] == 0
         client.close()
 
     def test_drain_returns_while_a_client_idles_on_its_connection(
