@@ -22,7 +22,7 @@ query to the cheapest trustworthy of the two (see :mod:`repro.backends`).
 
 __version__ = "1.0.0"
 
-from .backends import BACKENDS, Capabilities  # noqa: E402
+from .backends import BACKENDS  # noqa: E402
 from .core.nanobench import NanoBench, NanoBenchOptions  # noqa: E402
 from .core.runner import AggregateFunction  # noqa: E402
 from .fuzz import (  # noqa: E402
@@ -34,7 +34,6 @@ from .fuzz import (  # noqa: E402
 from .router import (  # noqa: E402
     FidelityTable,
     RoutedBench,
-    RouterPolicy,
     RouterStats,
 )
 from .store import (  # noqa: E402
@@ -46,7 +45,6 @@ from .store import (  # noqa: E402
 __all__ = [
     "AggregateFunction",
     "BACKENDS",
-    "Capabilities",
     "DifferentialFuzzer",
     "DivergenceRecord",
     "FidelityTable",
@@ -56,7 +54,6 @@ __all__ = [
     "NanoBenchOptions",
     "ResultStore",
     "RoutedBench",
-    "RouterPolicy",
     "RouterStats",
     "StoreStats",
     "__version__",

@@ -18,13 +18,12 @@ core uses:
   block until the per-iteration growth stabilises.
 
 The estimated ``Core cycles`` per iteration is the maximum of the
-three — the standard analytic model.  The backend advertises a reduced
-capability set: no cache/TLB/uncore events (there is no memory
-hierarchy to produce them), no APERF/MPERF and no magic-byte
-pause/resume.  Requesting an unsupported event raises
-:class:`~repro.errors.UnschedulableEventError` with the missing
-capability named, which flows through the existing graceful-degradation
-path (skip + structured warning).
+three — the standard analytic model.  The backend cannot answer
+cache/TLB/uncore events (there is no memory hierarchy to produce them),
+APERF/MPERF or magic-byte pause/resume.  Requesting an unsupported
+event raises :class:`~repro.errors.UnschedulableEventError` with the
+missing capability named, which flows through the existing
+graceful-degradation path (skip + structured warning).
 """
 
 from __future__ import annotations
@@ -463,18 +462,12 @@ class AnalyticTarget:
         self.address_space = _StubAddressSpace()
         self.sim_stats = SimStats()
         self._cycle = 0
-        self._estimates: Dict[int, BlockEstimate] = {}
 
     def estimate(self, program: Program) -> BlockEstimate:
-        """The (memoized) block estimate for *program*."""
-        key = id(program)
-        cached = self._estimates.get(key)
-        if cached is None:
-            cached = estimate_program(
-                program, self.timing_table, self.layout, self.spec
-            )
-            self._estimates[key] = cached
-        return cached
+        """The block estimate for *program*."""
+        return estimate_program(
+            program, self.timing_table, self.layout, self.spec
+        )
 
     def advance(self, cycles: float) -> None:
         """Account estimated cycles on the target's clock."""

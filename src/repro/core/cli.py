@@ -20,7 +20,7 @@ A configuration file can be checked without running anything::
 Measurements run on one of three backends (``-backend analytic``
 answers latency/throughput questions from the port model without
 per-cycle simulation, ``-backend auto`` routes between the two);
-``nanobench backends`` lists them with each one's capability set.
+``nanobench backends`` lists them and what the analytic one cannot answer.
 
 The differential fuzzer cross-checks every backend pair on generated
 adversarial kernels and pins any disagreement::
@@ -216,33 +216,17 @@ def run_validate_config(argv: List[str]) -> int:
 
 
 def run_backends(argv: List[str]) -> int:
-    """The ``backends`` subcommand: list the measurement backends and
-    their capability matrix."""
+    """The ``backends`` subcommand: list the measurement backends."""
     parser = argparse.ArgumentParser(
         prog="nanobench backends",
-        description="list the measurement backends and the "
-                    "capabilities each one provides",
+        description="list the measurement backends",
     )
     parser.parse_args(argv)
-    from ..backends import BACKENDS, CAPABILITY_DESCRIPTIONS, \
-        Capabilities, DEFAULT_BACKEND
+    from ..backends import BACKENDS, DEFAULT_BACKEND
 
-    for backend, (description, _) in BACKENDS.items():
+    for backend, description in BACKENDS.items():
         marker = " (default)" if backend == DEFAULT_BACKEND else ""
         print("%s%s: %s" % (backend, marker, description))
-    print()
-    width = max(len(name) for name in Capabilities.names())
-    header = "%-*s  %s" % (width, "capability",
-                           "  ".join("%-8s" % b for b in BACKENDS))
-    print(header)
-    print("-" * len(header))
-    for name in Capabilities.names():
-        cells = "  ".join(
-            "%-8s" % ("yes" if getattr(capabilities, name) else "-")
-            for _, capabilities in BACKENDS.values()
-        )
-        print("%-*s  %s  # %s"
-              % (width, name, cells, CAPABILITY_DESCRIPTIONS[name]))
     return 0
 
 

@@ -29,11 +29,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..backends.analytic import AnalyticTarget
+from ..backends import BACKENDS, DEFAULT_BACKEND
+from ..backends.analytic import AnalyticTarget, BlockEstimate
 from ..backends.analytic import event_value as _analytic_event_value
-from ..backends.protocol import BACKENDS, DEFAULT_BACKEND, Capabilities
 from ..errors import (
     AllocationError,
+    CapabilityError,
     NanoBenchError,
     UnschedulableEventError,
 )
@@ -265,11 +266,6 @@ class NanoBench:
                           options=options, retry=retry, preflight=preflight,
                           stability=stability)
 
-    @property
-    def capabilities(self) -> Capabilities:
-        """The active backend's capability descriptor."""
-        return BACKENDS[self.backend][1]
-
     # ------------------------------------------------------------------
     # Memory areas (Section III-G)
     # ------------------------------------------------------------------
@@ -326,11 +322,6 @@ class NanoBench:
                 CounterRead("Reference cycles", "fixed", 2),
             ]
         if options.aperf_mperf:
-            if not self.capabilities.aperf_mperf:
-                raise NanoBenchError(
-                    "backend %r cannot read APERF/MPERF (missing "
-                    "capability: 'aperf_mperf')" % (self.backend,)
-                )
             if not self.kernel_mode:
                 raise NanoBenchError(
                     "APERF/MPERF can only be read in kernel space"
@@ -349,15 +340,8 @@ class NanoBench:
 
     def _event_counter_read(self, event: PerfEvent, slot: int) -> CounterRead:
         if event.uncore:
-            # Capability negotiation: both failure shapes raise the
-            # UnschedulableEventError path (gracefully degradable), with
-            # the missing capability named instead of a generic failure.
-            if not self.capabilities.uncore:
-                raise UnschedulableEventError(
-                    "uncore event %r requires the 'uncore' capability, "
-                    "which backend %r does not provide"
-                    % (event.name, self.backend)
-                )
+            # The UnschedulableEventError path (gracefully degradable),
+            # with the reason named instead of a generic failure.
             if not self.kernel_mode:
                 raise UnschedulableEventError(
                     "uncore event %r cannot be scheduled in user mode: "
@@ -433,9 +417,10 @@ class NanoBench:
             report.retries += 1
             warnings.warn(TransientRetryWarning(attempt, error))
 
-        #: A backend without per-cycle execution answers measurements
-        #: from the analytic estimator instead of running generated code.
-        analytic = not self.capabilities.cycle_accurate
+        #: The analytic backend answers every counter group from one
+        #: block estimate instead of running generated code.
+        estimate = (self._estimate(benchmark, groups, options)
+                    if self.backend == "analytic" else None)
         stability = self.stability
         quality: Optional[QualityVerdict] = None
         escalations = 0
@@ -443,9 +428,9 @@ class NanoBench:
             results: "OrderedDict[str, float]" = OrderedDict()
             raw_samples: List[Dict[str, List[float]]] = []
             for group in groups:
-                if analytic:
+                if estimate is not None:
                     group_result, runs, skipped = self._estimate_group(
-                        benchmark, group, options
+                        estimate, group, options
                     )
                 else:
                     def _attempt(group=group):
@@ -505,35 +490,57 @@ class NanoBench:
         return results
 
     # ------------------------------------------------------------------
-    def _estimate_group(
+    def _estimate(
         self,
         benchmark: Program,
+        groups: List[Tuple[PerfEvent, ...]],
+        options: NanoBenchOptions,
+    ) -> BlockEstimate:
+        """The analytic backend's refusals, then the one block estimate
+        every counter group of this run reads.
+
+        What the estimator cannot answer is refused here, before any
+        group: APERF/MPERF, the noMem counter limit the measured path
+        enforces, and pause/resume counting (the estimate counts the
+        whole block).  Events it cannot count are skipped per group.
+        """
+        if options.aperf_mperf:
+            raise NanoBenchError(
+                "backend %r cannot read APERF/MPERF (missing "
+                "capability: 'aperf_mperf')" % (self.backend,)
+            )
+        if options.no_mem:
+            reads = len(self._fixed_counter_reads(options))
+            for group in groups:
+                check_nomem_counter_limit(reads + sum(
+                    1 for event in group
+                    if self.kernel_mode or not event.uncore
+                ))
+        if any(instr.mnemonic in MAGIC_MNEMONICS
+               for instr in benchmark.instructions):
+            raise CapabilityError(
+                "cannot estimate a pause/resume counting benchmark: "
+                "backend %r lacks the 'magic_bytes' capability "
+                "(pause/resume counting via magic byte sequences)"
+                % (self.backend,),
+                capability="magic_bytes", backend=self.backend,
+            )
+        return self.core.estimate(benchmark)
+
+    def _estimate_group(
+        self,
+        estimate: BlockEstimate,
         group: Tuple[PerfEvent, ...],
         options: NanoBenchOptions,
     ) -> Tuple["OrderedDict[str, float]", int, List[str]]:
         """The analytic-backend counterpart of :meth:`_run_group`.
 
-        No code is generated or executed: the target's block estimate
-        supplies the per-iteration counter values directly (already in
-        overhead-cancelled per-repetition units).  Events outside the
-        backend's capabilities flow through the same graceful-
-        degradation path as unschedulable events on the simulator.
+        No code is generated or executed: the block estimate supplies
+        the per-iteration counter values directly (already in
+        overhead-cancelled per-repetition units).  Events the estimator
+        cannot count flow through the same graceful-degradation path as
+        unschedulable events on the simulator.
         """
-        # The measured path's up-front refusals: APERF/MPERF, then the
-        # noMem counter limit over the reads it would schedule.
-        reads = len(self._fixed_counter_reads(options))
-        if options.no_mem:
-            check_nomem_counter_limit(reads + sum(
-                1 for event in group if self.kernel_mode or not event.uncore
-            ))
-        if any(instr.mnemonic in MAGIC_MNEMONICS
-               for instr in benchmark.instructions):
-            # The estimate counts the whole block; it cannot pause.
-            self.capabilities.require(
-                "magic_bytes", backend=self.backend,
-                context="cannot estimate a pause/resume counting benchmark",
-            )
-        estimate = self.core.estimate(benchmark)
         self.core.advance(estimate.cycles)
         result: "OrderedDict[str, float]" = OrderedDict()
         if options.fixed_counters:

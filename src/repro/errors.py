@@ -206,16 +206,16 @@ class UnschedulableEventError(NanoBenchError):
 
 
 class CapabilityError(NanoBenchError):
-    """A measurement backend lacks a capability the caller requires.
+    """A measurement backend cannot answer what the caller asks.
 
-    Raised during backend negotiation (see
-    :class:`repro.backends.Capabilities`) when a tool asks for a
-    feature — kernel mode, cache events, cycle-accurate execution —
-    that the selected backend does not advertise.  Carries the
-    machine-readable capability name so callers can fall back instead
-    of string-matching the message.
+    The ``analytic`` backend raises it up front for a pause/resume
+    counting benchmark (``magic_bytes``) and when ``CacheSeq`` is bound
+    to it (``cache_events``).  The ``auto`` router catches it and serves
+    the query from the simulator instead, so it carries the
+    machine-readable capability name and survives pickling across
+    worker processes.
 
-    :ivar capability: name of the missing :class:`Capabilities` field.
+    :ivar capability: name of the missing capability.
     :ivar backend: name of the backend that lacks it.
     """
 

@@ -2,7 +2,8 @@
 
 :class:`RoutedBench` is what ``NanoBench.create(backend="auto")``
 returns, so ``BenchmarkSpec(backend="auto")`` and the CLI's ``-backend
-auto`` all route through the cascade.
+auto`` all serve each query from the analytic tier when the fidelity
+gate trusts it, and from the simulator otherwise.
 """
 
 from .fidelity import (
@@ -16,13 +17,7 @@ from .fidelity import (
     load_fidelity_table,
     program_classes,
 )
-from .router import (
-    RoutedBench,
-    RouterPolicy,
-    RouterStats,
-    TIER_ORDER,
-    audit_selected,
-)
+from .router import RoutedBench, RouterStats, audit_selected
 
 __all__ = [
     "ClassBound",
@@ -30,9 +25,7 @@ __all__ = [
     "EVENT_CLASSES",
     "FidelityTable",
     "RoutedBench",
-    "RouterPolicy",
     "RouterStats",
-    "TIER_ORDER",
     "audit_selected",
     "classify_event",
     "classify_query",

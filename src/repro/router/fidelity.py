@@ -26,7 +26,7 @@ Two classification axes feed the table:
 
 Each class carries ``mean`` / ``p95`` / ``max`` deviation statistics
 over its A6 population; the router's gate compares the ``p95`` against
-the configured tolerance, so one outlier does not blacklist a class
+its ``TOLERANCE``, so one outlier does not blacklist a class
 while a drifting population does.
 """
 

@@ -44,6 +44,7 @@ from ..errors import (
     ServerError,
     is_retryable,
 )
+from .http import MAX_BODY_BYTES
 from .jobs import spec_to_payload
 
 #: Error types a structured response body may name (class-name keyed).
@@ -102,6 +103,12 @@ class ServerClient:
         headers = {"Accept": "application/json"}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
+            if len(body) > MAX_BODY_BYTES:
+                # The server refuses it unread and hangs up while the
+                # body is still being sent: refuse it here instead.
+                raise BadSubmissionError(
+                    "submission of %d bytes exceeds the %d-byte bound"
+                    % (len(body), MAX_BODY_BYTES))
             headers["Content-Type"] = "application/json"
         if self._connection is not None:
             try:

@@ -38,7 +38,7 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..batch.spec import BenchmarkSpec, spec_digest
@@ -68,8 +68,7 @@ _WRITE_ATTEMPTS = 3
 #: Spec fields carried on the wire (submission payloads and journal
 #: records share this codec).  ``options`` / ``stability`` are lists of
 #: ``[name, value]`` pairs in JSON and tuples of tuples in memory.
-_SPEC_FIELDS = ("asm", "asm_init", "events", "uarch", "seed",
-                "kernel_mode", "options", "label", "stability", "backend")
+_SPEC_FIELDS = tuple(f.name for f in fields(BenchmarkSpec))
 
 _SPEC_DEFAULTS = BenchmarkSpec()
 

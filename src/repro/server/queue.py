@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import os
 
-from ..backends.protocol import DEFAULT_BACKEND
+from ..backends import DEFAULT_BACKEND
 from ..batch.runner import BatchRunner
 from ..batch.spec import BatchResult, BenchmarkSpec, result_from_record
 from ..errors import (
@@ -230,12 +230,7 @@ class JobQueue:
                 changed = True
         if not changed:
             return spec
-        return BenchmarkSpec(
-            asm=spec.asm, asm_init=spec.asm_init, events=spec.events,
-            uarch=spec.uarch, seed=spec.seed, kernel_mode=spec.kernel_mode,
-            options=tuple(sorted(options.items())), label=spec.label,
-            stability=spec.stability, backend=backend,
-        )
+        return replace(spec, options=options, backend=backend)
 
     def _pending_specs_locked(self) -> int:
         return sum(len(self._jobs[job_id].digests)

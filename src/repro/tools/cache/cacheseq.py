@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...core.codegen import R14_AREA_BASE
 from ...core.nanobench import NanoBench
-from ...errors import AnalysisError, RunawayBenchmarkError
+from ...errors import AnalysisError, CapabilityError, RunawayBenchmarkError
 from ...integrity.watchdog import DEFAULT_STEP_BUDGET, memory_step_budget
 from .addresses import AddressBuilder
 
@@ -115,11 +115,12 @@ class CacheSeq:
                  max_steps: Optional[int] = DEFAULT_STEP_BUDGET) -> None:
         if engine not in ("direct", "nanobench"):
             raise AnalysisError("engine must be 'direct' or 'nanobench'")
-        nb.capabilities.require(
-            "cache_events", backend=nb.backend,
-            context="cacheSeq counts hits and misses of individual "
-                    "memory accesses",
-        )
+        if nb.backend == "analytic":
+            raise CapabilityError(
+                "cacheSeq counts hits and misses of individual memory "
+                "accesses: backend 'analytic' lacks the 'cache_events' "
+                "capability (memory-hierarchy and TLB events (hit/miss "
+                "levels))", capability="cache_events", backend="analytic")
         self.nb = nb
         self.level = level
         self.engine = engine

@@ -9,9 +9,9 @@ Three contracts under test:
   (``NanoBench.create(backend="sim")``) measures exactly what the
   direct construction measures, for every counter (tier-2 runs the
   full differential);
-* **capability negotiation** — a backend that lacks a capability fails
-  through the existing :class:`UnschedulableEventError` degradation
-  path (or a structured :class:`CapabilityError` up front)
+* **capability negotiation** — what the analytic backend cannot
+  answer fails through the existing :class:`UnschedulableEventError`
+  degradation path (or a structured :class:`CapabilityError` up front)
   with a message that names the missing capability, instead of a
   generic failure deep inside the measurement loop.
 """
@@ -21,12 +21,7 @@ import warnings
 
 import pytest
 
-from repro.backends import (
-    BACKENDS,
-    CAPABILITY_DESCRIPTIONS,
-    Capabilities,
-    DEFAULT_BACKEND,
-)
+from repro.backends import BACKENDS, DEFAULT_BACKEND
 from repro.backends.analytic import AnalyticTarget
 from repro.batch import (
     BatchRunner,
@@ -72,24 +67,48 @@ class TestRegistry:
 # ----------------------------------------------------------------------
 class TestCapabilities:
     def test_every_capability_is_documented(self):
-        assert set(Capabilities.names()) == set(CAPABILITY_DESCRIPTIONS)
+        # The listing names everything the analytic backend cannot
+        # answer; sim and auto answer all of it.
+        assert list(BACKENDS) == ["sim", "analytic", "auto"]
+        description = BACKENDS["analytic"]
+        for missing in ("uncore", "APERF/MPERF", "cache/TLB",
+                        "pause/resume"):
+            assert missing in description
 
     def test_sim_has_everything_analytic_does_not(self):
-        sim = BACKENDS["sim"][1]
-        analytic = BACKENDS["analytic"][1]
-        for name in Capabilities.names():
-            assert getattr(sim, name)
-            assert not getattr(analytic, name)
-        assert BACKENDS["auto"][1] == sim  # the router never refuses
+        # One query per thing the analytic backend cannot answer: sim
+        # and auto answer each in full, analytic skips or refuses it.
+        queries = [
+            dict(asm="mov R14, [R14]", asm_init="mov [R14], R14",
+                 events=["MEM_LOAD_RETIRED.L1_HIT"]),
+            dict(asm="nop", events=["CBOX0_LLC_LOOKUP.ANY"]),
+            dict(asm="nop", aperf_mperf=True),
+            dict(asm="pause_counting; nop; resume_counting",
+                 no_mem=True),
+        ]
+        for query in queries:
+            sim = dict(NanoBench.create(backend="sim").run(
+                n_measurements=2, **query))
+            auto = dict(NanoBench.create(backend="auto").run(
+                n_measurements=2, **query))
+            assert auto == sim, query
+            analytic = NanoBench.create(
+                backend="analytic", retry=RetryPolicy(degrade=False))
+            with pytest.raises(NanoBenchError):
+                analytic.run(n_measurements=2, **query)
 
     def test_require_raises_structured_error(self):
-        capabilities = BACKENDS["analytic"][1]
+        from repro.tools.cache import CacheSeq
+
         with pytest.raises(CapabilityError) as excinfo:
-            capabilities.require("uncore", backend="analytic",
-                                 context="testing")
-        assert excinfo.value.capability == "uncore"
+            CacheSeq(NanoBench.create(backend="analytic"), level=1)
+        assert excinfo.value.capability == "cache_events"
         assert excinfo.value.backend == "analytic"
-        assert "uncore" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            "cacheSeq counts hits and misses of individual memory "
+            "accesses: backend 'analytic' lacks the 'cache_events' "
+            "capability (memory-hierarchy and TLB events (hit/miss "
+            "levels))")
 
     def test_capability_error_pickles(self):
         error = CapabilityError("no uncore", capability="uncore",
@@ -222,7 +241,7 @@ class TestAnalyticBackend:
     def test_target_type(self):
         nb = NanoBench.create(backend="analytic")
         assert isinstance(nb.core, AnalyticTarget)
-        assert not nb.capabilities.cycle_accurate
+        assert nb.backend == "analytic"
 
     def test_l1_latency_matches_sim(self):
         asm, init = "mov R14, [R14]", "mov [R14], R14"
@@ -256,6 +275,25 @@ class TestAnalyticBackend:
             nb = NanoBench.create(backend="analytic",
                                   kernel_mode=kernel_mode)
             assert nb.run(asm="nop")["Instructions retired"] == 1.0
+
+    def test_estimate_belongs_to_its_program(self):
+        # Programs assembled, run and freed in turn: a new program may
+        # reuse a freed one's id, and must still get its own estimate.
+        from repro.core.codecache import assemble
+
+        kernels = ["add RAX, RAX", "imul RAX, RAX", "nop",
+                   "imul RAX, RAX; imul RAX, RAX", "mov R14, [R14]"]
+        expected = {
+            kernel: NanoBench.create(backend="analytic").run(
+                kernel)["Core cycles"]
+            for kernel in kernels
+        }
+        assert len(set(expected.values())) == len(kernels)
+        nb = NanoBench.create(backend="analytic")
+        for i in range(200):
+            kernel = kernels[i % len(kernels)]
+            got = nb.run(code=assemble(kernel))["Core cycles"]
+            assert got == expected[kernel], (i, kernel)
 
     def test_report_marks_no_program_runs(self):
         nb = NanoBench.create(backend="analytic")
@@ -359,10 +397,10 @@ class TestToolGating:
 class TestCli:
     def test_backends_subcommand(self, capsys):
         assert cli_main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "sim (default)" in out
-        assert "analytic" in out
-        assert "cycle_accurate" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "sim (default)", "analytic", "auto"]
+        assert lines[1] == "analytic: " + BACKENDS["analytic"]
 
     def test_backend_flag_runs_analytic(self, capsys):
         with warnings.catch_warnings():

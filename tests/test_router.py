@@ -7,8 +7,9 @@ bugfixes that ride along in the same PR:
   that served it (the simulating tiers carry machine state across runs
   on one instance, so the router must rebuild them per run);
 * escalation is automatic — a capability miss, an untrusted fidelity
-  class (microcoded code), or a quarantined class falls through to the
-  next tier, and the reasons are counted;
+  class (microcoded code), or a quarantined class goes to the simulator,
+  and the reasons are counted; the class gate escalates exactly what
+  the analytic tier cannot answer;
 * the router has two tiers, ``analytic`` and ``sim``; the continuous
   audit checks only analytic answers, is a deterministic content-hash
   sample, never lets a wrong answer through (the simulator's values are
@@ -26,6 +27,7 @@ import math
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -36,21 +38,25 @@ from repro.batch import (
 )
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
-from repro.errors import QuotaExceededError
+from repro.core.retry import UnschedulableEventWarning
+from repro.errors import (
+    NanoBenchError,
+    QuotaExceededError,
+    UnschedulableEventError,
+)
 from repro.fuzz.corpus import load_corpus, save_corpus
 from repro.perfctr.events import event_catalog
 from repro.router import (
     ClassBound,
     FidelityTable,
     RoutedBench,
-    RouterPolicy,
-    TIER_ORDER,
     audit_selected,
     classify_event,
     classify_query,
     load_fidelity_table,
     program_classes,
 )
+from repro.router import router as router_module
 from repro.router.fidelity import DEFAULT_TABLE_PATH
 from repro.server import BenchServer, DONE, JobJournal, JobQueue, QuotaPolicy
 from repro.server.client import ServerClient, ServerUnavailableError
@@ -67,9 +73,9 @@ def _fresh(backend, asm, exact=False, **kwargs):
     return dict(nb.run(asm, **kwargs))
 
 
-def _router(**policy_kwargs):
-    policy_kwargs.setdefault("audit_fraction", 0.0)
-    return RoutedBench("Skylake", 0, policy=RouterPolicy(**policy_kwargs))
+def _router(monkeypatch, audit_fraction=0.0):
+    monkeypatch.setattr(router_module, "AUDIT_FRACTION", audit_fraction)
+    return RoutedBench("Skylake", 0)
 
 
 SKL_CATALOG = event_catalog("SKL", 2)
@@ -166,7 +172,7 @@ class TestFidelityTable:
         micro = table.bound("analytic", "microcode")
         assert core is not None and micro is not None
         # The microcode split is what keeps ordinary code trusted.
-        assert core.p95 <= RouterPolicy().tolerance < micro.p95
+        assert core.p95 <= router_module.TOLERANCE < micro.p95
         assert core.n > 100 and micro.n > 0
         assert table.bound("analytic", "uops").p95 == 0.0
 
@@ -179,34 +185,40 @@ class TestAuditSampling:
                  asm="add RAX, RBX", asm_init="", events=(), options=())
 
     def test_fraction_bounds(self):
-        assert audit_selected(RouterPolicy(audit_fraction=1.0),
-                              **self.QUERY)
-        assert not audit_selected(RouterPolicy(audit_fraction=0.0),
-                                  **self.QUERY)
+        assert audit_selected(fraction=1.0, **self.QUERY)
+        assert not audit_selected(fraction=0.0, **self.QUERY)
 
     def test_pure_function_of_content(self):
-        policy = RouterPolicy(audit_fraction=0.5)
-        first = audit_selected(policy, **self.QUERY)
-        assert audit_selected(policy, **self.QUERY) == first
+        first = audit_selected(fraction=0.5, **self.QUERY)
+        assert audit_selected(fraction=0.5, **self.QUERY) == first
         # Event order does not matter (the hash sorts them).
-        a = audit_selected(policy, **dict(self.QUERY,
-                                          events=("A", "B")))
-        b = audit_selected(policy, **dict(self.QUERY,
-                                          events=("B", "A")))
+        a = audit_selected(fraction=0.5, **dict(self.QUERY,
+                                                events=("A", "B")))
+        b = audit_selected(fraction=0.5, **dict(self.QUERY,
+                                                events=("B", "A")))
         assert a == b
 
     def test_seed_and_content_move_the_sample(self):
         kernels = ["add RAX, %d" % i for i in range(64)]
-        policy = RouterPolicy(audit_fraction=0.5)
-        picks = [audit_selected(policy, **dict(self.QUERY, asm=asm))
+        picks = [audit_selected(fraction=0.5, **dict(self.QUERY, asm=asm))
                  for asm in kernels]
         assert any(picks) and not all(picks)
+        # The machine seed is part of the query content.
         reseeded = [
-            audit_selected(RouterPolicy(audit_fraction=0.5, audit_seed=1),
-                           **dict(self.QUERY, asm=asm))
+            audit_selected(fraction=0.5,
+                           **dict(self.QUERY, asm=asm, seed=1))
             for asm in kernels
         ]
         assert reseeded != picks
+
+    def test_default_fraction_and_sample_are_pinned(self):
+        # The 1/64 default and the hashed payload fix which queries are
+        # audited; stored attributions depend on both.
+        assert router_module.AUDIT_FRACTION == 1.0 / 64.0
+        picks = [audit_selected(fraction=0.5, **dict(
+                     self.QUERY, seed=1, asm="add RAX, %d" % i))
+                 for i in range(256)]
+        assert sum(picks) == 124
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +228,11 @@ class TestRouting:
     def test_create_auto_returns_routed_facade(self):
         nb = NanoBench.create("Skylake", 0, backend="auto")
         assert isinstance(nb, RoutedBench)
-        assert nb.capabilities.cycle_accurate  # union: never refuses
+        assert nb.backend == "auto"
 
-    def test_core_query_served_by_analytic_byte_identical(self):
-        rb = _router()
+    def test_core_query_served_by_analytic_byte_identical(self,
+                                                          monkeypatch):
+        rb = _router(monkeypatch)
         values = dict(rb.run("add RAX, RBX", n_measurements=2))
         assert rb.served_by == "analytic"
         assert values == _fresh("analytic", "add RAX, RBX",
@@ -227,8 +240,8 @@ class TestRouting:
         assert rb.last_report.router["served_by"] == "analytic"
         assert rb.stats.tier_hits == {"analytic": 1}
 
-    def test_cache_event_escalates_on_capability(self):
-        rb = _router()
+    def test_cache_event_escalates_on_capability(self, monkeypatch):
+        rb = _router(monkeypatch)
         kwargs = dict(asm_init="mov [R14], R14", n_measurements=2,
                       events=("MEM_LOAD_RETIRED.L1_HIT",))
         values = dict(rb.run("mov R14, [R14]", **kwargs))
@@ -237,37 +250,39 @@ class TestRouting:
         assert values == _fresh("sim", "mov R14, [R14]", **kwargs)
         assert values["MEM_LOAD_RETIRED.L1_HIT"] == pytest.approx(1.0)
 
-    def test_microcode_escalates_on_fidelity(self):
-        rb = _router()
+    def test_microcode_escalates_on_fidelity(self, monkeypatch):
+        rb = _router(monkeypatch)
         values = dict(rb.run("cpuid", n_measurements=2))
         assert rb.served_by == "sim"
         assert rb.stats.escalations == {"fidelity": 1}
         assert values == _fresh("sim", "cpuid", n_measurements=2)
 
-    def test_zero_tolerance_forces_all_off_analytic(self):
-        rb = _router(tolerance=0.0)
+    def test_zero_tolerance_forces_all_off_analytic(self, monkeypatch):
+        monkeypatch.setattr(router_module, "TOLERANCE", 0.0)
+        rb = _router(monkeypatch)
         rb.run("add RAX, RBX", n_measurements=2)
         assert rb.served_by == "sim"
         assert rb.stats.escalations == {"fidelity": 1}
 
-    def test_routed_runs_start_pristine(self):
+    def test_routed_runs_start_pristine(self, monkeypatch):
         # The simulating tiers carry memory/cache state across runs on
         # one instance; a reused tier would answer the second routed
         # query differently from a fresh direct run.  Pins the rebuild.
-        rb = _router()
+        rb = _router(monkeypatch)
         kwargs = dict(asm_init="mov [R14], R14", n_measurements=2,
                       events=("MEM_LOAD_RETIRED.L2_MISS",))
         reference = _fresh("sim", "add [R14], RAX", **kwargs)
         for _ in range(2):
             assert dict(rb.run("add [R14], RAX", **kwargs)) == reference
 
-    def test_decisions_deterministic_and_order_independent(self):
+    def test_decisions_deterministic_and_order_independent(self,
+                                                            monkeypatch):
         queries = [("add RAX, RBX", ()), ("cpuid", ()),
                    ("mov R14, [R14]", ("MEM_LOAD_RETIRED.L1_HIT",)),
                    ("imul RAX, RBX", ())]
 
         def decide(ordering):
-            rb = _router(audit_fraction=0.25)
+            rb = _router(monkeypatch, audit_fraction=0.25)
             decisions = {}
             for asm, events in ordering:
                 init = "mov [R14], R14" if events else ""
@@ -285,11 +300,18 @@ class TestRouting:
 class TestAudit:
     RMW = "add [R14], RAX"  # analytic misses the RMW store latency
 
-    def test_two_tiers(self):
-        assert TIER_ORDER == ("analytic", "sim")
+    def test_two_tiers(self, monkeypatch):
+        # An audit reruns the analytic answer on a fresh sim tier; every
+        # answer comes from one of the two.
+        rb = _router(monkeypatch, audit_fraction=1.0)
+        rb.run("add RAX, RBX", n_measurements=2)
+        rb.run("cpuid", n_measurements=2)
+        assert rb.stats.tier_hits == {"analytic": 1, "sim": 1}
+        assert rb.stats.audits == 1
 
-    def test_violation_returns_exact_and_quarantines(self, tmp_path):
-        rb = _router(audit_fraction=1.0)
+    def test_violation_returns_exact_and_quarantines(self, tmp_path,
+                                                     monkeypatch):
+        rb = _router(monkeypatch, audit_fraction=1.0)
         values = dict(rb.run(self.RMW, n_measurements=2))
         assert rb.last_audited and rb.last_audit_failed
         assert rb.served_by == "sim"
@@ -304,13 +326,13 @@ class TestAudit:
         record = rb.divergences[0]
         assert record.category == "router"
         assert record.provenance == "router-audit:analytic"
-        assert record.deviation > rb.policy.tolerance
+        assert record.deviation > router_module.TOLERANCE
         path = str(tmp_path / "corpus.jsonl")
         save_corpus(path, rb.divergences)
         assert load_corpus(path) == rb.divergences
 
-    def test_quarantined_class_escalates_next_run(self):
-        rb = _router(audit_fraction=1.0)
+    def test_quarantined_class_escalates_next_run(self, monkeypatch):
+        rb = _router(monkeypatch, audit_fraction=1.0)
         rb.run(self.RMW, n_measurements=2)
         values = dict(rb.run(self.RMW, n_measurements=2))
         # Served by the sim tier now, which is never audited.
@@ -320,8 +342,8 @@ class TestAudit:
         assert rb.stats.audits == 1
         assert values == _fresh("sim", self.RMW, n_measurements=2)
 
-    def test_sim_answers_are_never_audited(self):
-        rb = _router(audit_fraction=1.0)
+    def test_sim_answers_are_never_audited(self, monkeypatch):
+        rb = _router(monkeypatch, audit_fraction=1.0)
         queries = [
             ("cpuid", "", ()),  # fidelity escalation
             ("mov R14, [R14]", "mov [R14], R14",
@@ -333,14 +355,57 @@ class TestAudit:
             assert not rb.last_audited
         assert rb.stats.audits == 0
 
-    def test_passing_audit_keeps_cheap_answer(self):
-        rb = _router(audit_fraction=1.0)
+    def test_passing_audit_keeps_cheap_answer(self, monkeypatch):
+        rb = _router(monkeypatch, audit_fraction=1.0)
         values = dict(rb.run("add RAX, RBX", n_measurements=2))
         assert rb.served_by == "analytic"
         assert rb.last_audited and not rb.last_audit_failed
         assert rb.stats.audit_passes == 1
         assert values == _fresh("analytic", "add RAX, RBX",
                                 n_measurements=2)
+
+
+# ----------------------------------------------------------------------
+# The class gate agrees with the analytic tier
+# ----------------------------------------------------------------------
+class TestGateAgreement:
+    """Every class the gate escalates on capability alone is one the
+    analytic tier cannot answer: run directly, it skips the event (the
+    graceful-degradation path) or refuses the query up front."""
+
+    QUERIES = {
+        "cache": dict(asm="mov R14, [R14]", asm_init="mov [R14], R14",
+                      events=["MEM_LOAD_RETIRED.L1_HIT"]),
+        "uncore": dict(asm="nop", events=["CBOX0_LLC_LOOKUP.ANY"]),
+        "aperf": dict(asm="nop", aperf_mperf=True),
+    }
+
+    def test_every_blind_class_has_a_query(self):
+        assert set(self.QUERIES) == router_module._ANALYTIC_BLIND_CLASSES
+
+    @pytest.mark.parametrize("cls", sorted(QUERIES))
+    def test_gate_escalates_what_analytic_cannot_answer(self, cls,
+                                                        monkeypatch):
+        query = dict(self.QUERIES[cls], n_measurements=2)
+        events = [SKL_CATALOG[name] for name in query.get("events", ())]
+        assert cls in classify_query(
+            events, aperf_mperf=query.get("aperf_mperf", False))
+        rb = _router(monkeypatch)
+        rb.run(**query)
+        assert rb.served_by == "sim"
+        assert rb.stats.escalations == {"capability": 1}
+
+        nb = NanoBench.create("Skylake", 0, backend="analytic")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnschedulableEventWarning)
+                values = nb.run(**query)
+        except UnschedulableEventError:
+            pytest.fail("degradation is on: the event must be skipped")
+        except NanoBenchError:  # CapabilityError included
+            return
+        skipped = nb.last_report.skipped_events
+        assert skipped and not set(skipped) & set(values)
 
 
 # ----------------------------------------------------------------------

@@ -29,10 +29,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
-from repro.batch import spec_digest, spec_from_run_kwargs
+from repro.batch import BenchmarkSpec, spec_digest, spec_from_run_kwargs
 from repro.errors import (
     BadSubmissionError,
     JobNotFoundError,
@@ -55,6 +56,7 @@ from repro.server import (
     spec_from_payload,
     spec_to_payload,
 )
+from repro.server.http import MAX_BODY_BYTES
 from repro.server.queue import job_results_payload
 from repro.store import ResultStore
 
@@ -257,6 +259,22 @@ class TestJobJournal:
 # Queue semantics
 # ----------------------------------------------------------------------
 class TestJobQueue:
+    def test_budgets_and_routing_keep_every_other_spec_field(self,
+                                                             tmp_path):
+        queue = _queue(tmp_path, route_specs=True, cycle_budget=1000,
+                       uop_budget=2000)
+        spec = BenchmarkSpec(
+            asm="add RAX, RAX", asm_init="xor RAX, RAX",
+            events=("UOPS_ISSUED.ANY",), uarch="Haswell", seed=3,
+            kernel_mode=False, options=(("n_measurements", 2),),
+            label="tagged", stability=(("abs_floor", 2.0),))
+        routed = queue._with_budgets(spec)
+        assert routed == replace(
+            spec, backend="auto",
+            options=(("cycle_budget", 1000), ("n_measurements", 2),
+                     ("uop_budget", 2000)))
+        queue.stop()
+
     def test_submit_run_and_dedup(self, tmp_path):
         queue = _queue(tmp_path)
         job = _run_to_done(queue, queue.submit("alice", _specs(3)))
@@ -766,6 +784,16 @@ class TestKeepAlive:
         # as the next request on the kept-alive connection.
         with pytest.raises(JobNotFoundError):
             client._checked("POST", "/v1/nope", {"specs": [{"asm": "nop"}]})
+        assert client.healthz()
+        assert client.stats()["queue"]["jobs_accepted"] == 0
+        client.close()
+
+    def test_oversize_submission_is_refused_before_sending(self, server):
+        client = ServerClient(*server.address, client="alice")
+        assert client.healthz()
+        spec = {"asm": "nop\n" * (MAX_BODY_BYTES // 4 + 1)}
+        with pytest.raises(BadSubmissionError, match="byte bound"):
+            client.submit([spec])
         assert client.healthz()
         assert client.stats()["queue"]["jobs_accepted"] == 0
         client.close()
