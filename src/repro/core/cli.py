@@ -32,7 +32,6 @@ store (``-store DIR``); the ``store`` subcommand maintains it offline::
 
     nanobench -batch benchmarks.txt -store results.store
     nanobench store stats results.store
-    nanobench store import results.store old-journal.jsonl
 
 The same store can back a long-lived benchmark server — multi-tenant
 job queue, per-client quotas, crash-safe journal, graceful drain —
@@ -545,9 +544,7 @@ def run_store(argv: List[str]) -> int:
     ``stats`` and ``verify`` inspect (``verify`` never modifies the
     store, so a damaged one can be examined before recovery touches
     it); ``compact`` merges all segments dropping superseded
-    duplicates; ``gc`` evicts by TTL and/or size budget; ``import``
-    migrates legacy single-file checkpoint journals, the only way to
-    read one.
+    duplicates; ``gc`` evicts by TTL and/or size budget.
     """
     parser = argparse.ArgumentParser(
         prog="nanobench store",
@@ -559,18 +556,13 @@ def run_store(argv: List[str]) -> int:
                "2 = bad usage",
     )
     parser.add_argument("action",
-                        choices=("stats", "verify", "compact", "gc",
-                                 "import"),
+                        choices=("stats", "verify", "compact", "gc"),
                         help="stats: occupancy and counters (exit 1 if "
                              "the integrity scan finds damage); verify: "
                              "read-only integrity scan (exit 1 if "
                              "recovery is needed); compact: merge "
-                             "segments; gc: evict by -ttl/-max_bytes; "
-                             "import: migrate legacy journal(s)")
+                             "segments; gc: evict by -ttl/-max_bytes")
     parser.add_argument("root", metavar="DIR", help="store directory")
-    parser.add_argument("journals", nargs="*", metavar="JOURNAL",
-                        help="legacy checkpoint journal file(s) "
-                             "(import action only)")
     parser.add_argument("-ttl", type=float, default=None, metavar="SECONDS",
                         help="gc: evict records older than SECONDS")
     parser.add_argument("-max_bytes", type=int, default=None, metavar="N",
@@ -579,19 +571,10 @@ def run_store(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     from ..store import ResultStore, verify_store
 
-    if args.journals and args.action != "import":
-        print("error: journal arguments only apply to the 'import' action",
-              file=sys.stderr)
-        return 2
-    if args.action == "import" and not args.journals:
-        print("error: 'import' needs at least one journal file",
-              file=sys.stderr)
-        return 2
     if args.action == "gc" and args.ttl is None and args.max_bytes is None:
         print("error: 'gc' needs -ttl and/or -max_bytes", file=sys.stderr)
         return 2
-    if args.action in ("stats", "verify", "compact", "gc") \
-            and not os.path.isdir(args.root):
+    if not os.path.isdir(args.root):
         print("error: %s is not a store directory" % args.root,
               file=sys.stderr)
         return 1
@@ -620,12 +603,8 @@ def run_store(argv: List[str]) -> int:
                 kept = store.compact()
                 print("compacted %s to %d live record(s), %d byte(s)"
                       % (args.root, kept, store.stats().disk_bytes))
-            elif args.action == "gc":
-                print(store.gc(args.ttl, args.max_bytes).describe())
             else:
-                for journal in args.journals:
-                    stats = store.import_journal(journal)
-                    print("%s: %s" % (journal, stats.describe()))
+                print(store.gc(args.ttl, args.max_bytes).describe())
         return 0
     except (ReproError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -26,15 +26,10 @@ straddling µops cannot leak across the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NanoBenchError
-from ..perfctr.counters import (
-    MSR_IA32_APERF,
-    MSR_IA32_MPERF,
-)
-from ..perfctr.events import PerfEvent
 from ..x86.instructions import Instruction, Program
 from ..x86.operands import Immediate, MemoryOperand, Register
 from .options import NanoBenchOptions

@@ -27,7 +27,7 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backends import BACKENDS, DEFAULT_BACKEND
 from ..backends.analytic import AnalyticTarget, BlockEstimate
@@ -82,7 +82,7 @@ from .retry import (
     TransientRetryWarning,
     UnschedulableEventWarning,
 )
-from .runner import aggregate_values, run_measurements
+from .runner import run_measurements
 
 #: Wall-clock cost model for the Section III-K experiment, calibrated to
 #: the paper's Core i7-8700K numbers (~15 ms kernel / ~50 ms user for a

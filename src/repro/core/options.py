@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import NanoBenchError, ValidationError
@@ -31,11 +31,12 @@ class NanoBenchOptions:
     * ``serializer`` — LFENCE (default, Section IV-A1) or CPUID.
     * ``fixed_counters`` — measure the three fixed-function counters.
     * ``aperf_mperf`` — also read APERF/MPERF (kernel mode only).
+    * ``verbose`` — the ``-verbose`` flag; it changes no measurement
+      (the CLI prints its per-run summary from it).
     * ``cycle_budget`` / ``uop_budget`` — runaway-benchmark watchdogs:
       per-run simulated-cycle / issued-µop ceilings; exceeding one
       raises :class:`~repro.errors.RunawayBenchmarkError` with a
       partial-progress report.  ``None`` (the default) disables them.
-    * ``drain_frontend`` — reserved for ablation studies.
     """
 
     unroll_count: int = 100

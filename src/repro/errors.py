@@ -4,8 +4,8 @@ The hierarchy splits into two branches that the self-healing
 measurement pipeline keys on **by type** (never by string matching):
 
 * :class:`TransientError` — conditions expected to clear on retry:
-  transient kernel allocation failures, counter wraparound, corrupted
-  cache entries, injected chaos faults, dead or hung workers.
+  transient kernel allocation failures, counter wraparound, injected
+  chaos faults, dead or hung workers.
   :class:`~repro.core.retry.RetryPolicy` retries these a bounded
   number of times, and the batch plane requeues them.
 * everything else under :class:`ReproError` — fatal for the current
@@ -45,14 +45,6 @@ class CounterOverflowError(TransientError):
     Individual wrapped runs are detected (negative or implausibly large
     deltas) and re-run transparently; this error means the re-run
     budget was exhausted, which a group-level retry can still heal.
-    """
-
-
-class CacheCorruptionError(TransientError):
-    """Raised when a corrupted codegen-cache entry cannot be repaired.
-
-    Ordinarily corruption is detected by checksum and healed in place
-    by rebuilding the entry; this error is the escalation path.
     """
 
 
@@ -320,8 +312,7 @@ class BadSubmissionError(ServerError):
 
 
 class StoreFullError(StoreError):
-    """The store cannot append: the disk is full (ENOSPC) and eviction
-    could not reclaim enough space.
+    """The store cannot append: the disk is full (ENOSPC).
 
     Not transient — retrying the same append against the same full disk
     fails again; the caller must free space (``nanobench store gc``) or

@@ -35,7 +35,7 @@ import hashlib
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 #: Environment variables honoured by :func:`active_plan`.
 ENV_FAULTS = "REPRO_FAULTS"
@@ -77,8 +77,7 @@ ENV_SEED = "REPRO_FAULTS_SEED"
 #:   mid-record (the kill -9 / power-loss shape); the store detects the
 #:   torn line and truncates back to the last durable record;
 #: * ``disk.full`` — the write fails with ENOSPC; the store truncates
-#:   any partial line, optionally evicts under its size budget, and
-#:   retries.
+#:   any partial line and retries.
 #:
 #: Service-plane faults (fired inside :mod:`repro.server`, keyed by a
 #: per-process request / append counter — all fully self-healed, so the

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..integrity.preflight import assert_valid
 from ..x86.assembler import assemble

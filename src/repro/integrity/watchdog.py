@@ -18,7 +18,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from ..errors import RunawayBenchmarkError
 
 #: Default step budget the cache/TLB tools install around large sweeps.
 #: Generous enough that no legitimate workload in the repository comes

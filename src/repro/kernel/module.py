@@ -16,7 +16,7 @@ triggers the run and returns the formatted output.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from ..core.nanobench import NanoBench
 from ..core.options import NanoBenchOptions
@@ -27,7 +27,6 @@ from ..faults.plan import active_plan
 from ..perfctr.config import parse_config
 from ..perfctr.events import event_catalog
 from ..uarch.core import SimulatedCore
-from ..x86.assembler import assemble
 from ..x86.decoder import decode_program
 
 PROC_PATH = "/proc/nanoBench"

@@ -15,15 +15,12 @@ Models the structure the cache case study (Section VI) targets:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import RunawayBenchmarkError
 from ..stats import Counters
-from .cache import Cache, CacheGeometry
-from .replacement import ReplacementPolicy
-from .slices import SliceHash
+from .cache import Cache
 
 
 @dataclass(frozen=True)

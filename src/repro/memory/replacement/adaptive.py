@@ -19,11 +19,11 @@ misses in policy-B dedicated sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .base import ReplacementPolicy, SetState
-from .qlru import QLRU, QLRUSpec, _QLRUSet
+from .qlru import QLRUSpec, _QLRUSet
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ User-space RDPMC is gated on the CR4.PCE flag, exactly as on hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import CounterError, PrivilegeError

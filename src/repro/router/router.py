@@ -43,7 +43,11 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CapabilityError, UnschedulableEventError
+from ..errors import (
+    CapabilityError,
+    NanoBenchError,
+    UnschedulableEventError,
+)
 from ..perfctr.events import event_catalog
 from ..stats import Counters
 from .fidelity import (
@@ -183,7 +187,7 @@ class RoutedBench:
         replaces the previous one, so post-run introspection (``core``,
         ``last_report``) reads the instance that actually ran."""
         self._sim = self._build("sim")
-        if self._r14_size_request is not None and self.kernel_mode:
+        if self._r14_size_request is not None:
             self._sim.resize_r14_buffer(self._r14_size_request)
         return self._sim
 
@@ -196,7 +200,12 @@ class RoutedBench:
         return self._current_sim().core
 
     def resize_r14_buffer(self, size: int) -> int:
-        """Resize R14 on the current and every future sim tier."""
+        """Resize R14 on the current and every future sim tier (kernel
+        only, like :meth:`NanoBench.resize_r14_buffer`)."""
+        if not self.kernel_mode:
+            raise NanoBenchError(
+                "physically-contiguous memory requires the kernel version"
+            )
         self._r14_size_request = size
         if self._sim is not None:
             return self._sim.resize_r14_buffer(size)

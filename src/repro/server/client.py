@@ -42,6 +42,7 @@ from ..errors import (
     ReproError,
     ServerDrainingError,
     ServerError,
+    StoreError,
     is_retryable,
 )
 from .http import MAX_BODY_BYTES
@@ -51,7 +52,8 @@ from .jobs import spec_to_payload
 _ERROR_TYPES = {
     cls.__name__: cls
     for cls in (BadSubmissionError, JobNotFoundError, QueueFullError,
-                QuotaExceededError, ServerDrainingError, ServerError)
+                QuotaExceededError, ServerDrainingError, ServerError,
+                StoreError)
 }
 
 #: Connection-level failures worth retrying (the drop shapes).
@@ -168,9 +170,11 @@ class ServerClient:
             return parsed
         error = parsed.get("error", {}) if isinstance(parsed, dict) else {}
         cls = _ERROR_TYPES.get(error.get("type"), ServerError)
-        raise cls(error.get("message")
-                  or "%s %s failed with HTTP %d" % (method, path, status),
-                  retry_after=error.get("retry_after"))
+        message = (error.get("message")
+                   or "%s %s failed with HTTP %d" % (method, path, status))
+        if cls is StoreError:
+            raise StoreError(message)
+        raise cls(message, retry_after=error.get("retry_after"))
 
     # ------------------------------------------------------------------
     # API surface

@@ -8,7 +8,9 @@ around one :class:`~repro.server.queue.JobQueue`:
                          with the job id, its state (``done`` when
                          the store answered every spec at admission)
                          and per-spec digests, or a structured
-                         ``429`` / ``503`` / ``400``.
+                         ``429`` / ``503`` / ``400`` (``500`` with
+                         type ``StoreError`` when the job could not
+                         be journaled).
 ``GET /v1/jobs/{id}``    job status with stored result values inlined.
 ``GET /v1/results/{d}``  one stored record by spec digest (``404``
                          when the digest was never acknowledged).
@@ -21,7 +23,8 @@ around one :class:`~repro.server.queue.JobQueue`:
 
 Every error response is the same JSON shape — ``{"error": {"type",
 "message", "retryable", "retry_after"}}`` — built from the
-:class:`~repro.errors.ServerError` taxonomy: the *type* is the
+:class:`~repro.errors.ServerError` taxonomy (plus
+:class:`~repro.errors.StoreError`): the *type* is the
 exception class name (the client re-raises it), *retryable* is decided
 by :func:`~repro.errors.is_retryable` exactly as in the rest of the
 pipeline, and 429/503 responses carry a ``Retry-After`` header.
@@ -53,7 +56,9 @@ from urllib.parse import urlparse
 from ..errors import (
     BadSubmissionError,
     JobNotFoundError,
+    ReproError,
     ServerError,
+    StoreError,
     is_retryable,
 )
 from ..faults.plan import fault_fires
@@ -70,14 +75,14 @@ _SLOW_CHUNKS = 4
 _SLOW_STALL_SECONDS = 0.03
 
 
-def error_body(exc: ServerError) -> dict:
+def error_body(exc: ReproError) -> dict:
     """The structured JSON error body for one taxonomy member."""
     return {
         "error": {
             "type": type(exc).__name__,
             "message": exc.args[0] if exc.args else "",
             "retryable": is_retryable(exc),
-            "retry_after": exc.retry_after,
+            "retry_after": getattr(exc, "retry_after", None),
         }
     }
 
@@ -140,9 +145,12 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
 
-    def _send_error(self, exc: ServerError) -> None:
-        self._send_json(exc.http_status, error_body(exc),
-                        retry_after=exc.retry_after)
+    def _send_error(self, exc: ReproError) -> None:
+        """A :class:`ServerError` maps to its own status; a
+        :class:`StoreError` (the job journal could not be written) is a
+        500 that the client must not resubmit blindly."""
+        self._send_json(getattr(exc, "http_status", 500), error_body(exc),
+                        retry_after=getattr(exc, "retry_after", None))
 
     # ------------------------------------------------------------------
     # Routes
@@ -214,7 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "digests": job.digests,
                 "status_url": "/v1/jobs/%s" % job.job_id,
             })
-        except ServerError as exc:
+        except (ServerError, StoreError) as exc:
             if not body_read:
                 # Unread body bytes would parse as the next request on
                 # this kept-alive connection.

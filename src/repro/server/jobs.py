@@ -7,7 +7,8 @@ done`` (``accepted -> done`` for a job the store answers at admission),
 and every transition is appended to the **job journal** — a JSONL file
 in the store directory using the exact record format of
 :mod:`repro.store.records` (full-width SHA-256 per line, torn-write
-tolerant scan), keyed by job id instead of spec digest.
+tolerant scan, the same append routine), keyed by job id instead of
+spec digest.
 
 Only ``accepted`` records are fsynced: that is the admission ack
 point, the promise that the job will be answered.  The later records
@@ -42,14 +43,8 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..batch.spec import BenchmarkSpec, spec_digest
-from ..errors import StoreError
-from ..faults.plan import active_plan, fault_fraction
-from ..store.records import (
-    STORE_SHA_HEXDIGITS,
-    encode_record,
-    record_checksum,
-)
-from ..store.segment import scan_segment
+from ..store.records import encode_record, record_checksum
+from ..store.segment import append_line, scan_segment, truncate_torn_tail
 
 #: Journal file name inside the store root.
 JOB_JOURNAL_NAME = "jobs.jsonl"
@@ -61,9 +56,6 @@ JOB_RECORD_VERSION = 1
 ACCEPTED = "accepted"
 RUNNING = "running"
 DONE = "done"
-
-#: Bounded self-healing attempts for one journal append.
-_WRITE_ATTEMPTS = 3
 
 #: Spec fields carried on the wire (submission payloads and journal
 #: records share this codec).  ``options`` / ``stability`` are lists of
@@ -181,7 +173,7 @@ def job_record(job: Job, ts: float) -> dict:
         "recoveries": job.recoveries,
         "error": job.error,
     }
-    record["sha"] = record_checksum(record, hexdigits=STORE_SHA_HEXDIGITS)
+    record["sha"] = record_checksum(record)
     return record
 
 
@@ -205,18 +197,14 @@ def job_from_record(record: dict) -> Job:
     )
 
 
-class _TornAppendInjected(Exception):
-    """Internal marker: ``queue.journal_torn`` cut this append short."""
-
-
 class JobJournal:
     """Append-only, torn-write-tolerant JSONL journal of job states.
 
     Thread-safe: HTTP handler threads append ``accepted`` records (and
     ``done`` ones for jobs answered at admission) while the worker
-    thread appends ``running``/``done`` ones.  The append path mirrors
-    the store's bounded self-healing — a torn write (injected by the
-    ``queue.journal_torn`` fault site, or detected as a short raw
+    thread appends ``running``/``done`` ones.  Appends go through the
+    store's :func:`~repro.store.segment.append_line`: a write cut short
+    (by the ``queue.journal_torn`` fault site, ENOSPC, or a short raw
     write) is truncated back to the last complete record and retried,
     so a failed append never leaves a partial line for the next open to
     choke on.
@@ -233,7 +221,10 @@ class JobJournal:
         self._clock = clock
         self._handle = None
         self._lock = threading.Lock()
+        #: Appends rolled back and retried (cut short by a fault, a
+        #: short write or ENOSPC).
         self.healed_torn_appends = 0
+        #: Torn tails cut off by :meth:`load`.
         self.truncations = 0
 
     # ------------------------------------------------------------------
@@ -249,9 +240,7 @@ class JobJournal:
         with self._lock:
             self._close_handle_locked()
             scan = scan_segment(self.path)
-            if scan.torn_bytes:
-                with open(self.path, "rb+") as handle:
-                    handle.truncate(scan.good_bytes)
+            if truncate_torn_tail(scan):
                 self.truncations += 1
             if scan.corrupt:
                 warnings.warn(
@@ -281,35 +270,17 @@ class JobJournal:
         """
         record = job_record(job, self._clock() if ts is None else ts)
         line = encode_record(record)
-        plan = active_plan()
         with self._lock:
-            for attempt in range(_WRITE_ATTEMPTS):
-                handle = self._ensure_handle_locked()
-                start = handle.tell()
-                key = "%s:%s:%d" % (job.job_id, job.state, attempt)
-                try:
-                    if plan is not None and plan.fires(
-                            "queue.journal_torn", key):
-                        cut = max(1, int(
-                            fault_fraction("queue.journal_torn", key)
-                            * (len(line) - 1)))
-                        handle.write(line[:cut])
-                        raise _TornAppendInjected()
-                    written = handle.write(line)
-                    if written != len(line):
-                        raise _TornAppendInjected()
-                    if self.fsync and job.state == ACCEPTED:
-                        os.fsync(handle.fileno())
-                except _TornAppendInjected:
-                    handle.truncate(start)
-                    handle.seek(0, os.SEEK_END)
-                    self.healed_torn_appends += 1
-                    continue
-                return record
-            raise StoreError(
-                "job journal %s: append did not complete in %d attempts"
-                % (self.path, _WRITE_ATTEMPTS)
-            )
+            append_line(self._ensure_handle_locked, line,
+                        "%s:%s" % (job.job_id, job.state),
+                        sync=self.fsync and job.state == ACCEPTED,
+                        owner="job journal %s" % self.path,
+                        torn_site="queue.journal_torn",
+                        healed=self._count_heal)
+        return record
+
+    def _count_heal(self, exc: Exception) -> None:
+        self.healed_torn_appends += 1
 
     # ------------------------------------------------------------------
     def _ensure_handle_locked(self):

@@ -53,6 +53,7 @@ from ..errors import (
     JobNotFoundError,
     QueueFullError,
     ServerDrainingError,
+    StoreError,
 )
 from ..stats import Counters
 from ..store import ResultStore, open_store
@@ -287,7 +288,13 @@ class JobQueue:
             self._next_id += 1
             # The admission ack point: the job is durable before the
             # client hears "accepted".
-            self.journal.append(job)
+            try:
+                self.journal.append(job)
+            except StoreError:
+                if self.quota is not None:
+                    # A job that was never admitted spends nothing.
+                    self.quota.refund(client, cost)
+                raise
             self._jobs[job.job_id] = job
             tally = QueueStats(jobs_accepted=1)
             if answered:

@@ -139,7 +139,8 @@ class QuotaPolicy:
 
     def refund(self, client: str, cost: int) -> None:
         """Return a :meth:`charge` of *cost* specs whose submission was
-        refused after all (queue full): the client keeps its tokens."""
+        refused after all (queue full, or its journal append failed):
+        the client keeps its tokens."""
         self.bucket(client).refund(cost)
 
     def snapshot(self) -> Dict[str, QuotaSnapshot]:

@@ -2,10 +2,10 @@
 
 The persistent layer under the batch engine and the characterization
 tools: benchmark results keyed by spec digest in segmented append-only
-JSONL files with per-record SHA-256 checksums, atomic
+JSONL files with one 64-hex SHA-256 checksum per record, atomic
 rename-on-rotation, fsync-on-ack, torn-write truncation recovery,
-corruption quarantine with read-repair, offline compaction, TTL /
-size-budget eviction, and advisory-lock multi-process safety.
+corruption quarantine with read-repair, offline compaction, explicit
+TTL / size-budget eviction, and advisory-lock multi-process safety.
 
 ::
 
@@ -16,12 +16,11 @@ size-budget eviction, and advisory-lock multi-process safety.
     runner.run(specs)        # resubmitted specs answer from the store
 
 See the ``nanobench store`` CLI subcommand for offline maintenance
-(``stats`` / ``verify`` / ``compact`` / ``gc`` / ``import``).
+(``stats`` / ``verify`` / ``compact`` / ``gc``).
 """
 
 from .locking import FileLock
 from .records import (
-    JOURNAL_SHA_HEXDIGITS,
     RECORD_VERSION,
     STORE_SHA_HEXDIGITS,
     canonical_payload,
@@ -41,7 +40,6 @@ from .segment import (
 from .store import (
     DEFAULT_SEGMENT_BYTES,
     EvictionStats,
-    ImportStats,
     ResultStore,
     StoreStats,
     VerifyReport,
@@ -55,8 +53,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "EvictionStats",
     "FileLock",
-    "ImportStats",
-    "JOURNAL_SHA_HEXDIGITS",
     "RECORD_VERSION",
     "ResultStore",
     "STORE_SHA_HEXDIGITS",

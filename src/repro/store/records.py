@@ -1,19 +1,12 @@
-"""Record encoding of the durable store and of legacy journals.
+"""Record encoding shared by the durable store and the job journal.
 
 A *record* is one flat JSON object with a mandatory ``digest`` key (the
-content address — the spec digest for benchmark results) and an
-optional ``sha`` key: a SHA-256 over the canonical serialization of
-every *other* key.  The checksum turns silent bit-rot into a detected,
-recoverable condition: a record whose stored ``sha`` no longer matches
-is treated as corrupt, quarantined, and re-executed on demand.
-
-Legacy single-file checkpoint journals, written by the batch runner
-before results moved into the store, carry a 16-hex-digit truncated
-checksum or none; the store and the job journal write and require the
-full 64 digits.  :func:`record_checksum` takes the width so both
-validate with the same code path; only
-:meth:`repro.store.ResultStore.import_journal` still accepts the legacy
-forms.
+content address — the spec digest for benchmark results, the job id in
+the job journal) and a mandatory ``sha`` key: the full 64-hex SHA-256
+over the canonical serialization of every *other* key.  The checksum
+turns silent bit-rot into a detected, recoverable condition: a record
+whose stored ``sha`` is missing, short or no longer matches is treated
+as corrupt, quarantined, and re-executed on demand.
 """
 
 from __future__ import annotations
@@ -25,8 +18,7 @@ from typing import Optional, Tuple
 #: Record format version embedded by the durable store.
 RECORD_VERSION = 1
 
-#: Checksum widths: the journal's truncated form and the store's full form.
-JOURNAL_SHA_HEXDIGITS = 16
+#: Width of the ``sha`` checksum every record carries.
 STORE_SHA_HEXDIGITS = 64
 
 
@@ -35,23 +27,18 @@ def canonical_payload(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "sha"}
 
 
-def record_checksum(record: dict,
-                    hexdigits: int = JOURNAL_SHA_HEXDIGITS) -> str:
-    """SHA-256 (truncated to *hexdigits*) over the canonical payload."""
-    digest = hashlib.sha256(
+def record_checksum(record: dict) -> str:
+    """SHA-256 (64 hex digits) over the canonical payload."""
+    return hashlib.sha256(
         json.dumps(canonical_payload(record), sort_keys=True).encode()
     ).hexdigest()
-    return digest[:hexdigits]
 
 
-def validate_record(record: object,
-                    hexdigits: Optional[int] = None) -> Tuple[bool, str]:
+def validate_record(record: object) -> Tuple[bool, str]:
     """Is *record* a structurally sound, checksum-clean record?
 
-    Returns ``(ok, reason)``.  With *hexdigits*, the record must carry
-    a checksum of that width, so a bit flip in the ``sha`` key name is
-    caught.  Without it (legacy import), a record without ``sha`` is
-    accepted and the width is inferred from the stored value.
+    Returns ``(ok, reason)``.  The record must carry a full-width
+    checksum, so a bit flip in the ``sha`` key name is caught too.
     """
     if not isinstance(record, dict):
         return False, "not a JSON object"
@@ -60,11 +47,10 @@ def validate_record(record: object,
         return False, "missing digest"
     sha = record.get("sha")
     if sha is None:
-        return (True, "") if hexdigits is None else (False, "missing checksum")
-    if not isinstance(sha, str) or not sha or (
-            hexdigits is not None and len(sha) != hexdigits):
+        return False, "missing checksum"
+    if not isinstance(sha, str) or len(sha) != STORE_SHA_HEXDIGITS:
         return False, "malformed checksum"
-    if record_checksum(record, hexdigits=len(sha)) != sha:
+    if record_checksum(record) != sha:
         return False, "checksum mismatch"
     return True, ""
 
@@ -79,10 +65,8 @@ def encode_record(record: dict) -> bytes:
     return (json.dumps(record) + "\n").encode("utf-8")
 
 
-def parse_record_line(line: bytes, hexdigits: Optional[int] = None
-                      ) -> Tuple[Optional[dict], str]:
-    """Parse and validate one stored line (*hexdigits* as for
-    :func:`validate_record`).
+def parse_record_line(line: bytes) -> Tuple[Optional[dict], str]:
+    """Parse and validate one stored line.
 
     Returns ``(record, "")`` on success and ``(None, reason)`` for
     anything torn, truncated, or bit-flipped.
@@ -91,7 +75,7 @@ def parse_record_line(line: bytes, hexdigits: Optional[int] = None
         record = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError):
         return None, "unparsable"
-    ok, reason = validate_record(record, hexdigits)
+    ok, reason = validate_record(record)
     if not ok:
         return None, reason
     return record, ""

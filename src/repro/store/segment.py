@@ -10,7 +10,7 @@ or the new file — never half of one.
 :func:`scan_segment` reads a segment back and classifies every byte of
 it, which is the whole recovery story:
 
-* **good** lines — parseable records with a clean full-width checksum;
+* **good** lines — parseable records with a clean 64-hex checksum;
 * a **torn tail** — a trailing run of bytes that never made it to a
   complete, valid record (the kill-during-append shape).  Recovery
   truncates the file back to ``good_bytes``, dropping only the
@@ -25,12 +25,15 @@ it, which is the whole recovery story:
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .records import STORE_SHA_HEXDIGITS, parse_record_line
+from ..errors import StoreError, StoreFullError
+from ..faults.plan import active_plan
+from .records import parse_record_line
 
 #: File names inside a store root.
 ACTIVE_NAME = "active.jsonl"
@@ -38,6 +41,11 @@ SEGMENTS_DIR = "segments"
 QUARANTINE_DIR = "quarantine"
 LOCK_NAME = "lock"
 TMP_SUFFIX = ".tmp"
+
+#: Bounded self-healing: write attempts of one append or compaction
+#: before the writer gives up (injected faults are keyed by attempt, so
+#: a retry draws afresh).
+WRITE_ATTEMPTS = 3
 
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.jsonl$")
 
@@ -104,7 +112,7 @@ def scan_segment(path: str) -> SegmentScan:
         line = data[offset:newline]
         end = newline + 1
         if line.strip():
-            record, reason = parse_record_line(line, STORE_SHA_HEXDIGITS)
+            record, reason = parse_record_line(line)
             if record is None:
                 pending.append(CorruptLine(offset, line, reason))
             else:
@@ -122,6 +130,78 @@ def scan_segment(path: str) -> SegmentScan:
     # Blank "corruption" needs no quarantine file.
     scan.corrupt = [c for c in scan.corrupt if c.reason != "blank"]
     return scan
+
+
+def truncate_torn_tail(scan: SegmentScan) -> bool:
+    """Cut *scan*'s file back to ``good_bytes``; True if it had a torn
+    tail (the unacknowledged suffix of a kill during an append)."""
+    if not scan.torn_bytes:
+        return False
+    with open(scan.path, "rb+") as handle:
+        handle.truncate(scan.good_bytes)
+    return True
+
+
+class TornWrite(Exception):
+    """An injected fault cut a write short (the kill-during-append
+    shape)."""
+
+
+def append_line(handle_of: Callable, line: bytes, key: str, *, sync: bool,
+                owner: str, healed: Callable[[Exception], None],
+                torn_site: str, full_site: Optional[str] = None) -> None:
+    """Append one record *line*, healing a write cut short in place.
+
+    Each attempt notes the end offset of the unbuffered append handle
+    ``handle_of()`` returns and writes *line* through it; *sync* then
+    fsyncs it.  A write cut short — by the *torn_site* fault, by ENOSPC
+    (real, or injected at *full_site*), or as a short raw write, which
+    is the disk-full shape without the exception — is truncated back to
+    that offset, passed to *healed*, and retried under the fault key
+    ``"key:attempt"``.  After :data:`WRITE_ATTEMPTS` such failures it
+    raises :class:`~repro.errors.StoreFullError` (the last one was
+    ENOSPC) or :class:`~repro.errors.StoreError`, naming *owner*; no
+    partial line is left behind either way.
+    """
+    plan = active_plan()
+    for attempt in range(WRITE_ATTEMPTS):
+        handle = handle_of()
+        start = handle.tell()
+        fault_key = "%s:%d" % (key, attempt)
+        try:
+            if plan is not None:
+                if full_site is not None and plan.fires(full_site,
+                                                        fault_key):
+                    raise OSError(errno.ENOSPC, "injected ENOSPC")
+                if plan.fires(torn_site, fault_key):
+                    cut = max(1, int(plan.fraction(torn_site, fault_key)
+                                     * (len(line) - 1)))
+                    handle.write(line[:cut])
+                    raise TornWrite()
+            written = handle.write(line)
+            if written != len(line):
+                raise OSError(errno.ENOSPC, "short write (%d of %d bytes)"
+                              % (written, len(line)))
+            if sync:
+                os.fsync(handle.fileno())
+            return
+        except (TornWrite, OSError) as exc:
+            if isinstance(exc, OSError) and exc.errno != errno.ENOSPC:
+                raise
+            # The handle is unbuffered, so the failed bytes exist only
+            # on disk (if at all): no user-space buffer can replay them.
+            handle.truncate(start)
+            handle.seek(0, os.SEEK_END)
+            healed(exc)
+            if attempt < WRITE_ATTEMPTS - 1:
+                continue
+            if isinstance(exc, OSError):
+                raise StoreFullError(
+                    "%s: append failed with ENOSPC after %d attempt(s); "
+                    "no partial record was left behind"
+                    % (owner, WRITE_ATTEMPTS)) from exc
+            raise StoreError("%s: append did not complete in %d attempts"
+                             % (owner, WRITE_ATTEMPTS)) from exc
 
 
 def fsync_directory(path: str) -> None:

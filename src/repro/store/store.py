@@ -16,7 +16,10 @@ Durability contract
 * **Torn-write recovery**: a kill *during* an append leaves a torn
   trailing line; opening the store truncates the file back to the last
   complete, checksum-valid record — losing only the write that was
-  never acknowledged.
+  never acknowledged.  A write cut short while the process lives (a
+  short write, ENOSPC, an injected fault) is rolled back and retried
+  in place by :func:`~repro.store.segment.append_line`, the one append
+  routine the service's job journal uses too.
 * **Atomic rotation/compaction**: sealed segments are only ever created
   by ``rename`` of a fully-written, fsynced file, so every sealed
   segment is complete; a crash mid-compaction leaves a ``*.tmp`` file
@@ -43,41 +46,32 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from ..errors import StoreError, StoreFullError
-from ..faults.plan import active_plan, fault_fraction
+from ..faults.plan import active_plan
 from .locking import FileLock
-from .records import (
-    RECORD_VERSION,
-    STORE_SHA_HEXDIGITS,
-    encode_record,
-    parse_record_line,
-    record_checksum,
-)
+from .records import RECORD_VERSION, encode_record, record_checksum
 from .segment import (
     ACTIVE_NAME,
     LOCK_NAME,
     QUARANTINE_DIR,
     SEGMENTS_DIR,
     TMP_SUFFIX,
+    WRITE_ATTEMPTS,
     SegmentScan,
+    TornWrite,
+    append_line,
     fsync_directory,
     scan_segment,
     segment_name,
     segment_number,
+    truncate_torn_tail,
 )
 
-#: Default rotation threshold for the active segment.
+#: Rotation threshold: an append that takes the active segment to this
+#: size seals it into ``segments/``.
 DEFAULT_SEGMENT_BYTES = 4 << 20
-
-#: Bounded self-healing: append / compaction write attempts before the
-#: store gives up (injected faults are keyed by attempt and clear).
-_WRITE_ATTEMPTS = 3
-
-
-class _TornWriteInjected(Exception):
-    """Internal marker: the chaos plane cut this write short."""
 
 
 @dataclass
@@ -186,36 +180,21 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-@dataclass
-class ImportStats:
-    """Outcome of one :meth:`ResultStore.import_journal` call."""
-
-    imported: int = 0
-    skipped: int = 0
-
-    def describe(self) -> str:
-        return ("imported %d record(s), skipped %d corrupt/invalid line(s)"
-                % (self.imported, self.skipped))
-
-
 class ResultStore:
     """Disk-backed content-addressed store of benchmark result records.
+
+    The active segment is sealed once it reaches
+    :data:`DEFAULT_SEGMENT_BYTES` (or on :meth:`rotate`); eviction runs
+    only when asked (:meth:`gc`).
 
     Parameters
     ----------
     root:
         Store directory (created if missing).
-    segment_max_bytes / segment_max_records:
-        Rotation thresholds for the active segment; crossing either
-        seals it into ``segments/`` via atomic rename.
     fsync:
         fsync every acknowledged append (the durability default).
         ``False`` trades the power-loss guarantee for speed — records
         are still flushed, so a *process* kill loses nothing either way.
-    ttl_seconds / max_bytes:
-        Default eviction policy applied by :meth:`gc` (and by the
-        ENOSPC recovery path): drop records older than the TTL, then
-        oldest-first until the store fits the byte budget.
     lock_timeout:
         Bound on waiting for the advisory multi-process lock.
     """
@@ -224,19 +203,11 @@ class ResultStore:
         self,
         root: Union[str, "os.PathLike[str]"],
         *,
-        segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
-        segment_max_records: Optional[int] = None,
         fsync: bool = True,
-        ttl_seconds: Optional[float] = None,
-        max_bytes: Optional[int] = None,
         lock_timeout: float = 10.0,
     ) -> None:
         self.root = os.fspath(root)
-        self.segment_max_bytes = int(segment_max_bytes)
-        self.segment_max_records = segment_max_records
         self.fsync = fsync
-        self.ttl_seconds = ttl_seconds
-        self.max_bytes = max_bytes
         self._segments_dir = os.path.join(self.root, SEGMENTS_DIR)
         self._quarantine_dir = os.path.join(self.root, QUARANTINE_DIR)
         self._active_path = os.path.join(self.root, ACTIVE_NAME)
@@ -245,7 +216,6 @@ class ResultStore:
         self._lock = FileLock(os.path.join(self.root, LOCK_NAME),
                               timeout=lock_timeout)
         self._handle = None
-        self._active_records = 0
         self._index: Dict[str, dict] = {}
         self.counters = StoreStats()
         with self._lock:
@@ -284,7 +254,6 @@ class ResultStore:
             scan = self._heal_segment_locked(self._active_path, scan)
         for _, record in scan.records:
             self._index[record["digest"]] = record
-        self._active_records = len(scan.records)
 
     def _heal_segment_locked(self, path: str,
                              scan: SegmentScan) -> SegmentScan:
@@ -309,9 +278,7 @@ class ResultStore:
                 "be re-executed on demand"
                 % (self.root, len(scan.corrupt), os.path.basename(path))
             )
-        elif scan.torn_bytes:
-            with open(path, "rb+") as handle:
-                handle.truncate(scan.good_bytes)
+        elif truncate_torn_tail(scan):
             self.counters.truncations += 1
         return scan_segment(path)
 
@@ -372,11 +339,13 @@ class ResultStore:
         record.setdefault("v", RECORD_VERSION)
         record["ts"] = float(time.time() if ts is None else ts)
         record.pop("sha", None)
-        record["sha"] = record_checksum(record,
-                                        hexdigits=STORE_SHA_HEXDIGITS)
+        record["sha"] = record_checksum(record)
         line = encode_record(record)
         with self._lock:
-            self._append_locked(digest, line)
+            append_line(self._active_handle, line, digest, sync=self.fsync,
+                        owner="store %s" % self.root,
+                        torn_site="store.torn_write", full_site="disk.full",
+                        healed=self._count_heal)
             self._index[digest] = record
             self.counters.puts += 1
             self._maybe_rotate_locked()
@@ -404,86 +373,22 @@ class ResultStore:
             # bytes (every append flushes immediately, so buffering
             # gains nothing here anyway).
             self._handle = open(self._active_path, "ab", buffering=0)
-            self._active_records = len(scan_segment(self._active_path).records)
         return self._handle
 
-    def _append_locked(self, digest: str, line: bytes) -> None:
-        plan = active_plan()
-        for attempt in range(_WRITE_ATTEMPTS):
-            handle = self._active_handle()
-            start = handle.tell()
-            key = "%s:%d" % (digest, attempt)
-            try:
-                if plan is not None and plan.fires("disk.full", key):
-                    raise OSError(errno.ENOSPC, "injected ENOSPC")
-                if plan is not None and plan.fires("store.torn_write", key):
-                    cut = max(1, int(fault_fraction("store.torn_write", key)
-                                     * (len(line) - 1)))
-                    handle.write(line[:cut])
-                    handle.flush()
-                    raise _TornWriteInjected()
-                written = handle.write(line)
-                if written != len(line):
-                    # A short raw write is the disk-full shape without
-                    # the exception: the tail never reached the file.
-                    raise OSError(
-                        errno.ENOSPC,
-                        "short write (%d of %d bytes)"
-                        % (written, len(line)),
-                    )
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            except _TornWriteInjected:
-                # The kill-during-append shape: heal exactly the way a
-                # restart would — truncate back to the last good record.
-                self._truncate_partial_locked(start)
-                self.counters.healed_torn_writes += 1
-                continue
-            except OSError as exc:
-                if exc.errno != errno.ENOSPC:
-                    raise
-                self._truncate_partial_locked(start)
-                self.counters.healed_enospc += 1
-                if (self.ttl_seconds is not None
-                        or self.max_bytes is not None):
-                    # Reclaim space under the configured policy before
-                    # retrying (the disk may genuinely be full).
-                    self._gc_locked(self.ttl_seconds, self.max_bytes)
-                if attempt == _WRITE_ATTEMPTS - 1:
-                    raise StoreFullError(
-                        "store %s: append failed with ENOSPC after %d "
-                        "attempt(s); no partial record was left behind"
-                        % (self.root, _WRITE_ATTEMPTS)
-                    )
-                continue
-            self._active_records += 1
-            return
-        raise StoreError(
-            "store %s: append did not complete in %d attempts"
-            % (self.root, _WRITE_ATTEMPTS)
-        )
-
-    def _truncate_partial_locked(self, offset: int) -> None:
-        # The handle is unbuffered, so the failed bytes exist only on
-        # disk (if at all) — there is no stale user-space buffer whose
-        # flush could retry them and re-raise out of this recovery path.
-        handle = self._handle
-        if handle is None:
-            return
-        handle.truncate(offset)
-        handle.seek(0, os.SEEK_END)
+    def _count_heal(self, exc: Exception) -> None:
+        """Account one append that :func:`append_line` rolled back."""
         self.counters.truncations += 1
+        if isinstance(exc, TornWrite):
+            self.counters.healed_torn_writes += 1
+        else:
+            self.counters.healed_enospc += 1
 
     # ------------------------------------------------------------------
     # Rotation
     # ------------------------------------------------------------------
     def _maybe_rotate_locked(self) -> None:
-        if self._handle is None:
-            return
-        over_bytes = self._handle.tell() >= self.segment_max_bytes
-        over_records = (self.segment_max_records is not None
-                        and self._active_records >= self.segment_max_records)
-        if over_bytes or over_records:
+        if (self._handle is not None
+                and self._handle.tell() >= DEFAULT_SEGMENT_BYTES):
             self._rotate_locked()
 
     def rotate(self) -> Optional[str]:
@@ -509,7 +414,6 @@ class ResultStore:
                    os.path.join(self._segments_dir, name))
         fsync_directory(self._segments_dir)
         fsync_directory(self.root)
-        self._active_records = 0
         self.counters.rotations += 1
         return name
 
@@ -537,48 +441,44 @@ class ResultStore:
 
     def gc(self, ttl_seconds: Optional[float] = None,
            max_bytes: Optional[int] = None) -> EvictionStats:
-        """Evict per TTL / size budget (arguments override the store
-        defaults), compacting the survivors.  Returns eviction stats."""
+        """Drop records older than *ttl_seconds*, then the oldest until
+        the store fits in *max_bytes* (None skips either rule), and
+        compact the survivors.  Returns eviction stats."""
         with self._lock:
-            return self._gc_locked(
-                self.ttl_seconds if ttl_seconds is None else ttl_seconds,
-                self.max_bytes if max_bytes is None else max_bytes,
-            )
-
-    def _gc_locked(self, ttl_seconds: Optional[float],
-                   max_bytes: Optional[int]) -> EvictionStats:
-        # Evict against the on-disk truth: the survivors are rewritten
-        # and every old file unlinked, so records another process acked
-        # since this handle's last load must be in the index first.
-        self._recover_and_load_locked()
-        stats = EvictionStats(examined=len(self._index),
-                              bytes_before=self._disk_bytes())
-        now = time.time()
-        live: List[dict] = []
-        for record in self._index.values():
-            age = now - float(record.get("ts", now))
-            if ttl_seconds is not None and age > ttl_seconds:
-                stats.evicted_ttl += 1
-            else:
-                live.append(record)
-        if max_bytes is not None:
-            # Oldest-first until the live set fits the budget.
-            live.sort(key=lambda r: (float(r.get("ts", 0.0)), r["digest"]))
-            sizes = [len(encode_record(record)) for record in live]
-            total = sum(sizes)
-            drop = 0
-            while drop < len(live) and total > max_bytes:
-                total -= sizes[drop]
-                drop += 1
-            stats.evicted_size = drop
-            live = live[drop:]
-        stats.kept = len(live)
-        if stats.evicted or len(self._segment_names()) > 0:
-            self._rewrite_locked(live)
-        stats.bytes_after = self._disk_bytes()
-        self.counters.evicted_ttl += stats.evicted_ttl
-        self.counters.evicted_size += stats.evicted_size
-        return stats
+            # Evict against the on-disk truth: the survivors are
+            # rewritten and every old file unlinked, so records another
+            # process acked since this handle's last load must be in
+            # the index first.
+            self._recover_and_load_locked()
+            stats = EvictionStats(examined=len(self._index),
+                                  bytes_before=self._disk_bytes())
+            now = time.time()
+            live: List[dict] = []
+            for record in self._index.values():
+                age = now - float(record.get("ts", now))
+                if ttl_seconds is not None and age > ttl_seconds:
+                    stats.evicted_ttl += 1
+                else:
+                    live.append(record)
+            if max_bytes is not None:
+                # Oldest-first until the live set fits the budget.
+                live.sort(key=lambda r: (float(r.get("ts", 0.0)),
+                                         r["digest"]))
+                sizes = [len(encode_record(record)) for record in live]
+                total = sum(sizes)
+                drop = 0
+                while drop < len(live) and total > max_bytes:
+                    total -= sizes[drop]
+                    drop += 1
+                stats.evicted_size = drop
+                live = live[drop:]
+            stats.kept = len(live)
+            if stats.evicted or len(self._segment_names()) > 0:
+                self._rewrite_locked(live)
+            stats.bytes_after = self._disk_bytes()
+            self.counters.evicted_ttl += stats.evicted_ttl
+            self.counters.evicted_size += stats.evicted_size
+            return stats
 
     def _rewrite_locked(self, records: List[dict]) -> int:
         """Atomically replace every segment with one holding *records*."""
@@ -588,7 +488,7 @@ class ResultStore:
         final = os.path.join(self._segments_dir, segment_name(number))
         tmp = final + TMP_SUFFIX
         plan = active_plan()
-        for attempt in range(_WRITE_ATTEMPTS):
+        for attempt in range(WRITE_ATTEMPTS):
             key = "compact:%d:%d" % (number, attempt)
             try:
                 with open(tmp, "wb") as handle:
@@ -599,14 +499,14 @@ class ResultStore:
                             cut = max(1, len(line) // 2)
                             handle.write(line[:cut])
                             handle.flush()
-                            raise _TornWriteInjected()
+                            raise TornWrite()
                         if (plan is not None and index == len(records) // 2
                                 and plan.fires("disk.full", key)):
                             raise OSError(errno.ENOSPC, "injected ENOSPC")
                         handle.write(line)
                     handle.flush()
                     os.fsync(handle.fileno())
-            except _TornWriteInjected:
+            except TornWrite:
                 os.unlink(tmp)
                 self.counters.healed_torn_writes += 1
                 continue
@@ -616,7 +516,7 @@ class ResultStore:
                 if exc.errno != errno.ENOSPC:
                     raise
                 self.counters.healed_enospc += 1
-                if attempt == _WRITE_ATTEMPTS - 1:
+                if attempt == WRITE_ATTEMPTS - 1:
                     raise StoreFullError(
                         "store %s: compaction failed with ENOSPC; the "
                         "original segments are untouched" % self.root
@@ -628,7 +528,7 @@ class ResultStore:
             # but the original segments are untouched.
             raise StoreError(
                 "store %s: compaction did not complete in %d attempts"
-                % (self.root, _WRITE_ATTEMPTS)
+                % (self.root, WRITE_ATTEMPTS)
             )
         os.replace(tmp, final)
         fsync_directory(self._segments_dir)
@@ -643,7 +543,6 @@ class ResultStore:
             pass
         fsync_directory(self._segments_dir)
         fsync_directory(self.root)
-        self._active_records = 0
         self._index = {record["digest"]: record for record in records}
         return len(records)
 
@@ -673,35 +572,6 @@ class ResultStore:
         return verify_store(self.root)
 
     # ------------------------------------------------------------------
-    # Legacy-journal migration
-    # ------------------------------------------------------------------
-    def import_journal(self, path: Union[str, "os.PathLike[str]"]
-                       ) -> ImportStats:
-        """Migrate a legacy JSONL checkpoint journal into the store.
-
-        Journal records (16-hex truncated checksums, or none at all)
-        are validated, re-checksummed at store width, and appended;
-        corrupt lines are skipped with the count reported.  Replays are
-        byte-identical because the payload fields are untouched.
-        """
-        stats = ImportStats()
-        with open(path, "rb") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line:
-                    continue
-                record, _ = parse_record_line(line)
-                if record is None:
-                    stats.skipped += 1
-                    continue
-                digest = record.pop("digest")
-                record.pop("sha", None)
-                record.pop("ts", None)
-                self.put(digest, record)
-                stats.imported += 1
-        return stats
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def _close_handle(self) -> None:
@@ -719,12 +589,12 @@ class ResultStore:
         self.close()
 
 
-def open_store(store: Union[str, "os.PathLike[str]", ResultStore],
-               **kwargs) -> ResultStore:
+def open_store(store: Union[str, "os.PathLike[str]", ResultStore]
+               ) -> ResultStore:
     """Coerce a path (or pass through an instance) to a ResultStore."""
     if isinstance(store, ResultStore):
         return store
-    return ResultStore(os.fspath(store), **kwargs)
+    return ResultStore(os.fspath(store))
 
 
 def verify_store(root: Union[str, "os.PathLike[str]"]) -> VerifyReport:

@@ -23,7 +23,7 @@ experiments are set up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.codegen import RSI_AREA_BASE
 from ..core.nanobench import NanoBench

@@ -15,7 +15,6 @@ buffer (Sections III-G, IV-D), so physical placement is fully known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ...core.codegen import R14_AREA_BASE

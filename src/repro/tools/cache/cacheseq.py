@@ -26,8 +26,8 @@ for the large parameter sweeps of Sections VI-C2/VI-C3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.codegen import R14_AREA_BASE
 from ...core.nanobench import NanoBench

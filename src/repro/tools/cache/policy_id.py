@@ -18,8 +18,8 @@ survivors are behaviourally equivalent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ...errors import AnalysisError
 from ...memory.replacement import (

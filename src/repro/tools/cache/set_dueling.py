@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...errors import AnalysisError
 from ...memory.replacement import make_policy, simulate_hits
 from .cacheseq import Access, AccessSequence, CacheSeq
 from .policy_id import find_distinguishing_sequence

@@ -19,8 +19,8 @@ classes, privileged instructions) with a few hundred representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 #: Registers safe for benchmark use (nanoBench reserves R14/R15 etc.).
 GPR_POOL = ("RAX", "RBX", "RCX", "RDX", "R8", "R9", "R10", "R11")

@@ -14,13 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import (
-    ExecutionError,
-    MemoryError_,
-    PrivilegeError,
-    RunawayBenchmarkError,
-    TimingModelError,
-)
+from ..errors import MemoryError_, RunawayBenchmarkError, TimingModelError
 from ..memory.cache import Cache, CacheGeometry
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.paging import AddressSpace, MainMemory, PhysicalMemory

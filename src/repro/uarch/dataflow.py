@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from ..x86.instructions import Instruction
-from ..x86.operands import Immediate, MemoryOperand, Register
+from ..x86.operands import MemoryOperand, Register
 
 #: Mnemonics whose first (destination) operand is write-only.
 _WRITE_ONLY_DEST = frozenset({

@@ -17,13 +17,12 @@ crucially for Section IV-A1 — CPUID's *variable* µop count and latency.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..errors import TimingModelError
 from ..x86.instructions import Instruction
-from ..x86.operands import Immediate, MemoryOperand, Register
+from ..x86.operands import MemoryOperand, Register
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ prefix.  Labels may be defined with ``name:`` and used as branch targets.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import AssemblerError
 from .instructions import INSTRUCTION_SET, Instruction, Program
 from .operands import Immediate, MemoryOperand, Register
-from .registers import is_register_name, register_width
+from .registers import is_register_name
 
 _SIZE_PREFIXES = {
     "BYTE": 1,

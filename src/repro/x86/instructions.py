@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .operands import Immediate, MemoryOperand, Register, operand_shape
+from .operands import MemoryOperand, operand_shape
 
 ALL_FLAGS = frozenset({"CF", "PF", "AF", "ZF", "SF", "OF"})
 #: Flags written by INC/DEC (everything except CF).

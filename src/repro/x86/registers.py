@@ -15,7 +15,7 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Canonical 64-bit general-purpose register names, in encoding order.
 GPR64 = (

@@ -1,12 +1,12 @@
 """Tests for ``repro.integrity``: pre-flight validation, runaway
 watchdogs, adaptive stability control, and the robustness surfaces that
 ride on them (options conflicts, config diagnostics, the
-``validate-config`` CLI, legacy checkpoint-journal corruption on
-import)."""
+``validate-config`` CLI, corruption of a batch run's store
+checkpoint)."""
 
 import json
+import os
 import pickle
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +54,13 @@ from repro.perfctr.config import (
     parse_config_file,
 )
 from repro.perfctr.events import event_catalog
-from repro.store import ResultStore, record_checksum, validate_record
+from repro.store import (
+    ACTIVE_NAME,
+    ResultStore,
+    encode_record,
+    record_checksum,
+    validate_record,
+)
 from repro.tools.cache.cacheseq import CacheSeq
 from repro.tools.instr.corpus import corpus_for_family
 from repro.tools.instr.measure import InstructionProfile
@@ -699,86 +705,78 @@ class TestCliIntegrityFlags:
 
 
 # ----------------------------------------------------------------------
-# Satellite: legacy checkpoint-journal corruption, caught on import
+# Satellite: corruption of a batch run's checkpoint (its store), caught
+# on open
 # ----------------------------------------------------------------------
 
-def _complete_records(journal):
-    """The parsed complete records of *journal* (the torn tail dropped)."""
-    return [json.loads(line) for line in journal.lines()
-            if line.endswith(b"\n")]
+class _Checkpoint:
+    """A three-spec batch file and the store that a ``-batch ...
+    -store`` run of it left behind: the checkpoint a resumed run reads."""
 
+    BATCH = "add RAX, RBX\nimul RAX, RBX\nmov RAX, [R14] | mov [R14], R14\n"
+    N_RECORDS = 3
 
-def _write_records(journal, records):
-    with open(journal.path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
+    def __init__(self, tmp_path, capsys) -> None:
+        batch = tmp_path / "batch.txt"
+        batch.write_text(self.BATCH)
+        self.root = str(tmp_path / "store")
+        self.flags = ["-batch", str(batch), "-n_measurements", "2",
+                      "-unroll_count", "5", "-store", self.root]
+        assert cli_main(self.flags) == 0
+        self.fresh = capsys.readouterr().out
+        self.active = os.path.join(self.root, ACTIVE_NAME)
 
+    def records(self):
+        with open(self.active, "rb") as handle:
+            return [json.loads(line) for line in handle]
 
-def _import_and_replay(tmp_path, capsys, journal):
-    """Import *journal*, then run its batch against the store and
-    fresh; returns ``(import stats, replay stderr, replay == fresh)``."""
-    root = str(tmp_path / "store")
-    with ResultStore(root) as store:
-        stats = store.import_journal(journal.path)
-    assert cli_main(journal.cli_flags) == 0
-    fresh = capsys.readouterr()
-    assert cli_main(journal.cli_flags + ["-store", root]) == 0
-    replay = capsys.readouterr()
-    return stats, replay.err, replay.out == fresh.out
+    def write(self, records):
+        with open(self.active, "wb") as handle:
+            for record in records:
+                handle.write(encode_record(record))
+
+    def replay(self, capsys):
+        """Re-run the batch against the store: ``(stderr, stdout equals
+        the fresh run)``."""
+        assert cli_main(self.flags) == 0
+        replay = capsys.readouterr()
+        return replay.err, replay.out == self.fresh
 
 
 class TestCheckpointCorruption:
-    def test_records_carry_checksums(self, legacy_journal):
-        records = _complete_records(legacy_journal)
-        assert len(records) == legacy_journal.N_RECORDS
+    def test_records_carry_checksums(self, tmp_path, capsys):
+        records = _Checkpoint(tmp_path, capsys).records()
+        assert len(records) == _Checkpoint.N_RECORDS
         for record in records:
-            # The legacy journal's truncated width, validated by the
-            # same code path as the store's full-width checksums.
-            assert len(record["sha"]) == 16
+            # One record format: the full 64-hex SHA-256.
+            assert len(record["sha"]) == 64
             assert record["sha"] == record_checksum(record)
             assert validate_record(record) == (True, "")
 
-    def test_bit_flipped_record_is_reexecuted(self, tmp_path, capsys,
-                                              legacy_journal):
-        records = _complete_records(legacy_journal)
+    def test_bit_flipped_record_is_reexecuted(self, tmp_path, capsys):
+        checkpoint = _Checkpoint(tmp_path, capsys)
+        records = checkpoint.records()
         name = list(records[0]["values"])[0]
         records[0]["values"][name] += 1.0  # the flip; sha left stale
-        _write_records(legacy_journal, records)
-        stats, err, identical = _import_and_replay(tmp_path, capsys,
-                                                   legacy_journal)
-        assert (stats.imported, stats.skipped) == (2, 1)
+        checkpoint.write(records)
+        with pytest.warns(UserWarning, match="quarantined"):
+            err, identical = checkpoint.replay(capsys)
         # The corrupted spec was re-executed, the intact ones replayed,
         # and the re-execution reproduced the fresh values.
         assert "# store: 2 answered from the store, 1 executed" in err
         assert identical
 
-    def test_duplicate_digest_keeps_later_record(self, tmp_path,
-                                                 legacy_journal):
-        records = _complete_records(legacy_journal)
+    def test_duplicate_digest_keeps_later_record(self, tmp_path, capsys):
+        checkpoint = _Checkpoint(tmp_path, capsys)
+        records = checkpoint.records()
         later = dict(records[1], values=dict(records[1]["values"]))
         name = list(later["values"])[0]
         later["values"][name] = 12345.0
         later["sha"] = record_checksum(later)  # valid but conflicting
-        _write_records(legacy_journal, records + [later])
-        with ResultStore(str(tmp_path / "store")) as store:
-            stats = store.import_journal(legacy_journal.path)
-            assert stats.imported == 4
-            assert len(store) == legacy_journal.N_RECORDS
+        checkpoint.write(records + [later])
+        with ResultStore(checkpoint.root) as store:
+            assert len(store) == _Checkpoint.N_RECORDS
             assert store.get(later["digest"])["values"][name] == 12345.0
-
-    def test_legacy_records_without_sha_still_replay(self, tmp_path, capsys,
-                                                     legacy_journal):
-        records = _complete_records(legacy_journal)
-        for record in records:
-            record.pop("sha")
-        _write_records(legacy_journal, records)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            stats, err, identical = _import_and_replay(tmp_path, capsys,
-                                                       legacy_journal)
-        assert (stats.imported, stats.skipped) == (3, 0)
-        assert "# store: 3 answered from the store, 0 executed" in err
-        assert identical
 
 
 # ----------------------------------------------------------------------

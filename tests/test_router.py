@@ -293,6 +293,19 @@ class TestRouting:
         forward = decide(queries)
         assert decide(list(reversed(queries))) == forward
 
+    def test_user_mode_resize_r14_raises_every_time(self):
+        # Like NanoBench.resize_r14_buffer: physically-contiguous memory
+        # is kernel-only, on the first call as on every later one, and
+        # refusing it builds no sim tier.
+        rb = RoutedBench("Skylake", 0, kernel_mode=False)
+        for _ in range(2):
+            with pytest.raises(NanoBenchError, match="kernel version"):
+                rb.resize_r14_buffer(1 << 20)
+        assert rb._sim is None
+        with pytest.raises(NanoBenchError, match="kernel version"):
+            NanoBench.create("Skylake", 0, kernel_mode=False,
+                             backend="sim").resize_r14_buffer(1 << 20)
+
 
 # ----------------------------------------------------------------------
 # The continuous audit

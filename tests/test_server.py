@@ -40,6 +40,7 @@ from repro.errors import (
     QueueFullError,
     QuotaExceededError,
     ServerDrainingError,
+    StoreError,
     is_retryable,
 )
 from repro.faults.plan import FaultPlan
@@ -298,6 +299,18 @@ class TestJobQueue:
         assert first.digests == second.digests
         queue.stop()
 
+    def test_failed_admission_append_spends_no_quota(self, tmp_path):
+        queue = _queue(tmp_path, quota=QuotaPolicy(rate=0.001, burst=5,
+                                                   clock=lambda: 0.0))
+        with FaultPlan({"queue.journal_torn": 1.0}, seed=0):
+            with pytest.raises(StoreError, match="did not complete"):
+                queue.submit("alice", _specs(2))
+        # The refused submission was refunded: the whole burst is left.
+        job = queue.submit("alice", _specs(4, seed=1))
+        assert job.state == ACCEPTED
+        assert queue.stats().jobs_accepted == 1
+        queue.stop()
+
     def test_queue_full_gives_retry_after(self, tmp_path):
         queue = _queue(tmp_path, max_queued_specs=3)
         queue.submit("a", _specs(2))  # worker not started: stays queued
@@ -540,6 +553,31 @@ class TestHTTP:
     def test_healthz_and_readyz(self, server):
         assert _http(server, "GET", "/healthz")[0] == 200
         assert _http(server, "GET", "/readyz")[0] == 200
+
+    def test_failed_journal_append_is_a_structured_500(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "store"), fsync=False,
+                         quota=QuotaPolicy(rate=0.001, burst=5,
+                                           clock=lambda: 0.0))
+        bench = BenchServer(queue, port=0)
+        bench.start()
+        body = {"client": "alice",
+                "specs": [spec_to_payload(spec) for spec in _specs(2)]}
+        try:
+            with FaultPlan({"queue.journal_torn": 1.0}, seed=0):
+                status, _, payload = _http(bench, "POST", "/v1/jobs", body)
+                assert status == 500
+                assert payload["error"]["type"] == "StoreError"
+                assert payload["error"]["retryable"] is False
+                # The client raises it instead of resubmitting.
+                with ServerClient(*bench.address, client="alice") as client:
+                    with pytest.raises(StoreError, match="did not complete"):
+                        client.submit(_specs(2))
+                    assert client.retried_drops == 0
+            # Neither failed submission spent a token.
+            with ServerClient(*bench.address, client="alice") as client:
+                assert client.submit(_specs(5, seed=1))["state"] == ACCEPTED
+        finally:
+            bench.stop()
 
     def test_submit_status_and_result_round_trip(self, server):
         specs = [spec_to_payload(spec) for spec in _specs(2)]

@@ -5,8 +5,8 @@ classification, torn-tail truncation, interior-corruption quarantine
 with read-repair, rotation/compaction atomicity, TTL/size eviction,
 advisory locking, the :class:`BatchRunner` / characterization / survey
 wiring (resubmitted work answers from the store with zero
-re-simulation), legacy-journal migration, the ``nanobench store`` CLI,
-and hypothesis property tests over arbitrary truncation and bit-flips.
+re-simulation), the ``nanobench store`` CLI, and hypothesis property
+tests over arbitrary truncation and bit-flips.
 """
 
 import json
@@ -47,9 +47,13 @@ def _digest(i):
     return "%064x" % i
 
 
-def _fill(store, n, **kwargs):
+def _fill(store, n, rotate_every=None):
+    """Put records 0..n-1, sealing the active segment after every
+    *rotate_every* of them."""
     for i in range(n):
-        store.put(_digest(i), _payload(i), **kwargs)
+        store.put(_digest(i), _payload(i))
+        if rotate_every and (i + 1) % rotate_every == 0:
+            store.rotate()
 
 
 def _specs():
@@ -75,37 +79,28 @@ def _values(results):
 class TestRecords:
     def test_checksum_ignores_sha_field(self):
         record = {"digest": "d", "values": {"x": 1.5}}
-        sha = record_checksum(record, hexdigits=64)
+        sha = record_checksum(record)
+        assert len(sha) == 64
         record["sha"] = sha
-        assert record_checksum(record, hexdigits=64) == sha
+        assert record_checksum(record) == sha
         assert validate_record(record) == (True, "")
-
-    def test_validate_infers_checksum_width(self):
-        record = {"digest": "d", "values": {"x": 1.5}}
-        record["sha"] = record_checksum(record, hexdigits=16)
-        assert validate_record(record)[0]
-        record["sha"] = record_checksum(record, hexdigits=64)
-        assert validate_record(record)[0]
 
     def test_validate_rejects_flip_and_missing_digest(self):
         record = {"digest": "d", "values": {"x": 1.5}}
-        record["sha"] = record_checksum(record, hexdigits=64)
+        record["sha"] = record_checksum(record)
         record["values"]["x"] = 2.5
         ok, reason = validate_record(record)
         assert not ok and reason == "checksum mismatch"
         assert not validate_record({"values": {}})[0]
         assert not validate_record([1, 2])[0]
 
-    def test_records_without_sha_accepted(self):
-        assert validate_record({"digest": "d", "values": {}})[0]
-
     def test_required_width_rejects_missing_and_short_checksums(self):
         record = {"digest": "d", "values": {"x": 1.5}}
-        assert validate_record(record, 64) == (False, "missing checksum")
-        record["sha"] = record_checksum(record, hexdigits=16)
-        assert validate_record(record, 64) == (False, "malformed checksum")
-        record["sha"] = record_checksum(record, hexdigits=64)
-        assert validate_record(record, 64) == (True, "")
+        assert validate_record(record) == (False, "missing checksum")
+        record["sha"] = record_checksum(record)[:16]
+        assert validate_record(record) == (False, "malformed checksum")
+        record["sha"] = record_checksum(record)
+        assert validate_record(record) == (True, "")
 
 
 class TestSegmentScan:
@@ -113,9 +108,10 @@ class TestSegmentScan:
         with open(path, "wb") as handle:
             handle.write(b"".join(lines))
 
-    def _line(self, i):
+    def _line(self, i, sha_digits=64):
         record = dict(_payload(i), digest=_digest(i))
-        record["sha"] = record_checksum(record, hexdigits=64)
+        if sha_digits:
+            record["sha"] = record_checksum(record)[:sha_digits]
         return encode_record(record)
 
     def test_clean_scan(self, tmp_path):
@@ -145,6 +141,17 @@ class TestSegmentScan:
         assert scan.corrupt[0].raw == b"garbage"
         assert scan.torn_bytes == 0
 
+    def test_short_or_missing_checksum_is_corruption(self, tmp_path):
+        # One record format: a 16-hex or absent checksum is not a
+        # second, older format but a damaged line.
+        path = str(tmp_path / "seg.jsonl")
+        self._write(path, [self._line(0, sha_digits=16),
+                           self._line(1, sha_digits=0), self._line(2)])
+        scan = scan_segment(path)
+        assert [r["digest"] for _, r in scan.records] == [_digest(2)]
+        assert [c.reason for c in scan.corrupt] == ["malformed checksum",
+                                                    "missing checksum"]
+
     def test_missing_file_is_empty_scan(self, tmp_path):
         scan = scan_segment(str(tmp_path / "absent.jsonl"))
         assert scan.clean and not scan.records
@@ -158,7 +165,7 @@ class TestResultStore:
         root = str(tmp_path / "store")
         with ResultStore(root) as store:
             written = store.put(_digest(1), _payload(1))
-            assert written["sha"] == record_checksum(written, hexdigits=64)
+            assert written["sha"] == record_checksum(written)
             assert store.get(_digest(1))["values"] == {"Core cycles": 1.0}
             assert _digest(1) in store and len(store) == 1
         with ResultStore(root) as store:
@@ -179,19 +186,22 @@ class TestResultStore:
             stats = store.stats()
             assert (stats.hits, stats.misses, stats.puts) == (1, 1, 1)
 
-    def test_rotation_by_record_count(self, tmp_path):
+    def test_rotate_seals_the_active_segment(self, tmp_path):
         root = str(tmp_path / "s")
-        with ResultStore(root, segment_max_records=2) as store:
-            _fill(store, 5)
+        with ResultStore(root) as store:
+            _fill(store, 5, rotate_every=2)
             assert store.counters.rotations == 2
             assert store.stats().segments == 2
+            assert store.rotate() == "seg-00000003.jsonl"
+            # An empty active segment has nothing to seal.
+            assert store.rotate() is None
         with ResultStore(root) as store:
             assert sorted(store.digests()) == [_digest(i) for i in range(5)]
 
     def test_compaction_drops_superseded_duplicates(self, tmp_path):
         root = str(tmp_path / "s")
-        with ResultStore(root, segment_max_records=2) as store:
-            _fill(store, 5)
+        with ResultStore(root) as store:
+            _fill(store, 5, rotate_every=2)
             store.put(_digest(0), _payload(0, value=42))
             assert store.compact() == 5
             assert store.stats().segments == 1
@@ -297,8 +307,8 @@ class TestCrashRecovery:
 
     def test_corrupt_sealed_segment_recovers_too(self, tmp_path):
         root = str(tmp_path / "s")
-        with ResultStore(root, segment_max_records=2) as store:
-            _fill(store, 4)
+        with ResultStore(root) as store:
+            _fill(store, 4, rotate_every=2)
         sealed = os.path.join(root, "segments", "seg-00000001.jsonl")
         data = open(sealed, "rb").read()
         with open(sealed, "wb") as handle:
@@ -335,8 +345,8 @@ class TestEviction:
             assert store.stats().evicted_size == 3
 
     def test_gc_without_policy_is_a_noop_compaction(self, tmp_path):
-        with ResultStore(str(tmp_path / "s"), segment_max_records=2) as store:
-            _fill(store, 4)
+        with ResultStore(str(tmp_path / "s")) as store:
+            _fill(store, 4, rotate_every=2)
             stats = store.gc()
             assert stats.evicted == 0 and stats.kept == 4
             assert len(store) == 4
@@ -497,36 +507,6 @@ class TestBatchRunnerStore:
 
 
 # ----------------------------------------------------------------------
-# Legacy journal migration (the committed journal of tests/data)
-# ----------------------------------------------------------------------
-class TestJournalImport:
-    def test_imported_journal_replays_byte_identically(
-            self, tmp_path, capsys, legacy_journal):
-        root = str(tmp_path / "store")
-        with ResultStore(root) as store:
-            stats = store.import_journal(legacy_journal.path)
-        # The torn tail is skipped; every complete record imports.
-        assert stats.imported == legacy_journal.N_RECORDS
-        assert stats.skipped == 1
-
-        assert cli_main(legacy_journal.cli_flags) == 0
-        fresh = capsys.readouterr()
-        assert cli_main(legacy_journal.cli_flags + ["-store", root]) == 0
-        replay = capsys.readouterr()
-        assert "# store: 3 answered from the store, 0 executed" in replay.err
-        assert replay.out == fresh.out
-
-    def test_import_skips_corrupt_lines(self, tmp_path, legacy_journal):
-        with open(legacy_journal.path, "ab") as handle:
-            handle.write(b"\ngarbage line\n")
-        with ResultStore(str(tmp_path / "store")) as store:
-            stats = store.import_journal(legacy_journal.path)
-        # The torn tail and the garbage line.
-        assert stats.imported == legacy_journal.N_RECORDS
-        assert stats.skipped == 2
-
-
-# ----------------------------------------------------------------------
 # Characterization-tool wiring
 # ----------------------------------------------------------------------
 class TestToolWiring:
@@ -658,24 +638,20 @@ class TestStoreCli:
 
     def test_compact_and_gc_subcommands(self, tmp_path, capsys):
         root = str(tmp_path / "store")
-        with ResultStore(root, segment_max_records=1) as store:
-            _fill(store, 3)
+        with ResultStore(root) as store:
+            _fill(store, 3, rotate_every=1)
         assert cli_main(["store", "compact", root]) == 0
         assert "compacted" in capsys.readouterr().out
         assert cli_main(["store", "gc", root, "-ttl", "0.000001"]) == 0
         assert "evicted 3" in capsys.readouterr().out
 
-    def test_import_subcommand(self, tmp_path, capsys, legacy_journal):
-        root = str(tmp_path / "store")
-        assert cli_main(["store", "import", root, legacy_journal.path]) == 0
-        assert ("imported 3 record(s), skipped 1 corrupt/invalid line(s)"
-                in capsys.readouterr().out)
-        with ResultStore(root) as store:
-            assert len(store) == legacy_journal.N_RECORDS
-
     def test_usage_errors(self, tmp_path, capsys):
         root = str(tmp_path / "store")
-        assert cli_main(["store", "import", root]) == 2
+        for argv in (["store", "import", root],
+                     ["store", "stats", root, "extra.jsonl"]):
+            with pytest.raises(SystemExit) as exited:
+                cli_main(argv)
+            assert exited.value.code == 2
         assert cli_main(["store", "gc", root]) == 2
         assert cli_main(["store", "stats",
                          str(tmp_path / "missing")]) == 1
@@ -699,18 +675,6 @@ class TestStoreCli:
         second = capsys.readouterr()
         assert "# store: 2 answered from the store, 0 executed" in second.err
         assert second.out == first.out
-
-    def test_legacy_journal_file_is_migrated(self, tmp_path, capsys,
-                                             legacy_journal):
-        # The only path from a legacy journal into a sweep: import it,
-        # then run the same batch against the store.
-        original = legacy_journal.lines()
-        root = str(tmp_path / "store")
-        assert cli_main(["store", "import", root, legacy_journal.path]) == 0
-        assert cli_main(legacy_journal.cli_flags + ["-store", root]) == 0
-        err = capsys.readouterr().err
-        assert "# store: 3 answered from the store, 0 executed" in err
-        assert legacy_journal.lines() == original  # read, never rewritten
 
 
 # ----------------------------------------------------------------------

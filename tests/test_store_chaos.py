@@ -99,13 +99,13 @@ class TestAppendChaos:
             store.put(_digest(1), _payload(1))
         assert verify_store(root).ok
 
-    def test_enospc_recovery_retries_under_configured_budget(self, tmp_path):
-        root = str(tmp_path / "budget")
-        with ResultStore(root, max_bytes=10_000) as store:
+    def test_one_enospc_heals_on_retry(self, tmp_path):
+        root = str(tmp_path / "once")
+        with ResultStore(root) as store:
             for i in range(5):
                 store.put(_digest(i), _payload(i), ts=float(i))
-            # One injected ENOSPC: the configured budget lets the store
-            # gc and retry instead of giving up.
+            # One injected ENOSPC: the append is rolled back and the
+            # retry succeeds, with no eviction involved.
             with FaultPlan(rates={"disk.full": 1.0}, seed=0) as plan:
                 plan.rates["disk.full"] = 0.0  # arm below, per-key
                 original = plan.fires
@@ -123,15 +123,20 @@ class TestAppendChaos:
             assert fired
             assert store.counters.healed_enospc == 1
             assert store.get(_digest(9)) is not None
+            assert len(store) == 6
         assert verify_store(root).ok
+        with ResultStore(root) as reopened:
+            assert len(reopened) == 6
 
 
 class TestCompactionChaos:
     def _filled(self, tmp_path, name):
         root = str(tmp_path / name)
-        store = ResultStore(root, segment_max_records=3)
+        store = ResultStore(root)
         for i in range(8):
             store.put(_digest(i), _payload(i), ts=float(i))
+            if i % 3 == 2:
+                store.rotate()
         return root, store
 
     def test_compaction_heals_injected_torn_writes(self, tmp_path):
