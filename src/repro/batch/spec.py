@@ -148,6 +148,7 @@ class BenchmarkSpec:
         counts = {name: int(report.sim_stats.get(_SIM_STATS_NAMES[name], 0))
                   if name in _SIM_STATS_NAMES else getattr(report, name)
                   for name in RUN_COUNTERS}
+        router = report.router or {}
         return BatchResult(
             spec=self,
             values=dict(values),
@@ -157,10 +158,9 @@ class BenchmarkSpec:
             quality_verdict=(report.quality.verdict
                              if report.quality is not None else None),
             backend=self.backend,
-            served_by=getattr(nb, "served_by", None) or "",
-            router_audited=bool(getattr(nb, "last_audited", False)),
-            router_audit_failed=bool(getattr(nb, "last_audit_failed",
-                                             False)),
+            served_by=router.get("served_by") or "",
+            router_audited=bool(router.get("audited", False)),
+            router_audit_failed=bool(router.get("audit_failed", False)),
             **counts,
         )
 
@@ -263,9 +263,8 @@ def journal_record(index: int, spec: BenchmarkSpec,
                    result: BatchResult) -> dict:
     """The checksum-less record describing one completed spec.
 
-    The durable store adds its checksum.  Legacy single-file journals
-    hold the same record with a truncated checksum, so they import
-    losslessly and replay byte-identically.
+    The durable store adds its checksum; :func:`result_from_record`
+    rebuilds the result from it byte-identically.
     """
     record = {
         "v": RECORD_VERSION,

@@ -718,10 +718,10 @@ def _main_with_args(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print(format_results(results))
-    if nb.last_quality is not None:
-        print("# quality: %s" % nb.last_quality.describe(), file=sys.stderr)
+    report = nb.last_report
+    if report.quality is not None:
+        print("# quality: %s" % report.quality.describe(), file=sys.stderr)
     if args.verbose:
-        report = nb.last_report
         print(
             "# %d runs, %d counter groups, %d simulated cycles, "
             "modelled wall time %.1f ms"

@@ -32,9 +32,9 @@ from ..x86.instructions import Program
 from .codegen import CounterRead, GeneratedCode, generate
 from .options import NanoBenchOptions
 
-#: Default cache bounds; override via :func:`configure_caches`.
-DEFAULT_ASSEMBLE_CACHE_SIZE = 4096
-DEFAULT_GENERATE_CACHE_SIZE = 1024
+#: Fixed bounds of the process-wide caches.
+ASSEMBLE_CACHE_SIZE = 4096
+GENERATE_CACHE_SIZE = 1024
 
 
 class LRUCache:
@@ -110,14 +110,6 @@ class LRUCache:
         self.hits += 1
         return value
 
-    def resize(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("cache maxsize must be >= 1")
-        self.maxsize = maxsize
-        while len(self._entries) > maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
     def clear(self) -> None:
         self._entries.clear()
         self.lookups = 0
@@ -149,10 +141,10 @@ class LRUCache:
 # str(Program) round-trips the full instruction stream, so it doubles
 # as the integrity fingerprint of cached programs.
 _assemble_cache = LRUCache(
-    DEFAULT_ASSEMBLE_CACHE_SIZE, fingerprint=str, name="assemble"
+    ASSEMBLE_CACHE_SIZE, fingerprint=str, name="assemble"
 )
 _generate_cache = LRUCache(
-    DEFAULT_GENERATE_CACHE_SIZE,
+    GENERATE_CACHE_SIZE,
     fingerprint=lambda generated: str(generated.program),
     name="generate",
 )
@@ -211,17 +203,6 @@ def cached_generate(
         key,
         lambda: generate(code, init, counters, options, local_unroll_count),
     )
-
-
-def configure_caches(
-    assemble_size: Optional[int] = None,
-    generate_size: Optional[int] = None,
-) -> None:
-    """Resize the process-wide caches (the caching knobs)."""
-    if assemble_size is not None:
-        _assemble_cache.resize(assemble_size)
-    if generate_size is not None:
-        _generate_cache.resize(generate_size)
 
 
 def clear_caches() -> None:

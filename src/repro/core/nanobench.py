@@ -78,9 +78,9 @@ from .codegen import (
 )
 from .options import NanoBenchOptions
 from .retry import (
-    RetryPolicy,
     TransientRetryWarning,
     UnschedulableEventWarning,
+    retry_transient,
 )
 from .runner import run_measurements
 
@@ -114,9 +114,9 @@ class ExecutionReport:
     generate_hits: int = 0
     generate_misses: int = 0
     #: Self-healing activity of this call: transient failures absorbed
-    #: by the retry policy, contaminated runs (counter wraparound,
-    #: frequency transitions) discarded and re-run, and events skipped
-    #: by graceful degradation.
+    #: by :func:`~repro.core.retry.retry_transient`, contaminated runs
+    #: (counter wraparound, frequency transitions) discarded and re-run,
+    #: and events skipped by graceful degradation.
     retries: int = 0
     discarded_runs: int = 0
     #: Negative counter deltas recovered exactly by adding back the
@@ -127,8 +127,6 @@ class ExecutionReport:
     #: Stability verdict of this call (None unless a
     #: :class:`~repro.integrity.stability.StabilityPolicy` is active).
     quality: Optional[QualityVerdict] = None
-    #: Times the stability policy escalated ``n_measurements``.
-    stability_escalations: int = 0
     #: Simulator-throughput block for this call: dynamic instructions
     #: simulated, steady-state fast-path iterations/instructions/replay
     #: events, fallbacks, and host wall-time (see
@@ -164,7 +162,6 @@ class NanoBench:
         *,
         kernel_mode: bool = True,
         options: Optional[NanoBenchOptions] = None,
-        retry: Optional[RetryPolicy] = None,
         preflight: bool = True,
         stability: Optional[StabilityPolicy] = None,
     ) -> None:
@@ -174,10 +171,6 @@ class NanoBench:
                         else "sim")
         self.kernel_mode = kernel_mode
         self.options = options if options is not None else NanoBenchOptions()
-        #: Self-healing policy: bounded immediate retries of
-        #: :class:`~repro.errors.TransientError`, plus
-        #: graceful degradation of unschedulable events.
-        self.retry = retry if retry is not None else RetryPolicy()
         #: Pre-flight validation: decode/semantics/privilege/timing
         #: checks run on the benchmark before any simulation, so broken
         #: code fails up front (with the same exception the simulator
@@ -199,11 +192,6 @@ class NanoBench:
         #: recent counter group, keyed by localUnrollCount.  Exposed for
         #: noise analyses (e.g. comparing aggregate functions).
         self.last_raw_series: Dict[int, Dict[str, List[float]]] = {}
-        #: Quality verdict of the most recent run (None without a
-        #: stability policy) and running verdict tallies over the
-        #: instance's lifetime (for corpus/survey-level summaries).
-        self.last_quality: Optional[QualityVerdict] = None
-        self.quality_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -213,7 +201,6 @@ class NanoBench:
                kernel_mode: bool = True,
                backend=DEFAULT_BACKEND,
                options: Optional[NanoBenchOptions] = None,
-               retry: Optional[RetryPolicy] = None,
                preflight: bool = True,
                stability: Optional[StabilityPolicy] = None) -> "NanoBench":
         """The one construction path: build the named backend's target
@@ -228,8 +215,8 @@ class NanoBench:
             from ..router import RoutedBench
 
             return RoutedBench(uarch, seed, kernel_mode=kernel_mode,
-                               options=options, retry=retry,
-                               preflight=preflight, stability=stability)
+                               options=options, preflight=preflight,
+                               stability=stability)
         if backend == "sim":
             target = SimulatedCore(uarch, seed=seed)
         elif backend == "analytic":
@@ -240,31 +227,21 @@ class NanoBench:
                 % (backend, ", ".join(BACKENDS))
             )
         return cls(target, kernel_mode=kernel_mode, options=options,
-                   retry=retry, preflight=preflight, stability=stability)
+                   preflight=preflight, stability=stability)
 
     @classmethod
     def kernel(cls, uarch: str = "Skylake", seed: int = 0,
-               options: Optional[NanoBenchOptions] = None,
-               retry: Optional[RetryPolicy] = None,
-               preflight: bool = True,
-               stability: Optional[StabilityPolicy] = None,
-               backend=DEFAULT_BACKEND) -> "NanoBench":
-        """Create the kernel-space variant on a fresh target."""
-        return cls.create(uarch, seed, kernel_mode=True, backend=backend,
-                          options=options, retry=retry, preflight=preflight,
-                          stability=stability)
+               **kwargs) -> "NanoBench":
+        """Create the kernel-space variant; *kwargs* as for
+        :meth:`create`."""
+        return cls.create(uarch, seed, kernel_mode=True, **kwargs)
 
     @classmethod
     def user(cls, uarch: str = "Skylake", seed: int = 0,
-             options: Optional[NanoBenchOptions] = None,
-             retry: Optional[RetryPolicy] = None,
-             preflight: bool = True,
-             stability: Optional[StabilityPolicy] = None,
-             backend=DEFAULT_BACKEND) -> "NanoBench":
-        """Create the user-space variant on a fresh target."""
-        return cls.create(uarch, seed, kernel_mode=False, backend=backend,
-                          options=options, retry=retry, preflight=preflight,
-                          stability=stability)
+             **kwargs) -> "NanoBench":
+        """Create the user-space variant; *kwargs* as for
+        :meth:`create`."""
+        return cls.create(uarch, seed, kernel_mode=False, **kwargs)
 
     # ------------------------------------------------------------------
     # Memory areas (Section III-G)
@@ -439,7 +416,7 @@ class NanoBench:
                             benchmark, init_program, group, options
                         )
 
-                    group_result, runs, skipped = self.retry.call(
+                    group_result, runs, skipped = retry_transient(
                         _attempt, on_retry=_note_retry
                     )
                 report.program_runs += runs
@@ -470,12 +447,6 @@ class NanoBench:
             options = replace(options, n_measurements=next_n)
         report.skipped_events = tuple(skipped_events)
         report.quality = quality
-        report.stability_escalations = escalations
-        self.last_quality = quality
-        if quality is not None:
-            self.quality_counts[quality.verdict] = (
-                self.quality_counts.get(quality.verdict, 0) + 1
-            )
         report.discarded_runs = self._discarded_runs
         report.corrected_wraps = self._corrected_wraps
         report.simulated_cycles = self.core.current_cycle - cycles_before
@@ -556,8 +527,6 @@ class NanoBench:
                     estimate, event, backend_name=self.backend
                 )
             except UnschedulableEventError as exc:
-                if not self.retry.degrade:
-                    raise
                 warnings.warn(UnschedulableEventWarning(event.name, str(exc)))
                 skipped.append(event.name)
                 continue
@@ -642,8 +611,8 @@ class NanoBench:
 
         Returns ``(results, program_runs, skipped_event_names)`` —
         events that cannot be scheduled in the current mode are skipped
-        with a structured warning (graceful degradation) when the retry
-        policy allows it, instead of failing the whole run.
+        with a structured warning (graceful degradation) instead of
+        failing the whole run.
         """
         pmu = self.core.pmu
         counter_reads = self._fixed_counter_reads(options)
@@ -653,8 +622,6 @@ class NanoBench:
             try:
                 read = self._event_counter_read(event, slot)
             except UnschedulableEventError as exc:
-                if not self.retry.degrade:
-                    raise
                 warnings.warn(UnschedulableEventWarning(event.name, str(exc)))
                 skipped.append(event.name)
                 continue

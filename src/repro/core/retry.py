@@ -1,23 +1,28 @@
-"""Retry policy for the self-healing measurement pipeline.
+"""The fixed retry rule of the self-healing measurement pipeline.
 
 The paper notes that measurements "may need to be repeated multiple
-times" under interference (Section I); at corpus scale the harness must
-also survive transient *harness* failures — allocation failures,
-counter wraparound, injected chaos faults — without aborting a sweep.
+times" under interference (Section I), and its remedy for kernel
+allocation failures is to reboot and try again; at corpus scale the
+harness must also survive transient *harness* failures — allocation
+failures, counter wraparound, injected chaos faults — without aborting
+a sweep.
 
-:class:`RetryPolicy` bounds those repetitions to a fixed number of
+:func:`retry_transient` is that rule: up to :data:`TRANSIENT_ATTEMPTS`
 immediate attempts (the simulated machine has nothing to wait for, and
-chaos runs must be reproducible).  The policy only ever retries
-:class:`~repro.errors.TransientError`; fatal errors propagate
-immediately.
+chaos runs must be reproducible).  Only
+:class:`~repro.errors.TransientError` is retried; fatal errors
+propagate immediately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import TransientError
+
+#: Attempts of one retried call, the first try included: one try plus
+#: up to two retries.
+TRANSIENT_ATTEMPTS = 3
 
 #: Structured warnings emitted by the degradation paths.
 
@@ -49,45 +54,24 @@ class TransientRetryWarning(MeasurementWarning):
         self.error = error
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, immediate retries of transient failures.
+def retry_transient(
+    fn: Callable[[], object],
+    on_retry: Optional[Callable[[int, BaseException], None]] = None,
+):
+    """Call *fn*, retrying on :class:`TransientError`.
 
-    ``max_attempts`` counts the first try: ``3`` means one try plus up
-    to two retries.
-
-    ``degrade`` enables graceful degradation: an unschedulable event is
-    skipped with a structured :class:`UnschedulableEventWarning`
-    instead of raising.
+    ``on_retry(attempt, error)`` is invoked before each retry (the
+    1-based attempt that just failed).  The final transient error
+    propagates once :data:`TRANSIENT_ATTEMPTS` are exhausted; fatal
+    errors propagate immediately.
     """
-
-    max_attempts: int = 3
-    degrade: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    def call(
-        self,
-        fn: Callable[[], object],
-        *,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    ):
-        """Call *fn*, retrying on :class:`TransientError`.
-
-        ``on_retry(attempt, error)`` is invoked before each retry (the
-        1-based attempt that just failed).  The final transient error
-        propagates once attempts are exhausted; fatal errors propagate
-        immediately.
-        """
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return fn()
-            except TransientError as exc:
-                if attempt >= self.max_attempts:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
+    attempt = 0
+    while True:
+        attempt += 1
+        try:
+            return fn()
+        except TransientError as exc:
+            if attempt >= TRANSIENT_ATTEMPTS:
+                raise
+            if on_retry is not None:
+                on_retry(attempt, exc)

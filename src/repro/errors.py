@@ -6,8 +6,9 @@ measurement pipeline keys on **by type** (never by string matching):
 * :class:`TransientError` — conditions expected to clear on retry:
   transient kernel allocation failures, counter wraparound, injected
   chaos faults, dead or hung workers.
-  :class:`~repro.core.retry.RetryPolicy` retries these a bounded
-  number of times, and the batch plane requeues them.
+  :func:`~repro.core.retry.retry_transient` retries these up to
+  :data:`~repro.core.retry.TRANSIENT_ATTEMPTS` times in place, and the
+  batch plane requeues them.
 * everything else under :class:`ReproError` — fatal for the current
   request: malformed input, privilege violations, configuration errors.
   Retrying cannot help; these propagate (or are captured per item by

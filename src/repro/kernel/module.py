@@ -21,7 +21,7 @@ from typing import Optional, Union
 from ..core.nanobench import NanoBench
 from ..core.options import NanoBenchOptions
 from ..core.output import format_results
-from ..core.retry import MeasurementWarning
+from ..core.retry import MeasurementWarning, retry_transient
 from ..errors import AllocationError, NanoBenchError
 from ..faults.plan import active_plan
 from ..perfctr.config import parse_config
@@ -91,11 +91,9 @@ class KernelModule:
         machine comes back with pristine physical memory.
         """
         options = self.nanobench.options
-        retry = self.nanobench.retry
         r14_size = self.nanobench.r14_size
         core = SimulatedCore(self._spec, seed=self._seed)
-        self.nanobench = NanoBench(core, kernel_mode=True, options=options,
-                                   retry=retry)
+        self.nanobench = NanoBench(core, kernel_mode=True, options=options)
         if r14_size != self.nanobench.r14_size:
             self.nanobench.resize_r14_buffer(r14_size)
         self.reboots += 1
@@ -103,8 +101,8 @@ class KernelModule:
 
     def _resize_r14(self, size: int) -> None:
         """Allocate the R14 buffer, healing allocation failures by
-        rebooting the simulated machine and retrying (bounded by the
-        nanoBench retry policy)."""
+        rebooting the simulated machine and retrying (bounded by
+        :data:`~repro.core.retry.TRANSIENT_ATTEMPTS`)."""
         def allocate() -> None:
             plan = active_plan()
             if plan is not None:
@@ -124,7 +122,7 @@ class KernelModule:
             ))
             self.reboot()
 
-        self.nanobench.retry.call(allocate, on_retry=warn_and_reboot)
+        retry_transient(allocate, on_retry=warn_and_reboot)
 
     def available_files(self):
         names = sorted(

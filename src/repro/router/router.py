@@ -30,8 +30,8 @@ Trust is decided *per query*, from data:
    path's equivalence to exact simulation is enforced by the
    differential fuzzer and the tier-2 full-corpus differential.
 
-Routing decisions are attributable end to end: each run leaves
-``served_by`` / ``last_audited`` on the facade, a ``router`` block on
+Routing decisions are attributable end to end: each run leaves a
+``router`` block (``served_by``, ``audited``, ``audit_failed``) on
 :class:`~repro.core.nanobench.ExecutionReport`, and cumulative
 :class:`RouterStats` for the service's ``/v1/stats``.
 """
@@ -134,17 +134,15 @@ class RoutedBench:
 
     def __init__(self, uarch: str = "Skylake", seed: int = 0, *,
                  kernel_mode: bool = True,
-                 options=None, retry=None, preflight: bool = True,
+                 options=None, preflight: bool = True,
                  stability=None) -> None:
         from ..core.nanobench import ExecutionReport
         from ..core.options import NanoBenchOptions
-        from ..core.retry import RetryPolicy
 
         self.uarch = uarch
         self.seed = seed
         self.kernel_mode = kernel_mode
         self.options = options if options is not None else NanoBenchOptions()
-        self.retry = retry if retry is not None else RetryPolicy()
         self.preflight = preflight
         self.stability = stability
         self.table = load_fidelity_table()
@@ -153,13 +151,8 @@ class RoutedBench:
         #: Divergences confirmed by the audit, in the PR 6 corpus
         #: format (category ``router``), ready for ``save_corpus``.
         self.divergences: List[object] = []
-        #: Attribution of the most recent run.
-        self.served_by: Optional[str] = None
-        self.last_audited = False
-        self.last_audit_failed = False
+        #: The most recent run's report, with its ``router`` block.
         self.last_report = ExecutionReport()
-        self.last_quality = None
-        self.quality_counts: Dict[str, int] = {}
         self.last_raw_series: Dict[int, Dict[str, List[float]]] = {}
         #: The analytic tier (it also resolves and classifies every
         #: query) and the most recently built sim tier.
@@ -176,7 +169,7 @@ class RoutedBench:
 
         return NanoBench.create(
             self.uarch, self.seed, kernel_mode=self.kernel_mode,
-            backend=backend, options=self.options, retry=self.retry,
+            backend=backend, options=self.options,
             preflight=self.preflight,
         )
 
@@ -398,12 +391,3 @@ class RoutedBench:
         }
         self.last_report = report
         self.last_raw_series = tier.last_raw_series
-        self.last_quality = tier.last_quality
-        if tier.last_quality is not None:
-            verdict = tier.last_quality.verdict
-            self.quality_counts[verdict] = (
-                self.quality_counts.get(verdict, 0) + 1
-            )
-        self.served_by = served
-        self.last_audited = audited
-        self.last_audit_failed = audit_failed

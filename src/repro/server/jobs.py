@@ -29,8 +29,9 @@ guarantee the acceptance tests pin.
 
 Each transition record is self-contained (it carries the spec payloads
 too), so load is a last-wins scan per job id — the same recovery shape
-as the store's segments, reusing :func:`repro.store.segment.scan_segment`
-unchanged.
+as the store's segments, through the same
+:func:`~repro.store.segment.scan_segment` and
+:func:`~repro.store.segment.heal_segment`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ from typing import Dict, List, Optional
 
 from ..batch.spec import BenchmarkSpec, spec_digest
 from ..store.records import encode_record, record_checksum
-from ..store.segment import append_line, scan_segment, truncate_torn_tail
+from ..store.segment import (
+    QUARANTINE_DIR,
+    append_line,
+    heal_segment,
+    scan_segment,
+)
 
 #: Journal file name inside the store root.
 JOB_JOURNAL_NAME = "jobs.jsonl"
@@ -232,21 +238,25 @@ class JobJournal:
         """Jobs keyed by id, last-wins, healing the file in place.
 
         A torn tail (kill mid-append) is truncated; interior corrupt
-        lines are dropped with a warning — the affected job simply
-        reverts to its previous journaled state, or is forgotten if it
-        never had one (its acked results remain in the store either
-        way).
+        lines are quarantined into the store root's ``quarantine/``
+        directory and rewritten out of the file, with one warning — the
+        affected job simply reverts to its previous journaled state, or
+        is forgotten if it never had one (its acked results remain in
+        the store either way).
         """
         with self._lock:
             self._close_handle_locked()
             scan = scan_segment(self.path)
-            if truncate_torn_tail(scan):
+            quarantine = os.path.join(os.path.dirname(self.path),
+                                      QUARANTINE_DIR)
+            if heal_segment(scan, quarantine):
                 self.truncations += 1
             if scan.corrupt:
                 warnings.warn(
-                    "job journal %s: dropping %d corrupt line(s); the "
-                    "affected jobs revert to their previous journaled "
-                    "state" % (self.path, len(scan.corrupt))
+                    "job journal %s: quarantined %d corrupt line(s) into "
+                    "%s; the affected jobs revert to their previous "
+                    "journaled state"
+                    % (self.path, len(scan.corrupt), quarantine)
                 )
             jobs: Dict[str, Job] = {}
             for _, record in scan.records:

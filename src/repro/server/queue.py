@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -376,7 +377,7 @@ class JobQueue:
                 job.n_store_hits = 0
                 job.n_store_misses = 0
                 job.error = None
-                self.journal.append(job)
+                self._append_from_worker(job)
             try:
                 self._run_job(job)
             finally:
@@ -455,9 +456,27 @@ class JobQueue:
                 job.state = DONE
                 tally.jobs_completed += 1
             self.stats_counters.add(tally)
-            self.journal.append(job)
+            self._append_from_worker(job)
             if job.state == DONE:
                 job.specs = []
+
+    def _append_from_worker(self, job: Job) -> None:
+        """Journal a worker transition (``running``, ``done`` or the
+        drain checkpoint) without ever killing the worker thread.
+
+        Only the admission ``accepted`` record must be durable: a job
+        whose later record is lost re-runs on recovery, every acked
+        spec answered from the store.  So a failed append is warned
+        about and the worker carries on.
+        """
+        try:
+            self.journal.append(job)
+        except StoreError as exc:
+            warnings.warn(
+                "job %s: the journal append of its %r record failed "
+                "(%s); carrying on, recovery re-runs the job from the "
+                "store" % (job.job_id, job.state, exc)
+            )
 
     # ------------------------------------------------------------------
     # Shutdown

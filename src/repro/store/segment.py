@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import StoreError, StoreFullError
 from ..faults.plan import active_plan
-from .records import parse_record_line
+from .records import encode_record, parse_record_line
 
 #: File names inside a store root.
 ACTIVE_NAME = "active.jsonl"
@@ -140,6 +140,37 @@ def truncate_torn_tail(scan: SegmentScan) -> bool:
     with open(scan.path, "rb+") as handle:
         handle.truncate(scan.good_bytes)
     return True
+
+
+def heal_segment(scan: SegmentScan, quarantine_dir: str) -> bool:
+    """Leave *scan*'s file clean for every later reader.
+
+    Each corrupt interior line's raw bytes are written to
+    ``quarantine_dir/<file name>.<offset>.raw`` and the file is
+    rewritten with only its valid records (atomic: tmp + fsync +
+    rename), which also drops any torn tail.  Without corrupt lines, a
+    torn tail is truncated.  Returns True when that truncation
+    happened.
+    """
+    if not scan.corrupt:
+        return truncate_torn_tail(scan)
+    os.makedirs(quarantine_dir, exist_ok=True)
+    name = os.path.basename(scan.path)
+    for corrupt in scan.corrupt:
+        raw_path = os.path.join(quarantine_dir, "%s.%08d.raw"
+                                % (name, corrupt.offset))
+        with open(raw_path, "wb") as handle:
+            handle.write(corrupt.raw)
+            handle.write(b"\n")
+    tmp = scan.path + TMP_SUFFIX
+    with open(tmp, "wb") as handle:
+        for _, record in scan.records:
+            handle.write(encode_record(record))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, scan.path)
+    fsync_directory(os.path.dirname(scan.path) or ".")
+    return False
 
 
 class TornWrite(Exception):

@@ -63,10 +63,10 @@ from .segment import (
     TornWrite,
     append_line,
     fsync_directory,
+    heal_segment,
     scan_segment,
     segment_name,
     segment_number,
-    truncate_torn_tail,
 )
 
 #: Rotation threshold: an append that takes the active segment to this
@@ -258,37 +258,17 @@ class ResultStore:
     def _heal_segment_locked(self, path: str,
                              scan: SegmentScan) -> SegmentScan:
         """Truncate the torn tail and quarantine interior corruption."""
-        for corrupt in scan.corrupt:
-            self._quarantine_locked(path, corrupt.offset, corrupt.raw,
-                                    corrupt.reason)
+        if heal_segment(scan, self._quarantine_dir):
+            self.counters.truncations += 1
         if scan.corrupt:
-            # Rewrite without the corrupt lines so the file is clean for
-            # every later reader (atomic: tmp + fsync + rename).
-            tmp = path + TMP_SUFFIX
-            with open(tmp, "wb") as handle:
-                for _, record in scan.records:
-                    handle.write(encode_record(record))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            fsync_directory(os.path.dirname(path))
+            self.counters.quarantined += len(scan.corrupt)
             warnings.warn(
                 "store %s: quarantined %d corrupt line(s) of %s "
                 "(checksum mismatch / torn write); affected specs will "
                 "be re-executed on demand"
                 % (self.root, len(scan.corrupt), os.path.basename(path))
             )
-        elif truncate_torn_tail(scan):
-            self.counters.truncations += 1
         return scan_segment(path)
-
-    def _quarantine_locked(self, segment_path: str, offset: int,
-                           raw: bytes, reason: str) -> None:
-        name = "%s.%08d.raw" % (os.path.basename(segment_path), offset)
-        with open(os.path.join(self._quarantine_dir, name), "wb") as handle:
-            handle.write(raw)
-            handle.write(b"\n")
-        self.counters.quarantined += 1
 
     # ------------------------------------------------------------------
     # Reads

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ...batch import ResilientPool, default_jobs
 from ...core.nanobench import NanoBench
 from ...errors import AnalysisError
-from ...integrity.stability import worst_verdict
 from ...memory.replacement import AdaptivePolicy
 from .addresses import disable_prefetchers
 from .cacheseq import CacheSeq
@@ -59,9 +58,6 @@ class CpuSurvey:
     uarch: str
     cpu_model: str
     levels: Dict[int, LevelSurvey] = field(default_factory=dict)
-    #: Worst stability verdict over the survey's nanoBench measurements
-    #: (None when no stability policy was active or no run was judged).
-    quality: Optional[str] = None
 
 
 def _survey_small_cache(cacheseq: CacheSeq, set_index: int,
@@ -157,19 +153,16 @@ def _survey_l3(cacheseq: CacheSeq, nb: NanoBench, seed: int) -> LevelSurvey:
 
 
 def survey_cpu(uarch: str, seed: int = 0,
-               buffer_mb: int = 128, stability=None) -> CpuSurvey:
+               buffer_mb: int = 128) -> CpuSurvey:
     """Determine the replacement policies of all cache levels.
 
     This is the end-to-end Table I pipeline for one CPU: a kernel-space
     nanoBench instance with a physically-contiguous buffer, prefetchers
     disabled (Section IV-A2), and the inference tools on top.  Raises
     :class:`AnalysisError` when the prefetchers cannot be disabled (the
-    AMD situation of Section VI-D).  With a *stability* policy, the
-    worst verdict over the survey's measurements is reported on
-    :attr:`CpuSurvey.quality`.
+    AMD situation of Section VI-D).
     """
-    nb = NanoBench.create(uarch, seed=seed, kernel_mode=True,
-                          stability=stability)
+    nb = NanoBench.create(uarch, seed=seed, kernel_mode=True)
     if not disable_prefetchers(nb.core):
         raise AnalysisError(
             "cannot disable the hardware prefetchers on %s; the cache "
@@ -186,14 +179,12 @@ def survey_cpu(uarch: str, seed: int = 0,
         CacheSeq(nb, level=2), set_index=17, seed=seed
     )
     survey.levels[3] = _survey_l3(CacheSeq(nb, level=3), nb, seed=seed)
-    survey.quality = worst_verdict(nb.quality_counts)
     return survey
 
 
-def _survey_one(task: Tuple[str, int, int, object]) -> CpuSurvey:
-    uarch, seed, buffer_mb, stability = task
-    return survey_cpu(uarch, seed=seed, buffer_mb=buffer_mb,
-                      stability=stability)
+def _survey_one(task: Tuple[str, int, int]) -> CpuSurvey:
+    uarch, seed, buffer_mb = task
+    return survey_cpu(uarch, seed=seed, buffer_mb=buffer_mb)
 
 
 #: Bumped whenever the survey algorithm or record layout changes, so a
@@ -201,15 +192,13 @@ def _survey_one(task: Tuple[str, int, int, object]) -> CpuSurvey:
 _SURVEY_RECORD_VERSION = 1
 
 
-def _survey_digest(uarch: str, seed: int, buffer_mb: int,
-                   stability) -> str:
+def _survey_digest(uarch: str, seed: int, buffer_mb: int) -> str:
     """Content digest of one whole-CPU survey task (the store key).
-    Surveys always run on the ``sim`` backend; the name stays in the
-    identity so surveys stored with it remain hits."""
-    if stability is not None and not isinstance(stability, tuple):
-        stability = tuple(sorted(vars(stability).items()))
+    The identity keeps the slots of the survey's former stability
+    setting (always ``None``) and backend (always ``"sim"``), so every
+    stored survey stays a hit."""
     identity = repr(("cpu-survey", _SURVEY_RECORD_VERSION, uarch, seed,
-                     buffer_mb, stability, "sim"))
+                     buffer_mb, None, "sim"))
     return hashlib.sha256(identity.encode()).hexdigest()
 
 
@@ -220,7 +209,6 @@ def survey_to_record(survey: CpuSurvey) -> dict:
         "survey_v": _SURVEY_RECORD_VERSION,
         "uarch": survey.uarch,
         "cpu_model": survey.cpu_model,
-        "quality": survey.quality,
         "levels": {
             str(level): {
                 "level": ls.level,
@@ -237,9 +225,9 @@ def survey_to_record(survey: CpuSurvey) -> dict:
 
 
 def survey_from_record(record: dict) -> CpuSurvey:
-    """Rebuild the :class:`CpuSurvey` a store record describes."""
-    survey = CpuSurvey(uarch=record["uarch"], cpu_model=record["cpu_model"],
-                       quality=record.get("quality"))
+    """Rebuild the :class:`CpuSurvey` a store record describes (the
+    ``quality`` key of older records, always ``None``, is ignored)."""
+    survey = CpuSurvey(uarch=record["uarch"], cpu_model=record["cpu_model"])
     for key, fields in record.get("levels", {}).items():
         survey.levels[int(key)] = LevelSurvey(
             level=fields["level"],
@@ -259,7 +247,6 @@ def survey_cpus(
     buffer_mb: int = 128,
     jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, int, object], None]] = None,
-    stability=None,
     store=None,
 ) -> Dict[str, CpuSurvey]:
     """Survey several CPUs, optionally sharded across worker processes.
@@ -293,7 +280,7 @@ def survey_cpus(
                 pending.append(uarch)
                 continue
             record = resolved_store.get(
-                _survey_digest(uarch, seed, buffer_mb, stability)
+                _survey_digest(uarch, seed, buffer_mb)
             )
             if record is not None:
                 surveys[uarch] = survey_from_record(record)
@@ -303,7 +290,7 @@ def survey_cpus(
             _survey_one, default_jobs() if jobs is None else max(1, jobs)
         )
         outcomes = pool.imap_ordered(
-            [(uarch, seed, buffer_mb, stability) for uarch in pending]
+            [(uarch, seed, buffer_mb) for uarch in pending]
         )
         for done, outcome in enumerate(outcomes, 1):
             uarch = pending[outcome.index]
@@ -315,7 +302,7 @@ def survey_cpus(
                     # Only successful surveys are cached; a failed CPU is
                     # retried on the next submission.
                     resolved_store.put(
-                        _survey_digest(uarch, seed, buffer_mb, stability),
+                        _survey_digest(uarch, seed, buffer_mb),
                         survey_to_record(outcome.value),
                     )
             else:

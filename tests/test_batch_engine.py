@@ -17,7 +17,6 @@ from repro.core.codecache import (
     cached_assemble,
     cached_generate,
     clear_caches,
-    configure_caches,
 )
 from repro.core.codegen import CounterRead
 from repro.core.nanobench import NanoBench
@@ -173,15 +172,6 @@ class TestLRUCache:
         assert cache.stats()["evictions"] == 1
         assert len(cache) == 2
 
-    def test_resize_evicts(self):
-        cache = LRUCache(8)
-        for key in range(8):
-            cache.get_or_create(key, lambda: key)
-        cache.resize(3)
-        assert len(cache) == 3
-        with pytest.raises(ValueError):
-            cache.resize(0)
-
     def test_rejects_invalid_size(self):
         with pytest.raises(ValueError):
             LRUCache(0)
@@ -220,15 +210,6 @@ class TestCodegenCaches:
             "lookups": 3, "hits": 1, "misses": 2, "evictions": 0,
             "repairs": 0,
         }
-
-    def test_configure_caches_resizes(self):
-        configure_caches(assemble_size=2)
-        for i in range(4):
-            cached_assemble("add RAX, %d" % i)
-        stats = cache_stats()["assemble"]
-        assert stats["size"] == 2
-        assert stats["evictions"] == 2
-        configure_caches(assemble_size=4096)
 
     def test_run_reports_cache_activity(self):
         nb = NanoBench.kernel("Skylake", seed=0)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.batch import BatchRunner, BenchmarkSpec, ResilientPool
 from repro.core.codecache import cache_stats, cached_assemble, clear_caches
 from repro.core.nanobench import NanoBench
-from repro.core.retry import RetryPolicy
+from repro.core.retry import TRANSIENT_ATTEMPTS, TransientRetryWarning
 from repro.core.runner import aggregate_values
 from repro.errors import AllocationError, InjectedFaultError
 from repro.faults.plan import FaultPlan
@@ -182,12 +182,15 @@ class TestChaosGoldenEquivalence:
 
     def test_retries_exhausted_raises_transient(self):
         plan = FaultPlan(rates={"kernel.alloc": 1.0}, seed=0)
-        nb = NanoBench.kernel("Skylake", seed=0,
-                              retry=RetryPolicy(max_attempts=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        nb = NanoBench.kernel("Skylake", seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with plan, pytest.raises(AllocationError):
                 nb.run(asm="nop")
+        # One warning per absorbed failure, then the last one raises.
+        retried = [w for w in caught
+                   if issubclass(w.category, TransientRetryWarning)]
+        assert len(retried) == TRANSIENT_ATTEMPTS - 1
 
 
 class TestChaosBatchDifferential:

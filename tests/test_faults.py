@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core.retry import RetryPolicy, TransientRetryWarning
+from repro.core.retry import TRANSIENT_ATTEMPTS, retry_transient
 from repro.core.runner import run_measurements
 from repro.errors import (
     AllocationError,
@@ -179,6 +179,8 @@ class TestErrorTaxonomy:
 
 
 class TestRetryPolicy:
+    """The one fixed retry rule, :func:`retry_transient`."""
+
     def test_call_retries_transient_only(self):
         calls = []
 
@@ -188,9 +190,8 @@ class TestRetryPolicy:
                 raise AllocationError("transient")
             return "ok"
 
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.call(flaky) == "ok"
-        assert len(calls) == 3
+        assert retry_transient(flaky) == "ok"
+        assert len(calls) == 3 == TRANSIENT_ATTEMPTS
 
     def test_call_propagates_fatal_immediately(self):
         calls = []
@@ -200,7 +201,7 @@ class TestRetryPolicy:
             raise NanoBenchError("fatal")
 
         with pytest.raises(NanoBenchError):
-            RetryPolicy(max_attempts=5).call(fatal)
+            retry_transient(fatal)
         assert len(calls) == 1
 
     def test_call_exhausts_attempts(self):
@@ -211,8 +212,8 @@ class TestRetryPolicy:
             raise AllocationError("transient")
 
         with pytest.raises(AllocationError):
-            RetryPolicy(max_attempts=3).call(always_transient)
-        assert len(calls) == 3
+            retry_transient(always_transient)
+        assert len(calls) == TRANSIENT_ATTEMPTS
 
     def test_on_retry_callback(self):
         seen = []
@@ -222,15 +223,11 @@ class TestRetryPolicy:
                 raise AllocationError("first")
             return 1
 
-        RetryPolicy(max_attempts=2).call(
+        retry_transient(
             flaky,
             on_retry=lambda attempt, exc: seen.append((attempt, str(exc))),
         )
         assert seen == [(1, "first")]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
 
 
 class TestValidityCheckedRuns:

@@ -479,13 +479,11 @@ class TestStabilityIntegration:
         nb = NanoBench.kernel("Skylake", stability=StabilityPolicy())
         judged = nb.run(asm="add RAX, RAX", n_measurements=5, unroll_count=10)
         assert judged == plain
-        quality = nb.last_quality
+        quality = nb.last_report.quality
         assert quality is not None
         assert quality.verdict == VERDICT_STABLE
         assert quality.escalations == 0
         assert quality.n_measurements == 5
-        assert nb.last_report.quality is quality
-        assert nb.quality_counts == {VERDICT_STABLE: 1}
 
     def test_persistent_noise_is_quarantined_at_the_cap(self):
         nb = _NoisyNanoBench.kernel(
@@ -493,14 +491,12 @@ class TestStabilityIntegration:
         )
         result = nb.run(asm="nop", n_measurements=8, unroll_count=5)
         assert result  # a value is still reported, but flagged
-        quality = nb.last_quality
+        quality = nb.last_report.quality
         assert quality.verdict == VERDICT_QUARANTINED
         assert quality.escalations == 1
         assert quality.n_measurements == 16
         assert quality.worst_counter is not None
         assert quality.worst_stats.rel_mad > 0.05
-        assert nb.last_report.stability_escalations == 1
-        assert nb.quality_counts == {VERDICT_QUARANTINED: 1}
 
     def test_escalation_can_recover_stability(self):
         nb = _NoisyNanoBench.kernel(
@@ -508,7 +504,7 @@ class TestStabilityIntegration:
         )
         nb.noise_below = 16  # noisy at n=8, clean once escalated to 16
         nb.run(asm="nop", n_measurements=8, unroll_count=5)
-        quality = nb.last_quality
+        quality = nb.last_report.quality
         assert quality.verdict == VERDICT_ESCALATED
         assert quality.escalations == 1
         assert quality.n_measurements == 16
@@ -516,9 +512,7 @@ class TestStabilityIntegration:
     def test_no_policy_leaves_no_quality(self):
         nb = NanoBench.kernel("Skylake")
         nb.run(asm="nop", n_measurements=2)
-        assert nb.last_quality is None
         assert nb.last_report.quality is None
-        assert nb.quality_counts == {}
 
     def test_batch_spec_carries_quality_verdict(self):
         spec = spec_from_run_kwargs(
@@ -684,6 +678,16 @@ class TestCliIntegrityFlags:
         assert rc == 0
         captured = capsys.readouterr()
         assert "# quality: stable" in captured.err
+        assert "Core cycles" in captured.out
+
+    def test_stability_flag_prints_routed_quality(self, capsys):
+        # The router's verdict is the serving tier's, read off the
+        # routed run's report.
+        rc = cli_main(["-asm", "add RAX, RBX", "-backend", "auto",
+                       "-stability"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "# quality: stable (n=10, escalations=0)" in captured.err
         assert "Core cycles" in captured.out
 
     def test_cycle_budget_flag_reports_runaway(self, capsys):

@@ -17,7 +17,7 @@ from repro.core.codegen import (
 from repro.core.nanobench import NanoBench
 from repro.core.options import NanoBenchOptions
 from repro.core.output import format_results
-from repro.core.retry import RetryPolicy, UnschedulableEventWarning
+from repro.core.retry import UnschedulableEventWarning
 from repro.core.runner import aggregate_values, run_measurements
 from repro.errors import NanoBenchError, PrivilegeError
 from repro.perfctr.config import example_skylake_config
@@ -232,13 +232,6 @@ class TestPrivilege:
         assert "Core cycles" in result
         assert nb_user.last_report.skipped_events == (
             "CBOX0_LLC_LOOKUP.ANY",)
-
-    def test_user_uncore_raises_without_degradation(self):
-        nb_user = NanoBench.user(
-            uarch="Skylake", retry=RetryPolicy(degrade=False)
-        )
-        with pytest.raises(NanoBenchError):
-            nb_user.run(asm="nop", events=["CBOX0_LLC_LOOKUP.ANY"])
 
     def test_user_cannot_aperf(self):
         nb_user = NanoBench.user(uarch="Skylake")

@@ -234,10 +234,9 @@ class TestRouting:
                                                           monkeypatch):
         rb = _router(monkeypatch)
         values = dict(rb.run("add RAX, RBX", n_measurements=2))
-        assert rb.served_by == "analytic"
+        assert rb.last_report.router["served_by"] == "analytic"
         assert values == _fresh("analytic", "add RAX, RBX",
                                 n_measurements=2)
-        assert rb.last_report.router["served_by"] == "analytic"
         assert rb.stats.tier_hits == {"analytic": 1}
 
     def test_cache_event_escalates_on_capability(self, monkeypatch):
@@ -245,7 +244,7 @@ class TestRouting:
         kwargs = dict(asm_init="mov [R14], R14", n_measurements=2,
                       events=("MEM_LOAD_RETIRED.L1_HIT",))
         values = dict(rb.run("mov R14, [R14]", **kwargs))
-        assert rb.served_by == "sim"
+        assert rb.last_report.router["served_by"] == "sim"
         assert rb.stats.escalations == {"capability": 1}
         assert values == _fresh("sim", "mov R14, [R14]", **kwargs)
         assert values["MEM_LOAD_RETIRED.L1_HIT"] == pytest.approx(1.0)
@@ -253,7 +252,7 @@ class TestRouting:
     def test_microcode_escalates_on_fidelity(self, monkeypatch):
         rb = _router(monkeypatch)
         values = dict(rb.run("cpuid", n_measurements=2))
-        assert rb.served_by == "sim"
+        assert rb.last_report.router["served_by"] == "sim"
         assert rb.stats.escalations == {"fidelity": 1}
         assert values == _fresh("sim", "cpuid", n_measurements=2)
 
@@ -261,7 +260,7 @@ class TestRouting:
         monkeypatch.setattr(router_module, "TOLERANCE", 0.0)
         rb = _router(monkeypatch)
         rb.run("add RAX, RBX", n_measurements=2)
-        assert rb.served_by == "sim"
+        assert rb.last_report.router["served_by"] == "sim"
         assert rb.stats.escalations == {"fidelity": 1}
 
     def test_routed_runs_start_pristine(self, monkeypatch):
@@ -287,7 +286,8 @@ class TestRouting:
             for asm, events in ordering:
                 init = "mov [R14], R14" if events else ""
                 rb.run(asm, init, events=events, n_measurements=2)
-                decisions[asm] = (rb.served_by, rb.last_audited)
+                routed = rb.last_report.router
+                decisions[asm] = (routed["served_by"], routed["audited"])
             return decisions
 
         forward = decide(queries)
@@ -326,8 +326,9 @@ class TestAudit:
                                                      monkeypatch):
         rb = _router(monkeypatch, audit_fraction=1.0)
         values = dict(rb.run(self.RMW, n_measurements=2))
-        assert rb.last_audited and rb.last_audit_failed
-        assert rb.served_by == "sim"
+        routed = rb.last_report.router
+        assert routed["audited"] and routed["audit_failed"]
+        assert rb.last_report.router["served_by"] == "sim"
         # The audited answer is the simulator's, never the cheap one,
         # and equals exact simulation with the fast path off.
         assert values == _fresh("sim", self.RMW, exact=True,
@@ -349,8 +350,8 @@ class TestAudit:
         rb.run(self.RMW, n_measurements=2)
         values = dict(rb.run(self.RMW, n_measurements=2))
         # Served by the sim tier now, which is never audited.
-        assert rb.served_by == "sim"
-        assert not rb.last_audited
+        assert rb.last_report.router["served_by"] == "sim"
+        assert not rb.last_report.router["audited"]
         assert rb.stats.escalations.get("quarantine") == 1
         assert rb.stats.audits == 1
         assert values == _fresh("sim", self.RMW, n_measurements=2)
@@ -364,15 +365,16 @@ class TestAudit:
         ]
         for asm, asm_init, events in queries:
             rb.run(asm, asm_init, events=events, n_measurements=2)
-            assert rb.served_by == "sim"
-            assert not rb.last_audited
+            assert rb.last_report.router["served_by"] == "sim"
+            assert not rb.last_report.router["audited"]
         assert rb.stats.audits == 0
 
     def test_passing_audit_keeps_cheap_answer(self, monkeypatch):
         rb = _router(monkeypatch, audit_fraction=1.0)
         values = dict(rb.run("add RAX, RBX", n_measurements=2))
-        assert rb.served_by == "analytic"
-        assert rb.last_audited and not rb.last_audit_failed
+        assert rb.last_report.router["served_by"] == "analytic"
+        routed = rb.last_report.router
+        assert routed["audited"] and not routed["audit_failed"]
         assert rb.stats.audit_passes == 1
         assert values == _fresh("analytic", "add RAX, RBX",
                                 n_measurements=2)
@@ -405,7 +407,7 @@ class TestGateAgreement:
             events, aperf_mperf=query.get("aperf_mperf", False))
         rb = _router(monkeypatch)
         rb.run(**query)
-        assert rb.served_by == "sim"
+        assert rb.last_report.router["served_by"] == "sim"
         assert rb.stats.escalations == {"capability": 1}
 
         nb = NanoBench.create("Skylake", 0, backend="analytic")

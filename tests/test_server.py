@@ -29,6 +29,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -47,6 +48,7 @@ from repro.faults.plan import FaultPlan
 from repro.server import (
     ACCEPTED,
     DONE,
+    RUNNING,
     BenchServer,
     JobJournal,
     JobQueue,
@@ -200,6 +202,32 @@ class TestJobJournal:
         assert list(jobs) == ["job-00000002"]
         journal.close()
 
+    def test_corrupt_line_is_quarantined_once(self, tmp_path):
+        from repro.store import verify_store
+
+        queue = _queue(tmp_path)
+        self._job(queue)
+        self._job(queue)
+        queue.close()
+        root = tmp_path / "store"
+        path = root / "jobs.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        damaged = lines[0].replace(b'"alice"', b'"alicf"')
+        lines[0] = damaged
+        path.write_bytes(b"".join(lines))
+        journal = JobJournal(path)
+        with pytest.warns(UserWarning, match="corrupt line"):
+            assert list(journal.load()) == ["job-00000002"]
+        # The second load finds a clean file: no warning, same jobs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(journal.load()) == ["job-00000002"]
+        journal.close()
+        assert damaged not in path.read_bytes()
+        (raw,) = (root / "quarantine").iterdir()
+        assert raw.read_bytes() == damaged
+        assert verify_store(root).quarantined_files == 1
+
     def test_renamed_checksum_key_drops_the_record(self, tmp_path):
         # A job record whose "sha" key name is damaged is unchecked
         # content, not a legacy record: it must be dropped, not loaded.
@@ -309,6 +337,51 @@ class TestJobQueue:
         job = queue.submit("alice", _specs(4, seed=1))
         assert job.state == ACCEPTED
         assert queue.stats().jobs_accepted == 1
+        queue.stop()
+
+    def _fail_first_append(self, queue, state):
+        """Make the journal append of the first *state* record raise
+        :class:`StoreError`; returns the ids it failed for."""
+        append = queue.journal.append
+        failed = []
+
+        def flaky_append(job, ts=None):
+            if job.state == state and not failed:
+                failed.append(job.job_id)
+                raise StoreError("injected journal append failure")
+            return append(job, ts)
+
+        queue.journal.append = flaky_append
+        return failed
+
+    def test_failed_running_append_keeps_the_worker(self, tmp_path):
+        queue = _queue(tmp_path)
+        failed = self._fail_first_append(queue, RUNNING)
+        first = queue.submit("alice", _specs(2))
+        second = queue.submit("alice", _specs(2, seed=1))
+        with pytest.warns(UserWarning, match=first.job_id):
+            _run_to_done(queue, first, timeout=10.0)
+            _run_to_done(queue, second, timeout=10.0)
+        assert failed == [first.job_id]
+        assert all(o["ok"] for o in first.outcomes + second.outcomes)
+        queue.stop()
+
+    def test_failed_done_append_reruns_from_the_store(self, tmp_path):
+        queue = _queue(tmp_path)
+        failed = self._fail_first_append(queue, DONE)
+        first = queue.submit("alice", _specs(2))
+        second = queue.submit("alice", _specs(2, seed=1))
+        with pytest.warns(UserWarning, match=first.job_id):
+            _run_to_done(queue, first, timeout=10.0)
+            _run_to_done(queue, second, timeout=10.0)
+        assert failed == [first.job_id]
+        queue.stop()
+        # The lost ``done`` leaves ``running`` last on disk: recovery
+        # re-runs the job, and the store answers every spec.
+        queue = _queue(tmp_path)
+        assert queue.stats().jobs_recovered == 1
+        rerun = _run_to_done(queue, queue.job(first.job_id))
+        assert (rerun.n_store_hits, rerun.n_store_misses) == (2, 0)
         queue.stop()
 
     def test_queue_full_gives_retry_after(self, tmp_path):

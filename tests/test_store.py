@@ -537,8 +537,7 @@ class TestToolWiring:
 
         calls = []
 
-        def fake_survey(uarch, seed=0, buffer_mb=128, stability=None,
-                        backend="sim"):
+        def fake_survey(uarch, seed=0, buffer_mb=128):
             calls.append(uarch)
             survey = survey_mod.CpuSurvey(uarch=uarch, cpu_model="Fake 9000")
             survey.levels[1] = survey_mod.LevelSurvey(
@@ -562,8 +561,7 @@ class TestToolWiring:
     def test_survey_cpus_closes_store_it_opened(self, tmp_path, monkeypatch):
         from repro.tools.cache import survey as survey_mod
 
-        def fake_survey(uarch, seed=0, buffer_mb=128, stability=None,
-                        backend="sim"):
+        def fake_survey(uarch, seed=0, buffer_mb=128):
             return survey_mod.CpuSurvey(uarch=uarch, cpu_model="Fake 9000")
 
         monkeypatch.setattr(survey_mod, "survey_cpu", fake_survey)
@@ -590,18 +588,27 @@ class TestToolWiring:
             survey_to_record,
         )
 
-        survey = CpuSurvey(uarch="Skylake", cpu_model="Test", quality="stable")
+        survey = CpuSurvey(uarch="Skylake", cpu_model="Test")
         survey.levels[3] = LevelSurvey(
             level=3, size_bytes=1 << 20, associativity=16, policy=None,
             survivors=("QLRU_A", "QLRU_B"), method="random-sequence",
             note="ambiguous",
         )
-        rebuilt = survey_from_record(
-            json.loads(json.dumps(survey_to_record(survey)))
-        )
-        assert rebuilt.uarch == survey.uarch
-        assert rebuilt.quality == survey.quality
-        assert rebuilt.levels == survey.levels
+        record = json.loads(json.dumps(survey_to_record(survey)))
+        assert "quality" not in record
+        rebuilt = survey_from_record(record)
+        assert rebuilt == survey
+        # Records stored by earlier releases carry a ``quality`` key
+        # (always None); it is ignored.
+        assert survey_from_record(dict(record, quality=None)) == survey
+
+    def test_survey_digest_is_pinned(self):
+        # The store key of every survey stored so far: a change here
+        # turns each of them into a miss.
+        from repro.tools.cache.survey import _survey_digest
+
+        assert _survey_digest("Skylake", 2, 128) == (
+            "4f4fea1247e751afadbee627b87c7c33f645c407bb42340d3bb0534db4de0feb")
 
 
 # ----------------------------------------------------------------------
