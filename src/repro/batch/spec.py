@@ -20,7 +20,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from ..core.nanobench import NanoBench
 from ..core.options import NanoBenchOptions
 from ..errors import ReproError
-from ..integrity.stability import StabilityPolicy
 from ..store.records import RECORD_VERSION
 
 #: BatchResult fields copied verbatim into / out of a stored record.
@@ -56,19 +55,14 @@ def _freeze_options(options) -> Tuple[Tuple[str, object], ...]:
         return ()
     if isinstance(options, NanoBenchOptions):
         options = vars(options)
+        if options["max_n_measurements"] is None:
+            # Left out unless set, so specs frozen from a whole options
+            # object before the field existed keep their digests.
+            options = {name: value for name, value in options.items()
+                       if name != "max_n_measurements"}
     if isinstance(options, Mapping):
         return tuple(sorted(options.items()))
     return tuple(options)
-
-
-def _freeze_stability(stability) -> Tuple[Tuple[str, object], ...]:
-    if stability is None:
-        return ()
-    if isinstance(stability, StabilityPolicy):
-        stability = vars(stability)
-    if isinstance(stability, Mapping):
-        return tuple(sorted(stability.items()))
-    return tuple(stability)
 
 
 @dataclass(frozen=True)
@@ -87,10 +81,6 @@ class BenchmarkSpec:
     options: Tuple[Tuple[str, object], ...] = ()
     #: Free-form tag echoed on the result (e.g. ``"latency:ADD"``).
     label: str = ""
-    #: ``StabilityPolicy`` field overrides, frozen like ``options``;
-    #: empty (the default) disables stability control for this spec and
-    #: keeps old record digests valid.
-    stability: Tuple[Tuple[str, object], ...] = ()
     #: Measurement backend to execute on (``sim``, ``analytic`` or
     #: ``auto``); ``"sim"`` (the default) keeps old record digests valid.
     backend: str = "sim"
@@ -98,8 +88,6 @@ class BenchmarkSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "options", _freeze_options(self.options))
-        object.__setattr__(self, "stability",
-                           _freeze_stability(self.stability))
 
     @property
     def core_key(self) -> Tuple[str, str, int, bool]:
@@ -124,18 +112,12 @@ class BenchmarkSpec:
         try:
             if nb is None:
                 nb = self.make_nanobench()
-            saved_stability = nb.stability
-            if self.stability and nb.stability is None:
-                nb.stability = StabilityPolicy(**dict(self.stability))
-            try:
-                values = nb.run(
-                    asm=self.asm,
-                    asm_init=self.asm_init,
-                    events=self.events,
-                    **self.option_dict(),
-                )
-            finally:
-                nb.stability = saved_stability
+            values = nb.run(
+                asm=self.asm,
+                asm_init=self.asm_init,
+                events=self.events,
+                **self.option_dict(),
+            )
             report = nb.last_report
         except (ReproError, ValueError) as exc:
             return BatchResult(
@@ -194,8 +176,9 @@ class BatchResult:
     #: True when the result was answered from the result store instead
     #: of being executed in this run.
     replayed: bool = False
-    #: Stability verdict (``stable`` / ``escalated`` /
-    #: ``unstable-quarantined``); None when no policy was active.
+    #: Quality verdict (``stable`` / ``escalated`` /
+    #: ``unstable-quarantined``); None when ``max_n_measurements`` was
+    #: not set.
     quality_verdict: Optional[str] = None
     #: Name of the measurement backend that produced this result.
     backend: str = "sim"
@@ -222,7 +205,6 @@ def spec_from_run_kwargs(
     seed: int = 0,
     kernel_mode: bool = True,
     label: str = "",
-    stability=None,
     backend: str = "sim",
     **option_overrides,
 ) -> BenchmarkSpec:
@@ -236,7 +218,6 @@ def spec_from_run_kwargs(
         kernel_mode=kernel_mode,
         options=_freeze_options(option_overrides),
         label=label,
-        stability=_freeze_stability(stability),
         backend=backend,
     )
 
@@ -247,12 +228,8 @@ def spec_digest(spec: BenchmarkSpec) -> str:
         spec.asm, spec.asm_init, spec.events, spec.uarch, spec.seed,
         spec.kernel_mode, spec.options, spec.label,
     ]
-    # Appended only when set, so records written before the stability
-    # field existed keep their digests (and stay replayable).
-    if spec.stability:
-        fields.append(spec.stability)
-    # Same backward-compatibility rule: the default "sim" backend keeps
-    # pre-backend record digests valid.
+    # Appended only when set, so the default "sim" backend keeps
+    # pre-backend record digests valid (and replayable).
     if spec.backend != "sim":
         fields.append(spec.backend)
     identity = repr(tuple(fields))

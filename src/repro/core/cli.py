@@ -47,11 +47,11 @@ import argparse
 import contextlib
 import os
 import sys
+import warnings
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError, ReproError
 from ..faults.plan import FaultPlan
-from ..integrity.stability import StabilityPolicy
 from ..perfctr.config import (
     collect_config_diagnostics,
     example_skylake_config,
@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-aperf_mperf", action="store_true")
     # Measurement-integrity knobs.
     parser.add_argument("-stability", action="store_true",
-                        help="adaptive stability control: escalate "
+                        help="adaptive stability control (the "
+                             "max_n_measurements option): escalate "
                              "n_measurements while the raw series is "
                              "noisy, and stamp the result with a quality "
                              "verdict (stable / escalated / "
@@ -612,6 +613,15 @@ def run_store(argv: List[str]) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    saved = warnings.formatwarning
+    warnings.formatwarning = _format_warning
+    try:
+        return _main(argv)
+    finally:
+        warnings.formatwarning = saved
+
+
+def _main(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "validate-config":
         return run_validate_config(argv[1:])
@@ -635,6 +645,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
     with plan, _fast_path_disabled(args.no_fast_path):
         return _main_with_args(args)
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """One ``warning: <message>`` line, the form of the option-conflict
+    warnings: the library's file, line number and source line would
+    make the CLI's output change whenever the library is edited."""
+    return "warning: %s\n" % message
 
 
 @contextlib.contextmanager
@@ -670,22 +687,18 @@ def _main_with_args(args) -> int:
             verbose=args.verbose,
             cycle_budget=args.cycle_budget,
             uop_budget=args.uop_budget,
+            max_n_measurements=(args.max_n_measurements if args.stability
+                                else None),
         )
     except ReproError as exc:
         print("invalid options: %s" % exc, file=sys.stderr)
         return 1
     for conflict in options.conflicts():
         print("warning: %s" % conflict, file=sys.stderr)
-    stability = None
-    if args.stability:
-        stability = StabilityPolicy(
-            max_n_measurements=args.max_n_measurements
-        )
     try:
         nb = NanoBench.create(uarch=args.uarch, seed=args.seed,
                               kernel_mode=args.kernel, backend=args.backend,
-                              options=options,
-                              stability=stability)
+                              options=options)
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -758,12 +771,6 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
         print("batch file contains no benchmarks", file=sys.stderr)
         return 1
     events = config.names if config is not None else ()
-    option_overrides = vars(options)
-    stability_overrides = ()
-    if args.stability:
-        stability_overrides = tuple(sorted(vars(StabilityPolicy(
-            max_n_measurements=args.max_n_measurements
-        )).items()))
     specs = [
         BenchmarkSpec(
             asm=asm,
@@ -772,9 +779,8 @@ def _run_batch_mode(args, options: NanoBenchOptions, config) -> int:
             uarch=args.uarch,
             seed=args.seed,
             kernel_mode=args.kernel,
-            options=tuple(sorted(option_overrides.items())),
+            options=options,
             label="%d" % index,
-            stability=stability_overrides,
             backend=args.backend,
         )
         for index, (asm, asm_init) in enumerate(entries)

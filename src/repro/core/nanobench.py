@@ -42,10 +42,11 @@ from ..faults.plan import active_plan
 from ..integrity.preflight import ensure_program_valid
 from ..integrity.stability import (
     QualityVerdict,
-    StabilityPolicy,
     VERDICT_ESCALATED,
     VERDICT_QUARANTINED,
     VERDICT_STABLE,
+    next_n_measurements,
+    worst_offender,
 )
 from ..perfctr.config import CounterConfig, split_into_groups
 from ..perfctr.counters import (
@@ -124,8 +125,8 @@ class ExecutionReport:
     #: 2^48, so no information is lost and no run is discarded).
     corrected_wraps: int = 0
     skipped_events: Tuple[str, ...] = ()
-    #: Stability verdict of this call (None unless a
-    #: :class:`~repro.integrity.stability.StabilityPolicy` is active).
+    #: Stability verdict of this call (None unless the
+    #: ``max_n_measurements`` option is set).
     quality: Optional[QualityVerdict] = None
     #: Simulator-throughput block for this call: dynamic instructions
     #: simulated, steady-state fast-path iterations/instructions/replay
@@ -163,7 +164,6 @@ class NanoBench:
         kernel_mode: bool = True,
         options: Optional[NanoBenchOptions] = None,
         preflight: bool = True,
-        stability: Optional[StabilityPolicy] = None,
     ) -> None:
         self.core = core
         #: The backend name, which follows from the target's type.
@@ -176,9 +176,6 @@ class NanoBench:
         #: code fails up front (with the same exception the simulator
         #: would raise mid-run) instead of after warm-up runs.
         self.preflight = preflight
-        #: Adaptive stability control; ``None`` (the default) keeps
-        #: every existing result byte-identical.
-        self.stability = stability
         self._fault_counters: Dict[str, int] = {}
         self._discarded_runs = 0
         self._corrected_wraps = 0
@@ -201,8 +198,7 @@ class NanoBench:
                kernel_mode: bool = True,
                backend=DEFAULT_BACKEND,
                options: Optional[NanoBenchOptions] = None,
-               preflight: bool = True,
-               stability: Optional[StabilityPolicy] = None) -> "NanoBench":
+               preflight: bool = True) -> "NanoBench":
         """The one construction path: build the named backend's target
         and wire the facade.
 
@@ -215,8 +211,7 @@ class NanoBench:
             from ..router import RoutedBench
 
             return RoutedBench(uarch, seed, kernel_mode=kernel_mode,
-                               options=options, preflight=preflight,
-                               stability=stability)
+                               options=options, preflight=preflight)
         if backend == "sim":
             target = SimulatedCore(uarch, seed=seed)
         elif backend == "analytic":
@@ -227,7 +222,7 @@ class NanoBench:
                 % (backend, ", ".join(BACKENDS))
             )
         return cls(target, kernel_mode=kernel_mode, options=options,
-                   preflight=preflight, stability=stability)
+                   preflight=preflight)
 
     @classmethod
     def kernel(cls, uarch: str = "Skylake", seed: int = 0,
@@ -398,7 +393,7 @@ class NanoBench:
         #: block estimate instead of running generated code.
         estimate = (self._estimate(benchmark, groups, options)
                     if self.backend == "analytic" else None)
-        stability = self.stability
+        cap = options.max_n_measurements
         quality: Optional[QualityVerdict] = None
         escalations = 0
         while True:
@@ -426,17 +421,17 @@ class NanoBench:
                 for name, value in group_result.items():
                     if name not in results:
                         results[name] = value
-                if stability is not None:
+                if cap is not None:
                     raw_samples.extend(self.last_raw_series.values())
-            if stability is None:
+            if cap is None:
                 break
-            offender = stability.worst_offender(raw_samples)
+            offender = worst_offender(raw_samples)
             if offender is None:
                 verdict = VERDICT_STABLE if not escalations else VERDICT_ESCALATED
                 quality = QualityVerdict(verdict, options.n_measurements,
                                          escalations)
                 break
-            next_n = stability.next_n_measurements(options.n_measurements)
+            next_n = next_n_measurements(options.n_measurements, cap)
             if next_n is None:
                 quality = QualityVerdict(
                     VERDICT_QUARANTINED, options.n_measurements, escalations,

@@ -37,6 +37,11 @@ class NanoBenchOptions:
       per-run simulated-cycle / issued-µop ceilings; exceeding one
       raises :class:`~repro.errors.RunawayBenchmarkError` with a
       partial-progress report.  ``None`` (the default) disables them.
+    * ``max_n_measurements`` — adaptive stability control: while a
+      counter's raw per-run series is noisy, ``n_measurements`` is
+      doubled up to this cap, and the run's report carries a quality
+      verdict (see :mod:`repro.integrity.stability`).  ``None`` (the
+      default) disables it.
     """
 
     unroll_count: int = 100
@@ -53,6 +58,7 @@ class NanoBenchOptions:
     verbose: bool = False
     cycle_budget: Optional[int] = None
     uop_budget: Optional[int] = None
+    max_n_measurements: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -81,6 +87,8 @@ class NanoBenchOptions:
             raise NanoBenchError("cycle_budget must be >= 1 (or None)")
         if self.uop_budget is not None and self.uop_budget < 1:
             raise NanoBenchError("uop_budget must be >= 1 (or None)")
+        if self.max_n_measurements is not None and self.max_n_measurements < 1:
+            raise NanoBenchError("max_n_measurements must be >= 1 (or None)")
         if strict:
             conflicts = self.conflicts()
             if conflicts:

@@ -14,10 +14,10 @@ Three pillars, wired through ``core``, ``batch``, ``uarch``,
   runaway benchmark raises a structured
   :class:`~repro.errors.RunawayBenchmarkError` with a partial-progress
   report instead of hanging the worker.
-* :mod:`~repro.integrity.stability` — a :class:`StabilityPolicy` that
-  inspects the raw per-run series, computes dispersion (MAD/IQR),
-  adaptively escalates ``n_measurements`` up to a cap, and stamps every
-  result with a machine-readable quality verdict.
+* :mod:`~repro.integrity.stability` — dispersion checks (MAD/IQR) of
+  the raw per-run series; with the ``max_n_measurements`` option set,
+  ``n_measurements`` is escalated up to that cap and the result is
+  stamped with a machine-readable quality verdict.
 
 Defaults keep all existing results byte-identical: the layer only
 changes behaviour when it detects a problem.
@@ -37,9 +37,7 @@ from .stability import (
     VERDICT_STABLE,
     DispersionStats,
     QualityVerdict,
-    StabilityPolicy,
     compute_dispersion,
-    worst_verdict,
 )
 from .watchdog import (
     DEFAULT_STEP_BUDGET,
@@ -53,7 +51,6 @@ __all__ = [
     "DispersionStats",
     "QualityVerdict",
     "RunawayBenchmarkError",
-    "StabilityPolicy",
     "ValidationError",
     "ValidationIssue",
     "VERDICT_ESCALATED",
@@ -67,5 +64,4 @@ __all__ = [
     "tlb_step_budget",
     "validate_code_bytes",
     "validate_program",
-    "worst_verdict",
 ]

@@ -1,24 +1,23 @@
 """Adaptive stability control (integrity pillar 3).
 
 Section III of the paper handles measurement noise with warm-up runs
-and min/median aggregation; this module closes the loop: a
-:class:`StabilityPolicy` inspects the raw per-run series a measurement
-produced, computes robust dispersion statistics (median absolute
-deviation and interquartile range), and decides whether the chosen
-aggregate can be trusted.  :meth:`NanoBench.run` uses it to adaptively
-escalate ``n_measurements`` up to a cap, and stamps every result with a
-machine-readable quality verdict:
+and min/median aggregation; this module closes the loop: it inspects
+the raw per-run series a measurement produced, computes robust
+dispersion statistics (median absolute deviation and interquartile
+range), and decides whether the chosen aggregate can be trusted.  When
+the ``max_n_measurements`` option is set, :meth:`NanoBench.run` uses it
+to escalate ``n_measurements`` up to that cap, and stamps the result
+with a machine-readable quality verdict:
 
 * ``stable`` — dispersion within thresholds at the requested
   ``n_measurements``;
-* ``escalated`` — stable only after the policy raised
-  ``n_measurements``;
+* ``escalated`` — stable only after ``n_measurements`` was raised;
 * ``unstable-quarantined`` — still unstable at the cap; the value is
   reported but flagged so downstream consumers can quarantine it
   instead of silently averaging noise.
 
-The policy is pure arithmetic over the series (no simulator state), so
-verdicts are deterministic and the default (no policy) leaves every
+The checks are pure arithmetic over the series (no simulator state),
+so verdicts are deterministic, and the default (no cap) leaves every
 existing result byte-identical.
 """
 
@@ -27,26 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ..errors import NanoBenchError
-
 VERDICT_STABLE = "stable"
 VERDICT_ESCALATED = "escalated"
 VERDICT_QUARANTINED = "unstable-quarantined"
-
-#: Severity order for combining verdicts across measurements.
-_VERDICT_RANK = {VERDICT_STABLE: 0, VERDICT_ESCALATED: 1,
-                 VERDICT_QUARANTINED: 2}
-
-
-def worst_verdict(verdicts: Iterable[Optional[str]]) -> Optional[str]:
-    """The most severe verdict of *verdicts* (``None`` entries ignored)."""
-    worst: Optional[str] = None
-    for verdict in verdicts:
-        if verdict is None:
-            continue
-        if worst is None or _VERDICT_RANK.get(verdict, 2) > _VERDICT_RANK.get(worst, 2):
-            worst = verdict
-    return worst
 
 
 def _median_sorted(values: Sequence[float]) -> float:
@@ -97,72 +79,47 @@ def compute_dispersion(values: Sequence[float]) -> DispersionStats:
     return DispersionStats(n, median, mad, q3 - q1)
 
 
-@dataclass(frozen=True)
-class StabilityPolicy:
-    """When is a per-run series stable enough to aggregate?
+#: A counter's series is unstable when its dispersion is large both
+#: absolutely (beyond ``ABS_FLOOR`` counts, so counter granularity noise
+#: is never flagged) and relatively (beyond a threshold of the median
+#: magnitude).
+REL_MAD_THRESHOLD = 0.05
+REL_IQR_THRESHOLD = 0.20
+ABS_FLOOR = 1.0
+#: Each escalation multiplies ``n_measurements`` by this factor, up to
+#: the ``max_n_measurements`` cap.
+ESCALATION_FACTOR = 2
 
-    A counter's series is flagged unstable when its dispersion is large
-    both absolutely (beyond ``abs_floor`` counts — counter granularity
-    noise is never flagged) and relatively (beyond the ``rel_*``
-    thresholds of the median magnitude).
-    """
 
-    rel_mad_threshold: float = 0.05
-    rel_iqr_threshold: float = 0.20
-    abs_floor: float = 1.0
-    escalation_factor: int = 2
-    max_n_measurements: int = 80
+def is_unstable(stats: DispersionStats) -> bool:
+    if stats.n < 3:
+        # Too few runs to judge dispersion; never flag.
+        return False
+    if stats.mad > ABS_FLOOR and stats.rel_mad > REL_MAD_THRESHOLD:
+        return True
+    return stats.iqr > 2 * ABS_FLOOR and stats.rel_iqr > REL_IQR_THRESHOLD
 
-    def __post_init__(self) -> None:
-        if self.rel_mad_threshold <= 0 or self.rel_iqr_threshold <= 0:
-            raise NanoBenchError("stability thresholds must be > 0")
-        if self.abs_floor < 0:
-            raise NanoBenchError("abs_floor must be >= 0")
-        if self.escalation_factor < 2:
-            raise NanoBenchError("escalation_factor must be >= 2")
-        if self.max_n_measurements < 1:
-            raise NanoBenchError("max_n_measurements must be >= 1")
 
-    # ------------------------------------------------------------------
-    def is_unstable(self, stats: DispersionStats) -> bool:
-        if stats.n < 3:
-            # Too few runs to judge dispersion; never flag.
-            return False
-        if stats.mad > self.abs_floor and stats.rel_mad > self.rel_mad_threshold:
-            return True
-        return (
-            stats.iqr > 2 * self.abs_floor
-            and stats.rel_iqr > self.rel_iqr_threshold
-        )
+def worst_offender(
+    samples: Iterable[Mapping[str, Sequence[float]]]
+) -> Optional[Tuple[str, DispersionStats]]:
+    """The unstable counter with the largest relative MAD, or None."""
+    worst: Optional[Tuple[str, DispersionStats]] = None
+    for series in samples:
+        for name, values in series.items():
+            stats = compute_dispersion(values)
+            if not is_unstable(stats):
+                continue
+            if worst is None or stats.rel_mad > worst[1].rel_mad:
+                worst = (name, stats)
+    return worst
 
-    def assess(
-        self, series: Mapping[str, Sequence[float]]
-    ) -> Dict[str, DispersionStats]:
-        """Dispersion statistics per counter of one raw series."""
-        return {
-            name: compute_dispersion(values)
-            for name, values in series.items()
-        }
 
-    def worst_offender(
-        self, samples: Iterable[Mapping[str, Sequence[float]]]
-    ) -> Optional[Tuple[str, DispersionStats]]:
-        """The unstable counter with the largest relative MAD, or None."""
-        worst: Optional[Tuple[str, DispersionStats]] = None
-        for series in samples:
-            for name, stats in self.assess(series).items():
-                if not self.is_unstable(stats):
-                    continue
-                if worst is None or stats.rel_mad > worst[1].rel_mad:
-                    worst = (name, stats)
-        return worst
-
-    def next_n_measurements(self, current: int) -> Optional[int]:
-        """The escalated run count, or None when the cap is reached."""
-        if current >= self.max_n_measurements:
-            return None
-        return min(self.max_n_measurements,
-                   current * self.escalation_factor)
+def next_n_measurements(current: int, cap: int) -> Optional[int]:
+    """The escalated run count, or None when *cap* is reached."""
+    if current >= cap:
+        return None
+    return min(cap, current * ESCALATION_FACTOR)
 
 
 @dataclass

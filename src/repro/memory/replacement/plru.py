@@ -55,10 +55,6 @@ class _PLRUSet(SetState):
             node = 2 * node + 1 + direction
         return way
 
-    def tree_bits(self) -> List[int]:
-        """Expose the tree bits (for tests and documentation examples)."""
-        return list(self._bits)
-
 
 class PLRU(ReplacementPolicy):
     """Tree-based pseudo-LRU replacement."""

@@ -74,9 +74,6 @@ class CounterConfig:
     def core_events(self) -> Tuple[PerfEvent, ...]:
         return tuple(e for e in self.events if not e.uncore)
 
-    def uncore_events(self) -> Tuple[PerfEvent, ...]:
-        return tuple(e for e in self.events if e.uncore)
-
 
 def parse_config(text: str, catalog: Dict[str, PerfEvent],
                  filename: Optional[str] = None) -> CounterConfig:

@@ -148,9 +148,6 @@ class PerformanceMonitoringUnit:
         # wrap biases belong to the previous session and are dropped.
         self._wrap_bias.clear()
 
-    def programmed_event(self, slot: int) -> Optional[PerfEvent]:
-        return self._programmable[slot].event
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

@@ -134,8 +134,7 @@ class RoutedBench:
 
     def __init__(self, uarch: str = "Skylake", seed: int = 0, *,
                  kernel_mode: bool = True,
-                 options=None, preflight: bool = True,
-                 stability=None) -> None:
+                 options=None, preflight: bool = True) -> None:
         from ..core.nanobench import ExecutionReport
         from ..core.options import NanoBenchOptions
 
@@ -144,7 +143,6 @@ class RoutedBench:
         self.kernel_mode = kernel_mode
         self.options = options if options is not None else NanoBenchOptions()
         self.preflight = preflight
-        self.stability = stability
         self.table = load_fidelity_table()
         self.backend = "auto"
         self.stats = RouterStats()
@@ -249,7 +247,6 @@ class RoutedBench:
     # ------------------------------------------------------------------
     def _run_on(self, tier, asm: str, asm_init: str, run_kwargs):
         tier.options = self.options
-        tier.stability = self.stability
         return tier.run(asm, asm_init, **run_kwargs)
 
     def run(self, asm: str = "", asm_init: str = "", *,

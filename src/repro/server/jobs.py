@@ -64,8 +64,8 @@ RUNNING = "running"
 DONE = "done"
 
 #: Spec fields carried on the wire (submission payloads and journal
-#: records share this codec).  ``options`` / ``stability`` are lists of
-#: ``[name, value]`` pairs in JSON and tuples of tuples in memory.
+#: records share this codec).  ``options`` is a list of ``[name, value]``
+#: pairs in JSON and a tuple of tuples in memory.
 _SPEC_FIELDS = tuple(f.name for f in fields(BenchmarkSpec))
 
 _SPEC_DEFAULTS = BenchmarkSpec()
@@ -80,7 +80,7 @@ def spec_to_payload(spec: BenchmarkSpec) -> dict:
             continue
         if name in ("events",):
             value = list(value)
-        elif name in ("options", "stability"):
+        elif name == "options":
             value = [[key, item] for key, item in value]
         payload[name] = value
     return payload
@@ -102,11 +102,10 @@ def spec_from_payload(payload: dict) -> BenchmarkSpec:
     kwargs = dict(payload)
     if "events" in kwargs:
         kwargs["events"] = tuple(kwargs["events"])
-    for name in ("options", "stability"):
-        if name in kwargs:
-            kwargs[name] = tuple(
-                (pair[0], pair[1]) for pair in kwargs[name]
-            )
+    if "options" in kwargs:
+        kwargs["options"] = tuple(
+            (pair[0], pair[1]) for pair in kwargs["options"]
+        )
     return BenchmarkSpec(**kwargs)
 
 

@@ -62,11 +62,6 @@ class AccessSequence:
                 seen.append(access.block)
         return tuple(seen)
 
-    def measure_all(self) -> "AccessSequence":
-        return AccessSequence(
-            tuple(Access(a.block, True) for a in self.accesses), self.wbinvd
-        )
-
     def __str__(self) -> str:
         parts = ["<wbinvd>"] if self.wbinvd else []
         parts += [a.block + ("!" if a.measured else "") for a in self.accesses]

@@ -194,9 +194,9 @@ _SURVEY_RECORD_VERSION = 1
 
 def _survey_digest(uarch: str, seed: int, buffer_mb: int) -> str:
     """Content digest of one whole-CPU survey task (the store key).
-    The identity keeps the slots of the survey's former stability
-    setting (always ``None``) and backend (always ``"sim"``), so every
-    stored survey stays a hit."""
+    The identity keeps the slots of two former survey parameters
+    (always ``None`` and ``"sim"``), so every stored survey stays a
+    hit."""
     identity = repr(("cpu-survey", _SURVEY_RECORD_VERSION, uarch, seed,
                      buffer_mb, None, "sim"))
     return hashlib.sha256(identity.encode()).hexdigest()

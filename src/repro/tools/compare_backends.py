@@ -251,7 +251,6 @@ def compare_backends(
     kernel_mode: bool = True,
     jobs: Optional[int] = 1,
     candidate_jobs: Optional[int] = 1,
-    stability=None,
 ) -> BackendComparison:
     """Characterize the corpus on both backends and pair up the rows.
 
@@ -265,13 +264,13 @@ def compare_backends(
     started = time.perf_counter()
     reference_profiles = characterize_corpus_batched(
         uarch, variants, seed=seed, kernel_mode=kernel_mode, jobs=jobs,
-        stability=stability, backend=reference,
+        backend=reference,
     )
     reference_seconds = time.perf_counter() - started
     started = time.perf_counter()
     candidate_profiles = characterize_corpus_batched(
         uarch, variants, seed=seed, kernel_mode=kernel_mode,
-        jobs=candidate_jobs, stability=stability, backend=candidate,
+        jobs=candidate_jobs, backend=candidate,
     )
     candidate_seconds = time.perf_counter() - started
     comparison = BackendComparison(

@@ -25,7 +25,6 @@ def characterize_corpus_batched(
     kernel_mode: bool = True,
     jobs: Optional[int] = 1,
     progress: Optional[Callable[[int, int, object], None]] = None,
-    stability=None,
     backend: str = "sim",
     store=None,
 ) -> List[InstructionProfile]:
@@ -61,7 +60,7 @@ def characterize_corpus_batched(
         kept.append(variant)
         specs.extend(
             variant_specs(variant, uarch, seed=seed, kernel_mode=kernel_mode,
-                          stability=stability, backend=backend)
+                          backend=backend)
         )
     runner = BatchRunner(jobs, progress=progress, store=store)
     results = runner.run(specs)
@@ -79,12 +78,7 @@ def characterize_corpus_batched(
 
 
 def profiles_to_table(profiles: Sequence[InstructionProfile]) -> str:
-    """Render profiles as an aligned text table (the HTML-table stand-in).
-
-    A Quality column is appended only when at least one profile carries
-    a stability verdict, so output without a policy stays unchanged.
-    """
-    with_quality = any(p.quality is not None for p in profiles)
+    """Render profiles as an aligned text table (the HTML-table stand-in)."""
     rows = []
     for profile in profiles:
         if profile.error is not None:
@@ -97,13 +91,10 @@ def profiles_to_table(profiles: Sequence[InstructionProfile]) -> str:
                 "%.2f" % profile.uops,
                 profile.port_string,
             ]
-        if with_quality:
-            row.append(profile.quality or "-")
         rows.append(row)
-    headers = ["Instruction", "Lat", "TP", "Uops", "Ports"]
-    if with_quality:
-        headers.append("Quality")
-    return format_table(rows, headers=headers)
+    return format_table(
+        rows, headers=["Instruction", "Lat", "TP", "Uops", "Ports"]
+    )
 
 
 def profiles_to_xml(profiles: Sequence[InstructionProfile],

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ...batch.spec import BatchResult, BenchmarkSpec, spec_from_run_kwargs
 from ...core.nanobench import NanoBench
-from ...integrity.stability import worst_verdict
 from ...uarch.ports import PORT_LAYOUTS
 from ...uarch.specs import get_spec
 from .corpus import InstructionVariant
@@ -70,9 +69,6 @@ class InstructionProfile:
     ports: Dict[str, float]
     latency_pair: str = ""
     error: Optional[str] = None
-    #: Worst stability verdict over the variant's four measurements
-    #: (None when no stability policy was active).
-    quality: Optional[str] = None
 
     @property
     def port_string(self) -> str:
@@ -94,7 +90,6 @@ def variant_specs(
     uarch: str = "Skylake",
     seed: int = 0,
     kernel_mode: bool = True,
-    stability=None,
     backend: str = "sim",
 ) -> List[BenchmarkSpec]:
     """The four benchmark specs behind one :class:`InstructionProfile`.
@@ -107,7 +102,7 @@ def variant_specs(
     RNG state and so depends on what ran on the core before.
     """
     common = dict(uarch=uarch, seed=seed, kernel_mode=kernel_mode,
-                  stability=stability, backend=backend)
+                  backend=backend)
     return [
         spec_from_run_kwargs(
             asm=variant.latency_asm, asm_init=variant.init_asm,
@@ -177,9 +172,6 @@ def profile_from_results(
         uops=round(uops, 2),
         ports=ports,
         latency_pair=variant.latency_pair,
-        quality=worst_verdict(
-            by_kind[kind].quality_verdict for kind in _MEASUREMENT_ORDER
-        ),
     )
 
 

@@ -203,10 +203,6 @@ class SimulatedCore:
         """Map a user buffer (scattered physical pages)."""
         self.address_space.map_user(virtual_address, size)
 
-    def map_kernel_region(self, virtual_address: int, size: int) -> int:
-        """Map a physically-contiguous kernel buffer; returns phys base."""
-        return self.address_space.map_kernel_contiguous(virtual_address, size)
-
     def virt_to_phys(self, virtual_address: int) -> int:
         return self.address_space.translate(virtual_address)
 

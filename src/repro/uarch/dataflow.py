@@ -44,14 +44,6 @@ class Dataflow:
     stores: Tuple[MemoryOperand, ...]
 
 
-def _reg_resources(operand) -> Tuple[str, ...]:
-    if isinstance(operand, Register):
-        return (operand.base,)
-    if isinstance(operand, MemoryOperand):
-        return operand.registers_read
-    return ()
-
-
 def analyze(instr: Instruction) -> Dataflow:
     """Extract the dataflow of *instr*."""
     spec = instr.spec

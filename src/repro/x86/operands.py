@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .registers import canonical_register, is_vector_register, register_width
+from .registers import canonical_register, register_width
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class Register:
     def base(self) -> str:
         """Canonical full-width register this operand aliases."""
         return canonical_register(self.name)
-
-    @property
-    def is_vector(self) -> bool:
-        return is_vector_register(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -99,17 +95,6 @@ class MemoryOperand:
 
 Operand = object  # union alias for documentation; isinstance checks are used
 OPERAND_TYPES = (Register, Immediate, MemoryOperand)
-
-
-def operand_width_bits(operand) -> int:
-    """Return the width of *operand* in bits."""
-    if isinstance(operand, Register):
-        return operand.width
-    if isinstance(operand, Immediate):
-        return operand.width
-    if isinstance(operand, MemoryOperand):
-        return operand.size * 8
-    raise TypeError("not an operand: %r" % (operand,))
 
 
 def operand_shape(operand) -> str:

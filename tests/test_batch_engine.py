@@ -131,10 +131,23 @@ class TestParallelMap:
         assert [o.value for o in outcomes] == [str(i) for i in items]
         assert [o.index for o in outcomes] == items
 
+    @pytest.mark.no_chaos
     def test_serial_equals_parallel(self):
+        # Whole outcomes, attempts included: fault-free accounting.
         items = [3, 1, 4, 1, 5]
         assert list(ResilientPool(abs, 1).imap_ordered(items)) == \
             list(ResilientPool(abs, 2).imap_ordered(items))
+
+    def test_serial_equals_parallel_results(self):
+        # What a caller sees must agree even when injected faults
+        # requeue items (which changes only their attempt counts).
+        items = [3, 1, 4, 1, 5]
+
+        def results(jobs):
+            return [(o.index, o.ok, o.value, o.error)
+                    for o in ResilientPool(abs, jobs).imap_ordered(items)]
+
+        assert results(1) == results(2)
 
     def test_progress(self):
         seen = []

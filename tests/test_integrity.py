@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import BatchRunner
-from repro.batch.spec import spec_from_run_kwargs
+from repro.batch.spec import spec_digest, spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
 from repro.core.options import AGGREGATES, NanoBenchOptions
@@ -38,9 +38,10 @@ from repro.integrity.stability import (
     VERDICT_STABLE,
     DispersionStats,
     QualityVerdict,
-    StabilityPolicy,
     compute_dispersion,
-    worst_verdict,
+    is_unstable,
+    next_n_measurements,
+    worst_offender,
 )
 from repro.integrity.watchdog import (
     DEFAULT_STEP_BUDGET,
@@ -63,8 +64,6 @@ from repro.store import (
 )
 from repro.tools.cache.cacheseq import CacheSeq
 from repro.tools.instr.corpus import corpus_for_family
-from repro.tools.instr.measure import InstructionProfile
-from repro.tools.instr.characterize import profiles_to_table
 from repro.tools.tlb import measure_miss_rates
 from repro.x86.assembler import assemble
 from repro.x86.encoder import encode_program
@@ -395,53 +394,38 @@ class TestDispersion:
 
 
 class TestStabilityPolicy:
-    def test_worst_verdict_ordering(self):
-        assert worst_verdict([]) is None
-        assert worst_verdict([None, None]) is None
-        assert worst_verdict([None, VERDICT_STABLE]) == VERDICT_STABLE
-        assert worst_verdict(
-            [VERDICT_STABLE, VERDICT_ESCALATED]) == VERDICT_ESCALATED
-        assert worst_verdict(
-            [VERDICT_ESCALATED, VERDICT_QUARANTINED, VERDICT_STABLE]
-        ) == VERDICT_QUARANTINED
+    """The fixed stability rule of :mod:`repro.integrity.stability`."""
 
     def test_too_few_runs_are_never_flagged(self):
-        policy = StabilityPolicy()
-        assert not policy.is_unstable(compute_dispersion([0.0, 1000.0]))
+        assert not is_unstable(compute_dispersion([0.0, 1000.0]))
 
     def test_unstable_series_is_flagged(self):
-        policy = StabilityPolicy()
         noisy = compute_dispersion([100.0, 150.0, 100.0, 150.0, 100.0])
-        assert policy.is_unstable(noisy)
+        assert is_unstable(noisy)
         clean = compute_dispersion([100.0, 100.0, 100.0, 100.5])
-        assert not policy.is_unstable(clean)
+        assert not is_unstable(clean)
 
     def test_worst_offender_picks_largest_rel_mad(self):
-        policy = StabilityPolicy()
         samples = [
             {"A": [100.0, 150.0, 100.0, 150.0],
              "B": [100.0, 300.0, 100.0, 300.0],
              "C": [100.0, 100.0, 100.0, 100.0]},
         ]
-        offender = policy.worst_offender(samples)
+        offender = worst_offender(samples)
         assert offender is not None
         assert offender[0] == "B"
-        assert policy.worst_offender(
-            [{"C": [5.0, 5.0, 5.0, 5.0]}]) is None
+        assert worst_offender([{"C": [5.0, 5.0, 5.0, 5.0]}]) is None
 
     def test_escalation_schedule(self):
-        policy = StabilityPolicy(max_n_measurements=80)
-        assert policy.next_n_measurements(10) == 20
-        assert policy.next_n_measurements(50) == 80
-        assert policy.next_n_measurements(80) is None
+        assert next_n_measurements(10, 80) == 20
+        assert next_n_measurements(50, 80) == 80
+        assert next_n_measurements(80, 80) is None
 
     def test_invalid_parameters_are_rejected(self):
         with pytest.raises(NanoBenchError):
-            StabilityPolicy(rel_mad_threshold=0.0)
+            NanoBenchOptions(max_n_measurements=0)
         with pytest.raises(NanoBenchError):
-            StabilityPolicy(escalation_factor=1)
-        with pytest.raises(NanoBenchError):
-            StabilityPolicy(max_n_measurements=0)
+            NanoBench.kernel("Skylake").run(asm="nop", max_n_measurements=-1)
 
     def test_quality_verdict_describe(self):
         verdict = QualityVerdict(VERDICT_STABLE, 10)
@@ -476,7 +460,9 @@ class TestStabilityIntegration:
         plain = NanoBench.kernel("Skylake").run(
             asm="add RAX, RAX", n_measurements=5, unroll_count=10
         )
-        nb = NanoBench.kernel("Skylake", stability=StabilityPolicy())
+        nb = NanoBench.kernel(
+            "Skylake", options=NanoBenchOptions(max_n_measurements=80)
+        )
         judged = nb.run(asm="add RAX, RAX", n_measurements=5, unroll_count=10)
         assert judged == plain
         quality = nb.last_report.quality
@@ -486,10 +472,9 @@ class TestStabilityIntegration:
         assert quality.n_measurements == 5
 
     def test_persistent_noise_is_quarantined_at_the_cap(self):
-        nb = _NoisyNanoBench.kernel(
-            "Skylake", stability=StabilityPolicy(max_n_measurements=16)
-        )
-        result = nb.run(asm="nop", n_measurements=8, unroll_count=5)
+        nb = _NoisyNanoBench.kernel("Skylake")
+        result = nb.run(asm="nop", n_measurements=8, unroll_count=5,
+                        max_n_measurements=16)
         assert result  # a value is still reported, but flagged
         quality = nb.last_report.quality
         assert quality.verdict == VERDICT_QUARANTINED
@@ -499,11 +484,10 @@ class TestStabilityIntegration:
         assert quality.worst_stats.rel_mad > 0.05
 
     def test_escalation_can_recover_stability(self):
-        nb = _NoisyNanoBench.kernel(
-            "Skylake", stability=StabilityPolicy(max_n_measurements=64)
-        )
+        nb = _NoisyNanoBench.kernel("Skylake")
         nb.noise_below = 16  # noisy at n=8, clean once escalated to 16
-        nb.run(asm="nop", n_measurements=8, unroll_count=5)
+        nb.run(asm="nop", n_measurements=8, unroll_count=5,
+               max_n_measurements=64)
         quality = nb.last_report.quality
         assert quality.verdict == VERDICT_ESCALATED
         assert quality.escalations == 1
@@ -517,26 +501,29 @@ class TestStabilityIntegration:
     def test_batch_spec_carries_quality_verdict(self):
         spec = spec_from_run_kwargs(
             asm="nop", n_measurements=4, unroll_count=5,
-            stability=StabilityPolicy(),
+            max_n_measurements=80,
         )
         result = spec.execute()
         assert result.ok
         assert result.quality_verdict == VERDICT_STABLE
-        # Without a policy the verdict stays None.
-        plain = spec_from_run_kwargs(
+        # Without a cap the verdict stays None.
+        plain_spec = spec_from_run_kwargs(
             asm="nop", n_measurements=4, unroll_count=5
-        ).execute()
-        assert plain.quality_verdict is None
-
-    def test_profiles_table_adds_quality_column_only_when_judged(self):
-        judged = InstructionProfile(
-            "ADD (R64, R64)", 1.0, 0.25, 1.0, {"0": 0.25},
-            quality=VERDICT_STABLE,
         )
-        plain = InstructionProfile("ADD (R64, R64)", 1.0, 0.25, 1.0, {})
-        assert "Quality" in profiles_to_table([judged])
-        assert VERDICT_STABLE in profiles_to_table([judged])
-        assert "Quality" not in profiles_to_table([plain])
+        plain = plain_spec.execute()
+        assert plain.quality_verdict is None
+        # The cap is part of the spec's identity: a stored answer
+        # without a verdict is never replayed for a spec asking for one.
+        assert spec_digest(spec) != spec_digest(plain_spec)
+
+    def test_cap_reaches_a_batch_spec_from_the_instance_options(self):
+        nb = NanoBench.kernel(
+            "Skylake", options=NanoBenchOptions(max_n_measurements=80)
+        )
+        result = spec_from_run_kwargs(
+            asm="nop", n_measurements=4, unroll_count=5
+        ).execute(nb)
+        assert result.quality_verdict == VERDICT_STABLE
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for output formatting and the remaining CLI paths."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +42,24 @@ class TestFormatTable:
 
 
 class TestCli:
+    def test_warnings_print_as_one_line_each(self):
+        # A skipped event is reported in the CLI's own words, with no
+        # library file name, line number or source line.
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_FAULTS")}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "-asm", "add RAX, RAX",
+             "-backend", "analytic"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert completed.returncode == 0
+        assert completed.stderr == "".join(
+            "warning: skipping unschedulable event %r: event %r requires "
+            "the 'cache_events' capability, which backend 'analytic' does "
+            "not provide (no per-cycle memory hierarchy)\n" % (name, name)
+            for name in ("MEM_LOAD_RETIRED.L1_HIT", "MEM_LOAD_RETIRED.L1_MISS")
+        )
+
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.uarch == "Skylake"

@@ -159,6 +159,16 @@ class TestSpecCodec:
         with pytest.raises(ValueError, match="unknown spec field"):
             spec_from_payload({"asm": "nop", "asm_exit": "nop"})
 
+    def test_stability_cap_travels_as_an_option(self):
+        spec = spec_from_run_kwargs(asm="nop", max_n_measurements=20)
+        payload = json.loads(json.dumps(spec_to_payload(spec)))
+        assert payload["options"] == [["max_n_measurements", 20]]
+        assert spec_from_payload(payload) == spec
+        # The former separate field is refused like any unknown one.
+        with pytest.raises(ValueError, match="unknown spec field"):
+            spec_from_payload({"asm": "nop",
+                               "stability": [["max_n_measurements", 20]]})
+
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             spec_from_payload(["nop"])
@@ -295,13 +305,14 @@ class TestJobQueue:
         spec = BenchmarkSpec(
             asm="add RAX, RAX", asm_init="xor RAX, RAX",
             events=("UOPS_ISSUED.ANY",), uarch="Haswell", seed=3,
-            kernel_mode=False, options=(("n_measurements", 2),),
-            label="tagged", stability=(("abs_floor", 2.0),))
+            kernel_mode=False,
+            options=(("max_n_measurements", 20), ("n_measurements", 2)),
+            label="tagged")
         routed = queue._with_budgets(spec)
         assert routed == replace(
             spec, backend="auto",
-            options=(("cycle_budget", 1000), ("n_measurements", 2),
-                     ("uop_budget", 2000)))
+            options=(("cycle_budget", 1000), ("max_n_measurements", 20),
+                     ("n_measurements", 2), ("uop_budget", 2000)))
         queue.stop()
 
     def test_submit_run_and_dedup(self, tmp_path):

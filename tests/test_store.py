@@ -610,6 +610,28 @@ class TestToolWiring:
         assert _survey_digest("Skylake", 2, 128) == (
             "4f4fea1247e751afadbee627b87c7c33f645c407bb42340d3bb0534db4de0feb")
 
+    def test_spec_digest_is_pinned(self):
+        # The store key of a library spec that asks for no stability
+        # control: a change here turns every stored one into a miss.
+        from repro.batch import spec_digest
+
+        spec = spec_from_run_kwargs(asm="add RAX, RAX", n_measurements=4,
+                                    unroll_count=5)
+        assert spec_digest(spec) == (
+            "01255831f3c7ce323e0edcd480fe13ba674dcce6de0809bbafde61d021314887")
+
+    def test_cli_batch_digest_is_pinned(self, tmp_path):
+        # The same for a CLI -batch spec with default options, which
+        # freezes every NanoBenchOptions field into the spec.
+        batch = tmp_path / "batch.txt"
+        batch.write_text("add RAX, RAX\n")
+        root = str(tmp_path / "store")
+        assert cli_main(["-batch", str(batch), "-store", root]) == 0
+        with ResultStore(root) as store:
+            digests = list(store.digests())
+        assert digests == [
+            "5a3e7f275f5eeb80ba01b19faa6cf75d1b1c8c5313c7001db800ca63a84fe006"]
+
 
 # ----------------------------------------------------------------------
 # CLI: the ``store`` subcommand and the batch-mode flags
