@@ -63,6 +63,9 @@ from .nanobench import NanoBench
 from .options import NanoBenchOptions
 from .output import format_results
 
+#: Escalation cap of ``-stability`` when ``-max_n_measurements`` is absent.
+DEFAULT_MAX_N_MEASUREMENTS = 80
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -111,9 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "noisy, and stamp the result with a quality "
                              "verdict (stable / escalated / "
                              "unstable-quarantined)")
-    parser.add_argument("-max_n_measurements", type=int, default=80,
+    parser.add_argument("-max_n_measurements", type=int, default=None,
                         metavar="N",
-                        help="cap for -stability escalation (default 80)")
+                        help="turn stability control on with escalation "
+                             "capped at N measurements (-stability alone "
+                             "caps at %d)" % DEFAULT_MAX_N_MEASUREMENTS)
     parser.add_argument("-cycle_budget", type=int, default=None, metavar="N",
                         help="abort a run after N simulated cycles with a "
                              "partial-progress report (runaway-benchmark "
@@ -654,6 +659,14 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return "warning: %s\n" % message
 
 
+def _stability_cap(args) -> Optional[int]:
+    """The ``max_n_measurements`` option: either flag turns stability
+    control on, and an explicit cap wins."""
+    if args.max_n_measurements is not None:
+        return args.max_n_measurements
+    return DEFAULT_MAX_N_MEASUREMENTS if args.stability else None
+
+
 @contextlib.contextmanager
 def _fast_path_disabled(disabled: bool) -> Iterator[None]:
     """Scope ``-no_fast_path`` to one invocation, through the environment
@@ -687,8 +700,7 @@ def _main_with_args(args) -> int:
             verbose=args.verbose,
             cycle_budget=args.cycle_budget,
             uop_budget=args.uop_budget,
-            max_n_measurements=(args.max_n_measurements if args.stability
-                                else None),
+            max_n_measurements=_stability_cap(args),
         )
     except ReproError as exc:
         print("invalid options: %s" % exc, file=sys.stderr)

@@ -11,6 +11,10 @@ per slice.  An absent set is an empty one: probes and CLFLUSH build
 nothing, and WBINVD drops every set.  Set creation draws no random
 numbers and the set-dueling PSEL lives on the policy, so a rebuilt set
 is exactly the post-WBINVD state.
+
+The address mapping is fixed when a cache is built: ``offset_bits``,
+``set_mask`` and ``index_bits`` are plain attributes, so a lookup does
+only per-access work.  :class:`CacheGeometry` stays the public spec.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ class Cache:
         policy: ReplacementPolicy,
         slice_hash: Optional[SliceHash] = None,
     ) -> None:
-        if geometry.n_sets & (geometry.n_sets - 1):
+        n_sets = geometry.n_sets
+        if n_sets & (n_sets - 1):
             raise ValueError("set count must be a power of two")
         if slice_hash is None and geometry.n_slices != 1:
             raise ValueError("sliced cache needs a slice hash")
@@ -71,6 +76,13 @@ class Cache:
         self.geometry = geometry
         self.policy = policy
         self.slice_hash = slice_hash
+        #: A line's block number is ``address >> offset_bits``; its low
+        #: bits (``& set_mask``) are the set index, the rest
+        #: (``>> index_bits``) the tag.
+        self.offset_bits = geometry.offset_bits
+        self.index_bits = geometry.index_bits
+        self.set_mask = n_sets - 1
+        self._slice_of = slice_hash.slice_of if slice_hash is not None else None
         self._sets: List[Dict[int, SetState]] = [{} for _ in range(geometry.n_slices)]
 
     def _set(self, slice_id: int, set_index: int) -> SetState:
@@ -87,15 +99,10 @@ class Cache:
     # ------------------------------------------------------------------
     def locate(self, physical_address: int) -> Tuple[int, int, int]:
         """Return ``(slice_id, set_index, tag)`` for an address."""
-        geo = self.geometry
-        block = physical_address >> geo.offset_bits
-        set_index = block & (geo.n_sets - 1)
-        tag = block >> geo.index_bits
-        if self.slice_hash is not None:
-            slice_id = self.slice_hash.slice_of(physical_address)
-        else:
-            slice_id = 0
-        return slice_id, set_index, tag
+        block = physical_address >> self.offset_bits
+        slice_of = self._slice_of
+        return (0 if slice_of is None else slice_of(physical_address),
+                block & self.set_mask, block >> self.index_bits)
 
     # ------------------------------------------------------------------
     # Accesses

@@ -9,14 +9,19 @@ Models the structure the cache case study (Section VI) targets:
   model-specific register bit (Section IV-A2 recommends disabling
   prefetchers for cache microbenchmarks — the tools here genuinely need
   to, which the prefetcher ablation benchmark demonstrates);
-* the L3 slice of every access, on :class:`AccessResult`, from which
-  the core counts the per-slice C-Box events.
+* the L3 slice of every access that reaches the L3, on
+  :class:`AccessResult`, from which the core counts the per-slice C-Box
+  events.
+
+An access locates the line once in each level it reaches, and the slice
+comes from the L3 lookup itself.  Results are shared and prebuilt: one
+per level, plus one hit/miss pair per L3 slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import RunawayBenchmarkError
 from ..stats import Counters
@@ -25,7 +30,7 @@ from .cache import Cache
 
 @dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one demand access."""
+    """Outcome of one demand access (shared between accesses, so frozen)."""
 
     level: int  # 1, 2, 3 = cache level that hit; 4 = DRAM
     latency: int  # cycles
@@ -152,6 +157,14 @@ class MemoryHierarchy:
         self.prefetcher = NextLinePrefetcher()
         self.demand = DemandCounters()
         self._line_size = l1.geometry.line_size
+        self._l1_hit = AccessResult(1, l1_latency)
+        self._l2_hit = AccessResult(2, l2_latency)
+        self._dram = AccessResult(4, memory_latency)
+        n_slices = l3.geometry.n_slices if l3 is not None else 0
+        self._l3_hits = [AccessResult(3, l3_latency, l3_slice=slice_id)
+                         for slice_id in range(n_slices)]
+        self._l3_misses = [AccessResult(4, memory_latency, l3_slice=slice_id)
+                           for slice_id in range(n_slices)]
         #: Watchdog: total accesses performed (demand + prefetch).  When
         #: ``step_budget`` is set (default off), exceeding it raises
         #: :class:`RunawayBenchmarkError` so a pathological sweep
@@ -168,16 +181,6 @@ class MemoryHierarchy:
             caches.append(self.l3)
         return caches
 
-    def _access_level(self, cache: Cache, address: int) -> Tuple[bool, Optional[int]]:
-        """Access one level; return (hit, evicted block address)."""
-        slice_id, set_index, tag = cache.locate(address)
-        hit, evicted_tag = cache._set(slice_id, set_index).access(tag)
-        if evicted_tag is None:
-            return hit, None
-        geo = cache.geometry
-        block = (evicted_tag << geo.index_bits) | set_index
-        return hit, block << geo.offset_bits
-
     def access(self, address: int, *, is_write: bool = False,
                is_prefetch: bool = False) -> AccessResult:
         """Demand (or prefetch) access to physical *address*."""
@@ -190,33 +193,39 @@ class MemoryHierarchy:
                 progress=dict(self.demand.to_dict(), steps=self.steps_taken),
             )
         line = address - address % self._line_size
-        l3_slice = None
-        if self.l3 is not None:
-            l3_slice = self.l3.locate(line)[0]
-        hit_l1, _ = self._access_level(self.l1, line)
-        if hit_l1:
-            result = AccessResult(1, self.l1_latency, l3_slice=None)
+        cache = self.l1
+        slice_id, set_index, tag = cache.locate(line)
+        if cache._set(slice_id, set_index).access(tag)[0]:
+            result = self._l1_hit
         else:
-            hit_l2, _ = self._access_level(self.l2, line)
-            if hit_l2:
-                result = AccessResult(2, self.l2_latency, l3_slice=None)
-            elif self.l3 is not None:
-                hit_l3, evicted = self._access_level(self.l3, line)
-                if not hit_l3 and evicted is not None:
-                    # Inclusive L3: back-invalidate the victim everywhere.
-                    self.l1.invalidate_line(evicted)
-                    self.l2.invalidate_line(evicted)
-                level = 3 if hit_l3 else 4
-                latency = self.l3_latency if hit_l3 else self.memory_latency
-                result = AccessResult(level, latency, l3_slice=l3_slice)
+            cache = self.l2
+            slice_id, set_index, tag = cache.locate(line)
+            if cache._set(slice_id, set_index).access(tag)[0]:
+                result = self._l2_hit
+            elif self.l3 is None:
+                result = self._dram
             else:
-                result = AccessResult(4, self.memory_latency, l3_slice=None)
+                result = self._access_l3(line)
         if not is_prefetch:
             self.demand.record(result)
             if self.prefetcher_enabled:
                 for prefetch_line in self.prefetcher.observe(line, self._line_size):
                     self.access(prefetch_line, is_prefetch=True)
         return result
+
+    def _access_l3(self, line: int) -> AccessResult:
+        """The L3 part of an access that missed L1 and L2."""
+        l3 = self.l3
+        slice_id, set_index, tag = l3.locate(line)
+        hit, evicted_tag = l3._set(slice_id, set_index).access(tag)
+        if hit:
+            return self._l3_hits[slice_id]
+        if evicted_tag is not None:
+            # Inclusive L3: back-invalidate the victim everywhere.
+            evicted = ((evicted_tag << l3.index_bits) | set_index) << l3.offset_bits
+            self.l1.invalidate_line(evicted)
+            self.l2.invalidate_line(evicted)
+        return self._l3_misses[slice_id]
 
     # ------------------------------------------------------------------
     def wbinvd(self) -> None:

@@ -2,8 +2,9 @@
 
 A :class:`ReplacementPolicy` is a *factory* for per-cache-set state
 objects (:class:`SetState`).  The cache consults the set state on every
-access: ``lookup`` finds a way, ``on_hit`` updates metadata, ``insert``
-chooses a victim and installs a new tag.
+access: ``lookup`` finds a way, ``on_hit`` updates metadata, and on a
+miss ``choose_victim`` picks the way the new tag is installed into,
+after which ``on_fill`` updates metadata.
 
 Way *positions* matter: the paper's QLRU variants are defined in terms of
 "leftmost"/"rightmost" locations (Section VI-B2), so :class:`SetState`
@@ -42,13 +43,11 @@ class SetState(ABC):
 
     @property
     def is_full(self) -> bool:
-        return all(tag is not None for tag in self._tags)
+        return None not in self._tags
 
     def leftmost_empty(self) -> Optional[int]:
-        for way, tag in enumerate(self._tags):
-            if tag is None:
-                return way
-        return None
+        tags = self._tags
+        return tags.index(None) if None in tags else None
 
     def rightmost_empty(self) -> Optional[int]:
         for way in range(self.associativity - 1, -1, -1):
@@ -79,7 +78,13 @@ class SetState(ABC):
     # Driving API used by the cache
     # ------------------------------------------------------------------
     def access(self, tag: int) -> Tuple[bool, Optional[int]]:
-        """Access *tag*; return ``(hit, evicted_tag)``."""
+        """Access *tag*; return ``(hit, evicted_tag)``.
+
+        This is the generic hook protocol.  A policy may override it
+        with a merged lookup-and-update that gives the same results and
+        leaves the same state (the test suite checks each one against
+        this method on a twin set).
+        """
         way = self.lookup(tag)
         if way is not None:
             self.on_hit(way)
@@ -89,11 +94,6 @@ class SetState(ABC):
         self._tags[way] = tag
         self.on_fill(way)
         return False, evicted
-
-    def install(self, tag: int) -> Optional[int]:
-        """Install *tag* as on a miss; return the evicted tag (if any)."""
-        hit, evicted = self.access(tag)
-        return evicted
 
     def invalidate(self, tag: int) -> bool:
         """Remove *tag* (CLFLUSH); return whether it was present."""

@@ -28,7 +28,7 @@ class _MRUSet(SetState):
 
     def _mark_accessed(self, way: int) -> None:
         self._bits[way] = 0
-        if all(bit == 0 for bit in self._bits):
+        if 1 not in self._bits:
             # The accessed line cleared the last set bit: reset the others.
             self._bits = [1] * self.associativity
             self._bits[way] = 0

@@ -16,9 +16,27 @@ of 0 points left; leaves correspond to ways in left-to-right order.
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from .base import ReplacementPolicy, SetState
+
+
+@lru_cache(maxsize=None)
+def _touch_paths(associativity: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per way, the ``(node, bit)`` writes that point every bit on its
+    root-to-leaf path away from it."""
+    levels = associativity.bit_length() - 1
+    paths = []
+    for way in range(associativity):
+        node = 0
+        path = []
+        for level in range(levels - 1, -1, -1):
+            direction = (way >> level) & 1
+            path.append((node, 1 - direction))
+            node = 2 * node + 1 + direction
+        paths.append(tuple(path))
+    return tuple(paths)
 
 
 class _PLRUSet(SetState):
@@ -28,14 +46,13 @@ class _PLRUSet(SetState):
         super().__init__(associativity)
         self._levels = associativity.bit_length() - 1
         self._bits: List[int] = [0] * max(associativity - 1, 1)
+        self._paths = _touch_paths(associativity)
 
     def _touch(self, way: int) -> None:
         """Point every bit on the root-to-leaf path away from *way*."""
-        node = 0
-        for level in range(self._levels - 1, -1, -1):
-            direction = (way >> level) & 1
-            self._bits[node] = 1 - direction
-            node = 2 * node + 1 + direction
+        bits = self._bits
+        for node, bit in self._paths[way]:
+            bits[node] = bit
 
     def on_hit(self, way: int) -> None:
         self._touch(way)
@@ -47,13 +64,29 @@ class _PLRUSet(SetState):
         empty = self.leftmost_empty()
         if empty is not None:
             return empty
+        bits = self._bits
         node = 0
         way = 0
         for _ in range(self._levels):
-            direction = self._bits[node]
+            direction = bits[node]
             way = (way << 1) | direction
             node = 2 * node + 1 + direction
         return way
+
+    def access(self, tag: int) -> Tuple[bool, Optional[int]]:
+        """Lookup, victim choice and tree update in one call."""
+        tags = self._tags
+        bits = self._bits
+        if tag in tags:
+            for node, bit in self._paths[tags.index(tag)]:
+                bits[node] = bit
+            return True, None
+        way = self.choose_victim()
+        evicted = tags[way]
+        tags[way] = tag
+        for node, bit in self._paths[way]:
+            bits[node] = bit
+        return False, evicted
 
 
 class PLRU(ReplacementPolicy):

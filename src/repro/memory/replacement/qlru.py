@@ -135,16 +135,12 @@ class _QLRUSet(SetState):
         self._ages: List[Optional[int]] = [None] * associativity
 
     # ------------------------------------------------------------------
-    def _occupied_ages(self) -> List[int]:
-        return [age for age in self._ages if age is not None]
-
-    def _has_age3(self) -> bool:
-        return any(age == 3 for age in self._occupied_ages())
-
     def _age_update(self, accessed_way: Optional[int]) -> None:
         """Apply the U update if no block currently has age 3."""
-        ages = self._occupied_ages()
-        if not ages or self._has_age3():
+        if 3 in self._ages:
+            return
+        ages = [age for age in self._ages if age is not None]
+        if not ages:
             return
         maximum = max(ages)
         variant = self._spec.update_variant

@@ -48,6 +48,11 @@ class Tlb:
     def __init__(self, geometry: TlbGeometry, policy: str = "LRU",
                  rng: Optional[random.Random] = None) -> None:
         self.geometry = geometry
+        # Address mapping, fixed here: a page number's low bits
+        # (``& _set_mask``) are the set index, the rest the tag.
+        self._page_size = geometry.page_size
+        self._set_mask = geometry.n_sets - 1
+        self._index_bits = geometry.n_sets.bit_length() - 1
         factory = make_policy(policy, geometry.associativity, rng=rng)
         self._create_set = factory.create_set
         self._sets: Dict[int, SetState] = {}
@@ -55,10 +60,8 @@ class Tlb:
         self.misses = 0
 
     def _locate(self, virtual_address: int) -> Tuple[int, int]:
-        page = virtual_address // self.geometry.page_size
-        return page & (self.geometry.n_sets - 1), page >> (
-            self.geometry.n_sets.bit_length() - 1
-        )
+        page = virtual_address // self._page_size
+        return page & self._set_mask, page >> self._index_bits
 
     def access(self, virtual_address: int) -> bool:
         """Look up (and on miss, fill) the translation; returns hit."""

@@ -19,7 +19,8 @@ Two execution engines are provided.  The ``nanobench`` engine generates
 a real microbenchmark (noMem mode, pause/resume magic, kernel-space
 run) — exactly the paper's pipeline.  The ``direct`` engine drives the
 simulated hierarchy without the measurement scaffolding; it is
-observationally identical (the test suite asserts so) and fast enough
+observationally identical (the test suite asserts so in L1, L2 and L3
+sets) and fast enough
 for the large parameter sweeps of Sections VI-C2/VI-C3.
 """
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ...errors import AnalysisError
@@ -42,8 +43,15 @@ def random_access_sequence(
         n_blocks = associativity + 4
     if length is None:
         length = rng.randint(2 * associativity, 4 * associativity)
-    names = ["B%d" % i for i in range(n_blocks)]
+    names = _block_names(n_blocks)
     return [rng.choice(names) for _ in range(length)]
+
+
+@lru_cache(maxsize=None)
+def _block_names(n_blocks: int) -> Tuple[str, ...]:
+    """``B0`` ... ``B<n_blocks-1>``, built once: every sequence over the
+    same blocks shares these strings instead of holding its own."""
+    return tuple("B%d" % i for i in range(n_blocks))
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Tests for the cache, slice hashing, and the memory hierarchy."""
 
+import random
+
 import pytest
 
 from repro.core.nanobench import NanoBench
@@ -7,6 +9,7 @@ from repro.memory.cache import Cache, CacheGeometry
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import make_policy
 from repro.memory.slices import SliceHash, intel_slice_hash
+from repro.uarch.core import SimulatedCore
 from repro.uarch.specs import HASWELL_POLICY_A
 
 
@@ -296,3 +299,71 @@ class TestHierarchy:
         h = self._build()
         assert h.access(0x0).latency == h.memory_latency
         assert h.access(0x0).latency == h.l1_latency
+
+
+class TestAccessResultSlices:
+    """The C-Box contract: which L3 slice an access reports."""
+
+    @staticmethod
+    def _hierarchy(uarch):
+        hierarchy = SimulatedCore(uarch).hierarchy
+        hierarchy.prefetcher_enabled = False
+        return hierarchy
+
+    @staticmethod
+    def _l3_hit(hierarchy, line):
+        # Drop the line from L1 and L2 only: the next access hits L3.
+        hierarchy.l1.invalidate_line(line)
+        hierarchy.l2.invalidate_line(line)
+        return hierarchy.access(line)
+
+    def test_l1_and_l2_hits_carry_no_slice(self):
+        h = self._hierarchy("Skylake")
+        h.access(0x4000)
+        result = h.access(0x4000)
+        assert result.level == 1 and result.l3_slice is None
+        h.l1.invalidate_line(0x4000)
+        result = h.access(0x4000)
+        assert result.level == 2 and result.l3_slice is None
+
+    def test_l3_hit_and_dram_carry_the_hashed_slice(self):
+        h = self._hierarchy("Skylake")
+        slices = set()
+        for line in range(0, 64 * 64, 64):
+            expected = h.l3.slice_hash.slice_of(line)
+            slices.add(expected)
+            result = h.access(line)
+            assert (result.level, result.l3_slice) == (4, expected)
+            result = self._l3_hit(h, line)
+            assert (result.level, result.l3_slice) == (3, expected)
+        assert slices == set(range(h.l3.geometry.n_slices))
+
+    def test_unsliced_l3_reports_slice_zero(self):
+        h = self._hierarchy("Nehalem")
+        assert h.l3.geometry.n_slices == 1
+        assert h.access(0x8000).l3_slice == 0
+        assert self._l3_hit(h, 0x8000).l3_slice == 0
+
+    def test_no_l3_reports_no_slice(self):
+        h = MemoryHierarchy(_small_cache(), _small_cache(size=16384),
+                            prefetcher_enabled=False)
+        result = h.access(0x8000)
+        assert (result.level, result.l3_slice) == (4, None)
+
+    def test_cbox_metrics_for_a_fixed_sequence(self):
+        # Loads and stores over 384 kB (more than the L2, less than the
+        # L3), with the default prefetcher; the counts are pinned.
+        core = SimulatedCore("Skylake", seed=0)
+        rng = random.Random(11)
+        for _ in range(6000):
+            address = rng.randrange(6144) * 64 + rng.randrange(64)
+            is_store = rng.random() < 0.25
+            result = core.hierarchy.access(address, is_write=is_store)
+            core._record_memory_metrics(result, is_store=is_store)
+        snapshot = core.metrics.snapshot()
+        assert {name: snapshot[name] for name in sorted(snapshot)
+                if name.startswith(("cbox", "l3"))} == {
+            "cbox0_lookups": 1932, "cbox0_misses": 1887,
+            "cbox1_lookups": 1958, "cbox1_misses": 1905,
+            "l3_hit": 63, "l3_miss": 2826,
+        }

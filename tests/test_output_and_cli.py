@@ -124,6 +124,26 @@ class TestCli:
         assert exit_code == 0
         assert "Core cycles: 1.00" in capsys.readouterr().out
 
+    def test_max_n_measurements_turns_stability_on(self, capsys):
+        exit_code = cli_main([
+            "-asm", "nop", "-n_measurements", "4", "-unroll_count", "5",
+            "-max_n_measurements", "20",
+        ])
+        assert exit_code == 0
+        assert "# quality:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, cap", [
+        ([], None),
+        (["-stability"], 80),
+        (["-max_n_measurements", "20"], 20),
+        (["-stability", "-max_n_measurements", "20"], 20),
+    ])
+    def test_stability_cap(self, flags, cap):
+        from repro.core.cli import _stability_cap
+
+        args = build_parser().parse_args(["-asm", "nop"] + flags)
+        assert _stability_cap(args) == cap
+
     @pytest.mark.parametrize("outer", [None, "1"])
     def test_no_fast_path_is_scoped_to_the_invocation(self, capsys,
                                                       monkeypatch, outer):

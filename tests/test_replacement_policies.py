@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.cache import Cache, CacheGeometry
 from repro.memory.replacement import (
+    AdaptivePolicy,
     FIFO,
     LRU,
     MRU,
@@ -15,6 +16,7 @@ from repro.memory.replacement import (
     PermutationPolicy,
     QLRU,
     RandomReplacement,
+    SetState,
     fifo_spec,
     known_policy_names,
     lru_spec,
@@ -23,6 +25,7 @@ from repro.memory.replacement import (
     simulate_hits,
 )
 from repro.memory.replacement.qlru import QLRUSpec
+from repro.uarch.specs import get_spec
 
 
 def _drive(policy, blocks):
@@ -362,3 +365,50 @@ class TestPolicyInvariants:
         for block in blocks:
             assert cache.access(block * 64) == fresh.access(block)[0]
             assert cache.set_contents(0, 0) == fresh.contents()
+
+
+# ----------------------------------------------------------------------
+# Merged per-policy access against the generic hook protocol
+# ----------------------------------------------------------------------
+
+def _drive_twins(pairs, rng, n_blocks, steps):
+    """Drive the same seeded accesses and invalidations into each
+    ``(set, twin)`` pair: the set through its own ``access``, the twin
+    through ``SetState.access`` (lookup, on_hit / choose_victim,
+    on_fill).  Results and contents must agree at every step."""
+    for _ in range(steps):
+        state, twin = rng.choice(pairs)
+        tag = rng.randrange(n_blocks)
+        if rng.random() < 0.1:
+            assert state.invalidate(tag) == twin.invalidate(tag)
+        else:
+            assert state.access(tag) == SetState.access(twin, tag)
+        assert state.contents() == twin.contents()
+
+
+@pytest.mark.parametrize("associativity", [4, 8, 12, 16])
+def test_own_access_matches_hook_protocol(associativity):
+    for name in known_policy_names(associativity):
+        rng = random.Random("%s/%d" % (name, associativity))
+        pair = (make_policy(name, associativity).create_set(),
+                make_policy(name, associativity).create_set())
+        _drive_twins([pair], rng, associativity + 4, steps=120)
+
+
+@pytest.mark.parametrize("uarch", ["IvyBridge", "Haswell"])
+def test_adaptive_sets_match_hook_protocol(uarch):
+    # Dedicated A, dedicated B and follower sets of one policy each,
+    # interleaved so that the PSEL moves and the follower switches.
+    spec = get_spec(uarch).l3
+    policies = [AdaptivePolicy(spec.associativity, spec.dueling,
+                               rng=random.Random(7)) for _ in range(2)]
+    positions = [(0, 512), (0, 768), (0, 0)]
+    assert [spec.dueling.classify(*p) for p in positions] == \
+        ["A", "B", "follower"]
+    pairs = [tuple(policy.create_set_at(*position) for policy in policies)
+             for position in positions]
+    rng = random.Random(uarch)
+    for _ in range(10):
+        _drive_twins(pairs, rng, spec.associativity + 4, steps=300)
+        assert policies[0].psel.value == policies[1].psel.value
+    assert policies[0].psel.value != 1 << (spec.dueling.psel_bits - 1)

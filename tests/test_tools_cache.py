@@ -147,6 +147,26 @@ class TestCacheSeq:
             text, set_index=11
         )
 
+    @pytest.mark.parametrize("uarch, set_index, slice_id", [
+        ("Skylake", 21, 1),   # QLRU, a nonzero slice
+        ("Haswell", 530, 0),  # set-dueling L3, a policy-A dedicated set
+    ])
+    def test_engines_agree_l3(self, nb, uarch, set_index, slice_id):
+        l3_nb = nb if uarch == "Skylake" else _kernel_nb(uarch)
+        spec = l3_nb.core.spec.l3
+        if spec.dueling is not None:
+            assert spec.dueling.classify(slice_id, set_index) == "A"
+        direct = CacheSeq(l3_nb, level=3, engine="direct")
+        nano = CacheSeq(l3_nb, level=3, engine="nanobench")
+        rng = random.Random(uarch)
+        names = ["B%d" % i for i in range(spec.associativity + 2)]
+        blocks = [rng.choice(names) for _ in range(2 * spec.associativity)]
+        text = "<wbinvd> " + " ".join(b + "!" for b in names + blocks)
+        hits = direct.hits(text, set_index=set_index, slice_id=slice_id)
+        assert hits > 0
+        assert nano.hits(text, set_index=set_index,
+                         slice_id=slice_id) == hits
+
 
 class TestPermutationInference:
     def test_l1_plru_recovered(self, nb):
