@@ -150,6 +150,12 @@ def _serializer_instructions(serializer: str) -> List[Instruction]:
     ]
 
 
+#: Status flags a counter read leaves holding a function of the counter
+#: value: its last instruction, ``OR RAX, RDX``, sets them from the
+#: value and clears CF, OF and AF.
+COUNTER_READ_FLAGS = frozenset({"ZF", "SF", "PF"})
+
+
 def _read_one_counter(counter: CounterRead) -> List[Instruction]:
     """RDPMC/RDMSR one counter into RAX (clobbers RCX/RDX)."""
     if counter.kind == "msr":

@@ -59,11 +59,12 @@ from ..perfctr.counters import (
     delta_suspicious,
 )
 from ..perfctr.events import PerfEvent, event_catalog
-from ..uarch.core import SimulatedCore
+from ..uarch.core import COUNTER_ACCESS, RunRecord, SimulatedCore
 from ..x86.instructions import Program
 from .codecache import cache_stats, cached_assemble, cached_generate
 from .codegen import (
     AREA_SIZE,
+    COUNTER_READ_FLAGS,
     MEASUREMENT_AREA_BASE,
     MEASUREMENT_AREA_SIZE,
     R14_AREA_BASE,
@@ -105,6 +106,10 @@ class ExecutionReport:
     """Cost accounting for the last :meth:`NanoBench.run` call."""
 
     simulated_cycles: int = 0
+    #: Runs of generated code, warm-ups and discarded runs included.
+    #: A run replayed at the run-level fixed point counts as a run: it
+    #: stands for one the modelled machine executes, so the Section
+    #: III-K wall-time model (:meth:`wall_time_ms`) does not change.
     program_runs: int = 0
     counter_groups: int = 0
     host_seconds: float = 0.0
@@ -594,6 +599,29 @@ class NanoBench:
 
         return _valid
 
+    def _replay_allowed(self, benchmark: Program, init_program: Program,
+                        options: NanoBenchOptions) -> bool:
+        """Whether runs of this group may be replayed at a fixed point.
+
+        Never under a fault plan (its faults hit individual runs), with
+        the fast path switched off, in user mode (interrupts fire), or
+        when a counter value can reach something but its result slot:
+        in noMem mode (the values live in registers the benchmark can
+        read), or when the benchmark reads a flag the last counter read
+        set from its value (``COUNTER_READ_FLAGS``) or reads counters,
+        the clock or CPUID itself.
+        """
+        core = self.core
+        if (not core.fast_path_enabled or active_plan() is not None
+                or not self.kernel_mode or core.smt_enabled
+                or options.no_mem):
+            return False
+        for instr in init_program.instructions + benchmark.instructions:
+            if instr.mnemonic in COUNTER_ACCESS or instr.mnemonic == "CPUID":
+                return False
+        return all(COUNTER_READ_FLAGS.isdisjoint(instr.spec.flags_read)
+                   for instr in benchmark.instructions)
+
     # ------------------------------------------------------------------
     def _run_group(
         self,
@@ -634,6 +662,7 @@ class NanoBench:
             unroll_pair = (options.unroll_count, 2 * options.unroll_count)
 
         is_valid = self._run_validator(counter_reads)
+        replay = self._replay_allowed(benchmark, init_program, options)
         raw_aggregates = []
         total_runs = 0
         self.last_raw_series = {}
@@ -641,8 +670,10 @@ class NanoBench:
             generated = cached_generate(
                 benchmark, init_program, counter_reads, options, local_unroll
             )
+            fixed_point = _FixedPoint(self.core, generated) if replay else None
             series = run_measurements(
-                lambda: self._run_generated_once(generated, options),
+                lambda: self._run_generated_once(generated, options,
+                                                 fixed_point),
                 n_measurements=options.n_measurements,
                 warm_up_count=options.warm_up_count
                 + (options.initial_warm_up_count if local_unroll == unroll_pair[0] else 0),
@@ -664,13 +695,25 @@ class NanoBench:
 
     # ------------------------------------------------------------------
     def _run_generated_once(
-        self, generated: GeneratedCode, options: NanoBenchOptions
+        self, generated: GeneratedCode, options: NanoBenchOptions,
+        fixed_point: Optional["_FixedPoint"] = None,
     ) -> Dict[str, float]:
-        """One execution of the generated code (one Algorithm 2 iteration)."""
+        """One execution of the generated code (one Algorithm 2 iteration).
+
+        With a *fixed_point*, a run that would repeat the last simulated
+        one is replayed instead (see :class:`_FixedPoint`).
+        """
         core = self.core
         snapshot = core.regs.snapshot()
         for register, value in SCRATCH_REGISTERS.items():
             core.regs.write(register, value)
+        if fixed_point is not None:
+            state = core.state_fingerprint()
+            if fixed_point.record is not None and state == fixed_point.state:
+                return self._replay_once(generated, fixed_point, snapshot)
+            fixed_point.state, fixed_point.record = state, None
+            if state is None:
+                fixed_point = None
         transition = False
         plan = active_plan()
         if plan is not None:
@@ -698,7 +741,10 @@ class NanoBench:
             scheduler.uop_budget = options.uop_budget
         if self.kernel_mode:
             core.disable_interrupts()
+        record: Optional[RunRecord] = None
         try:
+            if fixed_point is not None:
+                core.begin_run_log(fixed_point.watched)
             core.run_program(generated.program, kernel_mode=self.kernel_mode,
                              unroll_region=generated.unroll_region)
         finally:
@@ -709,6 +755,23 @@ class NanoBench:
             core.regs.restore(snapshot)
             core.reset_timing()
             scheduler.cycle_budget, scheduler.uop_budget = saved_budgets
+            if fixed_point is not None:
+                record = core.end_run_log()
+        if fixed_point is not None:
+            fixed_point.keep(record)
+        return self._collect_raw_values(generated)
+
+    def _replay_once(self, generated: GeneratedCode,
+                     fixed_point: "_FixedPoint",
+                     snapshot) -> Dict[str, float]:
+        """A run at the fixed point, redone from the logged run."""
+        core = self.core
+        values = core.replay_run(fixed_point.record)
+        core.regs.restore(snapshot)
+        memory = core.main_memory
+        for physical, value in zip(fixed_point.slots, values):
+            # What the generated code stores: RDX:RAX of the read.
+            memory.write(physical, 8, value)
         return self._collect_raw_values(generated)
 
     def _collect_raw_values(self, generated: GeneratedCode) -> Dict[str, float]:
@@ -755,6 +818,52 @@ class NanoBench:
             self._corrected_wraps += 1
             return corrected
         return delta
+
+
+class _FixedPoint:
+    """The run-level fixed point of one series of runs of one program.
+
+    Algorithm 2 runs the same generated code ``warm_up_count +
+    n_measurements`` times.  Each run starts by taking the core's state
+    fingerprint.  If it equals the one the last simulated run started
+    from, and that run left a :class:`~repro.uarch.core.RunRecord`, the
+    machine is at a fixed point: the run would repeat the logged one,
+    and :meth:`SimulatedCore.replay_run` redoes it instead.  Otherwise
+    the run is simulated and logged.
+
+    The core's soundness argument (the comment above
+    :meth:`SimulatedCore.state_fingerprint`) needs one guarantee from
+    here: no counter value reaches anything but its result slot.  The
+    generated code stores each value to its slot and restores RAX, RCX
+    and RDX from the spill area; only the flags of the last read
+    remain, and :meth:`NanoBench._replay_allowed` admits no benchmark
+    that reads them.  The slots are watched ranges of the run log, and
+    a record is kept only if the run wrote them exactly once per
+    counter read (no benchmark store to a slot) and never read them.
+    """
+
+    __slots__ = ("slots", "watched", "state", "record")
+
+    def __init__(self, core: SimulatedCore, generated: GeneratedCode) -> None:
+        translate = core.address_space.translate
+        #: Physical address of each counter read's slot, in read order.
+        self.slots = [translate(address) for address
+                      in generated.m1_addresses + generated.m2_addresses]
+        #: The slots as byte ranges, adjacent slots merged.
+        self.watched: List[Tuple[int, int]] = []
+        for slot in sorted(self.slots):
+            if self.watched and self.watched[-1][1] == slot:
+                self.watched[-1] = (self.watched[-1][0], slot + 8)
+            else:
+                self.watched.append((slot, slot + 8))
+        self.state: Optional[tuple] = None
+        self.record: Optional[RunRecord] = None
+
+    def keep(self, record: Optional[RunRecord]) -> None:
+        if (record is not None
+                and record.watched_writes == len(record.reads)
+                == len(self.slots)):
+            self.record = record
 
 
 def _to_signed64(value: int) -> int:

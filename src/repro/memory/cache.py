@@ -137,6 +137,15 @@ class Cache:
         """Number of sets built since construction or the last WBINVD."""
         return sum(len(slice_sets) for slice_sets in self._sets)
 
+    def fingerprint(self) -> tuple:
+        """Canonical state of every built set plus the policy's shared
+        state (see :meth:`SetState.fingerprint`)."""
+        return self.policy.fingerprint(), tuple(
+            tuple(sorted((index, cache_set.fingerprint())
+                         for index, cache_set in slice_sets.items()))
+            for slice_sets in self._sets
+        )
+
     def set_contents(self, slice_id: int, set_index: int):
         return self.set_state(slice_id, set_index).contents()
 

@@ -130,6 +130,10 @@ class NextLinePrefetcher:
         self._last_address = None
         self._last_stride = None
 
+    def fingerprint(self) -> tuple:
+        return (tuple(sorted(self._last_block_per_page.items())),
+                self._last_address, self._last_stride)
+
 
 class MemoryHierarchy:
     """L1 + L2 + optional sliced L3 + DRAM, with inclusive fills."""
@@ -243,6 +247,19 @@ class MemoryHierarchy:
     def prefetch_into(self, address: int) -> None:
         """Software prefetch (PREFETCHTx): fill without demand counting."""
         self.access(address, is_prefetch=True)
+
+    def fingerprint(self) -> tuple:
+        """Canonical state of the caches and the prefetcher: what an
+        access reads, without the cumulative counters."""
+        return (self.prefetcher_enabled, self.prefetcher.fingerprint(),
+                tuple(cache.fingerprint() for cache in self.levels))
+
+    @property
+    def footprint(self) -> int:
+        """Built sets plus prefetcher pages: what :meth:`fingerprint`
+        walks."""
+        return (sum(cache.built_sets for cache in self.levels)
+                + len(self.prefetcher._last_block_per_page))
 
     def probe_level(self, address: int) -> int:
         """Level the line would hit at, without disturbing state (0=none)."""

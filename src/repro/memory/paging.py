@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, MemoryError_
 
@@ -179,34 +179,131 @@ def allocate_physically_contiguous(
 
 
 class MainMemory:
-    """Byte-addressable physical memory contents (sparse, page-granular)."""
+    """Byte-addressable physical memory contents (sparse, page-granular).
+
+    A page that was never written holds zeros and is not stored: reads
+    of it return 0 and allocate nothing.  An access inside one page
+    looks the page up once; one that crosses a page boundary goes byte
+    by byte.
+    """
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
+        self._log: Optional[WriteLog] = None
 
-    def _page(self, physical_address: int) -> bytearray:
-        page_number = physical_address // PAGE_SIZE
+    def _page_for_write(self, page_number: int) -> bytearray:
         page = self._pages.get(page_number)
+        log = self._log
+        if log is not None and page_number not in log.before:
+            log.before[page_number] = None if page is None else bytes(page)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[page_number] = page
+            page = self._pages[page_number] = bytearray(PAGE_SIZE)
         return page
 
     def read(self, physical_address: int, size: int) -> int:
         """Little-endian read of *size* bytes."""
+        if self._log is not None:
+            self._log.note(physical_address, size, write=False)
+        offset = physical_address % PAGE_SIZE
+        if offset + size <= PAGE_SIZE:
+            page = self._pages.get(physical_address // PAGE_SIZE)
+            if page is None:
+                return 0
+            return int.from_bytes(page[offset:offset + size], "little")
         value = 0
         for i in range(size):
             address = physical_address + i
-            page = self._page(address)
-            value |= page[address % PAGE_SIZE] << (8 * i)
+            page = self._pages.get(address // PAGE_SIZE)
+            if page is not None:
+                value |= page[address % PAGE_SIZE] << (8 * i)
         return value
 
     def write(self, physical_address: int, size: int, value: int) -> None:
         """Little-endian write of *size* bytes."""
+        if self._log is not None:
+            self._log.note(physical_address, size, write=True)
+        offset = physical_address % PAGE_SIZE
+        if offset + size <= PAGE_SIZE:
+            page = self._page_for_write(physical_address // PAGE_SIZE)
+            page[offset:offset + size] = (
+                value & ((1 << (8 * size)) - 1)
+            ).to_bytes(size, "little")
+            return
         for i in range(size):
             address = physical_address + i
-            page = self._page(address)
+            page = self._page_for_write(address // PAGE_SIZE)
             page[address % PAGE_SIZE] = (value >> (8 * i)) & 0xFF
+
+    # ------------------------------------------------------------------
+    def begin_log(self, watched: Sequence[Tuple[int, int]] = ()) -> None:
+        """Start a :class:`WriteLog` of the accesses that follow."""
+        self._log = WriteLog(watched)
+
+    def end_log(self) -> "WriteLog":
+        """Stop logging; returns the log, with :attr:`WriteLog.changed`
+        filled in against the current contents."""
+        log, self._log = self._log, None
+        zero = bytes(PAGE_SIZE)
+        for number, before in log.before.items():
+            after = self._pages.get(number)
+            if not log.same_outside_watched(
+                    number, zero if before is None else before,
+                    zero if after is None else after):
+                log.changed.append(number)
+        return log
+
+
+class WriteLog:
+    """What a stretch of execution did to :class:`MainMemory`.
+
+    ``before`` holds each written page's contents before its first
+    write (``None``: the page did not exist, i.e. was all zeros), so
+    the pages a run changed are found without copying the rest.
+    Accesses that overlap a *watched* physical range ``[lo, hi)`` are
+    counted instead, and bytes inside one are not compared: the
+    run-level fixed point watches the counter result slots, whose
+    contents differ in every run (see ``repro.core.nanobench``).
+    """
+
+    __slots__ = ("watched", "_lo", "_hi", "before", "changed",
+                 "watched_reads", "watched_writes")
+
+    def __init__(self, watched: Sequence[Tuple[int, int]]) -> None:
+        self.watched = tuple(watched)
+        self._lo = min((lo for lo, _ in self.watched), default=0)
+        self._hi = max((hi for _, hi in self.watched), default=0)
+        self.before: Dict[int, Optional[bytes]] = {}
+        self.changed: List[int] = []
+        self.watched_reads = 0
+        self.watched_writes = 0
+
+    def note(self, physical_address: int, size: int, *, write: bool) -> None:
+        end = physical_address + size
+        if physical_address >= self._hi or end <= self._lo:
+            return
+        for lo, hi in self.watched:
+            if physical_address < hi and lo < end:
+                if write:
+                    self.watched_writes += 1
+                else:
+                    self.watched_reads += 1
+                return
+
+    def same_outside_watched(self, number: int, before: bytes,
+                             after: bytes) -> bool:
+        """Whether page *number* reads the same outside watched bytes."""
+        if before == after:
+            return True
+        base = number * PAGE_SIZE
+        cursor = 0
+        for lo, hi in sorted(self.watched):
+            lo, hi = max(lo - base, 0), min(hi - base, PAGE_SIZE)
+            if lo >= hi:
+                continue
+            if before[cursor:lo] != after[cursor:lo]:
+                return False
+            cursor = max(cursor, hi)
+        return before[cursor:] == after[cursor:]
 
 
 class AddressSpace:

@@ -112,6 +112,9 @@ class _DedicatedSet(SetState):
     def on_invalidate(self, way: int) -> None:
         self._inner.on_invalidate(way)
 
+    def fingerprint(self) -> tuple:
+        return self._inner.fingerprint()
+
 
 class _FollowerSet(_QLRUSet):
     """A follower set switching between two QLRU specs via the PSEL.
@@ -166,6 +169,10 @@ class AdaptivePolicy(ReplacementPolicy):
     @property
     def is_deterministic(self) -> bool:
         return self._spec_a.is_deterministic and self._spec_b.is_deterministic
+
+    def fingerprint(self) -> tuple:
+        """The PSEL, which every set reads, plus the random stream."""
+        return (self.psel.value,) + super().fingerprint()
 
     def _dedicated(self, spec: QLRUSpec, side: str) -> SetState:
         inner = _QLRUSet(self.associativity, spec, self.rng)

@@ -107,6 +107,13 @@ class SetState(ABC):
     def on_invalidate(self, way: int) -> None:
         """Metadata update after invalidating *way* (default: none)."""
 
+    def fingerprint(self) -> tuple:
+        """Canonical state: two sets with equal fingerprints behave the
+        same on every future access.  The default covers policies whose
+        only per-set state is the tag array; others add their metadata.
+        """
+        return tuple(self._tags)
+
 
 class ReplacementPolicy(ABC):
     """Factory for per-set replacement state.
@@ -134,6 +141,11 @@ class ReplacementPolicy(ABC):
     def is_deterministic(self) -> bool:
         """Whether the policy's behaviour is input-deterministic."""
         return True
+
+    def fingerprint(self) -> tuple:
+        """State shared by the policy's sets: the random stream of a
+        non-deterministic policy (empty for deterministic ones)."""
+        return () if self.is_deterministic else (self.rng.getstate(),)
 
     def __repr__(self) -> str:
         return "%s(assoc=%d)" % (self.name, self.associativity)

@@ -7,6 +7,16 @@ from typing import List
 from .base import ReplacementPolicy, SetState
 
 
+def _ranks(stamps: List[int]) -> tuple:
+    """The ways in victim order (stable, as ``min`` breaks ties).
+
+    Stamps grow without bound, so raw stamps never repeat; every
+    decision compares them only through this order, and a touch moves
+    the touched way to its end.
+    """
+    return tuple(sorted(range(len(stamps)), key=stamps.__getitem__))
+
+
 class _LRUSet(SetState):
     """True least-recently-used: an age counter per way."""
 
@@ -30,6 +40,9 @@ class _LRUSet(SetState):
         if empty is not None:
             return empty
         return min(range(self.associativity), key=lambda w: self._last_use[w])
+
+    def fingerprint(self) -> tuple:
+        return tuple(self._tags), _ranks(self._last_use)
 
 
 class LRU(ReplacementPolicy):
@@ -61,6 +74,9 @@ class _FIFOSet(SetState):
         if empty is not None:
             return empty
         return min(range(self.associativity), key=lambda w: self._fill_time[w])
+
+    def fingerprint(self) -> tuple:
+        return tuple(self._tags), _ranks(self._fill_time)
 
 
 class FIFO(ReplacementPolicy):

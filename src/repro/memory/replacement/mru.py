@@ -54,6 +54,9 @@ class _MRUSet(SetState):
         # a set bit), but be safe: fall back to the leftmost way.
         return 0
 
+    def fingerprint(self) -> tuple:
+        return tuple(self._tags), tuple(self._bits)
+
     def status_bits(self) -> List[int]:
         """Expose the status bits (for tests)."""
         return list(self._bits)

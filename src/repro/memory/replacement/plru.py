@@ -73,6 +73,9 @@ class _PLRUSet(SetState):
             node = 2 * node + 1 + direction
         return way
 
+    def fingerprint(self) -> tuple:
+        return tuple(self._tags), tuple(self._bits)
+
     def access(self, tag: int) -> Tuple[bool, Optional[int]]:
         """Lookup, victim choice and tree update in one call."""
         tags = self._tags

@@ -189,6 +189,9 @@ class _QLRUSet(SetState):
     def on_invalidate(self, way: int) -> None:
         self._ages[way] = None
 
+    def fingerprint(self) -> tuple:
+        return tuple(self._tags), tuple(self._ages)
+
     def ages(self) -> List[Optional[int]]:
         """Expose the age bits (for tests)."""
         return list(self._ages)

@@ -53,8 +53,8 @@ class Tlb:
         self._page_size = geometry.page_size
         self._set_mask = geometry.n_sets - 1
         self._index_bits = geometry.n_sets.bit_length() - 1
-        factory = make_policy(policy, geometry.associativity, rng=rng)
-        self._create_set = factory.create_set
+        self._policy = make_policy(policy, geometry.associativity, rng=rng)
+        self._create_set = self._policy.create_set
         self._sets: Dict[int, SetState] = {}
         self.hits = 0
         self.misses = 0
@@ -90,6 +90,13 @@ class Tlb:
     def flush(self) -> None:
         """Drop all translations (a CR3 write / full INVLPG)."""
         self._sets.clear()
+
+    def fingerprint(self) -> tuple:
+        """Canonical state of the built sets (as for a cache)."""
+        return self._policy.fingerprint(), tuple(sorted(
+            (index, entry_set.fingerprint())
+            for index, entry_set in self._sets.items()
+        ))
 
 
 @dataclass(frozen=True)
@@ -152,3 +159,6 @@ class TlbHierarchy:
     def flush(self) -> None:
         self.dtlb.flush()
         self.stlb.flush()
+
+    def fingerprint(self) -> tuple:
+        return self.dtlb.fingerprint(), self.stlb.fingerprint()

@@ -72,6 +72,10 @@ class MetricStore:
     def snapshot(self) -> Dict[str, float]:
         return dict(self._values)
 
+    def load(self, values: Dict[str, float]) -> None:
+        """Replace every value (a run replay's read points)."""
+        self._values = values
+
 
 @dataclass
 class _ProgrammableCounter:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MemoryError_, RunawayBenchmarkError, TimingModelError
 from ..memory.cache import Cache, CacheGeometry
@@ -52,7 +52,20 @@ _FAST_PATH_UNSAFE_MNEMONICS = frozenset({
 
 #: Instructions that read or write counter state: the scheduler-derived
 #: counter metrics are published just before they execute.
-_COUNTER_ACCESS = frozenset({"RDPMC", "RDMSR", "WRMSR", "RDTSC", "RDTSCP"})
+COUNTER_ACCESS = frozenset({"RDPMC", "RDMSR", "WRMSR", "RDTSC", "RDTSCP"})
+
+#: Metrics set from the clock (:meth:`SimulatedCore._set_clock_metrics`);
+#: every other metric only ever has integers added to it.
+_CLOCK_METRICS = frozenset({"core_cycles", "ref_cycles", "aperf", "mperf"})
+
+#: Built cache/TLB sets plus prefetcher pages beyond which a state
+#: fingerprint costs more than a replay can save: runs stay exact.
+MAX_FINGERPRINT_FOOTPRINT = 512
+
+#: Metric values up to this are integers a float holds exactly, so a
+#: replay that adds a run's delta in one step lands where the run's
+#: individual increments do.
+_EXACT_FLOAT_INTS = 1 << 53
 
 #: Mnemonics with functional semantics (a clean body needs one each).
 _EXECUTABLE = frozenset(semantics.supported_mnemonics())
@@ -71,10 +84,11 @@ class SimStats(Counters):
     """Cumulative simulator-throughput counters for one core.
 
     ``instructions`` counts every dynamic instruction simulated
-    (including fast-forwarded ones); the ``fast_path_*`` fields break
-    out how much of that work the steady-state replay absorbed, and
-    ``fallbacks`` counts abandoned steady-state candidates (divergence,
-    fences, interrupts, signature-table overflow).
+    (including fast-forwarded ones and those of replayed runs); the
+    ``fast_path_*`` fields break out how much of that work the
+    steady-state replay absorbed, and ``fallbacks`` counts abandoned
+    steady-state candidates (divergence, fences, interrupts,
+    signature-table overflow).
     """
 
     instructions: int = 0
@@ -82,6 +96,10 @@ class SimStats(Counters):
     fast_path_iterations: int = 0
     fast_path_replays: int = 0
     fallbacks: int = 0
+    #: Whole program runs redone from a record instead of simulated
+    #: (:meth:`SimulatedCore.replay_run`); the other fields advance by
+    #: the recorded run's deltas, as if it had been simulated.
+    replayed_runs: int = 0
 
 
 def _build_cache(name: str, level: CacheLevelSpec, rng: random.Random) -> Cache:
@@ -195,6 +213,8 @@ class SimulatedCore:
         #: so decode (dataflow + timing-table string work) is paid once.
         #: The entry holds a strong reference, keeping the id stable.
         self._decode_cache: Dict[int, list] = {}
+        #: The run being logged for :meth:`replay_run`, if any.
+        self._run_log: Optional[_RunLog] = None
 
     # ==================================================================
     # Memory mapping helpers (used by nanoBench and the tools)
@@ -219,9 +239,13 @@ class SimulatedCore:
         return self._kernel_mode
 
     def rdpmc(self, index: int) -> int:
+        if self._run_log is not None:
+            self._run_log.note_read(self, "RDPMC", index)
         return self.pmu.rdpmc(index, kernel_mode=self._kernel_mode)
 
     def rdmsr(self, index: int) -> int:
+        if self._run_log is not None:
+            self._run_log.note_read(self, "RDMSR", index)
         value = self.pmu.read_msr(index)
         if value is not None:
             return value
@@ -237,6 +261,8 @@ class SimulatedCore:
             # is accepted but has no effect (Section VI-D).
 
     def rdtsc(self) -> int:
+        if self._run_log is not None:
+            self._run_log.replayable = False  # a replay reads no clock
         return int(self._cycle_base + self.scheduler.now)
 
     def cpuid(self, eax: int, ecx: int) -> Tuple[int, int, int, int]:
@@ -372,7 +398,11 @@ class SimulatedCore:
             if load != published[i]:
                 metrics.add(self._port_metric_names[i], load - published[i])
                 published[i] = load
-        now = self._cycle_base + scheduler.now
+        self._set_clock_metrics(self._cycle_base + scheduler.now)
+
+    def _set_clock_metrics(self, now: int) -> None:
+        """The clock-derived metrics at absolute core cycle *now*."""
+        metrics = self.metrics
         ratio = self.spec.reference_clock_ratio
         metrics.set("core_cycles", float(now))
         metrics.set("ref_cycles", now * ratio)
@@ -621,7 +651,7 @@ class SimulatedCore:
                 if skip_from <= pc < skip_to:
                     target = None
                 else:
-                    if entry[3] and mnemonic in _COUNTER_ACCESS:
+                    if entry[3] and mnemonic in COUNTER_ACCESS:
                         self._publish(executed - published)
                         published = executed
                     target = semantics.execute(self, instr)
@@ -669,6 +699,226 @@ class SimulatedCore:
     @property
     def current_cycle(self) -> int:
         return self._cycle_base + self.scheduler.now
+
+    # ==================================================================
+    # Run-level fixed point: log one program run, replay its repeats.
+    #
+    # nanoBench runs the same generated code many times (Algorithm 2).
+    # Once a run leaves the machine state as it found it, every later
+    # run of the series repeats it, and :meth:`replay_run` redoes its
+    # effects from a :class:`RunRecord` instead of simulating it.  This
+    # is the memoization of FastSim (Schnarr & Larus, ASPLOS 1998) at
+    # the granularity of one run.
+    #
+    # Soundness: a run is a function of what it reads.  That is
+    #
+    # * the state :meth:`state_fingerprint` covers: registers, the
+    #   scheduler (which every run starts reset, predictor included),
+    #   cache and TLB sets with the policies' shared state (PSEL, the
+    #   stream of a random policy), the prefetcher and the MSRs;
+    # * memory, which the run's write log covers instead: the run left
+    #   every page it wrote as it found it, except in the *watched*
+    #   ranges (the caller's counter result slots), which it never read;
+    # * random draws: :meth:`end_run_log` keeps no record of a run that
+    #   drew from a range of more than one value (CPUID, latency
+    #   jitter); a one-value draw is re-issued, so the stream position
+    #   stays exact;
+    # * interrupts and the SMT sibling, which draw from streams of their
+    #   own: no record unless both are off for the whole run;
+    # * counter and clock values.  A replay re-evaluates the counter
+    #   reads; the caller must guarantee that no value they return
+    #   reaches anything but the watched ranges (nanoBench checks its
+    #   generated code for this), and a run that reads the clock
+    #   (RDTSC) keeps no record.
+    #
+    # So if the fingerprint at the start of a run equals the one at the
+    # start of a logged run, the run executes the same instructions with
+    # the same timing, leaves the same fingerprint, and adds the same
+    # amount to every cumulative counter at the same points.  Additive
+    # metrics hold integers below 2**53, which floats add exactly, so a
+    # metric at a read point is its value at the replay's start plus the
+    # logged offset; the clock metrics are recomputed from the absolute
+    # clock (Reference cycles alternate with its phase).  Raw LRU/FIFO
+    # stamps are not advanced: decisions read them only as an order,
+    # which is what the fingerprint compares.  The cycle, µop and
+    # instruction budgets restart with each run, so a replayed run would
+    # trip one exactly when the logged run did, and that run raised
+    # instead of leaving a record; the cache and TLB step budgets span
+    # runs, so a run under one keeps no record.
+    # ==================================================================
+    def state_fingerprint(self) -> Optional[tuple]:
+        """Canonical fingerprint of the machine state a run reads.
+
+        ``None`` when the caches, TLBs and prefetcher hold more than
+        :data:`MAX_FINGERPRINT_FOOTPRINT` entries to walk.  Memory is
+        left to the run's write log; cumulative counters are left out,
+        since a run reads them only through counter reads.
+        """
+        tlb = self.tlb
+        if (self.hierarchy.footprint + tlb.dtlb.built_sets
+                + tlb.stlb.built_sets > MAX_FINGERPRINT_FOOTPRINT):
+            return None
+        return (
+            self.regs.fingerprint(),
+            self.scheduler.fingerprint(),
+            self.hierarchy.fingerprint(),
+            tlb.fingerprint(),
+            tuple(sorted(self._msrs.items())),
+            self.timing_enabled,
+        )
+
+    def begin_run_log(self, watched: Sequence[Tuple[int, int]] = ()) -> None:
+        """Log what follows, up to :meth:`end_run_log`, as one run.
+
+        *watched* are physical byte ranges ``[lo, hi)`` whose contents
+        may differ between runs: the counter result slots, which the
+        caller writes itself after a replay.
+        """
+        self._run_log = _RunLog(self)
+        self.scheduler.draws = []
+        self.main_memory.begin_log(watched)
+
+    def end_run_log(self) -> Optional["RunRecord"]:
+        """Stop logging; the run's :class:`RunRecord`, or ``None`` if
+        it cannot be replayed (see the soundness comment above)."""
+        log, self._run_log = self._run_log, None
+        draws, self.scheduler.draws = self.scheduler.draws, None
+        memory = self.main_memory.end_log()
+        if (
+            not log.replayable
+            or memory.changed
+            or memory.watched_reads
+            or any(low != high for low, high in draws)
+        ):
+            return None
+        start, end = log.metrics, self.metrics.snapshot()
+        if not (_exact_ints(start) and _exact_ints(end)):
+            return None
+        hierarchy = self.hierarchy
+        return RunRecord(
+            draws=tuple(draws),
+            start_metrics=start,
+            metric_deltas={
+                name: value - start.get(name, 0.0)
+                for name, value in end.items()
+                if name not in _CLOCK_METRICS
+            },
+            reads=tuple(log.reads),
+            counts=tuple(after - before for after, before
+                         in zip(self._cumulative(), log.counts)),
+            sim_stats=self.sim_stats.delta(log.sim_stats),
+            demand=hierarchy.demand.delta(log.demand),
+            watched_writes=memory.watched_writes,
+        )
+
+    def replay_run(self, record: "RunRecord") -> List[int]:
+        """Redo a logged run's effects without simulating it.
+
+        Returns the values the run's counter reads return this time, in
+        order; writing them to the watched ranges is the caller's part.
+        Only sound from a state whose :meth:`state_fingerprint` equals
+        the one the logged run started from.
+        """
+        rng = self.scheduler.rng
+        for low, high in record.draws:
+            rng.randint(low, high)
+        metrics = self.metrics
+        start = metrics.snapshot()
+        logged = record.start_metrics
+        offset = {name: value - logged.get(name, 0.0)
+                  for name, value in start.items()}
+        base = self._cycle_base
+        values = []
+        for mnemonic, index, point, now in record.reads:
+            metrics.load({name: point.get(name, 0.0) + delta
+                          for name, delta in offset.items()})
+            self._set_clock_metrics(base + now)
+            values.append(self.rdpmc(index) if mnemonic == "RDPMC"
+                          else self.rdmsr(index))
+        deltas = record.metric_deltas
+        metrics.load({name: value + deltas.get(name, 0.0)
+                      for name, value in start.items()})
+        self._advance_cumulative(record.counts)
+        self._set_clock_metrics(self._cycle_base)
+        self.sim_stats.add(record.sim_stats)
+        self.sim_stats.replayed_runs += 1
+        self.hierarchy.demand.add(record.demand)
+        return values
+
+    def _cumulative(self) -> Tuple[int, ...]:
+        """The scalar counters a run only ever advances."""
+        tlb = self.tlb
+        return (self._cycle_base, self.hierarchy.steps_taken,
+                tlb.steps_taken, tlb.dtlb.hits, tlb.dtlb.misses,
+                tlb.stlb.hits, tlb.stlb.misses)
+
+    def _advance_cumulative(self, deltas: Tuple[int, ...]) -> None:
+        (cycles, cache_steps, tlb_steps, dtlb_hits, dtlb_misses,
+         stlb_hits, stlb_misses) = deltas
+        tlb = self.tlb
+        self._cycle_base += cycles
+        self.hierarchy.steps_taken += cache_steps
+        tlb.steps_taken += tlb_steps
+        tlb.dtlb.hits += dtlb_hits
+        tlb.dtlb.misses += dtlb_misses
+        tlb.stlb.hits += stlb_hits
+        tlb.stlb.misses += stlb_misses
+
+
+def _exact_ints(metrics: Dict[str, float]) -> bool:
+    """Whether every additive metric is an integer a float adds exactly."""
+    return all(
+        float(value).is_integer() and abs(value) < _EXACT_FLOAT_INTS
+        for name, value in metrics.items() if name not in _CLOCK_METRICS
+    )
+
+
+class _RunLog:
+    """A run in progress: counters at its start and its counter reads."""
+
+    __slots__ = ("metrics", "counts", "sim_stats", "demand", "reads",
+                 "replayable")
+
+    def __init__(self, core: SimulatedCore) -> None:
+        hierarchy = core.hierarchy
+        self.metrics = core.metrics.snapshot()
+        self.counts = core._cumulative()
+        self.sim_stats = core.sim_stats.snapshot()
+        self.demand = hierarchy.demand.snapshot()
+        #: ``(mnemonic, index, metrics, scheduler clock)`` per read.
+        self.reads: List[tuple] = []
+        self.replayable = not (
+            core.smt_enabled
+            or (core._interrupts_enabled and core.interference.enabled)
+            or hierarchy.step_budget is not None
+            or core.tlb.step_budget is not None
+        )
+
+    def note_read(self, core: SimulatedCore, mnemonic: str,
+                  index: int) -> None:
+        self.reads.append((mnemonic, index, core.metrics.snapshot(),
+                           core.scheduler.now))
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """What one logged run did to the cumulative machine state.
+
+    Built by :meth:`SimulatedCore.end_run_log`, replayed by
+    :meth:`SimulatedCore.replay_run`.  ``reads`` holds, per counter read
+    in order, ``(mnemonic, ECX, metrics, scheduler clock)`` at the read;
+    ``counts`` the deltas of :meth:`SimulatedCore._cumulative`;
+    ``watched_writes`` how many writes touched the watched ranges.
+    """
+
+    draws: Tuple[Tuple[int, int], ...]
+    start_metrics: Dict[str, float]
+    metric_deltas: Dict[str, float]
+    reads: Tuple[tuple, ...]
+    counts: Tuple[int, ...]
+    sim_stats: SimStats
+    demand: Counters
+    watched_writes: int
 
 
 class _UnrollFastPath:

@@ -123,6 +123,9 @@ class Scheduler:
         #: a loop) grind on unboundedly.
         self.cycle_budget: Optional[int] = None
         self.uop_budget: Optional[int] = None
+        #: When a list, every ``rng.randint`` range drawn is appended to
+        #: it (the core's run log; see ``SimulatedCore.begin_run_log``).
+        self.draws: Optional[List[Tuple[int, int]]] = None
         self.reset()
 
     def reset(self) -> None:
@@ -149,6 +152,24 @@ class Scheduler:
         # the steady-state separation margin.
         self._latency_accum = 0
         self.predictor.reset()
+
+    def _randint(self, low: int, high: int) -> int:
+        if self.draws is not None:
+            self.draws.append((low, high))
+        return self.rng.randint(low, high)
+
+    def fingerprint(self) -> tuple:
+        """Everything :meth:`schedule` reads except the RNG and the
+        budgets: constant after :meth:`reset`, which clears the branch
+        predictor too."""
+        return (
+            tuple(sorted(self._resource_ready.items())),
+            tuple(sorted(self._store_ready.items())),
+            tuple(self._port_free), tuple(self._port_load),
+            self._frontend_cycle, self._frontend_slots, self._fence_until,
+            self._max_complete, self._issued_uops, self._latency_accum,
+            tuple(sorted(self.predictor._counters.items())),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -296,9 +317,9 @@ class Scheduler:
         compute_uops: List[ComputeUop] = list(timing.compute_uops)
         extra_latency = timing.base_latency
         if timing.latency_jitter:
-            extra_latency += self.rng.randint(0, timing.latency_jitter)
+            extra_latency += self._randint(0, timing.latency_jitter)
         if timing.microcoded:
-            count = self.rng.randint(*timing.microcode_uops)
+            count = self._randint(*timing.microcode_uops)
             compute_uops.extend(ComputeUop("MICROCODE", 1) for _ in range(count))
 
         compute_complete = loads_complete

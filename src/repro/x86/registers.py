@@ -216,6 +216,11 @@ class RegisterFile:
         self._vec = dict(snap.vec)
         self._flags = dict(snap.flags)
 
+    def fingerprint(self) -> tuple:
+        """The full architectural state as one comparable value."""
+        return (tuple(self._gpr.items()), tuple(self._vec.items()),
+                tuple(self._flags.items()))
+
     def differing_registers(self, snap: "RegisterSnapshot") -> Tuple[str, ...]:
         """Return canonical registers whose value differs from *snap*."""
         diffs = [r for r, v in self._gpr.items() if snap.gpr.get(r) != v]

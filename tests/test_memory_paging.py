@@ -143,6 +143,61 @@ class TestMainMemory:
         memory.write(address, size, value)
         assert memory.read(address, size) == value & ((1 << (8 * size)) - 1)
 
+    def test_reading_unwritten_pages_allocates_nothing(self):
+        memory = MainMemory()
+        assert memory.read(0x5000, 8) == 0
+        assert memory.read(PAGE_SIZE - 4, 8) == 0  # across two pages
+        assert memory._pages == {}
+
+    def test_matches_bytewise_reference(self):
+        """Seeded in-page and cross-page accesses against a dict of
+        bytes: one page lookup per in-page access changes nothing."""
+        rng = random.Random(26)
+        memory, reference = MainMemory(), {}
+        for _ in range(3000):
+            size = rng.choice([1, 2, 4, 8, 16])
+            page = PAGE_SIZE * rng.randrange(1, 4)
+            if rng.random() < 0.5:  # straddle the boundary below *page*
+                address = page - rng.randrange(1, size + 1)
+            else:
+                address = page + rng.randrange(PAGE_SIZE - size + 1)
+            if rng.random() < 0.5:
+                # Wider than *size*, and sometimes negative: the write
+                # keeps the low bytes.
+                value = rng.getrandbits(8 * size + 8) - (1 << (8 * size))
+                memory.write(address, size, value)
+                for i in range(size):
+                    reference[address + i] = (value >> (8 * i)) & 0xFF
+            else:
+                assert memory.read(address, size) == sum(
+                    reference.get(address + i, 0) << (8 * i)
+                    for i in range(size))
+
+
+class TestWriteLog:
+    def test_unchanged_pages_and_watched_bytes(self):
+        memory = MainMemory()
+        memory.write(0x1000, 8, 7)
+        memory.begin_log(watched=[(0x1100, 0x1110)])
+        memory.write(0x1000, 8, 7)       # same value: unchanged
+        memory.write(0x1100, 8, 99)      # watched: not compared
+        memory.write(0x3000, 8, 0)       # a new all-zero page: unchanged
+        log = memory.end_log()
+        assert sorted(log.before) == [1, 3]
+        assert log.before[3] is None
+        assert log.changed == []
+        assert (log.watched_reads, log.watched_writes) == (0, 1)
+
+    def test_changed_page_and_watched_read(self):
+        memory = MainMemory()
+        memory.begin_log(watched=[(0x1100, 0x1110)])
+        memory.write(0x2ffc, 8, 1)       # crosses into page 3
+        assert memory.read(0x110c, 8) == 0  # overlaps the watched range
+        log = memory.end_log()
+        assert log.changed == [2]
+        assert log.watched_reads == 1
+        assert memory.read(0x3000, 4) == 0  # logging is over
+
 
 class TestAddressSpace:
     def test_user_mapping_translates(self):

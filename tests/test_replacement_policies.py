@@ -412,3 +412,58 @@ def test_adaptive_sets_match_hook_protocol(uarch):
         _drive_twins(pairs, rng, spec.associativity + 4, steps=300)
         assert policies[0].psel.value == policies[1].psel.value
     assert policies[0].psel.value != 1 << (spec.dueling.psel_bits - 1)
+
+
+# ----------------------------------------------------------------------
+# Set fingerprints: canonical state for the run-level fixed point
+# ----------------------------------------------------------------------
+
+_FINGERPRINT_POLICIES = (
+    known_policy_names(4)[:5]
+    + random.Random(26).sample(known_policy_names(4)[5:], 12)
+)
+
+
+@pytest.mark.parametrize("name", _FINGERPRINT_POLICIES)
+def test_equal_fingerprints_behave_the_same(name):
+    """Sets reached by different histories but with equal fingerprints
+    answer every later access and invalidation the same way, and their
+    fingerprints stay equal."""
+    rng = random.Random(name)
+    policy = make_policy(name, 4)
+    groups = {}
+    for _ in range(200):
+        state = policy.create_set()
+        for _ in range(rng.randrange(12)):
+            tag = rng.randrange(6)
+            if rng.random() < 0.1:
+                state.invalidate(tag)
+            else:
+                state.access(tag)
+        groups.setdefault(state.fingerprint(), []).append(state)
+    twins = [group for group in groups.values() if len(group) > 1]
+    assert twins
+    for group in twins:
+        for _ in range(20):
+            tag = rng.randrange(6)
+            if rng.random() < 0.1:
+                outcomes = {state.invalidate(tag) for state in group}
+            else:
+                outcomes = {state.access(tag) for state in group}
+            assert len(outcomes) == 1
+            assert len({state.fingerprint() for state in group}) == 1
+
+
+@pytest.mark.parametrize("policy", [LRU, FIFO])
+def test_stamps_enter_the_fingerprint_as_an_order(policy):
+    # The same fills after one invalidated fill: every stamp is one
+    # higher, the victim order is the same.
+    a, b = policy(4).create_set(), policy(4).create_set()
+    b.access(6)
+    b.invalidate(6)
+    for tag in (1, 2, 3, 4, 5):
+        a.access(tag)
+        b.access(tag)
+    assert a.contents() == b.contents() == (5, 2, 3, 4)
+    assert a._stamp != b._stamp
+    assert a.fingerprint() == b.fingerprint()

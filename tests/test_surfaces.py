@@ -16,7 +16,7 @@ from repro.server import BenchServer, JobQueue, QuotaPolicy
 
 SIM_STATS_KEYS = [
     "instructions", "fast_path_instructions", "fast_path_iterations",
-    "fast_path_replays", "fallbacks", "wall_seconds",
+    "fast_path_replays", "fallbacks", "replayed_runs", "wall_seconds",
 ]
 
 ROUTER_KEYS = ["served_by", "audited", "audit_failed", "stats"]
