@@ -59,7 +59,7 @@ from ..perfctr.counters import (
     delta_suspicious,
 )
 from ..perfctr.events import PerfEvent, event_catalog
-from ..uarch.core import COUNTER_ACCESS, RunRecord, SimulatedCore
+from ..uarch.core import RunRecord, SimulatedCore
 from ..x86.instructions import Program
 from .codecache import cache_stats, cached_assemble, cached_generate
 from .codegen import (
@@ -599,26 +599,24 @@ class NanoBench:
 
         return _valid
 
-    def _replay_allowed(self, benchmark: Program, init_program: Program,
+    def _replay_allowed(self, benchmark: Program,
                         options: NanoBenchOptions) -> bool:
         """Whether runs of this group may be replayed at a fixed point.
 
-        Never under a fault plan (its faults hit individual runs), with
-        the fast path switched off, in user mode (interrupts fire), or
-        when a counter value can reach something but its result slot:
-        in noMem mode (the values live in registers the benchmark can
-        read), or when the benchmark reads a flag the last counter read
-        set from its value (``COUNTER_READ_FLAGS``) or reads counters,
-        the clock or CPUID itself.
+        Only what a run log cannot see is checked here: never under a
+        fault plan (its faults hit individual runs), with the fast path
+        switched off, in user mode (interrupts fire), or when a counter
+        value can reach something but its result slot: in noMem mode
+        (the values live in registers the benchmark can read), or when
+        the benchmark reads a flag the last counter read set from its
+        value (``COUNTER_READ_FLAGS``).  Counter, clock and CPUID reads
+        in the code itself, and SMT, are caught by the run log
+        (:meth:`SimulatedCore.end_run_log`, :meth:`_FixedPoint.keep`).
         """
         core = self.core
         if (not core.fast_path_enabled or active_plan() is not None
-                or not self.kernel_mode or core.smt_enabled
-                or options.no_mem):
+                or not self.kernel_mode or options.no_mem):
             return False
-        for instr in init_program.instructions + benchmark.instructions:
-            if instr.mnemonic in COUNTER_ACCESS or instr.mnemonic == "CPUID":
-                return False
         return all(COUNTER_READ_FLAGS.isdisjoint(instr.spec.flags_read)
                    for instr in benchmark.instructions)
 
@@ -662,7 +660,7 @@ class NanoBench:
             unroll_pair = (options.unroll_count, 2 * options.unroll_count)
 
         is_valid = self._run_validator(counter_reads)
-        replay = self._replay_allowed(benchmark, init_program, options)
+        replay = self._replay_allowed(benchmark, options)
         raw_aggregates = []
         total_runs = 0
         self.last_raw_series = {}
@@ -712,8 +710,6 @@ class NanoBench:
             if fixed_point.record is not None and state == fixed_point.state:
                 return self._replay_once(generated, fixed_point, snapshot)
             fixed_point.state, fixed_point.record = state, None
-            if state is None:
-                fixed_point = None
         transition = False
         plan = active_plan()
         if plan is not None:
@@ -838,8 +834,9 @@ class _FixedPoint:
     and RDX from the spill area; only the flags of the last read
     remain, and :meth:`NanoBench._replay_allowed` admits no benchmark
     that reads them.  The slots are watched ranges of the run log, and
-    a record is kept only if the run wrote them exactly once per
-    counter read (no benchmark store to a slot) and never read them.
+    a record is kept only if the run made exactly one counter read per
+    slot (none in the benchmark or init code), wrote the slots exactly
+    once per read (no benchmark store to a slot) and never read them.
     """
 
     __slots__ = ("slots", "watched", "state", "record")

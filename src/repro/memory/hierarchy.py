@@ -254,13 +254,6 @@ class MemoryHierarchy:
         return (self.prefetcher_enabled, self.prefetcher.fingerprint(),
                 tuple(cache.fingerprint() for cache in self.levels))
 
-    @property
-    def footprint(self) -> int:
-        """Built sets plus prefetcher pages: what :meth:`fingerprint`
-        walks."""
-        return (sum(cache.built_sets for cache in self.levels)
-                + len(self.prefetcher._last_block_per_page))
-
     def probe_level(self, address: int) -> int:
         """Level the line would hit at, without disturbing state (0=none)."""
         line = address - address % self._line_size

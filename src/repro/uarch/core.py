@@ -52,15 +52,11 @@ _FAST_PATH_UNSAFE_MNEMONICS = frozenset({
 
 #: Instructions that read or write counter state: the scheduler-derived
 #: counter metrics are published just before they execute.
-COUNTER_ACCESS = frozenset({"RDPMC", "RDMSR", "WRMSR", "RDTSC", "RDTSCP"})
+_COUNTER_ACCESS = frozenset({"RDPMC", "RDMSR", "WRMSR", "RDTSC", "RDTSCP"})
 
 #: Metrics set from the clock (:meth:`SimulatedCore._set_clock_metrics`);
 #: every other metric only ever has integers added to it.
 _CLOCK_METRICS = frozenset({"core_cycles", "ref_cycles", "aperf", "mperf"})
-
-#: Built cache/TLB sets plus prefetcher pages beyond which a state
-#: fingerprint costs more than a replay can save: runs stay exact.
-MAX_FINGERPRINT_FOOTPRINT = 512
 
 #: Metric values up to this are integers a float holds exactly, so a
 #: replay that adds a run's delta in one step lands where the run's
@@ -651,7 +647,7 @@ class SimulatedCore:
                 if skip_from <= pc < skip_to:
                     target = None
                 else:
-                    if entry[3] and mnemonic in COUNTER_ACCESS:
+                    if entry[3] and mnemonic in _COUNTER_ACCESS:
                         self._publish(executed - published)
                         published = executed
                     target = semantics.execute(self, instr)
@@ -746,23 +742,17 @@ class SimulatedCore:
     # instead of leaving a record; the cache and TLB step budgets span
     # runs, so a run under one keeps no record.
     # ==================================================================
-    def state_fingerprint(self) -> Optional[tuple]:
+    def state_fingerprint(self) -> tuple:
         """Canonical fingerprint of the machine state a run reads.
 
-        ``None`` when the caches, TLBs and prefetcher hold more than
-        :data:`MAX_FINGERPRINT_FOOTPRINT` entries to walk.  Memory is
-        left to the run's write log; cumulative counters are left out,
-        since a run reads them only through counter reads.
+        Memory is left to the run's write log; cumulative counters are
+        left out, since a run reads them only through counter reads.
         """
-        tlb = self.tlb
-        if (self.hierarchy.footprint + tlb.dtlb.built_sets
-                + tlb.stlb.built_sets > MAX_FINGERPRINT_FOOTPRINT):
-            return None
         return (
             self.regs.fingerprint(),
             self.scheduler.fingerprint(),
             self.hierarchy.fingerprint(),
-            tlb.fingerprint(),
+            self.tlb.fingerprint(),
             tuple(sorted(self._msrs.items())),
             self.timing_enabled,
         )

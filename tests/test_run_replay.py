@@ -14,7 +14,8 @@ values.  One test per way a naive memo goes wrong:
 * cache, TLB, PMU, metric and simulator statistics are cumulative.
 
 And the bodies that must be simulated run by run: fresh memory values
-in every run, CPUID, user mode with interrupts, an active fault plan.
+in every run, CPUID, counter and clock reads, user mode with
+interrupts, an SMT sibling, an active fault plan.
 """
 
 import dataclasses
@@ -218,6 +219,36 @@ class TestSimulatedRunByRun:
         # CMOVZ reads ZF, which the last counter read set from its value.
         assert _replayed_runs(_kernel(replay=True), "cmovz RAX, RBX",
                               unroll_count=20, n_measurements=3) == 0
+
+    @pytest.mark.parametrize("asm, asm_init", [
+        ("mov ECX, 0; rdpmc", ""),
+        ("mov ECX, 0x309; rdmsr", ""),
+        ("rdtsc", ""),
+        ("add RAX, RBX", "mov ECX, 0; rdpmc"),
+    ])
+    def test_counter_and_clock_reads_in_the_code(self, asm, asm_init):
+        # The run log sees these: an extra counter read outnumbers the
+        # result slots, and a clock read leaves no record.
+        (values, replayed), (exact_values, exact) = _both(
+            asm, asm_init=asm_init, unroll_count=4, n_measurements=4)
+        assert replayed.core.sim_stats.replayed_runs == 0
+        assert values == exact_values
+        _assert_same_machine(replayed, exact)
+
+    def test_smt_sibling(self):
+        nb = _kernel(replay=True)
+        nb.core.enable_smt()
+        assert _replayed_runs(nb, "add RAX, RBX", unroll_count=50,
+                              n_measurements=3) == 0
+
+    def test_msr_write_repeats(self):
+        # WRMSR only changes MSR state, which the fingerprint covers.
+        asm = "mov ECX, 0x1a4; xor EAX, EAX; xor EDX, EDX; wrmsr"
+        (values, replayed), (exact_values, exact) = _both(
+            asm, unroll_count=4, n_measurements=4)
+        assert replayed.core.sim_stats.replayed_runs > 0
+        assert values == exact_values
+        _assert_same_machine(replayed, exact)
 
     @pytest.mark.parametrize("address, replays", [
         (0x60000800, False),  # an m2 slot: the previous run's count
