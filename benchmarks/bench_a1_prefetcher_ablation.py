@@ -36,7 +36,6 @@ def _identify_l2(prefetchers_on: bool):
     nb = NanoBench.kernel("Skylake", seed=21)
     if not prefetchers_on:
         disable_prefetchers(nb.core)
-    nb.core.timing_enabled = False
     nb.resize_r14_buffer(64 << 20)
     identifier = PolicyIdentifier(
         CacheSeq(nb, level=2), set_index=17, rng=random.Random(2)

@@ -27,7 +27,6 @@ PAPER_POLICY = "QLRU_H11_M1_R0_U0"
 def test_e10_briongos_counterexamples(benchmark, report):
     nb = NanoBench.kernel("Skylake", seed=11)
     disable_prefetchers(nb.core)
-    nb.core.timing_enabled = False
     nb.resize_r14_buffer(64 << 20)
     cache_seq = CacheSeq(nb, level=3)
 

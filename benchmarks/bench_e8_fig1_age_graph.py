@@ -33,7 +33,6 @@ BLOCKS = ["B%d" % i for i in range(12)]  # associativity 12
 def test_e8_ivybridge_age_graph(benchmark, report):
     nb = NanoBench.kernel("IvyBridge", seed=7)
     disable_prefetchers(nb.core)
-    nb.core.timing_enabled = False
     nb.resize_r14_buffer(192 << 20)
     cache_seq = CacheSeq(nb, level=3)
     sets = list(range(768, 768 + N_SETS))

@@ -49,7 +49,6 @@ def _in_range_b(set_index):
 def _scan(uarch):
     nb = NanoBench.kernel(uarch, seed=9)
     disable_prefetchers(nb.core)
-    nb.core.timing_enabled = False
     nb.resize_r14_buffer(160 << 20)
     cache_seq = CacheSeq(nb, level=3)
     policy_a, policy_b_det = POLICIES[uarch]

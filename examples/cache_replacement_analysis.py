@@ -48,7 +48,6 @@ def main() -> None:
               "graph (Figure 1, reduced size) ...")
         nb = NanoBench.kernel(uarch, seed=1)
         disable_prefetchers(nb.core)
-        nb.core.timing_enabled = False
         nb.resize_r14_buffer(160 << 20)
         cache_seq = CacheSeq(nb, level=3)
         graph = compute_age_graph(

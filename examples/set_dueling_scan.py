@@ -29,7 +29,6 @@ def main() -> None:
 
     nb = NanoBench.kernel(uarch, seed=4)
     disable_prefetchers(nb.core)
-    nb.core.timing_enabled = False
     nb.resize_r14_buffer(160 << 20)
     cache_seq = CacheSeq(nb, level=3)
 

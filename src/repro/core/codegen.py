@@ -310,7 +310,11 @@ def _unroll_region_for(
     noMem mode, the counter-accumulator registers (their values become
     the measurement results).  The generated measurement blocks address
     memory absolutely and regenerate RAX/RCX/RDX themselves, so no
-    other register value escapes the region.
+    other register value reaches a counter value, address or branch.
+    The one place a body register value lands is the memory-mode
+    counter read's spill of RAX/RCX/RDX (``_spill_regs``), restored
+    unchanged and read by nothing else; those spill slots may therefore
+    differ from exact execution.
     """
     if not body or copies < 2 or code.labels:
         return None

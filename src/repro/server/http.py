@@ -110,6 +110,17 @@ class _Handler(BaseHTTPRequestHandler):
         if self.bench.verbose:
             BaseHTTPRequestHandler.log_message(self, format, *args)
 
+    def parse_request(self) -> bool:
+        # Shutting a socket down for reading does not stop it from
+        # delivering bytes that arrive later (Linux), so a handler that
+        # had not yet gone back to reading its kept-alive connection
+        # when the server hung up could still read the next request.
+        # Such a request is left unanswered.
+        if self.server.hung_up:  # type: ignore[attr-defined]
+            self.close_connection = True
+            return False
+        return BaseHTTPRequestHandler.parse_request(self)
+
     def _drop_connection_injected(self) -> bool:
         """``server.accept_drop``: hang up before reading the request."""
         if not fault_fires("server.accept_drop"):
@@ -257,6 +268,8 @@ class _ThreadingServer(ThreadingHTTPServer):
     def __init__(self, *args, **kwargs) -> None:
         self._open: Set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        #: Set by :meth:`hang_up`: no further request is served.
+        self.hung_up = False
         super().__init__(*args, **kwargs)
 
     def process_request(self, request, client_address) -> None:
@@ -274,9 +287,11 @@ class _ThreadingServer(ThreadingHTTPServer):
 
         Shutting down the read side wakes a handler waiting on an idle
         kept-alive connection (it reads end-of-file and closes), while
-        a response being written still goes out whole.
+        a response being written still goes out whole.  A request read
+        after this call is not served (:meth:`_Handler.parse_request`).
         """
         with self._open_lock:
+            self.hung_up = True
             connections = list(self._open)
         for connection in connections:
             try:

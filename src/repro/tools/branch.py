@@ -100,12 +100,13 @@ def measure_pattern(nb: NanoBench, pattern: str,
 # Reference predictor models
 # ----------------------------------------------------------------------
 
-def simulate_counter_predictor(bits: int, directions: Sequence[bool],
-                               *, initial: Optional[int] = None) -> float:
-    """Misprediction rate of a k-bit saturating counter on a pattern."""
+def simulate_counter_predictor(bits: int,
+                               directions: Sequence[bool]) -> float:
+    """Misprediction rate of a k-bit saturating counter on a pattern,
+    starting weakly taken."""
     maximum = (1 << bits) - 1
     threshold = 1 << (bits - 1)
-    state = initial if initial is not None else threshold
+    state = threshold
     mispredicts = 0
     for taken in directions:
         predicted = state >= threshold
@@ -126,22 +127,23 @@ class PredictorProfile:
 
 #: Patterns whose steady-state rates separate counter widths.
 DISTINGUISHING_PATTERNS = ("T", "N", "TN", "TTN", "TTTN", "TTNN", "TTTTTTN")
+#: Counter widths the fit chooses among.
+CANDIDATE_BITS = (1, 2, 3)
+#: Largest per-pattern rate error of an accepted fit.
+FIT_TOLERANCE = 0.05
 
 
-def characterize_predictor(
-    nb: NanoBench,
-    patterns: Sequence[str] = DISTINGUISHING_PATTERNS,
-    repetitions: int = 64,
-    candidate_bits: Sequence[int] = (1, 2, 3),
-    tolerance: float = 0.05,
-) -> PredictorProfile:
-    """Measure the patterns and fit a k-bit-counter model."""
+def characterize_predictor(nb: NanoBench,
+                           repetitions: int = 64) -> PredictorProfile:
+    """Measure the distinguishing patterns and fit a k-bit-counter
+    model."""
+    patterns = DISTINGUISHING_PATTERNS
     measured = {
         pattern: measure_pattern(nb, pattern, repetitions)
         for pattern in patterns
     }
     model_rates: Dict[int, Dict[str, float]] = {}
-    for bits in candidate_bits:
+    for bits in CANDIDATE_BITS:
         model_rates[bits] = {
             pattern: simulate_counter_predictor(
                 bits, parse_pattern(pattern) * repetitions
@@ -157,7 +159,7 @@ def characterize_predictor(
         if best_error is None or error < best_error:
             best_error = error
             inferred = bits
-    if best_error is None or best_error > tolerance:
+    if best_error is None or best_error > FIT_TOLERANCE:
         inferred = None
     return PredictorProfile(
         measured=measured, model_rates=model_rates, inferred_bits=inferred

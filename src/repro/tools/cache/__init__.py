@@ -8,7 +8,6 @@ from .cacheseq import (
     CacheSeq,
     CacheSeqResult,
     parse_sequence,
-    sequence,
 )
 from .permutation_infer import (
     AgeMeasurement,
@@ -48,7 +47,6 @@ __all__ = [
     "policies_equivalent",
     "random_access_sequence",
     "render_age_graph",
-    "sequence",
     "survey_cpu",
     "survey_cpus",
 ]

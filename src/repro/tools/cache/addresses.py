@@ -15,7 +15,7 @@ buffer (Sections III-G, IV-D), so physical placement is fully known.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...core.codegen import R14_AREA_BASE
 from ...core.nanobench import NanoBench
@@ -23,6 +23,10 @@ from ...errors import AnalysisError
 from ...memory.cache import Cache
 from ...perfctr.counters import MSR_MISC_FEATURE_CONTROL
 from ...uarch.core import SimulatedCore
+
+#: Blocks in an eviction buffer, as a multiple of the largest
+#: associativity among the levels above the studied one.
+EVICTION_MARGIN = 2
 
 
 def disable_prefetchers(core: SimulatedCore) -> bool:
@@ -50,7 +54,6 @@ class AddressBuilder:
         self.phys_base = nb.r14_physical_base
         self.size = nb.r14_size
         self.line = self.core.hierarchy.l1.geometry.line_size
-        self._block_cache: Dict[Tuple[int, int, Optional[int]], List[int]] = {}
 
     # ------------------------------------------------------------------
     def cache(self, level: int) -> Cache:
@@ -81,10 +84,6 @@ class AddressBuilder:
             raise AnalysisError(
                 "set index %d out of range (%d sets)" % (set_index, n_sets)
             )
-        key = (level, set_index, slice_id)
-        cached = self._block_cache.get(key)
-        if cached is not None and len(cached) >= count:
-            return cached[:count]
         stride = n_sets * self.line
         # Anchor on the buffer's physical base: its set index is not 0.
         base_set = cache.locate(self.phys_base)[1]
@@ -99,7 +98,6 @@ class AddressBuilder:
             ):
                 blocks.append(R14_AREA_BASE + offset)
             offset += stride
-        self._block_cache[key] = blocks
         if len(blocks) < count:
             raise AnalysisError(
                 "buffer too small: found %d/%d blocks for level %d set %d "
@@ -116,7 +114,6 @@ class AddressBuilder:
         level: int,
         set_index: int,
         slice_id: Optional[int] = None,
-        margin: int = 2,
     ) -> List[int]:
         """Addresses that evict the studied lines from the levels above.
 
@@ -131,7 +128,7 @@ class AddressBuilder:
         hierarchy = self.core.hierarchy
         upper_levels = hierarchy.levels[:level - 1]
         studied = self.cache(level)
-        count = margin * max(
+        count = EVICTION_MARGIN * max(
             cache.geometry.associativity for cache in upper_levels
         )
         # Stride keeping the *highest* upper level's set index fixed
@@ -141,15 +138,18 @@ class AddressBuilder:
         # Base offset: any buffer block of the studied (set, slice).
         target_block = self.blocks_for_set(level, set_index, 1, slice_id)[0]
         base_offset = target_block - R14_AREA_BASE
+        upper_sets = [
+            cache.locate(self.phys_base + base_offset)[1]
+            for cache in upper_levels
+        ]
         blocks: List[int] = []
         offset = base_offset % stride
         while offset + self.line <= self.size and len(blocks) < count:
             physical = self.phys_base + offset
             got_slice, got_set, _ = studied.locate(physical)
             upper_ok = all(
-                cache.locate(physical)[1]
-                == cache.locate(self.phys_base + base_offset)[1]
-                for cache in upper_levels
+                cache.locate(physical)[1] == upper_set
+                for cache, upper_set in zip(upper_levels, upper_sets)
             )
             if upper_ok and (
                 got_set != set_index

@@ -81,9 +81,14 @@ def compute_age_graph(
     return graph
 
 
-def render_age_graph(graph: AgeGraph, width: int = 72,
-                     height: int = 16) -> str:
+#: Plot area of :func:`render_age_graph`, in characters.
+RENDER_WIDTH = 72
+RENDER_HEIGHT = 16
+
+
+def render_age_graph(graph: AgeGraph) -> str:
     """ASCII rendering of an age graph (one symbol per block)."""
+    width, height = RENDER_WIDTH, RENDER_HEIGHT
     symbols = "0123456789abcdefghijklmnop"
     top = max((max(s) for s in graph.hits.values()), default=1) or 1
     grid = [[" "] * width for _ in range(height)]

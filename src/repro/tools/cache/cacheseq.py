@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...core.codegen import R14_AREA_BASE
 from ...core.nanobench import NanoBench
@@ -86,11 +86,6 @@ def parse_sequence(text: str) -> AccessSequence:
     return AccessSequence(tuple(accesses), wbinvd)
 
 
-def sequence(*blocks: str, wbinvd: bool = True) -> AccessSequence:
-    """Programmatic sequence constructor (``!`` suffix marks measured)."""
-    return parse_sequence(("<wbinvd> " if wbinvd else "") + " ".join(blocks))
-
-
 @dataclass
 class CacheSeqResult:
     """Measured hit/miss totals over the measured accesses."""
@@ -127,7 +122,6 @@ class CacheSeq:
         #: ``None`` disables the check.
         self.max_steps = max_steps
         self.addresses = AddressBuilder(nb)
-        self._eviction_cache: Dict[Tuple[int, Optional[int]], List[int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -137,15 +131,6 @@ class CacheSeq:
     @property
     def n_sets(self) -> int:
         return self.addresses.available_sets(self.level)
-
-    def _eviction_buffer(self, set_index: int,
-                         slice_id: Optional[int]) -> List[int]:
-        key = (set_index, slice_id)
-        if key not in self._eviction_cache:
-            self._eviction_cache[key] = self.addresses.eviction_buffer(
-                self.level, set_index, slice_id
-            )
-        return self._eviction_cache[key]
 
     # ------------------------------------------------------------------
     def _plan(
@@ -202,7 +187,8 @@ class CacheSeq:
                 for index in sets:
                     plan = self._plan(seq, index, slice_id)
                     eviction = (
-                        self._eviction_buffer(index, slice_id)
+                        self.addresses.eviction_buffer(
+                            self.level, index, slice_id)
                         if self.level > 1 and any(p[2] for p in plan) else []
                     )
                     hits, misses = runner(plan, eviction, seq.wbinvd)

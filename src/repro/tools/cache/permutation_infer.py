@@ -44,6 +44,13 @@ from .cacheseq import Access, AccessSequence, CacheSeq
 
 #: Measure ages up to ``_AGE_LIMIT_FACTOR * A`` fresh misses.
 _AGE_LIMIT_FACTOR = 3
+#: Random warm-state suffixes that screen the inferred candidates.
+VALIDATION_SEQUENCES = 20
+#: :func:`match_known_policy`: the named policies tried, in order, and
+#: the random suffixes (drawn from a fixed seed) each must agree on.
+KNOWN_POLICIES = ("PLRU", "LRU", "FIFO")
+MATCH_SEQUENCES = 200
+MATCH_SEED = 99
 
 
 def _fill_blocks(associativity: int) -> List[str]:
@@ -127,11 +134,9 @@ class PermutationInference:
     """Runs the RTAS'13 inference against one cacheSeq instance."""
 
     def __init__(self, cacheseq: CacheSeq, *, set_index: int = 0,
-                 slice_id: Optional[int] = None,
                  rng: Optional[random.Random] = None) -> None:
         self.cacheseq = cacheseq
         self.set_index = set_index
-        self.slice_id = slice_id
         self.rng = rng if rng is not None else random.Random(0)
         self.associativity = cacheseq.associativity
         if self.associativity > 8:
@@ -158,7 +163,7 @@ class PermutationInference:
         accesses = [Access(t) for t in tokens] + [Access(block, True)]
         result = self.cacheseq.run(
             AccessSequence(tuple(accesses), wbinvd=True),
-            set_index=self.set_index, slice_id=self.slice_id,
+            set_index=self.set_index,
         )
         return result.hits == 1
 
@@ -302,9 +307,7 @@ class PermutationInference:
         except ValueError:
             return None
 
-    def _validation_measurements(
-        self, n_sequences: int
-    ) -> List[Tuple[List[str], int]]:
+    def _validation_measurements(self) -> List[Tuple[List[str], int]]:
         """Fixed random suffixes plus their measured warm-state hits.
 
         Measured once; candidate specs are then checked symbolically.
@@ -312,19 +315,19 @@ class PermutationInference:
         a = self.associativity
         names = _c_blocks(a) + ["X%d" % i for i in range(4)]
         measurements: List[Tuple[List[str], int]] = []
-        for _ in range(n_sequences):
+        for _ in range(VALIDATION_SEQUENCES):
             length = self.rng.randint(a, 3 * a)
             suffix = [self.rng.choice(names) for _ in range(length)]
             accesses = [Access(b) for b in self._prefix_base]
             accesses += [Access(b, True) for b in suffix]
             measured = self.cacheseq.run(
                 AccessSequence(tuple(accesses), wbinvd=True),
-                set_index=self.set_index, slice_id=self.slice_id,
+                set_index=self.set_index,
             ).hits
             measurements.append((suffix, measured))
         return measurements
 
-    def infer(self, n_validation_sequences: int = 20) -> PermutationSpec:
+    def infer(self) -> PermutationSpec:
         """Run the full inference; returns a validated spec.
 
         The measured eviction ages typically leave many miss-permutation
@@ -334,7 +337,7 @@ class PermutationInference:
         and the first behaviourally consistent spec is returned.
         """
         candidates = self.infer_miss_permutation()
-        validation = self._validation_measurements(n_validation_sequences)
+        validation = self._validation_measurements()
         for miss_perm in candidates:
             spec = self._build_spec(miss_perm)
             if spec is None:
@@ -365,7 +368,7 @@ class PermutationInference:
             accesses += [Access(b, True) for b in suffix]
             measured = self.cacheseq.run(
                 AccessSequence(tuple(accesses), wbinvd=True),
-                set_index=self.set_index, slice_id=self.slice_id,
+                set_index=self.set_index,
             ).hits
             if measured != predicted:
                 return False
@@ -383,13 +386,7 @@ class PermutationInference:
         return hits
 
 
-def match_known_policy(
-    spec: PermutationSpec,
-    *,
-    candidates: Sequence[str] = ("PLRU", "LRU", "FIFO"),
-    n_sequences: int = 200,
-    seed: int = 99,
-) -> Optional[str]:
+def match_known_policy(spec: PermutationSpec) -> Optional[str]:
     """Name the concrete policy an inferred spec is equivalent to.
 
     Compares the spec's warm-state predictions against each candidate
@@ -400,15 +397,15 @@ def match_known_policy(
     from ...memory.replacement import make_policy
 
     a = spec.associativity
-    rng = random.Random(seed)
+    rng = random.Random(MATCH_SEED)
     prefix = _fill_blocks(a) + _c_blocks(a)
     names = _c_blocks(a) + ["X%d" % i for i in range(4)]
     trials = []
-    for _ in range(n_sequences):
+    for _ in range(MATCH_SEQUENCES):
         length = rng.randint(a, 3 * a)
         trials.append([rng.choice(names) for _ in range(length)])
 
-    for candidate in candidates:
+    for candidate in KNOWN_POLICIES:
         if candidate == "PLRU" and a & (a - 1):
             continue
         try:

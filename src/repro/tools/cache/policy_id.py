@@ -30,20 +30,24 @@ from ...memory.replacement import (
 )
 from .cacheseq import Access, AccessSequence, CacheSeq
 
+#: Targeted sequences :meth:`PolicyIdentifier.identify` may spend on
+#: separating inequivalent survivors.
+MAX_DISAMBIGUATION = 40
+#: Random sequences :meth:`PolicyIdentifier.find_counterexample` tries.
+COUNTEREXAMPLE_SEQUENCES = 200
+#: :func:`policies_equivalent`: simulated random sequences and their seed.
+EQUIVALENCE_SEQUENCES = 200
+EQUIVALENCE_SEED = 1234
+#: Random sequences :func:`find_distinguishing_sequence` tries.
+DISTINGUISHING_TRIES = 2000
 
-def random_access_sequence(
-    rng: random.Random,
-    associativity: int,
-    *,
-    n_blocks: Optional[int] = None,
-    length: Optional[int] = None,
-) -> List[str]:
-    """A random sequence over ``associativity + 4`` symbolic blocks."""
-    if n_blocks is None:
-        n_blocks = associativity + 4
-    if length is None:
-        length = rng.randint(2 * associativity, 4 * associativity)
-    names = _block_names(n_blocks)
+
+def random_access_sequence(rng: random.Random,
+                           associativity: int) -> List[str]:
+    """A random sequence over ``associativity + 4`` symbolic blocks,
+    2 to 4 times the associativity long."""
+    length = rng.randint(2 * associativity, 4 * associativity)
+    names = _block_names(associativity + 4)
     return [rng.choice(names) for _ in range(length)]
 
 
@@ -68,15 +72,13 @@ class IdentificationResult:
     equivalent: bool = False
 
 
-def policies_equivalent(
-    name_a: str, name_b: str, associativity: int,
-    n_sequences: int = 200, seed: int = 1234,
-) -> bool:
+def policies_equivalent(name_a: str, name_b: str,
+                        associativity: int) -> bool:
     """Check observational equivalence of two policies by simulation."""
-    rng = random.Random(seed)
+    rng = random.Random(EQUIVALENCE_SEED)
     policy_a = make_policy(name_a, associativity)
     policy_b = make_policy(name_b, associativity)
-    for _ in range(n_sequences):
+    for _ in range(EQUIVALENCE_SEQUENCES):
         blocks = random_access_sequence(rng, associativity)
         hits_a: List[bool] = []
         hits_b: List[bool] = []
@@ -88,7 +90,8 @@ def policies_equivalent(
 
 
 class PolicyIdentifier:
-    """Identify the replacement policy of one cache set."""
+    """Identify the replacement policy of one cache set among every
+    known policy of its associativity."""
 
     def __init__(
         self,
@@ -96,7 +99,6 @@ class PolicyIdentifier:
         *,
         set_index: int = 0,
         slice_id: Optional[int] = None,
-        candidates: Optional[Sequence[str]] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
         self.cacheseq = cacheseq
@@ -104,9 +106,7 @@ class PolicyIdentifier:
         self.slice_id = slice_id
         self.rng = rng if rng is not None else random.Random(0)
         self.associativity = cacheseq.associativity
-        if candidates is None:
-            candidates = known_policy_names(self.associativity)
-        self.candidates = list(candidates)
+        self.candidates = known_policy_names(self.associativity)
 
     # ------------------------------------------------------------------
     def _measure(self, blocks: Sequence[str]) -> int:
@@ -117,8 +117,7 @@ class PolicyIdentifier:
             seq, set_index=self.set_index, slice_id=self.slice_id
         ).hits
 
-    def identify(self, n_sequences: int = 50,
-                 max_disambiguation: int = 40) -> IdentificationResult:
+    def identify(self, n_sequences: int = 50) -> IdentificationResult:
         """Eliminate candidates with random sequences until stable.
 
         After the random phase, surviving candidates that are *not*
@@ -144,7 +143,7 @@ class PolicyIdentifier:
                 if simulate_hits(simulators[name], blocks) == measured
             ]
         # Targeted disambiguation of inequivalent survivors.
-        for _ in range(max_disambiguation):
+        for _ in range(MAX_DISAMBIGUATION):
             blocks = self._separating_sequence(survivors, simulators)
             if blocks is None:
                 break
@@ -202,14 +201,14 @@ class PolicyIdentifier:
         return True
 
     def find_counterexample(
-        self, name: str, n_sequences: int = 200
+        self, name: str
     ) -> Optional[Tuple[List[str], int, int]]:
         """A sequence where policy *name* disagrees with the hardware.
 
         Returns ``(blocks, simulated_hits, measured_hits)`` or None.
         """
         policy = make_policy(name, self.associativity)
-        for _ in range(n_sequences):
+        for _ in range(COUNTEREXAMPLE_SEQUENCES):
             blocks = random_access_sequence(self.rng, self.associativity)
             simulated = simulate_hits(policy, blocks)
             measured = self._measure(blocks)
@@ -224,7 +223,6 @@ def find_distinguishing_sequence(
     associativity: int,
     *,
     rng: Optional[random.Random] = None,
-    max_tries: int = 2000,
 ) -> List[str]:
     """A sequence on which the two policies produce different hit counts.
 
@@ -233,7 +231,7 @@ def find_distinguishing_sequence(
     rng = rng if rng is not None else random.Random(7)
     policy_a = make_policy(name_a, associativity)
     policy_b = make_policy(name_b, associativity)
-    for _ in range(max_tries):
+    for _ in range(DISTINGUISHING_TRIES):
         blocks = random_access_sequence(rng, associativity)
         if simulate_hits(policy_a, blocks) != simulate_hits(policy_b, blocks):
             return blocks

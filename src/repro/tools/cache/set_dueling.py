@@ -29,6 +29,11 @@ from ...memory.replacement import make_policy, simulate_hits
 from .cacheseq import Access, AccessSequence, CacheSeq
 from .policy_id import find_distinguishing_sequence
 
+#: Seed of the distinguishing sequence the scan classifies sets with.
+SEQUENCE_SEED = 11
+#: Classification runs per set; a set is A-like only if every run is.
+CLASSIFY_RUNS = 3
+
 
 @dataclass
 class SetClassification:
@@ -60,18 +65,14 @@ class SetDuelingScanner:
         cacheseq: CacheSeq,
         policy_a: str,
         policy_b_deterministic: str,
-        *,
-        rng: Optional[random.Random] = None,
-        classify_runs: int = 3,
     ) -> None:
         self.cacheseq = cacheseq
         self.policy_a = policy_a
         self.policy_b = policy_b_deterministic
-        self.rng = rng if rng is not None else random.Random(11)
-        self.classify_runs = classify_runs
         assoc = cacheseq.associativity
         self.sequence = find_distinguishing_sequence(
-            policy_a, policy_b_deterministic, assoc, rng=self.rng
+            policy_a, policy_b_deterministic, assoc,
+            rng=random.Random(SEQUENCE_SEED),
         )
         self.hits_a = simulate_hits(make_policy(policy_a, assoc),
                                     self.sequence)
@@ -103,7 +104,7 @@ class SetDuelingScanner:
         """
         labels = [
             self._classify_once(set_index, slice_id)
-            for _ in range(self.classify_runs)
+            for _ in range(CLASSIFY_RUNS)
         ]
         if all(label == "A" for label in labels):
             return "A"

@@ -20,7 +20,7 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...batch import ResilientPool, default_jobs
 from ...core.nanobench import NanoBench
@@ -168,7 +168,6 @@ def survey_cpu(uarch: str, seed: int = 0,
             "cannot disable the hardware prefetchers on %s; the cache "
             "microbenchmarks would be perturbed (Section VI-D)" % (uarch,)
         )
-    nb.core.timing_enabled = False  # fast functional mode for big sweeps
     nb.resize_r14_buffer(buffer_mb << 20)
     survey = CpuSurvey(uarch=nb.core.spec.name,
                        cpu_model=nb.core.spec.cpu_model)
@@ -246,7 +245,6 @@ def survey_cpus(
     seed: int = 0,
     buffer_mb: int = 128,
     jobs: Optional[int] = 1,
-    progress: Optional[Callable[[int, int, object], None]] = None,
     store=None,
 ) -> Dict[str, CpuSurvey]:
     """Survey several CPUs, optionally sharded across worker processes.
@@ -292,10 +290,8 @@ def survey_cpus(
         outcomes = pool.imap_ordered(
             [(uarch, seed, buffer_mb) for uarch in pending]
         )
-        for done, outcome in enumerate(outcomes, 1):
+        for outcome in outcomes:
             uarch = pending[outcome.index]
-            if progress is not None:
-                progress(done, len(pending), outcome)
             if outcome.ok:
                 surveys[uarch] = outcome.value
                 if resolved_store is not None:

@@ -1,8 +1,8 @@
 """Cross-backend fidelity comparison (the A6 workflow).
 
 Runs the same instruction corpus through two measurement backends —
-by default the cycle-accurate ``sim`` core and the OSACA-style
-``analytic`` estimator — and reports, per instruction variant, how far
+the cycle-accurate ``sim`` core and the OSACA-style ``analytic``
+estimator — and reports, per instruction variant, how far
 the candidate's latency / throughput / µop numbers deviate from the
 reference, plus the wall-clock speedup the cheaper backend buys.
 
@@ -51,6 +51,10 @@ SKIPPED = _Skipped()
 
 #: An event comparison is either a numeric deviation or ``SKIPPED``.
 EventDeviation = Union[float, _Skipped]
+
+#: :func:`compare_backends` measures the candidate against the reference.
+REFERENCE_BACKEND = DEFAULT_BACKEND
+CANDIDATE_BACKEND = "analytic"
 
 
 @dataclass
@@ -245,38 +249,31 @@ def compare_backends(
     uarch: str = "Skylake",
     variants: Optional[Sequence[InstructionVariant]] = None,
     *,
-    reference: str = DEFAULT_BACKEND,
-    candidate: str = "analytic",
     seed: int = 0,
-    kernel_mode: bool = True,
     jobs: Optional[int] = 1,
-    candidate_jobs: Optional[int] = 1,
 ) -> BackendComparison:
     """Characterize the corpus on both backends and pair up the rows.
 
-    Both sweeps use the same corpus, seed, and measurement parameters;
-    only the backend differs, so every deviation in the table is model
-    error, not measurement noise.  The sweeps are configured separately
-    (*jobs* vs *candidate_jobs*): the reference simulation amortizes a
-    worker pool, while an analytic sweep is cheaper than the pool's own
-    startup and defaults to running serially.
+    Both sweeps use the same corpus, seed, and measurement parameters
+    (kernel mode); only the backend differs, so every deviation in the
+    table is model error, not measurement noise.  *jobs* shards the
+    reference simulation over a worker pool; the analytic sweep is
+    cheaper than the pool's own startup and runs serially.
     """
     started = time.perf_counter()
     reference_profiles = characterize_corpus_batched(
-        uarch, variants, seed=seed, kernel_mode=kernel_mode, jobs=jobs,
-        backend=reference,
+        uarch, variants, seed=seed, jobs=jobs, backend=REFERENCE_BACKEND,
     )
     reference_seconds = time.perf_counter() - started
     started = time.perf_counter()
     candidate_profiles = characterize_corpus_batched(
-        uarch, variants, seed=seed, kernel_mode=kernel_mode,
-        jobs=candidate_jobs, backend=candidate,
+        uarch, variants, seed=seed, jobs=1, backend=CANDIDATE_BACKEND,
     )
     candidate_seconds = time.perf_counter() - started
     comparison = BackendComparison(
         uarch=uarch,
-        reference_backend=reference,
-        candidate_backend=candidate,
+        reference_backend=REFERENCE_BACKEND,
+        candidate_backend=CANDIDATE_BACKEND,
         reference_seconds=reference_seconds,
         candidate_seconds=candidate_seconds,
     )

@@ -7,7 +7,7 @@ rows of www.uops.info (Section V) or as machine-readable XML.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 from xml.etree import ElementTree
 
 from ...batch import BatchRunner
@@ -24,7 +24,6 @@ def characterize_corpus_batched(
     seed: int = 0,
     kernel_mode: bool = True,
     jobs: Optional[int] = 1,
-    progress: Optional[Callable[[int, int, object], None]] = None,
     backend: str = "sim",
     store=None,
 ) -> List[InstructionProfile]:
@@ -62,7 +61,7 @@ def characterize_corpus_batched(
             variant_specs(variant, uarch, seed=seed, kernel_mode=kernel_mode,
                           backend=backend)
         )
-    runner = BatchRunner(jobs, progress=progress, store=store)
+    runner = BatchRunner(jobs, store=store)
     results = runner.run(specs)
     profiles: List[InstructionProfile] = []
     cursor = 0

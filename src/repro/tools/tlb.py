@@ -28,6 +28,11 @@ from ..errors import AnalysisError
 from ..integrity.watchdog import DEFAULT_STEP_BUDGET, tlb_step_budget
 
 _PAGE = 4096
+#: A TLB level holds a working set while its per-access miss (or walk)
+#: rate stays below this.
+MISS_RATE_THRESHOLD = 0.5
+#: Laps of the pointer chain per measurement.
+CHASE_REPETITIONS = 4
 
 
 @dataclass
@@ -38,11 +43,12 @@ class TlbMeasurement:
     miss_rates: Dict[int, float]
     walk_rates: Dict[int, float]
 
-    def capacity_estimate(self, threshold: float = 0.5) -> Optional[int]:
-        """Largest page count whose miss rate stays below *threshold*."""
+    def capacity_estimate(self) -> Optional[int]:
+        """Largest page count whose miss rate stays below
+        :data:`MISS_RATE_THRESHOLD`."""
         last_good = None
         for n in self.page_counts:
-            if self.miss_rates[n] < threshold:
+            if self.miss_rates[n] < MISS_RATE_THRESHOLD:
                 last_good = n
             else:
                 break
@@ -71,7 +77,6 @@ def measure_miss_rates(
     page_counts: Sequence[int],
     *,
     page_stride: int = 1,
-    repetitions: int = 4,
     step_budget: Optional[int] = DEFAULT_STEP_BUDGET,
 ) -> TlbMeasurement:
     """Measure dTLB misses/access for cyclic chases over ``n`` pages.
@@ -108,7 +113,7 @@ def measure_miss_rates(
                     events=["DTLB_LOAD_MISSES.ANY",
                             "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK"],
                     unroll_count=count,
-                    loop_count=repetitions,
+                    loop_count=CHASE_REPETITIONS,
                     warm_up_count=1,
                     n_measurements=3,
                     aggregate="med",
@@ -149,7 +154,7 @@ def characterize_tlb(nb: NanoBench, *, max_pages: int = 4096) -> TlbProfile:
     stlb_capacity = None
     last_good = None
     for count in capacity_sweep.page_counts:
-        if capacity_sweep.walk_rates[count] < 0.5:
+        if capacity_sweep.walk_rates[count] < MISS_RATE_THRESHOLD:
             last_good = count
         else:
             break

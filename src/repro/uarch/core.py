@@ -184,11 +184,13 @@ class SimulatedCore:
         self._mperf_scale = 1.0
         self._mperf_base = 0.0
         self._mperf_base_cycle = 0
-        #: Performance escape hatch for large cache-analysis sweeps: when
-        #: False, the per-µop scheduler is skipped (cycle and port
+        #: When False, the per-µop scheduler is skipped (cycle and port
         #: counters stop advancing) while the functional semantics,
-        #: cache hierarchy, and cache/instruction event counters remain
-        #: exact.  The cache tools verify both modes agree on hit counts.
+        #: cache hierarchy, TLB and cache/instruction event counters
+        #: remain exact.  For event-counting runs of generated code: the
+        #: TLB sweep and cacheSeq's ``nanobench`` engine (whose tests
+        #: check both modes agree on hit counts).  cacheSeq's ``direct``
+        #: engine never runs code on the core, so it does not read this.
         self.timing_enabled = True
         #: Hyperthreading: when enabled, a simulated SMT sibling thread
         #: competes for execution ports and cache space, perturbing
@@ -530,7 +532,9 @@ class SimulatedCore:
         divergence falls back to exact scheduling.  In a *clean* body
         (see :class:`_UnrollFastPath`) the functional semantics of every
         iteration after the first are skipped as well, exactly scheduled
-        ones included: no value they compute can be observed.
+        ones included: no counter value, address, branch or fault depends
+        on a value they compute, and memory differs only in the spill
+        slots of the second counter read.
 
         Counter metrics are published (:meth:`_publish`) where they can
         be read, and when the run ends — by an exception too, so a
@@ -940,8 +944,12 @@ class _UnrollFastPath:
       (checked statically in codegen — otherwise no region is emitted);
     * a replayed iteration's semantics are skipped, and so are those of
       every exactly scheduled iteration after the first when the body
-      is clean (:meth:`is_clean`): the same static conditions make the
-      skipped register values unobservable.
+      is clean (:meth:`is_clean`): the same static conditions keep the
+      skipped register values out of every counter value, address,
+      branch and fault.  They do reach memory in one place: the second
+      counter read spills RAX/RCX/RDX into the measurement area's spill
+      slots (its first 24 bytes), which nothing reads back except the
+      restore of those registers.
     """
 
     #: Consecutive period confirmations (matching signature *and*
@@ -984,9 +992,11 @@ class _UnrollFastPath:
         executor.  Its only architectural effect is then on registers,
         and codegen emits a region only if nothing outside it reads a
         register the body writes: no address, branch condition, fault or
-        counter read can observe a value it computes.  The first
-        iteration still executes, so an instruction whose operands its
-        executor rejects fails exactly where it always did.
+        counter value depends on a value it computes.  Such a value is
+        stored only by the register spill of the second counter read
+        (see the class docstring).  The first iteration still executes,
+        so an instruction whose operands its executor rejects fails
+        exactly where it always did.
         """
         core = self.core
         for instr in instructions[self.start:self.start + self.body_len]:

@@ -320,7 +320,6 @@ class TestSchedulerWatchdog:
 class TestStepBudgets:
     def test_cacheseq_sweep_trips_with_progress(self):
         nb = NanoBench.kernel("Skylake")
-        nb.core.timing_enabled = False
         cacheseq = CacheSeq(nb, level=1, max_steps=40)
         assert cacheseq.max_steps == 40
         with pytest.raises(RunawayBenchmarkError) as excinfo:
@@ -336,7 +335,6 @@ class TestStepBudgets:
 
     def test_cacheseq_default_budget_is_generous(self):
         nb = NanoBench.kernel("Skylake")
-        nb.core.timing_enabled = False
         cacheseq = CacheSeq(nb, level=1)
         assert cacheseq.max_steps == DEFAULT_STEP_BUDGET
         result = cacheseq.run("B0 B1 B0!", set_index=3)

@@ -31,11 +31,12 @@ from repro.core.codecache import (
     LRUCache,
     generation_key,
 )
-from repro.core.codegen import CounterRead, generate
+from repro.core.codegen import MEASUREMENT_AREA_BASE, CounterRead, generate
 from repro.core.nanobench import NanoBench
 from repro.core.options import NanoBenchOptions
 from repro.errors import ExecutionError
 from repro.faults.plan import FaultPlan
+from repro.memory.paging import PAGE_SIZE
 from repro.tools.instr.corpus import corpus_for_family
 from repro.tools.instr.measure import variant_specs
 from repro.uarch.core import SimulatedCore
@@ -398,6 +399,30 @@ class TestFastPathDifferential:
         for (_start, body_len, copies), count in regions:
             assert body_len == 12
             assert count == (body_len if fast_path else body_len * copies)
+
+    def test_skipped_values_reach_only_the_spill_slots(self):
+        # A clean body's skipped iterations leave RAX behind its exact
+        # value.  The second counter read spills RAX/RCX/RDX into the
+        # measurement area's first 24 bytes, so those bytes differ; no
+        # other memory byte and no counter value may.
+        def run(fast_path):
+            nb = NanoBench.kernel("Skylake", seed=0)
+            nb.core.fast_path_enabled = fast_path
+            values = nb.run(asm="lea RAX, [RAX+RBX+8]", unroll_count=100)
+            spill = nb.core.address_space.translate(MEASUREMENT_AREA_BASE)
+            page, offset = divmod(spill, PAGE_SIZE)
+            image = {number: bytearray(contents) for number, contents
+                     in nb.core.main_memory._pages.items()}
+            spilled = bytes(image[page][offset:offset + 24])
+            image[page][offset:offset + 24] = bytes(24)
+            return values, nb.last_report, image, spilled
+
+        fast_values, fast_report, fast_image, fast_spilled = run(True)
+        exact_values, _, exact_image, exact_spilled = run(False)
+        assert fast_report.sim_stats["fast_path_instructions"] > 0
+        assert fast_values == exact_values
+        assert fast_image == exact_image
+        assert fast_spilled != exact_spilled
 
     def test_malformed_body_fails_like_exact_execution(self):
         # The first copy always executes, so an instruction whose
