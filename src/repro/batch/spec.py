@@ -119,7 +119,9 @@ class BenchmarkSpec:
                 **self.option_dict(),
             )
             report = nb.last_report
-        except (ReproError, ValueError) as exc:
+        except (ReproError, ValueError, TypeError) as exc:
+            # TypeError: an option name NanoBenchOptions does not have,
+            # or a value of the wrong type.
             return BatchResult(
                 spec=self,
                 values={},

@@ -50,15 +50,16 @@ import sys
 import warnings
 from typing import Iterator, List, Optional, Tuple
 
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError, DecodingError, NanoBenchError, ReproError
 from ..faults.plan import FaultPlan
 from ..perfctr.config import (
-    collect_config_diagnostics,
     example_skylake_config,
     parse_config_file,
+    scan_config,
 )
 from ..perfctr.events import event_catalog
 from ..x86.decoder import decode_program
+from ..x86.instructions import Program
 from .nanobench import NanoBench
 from .options import NanoBenchOptions
 from .output import format_results
@@ -205,18 +206,13 @@ def run_validate_config(argv: List[str]) -> int:
         print("error: cannot read config file %s: %s" % (args.config, exc),
               file=sys.stderr)
         return 1
-    diagnostics = collect_config_diagnostics(text, catalog,
-                                             filename=args.config)
-    for diagnostic in diagnostics:
+    scan = scan_config(text, catalog, filename=args.config)
+    for diagnostic in scan.diagnostics:
         print("%s: %s" % (diagnostic.severity, diagnostic.describe()))
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    warnings_ = len(diagnostics) - errors
-    n_events = sum(
-        1 for raw in text.splitlines()
-        if raw.split("#", 1)[0].strip()
-    )
+    errors = sum(1 for d in scan.diagnostics if d.severity == "error")
+    warnings_ = len(scan.diagnostics) - errors
     print("%s: %d lines checked, %d errors, %d warnings"
-          % (args.config, n_events, errors, warnings_))
+          % (args.config, scan.lines, errors, warnings_))
     return 1 if errors else 0
 
 
@@ -683,6 +679,18 @@ def _fast_path_disabled(disabled: bool) -> Iterator[None]:
                 os.environ["NANOBENCH_FAST_PATH"] = saved
 
 
+def _read_code(path: str) -> Program:
+    """Decode a ``-code``/``-code_init`` file; every failure is a
+    :class:`ReproError` naming the file."""
+    try:
+        with open(path, "rb") as handle:
+            return decode_program(handle.read())
+    except OSError as exc:
+        raise NanoBenchError("cannot read code file %s: %s" % (path, exc))
+    except DecodingError as exc:
+        raise DecodingError("%s: %s" % (path, exc))
+
+
 def _main_with_args(args) -> int:
     try:
         options = NanoBenchOptions(
@@ -729,14 +737,10 @@ def _main_with_args(args) -> int:
         return _run_batch_mode(args, options, config)
 
     kwargs = {}
-    if args.code is not None:
-        with open(args.code, "rb") as handle:
-            kwargs["code"] = decode_program(handle.read())
-    if args.code_init is not None:
-        with open(args.code_init, "rb") as handle:
-            kwargs["init"] = decode_program(handle.read())
-
     try:
+        for key, path in (("code", args.code), ("init", args.code_init)):
+            if path is not None:
+                kwargs[key] = _read_code(path)
         results = nb.run(asm=args.asm, asm_init=args.asm_init, config=config,
                          **kwargs)
     except ReproError as exc:

@@ -77,7 +77,15 @@ class EncodingError(ReproError):
 
 
 class DecodingError(ReproError):
-    """Raised when a byte sequence cannot be decoded to an instruction."""
+    """Raised when a byte sequence cannot be decoded to an instruction.
+
+    :func:`~repro.x86.decoder.decode_code` sets ``offset`` to the first
+    byte of the record that failed and ``index`` to the number of
+    instructions decoded before it.
+    """
+
+    offset = None
+    index = None
 
 
 class ValidationError(ReproError):

@@ -29,7 +29,6 @@ from .plan import (
     active_plan,
     deactivate,
     fault_fires,
-    fault_fraction,
     reset_env_cache,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "active_plan",
     "deactivate",
     "fault_fires",
-    "fault_fraction",
     "reset_env_cache",
 ]

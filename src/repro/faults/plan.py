@@ -309,11 +309,3 @@ def fault_fires(site: str, key: Optional[Union[str, int]] = None,
     if key is None:
         key = plan.next_key(site, scope)
     return plan.fires(site, key)
-
-
-def fault_fraction(site: str, key: Union[str, int]) -> float:
-    """Deterministic magnitude draw under the active plan (0.5 if none)."""
-    plan = active_plan()
-    if plan is None:
-        return 0.5
-    return plan.fraction(site, key)

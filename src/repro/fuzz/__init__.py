@@ -38,7 +38,6 @@ from .generator import (
     XMM_POOL,
     GeneratedKernel,
     KernelGenerator,
-    generate_corpus,
 )
 from .quota import (
     AXES,
@@ -82,7 +81,6 @@ __all__ = [
     "QuotaProfile",
     "QuotaScheduler",
     "dump_record",
-    "generate_corpus",
     "get_profile",
     "kernel_digest",
     "load_corpus",

@@ -350,12 +350,3 @@ class KernelGenerator:
         if uses["chase"]:
             init.append("mov [R14], R14")
         return init
-
-
-def generate_corpus(seed: int, budget: int,
-                    profile: "QuotaProfile | str" = "default",
-                    ) -> Tuple[List[GeneratedKernel], "CoverageTracker"]:
-    """Generate *budget* kernels; returns them plus the coverage state."""
-    generator = KernelGenerator(seed=seed, profile=profile)
-    kernels = generator.generate(budget)
-    return kernels, generator.coverage

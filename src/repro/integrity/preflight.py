@@ -33,8 +33,7 @@ from ..errors import (
     ValidationError,
 )
 from ..x86 import semantics
-from ..x86.decoder import decode_instruction
-from ..x86.encoder import MAGIC_PAUSE, MAGIC_RESUME
+from ..x86.decoder import decode_code
 from ..x86.instructions import Program
 
 
@@ -222,47 +221,13 @@ def validate_code_bytes(
     into *data* — both for undecodable bytes and for decodable
     instructions that fail the semantic checks.
     """
-    instructions = []
-    offsets: List[int] = []
-    labels: Dict[str, int] = {}
-    pos = 0
-    while pos < len(data):
-        if (
-            data[pos] == 0
-            and data[pos:pos + len(MAGIC_PAUSE)] != MAGIC_PAUSE
-            and data[pos:pos + len(MAGIC_RESUME)] != MAGIC_RESUME
-        ):
-            # Label definition record (mirrors decode_program).
-            if pos + 2 > len(data):
-                exc = DecodingError("truncated label at offset %d" % (pos,))
-                issue = ValidationIssue(
-                    "decode", len(instructions), pos, "", str(exc), exc
-                )
-                raise _aggregate_error(what, [issue])
-            name_len = data[pos + 1]
-            name = data[pos + 2:pos + 2 + name_len].decode(
-                "ascii", "replace"
-            )
-            if name in labels:
-                exc = DecodingError("duplicate label: %r" % (name,))
-                issue = ValidationIssue(
-                    "decode", len(instructions), pos, "", str(exc), exc
-                )
-                raise _aggregate_error(what, [issue])
-            labels[name] = len(instructions)
-            pos += 2 + name_len
-            continue
-        try:
-            instruction, next_pos = decode_instruction(data, pos)
-        except DecodingError as exc:
-            issue = ValidationIssue(
-                "decode", len(instructions), pos, "", str(exc), exc
-            )
-            raise _aggregate_error(what, [issue])
-        offsets.append(pos)
-        instructions.append(instruction)
-        pos = next_pos
-    program = Program(tuple(instructions), labels)
+    try:
+        program, offsets = decode_code(data)
+    except DecodingError as exc:
+        issue = ValidationIssue(
+            "decode", exc.index, exc.offset, "", str(exc), exc
+        )
+        raise _aggregate_error(what, [issue])
     issues = validate_program(
         program, kernel_mode=kernel_mode, timing_table=timing_table,
         check_timing=check_timing, offsets=offsets,

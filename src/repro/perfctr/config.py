@@ -54,13 +54,6 @@ class ConfigDiagnostic:
         return "%s: %s" % (self.location(), self.message)
 
 
-def _located(message: str, line: int, filename: Optional[str]) -> str:
-    """The message prefixed with its location (old format when no file)."""
-    if filename:
-        return "%s:%d: %s" % (filename, line, message)
-    return "line %d: %s" % (line, message)
-
-
 @dataclass(frozen=True)
 class CounterConfig:
     """A parsed configuration: the ordered list of events to measure."""
@@ -75,71 +68,37 @@ class CounterConfig:
         return tuple(e for e in self.events if not e.uncore)
 
 
-def parse_config(text: str, catalog: Dict[str, PerfEvent],
-                 filename: Optional[str] = None) -> CounterConfig:
-    """Parse configuration *text* against an event *catalog*.
+@dataclass(frozen=True)
+class ConfigScan:
+    """Everything one pass over a configuration finds."""
 
-    The first malformed or unknown line raises a :class:`ConfigError`
-    whose message pins the failure to its exact location —
-    ``file.txt:7: ...`` when *filename* is given, ``line 7: ...``
-    otherwise.  For a full non-raising scan of every problem at once,
-    see :func:`collect_config_diagnostics`.
-    """
-    events: List[PerfEvent] = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        match = _LINE_RE.match(line)
-        if not match:
-            raise ConfigError(_located(
-                "cannot parse %r" % (raw.strip(),), line_number, filename
-            ))
-        name = match.group("name")
-        try:
-            event = find_event(catalog, name)
-        except KeyError:
-            code = match.group("code")
-            if code is None:
-                raise ConfigError(_located(
-                    "unknown event %r" % (name,), line_number, filename
-                ))
-            try:
-                event = find_event(catalog, code)
-            except KeyError:
-                raise ConfigError(_located(
-                    "unknown event %r (code %s)" % (name, code),
-                    line_number, filename
-                ))
-        if event not in events:
-            events.append(event)
-    if not events:
-        if filename:
-            raise ConfigError(
-                "%s: configuration contains no events" % (filename,)
-            )
-        raise ConfigError("configuration contains no events")
-    return CounterConfig(tuple(events))
+    #: The resolved events in file order, each listed once.
+    events: Tuple[PerfEvent, ...]
+    #: Every finding, in line order; the whole-file one comes last.
+    diagnostics: Tuple[ConfigDiagnostic, ...]
+    #: Lines that are neither blank nor comment-only.
+    lines: int
 
 
-def collect_config_diagnostics(
-    text: str, catalog: Dict[str, PerfEvent],
-    filename: Optional[str] = None,
-) -> List[ConfigDiagnostic]:
-    """Scan a whole configuration and report every problem at once.
+def scan_config(text: str, catalog: Dict[str, PerfEvent],
+                filename: Optional[str] = None) -> ConfigScan:
+    """Read configuration *text* against an event *catalog*, line by line.
 
-    Unlike :func:`parse_config` (which stops at the first error), this
-    keeps going, so a user fixing a config file sees all broken lines
-    in one pass.  Duplicate events and name/code mismatches against the
-    catalogue are reported as warnings (the parser tolerates both).
+    The only reader of the file syntax: :func:`parse_config` and
+    :func:`collect_config_diagnostics` are views of its result.  It
+    keeps going past a bad line, so all broken lines show in one pass.
+    Duplicate events and name/code mismatches against the catalogue are
+    warnings (the parser tolerates both).
     """
     diagnostics: List[ConfigDiagnostic] = []
     seen: Dict[str, int] = {}
-    n_events = 0
+    events: List[PerfEvent] = []
+    lines = 0
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lines += 1
         match = _LINE_RE.match(line)
         if not match:
             diagnostics.append(ConfigDiagnostic(
@@ -148,7 +107,6 @@ def collect_config_diagnostics(
             continue
         name = match.group("name")
         code = match.group("code")
-        event = None
         try:
             event = find_event(catalog, name)
         except KeyError:
@@ -165,7 +123,6 @@ def collect_config_diagnostics(
                     "unknown event %r (code %s)" % (name, code), filename
                 ))
                 continue
-        n_events += 1
         if code is not None and event.code != code.upper():
             diagnostics.append(ConfigDiagnostic(
                 line_number,
@@ -182,11 +139,36 @@ def collect_config_diagnostics(
             ))
         else:
             seen[event.name] = line_number
-    if not n_events:
+            events.append(event)
+    if not seen:
         diagnostics.append(ConfigDiagnostic(
             0, "configuration contains no events", filename
         ))
-    return diagnostics
+    return ConfigScan(tuple(events), tuple(diagnostics), lines)
+
+
+def parse_config(text: str, catalog: Dict[str, PerfEvent],
+                 filename: Optional[str] = None) -> CounterConfig:
+    """Parse configuration *text* against an event *catalog*.
+
+    The first error of :func:`scan_config` raises a :class:`ConfigError`
+    whose message pins the failure to its exact location —
+    ``file.txt:7: ...`` when *filename* is given, ``line 7: ...``
+    otherwise.
+    """
+    scan = scan_config(text, catalog, filename)
+    for diagnostic in scan.diagnostics:
+        if diagnostic.severity == "error":
+            raise ConfigError(diagnostic.describe())
+    return CounterConfig(scan.events)
+
+
+def collect_config_diagnostics(
+    text: str, catalog: Dict[str, PerfEvent],
+    filename: Optional[str] = None,
+) -> List[ConfigDiagnostic]:
+    """Every problem in a configuration at once (see :func:`scan_config`)."""
+    return list(scan_config(text, catalog, filename).diagnostics)
 
 
 def parse_config_file(path: str, catalog: Dict[str, PerfEvent]) -> CounterConfig:

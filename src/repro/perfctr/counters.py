@@ -39,7 +39,6 @@ def delta_suspicious(delta: float) -> bool:
 
 # MSR addresses (Intel SDM).
 MSR_IA32_PMC0 = 0xC1
-MSR_IA32_PERFEVTSEL0 = 0x186
 MSR_IA32_FIXED_CTR0 = 0x309
 MSR_IA32_MPERF = 0xE7
 MSR_IA32_APERF = 0xE8

@@ -470,11 +470,6 @@ class SimulatedCore:
     def enable_smt(self) -> None:
         self.smt_enabled = True
 
-    def disable_smt(self) -> None:
-        """The equivalent of the repository's disable-hyperthreading
-        script: the sibling thread goes away."""
-        self.smt_enabled = False
-
     def _apply_smt_contention(self) -> None:
         """Per-instruction perturbation by the sibling hardware thread.
 

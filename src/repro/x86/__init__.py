@@ -1,7 +1,7 @@
 """x86 ISA subset: registers, operands, assembler, encoder and semantics."""
 
 from .assembler import assemble, parse_statement
-from .decoder import decode_instruction, decode_program
+from .decoder import decode_code, decode_instruction, decode_program
 from .encoder import (
     MAGIC_PAUSE,
     MAGIC_RESUME,
@@ -16,6 +16,7 @@ from .registers import FLAGS, GPR64, RegisterFile, RegisterSnapshot
 __all__ = [
     "assemble",
     "parse_statement",
+    "decode_code",
     "decode_instruction",
     "decode_program",
     "encode_instruction",

@@ -9,7 +9,7 @@ code, Section IV-B) uses this module to turn byte buffers back into
 from __future__ import annotations
 
 import struct
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import DecodingError
 from .encoder import (
@@ -25,6 +25,15 @@ from .operands import Immediate, MemoryOperand, Register
 _TAG_REG = 0
 _TAG_IMM = 1
 _TAG_MEM = 2
+
+
+def _ascii(raw: bytes, what: str, pos: int) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise DecodingError(
+            "non-ASCII %s at offset %d" % (what, pos)
+        ) from None
 
 
 def _decode_operand(data: bytes, pos: int):
@@ -52,6 +61,7 @@ def decode_instruction(data: bytes, pos: int = 0):
     """Decode one instruction at *pos*; return ``(instruction, next_pos)``.
 
     Magic pause/resume sequences decode to their pseudo-instructions.
+    Bytes that do not form an instruction raise :class:`DecodingError`.
     """
     if data[pos:pos + len(MAGIC_PAUSE)] == MAGIC_PAUSE:
         return Instruction("PAUSE_COUNTING"), pos + len(MAGIC_PAUSE)
@@ -72,14 +82,23 @@ def decode_instruction(data: bytes, pos: int = 0):
     cursor += 3
     target_len = data[cursor]
     cursor += 1
-    target = data[cursor:cursor + target_len].decode("ascii") or None
+    target = _ascii(
+        data[cursor:cursor + target_len], "branch target", pos
+    ) or None
     cursor += target_len
-    n_operands = data[cursor]
-    cursor += 1
     operands = []
-    for _ in range(n_operands):
-        operand, cursor = _decode_operand(data, cursor)
-        operands.append(operand)
+    try:
+        n_operands = data[cursor]
+        cursor += 1
+        for _ in range(n_operands):
+            operand, cursor = _decode_operand(data, cursor)
+            operands.append(operand)
+    except (IndexError, struct.error, ValueError) as exc:
+        # Operand bytes running past the buffer, a register id out of
+        # range, or a field no operand can have (a scale of 3, say).
+        raise DecodingError(
+            "malformed operand at offset %d: %s" % (pos, exc)
+        ) from None
     if cursor != pos + total:
         raise DecodingError(
             "instruction length mismatch at offset %d" % (pos,)
@@ -87,27 +106,48 @@ def decode_instruction(data: bytes, pos: int = 0):
     return Instruction(mnemonic, tuple(operands), target=target), cursor
 
 
-def decode_program(data: bytes) -> Program:
-    """Decode a full byte buffer to a :class:`Program`."""
+def _decode_label(data: bytes, pos: int):
+    """Decode the label record at *pos*; return ``(name, next_pos)``."""
+    if pos + 2 > len(data) or pos + 2 + data[pos + 1] > len(data):
+        raise DecodingError("truncated label at offset %d" % (pos,))
+    end = pos + 2 + data[pos + 1]
+    return _ascii(data[pos + 2:end], "label name", pos), end
+
+
+def decode_code(data: bytes) -> Tuple[Program, Tuple[int, ...]]:
+    """Decode a byte buffer; return the program and each instruction's
+    byte offset in *data*.
+
+    The only reader of the code format: label records, magic
+    pause/resume sequences and instructions are all recognised here.
+    On malformed bytes the :class:`DecodingError` carries ``offset``,
+    the first byte of the record that failed, and ``index``, the
+    number of instructions decoded before it.
+    """
     instructions: List[Instruction] = []
+    offsets: List[int] = []
     labels: Dict[str, int] = {}
     pos = 0
     while pos < len(data):
-        if (
-            data[pos] == 0
-            and data[pos:pos + len(MAGIC_PAUSE)] != MAGIC_PAUSE
-            and data[pos:pos + len(MAGIC_RESUME)] != MAGIC_RESUME
-        ):
-            # Label definition record.
-            if pos + 2 > len(data):
-                raise DecodingError("truncated label at offset %d" % (pos,))
-            name_len = data[pos + 1]
-            name = data[pos + 2:pos + 2 + name_len].decode("ascii")
-            if name in labels:
-                raise DecodingError("duplicate label: %r" % (name,))
-            labels[name] = len(instructions)
-            pos += 2 + name_len
-            continue
-        instruction, pos = decode_instruction(data, pos)
-        instructions.append(instruction)
-    return Program(tuple(instructions), labels)
+        try:
+            if data[pos] == 0:
+                # A label record; no instruction or magic sequence
+                # starts with a zero byte.
+                name, next_pos = _decode_label(data, pos)
+                if name in labels:
+                    raise DecodingError("duplicate label: %r" % (name,))
+                labels[name] = len(instructions)
+            else:
+                instruction, next_pos = decode_instruction(data, pos)
+                offsets.append(pos)
+                instructions.append(instruction)
+        except DecodingError as exc:
+            exc.offset, exc.index = pos, len(instructions)
+            raise
+        pos = next_pos
+    return Program(tuple(instructions), labels), tuple(offsets)
+
+
+def decode_program(data: bytes) -> Program:
+    """Decode a full byte buffer to a :class:`Program`."""
+    return decode_code(data)[0]

@@ -94,7 +94,6 @@ class MemoryOperand:
 
 
 Operand = object  # union alias for documentation; isinstance checks are used
-OPERAND_TYPES = (Register, Immediate, MemoryOperand)
 
 
 def operand_shape(operand) -> str:

@@ -55,12 +55,6 @@ XMM = tuple("XMM%d" % i for i in range(VEC_COUNT))
 YMM = tuple("YMM%d" % i for i in range(VEC_COUNT))
 ZMM = tuple("ZMM%d" % i for i in range(VEC_COUNT))
 
-_MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-_MASK16 = (1 << 16) - 1
-_MASK8 = (1 << 8) - 1
-
-
 @dataclass(frozen=True)
 class RegisterView:
     """A named view onto part of a canonical register.
@@ -101,10 +95,6 @@ def _build_views() -> Dict[str, RegisterView]:
 #: Mapping from every accepted register name to its view descriptor.
 REGISTER_VIEWS: Dict[str, RegisterView] = _build_views()
 
-#: All names the assembler accepts as registers.
-REGISTER_NAMES = frozenset(REGISTER_VIEWS)
-
-
 def is_register_name(name: str) -> bool:
     """Return whether *name* (case-insensitive) names a register."""
     return name.upper() in REGISTER_VIEWS
@@ -128,12 +118,6 @@ def register_width(name: str) -> int:
     if view is None:
         raise KeyError("unknown register: %r" % (name,))
     return view.width
-
-
-def is_vector_register(name: str) -> bool:
-    """Return whether *name* is an XMM/YMM/ZMM register."""
-    upper = name.upper()
-    return upper.startswith(("XMM", "YMM", "ZMM")) and upper in REGISTER_VIEWS
 
 
 class RegisterFile:

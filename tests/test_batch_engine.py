@@ -47,6 +47,24 @@ class TestBenchmarkSpec:
         assert "frobnicate" in result.error
         assert result.values == {}
 
+    @pytest.mark.parametrize("options", [
+        (("bogus", 1),),             # no such option
+        (("unroll_count", "x"),),    # wrong value type
+    ])
+    def test_bad_options_are_an_error_result_on_both_paths(self, options):
+        # execute() never raises, so the serial path and the pool return
+        # the same error result, the spec's backend included.
+        spec = BenchmarkSpec(asm="nop", options=options, backend="analytic")
+        serial = spec.execute()
+        (pooled,) = BatchRunner(1).run([spec])
+        assert not serial.ok
+        for result in (serial, pooled):
+            # Wall time, and requeues after injected faults, may differ.
+            result.host_seconds = 0.0
+            result.attempts = 1
+        assert pooled == serial
+        assert serial.backend == "analytic"
+
     def test_execute_returns_values_and_accounting(self):
         result = spec_from_run_kwargs(asm="add RAX, RAX", seed=1).execute()
         assert result.ok

@@ -4,9 +4,11 @@ ride on them (options conflicts, config diagnostics, the
 ``validate-config`` CLI, corruption of a batch run's store
 checkpoint)."""
 
+import collections
 import json
 import os
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,10 @@ from repro.batch.spec import spec_digest, spec_from_run_kwargs
 from repro.core.cli import main as cli_main
 from repro.core.nanobench import NanoBench
 from repro.core.options import AGGREGATES, NanoBenchOptions
+from repro.fuzz import KernelGenerator
 from repro.errors import (
     ConfigError,
+    DecodingError,
     ExecutionError,
     NanoBenchError,
     PrivilegeError,
@@ -66,6 +70,7 @@ from repro.tools.cache.cacheseq import CacheSeq
 from repro.tools.instr.corpus import corpus_for_family
 from repro.tools.tlb import measure_miss_rates
 from repro.x86.assembler import assemble
+from repro.x86.decoder import decode_code, decode_program
 from repro.x86.encoder import encode_program
 from repro.x86.instructions import Instruction, Program
 
@@ -184,6 +189,86 @@ class TestValidateCodeBytes:
         program = validate_code_bytes(encode_program(original))
         assert "l" in program.labels
         assert [i.mnemonic for i in program.instructions] == ["ADD", "JMP"]
+
+
+def _one_reader_outcome(data):
+    """Decode *data* both ways; assert they agree; name the outcome."""
+    try:
+        program = decode_program(data)
+    except DecodingError as exc:
+        with pytest.raises(ValidationError) as excinfo:
+            validate_code_bytes(data)
+        (issue,) = excinfo.value.issues
+        assert issue.kind == "decode"
+        assert issue.message == str(exc)
+        assert issue.offset == exc.offset
+        # The failing record starts where a cleanly decoding prefix ends.
+        prefix = decode_program(data[:exc.offset])
+        assert issue.index == len(prefix.instructions)
+        return "decode-error"
+    try:
+        validated = validate_code_bytes(data)
+    except ValidationError as exc:
+        # Decodable bytes fail only the semantic checks.
+        assert all(issue.kind != "decode" for issue in exc.issues)
+        return "invalid"
+    assert validated == program
+    return "valid"
+
+
+def _mutations(data, labels, rng):
+    """Seeded truncated, bit-flipped and label-mangled variants."""
+    yield data[:rng.randrange(len(data))]
+    flipped = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    yield bytes(flipped)
+    _, offsets = decode_code(data)
+    cut = rng.choice(offsets + (len(data),))
+    name = rng.choice(sorted(labels) or ["l"]).encode()
+    for record in (b"\x00\x02\xff\xfe",            # non-ASCII name
+                   b"\x00" + bytes([len(name)]) + name,  # duplicate
+                   b"\x00\xff" + name):              # runs past the end
+        yield data[:cut] + record + data[cut:]
+    for name in labels:
+        record = b"\x00" + bytes([len(name)]) + name.encode()
+        at = data.find(record)
+        if at >= 0:
+            mangled = bytearray(data)
+            mangled[at + 2 + rng.randrange(len(name))] |= 0x80
+            yield bytes(mangled)
+            mangled[at + 1] += rng.randint(1, 3)
+            yield bytes(mangled)
+
+
+class TestOneCodeReader:
+    """``validate_code_bytes`` reads code bytes through the decoder only:
+    on any bytes, both accept the same program or both fail, a decode
+    failure at the same offset."""
+
+    def test_non_ascii_label_is_a_decoding_error_on_both_paths(self):
+        data = bytes((0x00, 0x02, 0xFF, 0xFE))
+        with pytest.raises(DecodingError, match="non-ASCII label name"):
+            decode_program(data)
+        assert _one_reader_outcome(data) == "decode-error"
+
+    def test_mangled_corpus_encodings_agree(self):
+        sources = [v.throughput_asm for v in corpus_for_family("SKL")]
+        sources += [kernel.asm for kernel in
+                    KernelGenerator(seed=0, profile="control").generate(30)]
+        sources += ["pause_counting; add RAX, RBX; resume_counting",
+                    "top: dec R15; jnz top; end: nop; jmp end"]
+        rng = random.Random(2026)
+        outcomes = collections.Counter()
+        for source in sources:
+            program = assemble(source)
+            data = encode_program(program)
+            assert _one_reader_outcome(data) == "valid"
+            for mutated in _mutations(data, program.labels, rng):
+                outcomes[_one_reader_outcome(mutated)] += 1
+        assert outcomes["decode-error"] > 0
+        assert outcomes["valid"] > 0
+        assert outcomes["invalid"] > 0
 
 
 class TestEnsureProgramValid:
@@ -622,6 +707,45 @@ class TestConfigDiagnostics:
         assert diagnostics[0].describe() == (
             "cfg.txt: configuration contains no events"
         )
+
+
+class TestOneConfigReader:
+    """``parse_config`` is the first error of the diagnostic scan."""
+
+    @pytest.mark.parametrize("filename", [None, "cfg.txt"])
+    @pytest.mark.parametrize("text, expected", [
+        ("", "configuration contains no events"),
+        ("# only a comment\n\n   # another\n",
+         "configuration contains no events"),
+        ("not a config !!!\n", "1: cannot parse 'not a config !!!'"),
+        ("NO_SUCH_EVENT\n", "1: unknown event 'NO_SUCH_EVENT'"),
+        ("FF.01 NO_SUCH\n", "1: unknown event 'NO_SUCH' (code FF.01)"),
+        ("0E.01 UOPS_ISSUED.ANY\nFF.01 NO_SUCH\n",
+         "2: unknown event 'NO_SUCH' (code FF.01)"),
+        ("0E.01 UOPS_ISSUED.ANY\n???\nFF.01 NO_SUCH\n",
+         "2: cannot parse '???'"),
+        ("FF.01 UOPS_ISSUED.ANY\n", ["UOPS_ISSUED.ANY"]),
+        ("0E.01 SOME_ALIAS\n", ["UOPS_ISSUED.ANY"]),
+        ("0E.01 UOPS_ISSUED.ANY\nUOPS_ISSUED.ANY\n"
+         "D1.01 MEM_LOAD_RETIRED.L1_HIT # x\n",
+         ["UOPS_ISSUED.ANY", "MEM_LOAD_RETIRED.L1_HIT"]),
+    ])
+    def test_parse_config_is_the_scan(self, text, expected, filename):
+        diagnostics = collect_config_diagnostics(text, _CATALOG, filename)
+        errors = [d for d in diagnostics if d.severity == "error"]
+        if isinstance(expected, list):
+            assert errors == []
+            config = parse_config(text, _CATALOG, filename=filename)
+            assert list(config.names) == expected
+            return
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text, _CATALOG, filename=filename)
+        assert str(excinfo.value) == errors[0].describe()
+        if expected[0].isdigit():
+            where = "%s:" % filename if filename else "line "
+        else:
+            where = "%s: " % filename if filename else ""
+        assert str(excinfo.value) == where + expected
 
 
 class TestValidateConfigCli:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NanoBenchError
+from repro.errors import DecodingError, NanoBenchError
 from repro.kernel.module import PROC_PATH, SYS_PREFIX, KernelModule
 from repro.x86.assembler import assemble
 from repro.x86.encoder import encode_program
@@ -55,6 +55,11 @@ class TestRunningViaProc:
         module.write_file(SYS_PREFIX + "code", code)
         output = module.read_file(PROC_PATH)
         assert "Core cycles: 3.00" in output
+
+    def test_non_ascii_label_is_a_decoding_error(self, module):
+        module.write_file(SYS_PREFIX + "code", bytes((0x00, 0x02, 0xFF, 0xFE)))
+        with pytest.raises(DecodingError, match="non-ASCII label name"):
+            module.read_file(PROC_PATH)
 
     def test_config_file(self, module):
         module.write_file(SYS_PREFIX + "asm", "mov R14, [R14]")

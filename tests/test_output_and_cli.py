@@ -79,6 +79,23 @@ class TestCli:
         assert exit_code == 0
         assert "Core cycles: 4.00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["-code", "-code_init"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "error: cannot read code file %s: "),
+        (b"\x05\x00\x00", "error: %s: truncated instruction at offset 0\n"),
+        (b"\x00\x02\xff\xfe", "error: %s: non-ASCII label name at offset 0\n"),
+    ])
+    def test_bad_binary_code_file_is_one_error_line(self, tmp_path, capsys,
+                                                   flag, content, message):
+        path = tmp_path / "bench.bin"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli_main(["-asm", "nop", flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message % path)
+        assert captured.err.count("\n") == 1
+
     def test_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "cfg_Skylake.txt"
         config_path.write_text(format_config(example_skylake_config()))
