@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.errors import RunawayBenchmarkError
 from repro.uarch.ports import SKYLAKE_LAYOUT
 from repro.uarch.scheduler import (
     BranchPredictor,
@@ -175,3 +176,129 @@ class TestBranchPredictor:
         sched.reset()
         assert sched.now == 0
         assert sched.resource_ready_time("RAX") == 0
+
+
+# ----------------------------------------------------------------------
+# A pinned scheduling stream: every ScheduledInstruction field and the
+# final scheduler state for a seeded mix of every kind of timing the
+# core hands the scheduler.  The digests were computed with the
+# call-per-µop scheduler; a rewrite of the dispatch loop must keep them.
+
+_PIN_ASM = (
+    "add RAX, RBX", "imul RCX, RDX", "shl RSI, 3", "lea RDI, [RAX+RBX+8]",
+    "mov RAX, RBX", "mov EAX, EBX", "xor RCX, RCX", "sub RDX, RDX",
+    "pxor XMM0, XMM0", "paddd XMM1, XMM2", "mulps XMM3, XMM4",
+    "addpd XMM5, XMM6", "divps XMM7, XMM0", "vfmadd231ps XMM1, XMM2, XMM3",
+    "pmulld XMM2, XMM3", "xchg RAX, RBX", "mul RBX", "popcnt RAX, RBX",
+    "nop", "cpuid", "rdtsc", "lfence", "mfence", "jmp L", "jnz L",
+    "mov RAX, [R14]", "mov [R14], RAX", "add RAX, [R14+8]",
+)
+_PIN_REGS = ("RAX", "RBX", "RCX", "RDX", "RSI", "RDI", "XMM0", "XMM1",
+             "CF", "ZF")
+
+
+def _pin_timings(family, move_elimination):
+    from repro.errors import TimingModelError
+    from repro.uarch.timing import TimingTable
+    from repro.x86.assembler import assemble
+
+    table = TimingTable(family, move_elimination=move_elimination)
+    timings = []
+    for line in _PIN_ASM:
+        program = assemble(line if not line.startswith("j") else
+                           "L: " + line)
+        try:
+            timings.append((line, table.lookup(program.instructions[0])))
+        except TimingModelError:
+            pass
+    timings.append(("jitter", InstructionTiming(
+        (ComputeUop("ALU", 1),), latency_jitter=3)))
+    return timings
+
+
+def _pin_stream(layout, family, move_elimination, seed, steps,
+                cycle_budget=None):
+    """Digest input of one seeded stream (records and final state)."""
+    rng = random.Random(seed)
+    sched = Scheduler(layout, rng=random.Random(seed + 1))
+    sched.cycle_budget = cycle_budget
+    timings = _pin_timings(family, move_elimination)
+    records = []
+    for step in range(steps):
+        name, timing = timings[rng.randrange(len(timings))]
+        sources = rng.sample(_PIN_REGS, rng.randint(0, 3))
+        destinations = rng.sample(_PIN_REGS, rng.randint(0, 2))
+        loads = [
+            MemoryAccessPlan(64 * rng.randrange(6), rng.choice((4, 12, 40)),
+                             tuple(rng.sample(_PIN_REGS[:6], rng.randint(0, 2))))
+            for _ in range(rng.choice((0, 0, 0, 1, 2)))
+        ]
+        stores = [
+            MemoryAccessPlan(64 * rng.randrange(6), 1,
+                             tuple(rng.sample(_PIN_REGS[:6], rng.randint(0, 2))),
+                             is_store=True)
+            for _ in range(rng.choice((0, 0, 0, 1)))
+        ]
+        branch = {}
+        if name.startswith("j"):
+            branch = {"branch_site": rng.randrange(3),
+                      "branch_taken": rng.random() < 0.6}
+        try:
+            result = sched.schedule(
+                timing, sources=sources, destinations=destinations,
+                loads=loads, stores=stores,
+                breaks_dependency=rng.random() < 0.05, **branch,
+            )
+        except RunawayBenchmarkError as exc:
+            records.append(("trip", step, exc.budget, exc.limit,
+                            sorted(exc.progress.items())))
+            break
+        records.append((
+            name, result.issue_cycle, result.complete_cycle,
+            result.issued_uops, tuple(result.dispatched.items()),
+            result.mispredicted,
+        ))
+        if timing.microcoded:
+            sched.serialize_after_microcode(result.complete_cycle)
+    records.append(sched.fingerprint())
+    records.append(sorted(sched.port_pressure().items()))
+    return records
+
+
+def _pin_digest(*args, **kwargs):
+    import hashlib
+
+    return hashlib.sha256(
+        repr(_pin_stream(*args, **kwargs)).encode()
+    ).hexdigest()[:24]
+
+
+class TestPinnedStream:
+    @pytest.mark.parametrize("family, move_elimination, digest", [
+        ("SKL", True, "d7444a89a9d406945cc5929d"),
+        ("NHM", False, "94a0e5a3ec207916099e9e1d"),
+    ])
+    def test_stream_digest(self, family, move_elimination, digest):
+        from repro.uarch.ports import PORT_LAYOUTS
+
+        layout = PORT_LAYOUTS[family]
+        assert _pin_digest(layout, family, move_elimination, 7, 3000) == digest
+
+    @pytest.mark.parametrize("family, move_elimination, digest", [
+        ("SKL", True, "7d1ebdee4f552f34b8488613"),
+        ("NHM", False, "e01be1f13a43f38c3c3a03c4"),
+    ])
+    def test_budget_trip_digest(self, family, move_elimination, digest):
+        from repro.uarch.ports import PORT_LAYOUTS
+
+        layout = PORT_LAYOUTS[family]
+        records = _pin_stream(layout, family, move_elimination, 11, 3000,
+                              cycle_budget=2000)
+        assert records[-3][0] == "trip"
+        assert _pin_digest(layout, family, move_elimination, 11, 3000,
+                           cycle_budget=2000) == digest
+
+    def test_unknown_port_class_names_the_family(self, sched):
+        timing = InstructionTiming((ComputeUop("NO_SUCH_CLASS", 1),))
+        with pytest.raises(KeyError, match="family SKL has no port class"):
+            sched.schedule(timing)
