@@ -318,14 +318,14 @@ def _unroll_region_for(
     """
     if not body or copies < 2 or code.labels:
         return None
-    from ..uarch.dataflow import analyze
+    from ..uarch.core import decode_flow
     protected = set()
     if looped:
         protected.add(LOOP_REGISTER)
     if options.no_mem:
         protected.update(NOMEM_REGISTERS[:len(counters)])
     for instr in body:
-        if not protected.isdisjoint(analyze(instr).destinations):
+        if not protected.isdisjoint(decode_flow(instr).destinations):
             return None
     return (start_index, len(body), copies)
 

@@ -346,11 +346,21 @@ class NanoBench:
         """Run a microbenchmark; returns ``{counter name: value}``.
 
         The benchmark is given as Intel-syntax assembly (``asm`` /
-        ``asm_init``) or as pre-assembled :class:`Program` objects.
-        Performance events come from a :class:`CounterConfig` or a list
-        of event ``names``; the fixed-function counters are always
-        included (unless disabled via options).
+        ``asm_init``) or as pre-assembled :class:`Program` objects
+        (``code`` / ``init``); giving both forms of one part raises
+        :class:`NanoBenchError`.  Performance events come from a
+        :class:`CounterConfig` or a list of event ``names``; the
+        fixed-function counters are always included (unless disabled
+        via options).
         """
+        for text_name, text, program_name, program in (
+            ("asm", asm, "code", code), ("asm_init", asm_init, "init", init),
+        ):
+            if text and program is not None:
+                raise NanoBenchError(
+                    "both %s and %s are given; give one of them"
+                    % (text_name, program_name)
+                )
         started = time.perf_counter()
         stats_before = cache_stats()
         self._discarded_runs = 0

@@ -30,7 +30,7 @@ from ..stats import Counters
 from ..x86 import semantics
 from ..x86.instructions import Instruction, Program
 from ..x86.registers import RegisterFile
-from .dataflow import analyze
+from .dataflow import Dataflow, analyze
 from .interference import InterferenceModel
 from .ports import PORT_LAYOUTS
 from .scheduler import MemoryAccessPlan, STEADY_LOW_HORIZON, Scheduler
@@ -65,6 +65,34 @@ _EXACT_FLOAT_INTS = 1 << 53
 
 #: Mnemonics with functional semantics (a clean body needs one each).
 _EXECUTABLE = frozenset(semantics.supported_mnemonics())
+
+#: Bound on the process-wide decode memo, in distinct instruction
+#: values; the memo is emptied when it is full.
+DECODE_MEMO_LIMIT = 1 << 13
+
+#: Process-wide decode memo: ``instr -> (flow, timings)``, keyed by the
+#: instruction's value (its mnemonic, operands and target), so every
+#: core and every newly generated program shares one decode of each
+#: distinct instruction.  ``timings`` maps a timing table's ``(family,
+#: move_elimination)`` to ``(timing, fast_path_unsafe)``; it is filled
+#: by successful lookups only, so a :class:`TimingModelError` is raised
+#: again at every use.  Dataflow depends on the value alone.
+_DECODE_MEMO: Dict[Instruction, Tuple[Dataflow, Dict[tuple, tuple]]] = {}
+
+
+def _decoded(instr: Instruction) -> Tuple[Dataflow, Dict[tuple, tuple]]:
+    """The decode-memo entry of *instr* (dataflow analysed on a miss)."""
+    entry = _DECODE_MEMO.get(instr)
+    if entry is None:
+        if len(_DECODE_MEMO) >= DECODE_MEMO_LIMIT:
+            _DECODE_MEMO.clear()
+        entry = _DECODE_MEMO[instr] = (analyze(instr), {})
+    return entry
+
+
+def decode_flow(instr: Instruction) -> Dataflow:
+    """The dataflow of *instr*, read through the process-wide memo."""
+    return _decoded(instr)[0]
 
 
 def _fast_path_default() -> bool:
@@ -205,11 +233,12 @@ class SimulatedCore:
         self.fast_path_enabled = _fast_path_default()
         #: Simulator-throughput observability counters.
         self.sim_stats = SimStats()
-        #: Per-instruction-object decode memo: ``id(instr) -> [instr,
-        #: flow, timing|None, fast_path_unsafe]``.  Unrolled programs
-        #: repeat the *same* ``Instruction`` objects thousands of times,
-        #: so decode (dataflow + timing-table string work) is paid once.
-        #: The entry holds a strong reference, keeping the id stable.
+        #: Identity cache in front of the process-wide decode memo
+        #: (``_DECODE_MEMO``): ``id(instr) -> [instr, flow,
+        #: timing|None, fast_path_unsafe]``.  Unrolled programs repeat
+        #: the *same* ``Instruction`` objects thousands of times, and an
+        #: id lookup skips hashing the instruction's value.  The entry
+        #: holds a strong reference, keeping the id stable.
         self._decode_cache: Dict[int, list] = {}
         #: The run being logged for :meth:`replay_run`, if any.
         self._run_log: Optional[_RunLog] = None
@@ -306,11 +335,9 @@ class SimulatedCore:
     # Execution
     # ==================================================================
     def _plan_memory_accesses(
-        self, instr: Instruction, flow=None
+        self, flow: Dataflow
     ) -> Tuple[List[MemoryAccessPlan], List[MemoryAccessPlan]]:
         """Resolve the instruction's memory operands to timed accesses."""
-        if flow is None:
-            flow = analyze(instr)
         loads: List[MemoryAccessPlan] = []
         stores: List[MemoryAccessPlan] = []
         line = self.hierarchy.l1.geometry.line_size
@@ -488,22 +515,32 @@ class SimulatedCore:
         cache = self._decode_cache
         if len(cache) >= (1 << 16):
             cache.clear()
-        entry = [instr, analyze(instr), None, True]
+        flow, timings = _decoded(instr)
+        table = self.timing_table
+        timing, unsafe = timings.get(
+            (table.family, table.move_elimination), (None, True)
+        )
+        entry = [instr, flow, timing, unsafe]
         cache[id(instr)] = entry
         return entry
 
     def _decode_timing(self, instr: Instruction, entry: list):
         """Fill the timing half of a decode entry (first timed use)."""
-        timing = self.timing_table.lookup(instr)
+        table = self.timing_table
+        timing = table.lookup(instr)
         flow = entry[1]
         spec = instr.spec
-        entry[2] = timing
-        entry[3] = bool(
+        unsafe = bool(
             flow.loads or flow.stores
             or timing.is_fence or timing.microcoded or timing.latency_jitter
             or spec.is_branch or spec.privileged or spec.serializing
             or spec.pseudo
             or instr.mnemonic in _FAST_PATH_UNSAFE_MNEMONICS
+        )
+        entry[2] = timing
+        entry[3] = unsafe
+        _decoded(instr)[1][(table.family, table.move_elimination)] = (
+            timing, unsafe
         )
         return timing
 
@@ -591,7 +628,7 @@ class SimulatedCore:
                     if timing is None:
                         timing = self._decode_timing(instr, entry)
                     if flow.loads or flow.stores:
-                        loads, stores = self._plan_memory_accesses(instr, flow)
+                        loads, stores = self._plan_memory_accesses(flow)
                     else:
                         loads = stores = ()
 
@@ -637,7 +674,7 @@ class SimulatedCore:
                     # Fast functional mode: exact cache behaviour and event
                     # counts, no cycle accounting.
                     if flow.loads or flow.stores:
-                        self._plan_memory_accesses(instr, flow)
+                        self._plan_memory_accesses(flow)
                     executed += 1
                     if is_branch:
                         metrics.add("branches")

@@ -32,6 +32,9 @@ from .timing import ComputeUop, InstructionTiming
 #: argument.
 STEADY_LOW_HORIZON = 32
 
+#: The µop a microcoded instruction issues per drawn µop.
+_MICROCODE_UOP = ComputeUop("MICROCODE", 1)
+
 
 @dataclass(frozen=True)
 class MemoryAccessPlan:
@@ -211,55 +214,13 @@ class Scheduler:
         return self._resource_ready.get(resource, 0)
 
     # ------------------------------------------------------------------
-    def _issue_slot(self) -> int:
-        """Allocate one front-end slot; returns the issue cycle."""
-        cycle = self._frontend_cycle
-        self._issued_uops += 1
-        self._frontend_slots += 1
-        if self._frontend_slots >= self.layout.frontend_width:
-            self._frontend_cycle += 1
-            self._frontend_slots = 0
-        return cycle
-
-    def _dispatch(self, candidates: Sequence[int], earliest: int,
-                  latency: int, dispatched: Dict[str, int]) -> int:
-        """Dispatch one µop to the best candidate port; returns completion.
-
-        ``candidates`` are *port indices* (see
-        :attr:`PortLayout.class_indices`); ties on start cycle break to
-        the port with the lower cumulative load, exactly as before.
-        """
-        port_free = self._port_free
-        port_load = self._port_load
-        best_index = -1
-        best_start = -1
-        for i in candidates:
-            free = port_free[i]
-            start = earliest if earliest > free else free
-            if (
-                best_index < 0
-                or start < best_start
-                or (start == best_start
-                    and port_load[i] < port_load[best_index])
-            ):
-                best_index, best_start = i, start
-        port_free[best_index] = best_start + 1
-        port_load[best_index] += 1
-        self._latency_accum += latency
-        name = self._port_names[best_index]
-        dispatched[name] = dispatched.get(name, 0) + 1
-        completion = best_start + latency
-        if completion > self._max_complete:
-            self._max_complete = completion
-        return completion
-
-    def _sources_ready(self, sources) -> int:
-        ready = 0
-        for resource in sources:
-            ready = max(ready, self._resource_ready.get(resource, 0))
-        return ready
-
-    # ------------------------------------------------------------------
+    # The per-µop steps (front-end slot, port choice) are written out in
+    # place rather than called: they run once per dynamic µop, and a
+    # method call cost more than the step.  The scoreboard's scalars are
+    # held in locals and stored back once per instruction.  A µop takes
+    # the next front-end slot (``frontend_width`` per cycle) and
+    # dispatches to the candidate port that can start it earliest; ties
+    # go to the port with the lower cumulative load.
     def schedule(
         self,
         timing: InstructionTiming,
@@ -273,114 +234,201 @@ class Scheduler:
         branch_taken: Optional[bool] = None,
     ) -> ScheduledInstruction:
         """Schedule one dynamic instruction; returns its timing."""
-        dispatched: Dict[str, int] = {}
-        issued = 0
-        first_issue = self._frontend_cycle
-
         if timing.is_fence:
             return self._schedule_fence(timing)
 
+        frontier = first_issue = self._frontend_cycle
+        slots = self._frontend_slots
+        width = self.layout.frontend_width
+        fence_until = self._fence_until
+        max_complete = self._max_complete
+        resource_ready = self._resource_ready
+        ready_get = resource_ready.get
         ignore_sources = breaks_dependency or timing.breaks_dependency
 
         # ---- eliminated instructions (NOP, reg moves, zeroing idioms)
         if timing.eliminated:
-            issue = self._issue_slot()
-            issued = 1
-            ready = max(issue, self._fence_until)
+            slots += 1
+            if slots >= width:
+                self._frontend_cycle = frontier + 1
+                slots = 0
+            self._frontend_slots = slots
+            self._issued_uops += 1
+            ready = frontier if frontier > fence_until else fence_until
             if not ignore_sources:
-                ready = max(ready, self._sources_ready(sources))
+                for resource in sources:
+                    value = ready_get(resource, 0)
+                    if value > ready:
+                        ready = value
             for destination in destinations:
-                self._resource_ready[destination] = ready
-            self._max_complete = max(self._max_complete, ready)
+                resource_ready[destination] = ready
+            if ready > max_complete:
+                self._max_complete = ready
             if self.cycle_budget is not None or self.uop_budget is not None:
                 self._check_budgets()
-            return ScheduledInstruction(issue, ready, issued, dispatched)
+            return ScheduledInstruction(frontier, ready, 1, {})
+
+        port_free = self._port_free
+        port_load = self._port_load
+        port_names = self._port_names
+        latency_accum = self._latency_accum
+        dispatched: Dict[str, int] = {}
+        source_ready = 0
+        if not ignore_sources:
+            for resource in sources:
+                value = ready_get(resource, 0)
+                if value > source_ready:
+                    source_ready = value
 
         # ---- load µops
-        source_ready = 0 if ignore_sources else self._sources_ready(sources)
         loads_complete = 0
-        for plan in loads:
-            issue = self._issue_slot()
-            issued += 1
-            earliest = max(
-                issue,
-                self._fence_until,
-                self._sources_ready(plan.address_registers),
-                self._store_ready.get(plan.line_address, 0),
-            )
-            completion = self._dispatch(
-                self._load_ports, earliest, plan.latency, dispatched
-            )
-            loads_complete = max(loads_complete, completion)
+        if loads:
+            store_ready = self._store_ready
+            candidates = self._load_ports
+            for plan in loads:
+                earliest = frontier if frontier > fence_until else fence_until
+                slots += 1
+                if slots >= width:
+                    frontier += 1
+                    slots = 0
+                for resource in plan.address_registers:
+                    value = ready_get(resource, 0)
+                    if value > earliest:
+                        earliest = value
+                value = store_ready.get(plan.line_address, 0)
+                if value > earliest:
+                    earliest = value
+                best = -1
+                for i in candidates:
+                    free = port_free[i]
+                    start = earliest if earliest > free else free
+                    if (best < 0 or start < best_start
+                            or (start == best_start
+                                and port_load[i] < port_load[best])):
+                        best = i
+                        best_start = start
+                port_free[best] = best_start + 1
+                port_load[best] += 1
+                name = port_names[best]
+                dispatched[name] = dispatched.get(name, 0) + 1
+                latency_accum += plan.latency
+                completion = best_start + plan.latency
+                if completion > max_complete:
+                    max_complete = completion
+                if completion > loads_complete:
+                    loads_complete = completion
 
         # ---- compute µops
-        compute_uops: List[ComputeUop] = list(timing.compute_uops)
+        uops = timing.compute_uops
         extra_latency = timing.base_latency
         if timing.latency_jitter:
             extra_latency += self._randint(0, timing.latency_jitter)
         if timing.microcoded:
-            count = self._randint(*timing.microcode_uops)
-            compute_uops.extend(ComputeUop("MICROCODE", 1) for _ in range(count))
+            uops = uops + (_MICROCODE_UOP,) * self._randint(
+                *timing.microcode_uops
+            )
 
         compute_complete = loads_complete
-        earliest_base = max(self._fence_until, source_ready, loads_complete)
-        class_indices = self._class_indices
-        for uop in compute_uops:
-            issue = self._issue_slot()
-            issued += 1
-            earliest = max(issue, earliest_base)
-            candidates = class_indices.get(uop.port_class)
-            if candidates is None:
-                # Raises the layout's descriptive KeyError.
-                candidates = self.layout.resolve_indices(uop.port_class)
-            completion = self._dispatch(
-                candidates, earliest, uop.latency, dispatched,
-            )
-            compute_complete = max(compute_complete, completion)
-        if not compute_uops and not loads:
+        if uops:
+            earliest_base = max(fence_until, source_ready, loads_complete)
+            class_indices = self._class_indices
+            for uop in uops:
+                earliest = (frontier if frontier > earliest_base
+                            else earliest_base)
+                slots += 1
+                if slots >= width:
+                    frontier += 1
+                    slots = 0
+                candidates = class_indices.get(uop.port_class)
+                if candidates is None:
+                    # Raises the layout's descriptive KeyError.
+                    candidates = self.layout.resolve_indices(uop.port_class)
+                best = -1
+                for i in candidates:
+                    free = port_free[i]
+                    start = earliest if earliest > free else free
+                    if (best < 0 or start < best_start
+                            or (start == best_start
+                                and port_load[i] < port_load[best])):
+                        best = i
+                        best_start = start
+                port_free[best] = best_start + 1
+                port_load[best] += 1
+                name = port_names[best]
+                dispatched[name] = dispatched.get(name, 0) + 1
+                latency = uop.latency
+                latency_accum += latency
+                completion = best_start + latency
+                if completion > max_complete:
+                    max_complete = completion
+                if completion > compute_complete:
+                    compute_complete = completion
+        elif not loads:
             # Pure-store or microcode-free special cases.
-            compute_complete = max(self._fence_until, source_ready,
-                                   self._frontend_cycle)
+            compute_complete = max(fence_until, source_ready, frontier)
         if extra_latency:
             compute_complete += extra_latency
-            self._latency_accum += extra_latency
-            self._max_complete = max(self._max_complete, compute_complete)
+            latency_accum += extra_latency
+            if compute_complete > max_complete:
+                max_complete = compute_complete
 
-        result_ready = compute_complete
+        result_ready = complete = compute_complete
 
-        # ---- store µops (address + data).  STA and STD are distinct
-        # µops, so each consumes its own front-end slot: issuing one
-        # slot while reporting ``issued += 2`` (the old behaviour) made
-        # the uop-budget watchdog and front-end width pressure disagree
-        # with ``ScheduledInstruction.issued_uops``.
-        for plan in stores:
-            sta_issue = self._issue_slot()
-            std_issue = self._issue_slot()
-            issued += 2
-            sta_earliest = max(
-                sta_issue,
-                self._fence_until,
-                self._sources_ready(plan.address_registers),
-            )
-            sta_complete = self._dispatch(
-                self._sta_ports, sta_earliest, 1, dispatched
-            )
-            std_earliest = max(std_issue, self._fence_until, result_ready,
-                               source_ready)
-            std_complete = self._dispatch(
-                self._std_ports, std_earliest, 1, dispatched
-            )
-            self._store_ready[plan.line_address] = max(
-                sta_complete, std_complete
-            )
-
-        complete = max(result_ready,
-                       max((self._store_ready.get(p.line_address, 0)
-                            for p in stores), default=0))
+        # ---- store µops: a store-address and a store-data µop, each
+        # with its own front-end slot (both issue before either
+        # dispatches).
+        if stores:
+            store_ready = self._store_ready
+            sta_ports = self._sta_ports
+            std_ports = self._std_ports
+            std_base = max(fence_until, result_ready, source_ready)
+            for plan in stores:
+                sta_earliest = (frontier if frontier > fence_until
+                                else fence_until)
+                slots += 1
+                if slots >= width:
+                    frontier += 1
+                    slots = 0
+                std_earliest = frontier if frontier > std_base else std_base
+                slots += 1
+                if slots >= width:
+                    frontier += 1
+                    slots = 0
+                for resource in plan.address_registers:
+                    value = ready_get(resource, 0)
+                    if value > sta_earliest:
+                        sta_earliest = value
+                line_ready = 0
+                for candidates, earliest in ((sta_ports, sta_earliest),
+                                             (std_ports, std_earliest)):
+                    best = -1
+                    for i in candidates:
+                        free = port_free[i]
+                        start = earliest if earliest > free else free
+                        if (best < 0 or start < best_start
+                                or (start == best_start
+                                    and port_load[i] < port_load[best])):
+                            best = i
+                            best_start = start
+                    port_free[best] = best_start + 1
+                    port_load[best] += 1
+                    name = port_names[best]
+                    dispatched[name] = dispatched.get(name, 0) + 1
+                    latency_accum += 1
+                    completion = best_start + 1
+                    if completion > max_complete:
+                        max_complete = completion
+                    if completion > line_ready:
+                        line_ready = completion
+                store_ready[plan.line_address] = line_ready
+            for plan in stores:
+                value = store_ready[plan.line_address]
+                if value > complete:
+                    complete = value
 
         # ---- destinations and serialization effects
         for destination in destinations:
-            self._resource_ready[destination] = result_ready
+            resource_ready[destination] = result_ready
 
         mispredicted = False
         if branch_site is not None and branch_taken is not None:
@@ -388,13 +436,22 @@ class Scheduler:
             self.predictor.update(branch_site, branch_taken)
             if predicted != branch_taken:
                 mispredicted = True
-                self._latency_accum += self.MISPREDICT_PENALTY
+                latency_accum += self.MISPREDICT_PENALTY
                 resume = complete + self.MISPREDICT_PENALTY
-                self._frontend_cycle = max(self._frontend_cycle, resume)
-                self._frontend_slots = 0
-                self._max_complete = max(self._max_complete, resume)
+                if resume > frontier:
+                    frontier = resume
+                slots = 0
+                if resume > max_complete:
+                    max_complete = resume
 
-        self._max_complete = max(self._max_complete, complete)
+        if complete > max_complete:
+            max_complete = complete
+        issued = len(loads) + len(uops) + 2 * len(stores)
+        self._frontend_cycle = frontier
+        self._frontend_slots = slots
+        self._max_complete = max_complete
+        self._latency_accum = latency_accum
+        self._issued_uops += issued
         if self.cycle_budget is not None or self.uop_budget is not None:
             self._check_budgets()
         return ScheduledInstruction(
@@ -404,14 +461,18 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _schedule_fence(self, timing: InstructionTiming) -> ScheduledInstruction:
         """LFENCE-style: wait for all prior work, block later dispatch."""
-        issue = self._issue_slot()
+        issue = self._frontend_cycle
+        self._issued_uops += 1
+        frontier = issue
+        if self._frontend_slots + 1 >= self.layout.frontend_width:
+            frontier += 1
         start = max(issue, self._max_complete, self._fence_until)
         completion = start + timing.fence_latency
         self._latency_accum += timing.fence_latency
         self._fence_until = completion
         self._max_complete = max(self._max_complete, completion)
         # The front end also resumes no earlier than fence completion.
-        self._frontend_cycle = max(self._frontend_cycle, completion)
+        self._frontend_cycle = max(frontier, completion)
         self._frontend_slots = 0
         if self.cycle_budget is not None or self.uop_budget is not None:
             self._check_budgets()

@@ -136,6 +136,25 @@ class TestPaperExample:
         assert "Core cycles: 4.00" in text
 
 
+class TestBenchmarkForms:
+    """A part of the benchmark is given as asm text or as a Program."""
+
+    @pytest.mark.parametrize("kwargs, names", [
+        ({"asm": "mov R14, [R14]", "code": assemble("imul RAX, RAX")},
+         "asm and code"),
+        ({"asm_init": "mov [R14], R14", "init": assemble("nop")},
+         "asm_init and init"),
+    ])
+    def test_both_forms_are_refused(self, nb, kwargs, names):
+        with pytest.raises(NanoBenchError, match="both %s are given" % names):
+            nb.run(**kwargs)
+
+    def test_text_and_program_of_different_parts_combine(self, nb):
+        result = nb.run(code=assemble("mov R14, [R14]"),
+                        asm_init="mov [R14], R14")
+        assert result["Core cycles"] == pytest.approx(4.0)
+
+
 class TestMeasurementProperties:
     def test_loop_and_unroll_agree(self, nb):
         lat_unroll = nb.run(asm="add RAX, RAX", unroll_count=64)

@@ -96,6 +96,21 @@ class TestCli:
         assert captured.err.startswith(message % path)
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("text_flag, text, code_flag, names", [
+        ("-asm", "mov R14, [R14]", "-code", "asm and code"),
+        ("-asm_init", "mov [R14], R14", "-code_init", "asm_init and init"),
+    ])
+    def test_asm_and_code_together_is_one_error_line(
+            self, tmp_path, capsys, text_flag, text, code_flag, names):
+        path = tmp_path / "imul.bin"
+        path.write_bytes(encode_program(assemble("imul RAX, RAX")))
+        assert cli_main([text_flag, text, code_flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: both %s are given; give one of them\n" % names
+        )
+
     def test_config_file(self, tmp_path, capsys):
         config_path = tmp_path / "cfg_Skylake.txt"
         config_path.write_text(format_config(example_skylake_config()))

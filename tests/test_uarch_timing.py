@@ -209,3 +209,103 @@ class TestSpecs:
         for name in ("IvyBridge", "Haswell", "Broadwell"):
             spec = get_spec(name)
             assert spec.l3.n_sets > 831
+
+
+class TestDecodeMemo:
+    """The process-wide decode memo is keyed by the timing table too."""
+
+    ASM = ("mov RAX, RBX", "mulps XMM0, XMM1")
+    UARCHES = ("Skylake", "Nehalem", "SandyBridge", "IvyBridge")
+
+    @staticmethod
+    def _decode(uarch, asm):
+        from repro.uarch.core import SimulatedCore
+
+        core = SimulatedCore(uarch)
+        instr = parse_statement(asm)
+        entry = core._decode(instr)
+        if entry[2] is None:
+            core._decode_timing(instr, entry)
+        return entry[1:]
+
+    @staticmethod
+    def _run(uarch, asm):
+        from repro.core.nanobench import NanoBench
+
+        return NanoBench.kernel(uarch=uarch, seed=0).run(
+            asm=asm, n_measurements=3, unroll_count=10,
+        )
+
+    def _fresh(self, uarch, asm, what):
+        from repro.uarch import core
+
+        core._DECODE_MEMO.clear()
+        return what(uarch, asm)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_shared_memo_matches_a_cleared_one(self, order):
+        from repro.uarch import core
+
+        fresh = {
+            (uarch, asm, what.__name__): self._fresh(uarch, asm, what)
+            for uarch in self.UARCHES for asm in self.ASM
+            for what in (self._decode, self._run)
+        }
+        core._DECODE_MEMO.clear()
+        for uarch in self.UARCHES[::order]:
+            for asm in self.ASM:
+                for what in (self._decode, self._run):
+                    assert what(uarch, asm) == fresh[
+                        (uarch, asm, what.__name__)
+                    ], (uarch, asm, what.__name__)
+        # The cases differ where the families do.
+        assert fresh[("Skylake", "mov RAX, RBX", "_decode")][1].eliminated
+        assert not fresh[("Nehalem", "mov RAX, RBX", "_decode")][1].eliminated
+        assert not fresh[("SandyBridge", "mov RAX, RBX",
+                          "_decode")][1].eliminated
+        assert fresh[("IvyBridge", "mov RAX, RBX", "_decode")][1].eliminated
+        latencies = {
+            uarch: fresh[(uarch, "mulps XMM0, XMM1",
+                          "_decode")][1].compute_uops[0].latency
+            for uarch in self.UARCHES
+        }
+        assert latencies == {"Skylake": 4, "Nehalem": 4, "SandyBridge": 5,
+                             "IvyBridge": 5}
+
+    def test_timing_error_is_never_memoised(self):
+        from repro.uarch import core
+        from repro.uarch.core import SimulatedCore
+        from repro.x86.assembler import assemble
+
+        program = assemble("add RAX, RBX; vfmadd231ps XMM1, XMM2, XMM3")
+
+        def failure():
+            sandy = SimulatedCore("SandyBridge")
+            with pytest.raises(TimingModelError) as info:
+                sandy.run_program(program)
+            return str(info.value), sandy.sim_stats.instructions
+
+        core._DECODE_MEMO.clear()
+        cleared = failure()
+        assert SimulatedCore("Skylake").run_program(program) == 2
+        for _ in range(2):
+            assert failure() == cleared
+        assert cleared[1] == 1
+        assert set(core._DECODE_MEMO[program.instructions[1]][1]) == {
+            ("SKL", True)
+        }
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        from repro.uarch import core
+        from repro.uarch.core import SimulatedCore
+
+        monkeypatch.setattr(core, "DECODE_MEMO_LIMIT", 16)
+        core._DECODE_MEMO.clear()
+        sim = SimulatedCore("Skylake")
+        for value in range(100):
+            instr = parse_statement("add RAX, %d" % value)
+            entry = sim._decode(instr)
+            sim._decode_timing(instr, entry)
+            assert len(core._DECODE_MEMO) <= 16
+        assert core._DECODE_MEMO
+        core._DECODE_MEMO.clear()
