@@ -353,14 +353,14 @@ class NanoBench:
         fixed-function counters are always included (unless disabled
         via options).
         """
-        for text_name, text, program_name, program in (
-            ("asm", asm, "code", code), ("asm_init", asm_init, "init", init),
-        ):
-            if text and program is not None:
-                raise NanoBenchError(
-                    "both %s and %s are given; give one of them"
-                    % (text_name, program_name)
-                )
+        if asm and code is not None:
+            raise NanoBenchError(
+                "both asm and code are given; give one of them"
+            )
+        if asm_init and init is not None:
+            raise NanoBenchError(
+                "both asm_init and init are given; give one of them"
+            )
         started = time.perf_counter()
         stats_before = cache_stats()
         self._discarded_runs = 0
