@@ -244,8 +244,6 @@ def run_fuzz(argv: List[str]) -> int:
     """
     from ..fuzz import PROFILES, DifferentialFuzzer, save_corpus
     from ..fuzz.differential import (
-        DEFAULT_ANALYTIC_ABS,
-        DEFAULT_ANALYTIC_REL,
         DEFAULT_CYCLE_BUDGET,
         DEFAULT_UOP_BUDGET,
     )
@@ -276,14 +274,6 @@ def run_fuzz(argv: List[str]) -> int:
     parser.add_argument("-no_analytic", action="store_true",
                         help="skip the tolerance-banded sim-vs-analytic "
                              "comparison (exact checks only)")
-    parser.add_argument("-analytic_abs", type=float,
-                        default=DEFAULT_ANALYTIC_ABS, metavar="X",
-                        help="absolute tolerance of the analytic band "
-                             "(default %g)" % DEFAULT_ANALYTIC_ABS)
-    parser.add_argument("-analytic_rel", type=float,
-                        default=DEFAULT_ANALYTIC_REL, metavar="X",
-                        help="relative tolerance of the analytic band "
-                             "(default %g)" % DEFAULT_ANALYTIC_REL)
     parser.add_argument("-cycle_budget", type=int,
                         default=DEFAULT_CYCLE_BUDGET, metavar="N",
                         help="watchdog cycle budget per arm (default %d)"
@@ -304,8 +294,6 @@ def run_fuzz(argv: List[str]) -> int:
             jobs=args.jobs,
             cycle_budget=args.cycle_budget,
             uop_budget=args.uop_budget,
-            analytic_abs=args.analytic_abs,
-            analytic_rel=args.analytic_rel,
             shrink=not args.no_shrink,
             check_analytic=not args.no_analytic,
         )

@@ -24,7 +24,7 @@ makes the batched sweeps fast without any cross-process locking.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..faults.plan import active_plan
 from ..x86.assembler import assemble
@@ -40,18 +40,14 @@ GENERATE_CACHE_SIZE = 1024
 class LRUCache:
     """A bounded mapping with least-recently-used eviction and stats.
 
-    Entries carry a content fingerprint taken at insertion.  When a
-    fault plan is active, every hit re-fingerprints the entry and a
-    mismatch — e.g. the chaos plane's ``cache.corrupt`` fault flipping
-    a stored fingerprint — discards the entry and rebuilds it from the
-    factory (``repairs``), so a corrupted cache degrades to a miss
-    instead of serving a wrong program.  Fault-free runs skip the
-    verification entirely (zero overhead on the hot path).
+    When a fault plan is active, each hit may draw the chaos plane's
+    ``cache.corrupt`` fault; a corrupted entry is dropped and rebuilt
+    from the factory (``repairs``), so a corrupted cache degrades to a
+    miss instead of serving a wrong program.  Fault-free runs draw
+    nothing (zero overhead on the hot path).
     """
 
-    def __init__(self, maxsize: int,
-                 fingerprint: Optional[Callable[[object], object]] = None,
-                 name: str = "") -> None:
+    def __init__(self, maxsize: int, name: str = "") -> None:
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
@@ -61,8 +57,6 @@ class LRUCache:
         self.misses = 0
         self.evictions = 0
         self.repairs = 0
-        self._fingerprint = fingerprint
-        #: key -> (value, fingerprint-at-insert)
         self._entries: "OrderedDict" = OrderedDict()
         self._hit_count = 0
 
@@ -74,8 +68,7 @@ class LRUCache:
 
     def _insert(self, key, factory: Callable[[], object]):
         value = factory()
-        mark = self._fingerprint(value) if self._fingerprint else None
-        self._entries[key] = (value, mark)
+        self._entries[key] = value
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
             self.evictions += 1
@@ -85,21 +78,16 @@ class LRUCache:
         """Return the cached value for *key*, creating it on a miss."""
         self.lookups += 1
         try:
-            value, mark = self._entries[key]
+            value = self._entries[key]
         except KeyError:
             self.misses += 1
             return self._insert(key, factory)
         self._entries.move_to_end(key)
         plan = active_plan()
-        if plan is not None and self._fingerprint is not None:
+        if plan is not None:
             self._hit_count += 1
             if plan.fires("cache.corrupt",
                           "%s#%d" % (self.name, self._hit_count)):
-                # Corrupt the stored entry in place: scramble its
-                # fingerprint so verification below must catch it.
-                mark = ("corrupted", mark)
-                self._entries[key] = (value, mark)
-            if self._fingerprint(value) != mark:
                 # A corrupted entry never served anyone: the lookup
                 # rebuilt from the factory exactly like a cold miss, so
                 # it counts as a miss plus a repair — not as a hit.
@@ -138,16 +126,8 @@ class LRUCache:
         }
 
 
-# str(Program) round-trips the full instruction stream, so it doubles
-# as the integrity fingerprint of cached programs.
-_assemble_cache = LRUCache(
-    ASSEMBLE_CACHE_SIZE, fingerprint=str, name="assemble"
-)
-_generate_cache = LRUCache(
-    GENERATE_CACHE_SIZE,
-    fingerprint=lambda generated: str(generated.program),
-    name="generate",
-)
+_assemble_cache = LRUCache(ASSEMBLE_CACHE_SIZE, name="assemble")
+_generate_cache = LRUCache(GENERATE_CACHE_SIZE, name="generate")
 
 
 def cached_assemble(source: str) -> Program:

@@ -330,6 +330,15 @@ def _unroll_region_for(
     return (start_index, len(body), copies)
 
 
+def ensure_unrollable(code: Program, unroll_count: int) -> None:
+    """Refuse to unroll a benchmark with labels: every copy would define
+    them again.  Every backend checks this before it measures."""
+    if code.labels and unroll_count > 1:
+        raise NanoBenchError(
+            "benchmarks with labels cannot be unrolled; use loop_count"
+        )
+
+
 def generate(
     code: Program,
     init: Program,
@@ -343,10 +352,7 @@ def generate(
     nanoBench generates two versions (n and 2n, or 0 and n) and reports
     the difference (Section III-C).
     """
-    if code.labels and local_unroll_count > 1:
-        raise NanoBenchError(
-            "benchmarks with labels cannot be unrolled; use loop_count"
-        )
+    ensure_unrollable(code, local_unroll_count)
     instructions: List[Instruction] = []
     labels: Dict[str, int] = {}
 

@@ -77,6 +77,7 @@ from .codegen import (
     GeneratedCode,
     SCRATCH_REGISTERS,
     check_nomem_counter_limit,
+    ensure_unrollable,
 )
 from .options import NanoBenchOptions
 from .retry import (
@@ -394,6 +395,9 @@ class NanoBench:
             split_into_groups(perf_events, self.core.pmu.n_programmable)
             if perf_events else [()]
         )
+        # Checked here rather than in codegen alone, so the analytic
+        # backend, which generates no code, refuses the same benchmarks.
+        ensure_unrollable(benchmark, options.unroll_count)
 
         report = ExecutionReport(counter_groups=len(groups))
         skipped_events: List[str] = []

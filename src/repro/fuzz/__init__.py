@@ -24,8 +24,8 @@ from .corpus import (
     sort_records,
 )
 from .differential import (
-    DEFAULT_ANALYTIC_ABS,
-    DEFAULT_ANALYTIC_REL,
+    ANALYTIC_ABS,
+    ANALYTIC_REL,
     DEFAULT_CYCLE_BUDGET,
     DEFAULT_EVENTS,
     DEFAULT_UOP_BUDGET,
@@ -55,12 +55,12 @@ from .quota import (
 from .shrink import shrink_kernel, split_statements
 
 __all__ = [
+    "ANALYTIC_ABS",
+    "ANALYTIC_REL",
     "AXES",
     "CATEGORIES",
     "CONTROL_PROFILE",
     "CORPUS_VERSION",
-    "DEFAULT_ANALYTIC_ABS",
-    "DEFAULT_ANALYTIC_REL",
     "DEFAULT_CYCLE_BUDGET",
     "DEFAULT_EVENTS",
     "DEFAULT_PROFILE",

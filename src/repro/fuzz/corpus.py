@@ -21,11 +21,11 @@ again fails the suite.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..batch.spec import BenchmarkSpec, spec_digest
+from ..store.segment import write_atomic
 from .generator import GeneratedKernel
 from .quota import AXES
 
@@ -186,11 +186,7 @@ def dump_record(record: DivergenceRecord) -> str:
 def save_corpus(path: str, records: List[DivergenceRecord]) -> None:
     """Write the corpus with deterministic bytes (atomic replace)."""
     lines = [dump_record(record) for record in sort_records(records)]
-    data = "".join(line + "\n" for line in lines)
-    tmp_path = "%s.tmp" % path
-    with open(tmp_path, "w") as handle:
-        handle.write(data)
-    os.replace(tmp_path, path)
+    write_atomic(path, "".join(line + "\n" for line in lines).encode())
 
 
 def load_corpus(path: str) -> List[DivergenceRecord]:

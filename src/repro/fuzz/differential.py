@@ -11,8 +11,10 @@ Each generated kernel runs through four arms and three comparisons:
   byte-identical, any mismatch is a bug.
 * **analytic** — simulation vs the closed-form analytic estimator.
   The model is *supposed* to be approximate, so this comparison is
-  tolerance-banded (via :class:`ProfileDeviation` in values mode, which
-  reports capability-skipped events as ``SKIPPED`` rather than failing).
+  tolerance-banded: :func:`~repro.tools.compare_backends.band_violations`
+  with :data:`ANALYTIC_ABS` / :data:`ANALYTIC_REL` (the rule the
+  router's audit applies with its own, tighter band).  Events only the
+  simulator counts are not compared.
 
 Every arm runs under the integrity watchdog (cycle/µop budgets): a
 generated kernel that runs away is quarantined — counted and reported,
@@ -37,7 +39,7 @@ from ..batch.spec import BatchResult
 from ..core.retry import UnschedulableEventWarning
 from ..errors import NanoBenchError, ReproError, ValidationError
 from ..stats import Counters
-from ..tools.compare_backends import ProfileDeviation
+from ..tools.compare_backends import band_violations
 from ..uarch.specs import get_spec
 from ..uarch.timing import TimingTable
 from .corpus import DivergenceRecord, kernel_digest, record_spec
@@ -47,8 +49,8 @@ from .shrink import shrink_kernel, split_statements
 
 #: Events requested on every arm.  The first two are answerable by both
 #: backends; the cache event is outside the analytic backend's
-#: capability set, so it exercises the explicit ``SKIPPED`` path of the
-#: sim-vs-analytic comparison on every memory-touching kernel.
+#: capability set, so every memory-touching kernel exercises the
+#: sim-vs-analytic comparison of an event only one side reports.
 DEFAULT_EVENTS = (
     "UOPS_ISSUED.ANY",
     "BR_INST_RETIRED.ALL_BRANCHES",
@@ -65,8 +67,8 @@ DEFAULT_UOP_BUDGET = 1_000_000
 #: Calibrated on seed-0/1/2 campaigns over the bundled profiles; the
 #: model's observed error is µop-scale (fusion and overlap effects),
 #: not order-of-magnitude.
-DEFAULT_ANALYTIC_ABS = 16.0
-DEFAULT_ANALYTIC_REL = 0.75
+ANALYTIC_ABS = 16.0
+ANALYTIC_REL = 0.75
 
 
 def _values_equal(a: BatchResult, b: BatchResult) -> bool:
@@ -80,11 +82,23 @@ def _values_equal(a: BatchResult, b: BatchResult) -> bool:
 
 def _max_shared_deviation(reference: Dict[str, float],
                           candidate: Dict[str, float]) -> float:
-    deviation = ProfileDeviation(
-        name="fuzz", reference_values=reference, candidate_values=candidate,
-    )
-    worst = deviation.max_deviation
-    return 0.0 if worst is None else worst
+    """The largest deviation over the events both sides report (a
+    zero-width band puts every differing event outside it)."""
+    return max(band_violations(reference, candidate, 0.0, 0.0).values(),
+               default=0.0)
+
+
+def _band(category: str) -> Tuple[float, float]:
+    """``(abs, rel)`` tolerance a record of *category* is judged by.
+
+    A ``router`` record is an audit failure, so it is re-judged by the
+    router's band, read per call like the audit reads it.
+    """
+    if category == "router":
+        from ..router import router
+
+        return router.TOLERANCE, router.REL_TOLERANCE
+    return ANALYTIC_ABS, ANALYTIC_REL
 
 
 def _is_runaway(result: BatchResult) -> bool:
@@ -154,8 +168,6 @@ class DifferentialFuzzer:
         jobs: int = 2,
         cycle_budget: int = DEFAULT_CYCLE_BUDGET,
         uop_budget: int = DEFAULT_UOP_BUDGET,
-        analytic_abs: float = DEFAULT_ANALYTIC_ABS,
-        analytic_rel: float = DEFAULT_ANALYTIC_REL,
         shrink: bool = True,
         check_analytic: bool = True,
     ) -> None:
@@ -166,8 +178,6 @@ class DifferentialFuzzer:
         self.jobs = max(1, int(jobs))
         self.cycle_budget = cycle_budget
         self.uop_budget = uop_budget
-        self.analytic_abs = analytic_abs
-        self.analytic_rel = analytic_rel
         self.shrink = shrink
         self.check_analytic = check_analytic
         spec = get_spec(uarch)
@@ -236,7 +246,8 @@ class DifferentialFuzzer:
             # The model refusing a kernel the simulator runs (or vice
             # versa) is a capability gap, not a numeric divergence.
             return False
-        return self._out_of_band(serial.values, analytic.values)
+        return bool(band_violations(serial.values, analytic.values,
+                                    ANALYTIC_ABS, ANALYTIC_REL))
 
     def _evaluates(self, kernel: GeneratedKernel) -> bool:
         """Shrinker guard: candidate still assembles and validates."""
@@ -249,21 +260,6 @@ class DifferentialFuzzer:
             # so the shrinker keeps the pair together.
             return False
         return True
-
-    def _tolerance(self, reference: float) -> float:
-        return max(self.analytic_abs, self.analytic_rel * abs(reference))
-
-    def _out_of_band(self, reference: Dict[str, float],
-                     candidate: Dict[str, float]) -> bool:
-        deviation = ProfileDeviation(
-            name="fuzz", reference_values=reference,
-            candidate_values=candidate,
-        )
-        for event in deviation.shared_events:
-            delta = deviation.event_deviation(event)
-            if delta > self._tolerance(reference[event]):
-                return True
-        return False
 
     # -- record construction -------------------------------------------
     def _record(self, category: str, kernel: GeneratedKernel,
@@ -357,10 +353,11 @@ class DifferentialFuzzer:
                                .run([self._spec(k)])[0]))
             if self.check_analytic and serial.error is None:
                 analytic = self.run_analytic(kernel)
-                if analytic.error is None \
-                        and self._out_of_band(serial.values, analytic.values):
+                if analytic.error is None and band_violations(
+                        serial.values, analytic.values,
+                        ANALYTIC_ABS, ANALYTIC_REL):
                     worst_tol = max(
-                        (self._tolerance(value)
+                        (max(ANALYTIC_ABS, ANALYTIC_REL * abs(value))
                          for value in serial.values.values()), default=0.0,
                     )
                     pin("analytic", kernel, self.analytic_diverges,
@@ -381,7 +378,9 @@ class DifferentialFuzzer:
 
         Returns ``None`` when the backends now agree (the pinned bug is
         fixed or the tolerance holds) and a human-readable description
-        when the kernel still — or again — diverges.
+        when the kernel still — or again — diverges.  ``analytic`` and
+        ``router`` records are re-judged by their own band
+        (:func:`_band`).
         """
         kernel = record.kernel()
         if record.category == "fastpath":
@@ -405,7 +404,10 @@ class DifferentialFuzzer:
         analytic = self.run_analytic(kernel)
         if serial.error is not None or analytic.error is not None:
             return None
-        if self._out_of_band(serial.values, analytic.values):
-            return ("sim vs analytic out of band: %r vs %r"
-                    % (serial.values, analytic.values))
+        abs_tol, rel_tol = _band(record.category)
+        violations = band_violations(serial.values, analytic.values,
+                                     abs_tol, rel_tol)
+        if violations:
+            return ("sim vs analytic out of band %s: %r vs %r"
+                    % (sorted(violations), serial.values, analytic.values))
         return None

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..perfctr.events import PerfEvent
+from ..store.segment import write_atomic
 
 #: Fidelity-table format version, embedded in the JSON artifact.
 FIDELITY_VERSION = 1
@@ -222,10 +223,7 @@ class FidelityTable:
     def save(self, path: str) -> None:
         """Write the artifact with deterministic bytes (sorted keys)."""
         data = json.dumps(self.to_dict(), sort_keys=True, indent=2)
-        tmp_path = "%s.tmp" % path
-        with open(tmp_path, "w") as handle:
-            handle.write(data + "\n")
-        os.replace(tmp_path, path)
+        write_atomic(path, (data + "\n").encode())
 
     @classmethod
     def load(cls, path: str) -> "FidelityTable":
@@ -292,8 +290,7 @@ def fidelity_from_comparison(comparison, variants=None) -> FidelityTable:
         add(CLASS_CORE, deviation.throughput_deviation)
         add(CLASS_UOPS, deviation.uops_deviation)
         for value in deviation.port_deviations.values():
-            if isinstance(value, float):
-                add(CLASS_PORTS, value)
+            add(CLASS_PORTS, value)
 
     bounds = {
         event_class: ClassBound.from_samples(values)

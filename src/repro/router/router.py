@@ -50,6 +50,7 @@ from ..errors import (
 )
 from ..perfctr.events import event_catalog
 from ..stats import Counters
+from ..tools.compare_backends import band_violations
 from .fidelity import (
     CLASS_APERF,
     CLASS_CACHE,
@@ -308,20 +309,14 @@ class RoutedBench:
         self.stats.audits += 1
         sim = self._fresh_sim()
         sim_values = self._run_on(sim, asm, asm_init, run_kwargs)
-        violations: List[Tuple[str, float, float, float]] = []
-        for name, reference in sim_values.items():
-            candidate = values.get(name)
-            if candidate is None:
-                continue
-            deviation = abs(candidate - reference)
-            if deviation > max(TOLERANCE, REL_TOLERANCE * abs(reference)):
-                violations.append((name, candidate, reference, deviation))
+        violations = band_violations(sim_values, values,
+                                     TOLERANCE, REL_TOLERANCE)
         if not violations:
             self.stats.audit_passes += 1
             return values, self._analytic, False
 
         self.stats.audit_failures += 1
-        for name, _, _, _ in violations:
+        for name in violations:
             self._quarantined.add(self._counter_class(name))
         self.stats.quarantined = tuple(sorted(
             "analytic:%s" % cls for cls in self._quarantined
@@ -371,7 +366,7 @@ class RoutedBench:
             events=tuple(events),
             reference=dict(sim_values),
             candidate=dict(values),
-            deviation=max(v[3] for v in violations),
+            deviation=max(violations.values()),
             tolerance=TOLERANCE,
             provenance="router-audit:analytic",
         ))

@@ -162,15 +162,22 @@ def heal_segment(scan: SegmentScan, quarantine_dir: str) -> bool:
         with open(raw_path, "wb") as handle:
             handle.write(corrupt.raw)
             handle.write(b"\n")
-    tmp = scan.path + TMP_SUFFIX
+    write_atomic(scan.path, b"".join(encode_record(record)
+                                     for _, record in scan.records))
+    return False
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Replace *path* with *data* so a crash leaves the old or the new
+    file, never half of one: write a temp file, fsync it, rename it
+    over *path*, then fsync the directory."""
+    tmp = path + TMP_SUFFIX
     with open(tmp, "wb") as handle:
-        for _, record in scan.records:
-            handle.write(encode_record(record))
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
-    os.replace(tmp, scan.path)
-    fsync_directory(os.path.dirname(scan.path) or ".")
-    return False
+    os.replace(tmp, path)
+    fsync_directory(os.path.dirname(path) or ".")
 
 
 class TornWrite(Exception):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..backends import DEFAULT_BACKEND
 from .instr.characterize import characterize_corpus_batched
@@ -24,33 +24,28 @@ from .instr.corpus import InstructionVariant
 from .instr.measure import InstructionProfile
 
 
-class _Skipped:
-    """Marker for an event one backend did not measure.
+def band_violations(reference: Mapping[str, float],
+                    candidate: Mapping[str, float],
+                    abs_tol: float, rel_tol: float) -> Dict[str, float]:
+    """The counters outside the agreement band, with their deviations.
 
-    Capability negotiation legitimately drops events (the analytic
-    backend cannot answer cache or uncore questions), so a missing key
-    in one backend's results is *not* a deviation — it is explicitly
-    ``SKIPPED``, never a ``KeyError`` and never silently zero.
+    This is the one rule that decides whether a candidate's answer
+    agrees with the reference: a counter both sides report is outside
+    the band when ``|candidate - reference|`` exceeds
+    ``max(abs_tol, rel_tol * |reference|)``.  A counter only one side
+    reports (the analytic backend skips cache and uncore events) is not
+    compared, so no shared counters means no violation.  The result is
+    ``{counter: deviation}``; empty means the two answers agree.
     """
+    violations: Dict[str, float] = {}
+    for name, value in reference.items():
+        if name not in candidate:
+            continue
+        deviation = abs(candidate[name] - value)
+        if deviation > max(abs_tol, rel_tol * abs(value)):
+            violations[name] = deviation
+    return violations
 
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "skipped"
-
-    def __reduce__(self):
-        return (_skipped_instance, ())
-
-
-def _skipped_instance() -> "_Skipped":
-    return SKIPPED
-
-
-#: Singleton marker returned for capability-skipped events.
-SKIPPED = _Skipped()
-
-#: An event comparison is either a numeric deviation or ``SKIPPED``.
-EventDeviation = Union[float, _Skipped]
 
 #: :func:`compare_backends` measures the candidate against the reference.
 REFERENCE_BACKEND = DEFAULT_BACKEND
@@ -59,26 +54,12 @@ CANDIDATE_BACKEND = "analytic"
 
 @dataclass
 class ProfileDeviation:
-    """One variant's reference-vs-candidate measurement pair.
-
-    Two modes, sharing the deviation arithmetic:
-
-    * *profile mode* (the A6 corpus sweep) — ``reference``/``candidate``
-      are :class:`InstructionProfile`\\ s and the latency/throughput/µops
-      metrics are compared;
-    * *values mode* (the differential fuzzer) — ``reference_values`` /
-      ``candidate_values`` are raw ``{event: value}`` result dicts and
-      every shared event is compared, with events absent from one side
-      (capability-skipped) reported as :data:`SKIPPED`.
-    """
+    """One variant's reference-vs-candidate :class:`InstructionProfile`
+    pair: the latency, throughput, µop and per-port deviations."""
 
     name: str
-    reference: Optional[InstructionProfile] = None
-    candidate: Optional[InstructionProfile] = None
-    #: Raw per-event results (values mode); events present on only one
-    #: side are reported as :data:`SKIPPED`, not raised as KeyErrors.
-    reference_values: Optional[Mapping[str, float]] = None
-    candidate_values: Optional[Mapping[str, float]] = None
+    reference: InstructionProfile
+    candidate: InstructionProfile
 
     @staticmethod
     def _delta(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -88,100 +69,38 @@ class ProfileDeviation:
 
     @property
     def latency_deviation(self) -> Optional[float]:
-        if self.reference is None or self.candidate is None:
-            return None
         return self._delta(self.reference.latency, self.candidate.latency)
 
     @property
     def throughput_deviation(self) -> Optional[float]:
-        if self.reference is None or self.candidate is None:
-            return None
         return self._delta(self.reference.throughput,
                            self.candidate.throughput)
 
     @property
     def uops_deviation(self) -> Optional[float]:
-        if self.reference is None or self.candidate is None:
-            return None
         return self._delta(self.reference.uops, self.candidate.uops)
 
-    # -- per-event comparison (values mode and ports) -------------------
     @property
-    def event_names(self) -> List[str]:
-        """Union of both sides' event names, sorted."""
-        names = set(self.reference_values or ())
-        names.update(self.candidate_values or ())
-        return sorted(names)
+    def port_deviations(self) -> Dict[str, float]:
+        """Per-port µop deviation over the ports both backends report.
 
-    @property
-    def shared_events(self) -> List[str]:
-        """Events both backends measured (the comparable set)."""
-        if not self.reference_values or not self.candidate_values:
-            return []
-        return sorted(set(self.reference_values)
-                      & set(self.candidate_values))
-
-    @property
-    def skipped_events(self) -> List[str]:
-        """Events one backend measured and the other skipped."""
-        reference = set(self.reference_values or ())
-        candidate = set(self.candidate_values or ())
-        return sorted(reference ^ candidate)
-
-    def event_deviation(self, name: str) -> EventDeviation:
-        """|reference - candidate| for one event, or :data:`SKIPPED`.
-
-        An event missing from either side's results — because a backend
-        lacks the capability and degraded gracefully — yields the
-        explicit :data:`SKIPPED` marker instead of a ``KeyError``.
+        A port one backend leaves out (below its reporting threshold)
+        is not compared.
         """
-        reference = (self.reference_values or {})
-        candidate = (self.candidate_values or {})
-        if name not in reference or name not in candidate:
-            return SKIPPED
-        return abs(reference[name] - candidate[name])
-
-    def event_deviations(self) -> Dict[str, EventDeviation]:
-        return {name: self.event_deviation(name)
-                for name in self.event_names}
-
-    @property
-    def port_deviations(self) -> Dict[str, EventDeviation]:
-        """Per-port µop deviation over the union of both port maps.
-
-        Ports reported by only one backend (below the other's reporting
-        threshold, or capability-skipped) map to :data:`SKIPPED`.
-        """
-        if self.reference is None or self.candidate is None:
-            return {}
         reference, candidate = self.reference.ports, self.candidate.ports
-        deviations: Dict[str, EventDeviation] = {}
-        for port in sorted(set(reference) | set(candidate)):
-            if port not in reference or port not in candidate:
-                deviations[port] = SKIPPED
-            else:
-                deviations[port] = abs(reference[port] - candidate[port])
-        return deviations
+        return {port: abs(reference[port] - candidate[port])
+                for port in sorted(set(reference) & set(candidate))}
 
     @property
     def comparable(self) -> bool:
         """True when both backends produced a usable result."""
-        if self.reference is not None and self.candidate is not None:
-            return (self.reference.error is None
-                    and self.candidate.error is None)
-        return bool(self.reference_values is not None
-                    and self.candidate_values is not None)
+        return self.reference.error is None and self.candidate.error is None
 
     @property
     def max_deviation(self) -> Optional[float]:
         deltas = [d for d in (self.latency_deviation,
                               self.throughput_deviation,
                               self.uops_deviation) if d is not None]
-        deltas.extend(
-            deviation for deviation in
-            (self.event_deviation(name) for name in self.shared_events)
-            if deviation is not SKIPPED
-        )
         return max(deltas) if deltas else None
 
     def exact(self, tolerance: float = 0.01) -> bool:

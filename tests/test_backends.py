@@ -238,6 +238,17 @@ class TestCapabilityNegotiation:
             assert str(excinfo.value) == (
                 "noMem mode supports at most 6 counters, got 7"), name
 
+    def test_unrolled_labels_are_one_check(self):
+        # The analytic backend generates no code, so without the check
+        # in NanoBench.run it answered a benchmark the simulator refuses.
+        for name in ("sim", "analytic", "auto"):
+            nb = NanoBench.create(backend=name)
+            with pytest.raises(NanoBenchError) as excinfo:
+                nb.run(asm="jnz fz1_0; lfence; fz1_0:", unroll_count=2)
+            assert str(excinfo.value) == (
+                "benchmarks with labels cannot be unrolled; "
+                "use loop_count"), name
+
 
 # ----------------------------------------------------------------------
 # The analytic backend's numbers

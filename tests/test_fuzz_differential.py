@@ -1,5 +1,7 @@
 """Differential harness, corpus, and cross-backend comparison tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.batch import spec_digest
@@ -16,54 +18,45 @@ from repro.fuzz import (
     save_corpus,
     sort_records,
 )
-from repro.tools.compare_backends import SKIPPED, ProfileDeviation
+from repro.tools.compare_backends import ProfileDeviation, band_violations
 
 
 # ----------------------------------------------------------------------
-# ProfileDeviation values mode (satellite: capability-skipped events)
+# The agreement rule shared by the router audit and the fuzzer
+# ----------------------------------------------------------------------
+class TestBandViolations:
+    @pytest.mark.parametrize(
+        "reference, candidate, abs_tol, rel_tol, expected",
+        [
+            # Only counters both sides report are compared.
+            ({"A": 3.0, "B": 1.0}, {"A": 2.0, "B": 1.0}, 0.5, 0.0,
+             {"A": 1.0}),
+            # A counter one side lacks is not a deviation.
+            ({"A": 3.0, "CACHE.EVT": 7.0}, {"A": 3.0}, 0.0, 0.0, {}),
+            ({"A": 3.0}, {"A": 3.0, "EXTRA": 9.0}, 0.0, 0.0, {}),
+            # No shared counters: no violation.
+            ({"A": 1.0}, {"B": 2.0}, 0.0, 0.0, {}),
+            ({}, {}, 0.0, 0.0, {}),
+            # The absolute edge: a deviation equal to the band is inside.
+            ({"A": 1.0}, {"A": 1.5}, 0.5, 0.05, {}),
+            ({"A": 1.0}, {"A": 1.75}, 0.5, 0.05, {"A": 0.75}),
+            # The relative edge wins once rel * |reference| > abs.
+            ({"A": -100.0}, {"A": -95.0}, 0.5, 0.05, {}),
+            ({"A": 100.0}, {"A": 106.0}, 0.5, 0.05, {"A": 6.0}),
+            # A zero band reports every differing shared counter.
+            ({"A": 1.0, "B": 2.0}, {"A": 1.0, "B": 2.25}, 0.0, 0.0,
+             {"B": 0.25}),
+        ],
+    )
+    def test_band(self, reference, candidate, abs_tol, rel_tol, expected):
+        assert band_violations(reference, candidate,
+                               abs_tol, rel_tol) == expected
+
+
+# ----------------------------------------------------------------------
+# ProfileDeviation (the A6 corpus sweep)
 # ----------------------------------------------------------------------
 class TestProfileDeviationValues:
-    def test_shared_events_are_compared(self):
-        deviation = ProfileDeviation(
-            name="k",
-            reference_values={"A": 3.0, "B": 1.0},
-            candidate_values={"A": 2.5, "B": 1.0},
-        )
-        assert deviation.shared_events == ["A", "B"]
-        assert deviation.event_deviation("A") == 0.5
-        assert deviation.max_deviation == 0.5
-        assert deviation.comparable
-
-    def test_capability_skipped_event_is_marked_not_raised(self):
-        deviation = ProfileDeviation(
-            name="k",
-            reference_values={"A": 3.0, "CACHE.EVT": 7.0},
-            candidate_values={"A": 3.0},
-        )
-        assert deviation.skipped_events == ["CACHE.EVT"]
-        assert deviation.event_deviation("CACHE.EVT") is SKIPPED
-        assert deviation.event_deviation("UNKNOWN") is SKIPPED
-        # Skipped events never contribute to the worst deviation.
-        assert deviation.max_deviation == 0.0
-        assert deviation.exact(0.01)
-
-    def test_event_deviations_maps_union_of_names(self):
-        deviation = ProfileDeviation(
-            name="k",
-            reference_values={"A": 1.0},
-            candidate_values={"B": 2.0},
-        )
-        table = deviation.event_deviations()
-        assert set(table) == {"A", "B"}
-        assert table["A"] is SKIPPED and table["B"] is SKIPPED
-        assert deviation.shared_events == []
-
-    def test_skipped_repr_and_pickle_identity(self):
-        import pickle
-
-        assert repr(SKIPPED) == "skipped"
-        assert pickle.loads(pickle.dumps(SKIPPED)) is SKIPPED
-
     def test_profile_mode_still_works_without_values(self):
         from repro.tools.instr.measure import InstructionProfile
 
@@ -75,20 +68,16 @@ class TestProfileDeviationValues:
                                      candidate=cand)
         assert deviation.comparable
         assert deviation.max_deviation == 0.25
-        assert deviation.event_names == []
 
-    def test_port_deviations_mark_asymmetric_ports(self):
+    def test_port_deviations_ignore_one_sided_ports(self):
         from repro.tools.instr.measure import InstructionProfile
 
         ref = InstructionProfile(name="X", latency=None, throughput=None,
                                  uops=None, ports={"0": 0.5, "1": 0.5})
         cand = InstructionProfile(name="X", latency=None, throughput=None,
-                                  uops=None, ports={"0": 0.5, "6": 0.5})
+                                  uops=None, ports={"0": 0.25, "6": 0.5})
         deviation = ProfileDeviation(name="X", reference=ref, candidate=cand)
-        table = deviation.port_deviations
-        assert table["0"] == 0.0
-        assert table["1"] is SKIPPED
-        assert table["6"] is SKIPPED
+        assert deviation.port_deviations == {"0": 0.25}
 
 
 # ----------------------------------------------------------------------
@@ -195,11 +184,8 @@ class TestDifferentialFuzzer:
         analytic = fuzzer.run_analytic(kernel)
         assert "MEM_LOAD_RETIRED.L1_HIT" in serial.values
         assert "MEM_LOAD_RETIRED.L1_HIT" not in analytic.values
-        deviation = ProfileDeviation(
-            name="k", reference_values=serial.values,
-            candidate_values=analytic.values,
-        )
-        assert "MEM_LOAD_RETIRED.L1_HIT" in deviation.skipped_events
+        assert "MEM_LOAD_RETIRED.L1_HIT" not in band_violations(
+            serial.values, analytic.values, 0.0, 0.0)
 
     def test_small_campaign_finds_no_exact_divergence(self):
         result = DifferentialFuzzer(seed=0, jobs=2).run(20)
@@ -234,6 +220,19 @@ class TestDifferentialFuzzer:
         record = _record(category="analytic")
         # The analytic model matches a plain ALU kernel within band.
         assert fuzzer.recheck_record(record) is None
+
+    def test_recheck_judges_a_router_record_by_the_router_band(self):
+        # The audit saw this kernel deviate by 4.375 cycles against the
+        # router's 0.5-cycle band; the fuzzer's band (16 cycles) would
+        # call the backends in agreement.
+        fuzzer = DifferentialFuzzer(seed=0, jobs=1)
+        record = _record(category="router", asm="jnz fz1_0; lfence; fz1_0:",
+                         asm_init="", unroll_count=1, loop_count=8)
+        disagreement = fuzzer.recheck_record(record)
+        assert disagreement is not None
+        assert "Core cycles" in disagreement
+        assert fuzzer.recheck_record(replace(record, category="analytic")) \
+            is None
 
     def test_render_mentions_coverage_and_counts(self):
         result = DifferentialFuzzer(seed=0, jobs=1,

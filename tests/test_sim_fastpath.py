@@ -102,7 +102,7 @@ class TestStoreFrontEndSlots:
 @pytest.mark.no_chaos
 class TestCacheRepairAccounting:
     def _cache(self):
-        return LRUCache(8, fingerprint=lambda value: value, name="test")
+        return LRUCache(8, name="test")
 
     def test_repair_counts_as_miss_not_hit(self):
         cache = self._cache()
