@@ -271,3 +271,169 @@ class TestSystem:
         run(core, "prefetcht0 [R14+128]")
         assert core.hierarchy.probe_level(
             core.virt_to_phys(0x100000 + 128)) >= 1
+
+
+# ----------------------------------------------------------------------
+# A pinned semantics stream: every mnemonic with semantics, over the
+# operand shapes of the instruction corpus, from seeded register, flag
+# and memory states, with the state (or fault) after each instruction
+# hashed.  A rewrite of the executors must keep the digest.
+
+#: Mnemonics the corpus never uses, and the corpus mnemonic whose
+#: operands they borrow (``None``: no operands).
+_PIN_BORROW = {
+    "ADDSS": "ADDSD", "MULSS": "MULSD", "CLFLUSHOPT": "CLFLUSH",
+    "PREFETCHNTA": "CLFLUSH", "PREFETCHT0": "CLFLUSH",
+    "PREFETCHT1": "CLFLUSH", "PREFETCHT2": "CLFLUSH",
+    "IDIV": "DIV", "MUL": "DIV", "MOVAPD": "MOVAPS", "MOVUPS": "MOVAPS",
+    "VMOVAPS": "MOVAPS", "VMOVDQA": "MOVAPS", "VMOVDQU": "MOVAPS",
+    "MOVD": "MOVQ", "VADDPD": "VADDPS", "VMULPS": "VADDPS",
+    "VPADDQ": "VPADDD", "VPAND": "VPXOR", "VXORPS": "VPXOR",
+}
+#: Malformed or rare forms, to pin the fault paths as well.
+_PIN_EXTRA = (
+    "lea RAX, RBX", "clflush RAX", "prefetcht0 RAX", "add 5, RAX",
+    "mov 5, RAX", "imul RAX, RBX, 7", "imul RBX", "push 9",
+    "pop qword ptr [R14]", "xchg [R14], RAX", "movsx EAX, BH",
+    "mov AH, BL", "mov word ptr [RBX+RCX*4+8], CX", "shl RAX, CL",
+    "sar EAX, CL", "rol AX, CL", "bts RAX, RCX", "btr EAX, 35",
+    "neg byte ptr [R14]", "not AH", "sub AL, 200",
+)
+_PIN_VALUES = (0, 1, 2, 31, 32, 63, 64, 0x7F, 0x80, 0xFFFFFFFF,
+               1 << 31, 1 << 63, (1 << 64) - 1)
+
+
+class _PinContext:
+    """A deterministic machine for the pinned stream: sparse memory
+    whose unwritten bytes are a function of the address, and counter,
+    MSR and clock reads that are functions of their index."""
+
+    def __init__(self, seed, kernel):
+        from repro.x86.registers import RegisterFile
+
+        self.regs = RegisterFile()
+        self.seed = seed
+        self.kernel = kernel
+        self.memory = {}
+        self.log = []
+
+    def _byte(self, address):
+        if address not in self.memory:
+            return ((address * 2654435761 + self.seed) >> 5) & 0xFF
+        return self.memory[address]
+
+    def read_memory(self, address, size):
+        self.log.append(("read", address, size))
+        return int.from_bytes(bytes(self._byte(address + i)
+                                    for i in range(size)), "little")
+
+    def write_memory(self, address, size, value):
+        for i, byte in enumerate(value.to_bytes(size, "little")):
+            self.memory[address + i] = byte
+
+    def is_kernel_mode(self):
+        return self.kernel
+
+    def rdmsr(self, index):
+        return (index * 0x9E3779B97F4A7C15 + self.seed) & ((1 << 64) - 1)
+
+    def wrmsr(self, index, value):
+        self.log.append(("wrmsr", index, value))
+
+    def rdpmc(self, index):
+        return (index * 0x2545F4914F6CDD1D + self.seed) & ((1 << 48) - 1)
+
+    def rdtsc(self):
+        return 0x1234_5678_9ABC + self.seed
+
+    def cpuid(self, eax, ecx):
+        return eax ^ 0x16, ecx + 1, eax & 0xFF, self.seed
+
+    def wbinvd(self):
+        self.log.append(("wbinvd",))
+
+    def clflush(self, address):
+        self.log.append(("clflush", address))
+
+    def prefetch(self, address, level):
+        self.log.append(("prefetch", address, level))
+
+
+def _pin_instructions():
+    from repro.tools.instr.corpus import build_corpus
+    from repro.x86 import semantics
+    from repro.x86.assembler import parse_statement
+    from repro.x86.instructions import Instruction
+
+    seen = {}
+    for variant in build_corpus():
+        for asm in (variant.init_asm, variant.latency_asm,
+                    variant.throughput_asm):
+            for instr in assemble(asm).instructions if asm else ():
+                seen.setdefault(instr.mnemonic, {})[str(instr)] = instr
+    instructions = []
+    for mnemonic in semantics.supported_mnemonics():
+        if mnemonic in seen:
+            forms = [seen[mnemonic][text] for text in sorted(seen[mnemonic])]
+        elif mnemonic.startswith("J"):
+            forms = [Instruction(mnemonic, (), target="L")]
+        elif mnemonic[:3] in ("CMO", "SET"):
+            donors = [m for m in sorted(seen) if m[:3] == mnemonic[:3]]
+            forms = [Instruction(mnemonic, instr.operands)
+                     for m in donors for _, instr in sorted(seen[m].items())]
+        elif mnemonic in _PIN_BORROW:
+            donor = seen[_PIN_BORROW[mnemonic]]
+            forms = [Instruction(mnemonic, donor[text].operands)
+                     for text in sorted(donor)]
+        else:
+            forms = [Instruction(mnemonic)]
+        instructions.extend(forms)
+    instructions.extend(parse_statement(text) for text in _PIN_EXTRA)
+    instructions.append(Instruction("LEA", (parse_statement(
+        "mov RAX, RBX").operands[0],)))
+    return instructions
+
+
+def _pin_stream(trials):
+    """``(instruction, trial, outcome, state)`` records, one per run."""
+    import random
+
+    from repro.x86 import semantics
+    from repro.x86.registers import FLAGS, GPR64, ZMM
+
+    for instr in _pin_instructions():
+        for trial in range(trials):
+            rng = random.Random("%s|%d" % (instr, trial))
+            ctx = _PinContext(rng.getrandbits(16), kernel=trial % 2 == 1)
+            for name in GPR64:
+                ctx.regs.write(name, rng.choice(_PIN_VALUES)
+                               if rng.random() < 0.4 else rng.getrandbits(64))
+            for name in ZMM:
+                ctx.regs.write(name, rng.getrandbits(512))
+            for flag in FLAGS:
+                ctx.regs.write_flag(flag, rng.random() < 0.5)
+            try:
+                outcome = ("ok", semantics.execute(ctx, instr))
+            except Exception as exc:  # faults are part of the stream
+                outcome = (type(exc).__name__, str(exc))
+            yield (str(instr), trial, outcome, ctx.regs.fingerprint(),
+                   sorted(ctx.memory.items()), ctx.log)
+
+
+class TestPinnedSemantics:
+    def test_every_mnemonic_is_covered(self):
+        from repro.x86 import semantics
+
+        covered = {instr.mnemonic for instr in _pin_instructions()}
+        assert covered == set(semantics.supported_mnemonics())
+
+    def test_stream_digest(self):
+        import hashlib
+
+        digest = hashlib.sha256()
+        faults = 0
+        for record in _pin_stream(trials=4):
+            digest.update(repr(record).encode())
+            faults += record[2][0] != "ok"
+        assert faults > 0
+        assert digest.hexdigest()[:24] == "f18f5edcf6e9b53dfb437a9d"
