@@ -9,7 +9,8 @@ user-space version."
 
 The reproduced shape: the kernel version is ~3x cheaper per invocation
 than the user-space version, both in the tens-of-milliseconds range
-(modelled wall time; the host time of the simulation is also reported).
+(modelled wall time).  The host time of the simulation is printed, not
+written to the results file, which stays byte-identical across runs.
 """
 
 import pytest
@@ -55,12 +56,14 @@ def test_e3_execution_time(benchmark, report):
     rows = run_once(benchmark, experiment)
 
     report("E3_exec_time", "\n".join([
-        "variant   paper     modelled   (program runs, host seconds)",
-        "kernel    ~15 ms    %5.1f ms   (%d runs, %.2f s simulated on host)"
-        % (rows["kernel_ms"], rows["kernel_runs"], rows["kernel_host_s"]),
-        "user      ~50 ms    %5.1f ms   (%d runs, %.2f s simulated on host)"
-        % (rows["user_ms"], rows["user_runs"], rows["user_host_s"]),
+        "variant   paper     modelled   (program runs)",
+        "kernel    ~15 ms    %5.1f ms   (%d runs)"
+        % (rows["kernel_ms"], rows["kernel_runs"]),
+        "user      ~50 ms    %5.1f ms   (%d runs)"
+        % (rows["user_ms"], rows["user_runs"]),
     ]))
+    print("host seconds simulated: kernel %.2f s, user %.2f s"
+          % (rows["kernel_host_s"], rows["user_host_s"]))
 
     assert 10 <= rows["kernel_ms"] <= 25       # ~15 ms
     assert 35 <= rows["user_ms"] <= 70         # ~50 ms

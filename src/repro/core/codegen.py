@@ -26,6 +26,7 @@ straddling µops cannot leak across the boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -130,24 +131,44 @@ class GeneratedCode:
                 for i in range(len(self.counters))]
 
 
+# ----------------------------------------------------------------------
+# Measurement-block instructions.  Every generated program shares the
+# same instruction objects, so the simulator decodes each one once per
+# process (by identity, without hashing its value).  The per-counter
+# and per-address memos are bounded.
+# ----------------------------------------------------------------------
+
+#: Bound on each memo of shared measurement-block instructions.
+SHARED_INSTRUCTION_LIMIT = 256
+
+
 def _mem(address: int, size: int = 8) -> MemoryOperand:
     return MemoryOperand(displacement=address, size=size)
 
 
+@functools.lru_cache(maxsize=SHARED_INSTRUCTION_LIMIT)
 def _mov_imm(register: str, value: int) -> Instruction:
     return Instruction("MOV", (Register(register), Immediate(value, width=64)))
 
 
-def _serializer_instructions(serializer: str) -> List[Instruction]:
+@functools.lru_cache(maxsize=SHARED_INSTRUCTION_LIMIT)
+def _store(address: int, register: str) -> Instruction:
+    """``MOV [address], register``: a result store."""
+    return Instruction("MOV", (_mem(address), Register(register)))
+
+
+_LFENCE = Instruction("LFENCE")
+#: CPUID: set RAX to a fixed value first, which removes the
+#: input-dependent µop-count variation (but not the latency jitter).
+_CPUID_SERIALIZER = (
+    Instruction("MOV", (Register("RAX"), Immediate(0))),
+    Instruction("CPUID"),
+)
+
+
+def _serializer_instructions(serializer: str) -> Tuple[Instruction, ...]:
     """Serialization barrier around counter reads (Section IV-A1)."""
-    if serializer == "lfence":
-        return [Instruction("LFENCE")]
-    # CPUID: set RAX to a fixed value first, which removes the
-    # input-dependent µop-count variation (but not the latency jitter).
-    return [
-        Instruction("MOV", (Register("RAX"), Immediate(0))),
-        Instruction("CPUID"),
-    ]
+    return (_LFENCE,) if serializer == "lfence" else _CPUID_SERIALIZER
 
 
 #: Status flags a counter read leaves holding a function of the counter
@@ -155,39 +176,31 @@ def _serializer_instructions(serializer: str) -> List[Instruction]:
 #: value and clears CF, OF and AF.
 COUNTER_READ_FLAGS = frozenset({"ZF", "SF", "PF"})
 
+_RDPMC = Instruction("RDPMC")
+_RDMSR = Instruction("RDMSR")
+_COUNTER_COMBINE = (
+    Instruction("SHL", (Register("RDX"), Immediate(32))),
+    Instruction("OR", (Register("RAX"), Register("RDX"))),
+)
 
-def _read_one_counter(counter: CounterRead) -> List[Instruction]:
+
+@functools.lru_cache(maxsize=SHARED_INSTRUCTION_LIMIT)
+def _read_one_counter(counter: CounterRead) -> Tuple[Instruction, ...]:
     """RDPMC/RDMSR one counter into RAX (clobbers RCX/RDX)."""
     if counter.kind == "msr":
-        read = Instruction("RDMSR")
-        index = counter.index
+        read, index = _RDMSR, counter.index
     else:
-        read = Instruction("RDPMC")
-        index = counter.rdpmc_index
-    return [
-        _mov_imm("RCX", index),
-        read,
-        Instruction("SHL", (Register("RDX"), Immediate(32))),
-        Instruction("OR", (Register("RAX"), Register("RDX"))),
-    ]
+        read, index = _RDPMC, counter.rdpmc_index
+    return (_mov_imm("RCX", index), read) + _COUNTER_COMBINE
 
 
-def _spill_regs() -> List[Instruction]:
-    base = MEASUREMENT_AREA_BASE + _SPILL_OFFSET
-    return [
-        Instruction("MOV", (_mem(base + 0), Register("RAX"))),
-        Instruction("MOV", (_mem(base + 8), Register("RCX"))),
-        Instruction("MOV", (_mem(base + 16), Register("RDX"))),
-    ]
-
-
-def _restore_regs() -> List[Instruction]:
-    base = MEASUREMENT_AREA_BASE + _SPILL_OFFSET
-    return [
-        Instruction("MOV", (Register("RAX"), _mem(base + 0))),
-        Instruction("MOV", (Register("RCX"), _mem(base + 8))),
-        Instruction("MOV", (Register("RDX"), _mem(base + 16))),
-    ]
+_SPILL_ADDRESS = MEASUREMENT_AREA_BASE + _SPILL_OFFSET
+_SPILL_REGS = tuple(_store(_SPILL_ADDRESS + 8 * i, register)
+                    for i, register in enumerate(("RAX", "RCX", "RDX")))
+_RESTORE_REGS = tuple(
+    Instruction("MOV", (Register(register), _mem(_SPILL_ADDRESS + 8 * i)))
+    for i, register in enumerate(("RAX", "RCX", "RDX"))
+)
 
 
 def read_perf_ctrs_to_memory(
@@ -199,16 +212,15 @@ def read_perf_ctrs_to_memory(
     RAX/RCX/RDX are spilled first and restored afterwards.
     """
     instructions: List[Instruction] = []
-    instructions += _spill_regs()
+    instructions += _SPILL_REGS
     instructions += _serializer_instructions(serializer)
     for i, counter in enumerate(counters):
         instructions += _read_one_counter(counter)
-        address = MEASUREMENT_AREA_BASE + out_offset + 8 * i
         instructions.append(
-            Instruction("MOV", (_mem(address), Register("RAX")))
+            _store(MEASUREMENT_AREA_BASE + out_offset + 8 * i, "RAX")
         )
     instructions += _serializer_instructions(serializer)
-    instructions += _restore_regs()
+    instructions += _RESTORE_REGS
     return instructions
 
 
@@ -236,30 +248,28 @@ def read_perf_ctrs_nomem(
     for register, counter in zip(NOMEM_REGISTERS, counters):
         instructions += _read_one_counter(counter)
         if first:
-            # R = -value
-            instructions.append(
-                Instruction("XOR", (Register(register), Register(register)))
-            )
-            instructions.append(
-                Instruction("SUB", (Register(register), Register("RAX")))
-            )
+            instructions += _NOMEM_NEGATE[register]  # R = -value
         else:
-            instructions.append(
-                Instruction("ADD", (Register(register), Register("RAX")))
-            )
+            instructions.append(_NOMEM_ADD[register])
     instructions += _serializer_instructions(serializer)
     return instructions
 
 
+_NOMEM_NEGATE = {
+    register: (Instruction("XOR", (Register(register), Register(register))),
+               Instruction("SUB", (Register(register), Register("RAX"))))
+    for register in NOMEM_REGISTERS
+}
+_NOMEM_ADD = {
+    register: Instruction("ADD", (Register(register), Register("RAX")))
+    for register in NOMEM_REGISTERS
+}
+
+
 def _dump_nomem_registers(counters: Sequence[CounterRead]) -> List[Instruction]:
     """Store the accumulated noMem registers after the measurement."""
-    instructions = []
-    for i, register in enumerate(NOMEM_REGISTERS[:len(counters)]):
-        address = MEASUREMENT_AREA_BASE + _NOMEM_OUT_OFFSET + 8 * i
-        instructions.append(
-            Instruction("MOV", (_mem(address), Register(register)))
-        )
-    return instructions
+    return [_store(MEASUREMENT_AREA_BASE + _NOMEM_OUT_OFFSET + 8 * i, register)
+            for i, register in enumerate(NOMEM_REGISTERS[:len(counters)])]
 
 
 def _replace_magic_sequences(
@@ -279,11 +289,11 @@ def _replace_magic_sequences(
     replaced: List[Instruction] = []
     for instr in body:
         if instr.mnemonic == "PAUSE_COUNTING":
-            replaced.append(Instruction("LFENCE"))
+            replaced.append(_LFENCE)
             replaced.append(instr)
         elif instr.mnemonic == "RESUME_COUNTING":
             replaced.append(instr)
-            replaced.append(Instruction("LFENCE"))
+            replaced.append(_LFENCE)
         else:
             replaced.append(instr)
     return replaced
@@ -312,7 +322,7 @@ def _unroll_region_for(
     memory absolutely and regenerate RAX/RCX/RDX themselves, so no
     other register value reaches a counter value, address or branch.
     The one place a body register value lands is the memory-mode
-    counter read's spill of RAX/RCX/RDX (``_spill_regs``), restored
+    counter read's spill of RAX/RCX/RDX (``_SPILL_REGS``), restored
     unchanged and read by nothing else; those spill slots may therefore
     differ from exact execution.
     """
@@ -328,6 +338,13 @@ def _unroll_region_for(
         if not protected.isdisjoint(decode_flow(instr).destinations):
             return None
     return (start_index, len(body), copies)
+
+
+#: The loop's counter update and back-edge (Section III-B).
+_LOOP_TAIL = (
+    Instruction("SUB", (Register(LOOP_REGISTER), Immediate(1))),
+    Instruction("JNZ", (), target="nb_loop"),
+)
 
 
 def ensure_unrollable(code: Program, unroll_count: int) -> None:
@@ -387,10 +404,7 @@ def generate(
             counters, looped=True,
         )
         instructions.extend(unrolled)
-        instructions.append(
-            Instruction("SUB", (Register(LOOP_REGISTER), Immediate(1)))
-        )
-        instructions.append(Instruction("JNZ", (), target="nb_loop"))
+        instructions += _LOOP_TAIL
     else:
         if code.labels and local_unroll_count == 1:
             # A single, un-unrolled copy keeps its internal labels.

@@ -12,7 +12,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..errors import MemoryError_, RunawayBenchmarkError, TimingModelError
 from ..memory.cache import Cache, CacheGeometry
@@ -66,33 +67,75 @@ _EXACT_FLOAT_INTS = 1 << 53
 #: Mnemonics with functional semantics (a clean body needs one each).
 _EXECUTABLE = frozenset(semantics.supported_mnemonics())
 
-#: Bound on the process-wide decode memo, in distinct instruction
-#: values; the memo is emptied when it is full.
+#: Bound on the process-wide decode memo and on its id front, in
+#: distinct instruction values (objects); each is emptied when full.
 DECODE_MEMO_LIMIT = 1 << 13
 
-#: Process-wide decode memo: ``instr -> (flow, timings)``, keyed by the
-#: instruction's value (its mnemonic, operands and target), so every
-#: core and every newly generated program shares one decode of each
-#: distinct instruction.  ``timings`` maps a timing table's ``(family,
-#: move_elimination)`` to ``(timing, fast_path_unsafe)``; it is filled
-#: by successful lookups only, so a :class:`TimingModelError` is raised
-#: again at every use.  Dataflow depends on the value alone.
-_DECODE_MEMO: Dict[Instruction, Tuple[Dataflow, Dict[tuple, tuple]]] = {}
+
+class Decoded(NamedTuple):
+    """Everything about one instruction that its value decides.
+
+    ``execute`` is the bound executor (:func:`semantics.bind`); each
+    memory operand the instruction loads or stores becomes an
+    ``(address, registers_read)`` pair of its plan, where ``address``
+    is the effective-address closure.  ``timings`` maps a timing
+    table's ``(family, move_elimination)`` to ``(timing,
+    fast_path_unsafe)``; it is filled by successful lookups only, so a
+    :class:`TimingModelError` is raised again at every use.
+    """
+
+    flow: Dataflow
+    timings: Dict[tuple, tuple]
+    execute: Callable
+    is_branch: bool
+    loads: Tuple[Tuple[Callable, Tuple[str, ...]], ...]
+    stores: Tuple[Tuple[Callable, Tuple[str, ...]], ...]
 
 
-def _decoded(instr: Instruction) -> Tuple[Dataflow, Dict[tuple, tuple]]:
-    """The decode-memo entry of *instr* (dataflow analysed on a miss)."""
-    entry = _DECODE_MEMO.get(instr)
-    if entry is None:
+def _memory_plan(operands) -> tuple:
+    return tuple((semantics.bind_address(mem), mem.registers_read)
+                 for mem in operands)
+
+
+#: Process-wide decode memo, keyed by the instruction's value (its
+#: mnemonic, operands and target), so every core and every newly
+#: generated program shares one decode of each distinct instruction.
+_DECODE_MEMO: Dict[Instruction, Decoded] = {}
+
+#: Its id front: ``id(instr) -> (instr, record)``.  The measurement
+#: blocks and the cached programs hand every new core the same
+#: instruction objects, and an id lookup skips hashing the value.  An
+#: entry holds a strong reference, keeping the id stable; the front is
+#: emptied whenever the memo is, so it never serves a record the memo
+#: has dropped.
+_DECODE_IDS: Dict[int, Tuple[Instruction, Decoded]] = {}
+
+
+def _decoded(instr: Instruction) -> Decoded:
+    """The decode record of *instr* (built on a memo miss)."""
+    hit = _DECODE_IDS.get(id(instr))
+    if hit is not None and hit[0] is instr and _DECODE_MEMO:
+        return hit[1]
+    record = _DECODE_MEMO.get(instr)
+    if record is None:
         if len(_DECODE_MEMO) >= DECODE_MEMO_LIMIT:
             _DECODE_MEMO.clear()
-        entry = _DECODE_MEMO[instr] = (analyze(instr), {})
-    return entry
+        if not _DECODE_MEMO:
+            _DECODE_IDS.clear()
+        flow = analyze(instr)
+        record = _DECODE_MEMO[instr] = Decoded(
+            flow, {}, semantics.bind(instr), instr.spec.is_branch,
+            _memory_plan(flow.loads), _memory_plan(flow.stores),
+        )
+    if len(_DECODE_IDS) >= DECODE_MEMO_LIMIT:
+        _DECODE_IDS.clear()
+    _DECODE_IDS[id(instr)] = (instr, record)
+    return record
 
 
 def decode_flow(instr: Instruction) -> Dataflow:
     """The dataflow of *instr*, read through the process-wide memo."""
-    return _decoded(instr)[0]
+    return _decoded(instr).flow
 
 
 def _fast_path_default() -> bool:
@@ -195,6 +238,18 @@ class SimulatedCore:
         self._port_metric_names = tuple(
             "uops_port_%s" % port for port in self.layout.ports
         )
+        #: Memory metric names: ``(misses, walks, stlb_hits)`` per
+        #: ``is_store`` and ``(lookups, misses)`` per L3 slice.
+        self._tlb_metric_names = tuple(
+            tuple("%s_%s" % (prefix, what)
+                  for what in ("misses", "walks", "stlb_hits"))
+            for prefix in ("dtlb_load", "dtlb_store")
+        )
+        self._cbox_metric_names = tuple(
+            ("cbox%d_lookups" % i, "cbox%d_misses" % i)
+            for i in range(l3.geometry.n_slices if l3 is not None else 0)
+        )
+        self._line_size = self.hierarchy.l1.geometry.line_size
         self.pmu = PerformanceMonitoringUnit(
             self.metrics,
             n_programmable=spec.n_programmable_counters,
@@ -233,12 +288,12 @@ class SimulatedCore:
         self.fast_path_enabled = _fast_path_default()
         #: Simulator-throughput observability counters.
         self.sim_stats = SimStats()
-        #: Identity cache in front of the process-wide decode memo
-        #: (``_DECODE_MEMO``): ``id(instr) -> [instr, flow,
-        #: timing|None, fast_path_unsafe]``.  Unrolled programs repeat
-        #: the *same* ``Instruction`` objects thousands of times, and an
-        #: id lookup skips hashing the instruction's value.  The entry
-        #: holds a strong reference, keeping the id stable.
+        #: This core's decode entries: ``id(instr) -> [instr, record,
+        #: timing|None, fast_path_unsafe]``, with the process-wide
+        #: :class:`Decoded` record and this core's timing of it.
+        #: Unrolled programs repeat the *same* ``Instruction`` objects
+        #: thousands of times.  The entry holds a strong reference,
+        #: keeping the id stable.
         self._decode_cache: Dict[int, list] = {}
         #: The run being logged for :meth:`replay_run`, if any.
         self._run_log: Optional[_RunLog] = None
@@ -335,48 +390,40 @@ class SimulatedCore:
     # Execution
     # ==================================================================
     def _plan_memory_accesses(
-        self, flow: Dataflow
+        self, record: Decoded
     ) -> Tuple[List[MemoryAccessPlan], List[MemoryAccessPlan]]:
         """Resolve the instruction's memory operands to timed accesses."""
-        loads: List[MemoryAccessPlan] = []
-        stores: List[MemoryAccessPlan] = []
-        line = self.hierarchy.l1.geometry.line_size
-        for mem in flow.loads:
-            virtual = semantics.effective_address(self, mem)
-            physical = self.address_space.translate(virtual)
-            tlb = self.tlb.access(virtual)
-            self._record_tlb_metrics(tlb, is_store=False)
-            result = self.hierarchy.access(physical)
-            self._record_memory_metrics(result, is_store=False)
-            loads.append(MemoryAccessPlan(
-                line_address=physical - physical % line,
-                latency=result.latency + tlb.penalty,
-                address_registers=mem.registers_read,
-            ))
-        for mem in flow.stores:
-            virtual = semantics.effective_address(self, mem)
-            physical = self.address_space.translate(virtual)
-            tlb = self.tlb.access(virtual)
-            self._record_tlb_metrics(tlb, is_store=True)
-            result = self.hierarchy.access(physical, is_write=True)
-            self._record_memory_metrics(result, is_store=True)
-            stores.append(MemoryAccessPlan(
-                line_address=physical - physical % line,
-                latency=result.latency + tlb.penalty,
-                address_registers=mem.registers_read,
-                is_store=True,
-            ))
-        return loads, stores
+        access = self._access
+        return ([access(address, registers, False)
+                 for address, registers in record.loads],
+                [access(address, registers, True)
+                 for address, registers in record.stores])
+
+    def _access(self, address, registers: Tuple[str, ...],
+                is_store: bool) -> MemoryAccessPlan:
+        """One planned access through the TLB and the cache hierarchy."""
+        virtual = address(self)
+        physical = self.address_space.translate(virtual)
+        tlb = self.tlb.access(virtual)
+        self._record_tlb_metrics(tlb, is_store=is_store)
+        result = self.hierarchy.access(physical, is_write=is_store)
+        self._record_memory_metrics(result, is_store=is_store)
+        return MemoryAccessPlan(
+            line_address=physical - physical % self._line_size,
+            latency=result.latency + tlb.penalty,
+            address_registers=registers,
+            is_store=is_store,
+        )
 
     def _record_tlb_metrics(self, result, *, is_store: bool) -> None:
         if result.dtlb_hit:
             return
-        prefix = "dtlb_store" if is_store else "dtlb_load"
-        self.metrics.add("%s_misses" % prefix)
+        misses, walks, stlb_hits = self._tlb_metric_names[is_store]
+        self.metrics.add(misses)
         if result.caused_walk:
-            self.metrics.add("%s_walks" % prefix)
+            self.metrics.add(walks)
         else:
-            self.metrics.add("%s_stlb_hits" % prefix)
+            self.metrics.add(stlb_hits)
 
     def _record_memory_metrics(self, result, *, is_store: bool) -> None:
         metrics = self.metrics
@@ -395,9 +442,10 @@ class SimulatedCore:
                     elif result.level == 4:
                         metrics.add("l3_miss")
         if result.l3_slice is not None:
-            metrics.add("cbox%d_lookups" % result.l3_slice)
+            lookups, misses = self._cbox_metric_names[result.l3_slice]
+            metrics.add(lookups)
             if result.level == 4:
-                metrics.add("cbox%d_misses" % result.l3_slice)
+                metrics.add(misses)
 
     def _publish(self, retired: int = 0) -> None:
         """Bring the scheduler-derived counter metrics up to date.
@@ -511,16 +559,16 @@ class SimulatedCore:
 
     # ------------------------------------------------------------------
     def _decode(self, instr: Instruction) -> list:
-        """Decode-cache entry for *instr* (flow now, timing lazily)."""
+        """Decode-cache entry for *instr* (record now, timing lazily)."""
         cache = self._decode_cache
         if len(cache) >= (1 << 16):
             cache.clear()
-        flow, timings = _decoded(instr)
+        record = _decoded(instr)
         table = self.timing_table
-        timing, unsafe = timings.get(
+        timing, unsafe = record.timings.get(
             (table.family, table.move_elimination), (None, True)
         )
-        entry = [instr, flow, timing, unsafe]
+        entry = [instr, record, timing, unsafe]
         cache[id(instr)] = entry
         return entry
 
@@ -528,10 +576,10 @@ class SimulatedCore:
         """Fill the timing half of a decode entry (first timed use)."""
         table = self.timing_table
         timing = table.lookup(instr)
-        flow = entry[1]
+        record = entry[1]
         spec = instr.spec
         unsafe = bool(
-            flow.loads or flow.stores
+            record.loads or record.stores
             or timing.is_fence or timing.microcoded or timing.latency_jitter
             or spec.is_branch or spec.privileged or spec.serializing
             or spec.pseudo
@@ -539,7 +587,7 @@ class SimulatedCore:
         )
         entry[2] = timing
         entry[3] = unsafe
-        _decoded(instr)[1][(table.family, table.move_elimination)] = (
+        record.timings[(table.family, table.move_elimination)] = (
             timing, unsafe
         )
         return timing
@@ -621,14 +669,14 @@ class SimulatedCore:
                 entry = decode_cache.get(id(instr))
                 if entry is None or entry[0] is not instr:
                     entry = self._decode(instr)
-                flow = entry[1]
-                is_branch = instr.spec.is_branch
+                record = entry[1]
+                is_branch = record.is_branch
                 if timed:
                     timing = entry[2]
                     if timing is None:
                         timing = self._decode_timing(instr, entry)
-                    if flow.loads or flow.stores:
-                        loads, stores = self._plan_memory_accesses(flow)
+                    if record.loads or record.stores:
+                        loads, stores = self._plan_memory_accesses(record)
                     else:
                         loads = stores = ()
 
@@ -639,10 +687,11 @@ class SimulatedCore:
                         if mnemonic == "JMP":
                             branch_taken = True
                         else:
-                            branch_taken = semantics._condition_holds(
+                            branch_taken = semantics.condition_holds(
                                 self.regs, mnemonic[1:]
                             )
 
+                    flow = record.flow
                     scheduled = scheduler.schedule(
                         timing,
                         sources=flow.sources,
@@ -673,8 +722,8 @@ class SimulatedCore:
                 else:
                     # Fast functional mode: exact cache behaviour and event
                     # counts, no cycle accounting.
-                    if flow.loads or flow.stores:
-                        self._plan_memory_accesses(flow)
+                    if record.loads or record.stores:
+                        self._plan_memory_accesses(record)
                     executed += 1
                     if is_branch:
                         metrics.add("branches")
@@ -686,7 +735,7 @@ class SimulatedCore:
                     if entry[3] and mnemonic in _COUNTER_ACCESS:
                         self._publish(executed - published)
                         published = executed
-                    target = semantics.execute(self, instr)
+                    target = record.execute(self)
                 if executed > max_instructions:
                     # Structured watchdog trip (a RunawayBenchmarkError is an
                     # ExecutionError, preserving the historical contract).

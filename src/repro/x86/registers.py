@@ -95,6 +95,20 @@ def _build_views() -> Dict[str, RegisterView]:
 #: Mapping from every accepted register name to its view descriptor.
 REGISTER_VIEWS: Dict[str, RegisterView] = _build_views()
 
+def register_view(name: str) -> RegisterView:
+    """The view of register *name* (case-insensitive).
+
+    Operand names are upper-case already, so the name is upper-cased
+    only when it misses.
+    """
+    view = REGISTER_VIEWS.get(name)
+    if view is None:
+        view = REGISTER_VIEWS.get(name.upper())
+        if view is None:
+            raise KeyError("unknown register: %r" % (name,))
+    return view
+
+
 def is_register_name(name: str) -> bool:
     """Return whether *name* (case-insensitive) names a register."""
     return name.upper() in REGISTER_VIEWS
@@ -106,18 +120,12 @@ def canonical_register(name: str) -> str:
     >>> canonical_register("eax")
     'RAX'
     """
-    view = REGISTER_VIEWS.get(name.upper())
-    if view is None:
-        raise KeyError("unknown register: %r" % (name,))
-    return view.base
+    return register_view(name).base
 
 
 def register_width(name: str) -> int:
     """Return the width of register *name* in bits."""
-    view = REGISTER_VIEWS.get(name.upper())
-    if view is None:
-        raise KeyError("unknown register: %r" % (name,))
-    return view.width
+    return register_view(name).width
 
 
 class RegisterFile:
@@ -130,60 +138,60 @@ class RegisterFile:
     """
 
     def __init__(self) -> None:
-        self._gpr: Dict[str, int] = {r: 0 for r in GPR64}
-        self._gpr["RIP"] = 0
-        self._vec: Dict[str, int] = {r: 0 for r in ZMM}
-        self._flags: Dict[str, bool] = {f: False for f in FLAGS}
+        #: Values per canonical register and per flag.  The executors
+        #: that :mod:`repro.x86.semantics` binds read and write these
+        #: slots directly, with the masks of the operand's view.
+        self.gpr: Dict[str, int] = {r: 0 for r in GPR64}
+        self.gpr["RIP"] = 0
+        self.vec: Dict[str, int] = {r: 0 for r in ZMM}
+        self.flags: Dict[str, bool] = {f: False for f in FLAGS}
 
     # ------------------------------------------------------------------
     # General reads/writes
     # ------------------------------------------------------------------
     def read(self, name: str) -> int:
         """Read register *name*, returning its unsigned value."""
-        view = REGISTER_VIEWS[name.upper()]
-        store = self._vec if view.base in self._vec else self._gpr
+        view = register_view(name)
+        store = self.vec if view.base in self.vec else self.gpr
         return (store[view.base] >> view.shift) & ((1 << view.width) - 1)
 
     def write(self, name: str, value: int) -> None:
-        """Write *value* to register *name* with x86-64 aliasing rules."""
-        view = REGISTER_VIEWS[name.upper()]
+        """Write *value* to register *name* with x86-64 aliasing rules.
+
+        Vector writes zero the upper lanes (VEX/EVEX semantics), 32-bit
+        writes zero-extend into the full register, and 16- and 8-bit
+        writes keep the other bits.
+        """
+        view = register_view(name)
         value &= (1 << view.width) - 1
-        if view.base in self._vec:
-            if view.width in (128, 256):
-                # Vector writes zero the upper lanes (VEX/EVEX semantics).
-                self._vec[view.base] = value
-            else:
-                self._vec[view.base] = value
-            return
-        if view.width == 64:
-            self._gpr[view.base] = value
-        elif view.width == 32:
-            # 32-bit writes zero-extend into the full register.
-            self._gpr[view.base] = value
+        if view.base in self.vec:
+            self.vec[view.base] = value
+        elif view.width >= 32:
+            self.gpr[view.base] = value
         else:
-            old = self._gpr[view.base]
-            self._gpr[view.base] = (old & ~view.mask) | (value << view.shift)
+            old = self.gpr[view.base]
+            self.gpr[view.base] = (old & ~view.mask) | (value << view.shift)
 
     # ------------------------------------------------------------------
     # Flags
     # ------------------------------------------------------------------
     def read_flag(self, flag: str) -> bool:
-        return self._flags[flag]
+        return self.flags[flag]
 
     def write_flag(self, flag: str, value: bool) -> None:
-        self._flags[flag] = bool(value)
+        self.flags[flag] = bool(value)
 
     def read_rflags(self) -> int:
         """Return the RFLAGS value (modelled bits only, bit 1 set)."""
         value = 1 << 1  # reserved, always 1
         for flag, bit in FLAG_BITS.items():
-            if self._flags[flag]:
+            if self.flags[flag]:
                 value |= 1 << bit
         return value
 
     def write_rflags(self, value: int) -> None:
         for flag, bit in FLAG_BITS.items():
-            self._flags[flag] = bool(value & (1 << bit))
+            self.flags[flag] = bool(value & (1 << bit))
 
     # ------------------------------------------------------------------
     # Snapshots (saveRegs / restoreRegs of Algorithm 1)
@@ -191,24 +199,24 @@ class RegisterFile:
     def snapshot(self) -> "RegisterSnapshot":
         """Capture the full architectural state."""
         return RegisterSnapshot(
-            gpr=dict(self._gpr), vec=dict(self._vec), flags=dict(self._flags)
+            gpr=dict(self.gpr), vec=dict(self.vec), flags=dict(self.flags)
         )
 
     def restore(self, snap: "RegisterSnapshot") -> None:
         """Restore a previously captured state."""
-        self._gpr = dict(snap.gpr)
-        self._vec = dict(snap.vec)
-        self._flags = dict(snap.flags)
+        self.gpr = dict(snap.gpr)
+        self.vec = dict(snap.vec)
+        self.flags = dict(snap.flags)
 
     def fingerprint(self) -> tuple:
         """The full architectural state as one comparable value."""
-        return (tuple(self._gpr.items()), tuple(self._vec.items()),
-                tuple(self._flags.items()))
+        return (tuple(self.gpr.items()), tuple(self.vec.items()),
+                tuple(self.flags.items()))
 
     def differing_registers(self, snap: "RegisterSnapshot") -> Tuple[str, ...]:
         """Return canonical registers whose value differs from *snap*."""
-        diffs = [r for r, v in self._gpr.items() if snap.gpr.get(r) != v]
-        diffs += [r for r, v in self._vec.items() if snap.vec.get(r) != v]
+        diffs = [r for r, v in self.gpr.items() if snap.gpr.get(r) != v]
+        diffs += [r for r, v in self.vec.items() if snap.vec.get(r) != v]
         return tuple(diffs)
 
 

@@ -1,11 +1,19 @@
 """Functional semantics for the supported x86 subset.
 
-Each supported mnemonic has an executor ``_exec_<name>(ctx, instr)`` that
-updates architectural state through an :class:`ExecutionContext`.  The
-context abstracts the machine a benchmark runs on: the simulated core
-provides one backed by the cache hierarchy, the PMU, and the privilege
-model, so that e.g. ``RDMSR`` faults in user mode and ``WBINVD`` really
-flushes the simulated caches.
+Each supported mnemonic has a *binder* ``instr -> executor`` in one
+table.  A binder resolves the instruction's operands once: a register
+operand becomes an accessor of its view (base slot, shift, mask), an
+immediate its value, and a memory operand an effective-address closure.
+The executor it returns, ``(ctx) -> Optional[str]``, then updates
+architectural state through an :class:`ExecutionContext` with no
+per-call dispatch.  The simulated core binds each distinct instruction
+once, at decode (gem5 binds ``execute`` to its decoded ``StaticInst``
+the same way); :func:`execute` binds and runs in one call.
+
+The context abstracts the machine a benchmark runs on: the simulated
+core provides one backed by the cache hierarchy, the PMU, and the
+privilege model, so that e.g. ``RDMSR`` faults in user mode and
+``WBINVD`` really flushes the simulated caches.
 
 Executors return ``None`` to fall through, or a label name to branch to.
 """
@@ -13,13 +21,14 @@ Executors return ``None`` to fall through, or a label name to branch to.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from ..errors import ExecutionError, PrivilegeError
-from .instructions import CONDITION_FLAGS, Instruction
+from .instructions import Instruction
 from .operands import Immediate, MemoryOperand, Register
-from .registers import RegisterFile
+from .registers import ZMM, RegisterFile, register_view
 
 
 class ExecutionContext(Protocol):
@@ -50,38 +59,126 @@ class ExecutionContext(Protocol):
     def prefetch(self, address: int, level: int) -> None: ...
 
 
+#: A bound instruction: runs it against a context, returns a label or None.
+Executor = Callable[[ExecutionContext], Optional[str]]
+Reader = Callable[[ExecutionContext], int]
+Writer = Callable[[ExecutionContext, int], None]
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_VECTOR = frozenset(ZMM)
+#: PF per low result byte: even parity.
+_PARITY = tuple(bin(i).count("1") % 2 == 0 for i in range(256))
+
+
+def _fault(error: Exception):
+    """An accessor or executor that raises a fresh *error* when called.
+
+    Binding happens at decode, before the timing model and memory have
+    seen the instruction, so an operand its semantics reject faults
+    where it executes, as it always did.
+    """
+    kind, args = type(error), error.args
+
+    def fault(*_):
+        raise kind(*args)
+    return fault
+
+
+def _nothing(ctx) -> None:
+    return None
+
+
 # ----------------------------------------------------------------------
-# Operand access helpers
+# Operand accessors
 # ----------------------------------------------------------------------
 
-def effective_address(ctx: ExecutionContext, mem: MemoryOperand) -> int:
-    """Compute the virtual address a memory operand refers to."""
-    address = mem.displacement
-    if mem.base is not None:
-        address += ctx.regs.read(mem.base.base)
-    if mem.index is not None:
-        address += ctx.regs.read(mem.index.base) * mem.scale
-    return address & ((1 << 64) - 1)
+def bind_address(mem: MemoryOperand) -> Reader:
+    """The effective-address function of memory operand *mem*.
+
+    Address registers are read at their full canonical width.
+    """
+    disp = mem.displacement
+    base = mem.base.base if mem.base is not None else None
+    index = mem.index.base if mem.index is not None else None
+    scale = mem.scale
+    if base in _VECTOR or index in _VECTOR:
+        def address(ctx):
+            value = disp
+            if base is not None:
+                value += ctx.regs.read(base)
+            if index is not None:
+                value += ctx.regs.read(index) * scale
+            return value & _M64
+    elif base is None and index is None:
+        constant = disp & _M64
+
+        def address(ctx):
+            return constant
+    elif index is None:
+        def address(ctx):
+            return (ctx.regs.gpr[base] + disp) & _M64
+    elif base is None:
+        def address(ctx):
+            return (ctx.regs.gpr[index] * scale + disp) & _M64
+    else:
+        def address(ctx):
+            gpr = ctx.regs.gpr
+            return (gpr[base] + gpr[index] * scale + disp) & _M64
+    return address
 
 
-def read_operand(ctx: ExecutionContext, op) -> int:
+def _register_reader(name: str) -> Reader:
+    view = register_view(name)
+    base, shift, mask = view.base, view.shift, (1 << view.width) - 1
+    if base in _VECTOR:
+        return lambda ctx: ctx.regs.vec[base] & mask
+    if shift:
+        return lambda ctx: (ctx.regs.gpr[base] >> shift) & mask
+    return lambda ctx: ctx.regs.gpr[base] & mask
+
+
+def _register_writer(name: str) -> Writer:
+    """Writes with :meth:`RegisterFile.write`'s aliasing rules."""
+    view = register_view(name)
+    base, shift, mask = view.base, view.shift, (1 << view.width) - 1
+    if base in _VECTOR:
+        def write(ctx, value):
+            ctx.regs.vec[base] = value & mask
+    elif view.width >= 32:
+        def write(ctx, value):
+            ctx.regs.gpr[base] = value & mask
+    else:
+        keep = ~view.mask
+
+        def write(ctx, value):
+            gpr = ctx.regs.gpr
+            gpr[base] = (gpr[base] & keep) | ((value & mask) << shift)
+    return write
+
+
+def _reader(op) -> Reader:
     if isinstance(op, Register):
-        return ctx.regs.read(op.name)
+        return _register_reader(op.name)
     if isinstance(op, Immediate):
-        return op.value & ((1 << 64) - 1)
+        value = op.value & _M64
+        return lambda ctx: value
     if isinstance(op, MemoryOperand):
-        return ctx.read_memory(effective_address(ctx, op), op.size)
-    raise ExecutionError("cannot read operand: %r" % (op,))
+        address, size = bind_address(op), op.size
+        return lambda ctx: ctx.read_memory(address(ctx), size)
+    return _fault(ExecutionError("cannot read operand: %r" % (op,)))
 
 
-def write_operand(ctx: ExecutionContext, op, value: int) -> None:
+def _writer(op) -> Writer:
     if isinstance(op, Register):
-        ctx.regs.write(op.name, value)
-        return
+        return _register_writer(op.name)
     if isinstance(op, MemoryOperand):
-        ctx.write_memory(effective_address(ctx, op), op.size, value)
-        return
-    raise ExecutionError("cannot write operand: %r" % (op,))
+        address, size = bind_address(op), op.size
+
+        def write(ctx, value):
+            ctx.write_memory(address(ctx), size, value)
+        return write
+    return _fault(ExecutionError("cannot write operand: %r" % (op,)))
 
 
 def _operand_width(instr: Instruction, position: int = 0) -> int:
@@ -112,74 +209,71 @@ def _to_signed(value: int, width: int) -> int:
     return value
 
 
-def _parity(value: int) -> bool:
-    """PF: even parity of the least-significant byte."""
-    return bin(value & 0xFF).count("1") % 2 == 0
-
-
 # ----------------------------------------------------------------------
-# Flag updates
+# Flag updates (on ``RegisterFile.flags``)
 # ----------------------------------------------------------------------
 
-def _set_logic_flags(regs: RegisterFile, result: int, width: int) -> None:
-    regs.write_flag("CF", False)
-    regs.write_flag("OF", False)
-    regs.write_flag("AF", False)
-    regs.write_flag("ZF", (result & _mask(width)) == 0)
-    regs.write_flag("SF", bool(result & (1 << (width - 1))))
-    regs.write_flag("PF", _parity(result))
-
-
-def _set_add_flags(regs, a: int, b: int, carry_in: int, width: int) -> int:
+def _add_flags(flags, a: int, b: int, carry_in: int, width: int) -> int:
     raw = a + b + carry_in
     result = raw & _mask(width)
-    regs.write_flag("CF", raw > _mask(width))
+    flags["CF"] = raw > _mask(width)
     sa, sb = _to_signed(a, width), _to_signed(b, width)
     signed = sa + sb + carry_in
-    regs.write_flag("OF", not -(1 << (width - 1)) <= signed < (1 << (width - 1)))
-    regs.write_flag("AF", ((a & 0xF) + (b & 0xF) + carry_in) > 0xF)
-    regs.write_flag("ZF", result == 0)
-    regs.write_flag("SF", bool(result & (1 << (width - 1))))
-    regs.write_flag("PF", _parity(result))
+    flags["OF"] = not -(1 << (width - 1)) <= signed < (1 << (width - 1))
+    flags["AF"] = ((a & 0xF) + (b & 0xF) + carry_in) > 0xF
+    flags["ZF"] = result == 0
+    flags["SF"] = bool(result & (1 << (width - 1)))
+    flags["PF"] = _PARITY[result & 0xFF]
     return result
 
 
-def _set_sub_flags(regs, a: int, b: int, borrow_in: int, width: int) -> int:
+def _sub_flags(flags, a: int, b: int, borrow_in: int, width: int) -> int:
     raw = a - b - borrow_in
     result = raw & _mask(width)
-    regs.write_flag("CF", raw < 0)
+    flags["CF"] = raw < 0
     sa, sb = _to_signed(a, width), _to_signed(b, width)
     signed = sa - sb - borrow_in
-    regs.write_flag("OF", not -(1 << (width - 1)) <= signed < (1 << (width - 1)))
-    regs.write_flag("AF", ((a & 0xF) - (b & 0xF) - borrow_in) < 0)
-    regs.write_flag("ZF", result == 0)
-    regs.write_flag("SF", bool(result & (1 << (width - 1))))
-    regs.write_flag("PF", _parity(result))
+    flags["OF"] = not -(1 << (width - 1)) <= signed < (1 << (width - 1))
+    flags["AF"] = ((a & 0xF) - (b & 0xF) - borrow_in) < 0
+    flags["ZF"] = result == 0
+    flags["SF"] = bool(result & (1 << (width - 1)))
+    flags["PF"] = _PARITY[result & 0xFF]
     return result
 
 
-def _condition_holds(regs: RegisterFile, cc: str) -> bool:
-    cf = regs.read_flag("CF")
-    zf = regs.read_flag("ZF")
-    sf = regs.read_flag("SF")
-    of = regs.read_flag("OF")
-    pf = regs.read_flag("PF")
-    table = {
-        "O": of, "NO": not of,
-        "B": cf, "C": cf, "NAE": cf,
-        "AE": not cf, "NB": not cf, "NC": not cf,
-        "E": zf, "Z": zf,
-        "NE": not zf, "NZ": not zf,
-        "BE": cf or zf, "NA": cf or zf,
-        "A": not (cf or zf), "NBE": not (cf or zf),
-        "S": sf, "NS": not sf,
-        "P": pf, "NP": not pf,
-        "L": sf != of, "NGE": sf != of,
-        "GE": sf == of, "NL": sf == of,
-        "LE": zf or (sf != of), "NG": zf or (sf != of),
-        "G": not zf and sf == of, "NLE": not zf and sf == of,
-    }
-    return table[cc]
+#: Condition code -> predicate over the flags.
+_CONDITIONS: Dict[str, Callable[[Dict[str, bool]], bool]] = {}
+
+
+def _condition(*codes: str):
+    def wrap(predicate):
+        for code in codes:
+            _CONDITIONS[code] = predicate
+        return predicate
+    return wrap
+
+
+_condition("O")(lambda f: f["OF"])
+_condition("NO")(lambda f: not f["OF"])
+_condition("B", "C", "NAE")(lambda f: f["CF"])
+_condition("AE", "NB", "NC")(lambda f: not f["CF"])
+_condition("E", "Z")(lambda f: f["ZF"])
+_condition("NE", "NZ")(lambda f: not f["ZF"])
+_condition("BE", "NA")(lambda f: f["CF"] or f["ZF"])
+_condition("A", "NBE")(lambda f: not (f["CF"] or f["ZF"]))
+_condition("S")(lambda f: f["SF"])
+_condition("NS")(lambda f: not f["SF"])
+_condition("P")(lambda f: f["PF"])
+_condition("NP")(lambda f: not f["PF"])
+_condition("L", "NGE")(lambda f: f["SF"] != f["OF"])
+_condition("GE", "NL")(lambda f: f["SF"] == f["OF"])
+_condition("LE", "NG")(lambda f: f["ZF"] or (f["SF"] != f["OF"]))
+_condition("G", "NLE")(lambda f: not f["ZF"] and f["SF"] == f["OF"])
+
+
+def condition_holds(regs: RegisterFile, cc: str) -> bool:
+    """Whether condition code *cc* (``"NZ"``, ``"L"`` ...) holds."""
+    return _CONDITIONS[cc](regs.flags)
 
 
 # ----------------------------------------------------------------------
@@ -215,584 +309,708 @@ def _float_to_bits(value: float, lane_bits: int) -> int:
         return struct.unpack(packer, struct.pack(fmt, inf))[0]
 
 
-def _vector_int_op(ctx, instr, lane_bits: int, fn) -> None:
-    """Lane-wise integer op; supports 2-operand SSE and 3-operand AVX."""
-    dst = instr.operands[0]
+def _vector_sources(instr: Instruction):
+    """``(width, read_a, read_b, write)`` of a 2-operand SSE or
+    3-operand AVX form."""
+    ops = instr.operands
+    dst = ops[0]
     width = _operand_width(instr, 0)
-    if len(instr.operands) == 3:
-        a = read_operand(ctx, instr.operands[1])
-        b = read_operand(ctx, instr.operands[2])
+    if len(ops) == 3:
+        read_a, read_b = _reader(ops[1]), _reader(ops[2])
     else:
-        a = read_operand(ctx, dst)
-        b = read_operand(ctx, instr.operands[1])
-    lanes_a = _lanes(a, width, lane_bits)
-    lanes_b = _lanes(b, width, lane_bits)
-    result = [fn(x, y) & _mask(lane_bits) for x, y in zip(lanes_a, lanes_b)]
-    write_operand(ctx, dst, _pack_lanes(result, lane_bits))
+        read_a, read_b = _reader(dst), _reader(ops[1])
+    return width, read_a, read_b, _writer(dst)
 
 
-def _vector_float_op(ctx, instr, lane_bits: int, fn, scalar: bool = False) -> None:
-    dst = instr.operands[0]
-    width = _operand_width(instr, 0)
-    if len(instr.operands) == 3:
-        a = read_operand(ctx, instr.operands[1])
-        b = read_operand(ctx, instr.operands[2])
-    else:
-        a = read_operand(ctx, dst)
-        b = read_operand(ctx, instr.operands[1])
-    lanes_a = _lanes(a, width, lane_bits)
-    lanes_b = _lanes(b, width, lane_bits)
-    result = []
-    for i, (x, y) in enumerate(zip(lanes_a, lanes_b)):
-        if scalar and i > 0:
-            result.append(x)
-            continue
-        fx, fy = _float_from_bits(x, lane_bits), _float_from_bits(y, lane_bits)
-        try:
-            value = fn(fx, fy)
-        except ZeroDivisionError:
-            value = math.inf if fx > 0 else (-math.inf if fx < 0 else math.nan)
-        result.append(_float_to_bits(value, lane_bits))
-    write_operand(ctx, dst, _pack_lanes(result, lane_bits))
+def _vector_int(lane_bits: int, fn, bitwise: bool = False):
+    """Lane-wise integer op.  A bitwise op over whole lanes is one
+    operation on the full value."""
+    lane_mask = _mask(lane_bits)
+
+    def bind_vector(instr):
+        width, read_a, read_b, write = _vector_sources(instr)
+        count = width // lane_bits
+        if bitwise and count * lane_bits == width:
+            mask = _mask(width)
+
+            def execute(ctx):
+                write(ctx, fn(read_a(ctx), read_b(ctx)) & mask)
+            return execute
+
+        def execute(ctx):
+            a, b = read_a(ctx), read_b(ctx)
+            value = 0
+            for shift in range(0, count * lane_bits, lane_bits):
+                lane = fn((a >> shift) & lane_mask, (b >> shift) & lane_mask)
+                value |= (lane & lane_mask) << shift
+            write(ctx, value)
+        return execute
+    return bind_vector
+
+
+def _vector_float(lane_bits: int, fn, scalar: bool = False):
+    def bind_vector(instr):
+        width, read_a, read_b, write = _vector_sources(instr)
+
+        def execute(ctx):
+            lanes_a = _lanes(read_a(ctx), width, lane_bits)
+            lanes_b = _lanes(read_b(ctx), width, lane_bits)
+            result = []
+            for i, (x, y) in enumerate(zip(lanes_a, lanes_b)):
+                if scalar and i > 0:
+                    result.append(x)
+                    continue
+                fx = _float_from_bits(x, lane_bits)
+                fy = _float_from_bits(y, lane_bits)
+                try:
+                    value = fn(fx, fy)
+                except ZeroDivisionError:
+                    value = (math.inf if fx > 0
+                             else (-math.inf if fx < 0 else math.nan))
+                result.append(_float_to_bits(value, lane_bits))
+            write(ctx, _pack_lanes(result, lane_bits))
+        return execute
+    return bind_vector
+
+
+def _fma(lane_bits: int):
+    def bind_fma(instr):
+        dst = instr.operands[0]
+        width = _operand_width(instr, 0)
+        read_a, write = _reader(dst), _writer(dst)
+        read_b, read_c = _reader(instr.operands[1]), _reader(instr.operands[2])
+
+        def execute(ctx):
+            a, b, c = read_a(ctx), read_b(ctx), read_c(ctx)
+            result = []
+            for la, lb, lc in zip(
+                _lanes(a, width, lane_bits),
+                _lanes(b, width, lane_bits),
+                _lanes(c, width, lane_bits),
+            ):
+                fa = _float_from_bits(la, lane_bits)
+                fb = _float_from_bits(lb, lane_bits)
+                fc = _float_from_bits(lc, lane_bits)
+                result.append(_float_to_bits(fb * fc + fa, lane_bits))
+            write(ctx, _pack_lanes(result, lane_bits))
+        return execute
+    return bind_fma
 
 
 # ----------------------------------------------------------------------
-# Executors
+# Binders
 # ----------------------------------------------------------------------
 
-Executor = Callable[[ExecutionContext, Instruction], Optional[str]]
-_EXECUTORS: Dict[str, Executor] = {}
+Binder = Callable[[Instruction], Executor]
+_BINDERS: Dict[str, Binder] = {}
 
 
-def _register(*mnemonics: str):
-    def wrap(fn: Executor) -> Executor:
+def _binds(*mnemonics: str):
+    def wrap(binder: Binder) -> Binder:
         for mnemonic in mnemonics:
-            _EXECUTORS[mnemonic] = fn
-        return fn
+            _BINDERS[mnemonic] = binder
+        return binder
     return wrap
 
 
-@_register("MOV", "MOVQ", "MOVD", "MOVAPS", "MOVAPD", "MOVDQA", "MOVDQU",
-           "MOVUPS", "VMOVAPS", "VMOVDQA", "VMOVDQU")
-def _exec_mov(ctx, instr):
-    value = read_operand(ctx, instr.operands[1])
-    write_operand(ctx, instr.operands[0], value)
+@_binds("MOV", "MOVQ", "MOVD", "MOVAPS", "MOVAPD", "MOVDQA", "MOVDQU",
+        "MOVUPS", "VMOVAPS", "VMOVDQA", "VMOVDQU", "MOVZX")
+def _bind_mov(instr):
+    read, write = _reader(instr.operands[1]), _writer(instr.operands[0])
+
+    def mov(ctx):
+        write(ctx, read(ctx))
+    return mov
 
 
-@_register("MOVZX")
-def _exec_movzx(ctx, instr):
-    write_operand(ctx, instr.operands[0], read_operand(ctx, instr.operands[1]))
-
-
-@_register("MOVSX", "MOVSXD")
-def _exec_movsx(ctx, instr):
-    src = instr.operands[1]
+@_binds("MOVSX", "MOVSXD")
+def _bind_movsx(instr):
+    read = _reader(instr.operands[1])
     src_width = _operand_width(instr, 1)
-    value = _to_signed(read_operand(ctx, src), src_width)
-    width = _operand_width(instr, 0)
-    write_operand(ctx, instr.operands[0], value & _mask(width))
+    mask = _mask(_operand_width(instr, 0))
+    write = _writer(instr.operands[0])
+
+    def movsx(ctx):
+        write(ctx, _to_signed(read(ctx), src_width) & mask)
+    return movsx
 
 
-@_register("LEA")
-def _exec_lea(ctx, instr):
+@_binds("LEA")
+def _bind_lea(instr):
     mem = instr.operands[1]
     if not isinstance(mem, MemoryOperand):
-        raise ExecutionError("LEA needs a memory source")
-    width = _operand_width(instr, 0)
-    write_operand(ctx, instr.operands[0], effective_address(ctx, mem) & _mask(width))
+        return _fault(ExecutionError("LEA needs a memory source"))
+    mask = _mask(_operand_width(instr, 0))
+    write, address = _writer(instr.operands[0]), bind_address(mem)
+
+    def lea(ctx):
+        write(ctx, address(ctx) & mask)
+    return lea
 
 
-@_register("XCHG")
-def _exec_xchg(ctx, instr):
+@_binds("XCHG")
+def _bind_xchg(instr):
     a, b = instr.operands
-    va, vb = read_operand(ctx, a), read_operand(ctx, b)
-    write_operand(ctx, a, vb)
-    write_operand(ctx, b, va)
+    read_a, read_b = _reader(a), _reader(b)
+    write_a, write_b = _writer(a), _writer(b)
+
+    def xchg(ctx):
+        va, vb = read_a(ctx), read_b(ctx)
+        write_a(ctx, vb)
+        write_b(ctx, va)
+    return xchg
 
 
-@_register("PUSH")
-def _exec_push(ctx, instr):
-    rsp = (ctx.regs.read("RSP") - 8) & _mask(64)
-    ctx.regs.write("RSP", rsp)
-    ctx.write_memory(rsp, 8, read_operand(ctx, instr.operands[0]))
+@_binds("PUSH")
+def _bind_push(instr):
+    read = _reader(instr.operands[0])
+
+    def push(ctx):
+        rsp = (ctx.regs.read("RSP") - 8) & _M64
+        ctx.regs.write("RSP", rsp)
+        ctx.write_memory(rsp, 8, read(ctx))
+    return push
 
 
-@_register("POP")
-def _exec_pop(ctx, instr):
-    rsp = ctx.regs.read("RSP")
-    write_operand(ctx, instr.operands[0], ctx.read_memory(rsp, 8))
-    ctx.regs.write("RSP", (rsp + 8) & _mask(64))
+@_binds("POP")
+def _bind_pop(instr):
+    write = _writer(instr.operands[0])
+
+    def pop(ctx):
+        rsp = ctx.regs.read("RSP")
+        write(ctx, ctx.read_memory(rsp, 8))
+        ctx.regs.write("RSP", (rsp + 8) & _M64)
+    return pop
 
 
-@_register("ADD")
-def _exec_add(ctx, instr):
-    width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    b = read_operand(ctx, instr.operands[1]) & _mask(width)
-    write_operand(ctx, instr.operands[0], _set_add_flags(ctx.regs, a, b, 0, width))
-
-
-@_register("ADC")
-def _exec_adc(ctx, instr):
-    width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    b = read_operand(ctx, instr.operands[1]) & _mask(width)
-    carry = int(ctx.regs.read_flag("CF"))
-    write_operand(ctx, instr.operands[0], _set_add_flags(ctx.regs, a, b, carry, width))
-
-
-@_register("SUB")
-def _exec_sub(ctx, instr):
-    width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    b = read_operand(ctx, instr.operands[1]) & _mask(width)
-    write_operand(ctx, instr.operands[0], _set_sub_flags(ctx.regs, a, b, 0, width))
-
-
-@_register("SBB")
-def _exec_sbb(ctx, instr):
-    width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    b = read_operand(ctx, instr.operands[1]) & _mask(width)
-    borrow = int(ctx.regs.read_flag("CF"))
-    write_operand(ctx, instr.operands[0], _set_sub_flags(ctx.regs, a, b, borrow, width))
-
-
-@_register("CMP")
-def _exec_cmp(ctx, instr):
-    width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    b = read_operand(ctx, instr.operands[1]) & _mask(width)
-    _set_sub_flags(ctx.regs, a, b, 0, width)
-
-
-@_register("NEG")
-def _exec_neg(ctx, instr):
-    width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    result = _set_sub_flags(ctx.regs, 0, a, 0, width)
-    ctx.regs.write_flag("CF", a != 0)
-    write_operand(ctx, instr.operands[0], result)
-
-
-@_register("INC")
-def _exec_inc(ctx, instr):
-    width = _operand_width(instr)
-    cf = ctx.regs.read_flag("CF")
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    result = _set_add_flags(ctx.regs, a, 1, 0, width)
-    ctx.regs.write_flag("CF", cf)  # INC preserves CF
-    write_operand(ctx, instr.operands[0], result)
-
-
-@_register("DEC")
-def _exec_dec(ctx, instr):
-    width = _operand_width(instr)
-    cf = ctx.regs.read_flag("CF")
-    a = read_operand(ctx, instr.operands[0]) & _mask(width)
-    result = _set_sub_flags(ctx.regs, a, 1, 0, width)
-    ctx.regs.write_flag("CF", cf)  # DEC preserves CF
-    write_operand(ctx, instr.operands[0], result)
-
-
-def _logic(fn):
-    def execute(ctx, instr):
+def _arith(flag_update, carry: bool = False, writes: bool = True):
+    """ADD/ADC/SUB/SBB/CMP: ``op0 = op0 (+|-) op1 (+|-) CF``."""
+    def bind_arith(instr):
         width = _operand_width(instr)
-        a = read_operand(ctx, instr.operands[0]) & _mask(width)
-        b = read_operand(ctx, instr.operands[1]) & _mask(width)
-        result = fn(a, b) & _mask(width)
-        _set_logic_flags(ctx.regs, result, width)
-        if instr.mnemonic != "TEST":
-            write_operand(ctx, instr.operands[0], result)
-    return execute
+        mask = _mask(width)
+        read_a, read_b = _reader(instr.operands[0]), _reader(instr.operands[1])
+        write = _writer(instr.operands[0])
+
+        def execute(ctx):
+            a = read_a(ctx) & mask
+            b = read_b(ctx) & mask
+            flags = ctx.regs.flags
+            result = flag_update(flags, a, b, int(flags["CF"]) if carry
+                                 else 0, width)
+            if writes:
+                write(ctx, result)
+        return execute
+    return bind_arith
 
 
-_EXECUTORS["AND"] = _logic(lambda a, b: a & b)
-_EXECUTORS["OR"] = _logic(lambda a, b: a | b)
-_EXECUTORS["XOR"] = _logic(lambda a, b: a ^ b)
-_EXECUTORS["TEST"] = _logic(lambda a, b: a & b)
+_binds("ADD")(_arith(_add_flags))
+_binds("ADC")(_arith(_add_flags, carry=True))
+_binds("SUB")(_arith(_sub_flags))
+_binds("SBB")(_arith(_sub_flags, carry=True))
+_binds("CMP")(_arith(_sub_flags, writes=False))
 
 
-@_register("NOT")
-def _exec_not(ctx, instr):
+@_binds("NEG")
+def _bind_neg(instr):
     width = _operand_width(instr)
-    a = read_operand(ctx, instr.operands[0])
-    write_operand(ctx, instr.operands[0], ~a & _mask(width))
+    mask = _mask(width)
+    read, write = _reader(instr.operands[0]), _writer(instr.operands[0])
+
+    def neg(ctx):
+        a = read(ctx) & mask
+        flags = ctx.regs.flags
+        result = _sub_flags(flags, 0, a, 0, width)
+        flags["CF"] = a != 0
+        write(ctx, result)
+    return neg
 
 
-def _shift(direction: str):
-    def execute(ctx, instr):
+def _step(flag_update):
+    """INC/DEC: like ADD/SUB 1, but CF is preserved."""
+    def bind_step(instr):
         width = _operand_width(instr)
-        a = read_operand(ctx, instr.operands[0]) & _mask(width)
-        count = read_operand(ctx, instr.operands[1]) & (0x3F if width == 64 else 0x1F)
-        if count == 0:
-            return
-        if direction == "SHL":
-            result = (a << count) & _mask(width)
-            carry = bool((a >> (width - count)) & 1) if count <= width else False
-        elif direction == "SHR":
-            result = a >> count
-            carry = bool((a >> (count - 1)) & 1)
-        else:  # SAR
-            signed = _to_signed(a, width)
-            result = (signed >> count) & _mask(width)
-            carry = bool((signed >> (count - 1)) & 1)
-        ctx.regs.write_flag("CF", carry)
-        ctx.regs.write_flag("ZF", result == 0)
-        ctx.regs.write_flag("SF", bool(result & (1 << (width - 1))))
-        ctx.regs.write_flag("PF", _parity(result))
-        ctx.regs.write_flag("OF", False)
-        write_operand(ctx, instr.operands[0], result)
-    return execute
+        mask = _mask(width)
+        read, write = _reader(instr.operands[0]), _writer(instr.operands[0])
+
+        def execute(ctx):
+            flags = ctx.regs.flags
+            cf = flags["CF"]
+            result = flag_update(flags, read(ctx) & mask, 1, 0, width)
+            flags["CF"] = cf
+            write(ctx, result)
+        return execute
+    return bind_step
 
 
-_EXECUTORS["SHL"] = _shift("SHL")
-_EXECUTORS["SHR"] = _shift("SHR")
-_EXECUTORS["SAR"] = _shift("SAR")
+_binds("INC")(_step(_add_flags))
+_binds("DEC")(_step(_sub_flags))
 
 
-def _rotate(direction: str):
-    def execute(ctx, instr):
+def _logic(fn, writes: bool = True):
+    def bind_logic(instr):
         width = _operand_width(instr)
-        a = read_operand(ctx, instr.operands[0]) & _mask(width)
-        count = read_operand(ctx, instr.operands[1]) % width
-        if count:
-            if direction == "ROL":
-                result = ((a << count) | (a >> (width - count))) & _mask(width)
-                ctx.regs.write_flag("CF", bool(result & 1))
+        mask, sign = _mask(width), 1 << (width - 1)
+        read_a, read_b = _reader(instr.operands[0]), _reader(instr.operands[1])
+        write = _writer(instr.operands[0])
+
+        def execute(ctx):
+            result = fn(read_a(ctx) & mask, read_b(ctx) & mask) & mask
+            flags = ctx.regs.flags
+            flags["CF"] = flags["OF"] = flags["AF"] = False
+            flags["ZF"] = result == 0
+            flags["SF"] = result & sign != 0
+            flags["PF"] = _PARITY[result & 0xFF]
+            if writes:
+                write(ctx, result)
+        return execute
+    return bind_logic
+
+
+_binds("AND")(_logic(operator.and_))
+_binds("OR")(_logic(operator.or_))
+_binds("XOR")(_logic(operator.xor))
+_binds("TEST")(_logic(operator.and_, writes=False))
+
+
+@_binds("NOT")
+def _bind_not(instr):
+    mask = _mask(_operand_width(instr))
+    read, write = _reader(instr.operands[0]), _writer(instr.operands[0])
+
+    def not_(ctx):
+        write(ctx, ~read(ctx) & mask)
+    return not_
+
+
+def _shift(kind: str):
+    def bind_shift(instr):
+        width = _operand_width(instr)
+        mask, sign = _mask(width), 1 << (width - 1)
+        count_mask = 0x3F if width == 64 else 0x1F
+        read_a, read_count = (_reader(instr.operands[0]),
+                              _reader(instr.operands[1]))
+        write = _writer(instr.operands[0])
+
+        def execute(ctx):
+            a = read_a(ctx) & mask
+            count = read_count(ctx) & count_mask
+            if count == 0:
+                return None
+            if kind == "SHL":
+                result = (a << count) & mask
+                carry = (bool((a >> (width - count)) & 1) if count <= width
+                         else False)
+            elif kind == "SHR":
+                result = a >> count
+                carry = bool((a >> (count - 1)) & 1)
             else:
-                result = ((a >> count) | (a << (width - count))) & _mask(width)
-                ctx.regs.write_flag("CF", bool(result & (1 << (width - 1))))
-            write_operand(ctx, instr.operands[0], result)
-    return execute
+                signed = _to_signed(a, width)
+                result = (signed >> count) & mask
+                carry = bool((signed >> (count - 1)) & 1)
+            flags = ctx.regs.flags
+            flags["CF"] = carry
+            flags["ZF"] = result == 0
+            flags["SF"] = result & sign != 0
+            flags["PF"] = _PARITY[result & 0xFF]
+            flags["OF"] = False
+            write(ctx, result)
+        return execute
+    return bind_shift
 
 
-_EXECUTORS["ROL"] = _rotate("ROL")
-_EXECUTORS["ROR"] = _rotate("ROR")
+_binds("SHL")(_shift("SHL"))
+_binds("SHR")(_shift("SHR"))
+_binds("SAR")(_shift("SAR"))
 
 
-@_register("IMUL")
-def _exec_imul(ctx, instr):
+def _rotate(left: bool):
+    def bind_rotate(instr):
+        width = _operand_width(instr)
+        mask = _mask(width)
+        read_a, read_count = (_reader(instr.operands[0]),
+                              _reader(instr.operands[1]))
+        write = _writer(instr.operands[0])
+
+        def execute(ctx):
+            a = read_a(ctx) & mask
+            count = read_count(ctx) % width
+            if count:
+                if left:
+                    result = ((a << count) | (a >> (width - count))) & mask
+                    ctx.regs.flags["CF"] = bool(result & 1)
+                else:
+                    result = ((a >> count) | (a << (width - count))) & mask
+                    ctx.regs.flags["CF"] = bool(result & (1 << (width - 1)))
+                write(ctx, result)
+        return execute
+    return bind_rotate
+
+
+_binds("ROL")(_rotate(left=True))
+_binds("ROR")(_rotate(left=False))
+
+
+@_binds("IMUL")
+def _bind_imul(instr):
     width = _operand_width(instr)
-    if len(instr.operands) == 1:
-        a = _to_signed(ctx.regs.read("RAX"), width)
-        b = _to_signed(read_operand(ctx, instr.operands[0]), width)
-        product = a * b
-        ctx.regs.write("RAX", product & _mask(width))
-        ctx.regs.write("RDX", (product >> width) & _mask(width))
+    mask = _mask(width)
+    ops = instr.operands
+    if len(ops) == 1:
+        read_b = _reader(ops[0])
+
+        def product_of(ctx):
+            product = (_to_signed(ctx.regs.read("RAX"), width)
+                       * _to_signed(read_b(ctx), width))
+            ctx.regs.write("RAX", product & mask)
+            ctx.regs.write("RDX", (product >> width) & mask)
+            return product
     else:
-        dst = instr.operands[0]
-        if len(instr.operands) == 2:
-            a = _to_signed(read_operand(ctx, dst), width)
-            b = _to_signed(read_operand(ctx, instr.operands[1]), width)
+        write = _writer(ops[0])
+        if len(ops) == 2:
+            read_a, read_b = _reader(ops[0]), _reader(ops[1])
         else:
-            a = _to_signed(read_operand(ctx, instr.operands[1]), width)
-            b = _to_signed(read_operand(ctx, instr.operands[2]), width)
-        product = a * b
-        write_operand(ctx, dst, product & _mask(width))
-    overflow = not -(1 << (width - 1)) <= product < (1 << (width - 1))
-    ctx.regs.write_flag("CF", overflow)
-    ctx.regs.write_flag("OF", overflow)
+            read_a, read_b = _reader(ops[1]), _reader(ops[2])
+
+        def product_of(ctx):
+            a = _to_signed(read_a(ctx), width)
+            product = a * _to_signed(read_b(ctx), width)
+            write(ctx, product & mask)
+            return product
+
+    def imul(ctx):
+        product = product_of(ctx)
+        overflow = not -(1 << (width - 1)) <= product < (1 << (width - 1))
+        flags = ctx.regs.flags
+        flags["CF"] = overflow
+        flags["OF"] = overflow
+    return imul
 
 
-@_register("MUL")
-def _exec_mul(ctx, instr):
+@_binds("MUL")
+def _bind_mul(instr):
     width = _operand_width(instr)
-    a = ctx.regs.read("RAX") & _mask(width)
-    b = read_operand(ctx, instr.operands[0]) & _mask(width)
-    product = a * b
-    ctx.regs.write("RAX", product & _mask(width))
-    ctx.regs.write("RDX", (product >> width) & _mask(width))
-    high = product >> width
-    ctx.regs.write_flag("CF", high != 0)
-    ctx.regs.write_flag("OF", high != 0)
+    mask = _mask(width)
+    read = _reader(instr.operands[0])
+
+    def mul(ctx):
+        a = ctx.regs.read("RAX") & mask
+        product = a * (read(ctx) & mask)
+        ctx.regs.write("RAX", product & mask)
+        ctx.regs.write("RDX", (product >> width) & mask)
+        high = product >> width
+        ctx.regs.flags["CF"] = high != 0
+        ctx.regs.flags["OF"] = high != 0
+    return mul
 
 
-@_register("DIV")
-def _exec_div(ctx, instr):
+@_binds("DIV")
+def _bind_div(instr):
     width = _operand_width(instr)
-    divisor = read_operand(ctx, instr.operands[0]) & _mask(width)
-    if divisor == 0:
-        raise ExecutionError("DIV by zero")
-    dividend = (ctx.regs.read("RDX") << width) | (ctx.regs.read("RAX") & _mask(width))
-    quotient, remainder = divmod(dividend, divisor)
-    if quotient > _mask(width):
-        raise ExecutionError("DIV overflow")
-    ctx.regs.write("RAX", quotient)
-    ctx.regs.write("RDX", remainder)
+    mask = _mask(width)
+    read = _reader(instr.operands[0])
+
+    def div(ctx):
+        divisor = read(ctx) & mask
+        if divisor == 0:
+            raise ExecutionError("DIV by zero")
+        dividend = (ctx.regs.read("RDX") << width) | (ctx.regs.read("RAX") & mask)
+        quotient, remainder = divmod(dividend, divisor)
+        if quotient > mask:
+            raise ExecutionError("DIV overflow")
+        ctx.regs.write("RAX", quotient)
+        ctx.regs.write("RDX", remainder)
+    return div
 
 
-@_register("IDIV")
-def _exec_idiv(ctx, instr):
+@_binds("IDIV")
+def _bind_idiv(instr):
     width = _operand_width(instr)
-    divisor = _to_signed(read_operand(ctx, instr.operands[0]), width)
-    if divisor == 0:
-        raise ExecutionError("IDIV by zero")
-    dividend = _to_signed(
-        (ctx.regs.read("RDX") << width) | (ctx.regs.read("RAX") & _mask(width)),
-        2 * width,
-    )
-    quotient = int(dividend / divisor)
-    remainder = dividend - quotient * divisor
-    if not -(1 << (width - 1)) <= quotient < (1 << (width - 1)):
-        raise ExecutionError("IDIV overflow")
-    ctx.regs.write("RAX", quotient & _mask(width))
-    ctx.regs.write("RDX", remainder & _mask(width))
+    mask = _mask(width)
+    read = _reader(instr.operands[0])
+
+    def idiv(ctx):
+        divisor = _to_signed(read(ctx), width)
+        if divisor == 0:
+            raise ExecutionError("IDIV by zero")
+        dividend = _to_signed(
+            (ctx.regs.read("RDX") << width) | (ctx.regs.read("RAX") & mask),
+            2 * width,
+        )
+        quotient = int(dividend / divisor)
+        remainder = dividend - quotient * divisor
+        if not -(1 << (width - 1)) <= quotient < (1 << (width - 1)):
+            raise ExecutionError("IDIV overflow")
+        ctx.regs.write("RAX", quotient & mask)
+        ctx.regs.write("RDX", remainder & mask)
+    return idiv
 
 
-@_register("BSF")
-def _exec_bsf(ctx, instr):
-    width = _operand_width(instr)
-    src = read_operand(ctx, instr.operands[1]) & _mask(width)
-    ctx.regs.write_flag("ZF", src == 0)
-    if src:
-        write_operand(ctx, instr.operands[0], (src & -src).bit_length() - 1)
+def _bit_scan(result_of):
+    """BSF/BSR: ZF tells a zero source; the destination is kept then."""
+    def bind_scan(instr):
+        mask = _mask(_operand_width(instr))
+        read, write = _reader(instr.operands[1]), _writer(instr.operands[0])
+
+        def execute(ctx):
+            src = read(ctx) & mask
+            ctx.regs.flags["ZF"] = src == 0
+            if src:
+                write(ctx, result_of(src))
+        return execute
+    return bind_scan
 
 
-@_register("BSR")
-def _exec_bsr(ctx, instr):
-    width = _operand_width(instr)
-    src = read_operand(ctx, instr.operands[1]) & _mask(width)
-    ctx.regs.write_flag("ZF", src == 0)
-    if src:
-        write_operand(ctx, instr.operands[0], src.bit_length() - 1)
+_binds("BSF")(_bit_scan(lambda src: (src & -src).bit_length() - 1))
+_binds("BSR")(_bit_scan(lambda src: src.bit_length() - 1))
 
 
-@_register("POPCNT")
-def _exec_popcnt(ctx, instr):
-    width = _operand_width(instr)
-    src = read_operand(ctx, instr.operands[1]) & _mask(width)
-    result = bin(src).count("1")
-    write_operand(ctx, instr.operands[0], result)
-    for flag in ("CF", "OF", "SF", "AF", "PF"):
-        ctx.regs.write_flag(flag, False)
-    ctx.regs.write_flag("ZF", result == 0)
+@_binds("POPCNT")
+def _bind_popcnt(instr):
+    mask = _mask(_operand_width(instr))
+    read, write = _reader(instr.operands[1]), _writer(instr.operands[0])
+
+    def popcnt(ctx):
+        result = bin(read(ctx) & mask).count("1")
+        write(ctx, result)
+        flags = ctx.regs.flags
+        for flag in ("CF", "OF", "SF", "AF", "PF"):
+            flags[flag] = False
+        flags["ZF"] = result == 0
+    return popcnt
 
 
 def _bit_test(update):
-    def execute(ctx, instr):
+    def bind_bit_test(instr):
         width = _operand_width(instr)
-        value = read_operand(ctx, instr.operands[0]) & _mask(width)
-        bit = read_operand(ctx, instr.operands[1]) % width
-        ctx.regs.write_flag("CF", bool(value & (1 << bit)))
-        new = update(value, bit)
-        if new is not None:
-            write_operand(ctx, instr.operands[0], new & _mask(width))
-    return execute
+        mask = _mask(width)
+        read_value, read_bit = (_reader(instr.operands[0]),
+                                _reader(instr.operands[1]))
+        write = _writer(instr.operands[0])
+
+        def execute(ctx):
+            value = read_value(ctx) & mask
+            bit = read_bit(ctx) % width
+            ctx.regs.flags["CF"] = bool(value & (1 << bit))
+            new = update(value, bit)
+            if new is not None:
+                write(ctx, new & mask)
+        return execute
+    return bind_bit_test
 
 
-_EXECUTORS["BT"] = _bit_test(lambda v, b: None)
-_EXECUTORS["BTS"] = _bit_test(lambda v, b: v | (1 << b))
-_EXECUTORS["BTR"] = _bit_test(lambda v, b: v & ~(1 << b))
+_binds("BT")(_bit_test(lambda v, b: None))
+_binds("BTS")(_bit_test(lambda v, b: v | (1 << b)))
+_binds("BTR")(_bit_test(lambda v, b: v & ~(1 << b)))
 
 
-@_register("CDQ")
-def _exec_cdq(ctx, instr):
-    eax = ctx.regs.read("EAX")
-    ctx.regs.write("EDX", 0xFFFFFFFF if eax & (1 << 31) else 0)
+@_binds("CDQ")
+def _bind_cdq(instr):
+    def cdq(ctx):
+        eax = ctx.regs.read("EAX")
+        ctx.regs.write("EDX", 0xFFFFFFFF if eax & (1 << 31) else 0)
+    return cdq
 
 
-@_register("CQO")
-def _exec_cqo(ctx, instr):
-    rax = ctx.regs.read("RAX")
-    ctx.regs.write("RDX", _mask(64) if rax & (1 << 63) else 0)
+@_binds("CQO")
+def _bind_cqo(instr):
+    def cqo(ctx):
+        rax = ctx.regs.read("RAX")
+        ctx.regs.write("RDX", _M64 if rax & (1 << 63) else 0)
+    return cqo
 
 
-@_register("NOP")
-def _exec_nop(ctx, instr):
-    return None
+# Fence ordering is handled by the timing model; a raw pause/resume
+# pseudo reaching the core is a no-op architecturally (nanoBench's code
+# generator replaces the magic sequences).
+_binds("NOP", "LFENCE", "MFENCE", "SFENCE", "PAUSE_COUNTING",
+       "RESUME_COUNTING")(lambda instr: _nothing)
 
 
-@_register("JMP")
-def _exec_jmp(ctx, instr):
-    return instr.target
+@_binds("JMP")
+def _bind_jmp(instr):
+    target = instr.target
+    return lambda ctx: target
 
 
-# --- fences / system ----------------------------------------------------
+# --- system ---------------------------------------------------------------
 
-@_register("LFENCE", "MFENCE", "SFENCE")
-def _exec_fence(ctx, instr):
-    return None  # ordering is handled by the timing model
-
-
-@_register("CPUID")
-def _exec_cpuid(ctx, instr):
-    eax, ebx, ecx, edx = ctx.cpuid(ctx.regs.read("EAX"), ctx.regs.read("ECX"))
-    ctx.regs.write("RAX", eax)
-    ctx.regs.write("RBX", ebx)
-    ctx.regs.write("RCX", ecx)
-    ctx.regs.write("RDX", edx)
+@_binds("CPUID")
+def _bind_cpuid(instr):
+    def cpuid(ctx):
+        eax, ebx, ecx, edx = ctx.cpuid(ctx.regs.read("EAX"),
+                                       ctx.regs.read("ECX"))
+        ctx.regs.write("RAX", eax)
+        ctx.regs.write("RBX", ebx)
+        ctx.regs.write("RCX", ecx)
+        ctx.regs.write("RDX", edx)
+    return cpuid
 
 
-@_register("RDPMC")
-def _exec_rdpmc(ctx, instr):
-    value = ctx.rdpmc(ctx.regs.read("ECX"))
-    ctx.regs.write("RAX", value & _mask(32))
-    ctx.regs.write("RDX", (value >> 32) & _mask(32))
+@_binds("RDPMC")
+def _bind_rdpmc(instr):
+    def rdpmc(ctx):
+        value = ctx.rdpmc(ctx.regs.gpr["RCX"] & _M32)
+        gpr = ctx.regs.gpr
+        gpr["RAX"] = value & _M32
+        gpr["RDX"] = (value >> 32) & _M32
+    return rdpmc
 
 
-@_register("RDMSR")
-def _exec_rdmsr(ctx, instr):
-    if not ctx.is_kernel_mode():
-        raise PrivilegeError("RDMSR requires kernel mode")
-    value = ctx.rdmsr(ctx.regs.read("ECX"))
-    ctx.regs.write("RAX", value & _mask(32))
-    ctx.regs.write("RDX", (value >> 32) & _mask(32))
+@_binds("RDMSR")
+def _bind_rdmsr(instr):
+    def rdmsr(ctx):
+        if not ctx.is_kernel_mode():
+            raise PrivilegeError("RDMSR requires kernel mode")
+        value = ctx.rdmsr(ctx.regs.read("ECX"))
+        ctx.regs.write("RAX", value & _M32)
+        ctx.regs.write("RDX", (value >> 32) & _M32)
+    return rdmsr
 
 
-@_register("WRMSR")
-def _exec_wrmsr(ctx, instr):
-    if not ctx.is_kernel_mode():
-        raise PrivilegeError("WRMSR requires kernel mode")
-    value = (ctx.regs.read("EDX") << 32) | ctx.regs.read("EAX")
-    ctx.wrmsr(ctx.regs.read("ECX"), value)
+@_binds("WRMSR")
+def _bind_wrmsr(instr):
+    def wrmsr(ctx):
+        if not ctx.is_kernel_mode():
+            raise PrivilegeError("WRMSR requires kernel mode")
+        value = (ctx.regs.read("EDX") << 32) | ctx.regs.read("EAX")
+        ctx.wrmsr(ctx.regs.read("ECX"), value)
+    return wrmsr
 
 
-@_register("RDTSC")
-def _exec_rdtsc(ctx, instr):
-    value = ctx.rdtsc()
-    ctx.regs.write("RAX", value & _mask(32))
-    ctx.regs.write("RDX", (value >> 32) & _mask(32))
+@_binds("RDTSC", "RDTSCP")
+def _bind_rdtsc(instr):
+    clears_rcx = instr.mnemonic == "RDTSCP"
+
+    def rdtsc(ctx):
+        value = ctx.rdtsc()
+        ctx.regs.write("RAX", value & _M32)
+        ctx.regs.write("RDX", (value >> 32) & _M32)
+        if clears_rcx:
+            ctx.regs.write("RCX", 0)
+    return rdtsc
 
 
-@_register("RDTSCP")
-def _exec_rdtscp(ctx, instr):
-    value = ctx.rdtsc()
-    ctx.regs.write("RAX", value & _mask(32))
-    ctx.regs.write("RDX", (value >> 32) & _mask(32))
-    ctx.regs.write("RCX", 0)
+@_binds("WBINVD", "INVD", "CLI", "STI", "HLT")
+def _bind_privileged(instr):
+    message = "%s requires kernel mode" % instr.mnemonic
+    flushes = instr.mnemonic in ("WBINVD", "INVD")
+
+    def privileged(ctx):
+        if not ctx.is_kernel_mode():
+            raise PrivilegeError(message)
+        if flushes:
+            ctx.wbinvd()
+    return privileged
 
 
-@_register("WBINVD", "INVD")
-def _exec_wbinvd(ctx, instr):
-    if not ctx.is_kernel_mode():
-        raise PrivilegeError("%s requires kernel mode" % instr.mnemonic)
-    ctx.wbinvd()
-
-
-@_register("CLFLUSH", "CLFLUSHOPT")
-def _exec_clflush(ctx, instr):
+@_binds("CLFLUSH", "CLFLUSHOPT")
+def _bind_clflush(instr):
     mem = instr.operands[0]
     if not isinstance(mem, MemoryOperand):
-        raise ExecutionError("CLFLUSH needs a memory operand")
-    ctx.clflush(effective_address(ctx, mem))
+        return _fault(ExecutionError("CLFLUSH needs a memory operand"))
+    address = bind_address(mem)
+    return lambda ctx: ctx.clflush(address(ctx))
 
 
-@_register("PREFETCHT0", "PREFETCHT1", "PREFETCHT2", "PREFETCHNTA")
-def _exec_prefetch(ctx, instr):
+@_binds("PREFETCHT0", "PREFETCHT1", "PREFETCHT2", "PREFETCHNTA")
+def _bind_prefetch(instr):
     mem = instr.operands[0]
     if not isinstance(mem, MemoryOperand):
-        raise ExecutionError("prefetch needs a memory operand")
+        return _fault(ExecutionError("prefetch needs a memory operand"))
     level = {"PREFETCHT0": 1, "PREFETCHT1": 2, "PREFETCHT2": 3,
              "PREFETCHNTA": 1}[instr.mnemonic]
-    ctx.prefetch(effective_address(ctx, mem), level)
+    address = bind_address(mem)
+    return lambda ctx: ctx.prefetch(address(ctx), level)
 
 
-@_register("CLI", "STI", "HLT")
-def _exec_privileged_nop(ctx, instr):
-    if not ctx.is_kernel_mode():
-        raise PrivilegeError("%s requires kernel mode" % instr.mnemonic)
+# --- vector ---------------------------------------------------------------
+
+_binds("PXOR", "VPXOR", "VXORPS")(_vector_int(64, operator.xor, bitwise=True))
+_binds("PAND", "VPAND")(_vector_int(64, operator.and_, bitwise=True))
+_binds("POR")(_vector_int(64, operator.or_, bitwise=True))
+_binds("PADDB")(_vector_int(8, operator.add))
+_binds("PADDW")(_vector_int(16, operator.add))
+_binds("PADDD", "VPADDD")(_vector_int(32, operator.add))
+_binds("PADDQ", "VPADDQ")(_vector_int(64, operator.add))
+_binds("PSUBD")(_vector_int(32, operator.sub))
+_binds("PMULLD")(_vector_int(32, operator.mul))
+
+_binds("ADDPS", "VADDPS")(_vector_float(32, operator.add))
+_binds("ADDPD", "VADDPD")(_vector_float(64, operator.add))
+_binds("SUBPS")(_vector_float(32, operator.sub))
+_binds("SUBPD")(_vector_float(64, operator.sub))
+_binds("MULPS", "VMULPS")(_vector_float(32, operator.mul))
+_binds("MULPD", "VMULPD")(_vector_float(64, operator.mul))
+_binds("DIVPS")(_vector_float(32, operator.truediv))
+_binds("DIVPD")(_vector_float(64, operator.truediv))
+_binds("ADDSS")(_vector_float(32, operator.add, scalar=True))
+_binds("ADDSD")(_vector_float(64, operator.add, scalar=True))
+_binds("MULSS")(_vector_float(32, operator.mul, scalar=True))
+_binds("MULSD")(_vector_float(64, operator.mul, scalar=True))
+_binds("DIVSD")(_vector_float(64, operator.truediv, scalar=True))
 
 
-@_register("PAUSE_COUNTING", "RESUME_COUNTING")
-def _exec_pseudo(ctx, instr):
-    # Handled by nanoBench's code generator; a raw pseudo reaching the
-    # core is a no-op architecturally.
-    return None
+def _sqrt(a, b):
+    return math.sqrt(b) if b >= 0 else math.nan
 
 
-# --- vector -------------------------------------------------------------
-
-_EXECUTORS["PXOR"] = lambda c, i: _vector_int_op(c, i, 64, lambda a, b: a ^ b)
-_EXECUTORS["VPXOR"] = _EXECUTORS["PXOR"]
-_EXECUTORS["VXORPS"] = _EXECUTORS["PXOR"]
-_EXECUTORS["PAND"] = lambda c, i: _vector_int_op(c, i, 64, lambda a, b: a & b)
-_EXECUTORS["VPAND"] = _EXECUTORS["PAND"]
-_EXECUTORS["POR"] = lambda c, i: _vector_int_op(c, i, 64, lambda a, b: a | b)
-_EXECUTORS["PADDB"] = lambda c, i: _vector_int_op(c, i, 8, lambda a, b: a + b)
-_EXECUTORS["PADDW"] = lambda c, i: _vector_int_op(c, i, 16, lambda a, b: a + b)
-_EXECUTORS["PADDD"] = lambda c, i: _vector_int_op(c, i, 32, lambda a, b: a + b)
-_EXECUTORS["VPADDD"] = _EXECUTORS["PADDD"]
-_EXECUTORS["PADDQ"] = lambda c, i: _vector_int_op(c, i, 64, lambda a, b: a + b)
-_EXECUTORS["VPADDQ"] = _EXECUTORS["PADDQ"]
-_EXECUTORS["PSUBD"] = lambda c, i: _vector_int_op(c, i, 32, lambda a, b: a - b)
-_EXECUTORS["PMULLD"] = lambda c, i: _vector_int_op(c, i, 32, lambda a, b: a * b)
-
-_EXECUTORS["ADDPS"] = lambda c, i: _vector_float_op(c, i, 32, lambda a, b: a + b)
-_EXECUTORS["VADDPS"] = _EXECUTORS["ADDPS"]
-_EXECUTORS["ADDPD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a + b)
-_EXECUTORS["VADDPD"] = _EXECUTORS["ADDPD"]
-_EXECUTORS["SUBPS"] = lambda c, i: _vector_float_op(c, i, 32, lambda a, b: a - b)
-_EXECUTORS["SUBPD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a - b)
-_EXECUTORS["MULPS"] = lambda c, i: _vector_float_op(c, i, 32, lambda a, b: a * b)
-_EXECUTORS["VMULPS"] = _EXECUTORS["MULPS"]
-_EXECUTORS["MULPD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a * b)
-_EXECUTORS["VMULPD"] = _EXECUTORS["MULPD"]
-_EXECUTORS["DIVPS"] = lambda c, i: _vector_float_op(c, i, 32, lambda a, b: a / b)
-_EXECUTORS["DIVPD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a / b)
-_EXECUTORS["ADDSS"] = lambda c, i: _vector_float_op(c, i, 32, lambda a, b: a + b, scalar=True)
-_EXECUTORS["ADDSD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a + b, scalar=True)
-_EXECUTORS["MULSS"] = lambda c, i: _vector_float_op(c, i, 32, lambda a, b: a * b, scalar=True)
-_EXECUTORS["MULSD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a * b, scalar=True)
-_EXECUTORS["DIVSD"] = lambda c, i: _vector_float_op(c, i, 64, lambda a, b: a / b, scalar=True)
-_EXECUTORS["SQRTPD"] = lambda c, i: _vector_float_op(
-    c, i, 64, lambda a, b: math.sqrt(b) if b >= 0 else math.nan)
-_EXECUTORS["SQRTSD"] = lambda c, i: _vector_float_op(
-    c, i, 64, lambda a, b: math.sqrt(b) if b >= 0 else math.nan, scalar=True)
+_binds("SQRTPD")(_vector_float(64, _sqrt))
+_binds("SQRTSD")(_vector_float(64, _sqrt, scalar=True))
+_binds("VFMADD231PS")(_fma(32))
+_binds("VFMADD231PD")(_fma(64))
 
 
-def _fma(ctx, instr, lane_bits):
-    dst = instr.operands[0]
-    width = _operand_width(instr, 0)
-    a = read_operand(ctx, dst)
-    b = read_operand(ctx, instr.operands[1])
-    c = read_operand(ctx, instr.operands[2])
-    result = []
-    for la, lb, lc in zip(
-        _lanes(a, width, lane_bits),
-        _lanes(b, width, lane_bits),
-        _lanes(c, width, lane_bits),
-    ):
-        fa = _float_from_bits(la, lane_bits)
-        fb = _float_from_bits(lb, lane_bits)
-        fc = _float_from_bits(lc, lane_bits)
-        result.append(_float_to_bits(fb * fc + fa, lane_bits))
-    write_operand(ctx, dst, _pack_lanes(result, lane_bits))
+# --- conditional ----------------------------------------------------------
+
+def _bind_cmov(instr):
+    holds = _CONDITIONS[instr.mnemonic[4:]]
+    read, write = _reader(instr.operands[1]), _writer(instr.operands[0])
+
+    def cmov(ctx):
+        if holds(ctx.regs.flags):
+            write(ctx, read(ctx))
+    return cmov
 
 
-_EXECUTORS["VFMADD231PS"] = lambda c, i: _fma(c, i, 32)
-_EXECUTORS["VFMADD231PD"] = lambda c, i: _fma(c, i, 64)
+def _bind_set(instr):
+    holds = _CONDITIONS[instr.mnemonic[3:]]
+    write = _writer(instr.operands[0])
+
+    def set_(ctx):
+        write(ctx, int(holds(ctx.regs.flags)))
+    return set_
 
 
-def _conditional(ctx, instr):
-    cc = instr.mnemonic
-    if cc.startswith("CMOV"):
-        if _condition_holds(ctx.regs, cc[4:]):
-            write_operand(ctx, instr.operands[0], read_operand(ctx, instr.operands[1]))
-        return None
-    if cc.startswith("SET"):
-        write_operand(ctx, instr.operands[0], int(_condition_holds(ctx.regs, cc[3:])))
-        return None
-    # Jcc
-    if _condition_holds(ctx.regs, cc[1:]):
-        return instr.target
-    return None
+def _bind_jcc(instr):
+    holds, target = _CONDITIONS[instr.mnemonic[1:]], instr.target
+
+    def jcc(ctx):
+        return target if holds(ctx.regs.flags) else None
+    return jcc
 
 
-for _cc in CONDITION_FLAGS:
-    _EXECUTORS["J%s" % _cc] = _conditional
-    _EXECUTORS["CMOV%s" % _cc] = _conditional
-    _EXECUTORS["SET%s" % _cc] = _conditional
+for _cc in _CONDITIONS:
+    _BINDERS["J%s" % _cc] = _bind_jcc
+    _BINDERS["CMOV%s" % _cc] = _bind_cmov
+    _BINDERS["SET%s" % _cc] = _bind_set
+
+
+def bind(instr: Instruction) -> Executor:
+    """The executor of *instr*, its operands resolved once."""
+    binder = _BINDERS.get(instr.mnemonic)
+    if binder is None:
+        return _fault(ExecutionError("no semantics for %s" % (instr.mnemonic,)))
+    try:
+        return binder(instr)
+    except Exception as exc:  # a malformed operand list faults at execution
+        return _fault(exc)
 
 
 def execute(ctx: ExecutionContext, instr: Instruction) -> Optional[str]:
     """Execute *instr* against *ctx*; return a branch-target label or None."""
-    executor = _EXECUTORS.get(instr.mnemonic)
-    if executor is None:
-        raise ExecutionError("no semantics for %s" % (instr.mnemonic,))
-    return executor(ctx, instr)
+    return bind(instr)(ctx)
 
 
 def supported_mnemonics() -> Tuple[str, ...]:
     """All mnemonics with functional semantics."""
-    return tuple(sorted(_EXECUTORS))
+    return tuple(sorted(_BINDERS))

@@ -39,6 +39,7 @@ from repro.faults.plan import FaultPlan
 from repro.memory.paging import PAGE_SIZE
 from repro.tools.instr.corpus import corpus_for_family
 from repro.tools.instr.measure import variant_specs
+from repro.uarch import core as uarch_core
 from repro.uarch.core import SimulatedCore
 from repro.uarch.interference import InterferenceConfig
 from repro.uarch.ports import SKYLAKE_LAYOUT
@@ -375,13 +376,16 @@ class TestFastPathDifferential:
         # off, every copy does.
         runs = []
         executed = [0]
-        execute = semantics.execute
+        bind_pxor = semantics._BINDERS["PXOR"]
         run_program = SimulatedCore.run_program
 
-        def counting_execute(ctx, instr):
-            if instr.mnemonic == "PXOR":
+        def counting_bind(instr):
+            execute = bind_pxor(instr)
+
+            def counting_execute(ctx):
                 executed[0] += 1
-            return execute(ctx, instr)
+                return execute(ctx)
+            return counting_execute
 
         def recording_run(core, program, **kwargs):
             executed[0] = 0
@@ -390,7 +394,10 @@ class TestFastPathDifferential:
             finally:
                 runs.append((kwargs.get("unroll_region"), executed[0]))
 
-        monkeypatch.setattr(semantics, "execute", counting_execute)
+        # Decode records bind once per process: start from empty ones.
+        monkeypatch.setitem(semantics._BINDERS, "PXOR", counting_bind)
+        monkeypatch.setattr(uarch_core, "_DECODE_MEMO", {})
+        monkeypatch.setattr(uarch_core, "_DECODE_IDS", {})
         monkeypatch.setattr(SimulatedCore, "run_program", recording_run)
         _run_report(fast_path=fast_path, unroll_count=50, n_measurements=3,
                     **_PXOR)

@@ -226,7 +226,32 @@ class TestDecodeMemo:
         entry = core._decode(instr)
         if entry[2] is None:
             core._decode_timing(instr, entry)
-        return entry[1:]
+        record, timing, unsafe = entry[1:]
+        return (TestDecodeMemo._by_effect(record), timing, unsafe)
+
+    @staticmethod
+    def _by_effect(record):
+        """*record* with each closure replaced by what it does on one
+        seeded core: the executor by the register state it leaves, the
+        address closures by the addresses they compute.  Its timings
+        are the shared memo's (this core's timing is compared on its
+        own), so they are left out."""
+        from repro.uarch.core import SimulatedCore
+        from repro.x86.registers import GPR64, XMM
+
+        core = SimulatedCore("Skylake")
+        for i, name in enumerate(GPR64 + XMM[:4]):
+            core.regs.write(name, 0x9E3779B97F4A7C15 * (i + 1))
+
+        def plan(pairs):
+            return tuple((address(core), registers)
+                         for address, registers in pairs)
+
+        loads, stores = plan(record.loads), plan(record.stores)
+        record.execute(core)
+        return record._replace(timings=None,
+                               execute=core.regs.fingerprint(),
+                               loads=loads, stores=stores)
 
     @staticmethod
     def _run(uarch, asm):
