@@ -105,9 +105,9 @@ _DECODE_MEMO: Dict[Instruction, Decoded] = {}
 #: Its id front: ``id(instr) -> (instr, record)``.  The measurement
 #: blocks and the cached programs hand every new core the same
 #: instruction objects, and an id lookup skips hashing the value.  An
-#: entry holds a strong reference, keeping the id stable; the front is
-#: emptied whenever the memo is, so it never serves a record the memo
-#: has dropped.
+#: entry holds a strong reference, keeping the id stable.  The front is
+#: emptied with the memo, and served only while the memo is not empty,
+#: so it never serves a record the memo has dropped.
 _DECODE_IDS: Dict[int, Tuple[Instruction, Decoded]] = {}
 
 

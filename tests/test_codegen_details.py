@@ -120,6 +120,25 @@ class TestGeneratedProgram:
         assert "MOV R15, 3" in text
         assert "SUB R15, 1" in text
 
+    @pytest.mark.parametrize("no_mem", [False, True])
+    def test_measurement_blocks_share_instructions(self, no_mem):
+        # Every generated program hands the core the same measurement
+        # instruction objects, so each is decoded once per process.
+        from repro.core import codegen
+
+        options = NanoBenchOptions(no_mem=no_mem, unroll_count=1)
+        first, second = (
+            generate(assemble(asm), assemble(""), _fixed_counters(),
+                     options, 1).program.instructions
+            for asm in ("add RAX, RBX", "imul RCX, RDX")
+        )
+        assert len(first) == len(second)
+        shared = [a is b for a, b in zip(first, second)]
+        body = shared.index(False)
+        assert shared.count(False) == 1 and body > 0
+        assert codegen._read_one_counter.cache_info().maxsize == \
+            codegen.SHARED_INSTRUCTION_LIMIT
+
     def test_scratch_register_values(self):
         values = dict(SCRATCH_REGISTERS)
         assert set(values) == {"R14", "RSP", "RBP", "RDI", "RSI"}

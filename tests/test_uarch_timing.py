@@ -320,6 +320,26 @@ class TestDecodeMemo:
             ("SKL", True)
         }
 
+    def test_a_new_core_hashes_no_decoded_instruction(self, monkeypatch):
+        # The id front serves an instruction object another core has
+        # decoded without hashing its value.
+        from repro.uarch.core import SimulatedCore
+        from repro.x86.assembler import assemble
+        from repro.x86.instructions import Instruction
+
+        program = assemble("add RAX, RBX; imul RCX, RAX; pxor XMM1, XMM1")
+        SimulatedCore("Skylake").run_program(program)
+        hashed = []
+        value_hash = Instruction.__hash__
+
+        def counting_hash(instr):
+            hashed.append(instr)
+            return value_hash(instr)
+
+        monkeypatch.setattr(Instruction, "__hash__", counting_hash)
+        assert SimulatedCore("Skylake").run_program(program) == 3
+        assert hashed == []
+
     def test_memo_stays_within_its_bound(self, monkeypatch):
         from repro.uarch import core
         from repro.uarch.core import SimulatedCore

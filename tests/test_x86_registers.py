@@ -40,6 +40,15 @@ class TestRegisterNaming:
         with pytest.raises(KeyError):
             canonical_register("BOGUS")
 
+    def test_lower_case_names_resolve(self):
+        # Names are looked up as given and upper-cased only on a miss.
+        regs = RegisterFile()
+        regs.write("eax", 0x1234)
+        regs.write("ah", 0x56)
+        assert regs.read("rax") == 0x5634
+        assert canonical_register("r8b") == "R8"
+        assert register_width("ymm2") == 256
+
 
 class TestRegisterFile:
     def test_read_write_64(self):
