@@ -15,7 +15,7 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 #: Canonical 64-bit general-purpose register names, in encoding order.
 GPR64 = (
@@ -95,18 +95,58 @@ def _build_views() -> Dict[str, RegisterView]:
 #: Mapping from every accepted register name to its view descriptor.
 REGISTER_VIEWS: Dict[str, RegisterView] = _build_views()
 
-def register_view(name: str) -> RegisterView:
-    """The view of register *name* (case-insensitive).
+_VECTOR_BASES = frozenset(ZMM)
 
-    Operand names are upper-case already, so the name is upper-cased
-    only when it misses.
-    """
-    view = REGISTER_VIEWS.get(name)
-    if view is None:
-        view = REGISTER_VIEWS.get(name.upper())
-        if view is None:
+Reader = Callable[["RegisterFile"], int]
+Writer = Callable[["RegisterFile", int], None]
+
+
+def _view_accessors(view: RegisterView) -> Tuple[Reader, Writer]:
+    """Read and write *view* in a :class:`RegisterFile`, with the x86-64
+    aliasing rules: vector writes zero the upper lanes (VEX/EVEX
+    semantics), 32-bit writes zero-extend into the full register, and
+    16- and 8-bit writes keep the other bits."""
+    base, shift, mask = view.base, view.shift, (1 << view.width) - 1
+    if base in _VECTOR_BASES:
+        def write(regs, value):
+            regs.vec[base] = value & mask
+        return (lambda regs: regs.vec[base] & mask), write
+    if view.width >= 32:
+        def write(regs, value):
+            regs.gpr[base] = value & mask
+        return (lambda regs: regs.gpr[base] & mask), write
+    keep = ~view.mask
+
+    def write(regs, value):
+        gpr = regs.gpr
+        gpr[base] = (gpr[base] & keep) | ((value & mask) << shift)
+    return (lambda regs: (regs.gpr[base] >> shift) & mask), write
+
+
+_ACCESSORS = {name: _view_accessors(view)
+              for name, view in REGISTER_VIEWS.items()}
+
+
+def _lookup(table: dict, name: str):
+    """*table*'s entry for register *name*.  Operand names are
+    upper-case already, so the name is upper-cased only on a miss."""
+    entry = table.get(name)
+    if entry is None:
+        entry = table.get(name.upper())
+        if entry is None:
             raise KeyError("unknown register: %r" % (name,))
-    return view
+    return entry
+
+
+def register_view(name: str) -> RegisterView:
+    """The view of register *name* (case-insensitive)."""
+    return _lookup(REGISTER_VIEWS, name)
+
+
+def register_accessors(name: str) -> Tuple[Reader, Writer]:
+    """The reader and writer of register *name* (case-insensitive) over
+    a :class:`RegisterFile`: the one place its aliasing rules live."""
+    return _lookup(_ACCESSORS, name)
 
 
 def is_register_name(name: str) -> bool:
@@ -138,9 +178,8 @@ class RegisterFile:
     """
 
     def __init__(self) -> None:
-        #: Values per canonical register and per flag.  The executors
-        #: that :mod:`repro.x86.semantics` binds read and write these
-        #: slots directly, with the masks of the operand's view.
+        #: Values per canonical register and per flag; the bound
+        #: executors of :mod:`repro.x86.semantics` use these slots.
         self.gpr: Dict[str, int] = {r: 0 for r in GPR64}
         self.gpr["RIP"] = 0
         self.vec: Dict[str, int] = {r: 0 for r in ZMM}
@@ -151,26 +190,11 @@ class RegisterFile:
     # ------------------------------------------------------------------
     def read(self, name: str) -> int:
         """Read register *name*, returning its unsigned value."""
-        view = register_view(name)
-        store = self.vec if view.base in self.vec else self.gpr
-        return (store[view.base] >> view.shift) & ((1 << view.width) - 1)
+        return register_accessors(name)[0](self)
 
     def write(self, name: str, value: int) -> None:
-        """Write *value* to register *name* with x86-64 aliasing rules.
-
-        Vector writes zero the upper lanes (VEX/EVEX semantics), 32-bit
-        writes zero-extend into the full register, and 16- and 8-bit
-        writes keep the other bits.
-        """
-        view = register_view(name)
-        value &= (1 << view.width) - 1
-        if view.base in self.vec:
-            self.vec[view.base] = value
-        elif view.width >= 32:
-            self.gpr[view.base] = value
-        else:
-            old = self.gpr[view.base]
-            self.gpr[view.base] = (old & ~view.mask) | (value << view.shift)
+        """Write *value* to register *name* with x86-64 aliasing rules."""
+        register_accessors(name)[1](self, value)
 
     # ------------------------------------------------------------------
     # Flags

@@ -2,8 +2,9 @@
 
 Each supported mnemonic has a *binder* ``instr -> executor`` in one
 table.  A binder resolves the instruction's operands once: a register
-operand becomes an accessor of its view (base slot, shift, mask), an
-immediate its value, and a memory operand an effective-address closure.
+operand becomes its view's accessor (``registers.register_accessors``),
+an immediate its value, and a memory operand an effective-address
+closure.
 The executor it returns, ``(ctx) -> Optional[str]``, then updates
 architectural state through an :class:`ExecutionContext` with no
 per-call dispatch.  The simulated core binds each distinct instruction
@@ -28,7 +29,7 @@ from typing import Callable, Dict, Optional, Protocol, Tuple
 from ..errors import ExecutionError, PrivilegeError
 from .instructions import Instruction
 from .operands import Immediate, MemoryOperand, Register
-from .registers import ZMM, RegisterFile, register_view
+from .registers import ZMM, RegisterFile, register_accessors
 
 
 class ExecutionContext(Protocol):
@@ -128,38 +129,10 @@ def bind_address(mem: MemoryOperand) -> Reader:
     return address
 
 
-def _register_reader(name: str) -> Reader:
-    view = register_view(name)
-    base, shift, mask = view.base, view.shift, (1 << view.width) - 1
-    if base in _VECTOR:
-        return lambda ctx: ctx.regs.vec[base] & mask
-    if shift:
-        return lambda ctx: (ctx.regs.gpr[base] >> shift) & mask
-    return lambda ctx: ctx.regs.gpr[base] & mask
-
-
-def _register_writer(name: str) -> Writer:
-    """Writes with :meth:`RegisterFile.write`'s aliasing rules."""
-    view = register_view(name)
-    base, shift, mask = view.base, view.shift, (1 << view.width) - 1
-    if base in _VECTOR:
-        def write(ctx, value):
-            ctx.regs.vec[base] = value & mask
-    elif view.width >= 32:
-        def write(ctx, value):
-            ctx.regs.gpr[base] = value & mask
-    else:
-        keep = ~view.mask
-
-        def write(ctx, value):
-            gpr = ctx.regs.gpr
-            gpr[base] = (gpr[base] & keep) | ((value & mask) << shift)
-    return write
-
-
 def _reader(op) -> Reader:
     if isinstance(op, Register):
-        return _register_reader(op.name)
+        read = register_accessors(op.name)[0]
+        return lambda ctx: read(ctx.regs)
     if isinstance(op, Immediate):
         value = op.value & _M64
         return lambda ctx: value
@@ -171,7 +144,11 @@ def _reader(op) -> Reader:
 
 def _writer(op) -> Writer:
     if isinstance(op, Register):
-        return _register_writer(op.name)
+        write_register = register_accessors(op.name)[1]
+
+        def write(ctx, value):
+            write_register(ctx.regs, value)
+        return write
     if isinstance(op, MemoryOperand):
         address, size = bind_address(op), op.size
 
