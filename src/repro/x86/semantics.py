@@ -219,33 +219,28 @@ def _sub_flags(flags, a: int, b: int, borrow_in: int, width: int) -> int:
 
 
 #: Condition code -> predicate over the flags.
-_CONDITIONS: Dict[str, Callable[[Dict[str, bool]], bool]] = {}
-
-
-def _condition(*codes: str):
-    def wrap(predicate):
-        for code in codes:
-            _CONDITIONS[code] = predicate
-        return predicate
-    return wrap
-
-
-_condition("O")(lambda f: f["OF"])
-_condition("NO")(lambda f: not f["OF"])
-_condition("B", "C", "NAE")(lambda f: f["CF"])
-_condition("AE", "NB", "NC")(lambda f: not f["CF"])
-_condition("E", "Z")(lambda f: f["ZF"])
-_condition("NE", "NZ")(lambda f: not f["ZF"])
-_condition("BE", "NA")(lambda f: f["CF"] or f["ZF"])
-_condition("A", "NBE")(lambda f: not (f["CF"] or f["ZF"]))
-_condition("S")(lambda f: f["SF"])
-_condition("NS")(lambda f: not f["SF"])
-_condition("P")(lambda f: f["PF"])
-_condition("NP")(lambda f: not f["PF"])
-_condition("L", "NGE")(lambda f: f["SF"] != f["OF"])
-_condition("GE", "NL")(lambda f: f["SF"] == f["OF"])
-_condition("LE", "NG")(lambda f: f["ZF"] or (f["SF"] != f["OF"]))
-_condition("G", "NLE")(lambda f: not f["ZF"] and f["SF"] == f["OF"])
+_CONDITIONS: Dict[str, Callable[[Dict[str, bool]], bool]] = {
+    code: predicate
+    for codes, predicate in (
+        (("O",), lambda f: f["OF"]),
+        (("NO",), lambda f: not f["OF"]),
+        (("B", "C", "NAE"), lambda f: f["CF"]),
+        (("AE", "NB", "NC"), lambda f: not f["CF"]),
+        (("E", "Z"), lambda f: f["ZF"]),
+        (("NE", "NZ"), lambda f: not f["ZF"]),
+        (("BE", "NA"), lambda f: f["CF"] or f["ZF"]),
+        (("A", "NBE"), lambda f: not (f["CF"] or f["ZF"])),
+        (("S",), lambda f: f["SF"]),
+        (("NS",), lambda f: not f["SF"]),
+        (("P",), lambda f: f["PF"]),
+        (("NP",), lambda f: not f["PF"]),
+        (("L", "NGE"), lambda f: f["SF"] != f["OF"]),
+        (("GE", "NL"), lambda f: f["SF"] == f["OF"]),
+        (("LE", "NG"), lambda f: f["ZF"] or (f["SF"] != f["OF"])),
+        (("G", "NLE"), lambda f: not f["ZF"] and f["SF"] == f["OF"]),
+    )
+    for code in codes
+}
 
 
 def condition_holds(regs: RegisterFile, cc: str) -> bool:
