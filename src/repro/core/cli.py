@@ -751,12 +751,13 @@ def _main_with_args(args) -> int:
         if sim:
             print(
                 "# sim: %d instructions (%d fast-path over %d replays, "
-                "%d fallbacks) in %.3f s host"
+                "%d fallbacks) in %.3f s host, %d replayed runs"
                 % (sim.get("instructions", 0),
                    sim.get("fast_path_instructions", 0),
                    sim.get("fast_path_replays", 0),
                    sim.get("fallbacks", 0),
-                   sim.get("wall_seconds", 0.0)),
+                   sim.get("wall_seconds", 0.0),
+                   sim.get("replayed_runs", 0)),
                 file=sys.stderr,
             )
     return 0

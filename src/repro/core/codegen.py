@@ -176,6 +176,13 @@ def _serializer_instructions(serializer: str) -> Tuple[Instruction, ...]:
 #: value and clears CF, OF and AF.
 COUNTER_READ_FLAGS = frozenset({"ZF", "SF", "PF"})
 
+
+def counter_read_flags(value: int) -> Dict[str, bool]:
+    """``COUNTER_READ_FLAGS`` as a counter read of *value* leaves them."""
+    return {"ZF": value == 0, "SF": value >> 63 == 1,
+            "PF": bin(value & 0xFF).count("1") % 2 == 0}
+
+
 _RDPMC = Instruction("RDPMC")
 _RDMSR = Instruction("RDMSR")
 _COUNTER_COMBINE = (

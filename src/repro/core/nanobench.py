@@ -77,6 +77,7 @@ from .codegen import (
     GeneratedCode,
     SCRATCH_REGISTERS,
     check_nomem_counter_limit,
+    counter_read_flags,
     ensure_unrollable,
 )
 from .options import NanoBenchOptions
@@ -195,6 +196,12 @@ class NanoBench:
         #: recent counter group, keyed by localUnrollCount.  Exposed for
         #: noise analyses (e.g. comparing aggregate functions).
         self.last_raw_series: Dict[int, Dict[str, List[float]]] = {}
+        #: The run-level fixed points of the current :meth:`run`, one
+        #: per distinct generated program (see :meth:`_fixed_point`).
+        self._fixed_points: Dict[tuple, _FixedPoint] = {}
+        #: ``initial_warm_up_count`` runs not yet made in the current
+        #: :meth:`run`: they precede its very first measurement series.
+        self._initial_warm_up = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -366,6 +373,9 @@ class NanoBench:
         stats_before = cache_stats()
         self._discarded_runs = 0
         self._corrected_wraps = 0
+        # A record is only replayed within the run() that logged it:
+        # the R14 area and the address space may change between calls.
+        self._fixed_points = {}
         options = (
             replace(self.options, **option_overrides)
             if option_overrides else self.options
@@ -415,6 +425,7 @@ class NanoBench:
         cap = options.max_n_measurements
         quality: Optional[QualityVerdict] = None
         escalations = 0
+        self._initial_warm_up = options.initial_warm_up_count
         while True:
             results: "OrderedDict[str, float]" = OrderedDict()
             raw_samples: List[Dict[str, List[float]]] = []
@@ -613,26 +624,43 @@ class NanoBench:
 
         return _valid
 
-    def _replay_allowed(self, benchmark: Program,
-                        options: NanoBenchOptions) -> bool:
+    def _replay_allowed(self, options: NanoBenchOptions) -> bool:
         """Whether runs of this group may be replayed at a fixed point.
 
         Only what a run log cannot see is checked here: never under a
         fault plan (its faults hit individual runs), with the fast path
-        switched off, in user mode (interrupts fire), or when a counter
-        value can reach something but its result slot: in noMem mode
-        (the values live in registers the benchmark can read), or when
-        the benchmark reads a flag the last counter read set from its
-        value (``COUNTER_READ_FLAGS``).  Counter, clock and CPUID reads
-        in the code itself, and SMT, are caught by the run log
-        (:meth:`SimulatedCore.end_run_log`, :meth:`_FixedPoint.keep`).
+        switched off, in user mode (interrupts fire), or in noMem mode,
+        where the counter values live in registers the benchmark can
+        read.  Counter, clock and CPUID reads in the code itself, and
+        SMT, are caught by the run log (:meth:`SimulatedCore.end_run_log`,
+        :meth:`_FixedPoint.keep`); a benchmark reading the flags a
+        counter read left is checked per replay (:meth:`_FixedPoint.accepts`).
         """
-        core = self.core
-        if (not core.fast_path_enabled or active_plan() is not None
-                or not self.kernel_mode or options.no_mem):
-            return False
-        return all(COUNTER_READ_FLAGS.isdisjoint(instr.spec.flags_read)
-                   for instr in benchmark.instructions)
+        return (self.core.fast_path_enabled and active_plan() is None
+                and self.kernel_mode and not options.no_mem)
+
+    def _fixed_point(self, benchmark: Program, generated: GeneratedCode,
+                     counter_reads: Sequence[CounterRead]) -> "_FixedPoint":
+        """The fixed point of *generated* for the current :meth:`run`.
+
+        Within one run the benchmark, init code and generation options
+        are fixed, and the counter groups differ only in the names of
+        their reads, which codegen does not read.  So the program is
+        keyed by what it does read, each read's kind and index, and by
+        its localUnrollCount: a record logged in one group replays in
+        another group that runs the same code.
+        """
+        local_unroll_count = generated.local_unroll_count
+        key = (tuple((read.kind, read.index) for read in counter_reads),
+               local_unroll_count)
+        fixed_point = self._fixed_points.get(key)
+        if fixed_point is None:
+            body = benchmark.instructions if local_unroll_count else ()
+            flags_read = COUNTER_READ_FLAGS.intersection(
+                flag for instr in body for flag in instr.spec.flags_read)
+            fixed_point = _FixedPoint(self.core, generated, flags_read)
+            self._fixed_points[key] = fixed_point
+        return fixed_point
 
     # ------------------------------------------------------------------
     def _run_group(
@@ -674,7 +702,7 @@ class NanoBench:
             unroll_pair = (options.unroll_count, 2 * options.unroll_count)
 
         is_valid = self._run_validator(counter_reads)
-        replay = self._replay_allowed(benchmark, options)
+        replay = self._replay_allowed(options)
         raw_aggregates = []
         total_runs = 0
         self.last_raw_series = {}
@@ -682,16 +710,19 @@ class NanoBench:
             generated = cached_generate(
                 benchmark, init_program, counter_reads, options, local_unroll
             )
-            fixed_point = _FixedPoint(self.core, generated) if replay else None
+            fixed_point = (self._fixed_point(benchmark, generated,
+                                             counter_reads)
+                           if replay else None)
+            warm_up_count = options.warm_up_count + self._initial_warm_up
+            self._initial_warm_up = 0
             series = run_measurements(
                 lambda: self._run_generated_once(generated, options,
                                                  fixed_point),
                 n_measurements=options.n_measurements,
-                warm_up_count=options.warm_up_count
-                + (options.initial_warm_up_count if local_unroll == unroll_pair[0] else 0),
+                warm_up_count=warm_up_count,
                 is_valid=is_valid,
             )
-            total_runs += (options.n_measurements + options.warm_up_count
+            total_runs += (options.n_measurements + warm_up_count
                            + series.discarded)
             self._discarded_runs += series.discarded
             self.last_raw_series[local_unroll] = series.values
@@ -722,7 +753,11 @@ class NanoBench:
         if fixed_point is not None:
             state = core.state_fingerprint()
             if fixed_point.record is not None and state == fixed_point.state:
-                return self._replay_once(generated, fixed_point, snapshot)
+                values = core.replay_run(fixed_point.record,
+                                         fixed_point.accepts)
+                if values is not None:
+                    return self._replay_once(generated, fixed_point, values,
+                                             snapshot)
             fixed_point.state, fixed_point.record = state, None
         transition = False
         plan = active_plan()
@@ -768,15 +803,15 @@ class NanoBench:
             if fixed_point is not None:
                 record = core.end_run_log()
         if fixed_point is not None:
-            fixed_point.keep(record)
+            fixed_point.keep(record, core.main_memory)
         return self._collect_raw_values(generated)
 
     def _replay_once(self, generated: GeneratedCode,
-                     fixed_point: "_FixedPoint",
+                     fixed_point: "_FixedPoint", values: List[int],
                      snapshot) -> Dict[str, float]:
-        """A run at the fixed point, redone from the logged run."""
+        """A run at the fixed point, redone from the logged run: the
+        replay's counter *values* go to their slots."""
         core = self.core
-        values = core.replay_run(fixed_point.record)
         core.regs.restore(snapshot)
         memory = core.main_memory
         for physical, value in zip(fixed_point.slots, values):
@@ -831,31 +866,41 @@ class NanoBench:
 
 
 class _FixedPoint:
-    """The run-level fixed point of one series of runs of one program.
+    """The run-level fixed point of one generated program in one run.
 
     Algorithm 2 runs the same generated code ``warm_up_count +
-    n_measurements`` times.  Each run starts by taking the core's state
-    fingerprint.  If it equals the one the last simulated run started
-    from, and that run left a :class:`~repro.uarch.core.RunRecord`, the
-    machine is at a fixed point: the run would repeat the logged one,
-    and :meth:`SimulatedCore.replay_run` redoes it instead.  Otherwise
-    the run is simulated and logged.
+    n_measurements`` times, for each counter group.  Each run starts by
+    taking the core's state fingerprint.  If it equals the one the last
+    simulated run of this program started from, and that run left a
+    :class:`~repro.uarch.core.RunRecord`, the machine is at a fixed
+    point: the run would repeat the logged one, and
+    :meth:`SimulatedCore.replay_run` redoes it instead.  Otherwise the
+    run is simulated and logged.  The groups of one run share the fixed
+    point of each program (:meth:`NanoBench._fixed_point`): a run reads
+    the counter programming only through its counter reads, and a
+    replay re-evaluates those under the current group's programming.
 
     The core's soundness argument (the comment above
     :meth:`SimulatedCore.state_fingerprint`) needs one guarantee from
-    here: no counter value reaches anything but its result slot.  The
-    generated code stores each value to its slot and restores RAX, RCX
-    and RDX from the spill area; only the flags of the last read
-    remain, and :meth:`NanoBench._replay_allowed` admits no benchmark
-    that reads them.  The slots are watched ranges of the run log, and
-    a record is kept only if the run made exactly one counter read per
-    slot (none in the benchmark or init code), wrote the slots exactly
-    once per read (no benchmark store to a slot) and never read them.
+    here: no counter value reaches anything but its result slot, except
+    what the replay checks.  The generated code stores each value to
+    its slot and restores RAX, RCX and RDX from the spill area; only the
+    flags of each block's last read remain.  Those of the second block
+    are gone with the run's registers; those of the first block reach
+    a benchmark that reads them (``COUNTER_READ_FLAGS``), so for such a
+    benchmark the record keeps them, and a replay proceeds only if the
+    values it re-reads leave the same flags (:meth:`accepts`).  The
+    slots are watched ranges of the run log, and a record is kept only
+    if the run made exactly one counter read per slot (none in the
+    benchmark or init code), wrote the slots exactly once per read (no
+    benchmark store to a slot) and never read them.
     """
 
-    __slots__ = ("slots", "watched", "state", "record")
+    __slots__ = ("slots", "watched", "flags_read", "flags_index", "state",
+                 "record", "flags")
 
-    def __init__(self, core: SimulatedCore, generated: GeneratedCode) -> None:
+    def __init__(self, core: SimulatedCore, generated: GeneratedCode,
+                 flags_read: frozenset) -> None:
         translate = core.address_space.translate
         #: Physical address of each counter read's slot, in read order.
         self.slots = [translate(address) for address
@@ -867,14 +912,34 @@ class _FixedPoint:
                 self.watched[-1] = (self.watched[-1][0], slot + 8)
             else:
                 self.watched.append((slot, slot + 8))
+        #: The counter-read flags the benchmark reads, and the read
+        #: that leaves them to it: the first block's last.
+        n_reads = len(generated.counters)
+        self.flags_read = tuple(sorted(flags_read)) if n_reads else ()
+        self.flags_index = n_reads - 1
         self.state: Optional[tuple] = None
         self.record: Optional[RunRecord] = None
+        #: Those flags as the logged run's read left them.
+        self.flags: Tuple[bool, ...] = ()
 
-    def keep(self, record: Optional[RunRecord]) -> None:
+    def _flags(self, value: int) -> Tuple[bool, ...]:
+        flags = counter_read_flags(value)
+        return tuple(flags[name] for name in self.flags_read)
+
+    def keep(self, record: Optional[RunRecord], memory) -> None:
         if (record is not None
                 and record.watched_writes == len(record.reads)
                 == len(self.slots)):
             self.record = record
+            if self.flags_read:
+                self.flags = self._flags(
+                    memory.read(self.slots[self.flags_index], 8))
+
+    def accepts(self, values: List[int]) -> bool:
+        """Whether a replay reading *values* leaves the benchmark the
+        flags the logged run left it."""
+        return (not self.flags_read
+                or self._flags(values[self.flags_index]) == self.flags)
 
 
 def _to_signed64(value: int) -> int:

@@ -808,9 +808,15 @@ class SimulatedCore:
     #   own: no record unless both are off for the whole run;
     # * counter and clock values.  A replay re-evaluates the counter
     #   reads; the caller must guarantee that no value they return
-    #   reaches anything but the watched ranges (nanoBench checks its
-    #   generated code for this), and a run that reads the clock
-    #   (RDTSC) keeps no record.
+    #   reaches anything but the watched ranges, or check that what
+    #   else it reaches is the same as in the logged run (nanoBench
+    #   checks its generated code for this, and the flags a read leaves
+    #   through ``accept``), and a run that reads the clock (RDTSC)
+    #   keeps no record;
+    # * the PMU's programming, which a run reads only through counter
+    #   reads, so a replay re-evaluating them under another programming
+    #   is the run under that programming: one record serves every
+    #   counter group that runs the same code.
     #
     # So if the fingerprint at the start of a run equals the one at the
     # start of a logged run, the run executes the same instructions with
@@ -886,17 +892,19 @@ class SimulatedCore:
             watched_writes=memory.watched_writes,
         )
 
-    def replay_run(self, record: "RunRecord") -> List[int]:
+    def replay_run(
+        self, record: "RunRecord",
+        accept: Optional[Callable[[List[int]], bool]] = None,
+    ) -> Optional[List[int]]:
         """Redo a logged run's effects without simulating it.
 
         Returns the values the run's counter reads return this time, in
         order; writing them to the watched ranges is the caller's part.
         Only sound from a state whose :meth:`state_fingerprint` equals
-        the one the logged run started from.
+        the one the logged run started from.  The reads are evaluated
+        first: if *accept* rejects their values, no state has moved and
+        the result is ``None`` (the run must be simulated).
         """
-        rng = self.scheduler.rng
-        for low, high in record.draws:
-            rng.randint(low, high)
         metrics = self.metrics
         start = metrics.snapshot()
         logged = record.start_metrics
@@ -910,6 +918,12 @@ class SimulatedCore:
             self._set_clock_metrics(base + now)
             values.append(self.rdpmc(index) if mnemonic == "RDPMC"
                           else self.rdmsr(index))
+        if accept is not None and not accept(values):
+            metrics.load(start)
+            return None
+        rng = self.scheduler.rng
+        for low, high in record.draws:
+            rng.randint(low, high)
         deltas = record.metric_deltas
         metrics.load({name: value + deltas.get(name, 0.0)
                       for name, value in start.items()})

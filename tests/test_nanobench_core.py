@@ -201,6 +201,38 @@ class TestMeasurementProperties:
                       n_measurements=1, warm_up_count=2, aggregate="min")
         assert warm["MEM_LOAD_RETIRED.L1_HIT"] == pytest.approx(1.0)
 
+    def test_initial_warm_up_precedes_the_first_series_only(
+            self, monkeypatch):
+        import repro.core.nanobench as module
+
+        warm_ups = []  # of each measurement series, in order
+        series = module.run_measurements
+
+        def recording(run_once, *, warm_up_count, **kwargs):
+            warm_ups.append(warm_up_count)
+            return series(run_once, warm_up_count=warm_up_count, **kwargs)
+
+        monkeypatch.setattr(module, "run_measurements", recording)
+        # Two counter groups, and one escalation round on top.
+        offenders = iter([("Core cycles", None), None])
+        monkeypatch.setattr(module, "worst_offender",
+                            lambda samples: next(offenders))
+        nb = NanoBench.kernel("Skylake", seed=0)
+        runs = []
+        original = nb._run_generated_once
+
+        def counting(*args):
+            runs.append(args)
+            return original(*args)
+
+        nb._run_generated_once = counting
+        ports = ["UOPS_DISPATCHED_PORT.PORT_%d" % p for p in range(8)]
+        nb.run(asm="add RAX, RBX", events=ports, n_measurements=2,
+               max_n_measurements=4, warm_up_count=1,
+               initial_warm_up_count=5)
+        assert warm_ups == [6] + [1] * 7
+        assert nb.last_report.program_runs == len(runs) == 5 + 4 * 3 + 4 * 5
+
     def test_nomem_mode_matches_memory_mode(self, nb):
         plain = nb.run(asm="imul RAX, RAX")
         nomem = nb.run(asm="imul RAX, RAX", no_mem=True)

@@ -131,6 +131,8 @@ class TestCli:
         assert exit_code == 0
         err = capsys.readouterr().err
         assert "counter groups" in err
+        # Kernel mode is the default, so runs at a fixed point replay.
+        assert "s host, 3 replayed runs\n" in err
 
     def test_options_flow_through(self, capsys):
         exit_code = cli_main([

@@ -15,7 +15,10 @@ values.  One test per way a naive memo goes wrong:
 
 And the bodies that must be simulated run by run: fresh memory values
 in every run, CPUID, counter and clock reads, user mode with
-interrupts, an SMT sibling, an active fault plan.
+interrupts, an SMT sibling, an active fault plan.  A body that reads
+the flags a counter read left replays only when they repeat.  The
+counter groups of one ``run()`` share the records of each program;
+the next ``run()`` starts with none.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ import random
 
 import pytest
 
+from repro.core import nanobench
 from repro.core.nanobench import NanoBench
 from repro.faults.plan import FaultPlan
 from repro.tools.instr.corpus import corpus_for_family
@@ -215,11 +219,6 @@ class TestSimulatedRunByRun:
             assert _replayed_runs(nb, "add RAX, RAX", unroll_count=50,
                                   n_measurements=4) == 0
 
-    def test_body_reading_counter_flags(self):
-        # CMOVZ reads ZF, which the last counter read set from its value.
-        assert _replayed_runs(_kernel(replay=True), "cmovz RAX, RBX",
-                              unroll_count=20, n_measurements=3) == 0
-
     @pytest.mark.parametrize("asm, asm_init", [
         ("mov ECX, 0; rdpmc", ""),
         ("mov ECX, 0x309; rdmsr", ""),
@@ -269,6 +268,132 @@ class TestSimulatedRunByRun:
         assert _replayed_runs(NanoBench.kernel("Skylake", seed=0),
                               "add RAX, RAX", unroll_count=50,
                               n_measurements=4) == 0
+
+
+def _verdicts(monkeypatch):
+    """The outcome of every flag check, in order."""
+    verdicts = []
+    original = nanobench._FixedPoint.accepts
+
+    def recording(self, values):
+        verdicts.append(original(self, values))
+        return verdicts[-1]
+
+    monkeypatch.setattr(nanobench._FixedPoint, "accepts", recording)
+    return verdicts
+
+
+@pytest.mark.no_chaos
+class TestCounterReadFlags:
+    """The first block's last counter read sets ZF, SF and PF from its
+    value, and the benchmark's first copy may read them."""
+
+    def test_zero_flag_repeats(self, monkeypatch):
+        # The last read is Reference cycles, never zero: every replay's
+        # ZF matches the logged run's, though its PF may not.
+        verdicts = _verdicts(monkeypatch)
+        (values, replayed), (exact_values, exact) = _both(
+            "cmovz RAX, RBX", unroll_count=20, n_measurements=6)
+        assert replayed.core.sim_stats.replayed_runs > 0
+        assert verdicts and all(verdicts)
+        assert values == exact_values
+        _assert_same_machine(replayed, exact)
+
+    def test_parity_flag_follows_the_counter_value(self, monkeypatch):
+        # PF is the parity of the value's low byte, which changes from
+        # run to run: those runs are simulated, the others replayed.
+        verdicts = _verdicts(monkeypatch)
+        (values, replayed), (exact_values, exact) = _both(
+            "cmovp RAX, RBX", unroll_count=20, n_measurements=6)
+        assert True in verdicts and False in verdicts
+        assert (replayed.core.sim_stats.replayed_runs
+                == verdicts.count(True))
+        assert values == exact_values
+        _assert_same_machine(replayed, exact)
+
+    def test_a_rejected_replay_moves_no_state(self):
+        nb = _kernel(replay=True)
+        nb.run("cmovp RAX, RBX", unroll_count=20, n_measurements=6)
+        record = next(fixed_point.record for fixed_point
+                      in nb._fixed_points.values() if fixed_point.record)
+        before, memory = _machine_state(nb.core), _memory(nb.core)
+        assert nb.core.replay_run(record, lambda values: False) is None
+        assert _machine_state(nb.core) == before
+        assert _memory(nb.core) == memory
+        assert nb.core.replay_run(record, lambda values: True) is not None
+        assert _machine_state(nb.core) != before
+
+
+_PORT_EVENTS = ["UOPS_DISPATCHED_PORT.PORT_%d" % p for p in range(8)]
+
+
+def _runs_per_group(nb):
+    """``(program runs, replayed runs)`` of each counter group of *nb*'s
+    runs, in order."""
+    groups = []
+    original = nb._run_group
+
+    def recording(*args):
+        before = nb.core.sim_stats.replayed_runs
+        result = original(*args)
+        groups.append((result[1], nb.core.sim_stats.replayed_runs - before))
+        return result
+
+    nb._run_group = recording
+    return groups
+
+
+@pytest.mark.no_chaos
+class TestCounterGroups:
+    def test_second_group_replays_the_first_groups_records(self):
+        # A ports spec: 8 port events on 4 programmable counters.
+        variant = next(v for v in corpus_for_family("SKL")
+                       if v.name == "ADD (R64, R64)")
+        spec = next(spec for spec in variant_specs(variant, "Skylake", seed=0)
+                    if spec.label.startswith("ports:"))
+        assert spec.events == tuple(_PORT_EVENTS)
+        nb = spec.make_nanobench()
+        groups = _runs_per_group(nb)
+        result = spec.execute(nb)
+        assert len(groups) == 2
+        (runs, _), (second_runs, second_replayed) = groups
+        # Group 1 reached its fixed points; group 2 simulates no run.
+        assert second_replayed == second_runs == runs
+        (exact, exact_nb) = _execute(spec, False)
+        assert exact_nb.core.sim_stats.replayed_runs == 0
+        assert result.values == exact.values
+        assert result.program_runs == exact.program_runs
+        assert result.simulated_cycles == exact.simulated_cycles
+        assert result.sim_instructions == exact.sim_instructions
+        assert _machine_state(nb.core) == _machine_state(exact_nb.core)
+
+    def test_groups_with_different_code_share_no_record(self):
+        # The uncore event joins the first group as an RDMSR: its code
+        # differs from the second group's, so each has its own records.
+        events = _PORT_EVENTS + ["CBOX0_LLC_LOOKUP.ANY"]
+        nb = _kernel(replay=True)
+        groups = _runs_per_group(nb)
+        values = nb.run("add RAX, RBX", events=events, unroll_count=20,
+                        n_measurements=4)
+        assert len(nb._fixed_points) == 4  # two programs per group
+        assert len(groups) == 2
+        second_runs, second_replayed = groups[1]
+        # Each of the second group's programs simulates its first run.
+        assert second_runs - second_replayed >= 2
+        exact = _kernel(replay=False)
+        assert exact.run("add RAX, RBX", events=events, unroll_count=20,
+                         n_measurements=4) == values
+        _assert_same_machine(nb, exact)
+
+    def test_a_run_starts_without_records(self):
+        nb = _kernel(replay=True)
+        nb.run("add RAX, RBX", unroll_count=20, n_measurements=4)
+        assert nb.last_report.sim_stats["replayed_runs"] > 0
+        # One run per program: only a record of the last call could
+        # replay it.
+        nb.run("add RAX, RBX", unroll_count=20, n_measurements=1)
+        assert nb.last_report.sim_stats["replayed_runs"] == 0
+        assert len(nb._fixed_points) == 2
 
 
 # ----------------------------------------------------------------------
