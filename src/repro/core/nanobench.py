@@ -639,8 +639,8 @@ class NanoBench:
         return (self.core.fast_path_enabled and active_plan() is None
                 and self.kernel_mode and not options.no_mem)
 
-    def _fixed_point(self, benchmark: Program, generated: GeneratedCode,
-                     counter_reads: Sequence[CounterRead]) -> "_FixedPoint":
+    def _fixed_point(self, benchmark: Program,
+                     generated: GeneratedCode) -> "_FixedPoint":
         """The fixed point of *generated* for the current :meth:`run`.
 
         Within one run the benchmark, init code and generation options
@@ -651,7 +651,7 @@ class NanoBench:
         another group that runs the same code.
         """
         local_unroll_count = generated.local_unroll_count
-        key = (tuple((read.kind, read.index) for read in counter_reads),
+        key = (tuple((read.kind, read.index) for read in generated.counters),
                local_unroll_count)
         fixed_point = self._fixed_points.get(key)
         if fixed_point is None:
@@ -710,8 +710,7 @@ class NanoBench:
             generated = cached_generate(
                 benchmark, init_program, counter_reads, options, local_unroll
             )
-            fixed_point = (self._fixed_point(benchmark, generated,
-                                             counter_reads)
+            fixed_point = (self._fixed_point(benchmark, generated)
                            if replay else None)
             warm_up_count = options.warm_up_count + self._initial_warm_up
             self._initial_warm_up = 0

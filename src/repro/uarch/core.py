@@ -893,8 +893,7 @@ class SimulatedCore:
         )
 
     def replay_run(
-        self, record: "RunRecord",
-        accept: Optional[Callable[[List[int]], bool]] = None,
+        self, record: "RunRecord", accept: Callable[[List[int]], bool],
     ) -> Optional[List[int]]:
         """Redo a logged run's effects without simulating it.
 
@@ -918,7 +917,7 @@ class SimulatedCore:
             self._set_clock_metrics(base + now)
             values.append(self.rdpmc(index) if mnemonic == "RDPMC"
                           else self.rdmsr(index))
-        if accept is not None and not accept(values):
+        if not accept(values):
             metrics.load(start)
             return None
         rng = self.scheduler.rng
