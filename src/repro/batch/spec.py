@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.nanobench import NanoBench
@@ -236,6 +236,54 @@ def spec_digest(spec: BenchmarkSpec) -> str:
         fields.append(spec.backend)
     identity = repr(tuple(fields))
     return hashlib.sha256(identity.encode()).hexdigest()
+
+
+#: Spec fields carried on the wire (server submissions, job journal
+#: records and divergence records share this codec).  ``options`` is a
+#: list of ``[name, value]`` pairs in JSON and a tuple of tuples in
+#: memory.
+_SPEC_FIELDS = tuple(f.name for f in fields(BenchmarkSpec))
+
+_SPEC_DEFAULTS = BenchmarkSpec()
+
+
+def spec_to_payload(spec: BenchmarkSpec) -> dict:
+    """The JSON-safe wire form of one spec (defaults omitted)."""
+    payload = {}
+    for name in _SPEC_FIELDS:
+        value = getattr(spec, name)
+        if value == getattr(_SPEC_DEFAULTS, name):
+            continue
+        if name == "events":
+            value = list(value)
+        elif name == "options":
+            value = [[key, item] for key, item in value]
+        payload[name] = value
+    return payload
+
+
+def spec_from_payload(payload: dict) -> BenchmarkSpec:
+    """Rebuild a spec from its wire form.
+
+    Raises ``ValueError`` on unknown fields or non-mapping input so the
+    HTTP layer can turn malformed submissions into a structured 400.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("spec must be a JSON object, got %s"
+                         % type(payload).__name__)
+    unknown = set(payload) - set(_SPEC_FIELDS)
+    if unknown:
+        raise ValueError("unknown spec field(s): %s"
+                         % ", ".join(sorted(unknown)))
+    kwargs = dict(payload)
+    if "events" in kwargs:
+        kwargs["events"] = tuple(kwargs["events"])
+    if "options" in kwargs:
+        # Unpacking raises ValueError on a pair of the wrong length.
+        kwargs["options"] = tuple(
+            (name, value) for name, value in kwargs["options"]
+        )
+    return BenchmarkSpec(**kwargs)
 
 
 def journal_record(index: int, spec: BenchmarkSpec,

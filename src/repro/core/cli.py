@@ -304,9 +304,7 @@ def run_fuzz(argv: List[str]) -> int:
     result = fuzzer.run(args.budget)
     print(result.render())
     if args.corpus is not None:
-        from ..fuzz import sort_records
-
-        save_corpus(args.corpus, sort_records(result.records))
+        save_corpus(args.corpus, result.records)
         print("# corpus: %d record(s) written to %s"
               % (len(result.records), args.corpus), file=sys.stderr)
     return 1 if result.exact_divergences or result.stats.invalid else 0

@@ -17,9 +17,7 @@ from .corpus import (
     CORPUS_VERSION,
     DivergenceRecord,
     dump_record,
-    kernel_digest,
     load_corpus,
-    record_spec,
     save_corpus,
     sort_records,
 )
@@ -82,9 +80,7 @@ __all__ = [
     "QuotaScheduler",
     "dump_record",
     "get_profile",
-    "kernel_digest",
     "load_corpus",
-    "record_spec",
     "save_corpus",
     "shrink_kernel",
     "sort_records",

@@ -1,6 +1,8 @@
 """The differential harness: cross-check every backend on fuzzed kernels.
 
-Each generated kernel runs through four arms and three comparisons:
+One table, :data:`COMPARISONS`, says how each divergence category is
+compared: a reference arm, a candidate arm (both from :data:`ARMS`) and
+a judge.
 
 * **fastpath** — exact simulation (steady-state fast path disabled) vs
   the default fast-path simulation.  The fast path is an optimization,
@@ -12,9 +14,15 @@ Each generated kernel runs through four arms and three comparisons:
 * **analytic** — simulation vs the closed-form analytic estimator.
   The model is *supposed* to be approximate, so this comparison is
   tolerance-banded: :func:`~repro.tools.compare_backends.band_violations`
-  with :data:`ANALYTIC_ABS` / :data:`ANALYTIC_REL` (the rule the
-  router's audit applies with its own, tighter band).  Events only the
+  with :data:`ANALYTIC_ABS` / :data:`ANALYTIC_REL`.  Events only the
   simulator counts are not compared.
+* **router** — the same arms judged by the router's audit band
+  (:data:`repro.router.router.TOLERANCE` / ``REL_TOLERANCE``): a
+  replayed audit failure is held to the band that flagged it.
+
+A campaign runs the first three on every generated kernel; the
+shrinker's oracles and :meth:`DifferentialFuzzer.recheck_record` run
+the same table entry on one spec.
 
 Every arm runs under the integrity watchdog (cycle/µop budgets): a
 generated kernel that runs away is quarantined — counted and reported,
@@ -31,18 +39,19 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..batch.runner import BatchRunner
-from ..batch.spec import BatchResult
+from ..batch.spec import BatchResult, BenchmarkSpec
 from ..core.retry import UnschedulableEventWarning
 from ..errors import NanoBenchError, ReproError, ValidationError
+from ..router.router import REL_TOLERANCE, TOLERANCE
 from ..stats import Counters
 from ..tools.compare_backends import band_violations
 from ..uarch.specs import get_spec
 from ..uarch.timing import TimingTable
-from .corpus import DivergenceRecord, kernel_digest, record_spec
+from .corpus import DivergenceRecord, sort_records
 from .generator import GeneratedKernel, KernelGenerator
 from .quota import CoverageReport
 from .shrink import shrink_kernel, split_statements
@@ -56,6 +65,9 @@ DEFAULT_EVENTS = (
     "BR_INST_RETIRED.ALL_BRANCHES",
     "MEM_LOAD_RETIRED.L1_HIT",
 )
+
+#: Every arm runs the kernel version of nanoBench.
+KERNEL_MODE = True
 
 #: Watchdog budgets applied identically to every arm.  Generous for a
 #: <=20-statement kernel at unroll 4 (a legitimate run needs a few
@@ -71,6 +83,55 @@ ANALYTIC_ABS = 16.0
 ANALYTIC_REL = 0.75
 
 
+def _exact(spec: BenchmarkSpec, jobs: int) -> BatchResult:
+    nb = spec.make_nanobench()
+    nb.core.fast_path_enabled = False
+    return spec.execute(nb)
+
+
+def _sim(spec: BenchmarkSpec, jobs: int) -> BatchResult:
+    return spec.execute()
+
+
+def _batched(spec: BenchmarkSpec, jobs: int) -> BatchResult:
+    return BatchRunner(jobs=jobs).run([spec])[0]
+
+
+def _analytic(spec: BenchmarkSpec, jobs: int) -> BatchResult:
+    # Capability skips are allowed: the judge compares shared events.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnschedulableEventWarning)
+        return replace(spec, backend="analytic").execute()
+
+
+#: The arms a comparison runs, by name.  Each executes one spec on a
+#: fresh machine (``jobs`` is the batched arm's worker count): exact
+#: simulation, default (fast-path) simulation, the same through a
+#: worker pool, and the analytic estimator.
+ARMS = {"exact": _exact, "sim": _sim, "batched": _batched,
+        "analytic": _analytic}
+
+
+class Comparison(NamedTuple):
+    """How one divergence category is compared."""
+
+    reference: str
+    candidate: str
+    #: ``(abs, rel)`` band for :func:`band_violations`; ``None`` means
+    #: the two arms must be byte-identical.
+    band: Optional[Tuple[float, float]]
+
+
+#: The one category table: every comparison the campaign, the
+#: shrinker's oracles and the corpus replay run.
+COMPARISONS = {
+    "fastpath": Comparison("exact", "sim", None),
+    "batch": Comparison("sim", "batched", None),
+    "analytic": Comparison("sim", "analytic", (ANALYTIC_ABS, ANALYTIC_REL)),
+    "router": Comparison("sim", "analytic", (TOLERANCE, REL_TOLERANCE)),
+}
+
+
 def _values_equal(a: BatchResult, b: BatchResult) -> bool:
     """Byte-identical outcome: same error state and same values."""
     if (a.error is None) != (b.error is None):
@@ -80,25 +141,36 @@ def _values_equal(a: BatchResult, b: BatchResult) -> bool:
     return a.values == b.values
 
 
-def _max_shared_deviation(reference: Dict[str, float],
-                          candidate: Dict[str, float]) -> float:
-    """The largest deviation over the events both sides report (a
-    zero-width band puts every differing event outside it)."""
-    return max(band_violations(reference, candidate, 0.0, 0.0).values(),
-               default=0.0)
+def _disagreement(band: Optional[Tuple[float, float]],
+                  reference: BatchResult,
+                  candidate: BatchResult) -> Optional[str]:
+    """How *candidate* disagrees with *reference* under the judge
+    *band* (see :class:`Comparison`), or ``None`` when they agree."""
+    if band is None:
+        if _values_equal(reference, candidate):
+            return None
+        return "differ: %r != %r" % (reference.values or reference.error,
+                                     candidate.values or candidate.error)
+    if reference.error is not None or candidate.error is not None:
+        # The model refusing a kernel the simulator runs (or vice
+        # versa) is a capability gap, not a numeric divergence.
+        return None
+    violations = band_violations(reference.values, candidate.values, *band)
+    if not violations:
+        return None
+    return "out of band %s: %r vs %r" % (sorted(violations),
+                                         reference.values, candidate.values)
 
 
-def _band(category: str) -> Tuple[float, float]:
-    """``(abs, rel)`` tolerance a record of *category* is judged by.
-
-    A ``router`` record is an audit failure, so it is re-judged by the
-    router's band, read per call like the audit reads it.
-    """
-    if category == "router":
-        from ..router import router
-
-        return router.TOLERANCE, router.REL_TOLERANCE
-    return ANALYTIC_ABS, ANALYTIC_REL
+def record_tolerance(category: str, reference: Dict[str, float]) -> float:
+    """A record's ``tolerance``: the widest band of *category* over the
+    *reference* values, ``max(abs, rel·|ref|)`` (0 for exact ones)."""
+    band = COMPARISONS[category].band
+    if band is None:
+        return 0.0
+    abs_tol, rel_tol = band
+    return max((max(abs_tol, rel_tol * abs(value))
+                for value in reference.values()), default=0.0)
 
 
 def _is_runaway(result: BatchResult) -> bool:
@@ -131,8 +203,10 @@ class FuzzResult:
 
     @property
     def exact_divergences(self) -> List[DivergenceRecord]:
-        """The must-be-zero categories (fastpath + batch)."""
-        return [r for r in self.records if r.category != "analytic"]
+        """The must-be-zero categories (those judged by byte equality:
+        fastpath + batch)."""
+        return [r for r in self.records
+                if COMPARISONS[r.category].band is None]
 
     def render(self) -> str:
         stats = self.stats
@@ -149,7 +223,7 @@ class FuzzResult:
             lines.append(
                 "  [%s] %s dev=%.3f tol=%.3f: %s"
                 % (record.category, record.digest[:12], record.deviation,
-                   record.tolerance, record.asm)
+                   record.tolerance, record.spec.asm)
             )
         return "\n".join(lines)
 
@@ -163,8 +237,6 @@ class DifferentialFuzzer:
         profile: str = "default",
         *,
         uarch: str = "Skylake",
-        kernel_mode: bool = True,
-        events: Tuple[str, ...] = DEFAULT_EVENTS,
         jobs: int = 2,
         cycle_budget: int = DEFAULT_CYCLE_BUDGET,
         uop_budget: int = DEFAULT_UOP_BUDGET,
@@ -173,8 +245,6 @@ class DifferentialFuzzer:
     ) -> None:
         self.generator = KernelGenerator(seed=seed, profile=profile)
         self.uarch = uarch
-        self.kernel_mode = kernel_mode
-        self.events = tuple(events)
         self.jobs = max(1, int(jobs))
         self.cycle_budget = cycle_budget
         self.uop_budget = uop_budget
@@ -185,119 +255,66 @@ class DifferentialFuzzer:
             spec.family, move_elimination=spec.move_elimination
         )
 
-    # -- arm execution --------------------------------------------------
-    def _options(self) -> Dict[str, object]:
-        return {
-            "cycle_budget": self.cycle_budget,
-            "uop_budget": self.uop_budget,
-        }
-
-    def _spec(self, kernel: GeneratedKernel, *, backend: str = "sim"):
-        return record_spec(
-            kernel, uarch=self.uarch, kernel_mode=self.kernel_mode,
-            events=self.events, options=self._options(), backend=backend,
+    def spec(self, kernel: GeneratedKernel) -> BenchmarkSpec:
+        """The reference arm's spec of *kernel* (backend sim, no label:
+        campaigns that shrink to the same kernel share its digest)."""
+        return BenchmarkSpec(
+            asm=kernel.asm,
+            asm_init=kernel.asm_init,
+            events=DEFAULT_EVENTS,
+            uarch=self.uarch,
+            seed=kernel.seed,
+            kernel_mode=KERNEL_MODE,
+            options=dict(kernel.run_options(),
+                         cycle_budget=self.cycle_budget,
+                         uop_budget=self.uop_budget),
         )
 
-    def _digest(self, kernel: GeneratedKernel) -> str:
-        return kernel_digest(
-            kernel, uarch=self.uarch, kernel_mode=self.kernel_mode,
-            events=self.events, options=self._options(),
-        )
+    def compare(self, category: str, spec: BenchmarkSpec
+                ) -> Tuple[BatchResult, BatchResult, Optional[str]]:
+        """Run *category*'s table entry on *spec*: the reference arm,
+        the candidate arm, and the judge's description of any
+        disagreement (``None`` when they agree)."""
+        reference_arm, candidate_arm, band = COMPARISONS[category]
+        reference = ARMS[reference_arm](spec, self.jobs)
+        candidate = ARMS[candidate_arm](spec, self.jobs)
+        found = _disagreement(band, reference, candidate)
+        if found is not None:
+            found = "%s vs %s %s" % (reference_arm, candidate_arm, found)
+        return reference, candidate, found
 
-    def run_serial(self, kernel: GeneratedKernel) -> BatchResult:
-        """Reference arm: fresh nanoBench, fast path on (the default)."""
-        return self._spec(kernel).execute()
-
-    def run_exact(self, kernel: GeneratedKernel) -> BatchResult:
-        """Exact arm: identical spec with the fast path disabled."""
-        spec = self._spec(kernel)
-        nb = spec.make_nanobench()
-        nb.core.fast_path_enabled = False
-        return spec.execute(nb)
-
-    def run_analytic(self, kernel: GeneratedKernel) -> BatchResult:
-        """Model arm: the analytic backend (capability-skips allowed)."""
-        spec = self._spec(kernel, backend="analytic")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnschedulableEventWarning)
-            return spec.execute()
-
-    # -- divergence predicates (shared with the shrinker oracles) -------
-    def fastpath_diverges(self, kernel: GeneratedKernel) -> bool:
-        if not self._evaluates(kernel):
-            return False
-        exact = self.run_exact(kernel)
-        fast = self.run_serial(kernel)
-        return not _values_equal(exact, fast)
-
-    def batch_diverges(self, kernel: GeneratedKernel) -> bool:
-        if not self._evaluates(kernel):
-            return False
-        serial = self.run_serial(kernel)
-        batched = BatchRunner(jobs=self.jobs).run([self._spec(kernel)])[0]
-        return not _values_equal(serial, batched)
-
-    def analytic_diverges(self, kernel: GeneratedKernel) -> bool:
-        if not self._evaluates(kernel):
-            return False
-        serial = self.run_serial(kernel)
-        analytic = self.run_analytic(kernel)
-        if serial.error is not None or analytic.error is not None:
-            # The model refusing a kernel the simulator runs (or vice
-            # versa) is a capability gap, not a numeric divergence.
-            return False
-        return bool(band_violations(serial.values, analytic.values,
-                                    ANALYTIC_ABS, ANALYTIC_REL))
-
-    def _evaluates(self, kernel: GeneratedKernel) -> bool:
-        """Shrinker guard: candidate still assembles and validates."""
+    def _diverges(self, category: str, kernel: GeneratedKernel) -> bool:
+        """The shrinker's oracle for *category*."""
         try:
-            kernel.validate(kernel_mode=self.kernel_mode,
+            kernel.validate(kernel_mode=KERNEL_MODE,
                             timing_table=self._timing)
         except (ReproError, ValueError):
             # Includes assembler errors: deleting a label definition
             # while its branch survives must read as "no divergence",
             # so the shrinker keeps the pair together.
             return False
-        return True
-
-    # -- record construction -------------------------------------------
-    def _record(self, category: str, kernel: GeneratedKernel,
-                reference: BatchResult, candidate: BatchResult,
-                *, tolerance: float, shrunk_from: int) -> DivergenceRecord:
-        return DivergenceRecord(
-            category=category,
-            digest=self._digest(kernel),
-            uarch=self.uarch,
-            kernel_mode=self.kernel_mode,
-            seed=kernel.seed,
-            index=kernel.index,
-            profile=kernel.profile,
-            buckets=kernel.buckets,
-            asm=kernel.asm,
-            asm_init=kernel.asm_init,
-            unroll_count=kernel.unroll_count,
-            loop_count=kernel.loop_count,
-            events=self.events,
-            reference=dict(reference.values),
-            candidate=dict(candidate.values),
-            deviation=_max_shared_deviation(reference.values,
-                                            candidate.values),
-            tolerance=tolerance,
-            shrunk_from=shrunk_from,
-            provenance=kernel.provenance,
-        )
+        return self.compare(category, self.spec(kernel))[2] is not None
 
     def _pin(self, category: str, kernel: GeneratedKernel,
-             oracle, rerun, *, tolerance: float) -> DivergenceRecord:
+             tolerance: float) -> DivergenceRecord:
         original_size = (len(split_statements(kernel.asm))
                          + len(split_statements(kernel.asm_init)))
         if self.shrink:
-            kernel = shrink_kernel(kernel, oracle)
-        reference, candidate = rerun(kernel)
-        return self._record(
-            category, kernel, reference, candidate,
-            tolerance=tolerance, shrunk_from=original_size,
+            kernel = shrink_kernel(
+                kernel, lambda k: self._diverges(category, k))
+        spec = self.spec(kernel)
+        reference, candidate, _ = self.compare(category, spec)
+        return DivergenceRecord(
+            category=category,
+            spec=spec,
+            reference=dict(reference.values),
+            candidate=dict(candidate.values),
+            tolerance=tolerance,
+            shrunk_from=original_size,
+            index=kernel.index,
+            profile=kernel.profile,
+            buckets=kernel.buckets,
+            provenance=kernel.provenance,
         )
 
     # -- the campaign ---------------------------------------------------
@@ -305,14 +322,14 @@ class DifferentialFuzzer:
         """Fuzz *budget* kernels; cross-check each; shrink + pin hits."""
         started = time.perf_counter()
         stats = FuzzStats()
-        records: Dict[str, DivergenceRecord] = {}
+        records: Dict[Tuple[str, str], DivergenceRecord] = {}
         kernels: List[GeneratedKernel] = []
 
         for _ in range(budget):
             kernel = self.generator.next_kernel()
             stats.kernels += 1
             try:
-                kernel.validate(kernel_mode=self.kernel_mode,
+                kernel.validate(kernel_mode=KERNEL_MODE,
                                 timing_table=self._timing)
             except (ValidationError, NanoBenchError) as exc:
                 # By construction this should not happen; count it so a
@@ -323,91 +340,50 @@ class DifferentialFuzzer:
                 continue
             kernels.append(kernel)
 
-        serial_results = [self.run_serial(kernel) for kernel in kernels]
-        exact_results = [self.run_exact(kernel) for kernel in kernels]
-        batch_specs = [self._spec(kernel) for kernel in kernels]
-        batch_results = BatchRunner(jobs=self.jobs).run(batch_specs)
-
-        def pin(category, kernel, oracle, rerun, tolerance=0.0):
-            record = self._pin(category, kernel, oracle, rerun,
-                               tolerance=tolerance)
-            key = "%s/%s" % (record.category, record.digest)
-            if key not in records:
-                records[key] = record
-                stats.bump("divergences", category)
-                stats.shrunk_statements += record.shrunk_from
-
-        for kernel, serial, exact, batched in zip(
-                kernels, serial_results, exact_results, batch_results):
-            if _is_runaway(serial) and _is_runaway(exact) \
-                    and _is_runaway(batched):
+        categories = ("fastpath", "batch") + (
+            ("analytic",) if self.check_analytic else ())
+        specs = [self.spec(kernel) for kernel in kernels]
+        batch_results = BatchRunner(jobs=self.jobs).run(specs)
+        for kernel, spec, batched in zip(kernels, specs, batch_results):
+            results = {"exact": _exact(spec, self.jobs),
+                       "sim": _sim(spec, self.jobs), "batched": batched}
+            if all(_is_runaway(result) for result in results.values()):
                 stats.quarantined += 1
                 continue
-            if not _values_equal(exact, serial):
-                pin("fastpath", kernel, self.fastpath_diverges,
-                    lambda k: (self.run_exact(k), self.run_serial(k)))
-            if not _values_equal(serial, batched):
-                pin("batch", kernel, self.batch_diverges,
-                    lambda k: (self.run_serial(k),
-                               BatchRunner(jobs=self.jobs)
-                               .run([self._spec(k)])[0]))
-            if self.check_analytic and serial.error is None:
-                analytic = self.run_analytic(kernel)
-                if analytic.error is None and band_violations(
-                        serial.values, analytic.values,
-                        ANALYTIC_ABS, ANALYTIC_REL):
-                    worst_tol = max(
-                        (max(ANALYTIC_ABS, ANALYTIC_REL * abs(value))
-                         for value in serial.values.values()), default=0.0,
-                    )
-                    pin("analytic", kernel, self.analytic_diverges,
-                        lambda k: (self.run_serial(k), self.run_analytic(k)),
-                        tolerance=worst_tol)
+            if self.check_analytic:
+                results["analytic"] = _analytic(spec, self.jobs)
+            for category in categories:
+                reference_arm, candidate_arm, band = COMPARISONS[category]
+                reference = results[reference_arm]
+                if _disagreement(band, reference,
+                                 results[candidate_arm]) is None:
+                    continue
+                # The band is read over the reference values the
+                # divergence was found on, before shrinking.
+                record = self._pin(category, kernel, record_tolerance(
+                    category, reference.values))
+                key = (record.category, record.digest)
+                if key not in records:
+                    records[key] = record
+                    stats.bump("divergences", category)
+                    stats.shrunk_statements += record.shrunk_from
 
         stats.wall_seconds = time.perf_counter() - started
         return FuzzResult(
-            records=sorted(records.values(),
-                           key=lambda r: (r.category, r.digest)),
+            records=sort_records(records.values()),
             coverage=self.generator.coverage.report(),
             stats=stats,
         )
 
     # -- corpus replay (the pinned-regression path) ---------------------
     def recheck_record(self, record: DivergenceRecord) -> Optional[str]:
-        """Re-run a pinned record's comparison; describe any divergence.
+        """Re-run a pinned record's comparison on its spec; describe any
+        divergence.
 
-        Returns ``None`` when the backends now agree (the pinned bug is
+        Returns ``None`` when the arms now agree (the pinned bug is
         fixed or the tolerance holds) and a human-readable description
-        when the kernel still — or again — diverges.  ``analytic`` and
-        ``router`` records are re-judged by their own band
-        (:func:`_band`).
+        when the spec still — or again — diverges.  The record's
+        category picks the :data:`COMPARISONS` entry, so a ``router``
+        record is re-judged by the router's band.
         """
-        kernel = record.kernel()
-        if record.category == "fastpath":
-            exact = self.run_exact(kernel)
-            fast = self.run_serial(kernel)
-            if not _values_equal(exact, fast):
-                return ("exact vs fast-path: %r != %r"
-                        % (exact.values or exact.error,
-                           fast.values or fast.error))
-            return None
-        if record.category == "batch":
-            serial = self.run_serial(kernel)
-            batched = BatchRunner(jobs=self.jobs).run(
-                [self._spec(kernel)])[0]
-            if not _values_equal(serial, batched):
-                return ("serial vs batched: %r != %r"
-                        % (serial.values or serial.error,
-                           batched.values or batched.error))
-            return None
-        serial = self.run_serial(kernel)
-        analytic = self.run_analytic(kernel)
-        if serial.error is not None or analytic.error is not None:
-            return None
-        abs_tol, rel_tol = _band(record.category)
-        violations = band_violations(serial.values, analytic.values,
-                                     abs_tol, rel_tol)
-        if violations:
-            return ("sim vs analytic out of band %s: %r vs %r"
-                    % (sorted(violations), serial.values, analytic.values))
-        return None
+        return self.compare(record.category, record.spec)[2]

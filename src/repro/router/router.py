@@ -147,7 +147,7 @@ class RoutedBench:
         self.table = load_fidelity_table()
         self.backend = "auto"
         self.stats = RouterStats()
-        #: Divergences confirmed by the audit, in the PR 6 corpus
+        #: Divergences confirmed by the audit, in the fuzzer's corpus
         #: format (category ``router``), ready for ``save_corpus``.
         self.divergences: List[object] = []
         #: The most recent run's report, with its ``router`` block.
@@ -278,27 +278,43 @@ class RoutedBench:
             tier = self._fresh_sim()
             values = self._run_on(tier, asm, asm_init, run_kwargs)
         else:
+            asm_text = asm if code is None else str(code)
+            init_text = asm_init if init is None else str(init)
             audited = audit_selected(
                 uarch=self.uarch, seed=self.seed,
                 kernel_mode=self.kernel_mode,
-                asm=asm if code is None else str(code),
-                asm_init=asm_init if init is None else str(init),
+                asm=asm_text, asm_init=init_text,
                 events=event_names,
                 options=sorted(option_overrides.items()),
                 fraction=AUDIT_FRACTION,  # read per call, not at import
             )
             if audited:
+                spec = self._query_spec(asm_text, init_text, event_names,
+                                        merged)
                 values, tier, audit_failed = self._audit(
-                    values, asm, asm_init, run_kwargs,
-                    events=events, option_overrides=option_overrides,
-                )
+                    values, asm, asm_init, run_kwargs, spec)
 
         self._finish(tier, audited, audit_failed)
         return values
 
     # ------------------------------------------------------------------
-    def _audit(self, values, asm: str, asm_init: str, run_kwargs, *,
-               events, option_overrides):
+    def _query_spec(self, asm_text: str, init_text: str, event_names,
+                    options):
+        """The reference spec of the query the audit ran: its code as
+        text, its resolved events (config-given ones included) and its
+        effective options (those that differ from the defaults)."""
+        from ..batch.spec import BenchmarkSpec
+        from ..core.options import NanoBenchOptions
+
+        defaults = vars(NanoBenchOptions())
+        return BenchmarkSpec(
+            asm=asm_text, asm_init=init_text, events=event_names,
+            uarch=self.uarch, seed=self.seed, kernel_mode=self.kernel_mode,
+            options={name: value for name, value in vars(options).items()
+                     if value != defaults[name]},
+        )
+
+    def _audit(self, values, asm: str, asm_init: str, run_kwargs, spec):
         """Cross-check an analytic answer against a fresh simulator run.
 
         Within tolerance: the analytic answer stands.  Beyond it: the
@@ -321,8 +337,7 @@ class RoutedBench:
         self.stats.quarantined = tuple(sorted(
             "analytic:%s" % cls for cls in self._quarantined
         ))
-        self._record_divergence(values, sim_values, violations,
-                                asm, asm_init, events, option_overrides)
+        self._record_divergence(spec, values, sim_values)
         return sim_values, sim, True
 
     def _counter_class(self, counter_name: str) -> str:
@@ -337,37 +352,17 @@ class RoutedBench:
         event = catalog.get(counter_name)
         return classify_event(event) if event is not None else CLASS_CACHE
 
-    def _record_divergence(self, values, sim_values, violations,
-                           asm, asm_init, events, option_overrides) -> None:
-        from ..batch.spec import spec_digest, spec_from_run_kwargs
+    def _record_divergence(self, spec, values, sim_values) -> None:
         from ..fuzz.corpus import DivergenceRecord
+        from ..fuzz.differential import record_tolerance
 
-        spec = spec_from_run_kwargs(
-            asm, asm_init, events=tuple(events), uarch=self.uarch,
-            seed=self.seed, kernel_mode=self.kernel_mode,
-            backend="analytic", **option_overrides,
-        )
-        options = dict(option_overrides)
         self.divergences.append(DivergenceRecord(
             category="router",
-            digest=spec_digest(spec),
-            uarch=self.uarch,
-            kernel_mode=self.kernel_mode,
-            seed=self.seed,
-            index=0,
-            profile="router-audit",
-            buckets=(),
-            asm=asm,
-            asm_init=asm_init,
-            unroll_count=int(options.get("unroll_count",
-                                         self.options.unroll_count)),
-            loop_count=int(options.get("loop_count",
-                                       self.options.loop_count)),
-            events=tuple(events),
+            spec=spec,
             reference=dict(sim_values),
             candidate=dict(values),
-            deviation=max(violations.values()),
-            tolerance=TOLERANCE,
+            tolerance=record_tolerance("router", sim_values),
+            profile="router-audit",
             provenance="router-audit:analytic",
         ))
 

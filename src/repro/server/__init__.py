@@ -24,6 +24,7 @@ Entry points: ``nanobench serve`` / ``nanobench submit`` (see
     server.drain()          # SIGTERM semantics
 """
 
+from ..batch.spec import spec_from_payload, spec_to_payload
 from .client import ServerClient, ServerUnavailableError
 from .http import BenchServer
 from .jobs import (
@@ -33,8 +34,6 @@ from .jobs import (
     RUNNING,
     Job,
     JobJournal,
-    spec_from_payload,
-    spec_to_payload,
 )
 from .queue import JobQueue, QueueStats
 from .quota import QuotaPolicy, QuotaSnapshot, TokenBucket

@@ -33,7 +33,7 @@ import socket
 import time
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..batch.spec import BenchmarkSpec
+from ..batch.spec import BenchmarkSpec, spec_to_payload
 from ..errors import (
     BadSubmissionError,
     JobNotFoundError,
@@ -46,7 +46,6 @@ from ..errors import (
     is_retryable,
 )
 from .http import MAX_BODY_BYTES
-from .jobs import spec_to_payload
 
 #: Error types a structured response body may name (class-name keyed).
 _ERROR_TYPES = {

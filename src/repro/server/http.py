@@ -53,6 +53,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Set, Tuple
 from urllib.parse import urlparse
 
+from ..batch.spec import spec_from_payload
 from ..errors import (
     BadSubmissionError,
     JobNotFoundError,
@@ -62,7 +63,6 @@ from ..errors import (
     is_retryable,
 )
 from ..faults.plan import fault_fires
-from .jobs import spec_from_payload
 from .queue import JobQueue, job_results_payload
 
 #: Submissions larger than this are rejected outright (decompression

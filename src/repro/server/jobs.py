@@ -1,4 +1,4 @@
-"""Job model, spec wire format, and the crash-safe job journal.
+"""Job model and the crash-safe job journal.
 
 A *job* is one client submission: an ordered list of
 :class:`~repro.batch.spec.BenchmarkSpec`\\ s plus admission metadata
@@ -40,10 +40,15 @@ import os
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..batch.spec import BenchmarkSpec, spec_digest
+from ..batch.spec import (
+    BenchmarkSpec,
+    spec_digest,
+    spec_from_payload,
+    spec_to_payload,
+)
 from ..store.records import encode_record, record_checksum
 from ..store.segment import (
     QUARANTINE_DIR,
@@ -62,52 +67,6 @@ JOB_RECORD_VERSION = 1
 ACCEPTED = "accepted"
 RUNNING = "running"
 DONE = "done"
-
-#: Spec fields carried on the wire (submission payloads and journal
-#: records share this codec).  ``options`` is a list of ``[name, value]``
-#: pairs in JSON and a tuple of tuples in memory.
-_SPEC_FIELDS = tuple(f.name for f in fields(BenchmarkSpec))
-
-_SPEC_DEFAULTS = BenchmarkSpec()
-
-
-def spec_to_payload(spec: BenchmarkSpec) -> dict:
-    """The JSON-safe wire form of one spec (defaults omitted)."""
-    payload = {}
-    for name in _SPEC_FIELDS:
-        value = getattr(spec, name)
-        if value == getattr(_SPEC_DEFAULTS, name):
-            continue
-        if name in ("events",):
-            value = list(value)
-        elif name == "options":
-            value = [[key, item] for key, item in value]
-        payload[name] = value
-    return payload
-
-
-def spec_from_payload(payload: dict) -> BenchmarkSpec:
-    """Rebuild a spec from its wire form.
-
-    Raises ``ValueError`` on unknown fields or non-mapping input so the
-    HTTP layer can turn malformed submissions into a structured 400.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("spec must be a JSON object, got %s"
-                         % type(payload).__name__)
-    unknown = set(payload) - set(_SPEC_FIELDS)
-    if unknown:
-        raise ValueError("unknown spec field(s): %s"
-                         % ", ".join(sorted(unknown)))
-    kwargs = dict(payload)
-    if "events" in kwargs:
-        kwargs["events"] = tuple(kwargs["events"])
-    if "options" in kwargs:
-        kwargs["options"] = tuple(
-            (pair[0], pair[1]) for pair in kwargs["options"]
-        )
-    return BenchmarkSpec(**kwargs)
-
 
 @dataclass
 class Job:

@@ -1,5 +1,6 @@
 """Differential harness, corpus, and cross-backend comparison tests."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -9,15 +10,15 @@ from repro.core.cli import main as cli_main
 from repro.fuzz import (
     DifferentialFuzzer,
     DivergenceRecord,
+    FuzzResult,
     GeneratedKernel,
     KernelGenerator,
     dump_record,
-    kernel_digest,
     load_corpus,
-    record_spec,
     save_corpus,
     sort_records,
 )
+from repro.fuzz.differential import record_tolerance
 from repro.tools.compare_backends import ProfileDeviation, band_violations
 
 
@@ -91,16 +92,15 @@ def _kernel(asm="add RAX, RBX", asm_init="mov RAX, 1", **kwargs):
     return GeneratedKernel(**defaults)
 
 
-def _record(category="analytic", digest="d" * 64, **kwargs):
+def _record(category="analytic", **kwargs):
     kernel = _kernel(**kwargs)
     return DivergenceRecord(
-        category=category, digest=digest, uarch="Skylake", kernel_mode=True,
-        seed=kernel.seed, index=kernel.index, profile=kernel.profile,
-        buckets=kernel.buckets, asm=kernel.asm, asm_init=kernel.asm_init,
-        unroll_count=kernel.unroll_count, loop_count=kernel.loop_count,
-        events=("UOPS_ISSUED.ANY",), reference={"UOPS_ISSUED.ANY": 1.0},
-        candidate={"UOPS_ISSUED.ANY": 2.0}, deviation=1.0, tolerance=0.5,
-        shrunk_from=5, provenance=kernel.provenance,
+        category=category,
+        spec=DifferentialFuzzer().spec(kernel),
+        reference={"UOPS_ISSUED.ANY": 1.0},
+        candidate={"UOPS_ISSUED.ANY": 2.0}, tolerance=0.5,
+        shrunk_from=5, index=kernel.index, profile=kernel.profile,
+        buckets=kernel.buckets, provenance=kernel.provenance,
     )
 
 
@@ -112,22 +112,31 @@ class TestDivergenceCorpus:
         assert load_corpus(path) == [record]
 
     def test_corpus_bytes_are_deterministic(self, tmp_path):
-        records = [_record(digest="b" * 64), _record(digest="a" * 64),
-                   _record(category="fastpath", digest="c" * 64)]
+        records = [_record(asm="add RAX, RBX"), _record(asm="add RCX, RDX"),
+                   _record(category="fastpath")]
         a_path, b_path = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         save_corpus(a_path, records)
         save_corpus(b_path, list(reversed(records)))
         with open(a_path, "rb") as a, open(b_path, "rb") as b:
             assert a.read() == b.read()
 
-    def test_sort_orders_exact_categories_first(self):
-        analytic = _record(category="analytic", digest="a" * 64)
-        fastpath = _record(category="fastpath", digest="z" * 64)
-        assert sort_records([analytic, fastpath]) == [fastpath, analytic]
+    def test_sort_orders_by_category_table(self):
+        records = [_record(category=category)
+                   for category in ("router", "analytic", "fastpath",
+                                    "batch")]
+        assert [r.category for r in sort_records(records)] \
+            == ["fastpath", "batch", "analytic", "router"]
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError, match="unknown divergence category"):
             _record(category="vibes")
+
+    def test_record_holds_the_reference_spec(self):
+        record = _record()
+        for spec in (replace(record.spec, backend="analytic"),
+                     replace(record.spec, label="x")):
+            with pytest.raises(ValueError, match="reference spec"):
+                replace(record, spec=spec)
 
     def test_bad_corpus_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -135,34 +144,44 @@ class TestDivergenceCorpus:
         with pytest.raises(ValueError, match=r"bad\.jsonl:3"):
             load_corpus(str(path))
 
-    def test_record_kernel_roundtrip(self):
-        record = _record()
-        kernel = record.kernel()
-        assert kernel.asm == record.asm
-        assert kernel.provenance == record.provenance
+    def test_malformed_spec_names_path_and_line(self, tmp_path):
+        line = json.loads(dump_record(_record()))
+        line["spec"]["events"] = 5
+        path = tmp_path / "malformed.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=r"malformed\.jsonl:1"):
+            load_corpus(str(path))
 
-    def test_kernel_digest_ignores_provenance_label(self):
-        a = _kernel(index=1)
-        b = _kernel(index=2)
+    def test_mismatched_digest_rejected(self, tmp_path):
+        line = json.loads(dump_record(_record()))
+        line["spec"]["asm"] = "add RAX, RCX"
+        path = tmp_path / "edited.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match="does not match"):
+            load_corpus(str(path))
+
+    def test_digest_ignores_provenance(self):
+        a = _record(index=1)
+        b = _record(index=2)
         assert a.provenance != b.provenance
-        digest_kw = dict(uarch="Skylake", kernel_mode=True,
-                         events=("UOPS_ISSUED.ANY",))
-        assert (kernel_digest(a, **digest_kw)
-                == kernel_digest(b, **digest_kw))
-        # The executable spec keeps the label (and so a distinct
-        # result-store digest) — only corpus identity blanks it.
-        spec_a = record_spec(a, **digest_kw)
-        spec_b = record_spec(b, **digest_kw)
-        assert spec_digest(spec_a) != spec_digest(spec_b)
+        # Two campaigns shrinking to the same kernel pin one record.
+        assert a.digest == b.digest == spec_digest(a.spec)
 
-    def test_record_spec_merges_run_options(self):
-        spec = record_spec(_kernel(), uarch="Skylake", kernel_mode=True,
-                           events=("UOPS_ISSUED.ANY",),
-                           options={"cycle_budget": 99})
+    def test_fuzz_spec_merges_run_options(self):
+        fuzzer = DifferentialFuzzer(cycle_budget=99)
+        spec = fuzzer.spec(_kernel())
         options = spec.option_dict()
         assert options["unroll_count"] == 4
         assert options["cycle_budget"] == 99
-        assert spec.backend == "sim"
+        assert (spec.backend, spec.label) == ("sim", "")
+
+    def test_deviation_and_tolerance(self):
+        record = replace(_record(), reference={"A": 40.0, "B": 2.0},
+                         candidate={"A": 41.0, "B": 7.0, "C": 9.0})
+        assert record.deviation == 5.0
+        assert record_tolerance("analytic", record.reference) == 30.0
+        assert record_tolerance("router", record.reference) == 2.0
+        assert record_tolerance("batch", record.reference) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -172,16 +191,16 @@ class TestDifferentialFuzzer:
     def test_exact_arms_agree_on_sample_kernels(self):
         fuzzer = DifferentialFuzzer(seed=0, jobs=1)
         for kernel in KernelGenerator(0, "default").iter_kernels(6):
-            serial = fuzzer.run_serial(kernel)
-            exact = fuzzer.run_exact(kernel)
+            exact, serial, found = fuzzer.compare("fastpath",
+                                                  fuzzer.spec(kernel))
             assert serial.error is None, kernel.provenance
+            assert found is None, kernel.provenance
             assert exact.values == serial.values, kernel.provenance
 
     def test_analytic_arm_skips_cache_events(self):
         fuzzer = DifferentialFuzzer(seed=0, jobs=1)
         kernel = _kernel(asm="mov RAX, [R14]", asm_init="")
-        serial = fuzzer.run_serial(kernel)
-        analytic = fuzzer.run_analytic(kernel)
+        serial, analytic, _ = fuzzer.compare("analytic", fuzzer.spec(kernel))
         assert "MEM_LOAD_RETIRED.L1_HIT" in serial.values
         assert "MEM_LOAD_RETIRED.L1_HIT" not in analytic.values
         assert "MEM_LOAD_RETIRED.L1_HIT" not in band_violations(
@@ -193,6 +212,14 @@ class TestDifferentialFuzzer:
         assert result.stats.invalid == 0
         assert result.exact_divergences == []
         assert result.coverage.quotas_met(tolerance=1.0 / 20)
+
+    def test_exact_divergences_are_the_byte_equality_categories(self):
+        records = [_record(category=category)
+                   for category in ("fastpath", "batch", "analytic",
+                                    "router")]
+        result = FuzzResult(records=records, coverage=None, stats=None)
+        assert [r.category for r in result.exact_divergences] \
+            == ["fastpath", "batch"]
 
     def test_campaigns_are_deterministic(self):
         a = DifferentialFuzzer(seed=1, jobs=2).run(15)

@@ -44,7 +44,10 @@ from repro.errors import (
     QuotaExceededError,
     UnschedulableEventError,
 )
+from repro.core.options import NanoBenchOptions
+from repro.fuzz import DifferentialFuzzer
 from repro.fuzz.corpus import load_corpus, save_corpus
+from repro.perfctr.config import parse_config
 from repro.perfctr.events import event_catalog
 from repro.router import (
     ClassBound,
@@ -61,6 +64,7 @@ from repro.router.fidelity import DEFAULT_TABLE_PATH
 from repro.server import BenchServer, DONE, JobJournal, JobQueue, QuotaPolicy
 from repro.server.client import ServerClient, ServerUnavailableError
 from repro.store.segment import scan_segment
+from repro.tools.compare_backends import band_violations
 from repro.uarch.specs import get_spec
 from repro.uarch.timing import TimingTable
 
@@ -344,6 +348,28 @@ class TestAudit:
         path = str(tmp_path / "corpus.jsonl")
         save_corpus(path, rb.divergences)
         assert load_corpus(path) == rb.divergences
+
+    def test_record_replays_the_audited_query(self, monkeypatch):
+        # The record keeps the query the audit ran: config-given events
+        # and the instance's options, not the fuzzer's.
+        monkeypatch.setattr(router_module, "AUDIT_FRACTION", 1.0)
+        rb = RoutedBench("Skylake", 0, options=NanoBenchOptions(
+            n_measurements=3, unroll_count=50))
+        config = parse_config("0E.01 UOPS_ISSUED.ANY\n", SKL_CATALOG)
+        rb.run(self.RMW, config=config)
+        record, = rb.divergences
+        assert record.spec.events == ("UOPS_ISSUED.ANY",)
+        assert record.spec.option_dict() == {"n_measurements": 3,
+                                             "unroll_count": 50}
+        assert (record.spec.backend, record.spec.label) == ("sim", "")
+        reference, candidate, found = DifferentialFuzzer(jobs=1).compare(
+            "router", record.spec)
+        assert reference.values == record.reference
+        assert candidate.values == record.candidate
+        violations = band_violations(
+            record.reference, record.candidate,
+            router_module.TOLERANCE, router_module.REL_TOLERANCE)
+        assert "out of band %s" % sorted(violations) in found
 
     def test_quarantined_class_escalates_next_run(self, monkeypatch):
         rb = _router(monkeypatch, audit_fraction=1.0)

@@ -173,6 +173,11 @@ class TestSpecCodec:
         with pytest.raises(ValueError, match="JSON object"):
             spec_from_payload(["nop"])
 
+    def test_option_without_value_rejected(self):
+        # A ValueError is the HTTP layer's 400; an IndexError escaped it.
+        with pytest.raises(ValueError):
+            spec_from_payload({"asm": "nop", "options": [["unroll_count"]]})
+
 
 # ----------------------------------------------------------------------
 # Job journal
