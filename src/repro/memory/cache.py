@@ -15,6 +15,10 @@ is exactly the post-WBINVD state.
 The address mapping is fixed when a cache is built: ``offset_bits``,
 ``set_mask`` and ``index_bits`` are plain attributes, so a lookup does
 only per-access work.  :class:`CacheGeometry` stays the public spec.
+The cache owns the mapping both ways: :meth:`Cache.access` maps the
+line, builds its set on first touch, runs the policy's merged
+``SetState.access`` and maps an evicted tag back to a line address, in
+one call per access.
 """
 
 from __future__ import annotations
@@ -85,15 +89,6 @@ class Cache:
         self._slice_of = slice_hash.slice_of if slice_hash is not None else None
         self._sets: List[Dict[int, SetState]] = [{} for _ in range(geometry.n_slices)]
 
-    def _set(self, slice_id: int, set_index: int) -> SetState:
-        """The set at a located position, built on first touch."""
-        sets = self._sets[slice_id]
-        try:
-            return sets[set_index]
-        except KeyError:
-            sets[set_index] = self.policy.create_set_at(slice_id, set_index)
-            return sets[set_index]
-
     # ------------------------------------------------------------------
     # Address mapping
     # ------------------------------------------------------------------
@@ -107,10 +102,30 @@ class Cache:
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def access(self, physical_address: int) -> bool:
-        """Demand access; updates replacement state.  Returns hit."""
-        slice_id, set_index, tag = self.locate(physical_address)
-        return self._set(slice_id, set_index).access(tag)[0]
+    def access(self, physical_address: int) -> Tuple[bool, Optional[int], int]:
+        """Demand access; updates replacement state.
+
+        Returns ``(hit, evicted, slice_id)``: whether the line was
+        present, the address of the line a miss evicted (``None`` if it
+        filled an empty way) and the slice looked up.  This is the one
+        call per access and level: it maps the line, builds the set on
+        first touch and runs the policy's merged ``access``.
+        """
+        block = physical_address >> self.offset_bits
+        set_index = block & self.set_mask
+        slice_of = self._slice_of
+        slice_id = 0 if slice_of is None else slice_of(physical_address)
+        sets = self._sets[slice_id]
+        try:
+            cache_set = sets[set_index]
+        except KeyError:
+            cache_set = sets[set_index] = self.policy.create_set_at(
+                slice_id, set_index)
+        hit, evicted = cache_set.access(block >> self.index_bits)
+        if evicted is not None:
+            evicted = (((evicted << self.index_bits) | set_index)
+                       << self.offset_bits)
+        return hit, evicted, slice_id
 
     def probe(self, physical_address: int) -> bool:
         """Check presence without touching replacement state."""
@@ -155,7 +170,10 @@ class Cache:
         if not (0 <= slice_id < geo.n_slices and 0 <= set_index < geo.n_sets):
             raise IndexError(
                 "%s has no set (%d, %d)" % (self.name, slice_id, set_index))
-        return self._set(slice_id, set_index)
+        sets = self._sets[slice_id]
+        if set_index not in sets:
+            sets[set_index] = self.policy.create_set_at(slice_id, set_index)
+        return sets[set_index]
 
     def __repr__(self) -> str:
         geo = self.geometry

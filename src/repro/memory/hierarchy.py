@@ -13,9 +13,12 @@ Models the structure the cache case study (Section VI) targets:
   :class:`AccessResult`, from which the core counts the per-slice C-Box
   events.
 
-An access locates the line once in each level it reaches, and the slice
-comes from the L3 lookup itself.  Results are shared and prebuilt: one
-per level, plus one hit/miss pair per L3 slice.
+:meth:`MemoryHierarchy.access` is the one call per access: it makes one
+:meth:`~repro.memory.cache.Cache.access` call per level it reaches,
+which maps the line, runs the set's merged replacement update and
+returns the hit, the evicted line (for back-invalidation) and the slice.
+The demand counters are updated inline.  Results are shared and
+prebuilt: one per level, plus one hit/miss pair per L3 slice.
 """
 
 from __future__ import annotations
@@ -61,20 +64,6 @@ class DemandCounters(Counters):
     l2_misses: int = 0
     l3_hits: int = 0
     l3_misses: int = 0
-
-    def record(self, result: AccessResult) -> None:
-        if result.level == 1:
-            self.l1_hits += 1
-            return
-        self.l1_misses += 1
-        if result.level == 2:
-            self.l2_hits += 1
-            return
-        self.l2_misses += 1
-        if result.level == 3:
-            self.l3_hits += 1
-        else:
-            self.l3_misses += 1
 
 
 class NextLinePrefetcher:
@@ -187,7 +176,11 @@ class MemoryHierarchy:
 
     def access(self, address: int, *, is_write: bool = False,
                is_prefetch: bool = False) -> AccessResult:
-        """Demand (or prefetch) access to physical *address*."""
+        """Demand (or prefetch) access to physical *address*.
+
+        Each access is one step of the watchdog budget, prefetches
+        included; only demand accesses count in ``demand`` and train the
+        prefetcher."""
         self.steps_taken += 1
         if self.step_budget is not None and self.steps_taken > self.step_budget:
             raise RunawayBenchmarkError(
@@ -197,39 +190,38 @@ class MemoryHierarchy:
                 progress=dict(self.demand.to_dict(), steps=self.steps_taken),
             )
         line = address - address % self._line_size
-        cache = self.l1
-        slice_id, set_index, tag = cache.locate(line)
-        if cache._set(slice_id, set_index).access(tag)[0]:
+        # Demand accesses count toward ``demand``; prefetches add 0.
+        count = 0 if is_prefetch else 1
+        demand = self.demand
+        if self.l1.access(line)[0]:
+            demand.l1_hits += count
             result = self._l1_hit
         else:
-            cache = self.l2
-            slice_id, set_index, tag = cache.locate(line)
-            if cache._set(slice_id, set_index).access(tag)[0]:
+            demand.l1_misses += count
+            if self.l2.access(line)[0]:
+                demand.l2_hits += count
                 result = self._l2_hit
             elif self.l3 is None:
+                demand.l2_misses += count
+                demand.l3_misses += count
                 result = self._dram
             else:
-                result = self._access_l3(line)
-        if not is_prefetch:
-            self.demand.record(result)
-            if self.prefetcher_enabled:
-                for prefetch_line in self.prefetcher.observe(line, self._line_size):
-                    self.access(prefetch_line, is_prefetch=True)
+                demand.l2_misses += count
+                hit, evicted, slice_id = self.l3.access(line)
+                if hit:
+                    demand.l3_hits += count
+                    result = self._l3_hits[slice_id]
+                else:
+                    demand.l3_misses += count
+                    if evicted is not None:
+                        # Inclusive L3: back-invalidate the victim.
+                        self.l1.invalidate_line(evicted)
+                        self.l2.invalidate_line(evicted)
+                    result = self._l3_misses[slice_id]
+        if count and self.prefetcher_enabled:
+            for prefetch_line in self.prefetcher.observe(line, self._line_size):
+                self.access(prefetch_line, is_prefetch=True)
         return result
-
-    def _access_l3(self, line: int) -> AccessResult:
-        """The L3 part of an access that missed L1 and L2."""
-        l3 = self.l3
-        slice_id, set_index, tag = l3.locate(line)
-        hit, evicted_tag = l3._set(slice_id, set_index).access(tag)
-        if hit:
-            return self._l3_hits[slice_id]
-        if evicted_tag is not None:
-            # Inclusive L3: back-invalidate the victim everywhere.
-            evicted = ((evicted_tag << l3.index_bits) | set_index) << l3.offset_bits
-            self.l1.invalidate_line(evicted)
-            self.l2.invalidate_line(evicted)
-        return self._l3_misses[slice_id]
 
     # ------------------------------------------------------------------
     def wbinvd(self) -> None:

@@ -92,18 +92,21 @@ class _DedicatedSet(SetState):
     def __init__(self, inner: SetState, psel: PselCounter, side: str) -> None:
         super().__init__(inner.associativity)
         self._inner = inner
-        self._psel = psel
-        self._side = side
+        self._miss = psel.miss_in_a if side == "A" else psel.miss_in_b
         self._tags = inner._tags  # share the tag array
+
+    def access(self, tag: int) -> Tuple[bool, Optional[int]]:
+        """Report a miss to the PSEL, then run the inner policy's merged
+        access (its victim choice does not read the PSEL)."""
+        if tag not in self._tags:
+            self._miss()
+        return self._inner.access(tag)
 
     def on_hit(self, way: int) -> None:
         self._inner.on_hit(way)
 
     def choose_victim(self) -> int:
-        if self._side == "A":
-            self._psel.miss_in_a()
-        else:
-            self._psel.miss_in_b()
+        self._miss()
         return self._inner.choose_victim()
 
     def on_fill(self, way: int) -> None:
@@ -134,6 +137,12 @@ class _FollowerSet(_QLRUSet):
 
     def _sync_spec(self) -> None:
         self._spec = self._spec_a if self._psel.winner == "A" else self._spec_b
+
+    def access(self, tag: int) -> Tuple[bool, Optional[int]]:
+        """The QLRU merged access under the spec winning now (nothing
+        in one access moves the PSEL)."""
+        self._sync_spec()
+        return _QLRUSet.access(self, tag)
 
     def on_hit(self, way: int) -> None:
         self._sync_spec()

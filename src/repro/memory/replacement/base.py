@@ -4,7 +4,11 @@ A :class:`ReplacementPolicy` is a *factory* for per-cache-set state
 objects (:class:`SetState`).  The cache consults the set state on every
 access: ``lookup`` finds a way, ``on_hit`` updates metadata, and on a
 miss ``choose_victim`` picks the way the new tag is installed into,
-after which ``on_fill`` updates metadata.
+after which ``on_fill`` updates metadata.  The cache makes one call per
+access, :meth:`SetState.access`, which runs these hooks in turn; the
+policies of the modelled CPUs' caches (PLRU, MRU/MRU_SB, QLRU and the
+set-dueling sets) override it with a merged version that the test suite
+holds to the hooks.
 
 Way *positions* matter: the paper's QLRU variants are defined in terms of
 "leftmost"/"rightmost" locations (Section VI-B2), so :class:`SetState`

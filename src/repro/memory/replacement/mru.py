@@ -15,7 +15,7 @@ once the set is full.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 from .base import ReplacementPolicy, SetState
 
@@ -53,6 +53,30 @@ class _MRUSet(SetState):
         # Unreachable in the standard protocol (the reset rule guarantees
         # a set bit), but be safe: fall back to the leftmost way.
         return 0
+
+    def access(self, tag: int) -> Tuple[bool, Optional[int]]:
+        """Lookup, victim choice and status-bit update in one call."""
+        tags = self._tags
+        bits = self._bits
+        hit = tag in tags
+        if hit:
+            way = tags.index(tag)
+            evicted = None
+        else:
+            if None in tags:
+                way = tags.index(None)
+            else:
+                way = bits.index(1) if 1 in bits else 0
+            evicted = tags[way]
+            tags[way] = tag
+            if self._sb and None in tags:
+                bits[way] = 1
+                return False, evicted
+        bits[way] = 0
+        if 1 not in bits:
+            bits[:] = [1] * self.associativity
+            bits[way] = 0
+        return hit, evicted
 
     def fingerprint(self) -> tuple:
         return tuple(self._tags), tuple(self._bits)

@@ -44,8 +44,8 @@ class _PLRUSet(SetState):
         if associativity & (associativity - 1):
             raise ValueError("PLRU requires a power-of-two associativity")
         super().__init__(associativity)
-        self._levels = associativity.bit_length() - 1
         self._bits: List[int] = [0] * max(associativity - 1, 1)
+        self._first_leaf = associativity - 1
         self._paths = _touch_paths(associativity)
 
     def _touch(self, way: int) -> None:
@@ -64,14 +64,15 @@ class _PLRUSet(SetState):
         empty = self.leftmost_empty()
         if empty is not None:
             return empty
+        # Follow the tree bits down to a leaf.  In the flat numbering
+        # the leaves follow the ``associativity - 1`` inner nodes, in
+        # way order.
         bits = self._bits
+        first_leaf = self._first_leaf
         node = 0
-        way = 0
-        for _ in range(self._levels):
-            direction = bits[node]
-            way = (way << 1) | direction
-            node = 2 * node + 1 + direction
-        return way
+        while node < first_leaf:
+            node = 2 * node + 1 + bits[node]
+        return node - first_leaf
 
     def fingerprint(self) -> tuple:
         return tuple(self._tags), tuple(self._bits)
@@ -84,7 +85,15 @@ class _PLRUSet(SetState):
             for node, bit in self._paths[tags.index(tag)]:
                 bits[node] = bit
             return True, None
-        way = self.choose_victim()
+        if None in tags:
+            way = tags.index(None)
+        else:
+            # choose_victim's tree walk, inline.
+            first_leaf = self._first_leaf
+            node = 0
+            while node < first_leaf:
+                node = 2 * node + 1 + bits[node]
+            way = node - first_leaf
         evicted = tags[way]
         tags[way] = tag
         for node, bit in self._paths[way]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from .base import ReplacementPolicy, SetState
 
@@ -127,6 +127,12 @@ class QLRUSpec:
         )
 
 
+#: Per age delta, every age after the update adds it (empty ways stay
+#: empty).  Updates run only while no age is 3, so none exceeds 3.
+_SHIFTED = {delta: {None: None, 0: delta, 1: 1 + delta, 2: 2 + delta}
+            for delta in (1, 2, 3)}
+
+
 class _QLRUSet(SetState):
     def __init__(self, associativity: int, spec: QLRUSpec, rng) -> None:
         super().__init__(associativity)
@@ -137,20 +143,24 @@ class _QLRUSet(SetState):
     # ------------------------------------------------------------------
     def _age_update(self, accessed_way: Optional[int]) -> None:
         """Apply the U update if no block currently has age 3."""
-        if 3 in self._ages:
+        ages = self._ages
+        if 3 in ages:
             return
-        ages = [age for age in self._ages if age is not None]
-        if not ages:
-            return
-        maximum = max(ages)
+        # The highest age present (no age is 3 here).
+        if 2 in ages:
+            top = 2
+        elif 1 in ages:
+            top = 1
+        elif 0 in ages:
+            top = 0
+        else:
+            return  # an empty set
         variant = self._spec.update_variant
-        for way, age in enumerate(self._ages):
-            if age is None:
-                continue
-            if variant in (1, 3) and way == accessed_way:
-                continue
-            delta = (3 - maximum) if variant in (0, 1) else 1
-            self._ages[way] = min(3, age + delta)
+        shifted = _SHIFTED[(3 - top) if variant < 2 else 1]
+        updated = [shifted[age] for age in ages]
+        if variant in (1, 3) and accessed_way is not None:
+            updated[accessed_way] = ages[accessed_way]
+        ages[:] = updated
 
     # ------------------------------------------------------------------
     def on_hit(self, way: int) -> None:
@@ -185,6 +195,45 @@ class _QLRUSet(SetState):
         self._ages[way] = age
         if not spec.update_on_miss_only:
             self._age_update(way)
+
+    def access(self, tag: int) -> Tuple[bool, Optional[int]]:
+        """The hooks' lookup, promotion, victim choice, insertion and age
+        update in one call; draws the insertion age as ``on_fill`` does."""
+        tags = self._tags
+        ages = self._ages
+        spec = self._spec
+        if tag in tags:
+            way = tags.index(tag)
+            age = ages[way]  # spec.hit_promotion, inline
+            if age is None or age == 3:
+                ages[way] = spec.hit_x
+            else:
+                ages[way] = spec.hit_y if age == 2 else 0
+            if not spec.update_on_miss_only and 3 not in ages:
+                self._age_update(way)
+            return True, None
+        if None in tags:
+            if spec.replace_variant == 2:
+                way = self.rightmost_empty()
+            else:
+                way = tags.index(None)
+        else:
+            if spec.update_on_miss_only and 3 not in ages:
+                self._age_update(None)
+            # R1 replaces the leftmost block if no age is 3; for R0/R2
+            # that case is undefined, and the leftmost way keeps the
+            # simulator total.
+            way = ages.index(3) if 3 in ages else 0
+        evicted = tags[way]
+        tags[way] = tag
+        age = spec.insert_age
+        denominator = spec.insert_prob_denominator
+        if denominator > 1 and self._rng.randrange(denominator) != 0:
+            age = 3
+        ages[way] = age
+        if not spec.update_on_miss_only and 3 not in ages:
+            self._age_update(way)
+        return False, evicted
 
     def on_invalidate(self, way: int) -> None:
         self._ages[way] = None

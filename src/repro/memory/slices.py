@@ -46,9 +46,13 @@ class SliceHash:
     def slice_of(self, physical_address: int) -> int:
         """Slice id for *physical_address*."""
         slice_id = 0
-        for i, mask in enumerate(self.bit_masks):
-            parity = bin(physical_address & mask).count("1") & 1
-            slice_id |= parity << i
+        bit = 1
+        for mask in self.bit_masks:
+            # The parity of the selected bits (``int.bit_count`` needs
+            # Python 3.10).
+            if bin(physical_address & mask).count("1") & 1:
+                slice_id |= bit
+            bit <<= 1
         return slice_id
 
 

@@ -21,7 +21,11 @@ run) — exactly the paper's pipeline.  The ``direct`` engine drives the
 simulated hierarchy without the measurement scaffolding; it is
 observationally identical (the test suite asserts so in L1, L2 and L3
 sets) and fast enough
-for the large parameter sweeps of Sections VI-C2/VI-C3.
+for the large parameter sweeps of Sections VI-C2/VI-C3.  Per set, it
+translates the plan and the eviction buffer to physical addresses once,
+then makes one ``MemoryHierarchy.access`` call per access.  A
+:meth:`CacheSeq.run` finds the sequence's distinct blocks once, for all
+its sets.
 """
 
 from __future__ import annotations
@@ -57,11 +61,7 @@ class AccessSequence:
     @property
     def blocks(self) -> Tuple[str, ...]:
         """Distinct block names in first-use order."""
-        seen: List[str] = []
-        for access in self.accesses:
-            if access.block not in seen:
-                seen.append(access.block)
-        return tuple(seen)
+        return tuple(dict.fromkeys(access.block for access in self.accesses))
 
     def __str__(self) -> str:
         parts = ["<wbinvd>"] if self.wbinvd else []
@@ -134,16 +134,17 @@ class CacheSeq:
 
     # ------------------------------------------------------------------
     def _plan(
-        self, seq: AccessSequence, set_index: int, slice_id: Optional[int]
+        self, seq: AccessSequence, blocks: Tuple[str, ...], set_index: int,
+        slice_id: Optional[int]
     ) -> List[Tuple[int, bool, bool]]:
         """Resolve a sequence for one set: (address, measured, evict_first).
 
+        *blocks* are the sequence's distinct blocks (``seq.blocks``).
         ``evict_first`` marks accesses that need the higher-level
         eviction buffer run beforehand: re-accesses of blocks touched
         earlier in the sequence (first touches are cold after WBINVD and
         reach the studied level anyway).
         """
-        blocks = seq.blocks
         addresses = self.addresses.blocks_for_set(
             self.level, set_index, len(blocks), slice_id
         )
@@ -179,13 +180,14 @@ class CacheSeq:
             self._run_direct if self.engine == "direct"
             else self._run_nanobench
         )
+        blocks = seq.blocks
         total_hits = 0
         total_misses = 0
         sets_completed = 0
         with memory_step_budget(self.nb.core.hierarchy, self.max_steps):
             try:
                 for index in sets:
-                    plan = self._plan(seq, index, slice_id)
+                    plan = self._plan(seq, blocks, index, slice_id)
                     eviction = (
                         self.addresses.eviction_buffer(
                             self.level, index, slice_id)
@@ -216,7 +218,12 @@ class CacheSeq:
                     wbinvd: bool) -> Tuple[int, int]:
         core = self.nb.core
         hierarchy = core.hierarchy
+        access = hierarchy.access
+        # Translate the set's plan and eviction buffer once, up front.
         translate = core.address_space.translate
+        plan = [(translate(address), measured, evict_first)
+                for address, measured, evict_first in plan]
+        eviction = [translate(address) for address in eviction]
         if wbinvd:
             hierarchy.wbinvd()
         hits = 0
@@ -224,8 +231,8 @@ class CacheSeq:
         for address, measured, evict_first in plan:
             if evict_first:
                 for evict_address in eviction:
-                    hierarchy.access(translate(evict_address))
-            result = hierarchy.access(translate(address))
+                    access(evict_address)
+            result = access(address)
             if measured:
                 if result.level == self.level:
                     hits += 1

@@ -418,6 +418,24 @@ class TestStepBudgets:
         # The budget was uninstalled on the way out.
         assert nb.core.hierarchy.step_budget is None
 
+    def test_cacheseq_budget_trips_at_a_pinned_access(self):
+        # The prefetcher is on, so its fills count as steps too: the run
+        # stops at the same access, with the same counts, as long as the
+        # access path keeps its exact behaviour.
+        nb = NanoBench.kernel("Skylake")
+        assert nb.core.hierarchy.prefetcher_enabled
+        cacheseq = CacheSeq(nb, level=1, max_steps=501)
+        with pytest.raises(RunawayBenchmarkError) as excinfo:
+            cacheseq.run("B0 B1 B2 B3 B4 B5 B6 B7 B8 B0! B2! B9 B1! B4!",
+                         sets="all")
+        assert excinfo.value.progress == {
+            "l1_hits": 132, "l1_misses": 98, "l2_hits": 92, "l2_misses": 6,
+            "l3_hits": 0, "l3_misses": 6, "steps": 502,
+            "sets_requested": 64, "sets_completed": 16,
+            "hits": 2, "misses": 62,
+        }
+        assert nb.core.hierarchy.step_budget is None
+
     def test_cacheseq_default_budget_is_generous(self):
         nb = NanoBench.kernel("Skylake")
         cacheseq = CacheSeq(nb, level=1)

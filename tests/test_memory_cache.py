@@ -1,5 +1,6 @@
 """Tests for the cache, slice hashing, and the memory hierarchy."""
 
+import hashlib
 import random
 
 import pytest
@@ -38,9 +39,9 @@ class TestCacheGeometry:
 class TestCacheBasics:
     def test_miss_then_hit(self):
         cache = _small_cache()
-        assert not cache.access(0x1000)
-        assert cache.access(0x1000)
-        assert cache.access(0x1010)  # same line (64-byte granularity)
+        assert not cache.access(0x1000)[0]
+        assert cache.access(0x1000)[0]
+        assert cache.access(0x1010)[0]  # same line (64-byte granularity)
 
     def test_set_mapping(self):
         cache = _small_cache()  # 16 sets
@@ -52,9 +53,10 @@ class TestCacheBasics:
         n_sets = cache.geometry.n_sets
         stride = n_sets * 64
         addresses = [i * stride for i in range(5)]  # 5 blocks, one set
-        for address in addresses:
-            cache.access(address)
+        for address in addresses[:4]:
+            assert cache.access(address) == (False, None, 0)
         # LRU: the first block was evicted by the fifth.
+        assert cache.access(addresses[4]) == (False, addresses[0], 0)
         assert not cache.probe(addresses[0])
         assert cache.probe(addresses[4])
 
@@ -76,8 +78,8 @@ class TestCacheBasics:
         # access() reports each lookup's outcome; the PMU metrics, not
         # the cache, keep the counts.
         cache = _small_cache()
-        assert [cache.access(0x0), cache.access(0x0)] == [False, True]
-        assert cache.access(0x40) is False
+        assert [cache.access(0x0)[0], cache.access(0x0)[0]] == [False, True]
+        assert cache.access(0x40)[0] is False
 
     def test_probe_does_not_disturb(self):
         cache = _small_cache(assoc=2)
@@ -145,7 +147,7 @@ class TestSetsOnFirstTouch:
         address = 768 * l3.geometry.line_size
         while psel.winner != "A":
             if l3.locate(address)[:2] == (0, 768):
-                assert not l3.access(address)
+                assert not l3.access(address)[0]
             address += set_stride
         value = psel.value
         hierarchy.wbinvd()
@@ -367,3 +369,74 @@ class TestAccessResultSlices:
             "cbox1_lookups": 1958, "cbox1_misses": 1905,
             "l3_hit": 63, "l3_miss": 2826,
         }
+
+
+class TestHierarchyPin:
+    """A seeded stream through the hierarchies of the four cacheSeq CPUs,
+    digested access by access.  The digests pin the exact behaviour of
+    the access path: inclusive fills, back-invalidation, the prefetcher,
+    the step count and the adaptive L3's PSEL."""
+
+    DIGESTS = {
+        "Nehalem": "51ee92d66e0bc0aa",
+        "SandyBridge": "916c8bb9be34e786",
+        "Haswell": "762ea77d79c93025",
+        "Skylake": "e26d2b66a1ed7d4a",
+    }
+
+    @staticmethod
+    def _pools(l3):
+        """Line pools that conflict in L1, L2 and L3 sets: a follower
+        set, and (on Haswell) the dedicated sets 512 and 768."""
+        geometry = l3.geometry
+        set_stride = geometry.n_sets * geometry.line_size
+        return [[set_index * geometry.line_size + k * set_stride
+                 for k in range(3 * geometry.associativity
+                                * geometry.n_slices)]
+                for set_index in (5, 512, 768)]
+
+    @classmethod
+    def _drive(cls, hierarchy, rng, steps):
+        """Drive *steps* seeded operations; return one record each."""
+        pools = cls._pools(hierarchy.l3)
+        records = []
+        last = 0
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.15:
+                address = last + hierarchy.l1.geometry.line_size
+            else:
+                address = rng.choice(rng.choice(pools))
+            address += rng.randrange(64)
+            last = address
+            if roll < 0.002:
+                hierarchy.wbinvd()
+                records.append("wbinvd")
+            elif roll < 0.03:
+                hierarchy.clflush(address)
+                records.append("clflush")
+            elif roll < 0.08:
+                hierarchy.prefetch_into(address)
+                records.append("prefetch")
+            else:
+                result = hierarchy.access(address, is_write=roll > 0.8)
+                records.append((result.level, result.latency,
+                                result.l3_slice))
+        return records
+
+    @pytest.mark.parametrize("uarch", sorted(DIGESTS))
+    def test_seeded_stream_is_pinned(self, uarch):
+        hierarchy = SimulatedCore(uarch, seed=0).hierarchy
+        rng = random.Random("hierarchy-pin/" + uarch)
+        assert hierarchy.prefetcher_enabled
+        records = self._drive(hierarchy, rng, 4000)
+        hierarchy.prefetcher_enabled = False
+        records += self._drive(hierarchy, rng, 4000)
+        policy = hierarchy.l3.policy
+        if uarch == "Haswell":
+            # Both dedicated sides missed, and the follower sets switched.
+            assert policy.psel.value != 1 << (policy.config.psel_bits - 1)
+        payload = repr((records, hierarchy.fingerprint(),
+                        hierarchy.demand.to_dict(), hierarchy.steps_taken))
+        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert digest == self.DIGESTS[uarch]

@@ -1,5 +1,6 @@
 """Unit and property tests for the replacement-policy implementations."""
 
+import dataclasses
 import random
 
 import pytest
@@ -363,7 +364,7 @@ class TestPolicyInvariants:
         # After WBINVD, behaviour matches a fresh set.
         fresh = make_policy(name, 4).create_set()
         for block in blocks:
-            assert cache.access(block * 64) == fresh.access(block)[0]
+            assert cache.access(block * 64)[0] == fresh.access(block)[0]
             assert cache.set_contents(0, 0) == fresh.contents()
 
 
@@ -375,7 +376,8 @@ def _drive_twins(pairs, rng, n_blocks, steps):
     """Drive the same seeded accesses and invalidations into each
     ``(set, twin)`` pair: the set through its own ``access``, the twin
     through ``SetState.access`` (lookup, on_hit / choose_victim,
-    on_fill).  Results and contents must agree at every step."""
+    on_fill).  Results, contents and replacement state must agree at
+    every step."""
     for _ in range(steps):
         state, twin = rng.choice(pairs)
         tag = rng.randrange(n_blocks)
@@ -384,6 +386,7 @@ def _drive_twins(pairs, rng, n_blocks, steps):
         else:
             assert state.access(tag) == SetState.access(twin, tag)
         assert state.contents() == twin.contents()
+        assert state.fingerprint() == twin.fingerprint()
 
 
 @pytest.mark.parametrize("associativity", [4, 8, 12, 16])
@@ -393,6 +396,29 @@ def test_own_access_matches_hook_protocol(associativity):
         pair = (make_policy(name, associativity).create_set(),
                 make_policy(name, associativity).create_set())
         _drive_twins([pair], rng, associativity + 4, steps=120)
+
+
+def _randomised_policy_names():
+    """The policies ``known_policy_names`` leaves out: RANDOM and the
+    probabilistic (MRp) sibling of every meaningful QLRU variant."""
+    yield "RANDOM"
+    for spec in meaningful_qlru_specs():
+        for denominator in (2, 16):
+            yield dataclasses.replace(
+                spec, insert_prob_denominator=denominator).name
+
+
+@pytest.mark.parametrize("associativity", [4, 12, 16])
+def test_randomised_access_matches_hook_protocol(associativity):
+    # The twins' policies are seeded equally, so a merged access must
+    # draw from the policy's random stream exactly as the hooks do.
+    for name in _randomised_policy_names():
+        policies = [make_policy(name, associativity, rng=random.Random(name))
+                    for _ in range(2)]
+        pair = tuple(policy.create_set() for policy in policies)
+        rng = random.Random("%s/%d" % (name, associativity))
+        _drive_twins([pair], rng, associativity + 4, steps=120)
+        assert policies[0].fingerprint() == policies[1].fingerprint()
 
 
 @pytest.mark.parametrize("uarch", ["IvyBridge", "Haswell"])
