@@ -127,6 +127,11 @@ class PhysicalMemory:
     def largest_free_run(self) -> int:
         return max((iv.size for iv in self._free), default=0)
 
+    @property
+    def free_intervals(self) -> List[Tuple[int, int]]:
+        """The free list as ``(start, size)`` pairs, in address order."""
+        return [(iv.start, iv.size) for iv in self._free]
+
 
 def allocate_physically_contiguous(
     memory: PhysicalMemory, size: int, max_attempts: int = 64

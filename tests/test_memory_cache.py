@@ -145,10 +145,13 @@ class TestSetsOnFirstTouch:
         # Misses in a dedicated-B set (768, slice 0) flip it to A.
         set_stride = l3.geometry.n_sets * l3.geometry.line_size
         address = 768 * l3.geometry.line_size
-        while psel.winner != "A":
+        for _ in range(64):
+            if psel.winner == "A":
+                break
             if l3.locate(address)[:2] == (0, 768):
                 assert not l3.access(address)[0]
             address += set_stride
+        assert psel.winner == "A"
         value = psel.value
         hierarchy.wbinvd()
         assert l3.built_sets == 0

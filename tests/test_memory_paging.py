@@ -1,10 +1,22 @@
 """Tests for physical memory, the kmalloc allocator, and paging."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import NanoBench
+from repro.core.codegen import (
+    AREA_SIZE,
+    MEASUREMENT_AREA_BASE,
+    MEASUREMENT_AREA_SIZE,
+    R14_AREA_BASE,
+    RBP_AREA_BASE,
+    RDI_AREA_BASE,
+    RSI_AREA_BASE,
+    RSP_AREA_BASE,
+)
 from repro.errors import AllocationError, MemoryError_
 from repro.memory.paging import (
     KMALLOC_MAX_BYTES,
@@ -249,3 +261,40 @@ class TestAddressSpace:
         space.unmap(0x10000, 8 * PAGE_SIZE)
         assert physical.free_bytes == free_before
         assert not space.is_mapped(0x10000)
+
+
+class TestPlacementPin:
+    """Where kernel-mode nanoBench places its areas on the four cacheSeq
+    CPUs: the R14 buffer after a 128 MB resize, then after a 48 MB resize
+    on fragmented memory, a seeded sample of translations in every area,
+    and the final free list.  The cache tools aim at L3 sets and slices
+    through these physical addresses, so any change to them moves every
+    cache result."""
+
+    PINS = {
+        "Nehalem": (0x510000, 0x510000, "3a4ae961c005ff64"),
+        "SandyBridge": (0x510000, 0x510000, "d33882c9dd122e6b"),
+        "Haswell": (0x510000, 0x510000, "ef9581992d055c3d"),
+        "Skylake": (0x510000, 0x510000, "e71a09be51325ee4"),
+    }
+
+    @pytest.mark.parametrize("uarch", sorted(PINS))
+    def test_r14_placement_is_pinned(self, uarch):
+        nb = NanoBench.create(uarch, 0, kernel_mode=True)
+        space = nb.core.address_space
+        rng = random.Random("placement-pin/" + uarch)
+        base = nb.resize_r14_buffer(128 << 20)
+        assert nb.r14_physical_base == base
+        nb.core.physical.fragment(holes=64)
+        base2 = nb.resize_r14_buffer(48 << 20)
+        records = [base, base2]
+        areas = [(R14_AREA_BASE, 48 << 20)] + [
+            (area, AREA_SIZE) for area in (RSP_AREA_BASE, RBP_AREA_BASE,
+                                           RDI_AREA_BASE, RSI_AREA_BASE)
+        ] + [(MEASUREMENT_AREA_BASE, MEASUREMENT_AREA_SIZE)]
+        for low, size in areas:
+            for _ in range(64):
+                records.append(space.translate(low + rng.randrange(size)))
+        records.append(nb.core.physical.free_intervals)
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+        assert (base, base2, digest) == self.PINS[uarch]
