@@ -431,6 +431,9 @@ class _StubAddressSpace:
     def unmap(self, base: int, size: int) -> None:
         pass
 
+    def check_unmapped(self, base: int, size: int) -> None:
+        pass
+
 
 class _StubPMU:
     """Counter bookkeeping without counters."""

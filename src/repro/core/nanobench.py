@@ -48,6 +48,7 @@ from ..integrity.stability import (
     next_n_measurements,
     worst_offender,
 )
+from ..memory.paging import PAGE_SIZE
 from ..perfctr.config import CounterConfig, split_into_groups
 from ..perfctr.counters import (
     FIXED_WRAP,
@@ -280,12 +281,24 @@ class NanoBench:
             raise NanoBenchError(
                 "physically-contiguous memory requires the kernel version"
             )
-        self.core.address_space.unmap(R14_AREA_BASE, self._r14_size)
+        space = self.core.address_space
+        # A range that runs into another area fails before the old
+        # buffer is given up; a failed allocation maps the old size back.
+        old_pages = -(-self._r14_size // PAGE_SIZE)
+        old_end = R14_AREA_BASE + old_pages * PAGE_SIZE
+        if R14_AREA_BASE + size > old_end:
+            space.check_unmapped(old_end, R14_AREA_BASE + size - old_end)
+        space.unmap(R14_AREA_BASE, self._r14_size)
+        try:
+            base = space.map_kernel_contiguous(R14_AREA_BASE, size)
+        except Exception:
+            self._r14_physical_base = space.map_kernel_contiguous(
+                R14_AREA_BASE, self._r14_size
+            )
+            raise
         self._r14_size = size
-        self._r14_physical_base = self.core.address_space.map_kernel_contiguous(
-            R14_AREA_BASE, size
-        )
-        return self._r14_physical_base
+        self._r14_physical_base = base
+        return base
 
     @property
     def r14_physical_base(self) -> Optional[int]:

@@ -19,11 +19,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import AllocationError, MemoryError_
 
 PAGE_SIZE = 4096
+_PAGE_SHIFT = 12
+#: Pages per :class:`AddressSpace` page-table block (64 KB).  Every
+#: nanoBench scratch area is a whole number of blocks.
+BLOCK_PAGES = 16
+BLOCK_SIZE = BLOCK_PAGES * PAGE_SIZE
+_BLOCK_SHIFT = BLOCK_PAGES.bit_length() - 1
+_BLOCK_MASK = BLOCK_PAGES - 1
+_BLOCK_BYTES_SHIFT = _PAGE_SHIFT + _BLOCK_SHIFT
 #: kmalloc limit with recent kernels (Section IV-D).
 KMALLOC_MAX_BYTES = 4 * 1024 * 1024
 
@@ -312,22 +320,33 @@ class WriteLog:
 
 
 class AddressSpace:
-    """Virtual-to-physical page mapping for one benchmark process."""
+    """Virtual-to-physical page mapping for one benchmark process.
+
+    The page table maps aligned blocks of :data:`BLOCK_PAGES` pages to
+    the byte delta ``physical - virtual``.  A block that one physically
+    contiguous mapping covers whole holds one delta; any other block
+    (user pages, the ragged ends of a contiguous mapping) holds a list
+    of per-page deltas, ``None`` where unmapped.  A 128 MB kernel buffer
+    thus costs 2,048 entries rather than 32,768.
+    """
 
     def __init__(self, physical: PhysicalMemory,
                  rng: Optional[random.Random] = None) -> None:
         self.physical = physical
         self.rng = rng if rng is not None else random.Random(1)
-        self._page_table: Dict[int, int] = {}
+        self._blocks: Dict[int, Union[int, List[Optional[int]]]] = {}
 
     def map_user(self, virtual_address: int, size: int) -> None:
         """Map a user buffer onto *scattered* physical pages."""
-        self._check_unmapped(virtual_address, size)
-        pages = self._page_range(virtual_address, size)
-        physical_pages = [self.physical.kmalloc(PAGE_SIZE) for _ in pages]
+        self.check_unmapped(virtual_address, size)
+        first, end = _page_span(virtual_address, size)
+        physical_pages = [self.physical.kmalloc(PAGE_SIZE)
+                          for _ in range(first, end)]
         self.rng.shuffle(physical_pages)
-        for vpage, paddr in zip(pages, physical_pages):
-            self._page_table[vpage] = paddr // PAGE_SIZE
+        for vpage, paddr in zip(range(first, end), physical_pages):
+            self._pages_of(vpage >> _BLOCK_SHIFT)[vpage & _BLOCK_MASK] = (
+                paddr - (vpage << _PAGE_SHIFT)
+            )
 
     def map_kernel_contiguous(self, virtual_address: int, size: int) -> int:
         """Map a kernel buffer onto a physically-contiguous region.
@@ -335,49 +354,112 @@ class AddressSpace:
         Returns the physical base address (tools use it for slice/set
         targeting).
         """
-        self._check_unmapped(virtual_address, size)
+        self.check_unmapped(virtual_address, size)
+        first, end = _page_span(virtual_address, size)
         base = allocate_physically_contiguous(
-            self.physical, self._round_up(size)
+            self.physical, (end - first) * PAGE_SIZE
         )
-        for i, vpage in enumerate(self._page_range(virtual_address, size)):
-            self._page_table[vpage] = base // PAGE_SIZE + i
+        delta = base - virtual_address
+        for block, lo, hi in _block_pieces(first, end):
+            if hi - lo == BLOCK_PAGES:
+                self._blocks[block] = delta
+            else:
+                self._pages_of(block)[lo:hi] = [delta] * (hi - lo)
         return base
 
     def translate(self, virtual_address: int) -> int:
         """Translate a virtual address; raises on unmapped pages."""
-        vpage = virtual_address // PAGE_SIZE
-        ppage = self._page_table.get(vpage)
-        if ppage is None:
+        delta = self._blocks.get(virtual_address >> _BLOCK_BYTES_SHIFT)
+        if delta.__class__ is list:
+            delta = delta[(virtual_address >> _PAGE_SHIFT) & _BLOCK_MASK]
+        if delta is None:
             raise MemoryError_(
                 "access to unmapped virtual address %#x" % (virtual_address,)
             )
-        return ppage * PAGE_SIZE + virtual_address % PAGE_SIZE
+        return virtual_address + delta
 
     def is_mapped(self, virtual_address: int) -> bool:
-        return virtual_address // PAGE_SIZE in self._page_table
+        delta = self._blocks.get(virtual_address >> _BLOCK_BYTES_SHIFT)
+        if delta.__class__ is list:
+            delta = delta[(virtual_address >> _PAGE_SHIFT) & _BLOCK_MASK]
+        return delta is not None
 
     def unmap(self, virtual_address: int, size: int) -> None:
-        """Unmap a region, returning its physical pages to the allocator."""
-        for vpage in self._page_range(virtual_address, size):
-            ppage = self._page_table.pop(vpage, None)
-            if ppage is not None:
-                self.physical.kfree(ppage * PAGE_SIZE, PAGE_SIZE)
+        """Unmap a region, returning its physical pages to the allocator
+        with one ``kfree`` per physically contiguous run."""
+        start = stop = None
+        for paddr, length in self._release(*_page_span(virtual_address, size)):
+            if paddr == stop:
+                stop += length
+                continue
+            if start is not None:
+                self.physical.kfree(start, stop - start)
+            start, stop = paddr, paddr + length
+        if start is not None:
+            self.physical.kfree(start, stop - start)
+
+    def check_unmapped(self, virtual_address: int, size: int) -> None:
+        """Raise :class:`MemoryError_` naming the first mapped page of a
+        region; the mapping calls check this before they allocate."""
+        for block, lo, hi in _block_pieces(*_page_span(virtual_address, size)):
+            entry = self._blocks.get(block)
+            if entry.__class__ is list:
+                lo = next((i for i in range(lo, hi) if entry[i] is not None),
+                          None)
+                if lo is None:
+                    continue
+            elif entry is None:
+                continue
+            raise MemoryError_(
+                "virtual page %#x already mapped"
+                % (((block << _BLOCK_SHIFT) + lo) * PAGE_SIZE,)
+            )
 
     # ------------------------------------------------------------------
-    def _round_up(self, size: int) -> int:
-        return (size + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
+    def _pages_of(self, block: int) -> List[Optional[int]]:
+        """Block *block* as a list of per-page deltas, made on demand."""
+        entry = self._blocks.get(block)
+        if entry.__class__ is list:
+            return entry
+        entry = self._blocks[block] = [entry] * BLOCK_PAGES
+        return entry
 
-    def _page_range(self, virtual_address: int, size: int) -> List[int]:
-        if virtual_address % PAGE_SIZE:
-            raise ValueError("mappings must be page-aligned")
-        return list(range(
-            virtual_address // PAGE_SIZE,
-            (virtual_address + self._round_up(size)) // PAGE_SIZE,
-        ))
+    def _release(self, first: int, end: int) -> Iterator[Tuple[int, int]]:
+        """Drop pages ``[first, end)`` from the table, yielding the
+        physical ``(address, size)`` pieces they held in page order."""
+        blocks = self._blocks
+        for block, lo, hi in _block_pieces(first, end):
+            entry = blocks.get(block)
+            if entry is None:
+                continue
+            if entry.__class__ is not list and hi - lo == BLOCK_PAGES:
+                del blocks[block]
+                yield (block << _BLOCK_BYTES_SHIFT) + entry, BLOCK_SIZE
+                continue
+            pages = self._pages_of(block)
+            block_base = block << _BLOCK_BYTES_SHIFT
+            for i in range(lo, hi):
+                delta, pages[i] = pages[i], None
+                if delta is not None:
+                    yield block_base + i * PAGE_SIZE + delta, PAGE_SIZE
+            if pages.count(None) == BLOCK_PAGES:
+                del blocks[block]
 
-    def _check_unmapped(self, virtual_address: int, size: int) -> None:
-        for vpage in self._page_range(virtual_address, size):
-            if vpage in self._page_table:
-                raise MemoryError_(
-                    "virtual page %#x already mapped" % (vpage * PAGE_SIZE,)
-                )
+
+def _page_span(virtual_address: int, size: int) -> Tuple[int, int]:
+    """The virtual page numbers ``[first, end)`` of a mapping."""
+    if virtual_address % PAGE_SIZE:
+        raise ValueError("mappings must be page-aligned")
+    return (virtual_address >> _PAGE_SHIFT,
+            (virtual_address + size + PAGE_SIZE - 1) >> _PAGE_SHIFT)
+
+
+def _block_pieces(first: int, end: int) -> Iterator[Tuple[int, int, int]]:
+    """Split pages ``[first, end)`` by block: ``(block, lo, hi)`` with
+    page indexes ``[lo, hi)`` inside the block."""
+    while first < end:
+        block = first >> _BLOCK_SHIFT
+        block_start = block << _BLOCK_SHIFT
+        yield (block, first - block_start,
+               min(end - block_start, BLOCK_PAGES))
+        first = block_start + BLOCK_PAGES

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,8 @@ from repro.core.codegen import (
 )
 from repro.errors import AllocationError, MemoryError_
 from repro.memory.paging import (
+    BLOCK_PAGES,
+    BLOCK_SIZE,
     KMALLOC_MAX_BYTES,
     PAGE_SIZE,
     AddressSpace,
@@ -298,3 +301,165 @@ class TestPlacementPin:
         records.append(nb.core.physical.free_intervals)
         digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
         assert (base, base2, digest) == self.PINS[uarch]
+
+
+class _PerPageSpace:
+    """Reference model of :class:`AddressSpace`: a plain dict with one
+    entry per mapped page, freed page by page."""
+
+    def __init__(self, physical, rng):
+        self.physical = physical
+        self.rng = rng
+        self.pages = {}
+
+    @staticmethod
+    def _span(virtual_address, size):
+        if virtual_address % PAGE_SIZE:
+            raise ValueError("mappings must be page-aligned")
+        return range(virtual_address // PAGE_SIZE,
+                     (virtual_address + size + PAGE_SIZE - 1) // PAGE_SIZE)
+
+    def check_unmapped(self, virtual_address, size):
+        for vpage in self._span(virtual_address, size):
+            if vpage in self.pages:
+                raise MemoryError_(
+                    "virtual page %#x already mapped" % (vpage * PAGE_SIZE,))
+
+    def map_user(self, virtual_address, size):
+        self.check_unmapped(virtual_address, size)
+        span = self._span(virtual_address, size)
+        physical = [self.physical.kmalloc(PAGE_SIZE) for _ in span]
+        self.rng.shuffle(physical)
+        self.pages.update(zip(span, physical))
+
+    def map_kernel_contiguous(self, virtual_address, size):
+        self.check_unmapped(virtual_address, size)
+        span = self._span(virtual_address, size)
+        base = allocate_physically_contiguous(self.physical,
+                                              len(span) * PAGE_SIZE)
+        for i, vpage in enumerate(span):
+            self.pages[vpage] = base + i * PAGE_SIZE
+        return base
+
+    def translate(self, virtual_address):
+        paddr = self.pages.get(virtual_address // PAGE_SIZE)
+        if paddr is None:
+            raise MemoryError_(
+                "access to unmapped virtual address %#x" % (virtual_address,))
+        return paddr + virtual_address % PAGE_SIZE
+
+    def is_mapped(self, virtual_address):
+        return virtual_address // PAGE_SIZE in self.pages
+
+    def unmap(self, virtual_address, size):
+        for vpage in self._span(virtual_address, size):
+            paddr = self.pages.pop(vpage, None)
+            if paddr is not None:
+                self.physical.kfree(paddr, PAGE_SIZE)
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except (AllocationError, MemoryError_, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _view(space, probes):
+    """What *space* answers at each probe address."""
+    return [(_outcome(space.translate, address), space.is_mapped(address))
+            for address in probes]
+
+
+class TestBlockTable:
+    """The block table against the per-page reference model, driven by a
+    seeded stream of maps, unmaps and re-maps over a 2,048-page window."""
+
+    WINDOW_PAGES = 2048
+
+    @classmethod
+    def _operation(cls, rng, live):
+        """One seeded ``(method, virtual_address, size)``."""
+        window = cls.WINDOW_PAGES * PAGE_SIZE
+        roll = rng.random()
+        if roll < 0.25:
+            return ("map_user", rng.randrange(0, window, PAGE_SIZE),
+                    rng.randrange(1, 40 * PAGE_SIZE))
+        if roll < 0.55:
+            if rng.random() < 0.5:
+                base = rng.randrange(0, window, BLOCK_SIZE)
+                size = rng.randrange(1, 12) * BLOCK_SIZE
+            else:
+                base = rng.randrange(0, window, PAGE_SIZE)
+                size = rng.randrange(1, 12 * BLOCK_SIZE)
+            if rng.random() < 0.05:
+                size = KMALLOC_MAX_BYTES + BLOCK_SIZE + PAGE_SIZE
+            return "map_kernel_contiguous", base, size
+        if roll < 0.95 and live:
+            base, size = rng.choice(live)
+            kind = rng.randrange(3)
+            if kind == 1:  # partial
+                first = rng.randrange(0, size, PAGE_SIZE)
+                base, size = base + first, rng.randrange(1, size - first + 1)
+            elif kind == 2:  # straddling into whatever follows
+                shift = rng.randrange(-4, 5) * PAGE_SIZE
+                base, size = max(base + shift, 0), size + BLOCK_SIZE
+            return "unmap", base, size
+        if roll < 0.98:  # anywhere, mapped or not; now and then unaligned
+            return ("unmap", rng.randrange(0, window, PAGE_SIZE)
+                    + 8 * (rng.random() < 0.1),
+                    rng.randrange(1, 24 * BLOCK_SIZE))
+        return "fragment", 0, 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_per_page_model(self, seed):
+        rng = random.Random("block-table/%d" % seed)
+        space = AddressSpace(PhysicalMemory(6 << 20, random.Random(seed)),
+                             rng=random.Random(seed))
+        model = _PerPageSpace(PhysicalMemory(6 << 20, random.Random(seed)),
+                              random.Random(seed))
+        live = []
+        probes = [page * PAGE_SIZE + rng.randrange(PAGE_SIZE)
+                  for page in range(self.WINDOW_PAGES + BLOCK_PAGES)]
+        for step in range(250):
+            method, base, size = self._operation(rng, live)
+            if method == "fragment":
+                space.physical.fragment(holes=16)
+                model.physical.fragment(holes=16)
+            else:
+                got = _outcome(getattr(space, method), base, size)
+                assert got == _outcome(getattr(model, method), base, size), \
+                    (step, method, hex(base), size)
+                if got[0] == "ok" and method != "unmap":
+                    live.append((base, size))
+                # A double map is refused with the same first page named.
+                assert (_outcome(space.check_unmapped, base, size)
+                        == _outcome(model.check_unmapped, base, size))
+            assert (space.physical.free_intervals
+                    == model.physical.free_intervals), step
+            assert _view(space, probes) == _view(model, probes), step
+        assert len(live) > 20
+
+    def test_unmap_frees_each_contiguous_run_once(self, monkeypatch):
+        physical = PhysicalMemory(1 << 26)
+        space = AddressSpace(physical)
+        base = space.map_kernel_contiguous(0x10000, 8 << 20)
+        calls = []
+        original = physical.kfree
+        monkeypatch.setattr(physical, "kfree",
+                            lambda *args: calls.append(args) or original(*args))
+        space.unmap(0x10000, 8 << 20)
+        assert calls == [(base, 8 << 20)]
+        assert physical.free_intervals == [(0, 1 << 26)]
+
+    def test_r14_resize_footprint(self):
+        """A 128 MB kernel buffer is 2,048 block entries, not a dict
+        entry per page (3.3 MB under the per-page table)."""
+        nb = NanoBench.create("Skylake", 0, kernel_mode=True)
+        tracemalloc.start()
+        try:
+            nb.resize_r14_buffer(128 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10

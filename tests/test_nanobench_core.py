@@ -11,6 +11,7 @@ from repro.core.cli import main as cli_main
 from repro.core.codegen import (
     CounterRead,
     LOOP_REGISTER,
+    R14_AREA_BASE,
     SCRATCH_REGISTERS,
     generate,
 )
@@ -19,7 +20,13 @@ from repro.core.options import NanoBenchOptions
 from repro.core.output import format_results
 from repro.core.retry import UnschedulableEventWarning
 from repro.core.runner import aggregate_values, run_measurements
-from repro.errors import NanoBenchError, PrivilegeError
+from repro.errors import (
+    AllocationError,
+    MemoryError_,
+    NanoBenchError,
+    PrivilegeError,
+)
+from repro.memory.paging import PAGE_SIZE
 from repro.perfctr.config import example_skylake_config
 from repro.x86.assembler import assemble
 from repro.x86.instructions import Program
@@ -300,6 +307,41 @@ class TestPrivilege:
         nb_user = NanoBench.user(uarch="Skylake")
         with pytest.raises(NanoBenchError):
             nb_user.resize_r14_buffer(8 << 20)
+
+    @staticmethod
+    def _assert_r14_intact(nb, size, base):
+        assert nb.r14_size == size
+        assert nb.r14_physical_base == base
+        space = nb.core.address_space
+        assert space.translate(R14_AREA_BASE) == base
+        assert space.translate(R14_AREA_BASE + size - 1) == base + size - 1
+        assert nb.run(asm="mov RAX, [R14]")["Instructions retired"] == 1.0
+
+    def test_resize_into_another_area_keeps_the_buffer(self):
+        # 2 GiB from R14 runs into the RSP area: nothing changes.
+        nb = NanoBench.kernel(uarch="Skylake", seed=0)
+        size, base = nb.r14_size, nb.r14_physical_base
+        free = nb.core.physical.free_intervals
+        with pytest.raises(MemoryError_, match="0x20000000 already mapped"):
+            nb.resize_r14_buffer(2 << 30)
+        self._assert_r14_intact(nb, size, base)
+        assert nb.core.physical.free_intervals == free
+
+    def test_failed_allocation_maps_the_old_size_back(self):
+        nb = NanoBench.kernel(uarch="Skylake", seed=0)
+        nb.resize_r14_buffer(8 << 20)
+        base = nb.r14_physical_base
+        nb.core.physical.fragment(holes=600, hole_size=8 * PAGE_SIZE)
+        with pytest.raises(AllocationError):
+            nb.resize_r14_buffer(200 << 20)
+        self._assert_r14_intact(nb, 8 << 20, base)
+
+    def test_refused_size_keeps_the_buffer(self):
+        nb = NanoBench.kernel(uarch="Skylake", seed=0)
+        size, base = nb.r14_size, nb.r14_physical_base
+        with pytest.raises(ValueError, match="must be positive"):
+            nb.resize_r14_buffer(0)
+        self._assert_r14_intact(nb, size, base)
 
 
 class TestOptionsValidation:
