@@ -1,23 +1,30 @@
-"""A5 — Simulator throughput: the steady-state fast path.
+"""A5 — Simulator throughput: the fast path.
 
 The instruction-characterization sweeps (Section V) spend nearly all
-of their host time inside the per-µop dispatch loop of
-``repro.uarch.Scheduler``.  The steady-state fast path detects when an
-unrolled benchmark body has reached a periodic scheduling state and
-replays whole iterations as bulk deltas instead
-(``repro.uarch.core._UnrollFastPath``), with byte-identical results.
+of their host time simulating the unrolled benchmark body.  The
+simulator's fast path has two parts, both byte-identical to exact
+simulation:
+
+* the clean-body semantics skip: every copy of a body without memory
+  operands, branches, fences or value-dependent faults is scheduled
+  exactly, but its functional semantics run in the first copy only
+  (``repro.uarch.core._is_clean``);
+* run-level replay: in kernel mode, once a run leaves the machine state
+  as it found it, the later runs of the same program are redone from a
+  record instead of simulated (``SimulatedCore.replay_run``).
 
 This benchmark drives a corpus-style sweep twice — fast path enabled
 and disabled — both serially and through the batch engine, and
 reports dynamic simulated instructions per host second for each
-configuration, plus the fraction of instructions the fast path
-replayed.  Besides the human-readable report it writes
+configuration, plus the fraction of instructions scheduled without
+their semantics (replayed runs count what their recorded run did).
+Besides the human-readable report it writes
 ``benchmarks/results/BENCH_a5.json`` for the CI perf-smoke artifact.
 
 Checked properties:
 
 * every counter value of the sweep is **byte-identical** with the
-  fast path on and off (the replay soundness contract);
+  fast path on and off (the soundness contract of both parts);
 * with the fast path on, the sweep simulates >= 2x as many
   instructions per host second.
 """
@@ -93,20 +100,20 @@ def test_a5_sim_throughput(benchmark, report):
         results, seconds, batch_report = sweeps[name]
         instructions = batch_report.sim_instructions
         rate = instructions / seconds if seconds > 0 else 0.0
-        replayed = batch_report.fast_path_instructions
+        skipped = batch_report.fast_path_instructions
         stats[name] = {
             "seconds": round(seconds, 3),
             "sim_instructions": instructions,
             "instructions_per_second": round(rate),
-            "fast_path_instructions": replayed,
+            "fast_path_instructions": skipped,
             "fast_path_fraction": (
-                round(replayed / instructions, 3) if instructions else 0.0
+                round(skipped / instructions, 3) if instructions else 0.0
             ),
             "fallbacks": batch_report.fast_path_fallbacks,
         }
         lines.append(
             "%-14s %6.2f s  %9d instr  %9.0f instr/s  "
-            "fast-path %5.1f%%  fallbacks %d"
+            "semantics skipped %5.1f%%  fallbacks %d"
             % (name, seconds, instructions, rate,
                100.0 * stats[name]["fast_path_fraction"],
                batch_report.fast_path_fallbacks)
@@ -138,8 +145,9 @@ def test_a5_sim_throughput(benchmark, report):
     assert identical
     assert all(r.ok for r in sweeps["serial_fast"][0])
 
-    # The fast path must carry the bulk of the unrolled iterations and
-    # at least double simulated-instruction throughput.
+    # The semantics skip must cover the bulk of the unrolled copies,
+    # and the fast path at least double simulated-instruction
+    # throughput.
     assert stats["serial_fast"]["fast_path_fraction"] >= 0.5
     assert serial_speedup >= 2.0, (
         "expected >= 2x simulated instructions/s with the fast path, "

@@ -167,8 +167,9 @@ class BatchResult:
     generate_misses: int = 0
     #: Simulator-throughput accounting (see
     #: :class:`repro.uarch.core.SimStats`): dynamic instructions
-    #: simulated for this spec, how many of those the steady-state fast
-    #: path replayed in bulk, and how often detection fell back.
+    #: simulated for this spec, how many of those the clean-body skip
+    #: scheduled without their semantics, and how many unrolled regions
+    #: ran with full semantics because their body is not clean.
     sim_instructions: int = 0
     fast_path_instructions: int = 0
     fast_path_fallbacks: int = 0

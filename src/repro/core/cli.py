@@ -127,10 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-uop_budget", type=int, default=None, metavar="N",
                         help="abort a run after N issued uops (default off)")
     parser.add_argument("-no_fast_path", action="store_true",
-                        help="disable the steady-state simulator fast "
-                             "path (results are byte-identical either "
-                             "way; this only trades speed for an exact "
-                             "per-uop replay of every iteration)")
+                        help="disable the simulator fast path: the "
+                             "clean-body semantics skip and run-level "
+                             "replay (results are byte-identical either "
+                             "way; this only trades speed for executing "
+                             "every instruction of every run)")
     parser.add_argument("-seed", type=int, default=0)
     parser.add_argument("-verbose", action="store_true")
     parser.add_argument("-batch", default=None, metavar="FILE",
@@ -748,11 +749,10 @@ def _main_with_args(args) -> int:
         sim = report.sim_stats
         if sim:
             print(
-                "# sim: %d instructions (%d fast-path over %d replays, "
-                "%d fallbacks) in %.3f s host, %d replayed runs"
+                "# sim: %d instructions (%d fast-path, %d fallbacks) "
+                "in %.3f s host, %d replayed runs"
                 % (sim.get("instructions", 0),
                    sim.get("fast_path_instructions", 0),
-                   sim.get("fast_path_replays", 0),
                    sim.get("fallbacks", 0),
                    sim.get("wall_seconds", 0.0),
                    sim.get("replayed_runs", 0)),

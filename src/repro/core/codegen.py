@@ -110,7 +110,7 @@ class GeneratedCode:
     no_mem: bool
     #: ``(start_index, body_length, copies)`` of the unrolled benchmark
     #: body inside ``program.instructions``, or ``None`` when the body
-    #: is not eligible for the simulator's steady-state fast path
+    #: is not eligible for the simulator's clean-body semantics skip
     #: (internal labels, or it clobbers registers the generated
     #: loop/measurement code reads).
     unroll_region: Optional[Tuple[int, int, int]] = None
@@ -318,14 +318,13 @@ def _unroll_region_for(
 ) -> Optional[Tuple[int, int, int]]:
     """Fast-path eligibility of the unrolled body (or ``None``).
 
-    The steady-state fast path replays iteration deltas without
-    re-executing the body's functional semantics, and in a clean body
-    (see ``_UnrollFastPath.is_clean``) it schedules every iteration
-    after the first without executing it either.  Both are only sound
-    when nothing *outside* the region reads a register the body writes:
-    the loop counter (``SUB``/``JNZ`` branch on its value) and, in
-    noMem mode, the counter-accumulator registers (their values become
-    the measurement results).  The generated measurement blocks address
+    In a clean body (see ``repro.uarch.core._is_clean``) the simulator
+    schedules every copy after the first without executing its
+    functional semantics.  That is only sound when nothing *outside*
+    the region reads a register the body writes: the loop counter
+    (``SUB``/``JNZ`` branch on its value) and, in noMem mode, the
+    counter-accumulator registers (their values become the measurement
+    results).  The generated measurement blocks address
     memory absolutely and regenerate RAX/RCX/RDX themselves, so no
     other register value reaches a counter value, address or branch.
     The one place a body register value lands is the memory-mode

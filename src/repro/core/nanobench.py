@@ -137,8 +137,8 @@ class ExecutionReport:
     #: ``max_n_measurements`` option is set).
     quality: Optional[QualityVerdict] = None
     #: Simulator-throughput block for this call: dynamic instructions
-    #: simulated, steady-state fast-path iterations/instructions/replay
-    #: events, fallbacks, and host wall-time (see
+    #: simulated, those scheduled without their semantics, fallbacks,
+    #: replayed runs and host wall-time (see
     #: :class:`repro.uarch.core.SimStats`).
     sim_stats: Dict[str, float] = field(default_factory=dict)
     #: Routing attribution (``auto`` backend only): which tier served

@@ -4,9 +4,11 @@ One table, :data:`COMPARISONS`, says how each divergence category is
 compared: a reference arm, a candidate arm (both from :data:`ARMS`) and
 a judge.
 
-* **fastpath** — exact simulation (steady-state fast path disabled) vs
-  the default fast-path simulation.  The fast path is an optimization,
-  not a model: results must be byte-identical, any mismatch is a bug.
+* **fastpath** — exact simulation (fast path disabled) vs the default
+  simulation, whose fast path skips a clean unrolled body's semantics
+  after its first copy and replays whole runs at a fixed point.  The
+  fast path is an optimization, not a model: results must be
+  byte-identical, any mismatch is a bug.
 * **batch** — the serial in-process run vs the same spec executed
   through a :class:`~repro.batch.runner.BatchRunner` worker pool.
   The batch determinism contract says sharding cannot change results:

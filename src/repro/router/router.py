@@ -3,8 +3,8 @@
 ``RoutedBench`` is a drop-in :class:`~repro.core.nanobench.NanoBench`
 facade (``NanoBench.create(backend="auto")`` returns one) over two
 measurement tiers: the table-driven analytic estimator (~92× the
-simulator) and the cycle-accurate simulator (whose steady-state fast
-path is byte-identical to exact simulation).  Each :meth:`run` is
+simulator) and the cycle-accurate simulator (whose fast path is
+byte-identical to exact simulation).  Each :meth:`run` is
 served by the analytic tier when its answer can be trusted and by the
 simulator otherwise — the fidelity swap gem5 makes between its CPU
 models, applied to a measurement service.

@@ -34,7 +34,7 @@ from ..x86.registers import RegisterFile
 from .dataflow import Dataflow, analyze
 from .interference import InterferenceModel
 from .ports import PORT_LAYOUTS
-from .scheduler import MemoryAccessPlan, STEADY_LOW_HORIZON, Scheduler
+from .scheduler import MemoryAccessPlan, Scheduler
 from .specs import CacheLevelSpec, MicroarchSpec, get_spec
 from .timing import TimingTable
 
@@ -42,10 +42,11 @@ from .timing import TimingTable
 DEFAULT_MAX_INSTRUCTIONS = 20_000_000
 
 #: Mnemonics whose *functional* execution must never be skipped by the
-#: steady-state fast path, on top of the structural conditions (memory
-#: plans, fences, microcode, branches, jitter): DIV/IDIV can raise #DE
-#: depending on evolving register values, and the cache-control
-#: instructions mutate simulator state outside the scheduler.
+#: clean-body skip (:func:`_is_clean`), on top of the structural
+#: conditions (memory plans, fences, microcode, branches, jitter):
+#: DIV/IDIV can raise #DE depending on evolving register values, and the
+#: cache-control instructions mutate simulator state outside the
+#: scheduler.
 _FAST_PATH_UNSAFE_MNEMONICS = frozenset({
     "DIV", "IDIV", "CLFLUSH", "CLFLUSHOPT", "WBINVD", "INVD", "RDRAND",
 })
@@ -151,17 +152,15 @@ class SimStats(Counters):
     """Cumulative simulator-throughput counters for one core.
 
     ``instructions`` counts every dynamic instruction simulated
-    (including fast-forwarded ones and those of replayed runs); the
-    ``fast_path_*`` fields break out how much of that work the
-    steady-state replay absorbed, and ``fallbacks`` counts abandoned
-    steady-state candidates (divergence, fences, interrupts,
-    signature-table overflow).
+    (including those of replayed runs); ``fast_path_instructions`` how
+    many of them were scheduled with their functional semantics left out
+    by the clean-body skip (:func:`_is_clean`), and ``fallbacks`` how
+    many unrolled regions ran with full semantics because their body is
+    not clean.
     """
 
     instructions: int = 0
     fast_path_instructions: int = 0
-    fast_path_iterations: int = 0
-    fast_path_replays: int = 0
     fallbacks: int = 0
     #: Whole program runs redone from a record instead of simulated
     #: (:meth:`SimulatedCore.replay_run`); the other fields advance by
@@ -282,9 +281,10 @@ class SimulatedCore:
         #: — the repository's stand-in for the paper's helper scripts.
         self.smt_enabled = False
         self._smt_rng = random.Random(seed + 7)
-        #: Steady-state fast path (see :class:`_UnrollFastPath`).  An
-        #: attribute rather than an option so toggling it cannot change
-        #: any spec digest — it is result-invariant by construction.
+        #: Fast path: the clean-body skip (:func:`_is_clean`) and
+        #: run-level replay (:meth:`replay_run`).  An attribute rather
+        #: than an option so toggling it cannot change any spec digest —
+        #: it is result-invariant by construction.
         self.fast_path_enabled = _fast_path_default()
         #: Simulator-throughput observability counters.
         self.sim_stats = SimStats()
@@ -603,18 +603,12 @@ class SimulatedCore:
         """Execute *program* to completion; returns instructions retired.
 
         ``unroll_region`` (from :class:`~repro.core.codegen
-        .GeneratedCode`) marks the unrolled benchmark body; when the
-        fast path is enabled, the core detects a periodic steady state
-        across its iteration boundaries and bulk-replays the recorded
-        deltas instead of re-running the per-µop dispatch loop.  Replay
-        is byte-identical to exact execution by construction — any
-        fence, memory plan, microcode, branch, interrupt or state
-        divergence falls back to exact scheduling.  In a *clean* body
-        (see :class:`_UnrollFastPath`) the functional semantics of every
-        iteration after the first are skipped as well, exactly scheduled
-        ones included: no counter value, address, branch or fault depends
-        on a value they compute, and memory differs only in the spill
-        slots of the second counter read.
+        .GeneratedCode`) marks the unrolled benchmark body.  When the
+        fast path is enabled and the body is clean (:func:`_is_clean`),
+        every copy after the first is scheduled exactly but its
+        functional semantics are skipped: no counter value, address,
+        branch or fault depends on a value they compute, and memory
+        differs only in the spill slots of the second counter read.
 
         Counter metrics are published (:meth:`_publish`) where they can
         be read, and when the run ends — by an exception too, so a
@@ -629,26 +623,23 @@ class SimulatedCore:
         timed = self.timing_enabled
         scheduler = self.scheduler
         metrics = self.metrics
-        fast = None
-        # Program counters whose functional semantics are skipped.
-        skip_from = skip_to = 0
+        # Program counters whose functional semantics are skipped, and
+        # how many instructions were scheduled without them.
+        skip_from = skip_to = skipped = 0
         if (
             unroll_region is not None
             and self.fast_path_enabled
             and timed
             and not self.smt_enabled
         ):
-            fast = _UnrollFastPath(self, unroll_region, max_instructions)
-            if fast.is_clean(instructions):
-                skip_from, skip_to = fast.start + fast.body_len, fast.end
+            start, body_len, copies = unroll_region
+            if _is_clean(self, instructions[start:start + body_len]):
+                skip_from = start + body_len
+                skip_to = start + body_len * copies
+            else:
+                self.sim_stats.fallbacks += 1
         try:
             while pc < len(instructions):
-                if fast is not None and pc == fast.next_boundary:
-                    skipped = fast.on_boundary(pc, executed)
-                    if skipped:
-                        executed += skipped
-                        pc += skipped
-                        continue
                 instr = instructions[pc]
                 mnemonic = instr.mnemonic
                 # nanoBench magic sequences toggle counting directly when
@@ -661,8 +652,6 @@ class SimulatedCore:
                         self.pmu.pause_counting()
                     else:
                         self.pmu.resume_counting()
-                    if fast is not None:
-                        fast.dirty = True
                     pc += 1
                     continue
 
@@ -702,8 +691,6 @@ class SimulatedCore:
                         branch_taken=branch_taken,
                     )
                     executed += 1
-                    if fast is not None and entry[3]:
-                        fast.dirty = True
                     if is_branch:
                         metrics.add("branches")
                         if scheduled.mispredicted:
@@ -717,8 +704,7 @@ class SimulatedCore:
                         )
                     if self.smt_enabled:
                         self._apply_smt_contention()
-                    if self._apply_interrupts() and fast is not None:
-                        fast.dirty = True
+                    self._apply_interrupts()
                 else:
                     # Fast functional mode: exact cache behaviour and event
                     # counts, no cycle accounting.
@@ -730,6 +716,7 @@ class SimulatedCore:
 
                 # --- functional execution
                 if skip_from <= pc < skip_to:
+                    skipped += 1
                     target = None
                 else:
                     if entry[3] and mnemonic in _COUNTER_ACCESS:
@@ -758,11 +745,7 @@ class SimulatedCore:
             self._publish(executed - published)
             stats = self.sim_stats
             stats.instructions += executed
-            if fast is not None:
-                stats.fast_path_instructions += fast.replayed_instructions
-                stats.fast_path_iterations += fast.replayed_iterations
-                stats.fast_path_replays += fast.replays
-                stats.fallbacks += fast.fallbacks
+            stats.fast_path_instructions += skipped
         return executed
 
     # ------------------------------------------------------------------
@@ -1009,253 +992,42 @@ class RunRecord:
     watched_writes: int
 
 
-class _UnrollFastPath:
-    """Steady-state detection and bulk replay over one unrolled body.
+def _is_clean(core: SimulatedCore, body: Sequence[Instruction]) -> bool:
+    """Whether an unrolled body's functional semantics can be skipped.
 
-    The unrolled benchmark body repeats the same instruction objects
-    ``copies`` times.  At each iteration boundary the tracker records
-    the scheduler's *normalized* state signature
-    (:meth:`Scheduler.steady_state`); when the signature at boundary
-    ``j`` equals the one at boundary ``j - p`` (and the per-period
-    deltas pass the soundness guards documented there), the scheduler
-    state — and therefore the next ``p`` iterations' cycle/µop/port
-    deltas — is provably periodic, and the remaining whole periods are
-    applied in bulk (:meth:`Scheduler.apply_steady_delta`) instead of
-    re-running the per-µop dispatch loop.
+    nanoBench repeats the body ``copies`` times back to back; in a clean
+    body :meth:`SimulatedCore.run_program` schedules every copy after
+    the first exactly but does not execute it.  A body is clean when
+    every instruction is fast-path-safe (no memory operand, branch,
+    fence, microcode, jitter, privileged, serializing or pseudo
+    instruction, no DIV/IDIV) and has an executor.  Its only
+    architectural effect is then on registers, and codegen emits a
+    region only if nothing outside it reads a register the body writes
+    (the loop counter, the noMem accumulators): no address, branch
+    condition, fault or counter value depends on a value it computes,
+    and the timing of a copy depends on its registers' names, never on
+    their values.
 
-    Byte-identity guards (any of these keeps execution exact):
-
-    * an iteration touching memory, fences, microcode, latency jitter,
-      branches, privileged/serializing/pseudo instructions, or
-      value-dependent faults (DIV/IDIV) marks the window *dirty* and
-      resets detection;
-    * an interference event firing does the same, and replay is capped
-      so the replayed clock stays strictly below the next armed
-      interrupt, so the exact tail polls it identically;
-    * replay is capped below the cycle/µop/instruction watchdog budgets
-      so a runaway trips at the identical instruction in the exact tail;
-    * the body must not clobber registers read outside the region
-      (checked statically in codegen — otherwise no region is emitted);
-    * a replayed iteration's semantics are skipped, and so are those of
-      every exactly scheduled iteration after the first when the body
-      is clean (:meth:`is_clean`): the same static conditions keep the
-      skipped register values out of every counter value, address,
-      branch and fault.  They do reach memory in one place: the second
-      counter read spills RAX/RCX/RDX into the measurement area's spill
-      slots (its first 24 bytes), which nothing reads back except the
-      restore of those registers.
+    The skipped values do reach memory in one place: the second counter
+    read spills RAX/RCX/RDX into the measurement area's spill slots (its
+    first 24 bytes), which nothing reads back except the restore of
+    those registers.  Those bytes are the one exception to the skip's
+    byte-identity with exact execution.  The first copy still executes,
+    so an instruction whose operands its executor rejects fails where
+    exact execution does.
     """
-
-    #: Consecutive period confirmations (matching signature *and*
-    #: matching per-period deltas) required before replay engages.
-    CONFIRMATIONS = 2
-    #: Cap on distinct boundary signatures tracked before giving up.
-    MAX_SIGNATURES = 128
-
-    __slots__ = (
-        "core", "start", "body_len", "copies", "end", "max_instructions",
-        "next_boundary", "dirty", "seq", "sigs", "candidate", "confirms",
-        "replayed_instructions", "replayed_iterations", "replays",
-        "fallbacks",
-    )
-
-    def __init__(self, core: SimulatedCore,
-                 region: Tuple[int, int, int],
-                 max_instructions: int) -> None:
-        self.core = core
-        self.start, self.body_len, self.copies = region
-        self.end = self.start + self.body_len * self.copies
-        self.max_instructions = max_instructions
-        self.next_boundary = self.start
-        self.dirty = False
-        self.seq = 0
-        self.sigs: Dict[tuple, Tuple[int, tuple]] = {}
-        self.candidate: Optional[tuple] = None
-        self.confirms = 0
-        self.replayed_instructions = 0
-        self.replayed_iterations = 0
-        self.replays = 0
-        self.fallbacks = 0
-
-    def is_clean(self, instructions) -> bool:
-        """Whether the body's functional semantics can be skipped.
-
-        A body is clean when every instruction is fast-path-safe (no
-        memory operand, branch, fence, microcode, jitter, privileged,
-        serializing or pseudo instruction, no DIV/IDIV) and has an
-        executor.  Its only architectural effect is then on registers,
-        and codegen emits a region only if nothing outside it reads a
-        register the body writes: no address, branch condition, fault or
-        counter value depends on a value it computes.  Such a value is
-        stored only by the register spill of the second counter read
-        (see the class docstring).  The first iteration still executes,
-        so an instruction whose operands its executor rejects fails
-        exactly where it always did.
-        """
-        core = self.core
-        for instr in instructions[self.start:self.start + self.body_len]:
-            if instr.mnemonic not in _EXECUTABLE:
+    cache = core._decode_cache
+    for instr in body:
+        if instr.mnemonic not in _EXECUTABLE:
+            return False
+        entry = cache.get(id(instr))
+        if entry is None or entry[0] is not instr:
+            entry = core._decode(instr)
+        if entry[2] is None:
+            try:
+                core._decode_timing(instr, entry)
+            except TimingModelError:
                 return False
-            entry = core._decode_cache.get(id(instr))
-            if entry is None or entry[0] is not instr:
-                entry = core._decode(instr)
-            if entry[2] is None:
-                try:
-                    core._decode_timing(instr, entry)
-                except TimingModelError:
-                    return False
-            if entry[3]:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    def _reset_detection(self, *, count_fallback: bool) -> None:
-        if count_fallback and (self.sigs or self.candidate is not None):
-            self.fallbacks += 1
-        self.sigs.clear()
-        self.candidate = None
-        self.confirms = 0
-
-    def on_boundary(self, pc: int, executed: int) -> int:
-        """Process an iteration boundary; returns instructions to skip."""
-        self.seq += 1
-        if pc >= self.end:
-            # Region exit; re-arm for a potential loop re-entry.  The
-            # loop's SUB/JNZ marks the window dirty, so detection
-            # restarts cleanly each pass.
-            self.next_boundary = self.start
-            return 0
-        self.next_boundary = pc + self.body_len
-        if self.dirty:
-            self.dirty = False
-            self._reset_detection(count_fallback=True)
-            return 0
-        scheduler = self.core.scheduler
-        sig, snap = scheduler.steady_state()
-        entry = self.sigs.get(sig)
-        self.sigs[sig] = (self.seq, snap)
-        if entry is None:
-            if len(self.sigs) > self.MAX_SIGNATURES:
-                self._reset_detection(count_fallback=True)
-            else:
-                self.candidate = None
-                self.confirms = 0
-            return 0
-        seq0, snap0 = entry
-        period = self.seq - seq0
-        frontier_delta = snap[0] - snap0[0]
-        max_delta = snap[1] - snap0[1]
-        uop_delta = snap[2] - snap0[2]
-        high0, high1 = snap0[4], snap[4]
-        if high0 is None and high1 is None:
-            high_delta = frontier_delta
-        elif high0 is None or high1 is None:
-            high_delta = -1  # band population changed: reject below
-        else:
-            high_delta = high1 - high0
-        # Periods that stay exact:
-        # * no forward progress (degenerate frontier/µop/clock deltas);
-        # * a high group falling back toward the frontier — its entries
-        #   would drift between bands mid-replay;
-        # * a shift differential without separation margin: the
-        #   smallest high entry must exceed anything a frontier-paced
-        #   computation can reach within one period (the low horizon
-        #   plus the frontier advance plus the period's total
-        #   dispatched latency) so no max() race can flip.
-        if (
-            frontier_delta < 1
-            or uop_delta < 1
-            or max_delta < 1
-            or high_delta < frontier_delta
-        ):
-            self.candidate = None
-            self.confirms = 0
-            return 0
-        if high_delta > frontier_delta:
-            margin = (STEADY_LOW_HORIZON + frontier_delta
-                      + (snap[5] - snap0[5]))
-            if high1 - snap[0] <= margin:
-                self.candidate = None
-                self.confirms = 0
-                return 0
-        # Heavy-band port loads: a tie-break against a lightly loaded
-        # sibling can only flip if the sibling takes more in-window
-        # dispatches than the heavy port's lead; the per-period µop
-        # count bounds those dispatches.
-        load_margin0, load_margin1 = snap0[6], snap[6]
-        if load_margin0 is not None or load_margin1 is not None:
-            if (
-                load_margin0 is None
-                or load_margin1 is None
-                or uop_delta >= min(load_margin0, load_margin1)
-            ):
-                self.candidate = None
-                self.confirms = 0
-                return 0
-        port_delta = tuple(a - b for a, b in zip(snap[3], snap0[3]))
-        key = (period, frontier_delta, high_delta, max_delta, uop_delta,
-               port_delta)
-        if key == self.candidate:
-            self.confirms += 1
-        else:
-            self.candidate = key
-            self.confirms = 1
-        if self.confirms < self.CONFIRMATIONS:
-            return 0
-        return self._replay(pc, executed, key)
-
-    # ------------------------------------------------------------------
-    def _replay(self, pc: int, executed: int, key: tuple) -> int:
-        (period, frontier_delta, high_delta, max_delta, uop_delta,
-         port_delta) = key
-        core = self.core
-        scheduler = core.scheduler
-        per_period_instr = period * self.body_len
-        periods = ((self.end - pc) // self.body_len) // period
-        if periods > 0:
-            periods = min(
-                periods,
-                (self.max_instructions - executed) // per_period_instr,
-            )
-        if periods > 0 and scheduler.uop_budget is not None:
-            periods = min(
-                periods,
-                (scheduler.uop_budget - scheduler._issued_uops) // uop_delta,
-            )
-        if periods > 0 and scheduler.cycle_budget is not None:
-            periods = min(
-                periods,
-                (scheduler.cycle_budget - scheduler._max_complete)
-                // max_delta,
-            )
-        if periods > 0 and core._interrupts_enabled and \
-                core.interference.enabled:
-            next_fire = core.interference.next_fire()
-            if next_fire is None:
-                # Not yet armed; arming consumes RNG, so stay exact.
-                return 0
-            rel_fire = next_fire - core._cycle_base
-            headroom = rel_fire - scheduler._max_complete
-            periods = min(periods, int(headroom // max_delta))
-            while periods > 0 and (
-                scheduler._max_complete + periods * max_delta >= rel_fire
-            ):
-                periods -= 1
-        if periods <= 0:
-            # Capped out (budget/interrupt horizon): detection stays
-            # armed and retries at the next boundary.
-            return 0
-
-        # The scheduler totals advance with the state; the counters
-        # follow at the next publish.
-        scheduler.apply_steady_delta(periods, frontier_delta, high_delta,
-                                     max_delta, uop_delta, port_delta)
-        skipped = periods * per_period_instr
-        self.replayed_instructions += skipped
-        self.replayed_iterations += periods * period
-        self.replays += 1
-        # The stored absolute snapshots are stale after the bulk jump;
-        # restart detection from the post-replay boundary.
-        self._reset_detection(count_fallback=False)
-        self.next_boundary = pc + skipped
-        return skipped
+        if entry[3]:
+            return False
+    return True

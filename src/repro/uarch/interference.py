@@ -72,17 +72,6 @@ class InterferenceModel:
         self.enabled = True
         self._next_interrupt = None
 
-    def next_fire(self) -> Optional[float]:
-        """Cycle of the next armed interrupt, without arming one.
-
-        ``None`` means masked or not yet armed; the steady-state fast
-        path uses this as a replay horizon so a bulk-replayed window can
-        never leap over an interrupt that exact execution would take.
-        """
-        if not self.enabled:
-            return None
-        return self._next_interrupt
-
     def _schedule_next(self, now: float) -> None:
         interval = self.rng.expovariate(1.0 / self.config.mean_interval_cycles)
         self._next_interrupt = now + interval

@@ -24,14 +24,6 @@ from ..errors import RunawayBenchmarkError
 from .ports import PortLayout
 from .timing import ComputeUop, InstructionTiming
 
-#: Steady-state signature horizon: a time value whose distance above
-#: the front-end frontier is at most this is "low" (paced by the front
-#: end, recorded exactly); anything further ahead is "high" (paced by
-#: the back-end critical path, recorded relative to the high-group
-#: minimum).  See :meth:`Scheduler.steady_state` for the soundness
-#: argument.
-STEADY_LOW_HORIZON = 32
-
 #: The µop a microcoded instruction issues per drawn µop.
 _MICROCODE_UOP = ComputeUop("MICROCODE", 1)
 
@@ -93,31 +85,6 @@ class Scheduler:
         self._load_ports = layout.resolve_indices("LOAD")
         self._sta_ports = layout.resolve_indices("STORE_ADDR")
         self._std_ports = layout.resolve_indices("STORE_DATA")
-        #: Connected components of the "co-candidate" relation: two
-        #: ports are related when some port class lists both, i.e. when
-        #: a dispatch tie-break can ever compare their loads.  Loads
-        #: only matter *within* a component, so the steady-state
-        #: signature normalizes them per component (a global minimum
-        #: would pin to a never-used port and make busy-port loads grow
-        #: without bound, defeating periodicity detection).
-        parent = list(range(self._n_ports))
-
-        def _find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for candidates in layout.class_indices.values():
-            first = candidates[0]
-            for other in candidates[1:]:
-                parent[_find(other)] = _find(first)
-        components: Dict[int, List[int]] = {}
-        for index in range(self._n_ports):
-            components.setdefault(_find(index), []).append(index)
-        self._port_groups: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(members) for members in components.values()
-        )
         #: Watchdog budgets (per timing epoch, i.e. per program run).
         #: ``None`` (the default) disables the check entirely; when set,
         #: exceeding them raises :class:`RunawayBenchmarkError` with a
@@ -149,11 +116,6 @@ class Scheduler:
         self._fence_until = 0
         self._max_complete = 0
         self._issued_uops = 0
-        # Running sum of every latency handed to the dispatch/fence
-        # paths — an upper bound on how far above the frontier any
-        # frontier-paced computation can climb within a window, used by
-        # the steady-state separation margin.
-        self._latency_accum = 0
         self.predictor.reset()
 
     def _randint(self, low: int, high: int) -> int:
@@ -170,7 +132,7 @@ class Scheduler:
             tuple(sorted(self._store_ready.items())),
             tuple(self._port_free), tuple(self._port_load),
             self._frontend_cycle, self._frontend_slots, self._fence_until,
-            self._max_complete, self._issued_uops, self._latency_accum,
+            self._max_complete, self._issued_uops,
             tuple(sorted(self.predictor._counters.items())),
         )
 
@@ -271,7 +233,6 @@ class Scheduler:
         port_free = self._port_free
         port_load = self._port_load
         port_names = self._port_names
-        latency_accum = self._latency_accum
         dispatched: Dict[str, int] = {}
         source_ready = 0
         if not ignore_sources:
@@ -311,7 +272,6 @@ class Scheduler:
                 port_load[best] += 1
                 name = port_names[best]
                 dispatched[name] = dispatched.get(name, 0) + 1
-                latency_accum += plan.latency
                 completion = best_start + plan.latency
                 if completion > max_complete:
                     max_complete = completion
@@ -356,9 +316,7 @@ class Scheduler:
                 port_load[best] += 1
                 name = port_names[best]
                 dispatched[name] = dispatched.get(name, 0) + 1
-                latency = uop.latency
-                latency_accum += latency
-                completion = best_start + latency
+                completion = best_start + uop.latency
                 if completion > max_complete:
                     max_complete = completion
                 if completion > compute_complete:
@@ -368,7 +326,6 @@ class Scheduler:
             compute_complete = max(fence_until, source_ready, frontier)
         if extra_latency:
             compute_complete += extra_latency
-            latency_accum += extra_latency
             if compute_complete > max_complete:
                 max_complete = compute_complete
 
@@ -414,7 +371,6 @@ class Scheduler:
                     port_load[best] += 1
                     name = port_names[best]
                     dispatched[name] = dispatched.get(name, 0) + 1
-                    latency_accum += 1
                     completion = best_start + 1
                     if completion > max_complete:
                         max_complete = completion
@@ -436,7 +392,6 @@ class Scheduler:
             self.predictor.update(branch_site, branch_taken)
             if predicted != branch_taken:
                 mispredicted = True
-                latency_accum += self.MISPREDICT_PENALTY
                 resume = complete + self.MISPREDICT_PENALTY
                 if resume > frontier:
                     frontier = resume
@@ -450,7 +405,6 @@ class Scheduler:
         self._frontend_cycle = frontier
         self._frontend_slots = slots
         self._max_complete = max_complete
-        self._latency_accum = latency_accum
         self._issued_uops += issued
         if self.cycle_budget is not None or self.uop_budget is not None:
             self._check_budgets()
@@ -468,7 +422,6 @@ class Scheduler:
             frontier += 1
         start = max(issue, self._max_complete, self._fence_until)
         completion = start + timing.fence_latency
-        self._latency_accum += timing.fence_latency
         self._fence_until = completion
         self._max_complete = max(self._max_complete, completion)
         # The front end also resumes no earlier than fence completion.
@@ -502,202 +455,3 @@ class Scheduler:
     def port_pressure(self) -> Dict[str, int]:
         """Total µops dispatched per port since the last reset."""
         return dict(zip(self._port_names, self._port_load))
-
-    # ------------------------------------------------------------------
-    # Steady-state fast path support.
-    #
-    # An unrolled benchmark body repeats the same instruction sequence
-    # many times.  Once the scheduler reaches a *periodic* state, the
-    # next p iterations are forced to replay exactly the deltas of the
-    # previous p, so the core can apply those deltas in bulk instead of
-    # re-running the per-µop dispatch loop.
-    #
-    # "Periodic" cannot mean "every time value repeats relative to the
-    # front-end frontier": the model has no reorder-buffer limit, so in
-    # a back-end-bound body (a dependency chain, or one saturated port)
-    # completion times advance faster than the frontier and the gap
-    # grows without bound.  The state is instead periodic up to *two*
-    # uniform shifts, which is what the signature captures:
-    #
-    # * Inert entries (at or below the frontier): every µop's issue
-    #   cycle is >= the frontier, so these can never win a ``max()``
-    #   race again.  They are omitted from the signature and left
-    #   untouched by replay, exactly as clean exact iterations leave
-    #   them.
-    # * Low entries (within ``STEADY_LOW_HORIZON`` above the
-    #   frontier): paced by the front end; recorded exactly and shifted
-    #   with the frontier on replay.
-    # * High entries (further out): paced by the back-end critical
-    #   path; recorded relative to the high-group minimum and shifted
-    #   by the observed high-group advance on replay.
-    #
-    # Soundness: matching signatures at boundaries j < k mean the state
-    # at k is the state at j with the frontier and every low entry
-    # shifted by a = F_k - F_j and every high entry shifted by one
-    # common b = high_k - high_j.  All scheduling decisions are
-    # outcomes of ``max()`` races plus load tie-breaks, and each race
-    # from k resolves exactly as its image from j did:
-    #
-    # * low/low and high/high races: both sides shift uniformly.
-    # * high/low races the high side won at j: the gap only grows
-    #   (replay requires b >= a).
-    # * high/low races the *low* side won at j are the one case the
-    #   shift differential could flip.  They are excluded by a
-    #   separation margin: replay requires the smallest high entry to
-    #   exceed the largest value any frontier-paced computation can
-    #   reach during one period — bounded by the horizon plus the
-    #   frontier advance plus the period's total dispatched latency
-    #   (tracked by ``_latency_accum``).
-    #
-    # Port loads only matter relative to each other (tie-breaking), and
-    # only among ports a candidate set can ever compare, so they are
-    # normalized by subtracting each co-candidate component's minimum
-    # (see ``_port_groups``).  ``max_complete``
-    # is the externally visible clock, so it is always recorded (even
-    # when inert for scheduling) and replay always advances it by its
-    # own observed per-period delta.
-
-    def steady_state(self) -> Tuple[tuple, tuple]:
-        """(signature, snapshot) of the current scheduling state.
-
-        The signature is comparable across iteration boundaries of an
-        unrolled body; the snapshot holds the absolute counters needed
-        to derive per-period replay deltas once two signatures match.
-        """
-        base = self._frontend_cycle
-        horizon = STEADY_LOW_HORIZON
-        entries: List[Tuple[str, object, int]] = []
-        min_high: Optional[int] = None
-        for name, value in self._resource_ready.items():
-            rel = value - base
-            if rel > 0:
-                entries.append(("r", name, rel))
-                if rel > horizon and (min_high is None or rel < min_high):
-                    min_high = rel
-        for line, value in self._store_ready.items():
-            rel = value - base
-            if rel > 0:
-                entries.append(("s", line, rel))
-                if rel > horizon and (min_high is None or rel < min_high):
-                    min_high = rel
-        for index in range(self._n_ports):
-            rel = self._port_free[index] - base
-            if rel > 0:
-                entries.append(("p", index, rel))
-                if rel > horizon and (min_high is None or rel < min_high):
-                    min_high = rel
-        rel = self._fence_until - base
-        if rel > 0:
-            entries.append(("f", 0, rel))
-            if rel > horizon and (min_high is None or rel < min_high):
-                min_high = rel
-        rel = self._max_complete - base
-        entries.append(("c", 0, rel))
-        if rel > horizon and (min_high is None or rel < min_high):
-            min_high = rel
-        # High entries are encoded as ~(rel - min_high): a negative
-        # int, disjoint from every low/inert exact rel, so one sorted
-        # tuple of homogeneous triples stays orderable and hashable.
-        signature_items = tuple(sorted(
-            (tag, key, value if value <= horizon else ~(value - min_high))
-            for tag, key, value in entries
-        ))
-        # Port loads, normalized per co-candidate component, get the
-        # same two-band treatment: a port far above its component's
-        # minimum (e.g. the single MUL port under an IMUL chain) grows
-        # without bound relative to its idle siblings, but tie-breaks
-        # prefer the *lower* load, so such a port keeps losing them —
-        # only the pairwise differences among the heavy ports matter.
-        # ``load_margin`` (smallest heavy-band lead over the light
-        # band) bounds how many extra in-window dispatches a light port
-        # could take before a tie-break could flip; the tracker rejects
-        # replay unless the per-period µop count stays below it.
-        loads = self._port_load
-        norm_loads = [0] * self._n_ports
-        load_margin: Optional[int] = None
-        for group in self._port_groups:
-            group_min = min(loads[index] for index in group)
-            high_floor: Optional[int] = None
-            low_ceiling = 0
-            for index in group:
-                norm = loads[index] - group_min
-                norm_loads[index] = norm
-                if norm > horizon:
-                    if high_floor is None or norm < high_floor:
-                        high_floor = norm
-                elif norm > low_ceiling:
-                    low_ceiling = norm
-            if high_floor is not None:
-                for index in group:
-                    norm = norm_loads[index]
-                    if norm > horizon:
-                        norm_loads[index] = ~(norm - high_floor)
-                margin = high_floor - low_ceiling
-                if load_margin is None or margin < load_margin:
-                    load_margin = margin
-        signature = (
-            self._frontend_slots,
-            tuple(norm_loads),
-            signature_items,
-        )
-        snapshot = (
-            base,
-            self._max_complete,
-            self._issued_uops,
-            tuple(self._port_load),
-            (min_high + base) if min_high is not None else None,
-            self._latency_accum,
-            load_margin,
-        )
-        return signature, snapshot
-
-    def apply_steady_delta(self, periods: int, frontier_delta: int,
-                           high_delta: int, max_delta: int, uop_delta: int,
-                           port_load_delta: Sequence[int]) -> None:
-        """Replay ``periods`` steady-state periods in bulk.
-
-        The deltas are per-period advances measured between two
-        matching boundaries: ``frontier_delta`` shifts the frontier and
-        every low entry, ``high_delta`` every high entry, ``max_delta``
-        the clock.  Inert entries stay put, exactly as clean exact
-        iterations would leave them.
-        """
-        if periods <= 0:
-            return
-        base = self._frontend_cycle
-        horizon = STEADY_LOW_HORIZON
-        low_shift = periods * frontier_delta
-        high_shift = periods * high_delta
-        self._frontend_cycle = base + low_shift
-        self._max_complete += periods * max_delta
-        self._issued_uops += periods * uop_delta
-        port_free = self._port_free
-        for i in range(self._n_ports):
-            rel = port_free[i] - base
-            if rel > horizon:
-                port_free[i] += high_shift
-            elif rel > 0:
-                port_free[i] += low_shift
-        port_load = self._port_load
-        for i, delta in enumerate(port_load_delta):
-            if delta:
-                port_load[i] += periods * delta
-        for name, value in self._resource_ready.items():
-            rel = value - base
-            if rel > horizon:
-                self._resource_ready[name] = value + high_shift
-            elif rel > 0:
-                self._resource_ready[name] = value + low_shift
-        for line, value in self._store_ready.items():
-            rel = value - base
-            if rel > horizon:
-                self._store_ready[line] = value + high_shift
-            elif rel > 0:
-                self._store_ready[line] = value + low_shift
-        rel = self._fence_until - base
-        if rel > horizon:
-            self._fence_until += high_shift
-        elif rel > 0:
-            self._fence_until += low_shift
-        if self.cycle_budget is not None or self.uop_budget is not None:
-            self._check_budgets()

@@ -1,6 +1,7 @@
 """Tests for output formatting and the remaining CLI paths."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -124,15 +125,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "MEM_LOAD_RETIRED.L1_HIT: 1.00" in out
 
+    # The counts are fault-free accounting: run-level replay is refused
+    # under any active fault plan.
+    @pytest.mark.no_chaos
     def test_verbose_report(self, capsys):
         exit_code = cli_main([
             "-asm", "nop", "-verbose", "-n_measurements", "2",
         ])
         assert exit_code == 0
         err = capsys.readouterr().err
-        assert "counter groups" in err
-        # Kernel mode is the default, so runs at a fixed point replay.
-        assert "s host, 3 replayed runs\n" in err
+        assert "# 8 runs, 2 counter groups, " in err
+        # Kernel mode is the default, so runs at a fixed point replay,
+        # and every copy of the clean body after the first skips its
+        # semantics.
+        assert re.search(r"# sim: 1848 instructions \(1192 fast-path, "
+                         r"0 fallbacks\) in [0-9.]+ s host, "
+                         r"3 replayed runs\n", err)
 
     def test_options_flow_through(self, capsys):
         exit_code = cli_main([
@@ -192,7 +200,7 @@ class TestCli:
         ])
         assert exit_code == 0
         # In force for the invocation: nothing ran on the fast path ...
-        assert "(0 fast-path over 0 replays" in capsys.readouterr().err
+        assert "(0 fast-path, 0 fallbacks)" in capsys.readouterr().err
         # ... and gone after it, for every core built later.
         assert os.environ.get("NANOBENCH_FAST_PATH") == outer
         assert SimulatedCore("Skylake").fast_path_enabled

@@ -1,7 +1,6 @@
 """Regression and property tests for the simulator hot path (PR 4).
 
-Pins the three bugfixes that rode along with the steady-state fast
-path:
+Pins three bugfixes:
 
 * store µops consume one front-end slot per µop (STA + STD), so the
   front-end width pressure agrees with ``issued_uops``;
@@ -10,13 +9,13 @@ path:
 * ``generation_key`` covers every :class:`NanoBenchOptions` field that
   :func:`repro.core.codegen.generate` actually reads.
 
-Plus the two properties from the issue: ``Scheduler.issued_uops``
-equals the sum of per-instruction ``issued_uops`` over arbitrary
-schedule sequences (hypothesis), and the steady-state fast path is
-byte-identical to exact scheduling — on a smoke set in tier 1 and over
-the full instruction corpus in tier 2 (Skylake kernel mode, Haswell user
-mode).  The whole metric store must match too, and a clean unrolled
-body executes its semantics only in the region's first copy.
+Plus two properties: ``Scheduler.issued_uops`` equals the sum of
+per-instruction ``issued_uops`` over arbitrary schedule sequences
+(hypothesis), and the fast path is byte-identical to exact simulation —
+on a smoke set in tier 1 and over the full instruction corpus in tier 2
+(Skylake kernel mode, Haswell user mode).  The whole metric store must
+match too, and a clean unrolled body executes its semantics only in the
+region's first copy.
 """
 
 import os
@@ -322,8 +321,8 @@ _DIFFERENTIAL_CASES = (
         pytest.param({"asm": "add RAX, RAX; pause_counting; imul RBX, RBX;"
                              " resume_counting", "no_mem": True},
                      id="pause-resume"),
-        # User mode: interference events fire between (and cap)
-        # replays and publish the counters mid-run.
+        # User mode: interference events fire among the copies whose
+        # semantics are skipped and publish the counters mid-run.
         pytest.param({"asm": "add RAX, RBX; add RBX, RCX", "user": True,
                       "setup": _frequent_interrupts}, id="user-mode"),
     ]
@@ -345,12 +344,11 @@ class TestFastPathDifferential:
         assert (fast_report.sim_stats["instructions"]
                 == exact_report.sim_stats["instructions"])
         assert exact_report.sim_stats["fast_path_instructions"] == 0
-
-    def test_fast_path_engages_on_steady_kernels(self):
-        _, report, _ = _run_report("add RAX, RAX", True,
-                                   unroll_count=200, n_measurements=3)
-        assert report.sim_stats["fast_path_instructions"] > 0
-        assert report.sim_stats["fast_path_replays"] > 0
+        assert exact_report.sim_stats["fallbacks"] == 0
+        # Each case's region is clean (its copies skip their semantics)
+        # or not (each region run counts a fallback), never both.
+        fast = fast_report.sim_stats
+        assert (fast["fast_path_instructions"] > 0) == (fast["fallbacks"] == 0)
 
     def test_user_mode_case_takes_interrupts(self, monkeypatch):
         events = []
@@ -368,12 +366,14 @@ class TestFastPathDifferential:
         assert events
         assert report.sim_stats["fast_path_instructions"] > 0
 
+    @pytest.mark.parametrize("loops", [0, 4])
     @pytest.mark.parametrize("fast_path", [True, False])
     def test_clean_body_semantics_run_once_per_region(self, monkeypatch,
-                                                      fast_path):
+                                                      fast_path, loops):
         # Every PXOR of the generated program is a body copy.  With the
-        # fast path on, only the region's first copy executes; with it
-        # off, every copy does.
+        # fast path on, only the region's first copy executes (in loop
+        # mode, once per pass); with it off, every copy does.  Each
+        # instruction left out counts as a fast-path instruction.
         runs = []
         executed = [0]
         bind_pxor = semantics._BINDERS["PXOR"]
@@ -389,10 +389,12 @@ class TestFastPathDifferential:
 
         def recording_run(core, program, **kwargs):
             executed[0] = 0
+            before = core.sim_stats.fast_path_instructions
             try:
                 return run_program(core, program, **kwargs)
             finally:
-                runs.append((kwargs.get("unroll_region"), executed[0]))
+                runs.append((kwargs.get("unroll_region"), executed[0],
+                             core.sim_stats.fast_path_instructions - before))
 
         # Decode records bind once per process: start from empty ones.
         monkeypatch.setitem(semantics._BINDERS, "PXOR", counting_bind)
@@ -400,12 +402,15 @@ class TestFastPathDifferential:
         monkeypatch.setattr(uarch_core, "_DECODE_IDS", {})
         monkeypatch.setattr(SimulatedCore, "run_program", recording_run)
         _run_report(fast_path=fast_path, unroll_count=50, n_measurements=3,
-                    **_PXOR)
-        regions = [(region, count) for region, count in runs if region]
+                    loop_count=loops, **_PXOR)
+        regions = [run for run in runs if run[0]]
         assert regions
-        for (_start, body_len, copies), count in regions:
+        passes = max(1, loops)
+        for (_start, body_len, copies), count, skipped in regions:
             assert body_len == 12
-            assert count == (body_len if fast_path else body_len * copies)
+            assert count == passes * (body_len if fast_path
+                                      else body_len * copies)
+            assert skipped == passes * body_len * copies - count
 
     def test_skipped_values_reach_only_the_spill_slots(self):
         # A clean body's skipped iterations leave RAX behind its exact
