@@ -21,6 +21,7 @@ Select one with ``NanoBench.create(backend="analytic")``, a
 
 from typing import Dict
 
+from ..errors import CapabilityError
 from .analytic import AnalyticTarget, BlockEstimate, estimate_program
 
 #: Name of the default backend (the cycle-accurate simulated core).
@@ -40,10 +41,36 @@ BACKENDS: Dict[str, str] = {
             "trustworthy tier per query",
 }
 
+#: What the backends other than ``sim`` lack for a tool that prepares
+#: the simulated machine (``nb.core``) and counts its memory events:
+#: ``backend -> (capability, description)``.
+_NOT_SIM = {
+    "analytic": ("cache_events",
+                 "memory-hierarchy and TLB events (hit/miss levels)"),
+    "auto": ("machine_state",
+             "each escalated query runs on a fresh simulator, not on "
+             "the machine the tool set up"),
+}
+
+
+def require_sim(nb, what: str) -> None:
+    """Raise :class:`~repro.errors.CapabilityError` unless *nb* measures
+    on backend ``sim``; *what* says what the refused tool does."""
+    if nb.backend == "sim":
+        return
+    capability, description = _NOT_SIM[nb.backend]
+    raise CapabilityError(
+        "%s: backend %r lacks the %r capability (%s)"
+        % (what, nb.backend, capability, description),
+        capability=capability, backend=nb.backend,
+    )
+
+
 __all__ = [
     "AnalyticTarget",
     "BACKENDS",
     "BlockEstimate",
     "DEFAULT_BACKEND",
     "estimate_program",
+    "require_sim",
 ]

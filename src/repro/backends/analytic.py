@@ -460,7 +460,6 @@ class AnalyticTarget:
         self.timing_table = TimingTable(
             spec.family, move_elimination=spec.move_elimination
         )
-        self.timing_enabled = True
         self.pmu = _StubPMU(spec.n_programmable_counters)
         self.address_space = _StubAddressSpace()
         self.sim_stats = SimStats()

@@ -38,7 +38,7 @@ from ..errors import (
     NanoBenchError,
     UnschedulableEventError,
 )
-from ..faults.plan import active_plan
+from ..faults.plan import RUN_FAULT_SITES, active_plan
 from ..integrity.preflight import ensure_program_valid
 from ..integrity.stability import (
     QualityVerdict,
@@ -405,12 +405,10 @@ class NanoBench:
             ensure_program_valid(
                 init_program, kernel_mode=self.kernel_mode,
                 timing_table=self.core.timing_table,
-                check_timing=self.core.timing_enabled,
             )
             ensure_program_valid(
                 benchmark, kernel_mode=self.kernel_mode,
                 timing_table=self.core.timing_table,
-                check_timing=self.core.timing_enabled,
             )
 
         perf_events = self._resolve_events(config, events)
@@ -612,13 +610,14 @@ class NanoBench:
 
     def _run_validator(self, counter_reads: Sequence[CounterRead]):
         """The per-run contamination check, active only under a fault
-        plan (fault-free runs must stay byte-identical to the seed).
+        plan that arms a site inside runs (:data:`RUN_FAULT_SITES`;
+        other runs must stay byte-identical to fault-free ones).
 
         Rejects wraparound artefacts (negative or implausibly large
         deltas) and — when APERF/MPERF are measured — runs whose
         core/reference clock ratio shifted mid-run (P-state change).
         """
-        if active_plan() is None:
+        if not _run_faults_armed():
             return None
         check_freq = any(read.name == "APERF" for read in counter_reads)
         ratio = self.core.spec.reference_clock_ratio
@@ -641,15 +640,15 @@ class NanoBench:
         """Whether runs of this group may be replayed at a fixed point.
 
         Only what a run log cannot see is checked here: never under a
-        fault plan (its faults hit individual runs), with the fast path
-        switched off, in user mode (interrupts fire), or in noMem mode,
-        where the counter values live in registers the benchmark can
-        read.  Counter, clock and CPUID reads in the code itself, and
+        fault plan that arms a site inside runs (:data:`RUN_FAULT_SITES`;
+        its faults hit individual runs), with the fast path switched
+        off, in user mode (interrupts fire), or in noMem mode, where the
+        counter values live in registers the benchmark can read.  Counter, clock and CPUID reads in the code itself, and
         SMT, are caught by the run log (:meth:`SimulatedCore.end_run_log`,
         :meth:`_FixedPoint.keep`); a benchmark reading the flags a
         counter read left is checked per replay (:meth:`_FixedPoint.accepts`).
         """
-        return (self.core.fast_path_enabled and active_plan() is None
+        return (self.core.fast_path_enabled and not _run_faults_armed()
                 and self.kernel_mode and not options.no_mem)
 
     def _fixed_point(self, benchmark: Program,
@@ -956,3 +955,10 @@ class _FixedPoint:
 
 def _to_signed64(value: int) -> int:
     return value - (1 << 64) if value >= (1 << 63) else value
+
+
+def _run_faults_armed() -> bool:
+    """Whether the active fault plan arms a site inside runs."""
+    plan = active_plan()
+    return plan is not None and any(
+        plan.rate(site) > 0 for site in RUN_FAULT_SITES)

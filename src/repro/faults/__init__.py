@@ -24,6 +24,7 @@ from .plan import (
     ENV_FAULTS,
     ENV_SEED,
     FAULT_SITES,
+    RUN_FAULT_SITES,
     FaultPlan,
     activate,
     active_plan,
@@ -37,6 +38,7 @@ __all__ = [
     "ENV_FAULTS",
     "ENV_SEED",
     "FAULT_SITES",
+    "RUN_FAULT_SITES",
     "FaultPlan",
     "activate",
     "active_plan",

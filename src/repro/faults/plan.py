@@ -109,6 +109,12 @@ DEFAULT_RATES: Dict[str, float] = {
 
 FAULT_SITES: Tuple[str, ...] = tuple(sorted(DEFAULT_RATES))
 
+#: The sites that fire inside one run of generated code.  A run that
+#: one of them may hit is not a repeat of the last one, so nanoBench
+#: replays runs (and checks them for contamination) only under a plan
+#: that arms none of these; every other site fires outside runs.
+RUN_FAULT_SITES: Tuple[str, ...] = ("counter.overflow", "freq.transition")
+
 #: Resolution of the decision hash: rates are effectively quantized to
 #: multiples of ``1 / 2**53`` (double precision), far below any rate
 #: anyone would configure.

@@ -2,7 +2,7 @@
 
 Benchmark code is decoded and checked **before** any simulation: every
 instruction must have functional semantics, timing information for the
-target family (when the timing model is active), the required privilege
+target family (when a timing table is given), the required privilege
 level, and resolvable branch targets.  Problems surface as structured
 :class:`~repro.errors.ValidationError`\\ s with statement/byte offsets
 and mnemonics — not as a mid-run crash deep inside the simulator.
@@ -67,17 +67,16 @@ def validate_program(
     *,
     kernel_mode: bool = True,
     timing_table=None,
-    check_timing: bool = True,
     offsets: Optional[Sequence[int]] = None,
 ) -> List[ValidationIssue]:
     """Collect every validation issue in *program* (empty list = valid).
 
     Checks mirror the simulator's own failure order per instruction:
-    timing lookup first (``run_program`` consults the timing table
-    before executing), then missing semantics, then privilege, then
-    branch-target resolution.  nanoBench pseudo-instructions
-    (``PAUSE_COUNTING`` / ``RESUME_COUNTING``) are handled directly by
-    the core and are always valid.
+    timing lookup first, when *timing_table* is given (``run_program``
+    decodes an instruction's timing before executing it), then missing
+    semantics, then privilege, then branch-target resolution.  nanoBench
+    pseudo-instructions (``PAUSE_COUNTING`` / ``RESUME_COUNTING``) are
+    handled directly by the core and are always valid.
 
     Fuzzer-generated programs carry a ``fuzz_provenance`` tag (seed,
     quota profile, kernel index); issue messages echo it so a rejected
@@ -91,7 +90,7 @@ def validate_program(
         mnemonic = instr.mnemonic
         if instr.spec.pseudo:
             continue
-        if check_timing and timing_table is not None:
+        if timing_table is not None:
             try:
                 timing_table.lookup(instr)
             except TimingModelError as exc:
@@ -162,13 +161,11 @@ def assert_valid(
     *,
     kernel_mode: bool = True,
     timing_table=None,
-    check_timing: bool = True,
     what: str = "benchmark code",
 ) -> None:
     """Raise a :class:`ValidationError` aggregating all issues, if any."""
     issues = validate_program(
         program, kernel_mode=kernel_mode, timing_table=timing_table,
-        check_timing=check_timing,
     )
     if issues:
         raise _aggregate_error(what, issues)
@@ -179,7 +176,6 @@ def ensure_program_valid(
     *,
     kernel_mode: bool = True,
     timing_table=None,
-    check_timing: bool = True,
 ) -> None:
     """Fast-path pre-flight used by :meth:`NanoBench.run`.
 
@@ -190,7 +186,7 @@ def ensure_program_valid(
     :class:`Program` object so repeated runs pay one dict lookup.
     """
     family = getattr(timing_table, "family", None)
-    key = (kernel_mode, bool(check_timing and timing_table is not None), family)
+    key = (kernel_mode, family)
     cache: Dict[Tuple, Optional[ValidationIssue]]
     cache = program.__dict__.setdefault("_preflight_cache", {})
     if key in cache:
@@ -200,7 +196,6 @@ def ensure_program_valid(
         return
     issues = validate_program(
         program, kernel_mode=kernel_mode, timing_table=timing_table,
-        check_timing=check_timing,
     )
     cache[key] = issues[0] if issues else None
     if issues:
@@ -212,7 +207,6 @@ def validate_code_bytes(
     *,
     kernel_mode: bool = True,
     timing_table=None,
-    check_timing: bool = False,
     what: str = "benchmark code",
 ) -> Program:
     """Decode and validate a byte buffer; returns the decoded program.
@@ -230,7 +224,7 @@ def validate_code_bytes(
         raise _aggregate_error(what, [issue])
     issues = validate_program(
         program, kernel_mode=kernel_mode, timing_table=timing_table,
-        check_timing=check_timing, offsets=offsets,
+        offsets=offsets,
     )
     if issues:
         raise _aggregate_error(what, issues)

@@ -26,6 +26,13 @@ translates the plan and the eviction buffer to physical addresses once,
 then makes one ``MemoryHierarchy.access`` call per access.  A
 :meth:`CacheSeq.run` finds the sequence's distinct blocks once, for all
 its sets.
+
+Both engines work on the machine the caller prepared (``nb.core``, e.g.
+with its prefetchers disabled), so :class:`CacheSeq` needs the ``sim``
+backend: ``auto`` runs each escalated query on a fresh simulator, and
+``analytic`` counts no cache events.  The ``nanobench`` engine's code
+runs like any other on the core, scheduled and timed; only its event
+counts are read.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ...backends import require_sim
 from ...core.codegen import R14_AREA_BASE
 from ...core.nanobench import NanoBench
-from ...errors import AnalysisError, CapabilityError, RunawayBenchmarkError
+from ...errors import AnalysisError, RunawayBenchmarkError
 from ...integrity.watchdog import DEFAULT_STEP_BUDGET, memory_step_budget
 from .addresses import AddressBuilder
 
@@ -106,12 +114,8 @@ class CacheSeq:
                  max_steps: Optional[int] = DEFAULT_STEP_BUDGET) -> None:
         if engine not in ("direct", "nanobench"):
             raise AnalysisError("engine must be 'direct' or 'nanobench'")
-        if nb.backend == "analytic":
-            raise CapabilityError(
-                "cacheSeq counts hits and misses of individual memory "
-                "accesses: backend 'analytic' lacks the 'cache_events' "
-                "capability (memory-hierarchy and TLB events (hit/miss "
-                "levels))", capability="cache_events", backend="analytic")
+        require_sim(nb, "cacheSeq counts hits and misses of individual "
+                        "memory accesses")
         self.nb = nb
         self.level = level
         self.engine = engine

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..backends import require_sim
 from ..core.codegen import R14_AREA_BASE
 from ..core.nanobench import NanoBench
 from ..errors import AnalysisError
@@ -86,6 +87,8 @@ def measure_miss_rates(
     ``step_budget`` bounds the TLB lookups of the whole sweep (runaway
     watchdog); ``None`` disables the check.
     """
+    require_sim(nb, "the TLB sweep counts dTLB misses of a pointer chase "
+                    "it writes into the machine's memory")
     max_pages = max(page_counts) * page_stride
     if max_pages * _PAGE > nb.r14_size:
         raise AnalysisError(
@@ -94,35 +97,29 @@ def measure_miss_rates(
         )
     miss_rates: Dict[int, float] = {}
     walk_rates: Dict[int, float] = {}
-    # The sweep measures event counts, not cycles: the fast functional
-    # mode keeps all TLB/cache event counting exact at a fraction of the
-    # cost (the scheduler is skipped).  A few kernel-space measurements
-    # suffice — they are deterministic.
-    timing_before = nb.core.timing_enabled
-    nb.core.timing_enabled = False
-    try:
-        with tlb_step_budget(nb.core.tlb, step_budget):
-            for count in page_counts:
-                pages = [i * page_stride for i in range(count)]
-                _build_chain(nb, pages)
-                nb.core.tlb.flush()
-                result = nb.run(
-                    asm="mov R14, [R14]",
-                    # Start the chase at the first link.
-                    asm_init="mov R14, %d" % (R14_AREA_BASE + pages[0] * _PAGE),
-                    events=["DTLB_LOAD_MISSES.ANY",
-                            "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK"],
-                    unroll_count=count,
-                    loop_count=CHASE_REPETITIONS,
-                    warm_up_count=1,
-                    n_measurements=3,
-                    aggregate="med",
-                )
-                miss_rates[count] = result["DTLB_LOAD_MISSES.ANY"]
-                walk_rates[count] = result[
-                    "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK"]
-    finally:
-        nb.core.timing_enabled = timing_before
+    # The sweep reads event counts only, though the core times the chase
+    # as it times every run.  A few kernel-space measurements suffice:
+    # they are deterministic.
+    with tlb_step_budget(nb.core.tlb, step_budget):
+        for count in page_counts:
+            pages = [i * page_stride for i in range(count)]
+            _build_chain(nb, pages)
+            nb.core.tlb.flush()
+            result = nb.run(
+                asm="mov R14, [R14]",
+                # Start the chase at the first link.
+                asm_init="mov R14, %d" % (R14_AREA_BASE + pages[0] * _PAGE),
+                events=["DTLB_LOAD_MISSES.ANY",
+                        "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK"],
+                unroll_count=count,
+                loop_count=CHASE_REPETITIONS,
+                warm_up_count=1,
+                n_measurements=3,
+                aggregate="med",
+            )
+            miss_rates[count] = result["DTLB_LOAD_MISSES.ANY"]
+            walk_rates[count] = result[
+                "DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK"]
     return TlbMeasurement(
         page_counts=tuple(page_counts),
         miss_rates=miss_rates,

@@ -266,14 +266,6 @@ class SimulatedCore:
         self._mperf_scale = 1.0
         self._mperf_base = 0.0
         self._mperf_base_cycle = 0
-        #: When False, the per-µop scheduler is skipped (cycle and port
-        #: counters stop advancing) while the functional semantics,
-        #: cache hierarchy, TLB and cache/instruction event counters
-        #: remain exact.  For event-counting runs of generated code: the
-        #: TLB sweep and cacheSeq's ``nanobench`` engine (whose tests
-        #: check both modes agree on hit counts).  cacheSeq's ``direct``
-        #: engine never runs code on the core, so it does not read this.
-        self.timing_enabled = True
         #: Hyperthreading: when enabled, a simulated SMT sibling thread
         #: competes for execution ports and cache space, perturbing
         #: measurements.  Section IV-A2: "for obtaining unperturbed
@@ -289,7 +281,7 @@ class SimulatedCore:
         #: Simulator-throughput observability counters.
         self.sim_stats = SimStats()
         #: This core's decode entries: ``id(instr) -> [instr, record,
-        #: timing|None, fast_path_unsafe]``, with the process-wide
+        #: timing, fast_path_unsafe]``, with the process-wide
         #: :class:`Decoded` record and this core's timing of it.
         #: Unrolled programs repeat the *same* ``Instruction`` objects
         #: thousands of times.  The entry holds a strong reference,
@@ -299,12 +291,8 @@ class SimulatedCore:
         self._run_log: Optional[_RunLog] = None
 
     # ==================================================================
-    # Memory mapping helpers (used by nanoBench and the tools)
+    # Address translation (used by nanoBench and the tools)
     # ==================================================================
-    def map_user_region(self, virtual_address: int, size: int) -> None:
-        """Map a user buffer (scattered physical pages)."""
-        self.address_space.map_user(virtual_address, size)
-
     def virt_to_phys(self, virtual_address: int) -> int:
         return self.address_space.translate(virtual_address)
 
@@ -559,38 +547,33 @@ class SimulatedCore:
 
     # ------------------------------------------------------------------
     def _decode(self, instr: Instruction) -> list:
-        """Decode-cache entry for *instr* (record now, timing lazily)."""
+        """Decode-cache entry for *instr*, timing included.
+
+        A failed timing lookup raises :class:`TimingModelError` and
+        caches nothing, so it is raised again at every use.
+        """
         cache = self._decode_cache
         if len(cache) >= (1 << 16):
             cache.clear()
         record = _decoded(instr)
         table = self.timing_table
-        timing, unsafe = record.timings.get(
-            (table.family, table.move_elimination), (None, True)
-        )
-        entry = [instr, record, timing, unsafe]
+        key = (table.family, table.move_elimination)
+        known = record.timings.get(key)
+        if known is None:
+            timing = table.lookup(instr)
+            spec = instr.spec
+            unsafe = bool(
+                record.loads or record.stores
+                or timing.is_fence or timing.microcoded
+                or timing.latency_jitter
+                or spec.is_branch or spec.privileged or spec.serializing
+                or spec.pseudo
+                or instr.mnemonic in _FAST_PATH_UNSAFE_MNEMONICS
+            )
+            known = record.timings[key] = (timing, unsafe)
+        entry = [instr, record, *known]
         cache[id(instr)] = entry
         return entry
-
-    def _decode_timing(self, instr: Instruction, entry: list):
-        """Fill the timing half of a decode entry (first timed use)."""
-        table = self.timing_table
-        timing = table.lookup(instr)
-        record = entry[1]
-        spec = instr.spec
-        unsafe = bool(
-            record.loads or record.stores
-            or timing.is_fence or timing.microcoded or timing.latency_jitter
-            or spec.is_branch or spec.privileged or spec.serializing
-            or spec.pseudo
-            or instr.mnemonic in _FAST_PATH_UNSAFE_MNEMONICS
-        )
-        entry[2] = timing
-        entry[3] = unsafe
-        record.timings[(table.family, table.move_elimination)] = (
-            timing, unsafe
-        )
-        return timing
 
     def run_program(
         self,
@@ -620,7 +603,6 @@ class SimulatedCore:
         pc = 0
         instructions = program.instructions
         decode_cache = self._decode_cache
-        timed = self.timing_enabled
         scheduler = self.scheduler
         metrics = self.metrics
         # Program counters whose functional semantics are skipped, and
@@ -629,7 +611,6 @@ class SimulatedCore:
         if (
             unroll_region is not None
             and self.fast_path_enabled
-            and timed
             and not self.smt_enabled
         ):
             start, body_len, copies = unroll_region
@@ -660,59 +641,48 @@ class SimulatedCore:
                     entry = self._decode(instr)
                 record = entry[1]
                 is_branch = record.is_branch
-                if timed:
-                    timing = entry[2]
-                    if timing is None:
-                        timing = self._decode_timing(instr, entry)
-                    if record.loads or record.stores:
-                        loads, stores = self._plan_memory_accesses(record)
-                    else:
-                        loads = stores = ()
-
-                    branch_taken: Optional[bool] = None
-                    branch_site = None
-                    if is_branch:
-                        branch_site = pc
-                        if mnemonic == "JMP":
-                            branch_taken = True
-                        else:
-                            branch_taken = semantics.condition_holds(
-                                self.regs, mnemonic[1:]
-                            )
-
-                    flow = record.flow
-                    scheduled = scheduler.schedule(
-                        timing,
-                        sources=flow.sources,
-                        destinations=flow.destinations,
-                        loads=loads,
-                        stores=stores,
-                        branch_site=branch_site,
-                        branch_taken=branch_taken,
-                    )
-                    executed += 1
-                    if is_branch:
-                        metrics.add("branches")
-                        if scheduled.mispredicted:
-                            metrics.add("branch_mispredicts")
-                    if timing.microcoded:
-                        # Microcoded instructions drain before later µops
-                        # dispatch (RDMSR, CPUID, WBINVD are effectively
-                        # pipeline barriers on real hardware).
-                        scheduler.serialize_after_microcode(
-                            scheduled.complete_cycle
-                        )
-                    if self.smt_enabled:
-                        self._apply_smt_contention()
-                    self._apply_interrupts()
+                timing = entry[2]
+                if record.loads or record.stores:
+                    loads, stores = self._plan_memory_accesses(record)
                 else:
-                    # Fast functional mode: exact cache behaviour and event
-                    # counts, no cycle accounting.
-                    if record.loads or record.stores:
-                        self._plan_memory_accesses(record)
-                    executed += 1
-                    if is_branch:
-                        metrics.add("branches")
+                    loads = stores = ()
+
+                branch_taken: Optional[bool] = None
+                branch_site = None
+                if is_branch:
+                    branch_site = pc
+                    if mnemonic == "JMP":
+                        branch_taken = True
+                    else:
+                        branch_taken = semantics.condition_holds(
+                            self.regs, mnemonic[1:]
+                        )
+
+                flow = record.flow
+                scheduled = scheduler.schedule(
+                    timing,
+                    sources=flow.sources,
+                    destinations=flow.destinations,
+                    loads=loads,
+                    stores=stores,
+                    branch_site=branch_site,
+                    branch_taken=branch_taken,
+                )
+                executed += 1
+                if is_branch:
+                    metrics.add("branches")
+                    if scheduled.mispredicted:
+                        metrics.add("branch_mispredicts")
+                if timing.microcoded:
+                    # Microcoded instructions drain before later µops
+                    # dispatch (RDMSR, CPUID, WBINVD are effectively
+                    # pipeline barriers on real hardware).
+                    scheduler.serialize_after_microcode(
+                        scheduled.complete_cycle
+                    )
+                if self.smt_enabled:
+                    self._apply_smt_contention()
+                self._apply_interrupts()
 
                 # --- functional execution
                 if skip_from <= pc < skip_to:
@@ -828,7 +798,6 @@ class SimulatedCore:
             self.hierarchy.fingerprint(),
             self.tlb.fingerprint(),
             tuple(sorted(self._msrs.items())),
-            self.timing_enabled,
         )
 
     def begin_run_log(self, watched: Sequence[Tuple[int, int]] = ()) -> None:
@@ -1022,10 +991,8 @@ def _is_clean(core: SimulatedCore, body: Sequence[Instruction]) -> bool:
             return False
         entry = cache.get(id(instr))
         if entry is None or entry[0] is not instr:
-            entry = core._decode(instr)
-        if entry[2] is None:
             try:
-                core._decode_timing(instr, entry)
+                entry = core._decode(instr)
             except TimingModelError:
                 return False
         if entry[3]:

@@ -386,12 +386,29 @@ class TestToolGating:
             framework.measure(asm="nop", events=["CBOX0_LLC_LOOKUP.ANY"])
         assert "uncore" in str(excinfo.value)
 
-    def test_cacheseq_requires_cache_events(self):
+    @pytest.mark.parametrize("backend", ["analytic", "auto"])
+    def test_cacheseq_requires_cache_events(self, backend):
+        # ``auto`` runs each escalated query on a fresh simulator, so the
+        # machine cacheSeq prepares is not the one that would run.
         from repro.tools.cache import CacheSeq
 
-        nb = NanoBench.create(backend="analytic")
-        with pytest.raises(CapabilityError):
+        nb = NanoBench.create(backend=backend)
+        with pytest.raises(CapabilityError) as excinfo:
             CacheSeq(nb, level=1)
+        assert excinfo.value.backend == backend
+
+    @pytest.mark.parametrize("backend", ["analytic", "auto"])
+    def test_tlb_sweep_requires_sim(self, backend):
+        # The sweep writes its pointer chain into nb.core's memory:
+        # ``auto`` would chase it on a fresh simulator, from address 0.
+        from repro.tools.tlb import measure_miss_rates
+
+        nb = NanoBench.create(backend=backend)
+        with pytest.raises(CapabilityError) as excinfo:
+            measure_miss_rates(nb, [16, 64, 128])
+        assert excinfo.value.backend == backend
+        assert excinfo.value.capability == (
+            "cache_events" if backend == "analytic" else "machine_state")
 
     def test_instr_corpus_runs_on_analytic(self):
         from repro.tools.instr import (

@@ -44,7 +44,7 @@ class TestWholeProgram:
 
 class TestPapiLike:
     def test_measures_with_overhead(self, core):
-        core.map_user_region(0x100000, 4096)
+        core.address_space.map_user(0x100000, 4096)
         papi = PapiLikeCounters(core, ["UOPS_ISSUED.ANY"])
         result = papi.measure(asm="add RAX, RAX", repeat=10)
         # Values include the start/stop library calls: way above the

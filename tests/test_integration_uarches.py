@@ -1,15 +1,15 @@
 """Cross-microarchitecture integration smoke tests.
 
 Every Table I CPU (plus AMD Zen) must run the core measurement flows
-end to end: basic latency/throughput, event multiplexing, fast
-functional mode, and the user/kernel split.
+end to end: basic latency/throughput, event multiplexing and the
+user/kernel split.
 """
 
 import pytest
 
 from repro.core.nanobench import NanoBench
 from repro.perfctr.events import event_catalog
-from repro.uarch.specs import MICROARCHITECTURES, TABLE1_CPUS
+from repro.uarch.specs import MICROARCHITECTURES
 
 
 @pytest.mark.parametrize("uarch", list(MICROARCHITECTURES))
@@ -52,33 +52,6 @@ class TestEveryUarch:
         nb = NanoBench.user(uarch, seed=0)
         with pytest.raises(PrivilegeError):
             nb.run(asm="wbinvd", unroll_count=1, n_measurements=1)
-
-
-@pytest.mark.parametrize("uarch", TABLE1_CPUS)
-def test_fast_mode_preserves_cache_counts(uarch):
-    """timing_enabled=False must not change cache hit/miss counting."""
-    def measure(fast):
-        nb = NanoBench.kernel(uarch, seed=1)
-        nb.core.timing_enabled = not fast
-        return nb.run(
-            asm="mov RAX, [R14]; mov RBX, [R14+64]; mov RCX, [R14]",
-            events=[_l1_hit_event(nb)],
-            n_measurements=2,
-            warm_up_count=1,
-            fixed_counters=False,
-        )
-
-    def _l1_hit_event(nb):
-        prefix = ("MEM_LOAD_RETIRED"
-                  if nb.core.spec.family in ("SKL", "NHM")
-                  else "MEM_LOAD_UOPS_RETIRED")
-        return "%s.L1_HIT" % prefix
-
-    if MICROARCHITECTURES[uarch].family == "ZEN":
-        pytest.skip("Zen uses different load events")
-    slow = measure(fast=False)
-    fast = measure(fast=True)
-    assert list(slow.values()) == pytest.approx(list(fast.values()))
 
 
 def test_uncore_counters_count_l3_traffic():

@@ -86,8 +86,7 @@ class TestValidateProgram:
         nb = NanoBench.kernel("Skylake")
         program = assemble("add RAX, RBX; mov RCX, [R14]")
         assert validate_program(
-            program, kernel_mode=True,
-            timing_table=nb.core.timing_table, check_timing=True,
+            program, kernel_mode=True, timing_table=nb.core.timing_table,
         ) == []
 
     def test_privileged_instruction_in_user_mode(self):
@@ -107,16 +106,14 @@ class TestValidateProgram:
         nb = NanoBench.kernel("SandyBridge")
         program = assemble("vfmadd231pd XMM1, XMM2, XMM3")
         issues = validate_program(
-            program, kernel_mode=True,
-            timing_table=nb.core.timing_table, check_timing=True,
+            program, kernel_mode=True, timing_table=nb.core.timing_table,
         )
         assert len(issues) == 1
         assert issues[0].kind == "no-timing"
         assert isinstance(issues[0].error, TimingModelError)
-        # With the timing check off (fast functional mode) it is valid.
+        # Without a timing table it is valid.
         assert validate_program(
-            program, kernel_mode=True,
-            timing_table=nb.core.timing_table, check_timing=False,
+            program, kernel_mode=True, timing_table=None,
         ) == []
 
     def test_dangling_branch_target(self):
@@ -450,8 +447,6 @@ class TestStepBudgets:
         assert excinfo.value.budget == "tlb-steps"
         assert excinfo.value.limit == 64
         assert nb.core.tlb.step_budget is None
-        # And the timing mode was restored by the sweep's own finally.
-        assert nb.core.timing_enabled
 
     def test_step_budget_context_managers_restore(self):
         core = NanoBench.kernel("Skylake").core
@@ -924,8 +919,7 @@ class TestPreflightCompleteness:
             for asm in (variant.init_asm, variant.latency_asm,
                         variant.throughput_asm):
                 issues = validate_program(
-                    assemble(asm), kernel_mode=True,
-                    timing_table=table, check_timing=True,
+                    assemble(asm), kernel_mode=True, timing_table=table,
                 )
                 assert issues == [], (variant.name, asm, issues)
 

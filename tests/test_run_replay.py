@@ -436,3 +436,28 @@ def test_corpus_sample_replays_byte_identically(uarch):
                 == _machine_state(exact_nb.core)), spec.label
         replayed_runs += nb.core.sim_stats.replayed_runs
     assert replayed_runs > 0
+
+
+def test_faults_outside_runs_keep_replay():
+    # Only RUN_FAULT_SITES turn replay off.  Under a plan arming sites
+    # that fire before or between runs (a failed allocation retried, a
+    # corrupted codegen entry rebuilt), each spec on a fresh core still
+    # replays and gives the fault-free values.  The reference runs under
+    # an empty plan, so an ambient REPRO_FAULTS plan reaches neither.
+    specs = _corpus_specs("Skylake")
+    with FaultPlan():
+        reference = [spec.execute(spec.make_nanobench()) for spec in specs]
+    # Seed 2031 fails every core's first allocation ("nb#0").
+    plan = FaultPlan(rates={"kernel.alloc": 0.15, "cache.corrupt": 0.15},
+                     seed=2031)
+    replayed_runs = 0
+    with plan:
+        for spec, expected in zip(specs, reference):
+            nb = spec.make_nanobench()
+            result = spec.execute(nb)
+            assert result.values == expected.values, spec.label
+            assert result.error == expected.error, spec.label
+            replayed_runs += nb.core.sim_stats.replayed_runs
+    assert plan.injected.get("kernel.alloc", 0) > 0
+    assert plan.injected.get("cache.corrupt", 0) > 0
+    assert replayed_runs > 0

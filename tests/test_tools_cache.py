@@ -33,7 +33,6 @@ from repro.tools.cache import (
 def _kernel_nb(uarch="Skylake", seed=3, buffer_mb=64):
     nb = NanoBench.kernel(uarch, seed=seed)
     disable_prefetchers(nb.core)
-    nb.core.timing_enabled = False
     nb.resize_r14_buffer(buffer_mb << 20)
     return nb
 

@@ -222,11 +222,7 @@ class TestDecodeMemo:
         from repro.uarch.core import SimulatedCore
 
         core = SimulatedCore(uarch)
-        instr = parse_statement(asm)
-        entry = core._decode(instr)
-        if entry[2] is None:
-            core._decode_timing(instr, entry)
-        record, timing, unsafe = entry[1:]
+        record, timing, unsafe = core._decode(parse_statement(asm))[1:]
         return (TestDecodeMemo._by_effect(record), timing, unsafe)
 
     @staticmethod
@@ -349,8 +345,7 @@ class TestDecodeMemo:
         sim = SimulatedCore("Skylake")
         for value in range(100):
             instr = parse_statement("add RAX, %d" % value)
-            entry = sim._decode(instr)
-            sim._decode_timing(instr, entry)
+            sim._decode(instr)
             assert len(core._DECODE_MEMO) <= 16
         assert core._DECODE_MEMO
         core._DECODE_MEMO.clear()

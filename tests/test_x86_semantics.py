@@ -10,7 +10,7 @@ from repro.x86.assembler import assemble
 @pytest.fixture()
 def core():
     machine = SimulatedCore("Skylake", seed=0)
-    machine.map_user_region(0x100000, 1 << 16)
+    machine.address_space.map_user(0x100000, 1 << 16)
     machine.regs.write("R14", 0x100000)
     machine.regs.write("RSP", 0x100000 + 0x8000)
     return machine
