@@ -1,15 +1,15 @@
 """Cross-microarchitecture integration smoke tests.
 
 Every Table I CPU (plus AMD Zen) must run the core measurement flows
-end to end: basic latency/throughput, event multiplexing and the
-user/kernel split.
+end to end: basic latency/throughput, event multiplexing, the
+simulator fast path and the user/kernel split.
 """
 
 import pytest
 
 from repro.core.nanobench import NanoBench
 from repro.perfctr.events import event_catalog
-from repro.uarch.specs import MICROARCHITECTURES
+from repro.uarch.specs import MICROARCHITECTURES, TABLE1_CPUS
 
 
 @pytest.mark.parametrize("uarch", list(MICROARCHITECTURES))
@@ -52,6 +52,45 @@ class TestEveryUarch:
         nb = NanoBench.user(uarch, seed=0)
         with pytest.raises(PrivilegeError):
             nb.run(asm="wbinvd", unroll_count=1, n_measurements=1)
+
+
+@pytest.mark.parametrize("uarch", TABLE1_CPUS)
+def test_fast_mode_preserves_cache_counts(uarch):
+    """The fast path (skipping a clean body's semantics) must not change
+    cache hit counting, whether it engages or falls back."""
+    def measure(asm, fast):
+        nb = NanoBench.kernel(uarch, seed=1)
+        nb.core.fast_path_enabled = fast
+        result = nb.run(
+            asm=asm,
+            events=[_l1_hit_event(nb), "UOPS_ISSUED.ANY"],
+            n_measurements=2,
+            warm_up_count=1,
+            fixed_counters=False,
+        )
+        return result, nb.core.sim_stats
+
+    def _l1_hit_event(nb):
+        prefix = ("MEM_LOAD_RETIRED"
+                  if nb.core.spec.family in ("SKL", "NHM")
+                  else "MEM_LOAD_UOPS_RETIRED")
+        return "%s.L1_HIT" % prefix
+
+    if MICROARCHITECTURES[uarch].family == "ZEN":
+        pytest.skip("Zen uses different load events")
+    # Loads make the body unclean: the fast path falls back.
+    loads = "mov RAX, [R14]; mov RBX, [R14+64]; mov RCX, [R14]"
+    exact, _ = measure(loads, fast=False)
+    fast, stats = measure(loads, fast=True)
+    assert stats.fast_path_instructions == 0 and stats.fallbacks > 0
+    assert list(exact.values())[0] == pytest.approx(3.0)
+    assert list(exact.values()) == pytest.approx(list(fast.values()))
+    # A clean body: the fast path skips every copy after the first.
+    clean = "add RAX, RBX; imul RCX, RCX; xor RDX, RSI"
+    exact, _ = measure(clean, fast=False)
+    fast, stats = measure(clean, fast=True)
+    assert stats.fast_path_instructions > 0
+    assert list(exact.values()) == pytest.approx(list(fast.values()))
 
 
 def test_uncore_counters_count_l3_traffic():
