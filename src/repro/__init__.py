@@ -31,11 +31,7 @@ from .fuzz import (  # noqa: E402
     GeneratedKernel,
     KernelGenerator,
 )
-from .router import (  # noqa: E402
-    FidelityTable,
-    RoutedBench,
-    RouterStats,
-)
+from .router import FidelityTable, RoutedBench  # noqa: E402
 from .store import (  # noqa: E402
     ResultStore,
     StoreStats,
@@ -54,7 +50,6 @@ __all__ = [
     "NanoBenchOptions",
     "ResultStore",
     "RoutedBench",
-    "RouterStats",
     "StoreStats",
     "__version__",
     "open_store",

@@ -58,6 +58,7 @@ from ..perfctr.config import (
     scan_config,
 )
 from ..perfctr.events import event_catalog
+from ..uarch.specs import get_spec
 from ..x86.decoder import decode_program
 from ..x86.instructions import Program
 from .nanobench import NanoBench
@@ -191,8 +192,6 @@ def run_validate_config(argv: List[str]) -> int:
                         help="microarchitecture whose event catalogue to "
                              "validate against (default Skylake)")
     args = parser.parse_args(argv)
-    from ..uarch.specs import get_spec
-
     try:
         spec = get_spec(args.uarch)
         catalog = event_catalog(spec.family, spec.n_cboxes)
@@ -709,15 +708,16 @@ def _main_with_args(args) -> int:
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    spec = get_spec(args.uarch)
     config = None
     if args.config is not None:
-        catalog = event_catalog(nb.core.spec.family, nb.core.spec.n_cboxes)
+        catalog = event_catalog(spec.family, spec.n_cboxes)
         try:
             config = parse_config_file(args.config, catalog)
         except ConfigError as exc:
             print("invalid config: %s" % exc, file=sys.stderr)
             return 1
-    elif nb.core.spec.family == "SKL":
+    elif spec.family == "SKL":
         config = example_skylake_config()
 
     if args.batch is not None:
@@ -743,7 +743,7 @@ def _main_with_args(args) -> int:
             "modelled wall time %.1f ms"
             % (report.program_runs, report.counter_groups,
                report.simulated_cycles,
-               report.wall_time_ms(args.kernel, nb.core.spec.frequency_ghz)),
+               report.wall_time_ms(args.kernel, spec.frequency_ghz)),
             file=sys.stderr,
         )
         sim = report.sim_stats

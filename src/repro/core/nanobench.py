@@ -48,6 +48,7 @@ from ..integrity.stability import (
     next_n_measurements,
     worst_offender,
 )
+from ..integrity.watchdog import scheduler_budgets
 from ..memory.paging import PAGE_SIZE
 from ..perfctr.config import CounterConfig, split_into_groups
 from ..perfctr.counters import (
@@ -99,11 +100,6 @@ KERNEL_PER_RUN_MS = 0.62
 USER_SETUP_MS = 21.0
 USER_PER_RUN_MS = 1.40
 
-_FIXED_COUNTER_NAMES = (
-    "Instructions retired", "Core cycles", "Reference cycles",
-)
-
-
 @dataclass
 class ExecutionReport:
     """Cost accounting for the last :meth:`NanoBench.run` call."""
@@ -142,8 +138,10 @@ class ExecutionReport:
     #: :class:`repro.uarch.core.SimStats`).
     sim_stats: Dict[str, float] = field(default_factory=dict)
     #: Routing attribution (``auto`` backend only): which tier served
-    #: the call, whether it was audited, and the router's cumulative
-    #: :class:`~repro.router.router.RouterStats` snapshot.
+    #: the call (``served_by``), whether it was audited and whether the
+    #: audit failed (``audited``, ``audit_failed``), and why it left the
+    #: analytic tier (``escalation``: ``capability``, ``fidelity``,
+    #: ``unschedulable``, ``unclassifiable``, or None).
     router: Optional[Dict[str, object]] = None
 
     def wall_time_ms(self, kernel_mode: bool, frequency_ghz: float) -> float:
@@ -789,20 +787,18 @@ class NanoBench:
                     scale = 1.1 + 0.3 * plan.fraction("freq.transition", key)
                     core.begin_frequency_transition(scale)
                     transition = True
-        scheduler = core.scheduler
-        saved_budgets = (scheduler.cycle_budget, scheduler.uop_budget)
-        if options.cycle_budget is not None:
-            scheduler.cycle_budget = options.cycle_budget
-        if options.uop_budget is not None:
-            scheduler.uop_budget = options.uop_budget
         if self.kernel_mode:
             core.disable_interrupts()
         record: Optional[RunRecord] = None
         try:
             if fixed_point is not None:
                 core.begin_run_log(fixed_point.watched)
-            core.run_program(generated.program, kernel_mode=self.kernel_mode,
-                             unroll_region=generated.unroll_region)
+            with scheduler_budgets(core.scheduler,
+                                   cycles=options.cycle_budget,
+                                   uops=options.uop_budget):
+                core.run_program(generated.program,
+                                 kernel_mode=self.kernel_mode,
+                                 unroll_region=generated.unroll_region)
         finally:
             if self.kernel_mode:
                 core.enable_interrupts()
@@ -810,7 +806,6 @@ class NanoBench:
                 core.end_frequency_transition()
             core.regs.restore(snapshot)
             core.reset_timing()
-            scheduler.cycle_budget, scheduler.uop_budget = saved_budgets
             if fixed_point is not None:
                 record = core.end_run_log()
         if fixed_point is not None:

@@ -210,11 +210,12 @@ class CapabilityError(NanoBenchError):
     """A measurement backend cannot answer what the caller asks.
 
     The ``analytic`` backend raises it up front for a pause/resume
-    counting benchmark (``magic_bytes``).  ``CacheSeq`` and the TLB
-    sweep raise it unless bound to ``sim``: ``analytic`` lacks
-    ``cache_events``, and ``auto`` lacks ``machine_state``, since it
-    runs each escalated query on a fresh simulator (see
-    :func:`repro.backends.require_sim`).  The ``auto`` router catches it
+    counting benchmark (``magic_bytes``).  ``CacheSeq``, the TLB sweep
+    and the branch-predictor sweep raise it unless bound to ``sim``:
+    ``analytic`` lacks ``cache_events``, and ``auto`` lacks
+    ``machine_state``, since it runs each escalated query on a fresh
+    simulator (see :func:`repro.backends.require_sim`).  The ``auto``
+    router catches it
     and serves the query from the simulator instead, so it carries the
     machine-readable capability name and survives pickling across
     worker processes.

@@ -17,7 +17,7 @@ from .fidelity import (
     load_fidelity_table,
     program_classes,
 )
-from .router import RoutedBench, RouterStats, audit_selected
+from .router import RoutedBench, audit_selected
 
 __all__ = [
     "ClassBound",
@@ -25,7 +25,6 @@ __all__ = [
     "EVENT_CLASSES",
     "FidelityTable",
     "RoutedBench",
-    "RouterStats",
     "audit_selected",
     "classify_event",
     "classify_query",

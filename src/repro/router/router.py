@@ -1,7 +1,7 @@
 """The tiered fidelity router: the analytic tier, else the simulator.
 
-``RoutedBench`` is a drop-in :class:`~repro.core.nanobench.NanoBench`
-facade (``NanoBench.create(backend="auto")`` returns one) over two
+``RoutedBench`` (``NanoBench.create(backend="auto")`` returns one)
+answers :meth:`~repro.core.nanobench.NanoBench.run` queries from two
 measurement tiers: the table-driven analytic estimator (~92× the
 simulator) and the cycle-accurate simulator (whose fast path is
 byte-identical to exact simulation).  Each :meth:`run` is
@@ -9,54 +9,46 @@ served by the analytic tier when its answer can be trusted and by the
 simulator otherwise — the fidelity swap gem5 makes between its CPU
 models, applied to a measurement service.
 
-Trust is decided *per query*, from data:
+Trust is decided *per query*, from data, and nothing carries over from
+one query to the next, so a routed answer is a pure function of the
+query:
 
 1. **The class gate** — before anything runs, a query whose event
    classes the analytic tier cannot count at all (cache/uncore/APERF),
-   whose classes the committed A6-derived
+   or whose classes the committed A6-derived
    :class:`~repro.router.fidelity.FidelityTable` does not bound within
-   :data:`TOLERANCE` (unmeasured classes are never trusted), or whose
-   classes an audit quarantined goes to the simulator.
+   :data:`TOLERANCE` (unmeasured classes are never trusted), goes to
+   the simulator.
 2. **Runtime escalation** — an :class:`~repro.errors.
    UnschedulableEventError` or :class:`~repro.errors.CapabilityError`
    from the analytic tier (a pause/resume kernel), or an analytic
    answer that had to skip events, falls through to the simulator.
 3. **Continuous audit** — a deterministic content-hash sample of
    analytic answers (:data:`AUDIT_FRACTION`) is re-run on a fresh
-   simulator; a deviation beyond tolerance quarantines the offending
-   event classes, records the divergence in the fuzzer's corpus format,
-   and returns the *simulator's* values — an audited answer is never
-   silently wrong.  Simulator answers are never audited: the fast
-   path's equivalence to exact simulation is enforced by the
-   differential fuzzer and the tier-2 full-corpus differential.
+   simulator; a deviation beyond tolerance records the divergence in
+   the fuzzer's corpus format and returns the *simulator's* values — an
+   audited answer is never silently wrong.  Simulator answers are never
+   audited: the fast path's equivalence to exact simulation is enforced
+   by the differential fuzzer and the tier-2 full-corpus differential.
 
 Routing decisions are attributable end to end: each run leaves a
-``router`` block (``served_by``, ``audited``, ``audit_failed``) on
-:class:`~repro.core.nanobench.ExecutionReport`, and cumulative
-:class:`RouterStats` for the service's ``/v1/stats``.
+``router`` block (``served_by``, ``audited``, ``audit_failed``,
+``escalation``) on :class:`~repro.core.nanobench.ExecutionReport`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
-from ..errors import (
-    CapabilityError,
-    NanoBenchError,
-    UnschedulableEventError,
-)
-from ..perfctr.events import event_catalog
-from ..stats import Counters
+from ..errors import CapabilityError, UnschedulableEventError
 from ..tools.compare_backends import band_violations
 from .fidelity import (
     CLASS_APERF,
     CLASS_CACHE,
-    CLASS_CORE,
     CLASS_UNCORE,
-    classify_event,
     classify_query,
     load_fidelity_table,
     program_classes,
@@ -78,22 +70,6 @@ REL_TOLERANCE = 0.05
 #: Fraction of analytic answers cross-checked against a fresh simulator
 #: run (deterministic content-hash sampling).
 AUDIT_FRACTION = 1.0 / 64.0
-
-
-@dataclass
-class RouterStats(Counters):
-    """Cumulative routing counters of one :class:`RoutedBench`."""
-
-    tier_hits: Dict[str, int] = field(default_factory=dict)
-    #: Escalations to the simulator keyed by reason (``capability`` /
-    #: ``fidelity`` / ``quarantine`` / ``unschedulable`` /
-    #: ``unclassifiable``).
-    escalations: Dict[str, int] = field(default_factory=dict)
-    audits: int = 0
-    audit_passes: int = 0
-    audit_failures: int = 0
-    #: Quarantined ``"analytic:class"`` pairs, sorted.
-    quarantined: Tuple[str, ...] = ()
 
 
 def audit_selected(*, uarch: str, seed: int, kernel_mode: bool, asm: str,
@@ -120,17 +96,21 @@ def audit_selected(*, uarch: str, seed: int, kernel_mode: bool, asm: str,
 
 
 class RoutedBench:
-    """A NanoBench-shaped facade that routes each run across two tiers.
+    """Routes each :meth:`run` query across the two tiers.
 
-    Every routed run is served from a **pristine** machine state: the
-    simulator carries persistent memory/cache state across runs on one
-    instance (by design — it models a real machine), which would make a
-    reused instance's answer diverge from the fresh-instance answer the
-    batch path and the A6 fidelity bounds are defined against, and
-    would let the audit compare two tiers in different machine states.
-    So the stateless analytic tier is built once and reused, while a
-    sim tier is built for each run and each audit — exactly the cost
-    the un-routed batch path already pays per spec.
+    It answers :meth:`run` like a :class:`~repro.core.nanobench.
+    NanoBench`, but it is not a machine: it has no ``core`` or R14
+    buffer for a tool to prepare (such tools call
+    :func:`~repro.backends.require_sim`).  Every query is served from a
+    **pristine** machine state: the simulator carries persistent
+    memory/cache state across runs on one instance (by design — it
+    models a real machine), which would make a reused instance's answer
+    diverge from the fresh-instance answer the batch path and the A6
+    fidelity bounds are defined against, and would let the audit
+    compare two tiers in different machine states.  So the stateless
+    analytic tier is built once and reused, while a sim tier is built
+    for each escalated query and each audit — exactly the cost the
+    un-routed batch path already pays per spec.
     """
 
     def __init__(self, uarch: str = "Skylake", seed: int = 0, *,
@@ -146,24 +126,21 @@ class RoutedBench:
         self.preflight = preflight
         self.table = load_fidelity_table()
         self.backend = "auto"
-        self.stats = RouterStats()
         #: Divergences confirmed by the audit, in the fuzzer's corpus
         #: format (category ``router``), ready for ``save_corpus``.
         self.divergences: List[object] = []
         #: The most recent run's report, with its ``router`` block.
         self.last_report = ExecutionReport()
-        self.last_raw_series: Dict[int, Dict[str, List[float]]] = {}
-        #: The analytic tier (it also resolves and classifies every
-        #: query) and the most recently built sim tier.
+        #: The analytic tier; it also resolves and classifies every query.
         self._analytic = self._build("analytic")
-        self._sim = None
-        self._quarantined: set = set()
-        self._r14_size_request: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Tiers
     # ------------------------------------------------------------------
     def _build(self, backend: str):
+        """A tier in the pristine state a direct
+        ``NanoBench.create(...).run(...)`` starts from (the byte-identity
+        contract, and the state the audit's reference must share)."""
         from ..core.nanobench import NanoBench
 
         return NanoBench.create(
@@ -171,45 +148,6 @@ class RoutedBench:
             backend=backend, options=self.options,
             preflight=self.preflight,
         )
-
-    def _fresh_sim(self):
-        """A sim tier in the pristine state a direct
-        ``NanoBench.create(...).run(...)`` starts from (the byte-identity
-        contract, and the state the audit's reference must share).  It
-        replaces the previous one, so post-run introspection (``core``,
-        ``last_report``) reads the instance that actually ran."""
-        self._sim = self._build("sim")
-        if self._r14_size_request is not None:
-            self._sim.resize_r14_buffer(self._r14_size_request)
-        return self._sim
-
-    def _current_sim(self):
-        return self._sim if self._sim is not None else self._fresh_sim()
-
-    @property
-    def core(self):
-        """The sim tier's core (CLI / cache-benchmark hook)."""
-        return self._current_sim().core
-
-    def resize_r14_buffer(self, size: int) -> int:
-        """Resize R14 on the current and every future sim tier (kernel
-        only, like :meth:`NanoBench.resize_r14_buffer`)."""
-        if not self.kernel_mode:
-            raise NanoBenchError(
-                "physically-contiguous memory requires the kernel version"
-            )
-        self._r14_size_request = size
-        if self._sim is not None:
-            return self._sim.resize_r14_buffer(size)
-        return self._fresh_sim()._r14_physical_base
-
-    @property
-    def r14_physical_base(self) -> Optional[int]:
-        return self._current_sim().r14_physical_base
-
-    @property
-    def r14_size(self) -> int:
-        return self._current_sim().r14_size
 
     # ------------------------------------------------------------------
     # Routing
@@ -239,8 +177,6 @@ class RoutedBench:
         for cls in classes:
             if not self.table.trusted("analytic", cls, TOLERANCE):
                 return None, "fidelity"
-        if any(cls in self._quarantined for cls in classes):
-            return None, "quarantine"
         return [event.name for event in perf_events], None
 
     # ------------------------------------------------------------------
@@ -274,8 +210,7 @@ class RoutedBench:
 
         audited = audit_failed = False
         if reason is not None:
-            self.stats.bump("escalations", reason)
-            tier = self._fresh_sim()
+            tier = self._build("sim")
             values = self._run_on(tier, asm, asm_init, run_kwargs)
         else:
             asm_text = asm if code is None else str(code)
@@ -294,7 +229,14 @@ class RoutedBench:
                 values, tier, audit_failed = self._audit(
                     values, asm, asm_init, run_kwargs, spec)
 
-        self._finish(tier, audited, audit_failed)
+        report = tier.last_report
+        report.router = {
+            "served_by": tier.backend,
+            "audited": audited,
+            "audit_failed": audit_failed,
+            "escalation": reason,
+        }
+        self.last_report = report
         return values
 
     # ------------------------------------------------------------------
@@ -318,39 +260,15 @@ class RoutedBench:
         """Cross-check an analytic answer against a fresh simulator run.
 
         Within tolerance: the analytic answer stands.  Beyond it: the
-        offending event classes are quarantined on the analytic tier,
-        the divergence is recorded, and the *simulator's* values are
+        divergence is recorded and the *simulator's* values are
         returned — the audit never lets a wrong answer through.
         """
-        self.stats.audits += 1
-        sim = self._fresh_sim()
+        sim = self._build("sim")
         sim_values = self._run_on(sim, asm, asm_init, run_kwargs)
-        violations = band_violations(sim_values, values,
-                                     TOLERANCE, REL_TOLERANCE)
-        if not violations:
-            self.stats.audit_passes += 1
+        if not band_violations(sim_values, values, TOLERANCE, REL_TOLERANCE):
             return values, self._analytic, False
-
-        self.stats.audit_failures += 1
-        for name in violations:
-            self._quarantined.add(self._counter_class(name))
-        self.stats.quarantined = tuple(sorted(
-            "analytic:%s" % cls for cls in self._quarantined
-        ))
         self._record_divergence(spec, values, sim_values)
         return sim_values, sim, True
-
-    def _counter_class(self, counter_name: str) -> str:
-        from ..core.nanobench import _FIXED_COUNTER_NAMES
-
-        if counter_name in _FIXED_COUNTER_NAMES:
-            return CLASS_CORE
-        if counter_name in ("APERF", "MPERF"):
-            return CLASS_APERF
-        spec = self._analytic.core.spec
-        catalog = event_catalog(spec.family, spec.n_cboxes)
-        event = catalog.get(counter_name)
-        return classify_event(event) if event is not None else CLASS_CACHE
 
     def _record_divergence(self, spec, values, sim_values) -> None:
         from ..fuzz.corpus import DivergenceRecord
@@ -365,16 +283,3 @@ class RoutedBench:
             profile="router-audit",
             provenance="router-audit:analytic",
         ))
-
-    def _finish(self, tier, audited: bool, audit_failed: bool) -> None:
-        served = tier.backend
-        self.stats.bump("tier_hits", served)
-        report = tier.last_report
-        report.router = {
-            "served_by": served,
-            "audited": audited,
-            "audit_failed": audit_failed,
-            "stats": self.stats.to_dict(),
-        }
-        self.last_report = report
-        self.last_raw_series = tier.last_raw_series

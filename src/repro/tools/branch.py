@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..backends import require_sim
 from ..core.codegen import RSI_AREA_BASE
 from ..core.nanobench import NanoBench
 from ..errors import AnalysisError
@@ -68,6 +69,8 @@ def measure_pattern(nb: NanoBench, pattern: str,
     The surrounding loop contributes its own, perfectly predicted
     branch (plus one exit mispredict), which is subtracted.
     """
+    require_sim(nb, "the branch-predictor sweep writes its direction "
+                    "pattern into the machine's memory")
     directions = parse_pattern(pattern) * repetitions
     if len(directions) > (1 << 20):
         raise AnalysisError(

@@ -1,4 +1,4 @@
-"""Interference model: interrupts, preemptions and their counter noise.
+"""Interference model: interrupts and their counter noise.
 
 The paper's motivation for the kernel-space variant: "It can allow for
 more accurate measurement results as it disables interrupts and
@@ -46,10 +46,6 @@ class InterferenceConfig:
     branch_fraction: float = 0.2
     uops_per_instruction: float = 1.1
     cache_lines: int = 64
-    #: Per-run probability of an OS preemption (a much larger burst).
-    preemption_probability: float = 0.02
-    preemption_cycles: int = 400_000
-    preemption_instructions: int = 250_000
 
 
 class InterferenceModel:
@@ -105,18 +101,3 @@ class InterferenceModel:
             ))
             self._schedule_next(self._next_interrupt)
         return events
-
-    def preemption_for_run(self) -> Optional[InterruptEvent]:
-        """Occasional scheduler preemption hitting a whole run (user mode)."""
-        if not self.enabled:
-            return None
-        if self.rng.random() >= self.config.preemption_probability:
-            return None
-        config = self.config
-        return InterruptEvent(
-            cycles=config.preemption_cycles,
-            instructions=config.preemption_instructions,
-            uops=int(config.preemption_instructions * config.uops_per_instruction),
-            branches=int(config.preemption_instructions * config.branch_fraction),
-            cache_lines_touched=2048,
-        )

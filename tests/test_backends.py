@@ -410,6 +410,18 @@ class TestToolGating:
         assert excinfo.value.capability == (
             "cache_events" if backend == "analytic" else "machine_state")
 
+    @pytest.mark.parametrize("backend", ["analytic", "auto"])
+    def test_branch_sweep_requires_sim(self, backend):
+        # The sweep writes its direction bytes into nb.core's memory:
+        # ``auto`` would run the branch on a fresh simulator, whose
+        # bytes are all zero (always taken).
+        from repro.tools.branch import measure_pattern
+
+        nb = NanoBench.create(backend=backend)
+        with pytest.raises(CapabilityError) as excinfo:
+            measure_pattern(nb, "TN")
+        assert excinfo.value.backend == backend
+
     def test_instr_corpus_runs_on_analytic(self):
         from repro.tools.instr import (
             characterize_corpus_batched,

@@ -6,15 +6,16 @@ bugfixes that ride along in the same PR:
 * every routed answer is byte-identical to a *fresh* run on the tier
   that served it (the simulating tiers carry machine state across runs
   on one instance, so the router must rebuild them per run);
-* escalation is automatic — a capability miss, an untrusted fidelity
-  class (microcoded code), or a quarantined class goes to the simulator,
-  and the reasons are counted; the class gate escalates exactly what
-  the analytic tier cannot answer;
+* escalation is automatic — a capability miss or an untrusted fidelity
+  class (microcoded code) goes to the simulator, and each answer names
+  its reason; the class gate escalates exactly what the analytic tier
+  cannot answer;
 * the router has two tiers, ``analytic`` and ``sim``; the continuous
   audit checks only analytic answers, is a deterministic content-hash
   sample, never lets a wrong answer through (the simulator's values are
-  returned), and quarantines + records divergences in the fuzzer's
-  corpus format;
+  returned), and records divergences in the fuzzer's corpus format;
+* routing is per query: a reused instance answers each query as a
+  fresh one does, whatever ran on it before (a failed audit included);
 * routing attribution flows through BatchResult, the store record codec,
   the job queue's counters, and ``-backend auto`` on the CLI;
 * regression pins: fractional ``Retry-After`` headers are ceiled while
@@ -241,7 +242,7 @@ class TestRouting:
         assert rb.last_report.router["served_by"] == "analytic"
         assert values == _fresh("analytic", "add RAX, RBX",
                                 n_measurements=2)
-        assert rb.stats.tier_hits == {"analytic": 1}
+        assert rb.last_report.router["escalation"] is None
 
     def test_cache_event_escalates_on_capability(self, monkeypatch):
         rb = _router(monkeypatch)
@@ -249,7 +250,7 @@ class TestRouting:
                       events=("MEM_LOAD_RETIRED.L1_HIT",))
         values = dict(rb.run("mov R14, [R14]", **kwargs))
         assert rb.last_report.router["served_by"] == "sim"
-        assert rb.stats.escalations == {"capability": 1}
+        assert rb.last_report.router["escalation"] == "capability"
         assert values == _fresh("sim", "mov R14, [R14]", **kwargs)
         assert values["MEM_LOAD_RETIRED.L1_HIT"] == pytest.approx(1.0)
 
@@ -257,7 +258,7 @@ class TestRouting:
         rb = _router(monkeypatch)
         values = dict(rb.run("cpuid", n_measurements=2))
         assert rb.last_report.router["served_by"] == "sim"
-        assert rb.stats.escalations == {"fidelity": 1}
+        assert rb.last_report.router["escalation"] == "fidelity"
         assert values == _fresh("sim", "cpuid", n_measurements=2)
 
     def test_zero_tolerance_forces_all_off_analytic(self, monkeypatch):
@@ -265,7 +266,7 @@ class TestRouting:
         rb = _router(monkeypatch)
         rb.run("add RAX, RBX", n_measurements=2)
         assert rb.last_report.router["served_by"] == "sim"
-        assert rb.stats.escalations == {"fidelity": 1}
+        assert rb.last_report.router["escalation"] == "fidelity"
 
     def test_routed_runs_start_pristine(self, monkeypatch):
         # The simulating tiers carry memory/cache state across runs on
@@ -297,19 +298,6 @@ class TestRouting:
         forward = decide(queries)
         assert decide(list(reversed(queries))) == forward
 
-    def test_user_mode_resize_r14_raises_every_time(self):
-        # Like NanoBench.resize_r14_buffer: physically-contiguous memory
-        # is kernel-only, on the first call as on every later one, and
-        # refusing it builds no sim tier.
-        rb = RoutedBench("Skylake", 0, kernel_mode=False)
-        for _ in range(2):
-            with pytest.raises(NanoBenchError, match="kernel version"):
-                rb.resize_r14_buffer(1 << 20)
-        assert rb._sim is None
-        with pytest.raises(NanoBenchError, match="kernel version"):
-            NanoBench.create("Skylake", 0, kernel_mode=False,
-                             backend="sim").resize_r14_buffer(1 << 20)
-
 
 # ----------------------------------------------------------------------
 # The continuous audit
@@ -322,12 +310,14 @@ class TestAudit:
         # answer comes from one of the two.
         rb = _router(monkeypatch, audit_fraction=1.0)
         rb.run("add RAX, RBX", n_measurements=2)
+        routed = rb.last_report.router
+        assert (routed["served_by"], routed["audited"]) == ("analytic", True)
         rb.run("cpuid", n_measurements=2)
-        assert rb.stats.tier_hits == {"analytic": 1, "sim": 1}
-        assert rb.stats.audits == 1
+        routed = rb.last_report.router
+        assert (routed["served_by"], routed["audited"]) == ("sim", False)
 
-    def test_violation_returns_exact_and_quarantines(self, tmp_path,
-                                                     monkeypatch):
+    def test_violation_returns_exact_and_records(self, tmp_path,
+                                                 monkeypatch):
         rb = _router(monkeypatch, audit_fraction=1.0)
         values = dict(rb.run(self.RMW, n_measurements=2))
         routed = rb.last_report.router
@@ -337,8 +327,8 @@ class TestAudit:
         # and equals exact simulation with the fast path off.
         assert values == _fresh("sim", self.RMW, exact=True,
                                 n_measurements=2)
-        assert rb.stats.quarantined == ("analytic:core",)
-        assert rb.stats.audit_failures == 1
+        # It left the analytic tier by its audit, not by an escalation.
+        assert routed["escalation"] is None
         # The divergence is a corpus-format record that round-trips.
         assert len(rb.divergences) == 1
         record = rb.divergences[0]
@@ -371,29 +361,41 @@ class TestAudit:
             router_module.TOLERANCE, router_module.REL_TOLERANCE)
         assert "out of band %s" % sorted(violations) in found
 
-    def test_quarantined_class_escalates_next_run(self, monkeypatch):
-        rb = _router(monkeypatch, audit_fraction=1.0)
-        rb.run(self.RMW, n_measurements=2)
-        values = dict(rb.run(self.RMW, n_measurements=2))
-        # Served by the sim tier now, which is never audited.
-        assert rb.last_report.router["served_by"] == "sim"
-        assert not rb.last_report.router["audited"]
-        assert rb.stats.escalations.get("quarantine") == 1
-        assert rb.stats.audits == 1
-        assert values == _fresh("sim", self.RMW, n_measurements=2)
+    def test_routing_is_order_independent_after_a_failed_audit(
+            self, monkeypatch):
+        # Nothing carries over from one query to the next: on a reused
+        # instance each query routes as on a fresh one, in either
+        # order, even after the RMW query fails its audit.
+        queries = [self.RMW, "add RAX, RBX"]
+
+        def answer(rb, asm):
+            values = dict(rb.run(asm, n_measurements=2))
+            routed = rb.last_report.router
+            return (values, routed["served_by"], routed["audited"],
+                    routed["escalation"])
+
+        fresh = {asm: answer(_router(monkeypatch, audit_fraction=1.0), asm)
+                 for asm in queries}
+        assert fresh[self.RMW][1:] == ("sim", True, None)
+        assert fresh["add RAX, RBX"][1:] == ("analytic", True, None)
+        for ordering in (queries, queries[::-1]):
+            rb = _router(monkeypatch, audit_fraction=1.0)
+            for asm in ordering:
+                assert answer(rb, asm) == fresh[asm], (ordering, asm)
 
     def test_sim_answers_are_never_audited(self, monkeypatch):
         rb = _router(monkeypatch, audit_fraction=1.0)
         queries = [
-            ("cpuid", "", ()),  # fidelity escalation
+            ("cpuid", "", (), "fidelity"),
             ("mov R14, [R14]", "mov [R14], R14",
-             ("MEM_LOAD_RETIRED.L1_HIT",)),  # capability escalation
+             ("MEM_LOAD_RETIRED.L1_HIT",), "capability"),
         ]
-        for asm, asm_init, events in queries:
+        for asm, asm_init, events, reason in queries:
             rb.run(asm, asm_init, events=events, n_measurements=2)
-            assert rb.last_report.router["served_by"] == "sim"
-            assert not rb.last_report.router["audited"]
-        assert rb.stats.audits == 0
+            routed = rb.last_report.router
+            assert routed["served_by"] == "sim"
+            assert not routed["audited"]
+            assert routed["escalation"] == reason
 
     def test_passing_audit_keeps_cheap_answer(self, monkeypatch):
         rb = _router(monkeypatch, audit_fraction=1.0)
@@ -401,7 +403,6 @@ class TestAudit:
         assert rb.last_report.router["served_by"] == "analytic"
         routed = rb.last_report.router
         assert routed["audited"] and not routed["audit_failed"]
-        assert rb.stats.audit_passes == 1
         assert values == _fresh("analytic", "add RAX, RBX",
                                 n_measurements=2)
 
@@ -434,7 +435,7 @@ class TestGateAgreement:
         rb = _router(monkeypatch)
         rb.run(**query)
         assert rb.last_report.router["served_by"] == "sim"
-        assert rb.stats.escalations == {"capability": 1}
+        assert rb.last_report.router["escalation"] == "capability"
 
         nb = NanoBench.create("Skylake", 0, backend="analytic")
         try:
@@ -536,6 +537,20 @@ class TestAttribution:
         ])
         assert exit_code == 0
         assert "Core cycles: 1.00" in capsys.readouterr().out
+
+    def test_cli_backend_auto_verbose_with_config(self, tmp_path, capsys):
+        # The verbose report reads the machine description from the
+        # uarch name; the router has no machine of its own to ask.
+        config = tmp_path / "magic-cfg.txt"
+        config.write_text("UOPS_ISSUED.ANY\n")
+        exit_code = cli_main([
+            "-asm", "add RAX, RBX", "-backend", "auto", "-verbose",
+            "-config", str(config), "-n_measurements", "2",
+        ])
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "UOPS_ISSUED.ANY: 1.00" in captured.out
+        assert "modelled wall time 2.0 ms" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the interrupt/preemption interference model."""
+"""Tests for the interrupt interference model."""
 
 import random
 
@@ -62,22 +62,6 @@ class TestPoissonProcess:
         # masked window, then the process fires again.
         assert model.poll(100_000_000) == []
         assert model.poll(200_000_000)  # fires again
-
-
-class TestPreemption:
-    def test_preemption_probability(self):
-        config = InterferenceConfig(preemption_probability=0.5)
-        model = InterferenceModel(config, rng=random.Random(4))
-        outcomes = [model.preemption_for_run() for _ in range(200)]
-        hits = [o for o in outcomes if o is not None]
-        assert 60 < len(hits) < 140
-        assert all(o.cycles == config.preemption_cycles for o in hits)
-
-    def test_no_preemption_when_disabled(self):
-        config = InterferenceConfig(preemption_probability=1.0)
-        model = InterferenceModel(config, rng=random.Random(5))
-        model.disable()
-        assert model.preemption_for_run() is None
 
 
 class TestCoreCoupling:
